@@ -304,13 +304,6 @@ fn job32_tasks(steps: u32, telemetry: bool) -> f64 {
     mixed_job(spec, steps, false, telemetry).0
 }
 
-/// The mixed job at `hosts × 16` ranks (2 containers × 8 ranks per
-/// host) on the task engine, total work held constant by the caller via
-/// `steps ∝ 1/n`. Wall-clock milliseconds.
-fn rank_scaling(hosts: u32, steps: u32) -> f64 {
-    cmpi_bench::experiments::scaling_point(hosts, steps).wall_ms
-}
-
 /// The shared mixed-job body: windowed 4-neighbour exchange, a 2 KiB
 /// allreduce and a barrier per step. Message counts and payload sizes
 /// are per-rank constants, so jobs with `steps · ranks` equal do equal
@@ -520,9 +513,16 @@ fn run_scaling_kernels() -> Vec<(&'static str, f64)> {
         // management (page faults while the allocator warms up), so the
         // first run of a size routinely pays 2x. The minimum is the
         // honest "cost of the engine" number.
-        let best = (0..3)
-            .map(|_| rank_scaling(hosts, steps))
-            .fold(f64::INFINITY, f64::min);
+        let (mut best, mut peak_rss_mb) = (f64::INFINITY, 0.0);
+        for _ in 0..3 {
+            let p = cmpi_bench::experiments::scaling_point(hosts, steps);
+            best = best.min(p.wall_ms);
+            peak_rss_mb = p.peak_rss_mb;
+        }
+        eprintln!(
+            "bench_ledger: rank scaling {ranks} ranks: best wall {best:.1} ms, \
+             peak RSS {peak_rss_mb:.1} MiB"
+        );
         out.push((name, best));
     }
     out

@@ -989,6 +989,22 @@ pub struct ScalingPoint {
     pub virt_ms: f64,
     /// Point-to-point messages sent across all ranks.
     pub msgs: u64,
+    /// The process's resident-set high-water mark (`VmHWM`) once the job
+    /// has finished, MiB. It never falls, so down a column of growing
+    /// jobs in one process each row reads its own job's peak; 0 where
+    /// `/proc/self/status` is not available.
+    pub peak_rss_mb: f64,
+}
+
+/// `VmHWM` of this process in MiB (0 when `/proc` does not say).
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let kib = s.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kib.trim().trim_end_matches("kB").trim().parse::<f64>().ok()
+        })
+        .map_or(0.0, |kib| kib / 1024.0)
 }
 
 /// Worker count for scaling runs: the cores this machine actually has,
@@ -1012,8 +1028,8 @@ pub fn scaling_point(hosts: u32, steps: u32) -> ScalingPoint {
     let spec = JobSpec::new(scenario)
         .with_exec(cmpi_core::ExecMode::Tasks)
         .with_workers(scaling_workers())
-        // Shallow bench frames: the 1 MiB default stack would cost a
-        // per-fiber mmap + page-fault storm at 4096 ranks.
+        // Shallow bench frames: 4096 default 1 MiB stacks would reserve
+        // 4 GiB of address space for nothing.
         .with_stack_kib(128);
     let t0 = std::time::Instant::now();
     let r = spec.run(move |mpi| {
@@ -1058,6 +1074,7 @@ pub fn scaling_point(hosts: u32, steps: u32) -> ScalingPoint {
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         virt_ms: r.elapsed.as_ms_f64(),
         msgs: r.results.iter().sum(),
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -1073,7 +1090,15 @@ pub fn scaling_table(e: &Effort) -> Table {
             scaling_workers()
         ),
         &[
-            "ranks", "hosts", "steps", "wall_ms", "wall_x", "ranks_x", "virt_ms", "msgs",
+            "ranks",
+            "hosts",
+            "steps",
+            "wall_ms",
+            "wall_x",
+            "ranks_x",
+            "peak_rss_mb",
+            "virt_ms",
+            "msgs",
         ],
     );
     let hosts_col: &[u32] = if e.hosts_div == 1 {
@@ -1095,6 +1120,7 @@ pub fn scaling_table(e: &Effort) -> Table {
             f2(p.wall_ms),
             f2(p.wall_ms / base),
             f2(ranks as f64 / base_ranks as f64),
+            f2(p.peak_rss_mb),
             f2(p.virt_ms),
             p.msgs.to_string(),
         ]);

@@ -166,7 +166,9 @@ pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The leader topology one two-level collective call operates on.
+/// The job's two-level collective topology: the policy's locality
+/// groups, their leaders, and a rank→group index. One instance serves
+/// every rank (see `JobState::smp_topo`).
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every
 /// phase of every collective, so two phases of one call can never
@@ -174,35 +176,48 @@ pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
 /// its group's leader shuttle the payload between the two explicitly.
 pub(crate) struct SmpTopo {
     groups: Vec<Vec<usize>>,
-    my_group: Vec<usize>,
     leaders: Vec<usize>,
-    my_leader: usize,
+    /// Index into `groups` of each rank's group.
+    group_idx: Vec<u32>,
 }
 
 impl SmpTopo {
-    /// Derive one rank's topology view from the locality groups.
-    pub(crate) fn build(groups: &[Vec<usize>], rank: usize) -> SmpTopo {
-        let groups = groups.to_vec();
-        let my_group = groups
-            .iter()
-            .find(|g| g.contains(&rank))
-            .expect("rank in no group")
-            .clone();
-        let leaders: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-        let my_leader = my_group[0];
+    /// Index the locality groups (a partition of ranks `0..n`, each group
+    /// sorted ascending).
+    pub(crate) fn new(groups: Vec<Vec<usize>>, n: usize) -> SmpTopo {
+        let leaders = groups.iter().map(|g| g[0]).collect();
+        let mut group_idx = vec![u32::MAX; n];
+        for (gi, g) in groups.iter().enumerate() {
+            for &r in g {
+                group_idx[r] = gi as u32;
+            }
+        }
+        assert!(!group_idx.contains(&u32::MAX), "rank in no group");
         SmpTopo {
             groups,
-            my_group,
             leaders,
-            my_leader,
+            group_idx,
         }
     }
 
+    /// The locality groups, ordered by smallest member.
+    pub(crate) fn groups(&self) -> &[Vec<usize>] {
+        &self.groups
+    }
+
+    /// Position of `rank`'s group in `groups` (and of its leader in
+    /// `leaders`).
+    fn group_index(&self, rank: usize) -> usize {
+        self.group_idx[rank] as usize
+    }
+
+    /// The members of `rank`'s group, ascending.
+    fn group_of(&self, rank: usize) -> &[usize] {
+        &self.groups[self.group_index(rank)]
+    }
+
     fn leader_of(&self, rank: usize) -> usize {
-        self.groups
-            .iter()
-            .find(|g| g.contains(&rank))
-            .expect("rank in no group")[0]
+        self.leaders[self.group_index(rank)]
     }
 }
 
@@ -935,12 +950,11 @@ impl Mpi {
     /// groups ordered by smallest member). All ranks compute the same
     /// partition.
     pub fn policy_groups(&self) -> Vec<Vec<usize>> {
-        self.coll_groups.as_ref().clone()
+        self.smp_topo.groups().to_vec()
     }
 
-    /// Snapshot the leader topology for one two-level call.
-    /// This rank's two-level topology view. Built once at init (the world
-    /// locality groups never change after that; shrink-produced
+    /// The job's two-level topology. Built once per job (the world
+    /// locality groups never change after init; shrink-produced
     /// communicators carry their own groups in `ctx_coll`), so every
     /// collective call pays a refcount bump instead of re-cloning the
     /// whole group structure.
@@ -962,6 +976,8 @@ impl Mpi {
 
     fn bcast_smp_inner<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         let root_leader = topo.leader_of(root);
         let mut payload: Option<Bytes> = (self.rank == root).then(|| to_bytes(buf));
         // Phase 0: shuttle to the root's group leader when the root is
@@ -975,23 +991,14 @@ impl Mpi {
             }
         }
         // Phase 1: inter-leader broadcast.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == root_leader)
-                .expect("root leader not in leader list");
+        if self.rank == my_leader && topo.leaders.len() > 1 {
+            let root_pos = topo.group_index(root);
             let out = self.bcast_inner(payload.take(), &topo.leaders, root_pos, op::SMP_PHASE0);
             payload = Some(out);
         }
         // Phase 2: host-local broadcast from the leader.
-        if topo.my_group.len() > 1 {
-            let root_pos = topo
-                .my_group
-                .iter()
-                .position(|&l| l == topo.my_leader)
-                .expect("leader not in its group");
-            let out = self.bcast_inner(payload.take(), &topo.my_group, root_pos, op::SMP_PHASE1);
+        if my_group.len() > 1 {
+            let out = self.bcast_inner(payload.take(), my_group, 0, op::SMP_PHASE1);
             payload = Some(out);
         }
         if self.rank != root {
@@ -1014,17 +1021,19 @@ impl Mpi {
 
     fn allreduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
         let topo = self.smp_topology();
-        let mut acc = if topo.my_group.len() > 1 {
-            self.reduce_inner(data, rop, &topo.my_group, 0, op::SMP_PHASE0)
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
+        let mut acc = if my_group.len() > 1 {
+            self.reduce_inner(data, rop, my_group, 0, op::SMP_PHASE0)
         } else {
             data.to_vec()
         };
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
+        if self.rank == my_leader && topo.leaders.len() > 1 {
             acc = self.allreduce_inner(&acc, rop, &topo.leaders, op::SMP_PHASE1);
         }
-        if topo.my_group.len() > 1 {
-            let seed = (self.rank == topo.my_leader).then(|| to_bytes(&acc));
-            let out = self.bcast_inner(seed, &topo.my_group, 0, op::SMP_PHASE2);
+        if my_group.len() > 1 {
+            let seed = (self.rank == my_leader).then(|| to_bytes(&acc));
+            let out = self.bcast_inner(seed, my_group, 0, op::SMP_PHASE2);
             from_bytes(&out, &mut acc);
         }
         acc
@@ -1050,20 +1059,18 @@ impl Mpi {
 
     fn reduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp, root: usize) -> Vec<T> {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         let root_leader = topo.leader_of(root);
         // Phase 0: host-local fan-in to the group leader.
-        let mut acc = if topo.my_group.len() > 1 {
-            self.reduce_inner(data, rop, &topo.my_group, 0, op::SMP_REDUCE0)
+        let mut acc = if my_group.len() > 1 {
+            self.reduce_inner(data, rop, my_group, 0, op::SMP_REDUCE0)
         } else {
             data.to_vec()
         };
         // Phase 1: inter-leader reduce rooted at the root's leader.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == root_leader)
-                .expect("root leader not in leader list");
+        if self.rank == my_leader && topo.leaders.len() > 1 {
+            let root_pos = topo.group_index(root);
             acc = self.reduce_inner(&acc, rop, &topo.leaders, root_pos, op::SMP_REDUCE1);
         }
         // Phase 2: shuttle to a non-leader root.
@@ -1095,19 +1102,17 @@ impl Mpi {
 
     fn gather_smp_inner<T: MpiData>(&mut self, data: &[T], root: usize) -> Vec<T> {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         let root_leader = topo.leader_of(root);
         // Phase 0: host-local gather to the group leader.
-        let parts = self.gather_inner(to_bytes(data), &topo.my_group, 0, op::SMP_GATHER0);
+        let parts = self.gather_inner(to_bytes(data), my_group, 0, op::SMP_GATHER0);
         // Phase 1: leaders gather their groups' bundles to the root's
         // leader, which flattens them back to per-rank payloads.
         let mut flat: Vec<(usize, Bytes)> = Vec::new();
-        if self.rank == topo.my_leader {
+        if self.rank == my_leader {
             if topo.leaders.len() > 1 {
-                let root_pos = topo
-                    .leaders
-                    .iter()
-                    .position(|&l| l == root_leader)
-                    .expect("root leader not in leader list");
+                let root_pos = topo.group_index(root);
                 let nested =
                     self.gather_inner(bundle(&parts), &topo.leaders, root_pos, op::SMP_GATHER1);
                 if self.rank == root_leader {
@@ -1155,13 +1160,15 @@ impl Mpi {
 
     fn allgather_smp_inner<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         let block = data.len();
         // Phase 0: host-local gather to the leader.
-        let parts = self.gather_inner(to_bytes(data), &topo.my_group, 0, op::SMP_AG0);
+        let parts = self.gather_inner(to_bytes(data), my_group, 0, op::SMP_AG0);
         // Phases 1+2: leaders assemble the world bundle at the first
         // leader and broadcast it back over the leader tree.
         let mut world: Option<Bytes> = None;
-        if self.rank == topo.my_leader {
+        if self.rank == my_leader {
             let mine = bundle(&parts);
             if topo.leaders.len() > 1 {
                 let nested = self.gather_inner(mine, &topo.leaders, 0, op::SMP_AG1);
@@ -1179,8 +1186,8 @@ impl Mpi {
             }
         }
         // Phase 3: host-local broadcast of the world bundle.
-        let world = if topo.my_group.len() > 1 {
-            self.bcast_inner(world, &topo.my_group, 0, op::SMP_AG3)
+        let world = if my_group.len() > 1 {
+            self.bcast_inner(world, my_group, 0, op::SMP_AG3)
         } else {
             world.expect("allgather-smp world bundle missing")
         };
@@ -1205,18 +1212,20 @@ impl Mpi {
 
     fn barrier_smp_inner(&mut self) {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         // Phase 0: host-local flat fan-in (members post-and-go, only the
         // leader blocks — no intermediate tree hops to schedule).
-        if topo.my_group.len() > 1 {
-            self.coll_fanin_inner(&topo.my_group, op::SMP_BAR0);
+        if my_group.len() > 1 {
+            self.coll_fanin_inner(my_group, op::SMP_BAR0);
         }
         // Phase 1: inter-leader dissemination barrier.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
+        if self.rank == my_leader && topo.leaders.len() > 1 {
             self.barrier_inner(&topo.leaders, op::SMP_BAR1);
         }
         // Phase 2: host-local fan-out releases the group.
-        if topo.my_group.len() > 1 {
-            self.coll_fanout_inner(&topo.my_group, op::SMP_BAR2);
+        if my_group.len() > 1 {
+            self.coll_fanout_inner(my_group, op::SMP_BAR2);
         }
     }
 
@@ -1241,10 +1250,11 @@ impl Mpi {
 
     fn alltoall_smp_inner<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
         let topo = self.smp_topology();
+        let my_group = topo.group_of(self.rank);
+        let my_leader = my_group[0];
         let n = self.n;
-        let m = topo.my_group.len();
-        let my_pos = topo
-            .my_group
+        let m = my_group.len();
+        let my_pos = my_group
             .iter()
             .position(|&r| r == self.rank)
             .expect("rank not in its group");
@@ -1253,8 +1263,8 @@ impl Mpi {
             .copy_from_slice(&data[self.rank * block..(self.rank + 1) * block]);
         // Phase A: intra-group pairwise exchange (local channels).
         for step in 1..m {
-            let dst = topo.my_group[(my_pos + step) % m];
-            let src = topo.my_group[(my_pos + m - step) % m];
+            let dst = my_group[(my_pos + step) % m];
+            let src = my_group[(my_pos + m - step) % m];
             let payload = to_bytes(&data[dst * block..(dst + 1) * block]);
             let got =
                 self.coll_sendrecv(payload, dst, src, tag(op::SMP_A2A0, step as u32), CTX_COLL);
@@ -1267,21 +1277,21 @@ impl Mpi {
         // Phase B: members hand their externally-destined slabs to the
         // leader, keyed by destination rank.
         let externals: Vec<(usize, Bytes)> = (0..n)
-            .filter(|d| !topo.my_group.contains(d))
+            .filter(|d| !my_group.contains(d))
             .map(|d| (d, to_bytes(&data[d * block..(d + 1) * block])))
             .collect();
-        if self.rank != topo.my_leader {
+        if self.rank != my_leader {
             self.coll_send(
                 bundle(&externals),
-                topo.my_leader,
+                my_leader,
                 tag(op::SMP_A2A1, 0),
                 CTX_COLL,
             );
         }
         let mut staged: Vec<(usize, usize, Bytes)> = Vec::new();
-        if self.rank == topo.my_leader {
+        if self.rank == my_leader {
             staged.extend(externals.iter().map(|(d, b)| (self.rank, *d, b.clone())));
-            for &member in &topo.my_group {
+            for &member in my_group {
                 if member == self.rank {
                     continue;
                 }
@@ -1292,20 +1302,12 @@ impl Mpi {
             }
             // Phase C: leaders exchange per-group aggregates pairwise,
             // frames keyed by src*n+dst.
-            let my_lpos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == self.rank)
-                .expect("leader not in leader list");
+            let my_lpos = topo.group_index(self.rank);
             let mut incoming: Vec<(usize, usize, Bytes)> = Vec::new();
             for step in 1..num_leaders {
                 let dst_leader = topo.leaders[(my_lpos + step) % num_leaders];
                 let src_leader = topo.leaders[(my_lpos + num_leaders - step) % num_leaders];
-                let dst_group = &topo.groups[topo
-                    .leaders
-                    .iter()
-                    .position(|&l| l == dst_leader)
-                    .expect("leader not in leader list")];
+                let dst_group = topo.group_of(dst_leader);
                 let frames: Vec<(usize, Bytes)> = staged
                     .iter()
                     .filter(|(_, d, _)| dst_group.contains(d))
@@ -1324,7 +1326,7 @@ impl Mpi {
             }
             // Phase D: distribute incoming slabs to the group, keyed by
             // source rank.
-            for &member in &topo.my_group {
+            for &member in my_group {
                 if member == self.rank {
                     for (s, _, slab) in incoming.iter().filter(|(_, d, _)| *d == member) {
                         from_bytes(slab, &mut out[s * block..(s + 1) * block]);
@@ -1339,7 +1341,7 @@ impl Mpi {
                 }
             }
         } else {
-            let b = self.coll_recv(topo.my_leader, tag(op::SMP_A2A3, 0), CTX_COLL);
+            let b = self.coll_recv(my_leader, tag(op::SMP_A2A3, 0), CTX_COLL);
             for (s, slab) in unbundle_ok(&b, "alltoall-smp distribution bundle") {
                 from_bytes(&slab, &mut out[s * block..(s + 1) * block]);
             }

@@ -89,7 +89,7 @@ pub(crate) struct ExecConfig {
 
 /// Minimum fiber stack: deep collective recursion plus a panic unwind
 /// both fit comfortably; anything smaller risks silent overruns since
-/// the stacks carry no guard page (see [`FiberStack`]).
+/// the stacks carry no guard page (see [`StackSlab`]).
 const MIN_STACK_KIB: usize = 64;
 /// Default fiber stack (KiB).
 const DEFAULT_STACK_KIB: usize = 1024;
@@ -384,37 +384,64 @@ mod fallback_asm {
 )))]
 use fallback_asm::{cmpi_core_fiber_switch, cmpi_core_fiber_thunk};
 
-/// A fiber stack from the global allocator. No guard page: adding one
-/// needs `mprotect`, and the workspace deliberately has no libc-level
-/// dependency. The stack is generously sized (1 MiB default, see
-/// `CMPI_STACK_KIB`) against rank bodies whose deepest frames are a
-/// collective inside a proptest plan; virtual memory is cheap and only
-/// touched pages commit.
-struct FiberStack {
+/// Every fiber stack of one pool run, carved from a single allocation:
+/// stack `i` is the `stack_bytes` below [`StackSlab::top`]`(i)`. One
+/// large request goes straight to `mmap`, so the slab costs one mapping
+/// per job (not a mapping, a header page and an unmapping per rank),
+/// only touched pages commit, and any stack size behaves alike.
+///
+/// No guard pages: adding them needs `mprotect`, and the workspace
+/// deliberately has no libc-level dependency. A fiber that overruns its
+/// stack writes into the top of its lower neighbour's, silently; the
+/// defence is generous sizing (1 MiB default, see `CMPI_STACK_KIB`)
+/// against rank bodies whose deepest frames are a collective inside a
+/// proptest plan.
+struct StackSlab {
     base: *mut u8,
     layout: std::alloc::Layout,
+    stack_bytes: usize,
 }
 
-impl FiberStack {
-    fn new(bytes: usize) -> FiberStack {
-        // 16-byte alignment and a 16-multiple size keep the top aligned
-        // for both ABIs.
-        let bytes = bytes.max(MIN_STACK_KIB * 1024) & !15;
-        let layout = std::alloc::Layout::from_size_align(bytes, 16).expect("stack layout");
-        // SAFETY: layout has non-zero size (>= MIN_STACK_KIB pages).
+// SAFETY: workers share the slab by reference only to compute stack
+// tops (`top` reads fields that never change after construction); each
+// stack region is touched solely by the unique owner of its task's
+// fiber cell (see `Task`).
+unsafe impl Sync for StackSlab {}
+
+impl StackSlab {
+    fn new(stacks: usize, stack_bytes: usize) -> StackSlab {
+        // 16-byte alignment and a 16-multiple stride keep every top
+        // aligned for both ABIs.
+        let stack_bytes = stack_bytes.max(MIN_STACK_KIB * 1024) & !15;
+        let layout = stacks
+            .checked_mul(stack_bytes)
+            .and_then(|bytes| std::alloc::Layout::from_size_align(bytes, 16).ok())
+            .expect("stack slab layout");
+        // SAFETY: layout has non-zero size (the pool has at least one
+        // task and stacks are at least MIN_STACK_KIB).
         let base = unsafe { std::alloc::alloc(layout) };
-        assert!(!base.is_null(), "fiber stack allocation failed");
-        FiberStack { base, layout }
+        assert!(
+            !base.is_null(),
+            "could not reserve {stacks} fiber stacks of {} KiB; lower CMPI_STACK_KIB",
+            stack_bytes / 1024
+        );
+        StackSlab {
+            base,
+            layout,
+            stack_bytes,
+        }
     }
 
-    /// One past the highest byte — the initial (empty, 16-aligned) top.
-    fn top(&self) -> *mut u8 {
-        // SAFETY: base..base+size is the allocation we own.
-        unsafe { self.base.add(self.layout.size()) }
+    /// One past the highest byte of stack `index` — its initial (empty,
+    /// 16-aligned) top.
+    fn top(&self, index: usize) -> *mut u8 {
+        assert!((index + 1) * self.stack_bytes <= self.layout.size());
+        // SAFETY: checked above to stay inside the allocation we own.
+        unsafe { self.base.add((index + 1) * self.stack_bytes) }
     }
 }
 
-impl Drop for FiberStack {
+impl Drop for StackSlab {
     fn drop(&mut self) {
         // SAFETY: base/layout are exactly what alloc returned.
         unsafe { std::alloc::dealloc(self.base, self.layout) }
@@ -474,7 +501,7 @@ enum FiberStatus {
     New,
     /// Yielded mid-body; `sp` resumes it.
     Suspended,
-    /// Body returned or unwound; the stack is dead and freed.
+    /// Body returned or unwound; the stack is dead.
     Done,
 }
 
@@ -496,8 +523,6 @@ struct FiberState {
     ret_sp: *mut *mut u8,
     /// The rank body, taken at first entry.
     body: Option<Box<dyn FnOnce() + Send + 'static>>,
-    stack: Option<FiberStack>,
-    stack_bytes: usize,
     /// Voluntary-yield flag: set by `yield_now` before switching out so
     /// the worker re-enqueues the task directly instead of running the
     /// blocked→queued handoff (no poke is coming; the task is runnable).
@@ -527,8 +552,9 @@ struct Task {
 // the handoff state machine, never concurrent.
 unsafe impl Sync for Task {}
 // SAFETY: all fields are owned; raw pointers inside `FiberState` point
-// into heap allocations the task itself owns (or a worker stack slot
-// only dereferenced by that worker).
+// into this task's region of the pool run's `StackSlab`, which is
+// alive whenever a fiber can run (or into a worker stack slot only
+// dereferenced by that worker).
 unsafe impl Send for Task {}
 
 /// What a mailbox poke needs to reschedule a parked rank: the handoff
@@ -730,13 +756,13 @@ impl PoolShared {
     }
 
     /// Worker main loop.
-    fn worker(&self, me: usize) {
+    fn worker(&self, me: usize, stacks: &StackSlab) {
         loop {
             if self.poisoned() {
                 return;
             }
             if let Some(idx) = self.find_work(me) {
-                self.run_task(me, idx);
+                self.run_task(idx, stacks);
                 continue;
             }
             if self.live.load(Ordering::SeqCst) == 0 {
@@ -791,8 +817,9 @@ impl PoolShared {
         }
     }
 
-    /// Claim, switch into, and dispose of one task.
-    fn run_task(&self, _me: usize, idx: usize) {
+    /// Claim, switch into, and dispose of one task (task `i` runs on
+    /// stack `i` of `stacks`).
+    fn run_task(&self, idx: usize, stacks: &StackSlab) {
         let task = &self.tasks[idx];
         task.state.claim();
         let mut resume: *mut u8 = std::ptr::null_mut();
@@ -801,10 +828,7 @@ impl PoolShared {
         unsafe {
             let fs = task.fiber.get();
             if matches!((*fs).status, FiberStatus::New) {
-                let stack = FiberStack::new((*fs).stack_bytes);
-                let sp = seed_stack(stack.top(), task);
-                (*fs).stack = Some(stack);
-                (*fs).sp = sp;
+                (*fs).sp = seed_stack(stacks.top(idx), task);
                 (*fs).status = FiberStatus::Suspended;
             }
             (*fs).ret_sp = std::ptr::addr_of_mut!(resume);
@@ -817,7 +841,6 @@ impl PoolShared {
             CURRENT.with(|c| c.set(std::ptr::null()));
             match (*fs).status {
                 FiberStatus::Done => {
-                    (*fs).stack = None;
                     task.state.finish();
                     if (*fs).panic.is_some() {
                         self.poison();
@@ -847,7 +870,7 @@ impl PoolShared {
     /// is not Done so its stack-held locals drop, and drop unstarted
     /// bodies. Workers are gone, so this thread owns every fiber cell.
     fn cancel_remnants(&self) {
-        for (idx, task) in self.tasks.iter().enumerate() {
+        for task in self.tasks.iter() {
             // SAFETY: single-threaded teardown; no other accessor left.
             unsafe {
                 let fs = task.fiber.get();
@@ -874,8 +897,6 @@ impl PoolShared {
                             cmpi_core_fiber_switch(&mut resume, to);
                             CURRENT.with(|c| c.set(std::ptr::null()));
                         }
-                        (*fs).stack = None;
-                        let _ = idx;
                     }
                 }
             }
@@ -915,8 +936,6 @@ pub(crate) fn run_task_pool<'a>(
                     sp: std::ptr::null_mut(),
                     ret_sp: std::ptr::null_mut(),
                     body: Some(body),
-                    stack: None,
-                    stack_bytes: cfg.stack_bytes,
                     requeue: false,
                     cancel: false,
                     panic: None,
@@ -948,15 +967,19 @@ pub(crate) fn run_task_pool<'a>(
     for i in 0..n {
         pool.queues[pool.home(i)].lock().push_back(i);
     }
+    // The stacks live exactly as long as fibers can run: from here to
+    // the end of teardown. (The pool itself outlives this call through
+    // the hooks bound above, which only ever enqueue an index.)
+    let stacks = StackSlab::new(n, cfg.stack_bytes);
     let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let pool = &pool;
+            let (pool, stacks) = (&pool, &stacks);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("cmpi-worker-{w}"))
-                    .spawn_scoped(scope, move || pool.worker(w))
+                    .spawn_scoped(scope, move || pool.worker(w, stacks))
                     .expect("failed to spawn pool worker"),
             );
         }

@@ -234,7 +234,8 @@ impl Mpi {
         self.ctx_members
             .insert(d.new_ctx, std::sync::Arc::new(survivors.clone()));
         let groups: Vec<Vec<usize>> = self
-            .coll_groups
+            .smp_topo
+            .groups()
             .iter()
             .map(|g| {
                 g.iter()

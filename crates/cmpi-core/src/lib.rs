@@ -66,6 +66,7 @@ pub mod mailbox;
 pub mod matching;
 pub mod onesided;
 pub mod packet;
+pub(crate) mod peer_table;
 pub mod persistent;
 pub mod pt2pt;
 pub mod runtime;

@@ -181,10 +181,6 @@ fn take_slab(slabs: &mut Vec<Vec<u8>>, total: usize) -> Vec<u8> {
 /// deques fall back to the allocator.
 const DEQUE_POOL_MAX: usize = 8;
 
-/// Initial bucket-table capacity per side — sized past the live key set
-/// of the paper-shape jobs so steady-state traffic never rehashes.
-const BUCKETS_PREALLOC: usize = 64;
-
 /// Resettable 128-bit membership filter over concrete match keys.
 ///
 /// Two bits (one per 64-bit word) are derived from a single
@@ -325,12 +321,13 @@ fn bucket_pop_front<T>(
 
 /// Per-rank matching engine.
 ///
-/// Both bucket tables are pre-sized, keep their single-entry buckets
-/// inline, and drop drained buckets immediately (spill deques recycle
-/// through small pools), so steady-state matching performs no heap
-/// allocation; per-side counts and the unexpected-side [`KeyFilter`]
-/// short-circuit probes on empty or non-matching state before any map
-/// access.
+/// Both bucket tables start empty and grow to the rank's live key set
+/// during warm-up (a rank that never receives holds no table at all),
+/// keep their single-entry buckets inline, and drop drained buckets
+/// immediately (spill deques recycle through small pools), so
+/// steady-state matching performs no heap allocation; per-side counts
+/// and the unexpected-side [`KeyFilter`] short-circuit probes on empty or
+/// non-matching state before any map access.
 #[derive(Debug)]
 pub struct MatchingEngine {
     assemblies: FastMap<(usize, u64), Assembly>,
@@ -362,15 +359,15 @@ impl Default for MatchingEngine {
 }
 
 impl MatchingEngine {
-    /// Create an empty engine with pre-sized bucket tables.
+    /// Create an empty engine.
     pub fn new() -> Self {
         MatchingEngine {
             assemblies: FastMap::default(),
-            unexpected: FastMap::with_capacity_and_hasher(BUCKETS_PREALLOC, Default::default()),
+            unexpected: FastMap::default(),
             unexpected_count: 0,
             unexpected_filter: KeyFilter::default(),
             spare_msg_deques: Vec::new(),
-            posted_exact: FastMap::with_capacity_and_hasher(BUCKETS_PREALLOC, Default::default()),
+            posted_exact: FastMap::default(),
             posted_exact_count: 0,
             spare_recv_deques: Vec::new(),
             posted_wild: VecDeque::new(),

@@ -146,8 +146,9 @@ impl Mpi {
     /// Start a send on communicator context `ctx`.
     pub(crate) fn isend_inner(&mut self, data: Bytes, dst: usize, tag: u32, ctx: u32) -> ReqId {
         assert!(dst < self.n, "send to invalid rank {dst}");
-        let seq = self.send_seq[dst];
-        self.send_seq[dst] += 1;
+        let next_seq = &mut self.peers.get_mut(dst).send_seq;
+        let seq = *next_seq;
+        *next_seq += 1;
         let id = self.fresh_req();
         let len = data.len();
         let cost = self.state.cost;

@@ -32,6 +32,7 @@ use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 use crate::channel::ChannelSelector;
 use crate::coll_select::CollectiveSelector;
 use crate::coll_select::{CollAlgo, CollKind};
+use crate::collectives::SmpTopo;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
 use crate::failure::{Death, DecisionLog, FailureDetector, FAILURE_LEASE};
@@ -40,6 +41,7 @@ use crate::locality::{LocalityMap, LocalityPolicy, LocalityView};
 use crate::mailbox::RankCell;
 use crate::matching::{ArrivedBody, ArrivedMsg, MatchingEngine};
 use crate::packet::{Packet, PacketKind, ReqId, WireHeader};
+use crate::peer_table::PeerTable;
 use crate::pt2pt::{Status, CTX_COLL, CTX_WORLD};
 use crate::stats::{CallClass, CommStats, JobStats, RecoveryStats};
 use crate::trace::{flow_id, JobTrace, RankTrace};
@@ -135,11 +137,9 @@ impl JobSpec {
     }
 
     /// Pin the fiber stack size in KiB (overrides `CMPI_STACK_KIB`;
-    /// clamped to the 64 KiB minimum). Large-rank jobs whose bodies
-    /// have shallow frames should set this well below the 1 MiB
-    /// default: per-fiber stacks above the allocator's mmap threshold
-    /// cost a fresh mmap + page-fault storm + munmap per rank, which
-    /// at thousands of ranks dominates job setup.
+    /// clamped to the 64 KiB minimum). All stacks of a job are carved
+    /// from one reservation of `ranks × size` and only touched pages
+    /// commit, so the size bounds address space, not memory.
     pub fn with_stack_kib(mut self, kib: usize) -> Self {
         self.exec.stack_kib = Some(kib);
         self
@@ -649,11 +649,12 @@ pub(crate) struct JobState {
     /// ranks, per-rank copies of this list alone cost ~134 MB and an
     /// O(n²) init.
     world_members: Arc<Vec<usize>>,
-    /// The policy locality groups, identical on every rank by
-    /// construction, computed once by whichever rank initializes first:
-    /// the per-rank computation is O(n log n) string-keyed grouping, so
-    /// per-rank recomputation made job init O(n² log n).
-    coll_groups_cache: OnceLock<Arc<Vec<Vec<usize>>>>,
+    /// The policy locality groups with their leaders and rank→group
+    /// index, identical on every rank by construction, computed once by
+    /// whichever rank initializes first: the grouping is O(n log n)
+    /// string-keyed work and the tables are O(n), so per-rank copies made
+    /// job init O(n² log n) time and O(n²) memory.
+    smp_topo: OnceLock<Arc<SmpTopo>>,
 }
 
 impl JobState {
@@ -691,7 +692,7 @@ impl JobState {
             repair_barrier: PokeBarrier::new(n),
             finalize_barrier: PokeBarrier::new(n),
             world_members: Arc::new((0..n).collect()),
-            coll_groups_cache: OnceLock::new(),
+            smp_topo: OnceLock::new(),
         }
     }
 
@@ -890,6 +891,22 @@ pub(crate) struct TelPending {
     msg_bucket: u32,
 }
 
+/// What a rank remembers about one peer (see [`Mpi::peers`]).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct PeerState {
+    /// Sequence number of the next message this rank sends to the peer.
+    pub(crate) send_seq: u64,
+    /// Virtual time until which this rank's receive-side copy engine is
+    /// busy with the peer's packets. Back-to-back transfers from one
+    /// sender (a bandwidth stream) serialize — the receiver cannot copy
+    /// two of its packets at once. The horizon is per sender rather than
+    /// global because packets from different senders can be *processed*
+    /// in an order that inverts their virtual timestamps (a
+    /// future-stamped packet drained early must not delay an
+    /// earlier-stamped one from someone else).
+    pub(crate) copy_busy: SimTime,
+}
+
 pub struct Mpi {
     pub(crate) rank: usize,
     pub(crate) n: usize,
@@ -899,20 +916,20 @@ pub struct Mpi {
     /// Per-call collective algorithm selector (policy + tunables +
     /// topology shape), fixed at init so every rank decides identically.
     pub(crate) coll: CollectiveSelector,
-    /// The locality groups the policy induces, computed once per job
-    /// and shared across ranks (used by the two-level collectives and
-    /// exposed via `policy_groups`).
-    pub(crate) coll_groups: Arc<Vec<Vec<usize>>>,
-    /// This rank's two-level topology view over `coll_groups`, shared so
-    /// each collective call is a refcount bump, not a structure clone.
-    pub(crate) smp_topo: Arc<crate::collectives::SmpTopo>,
+    /// The locality groups the policy induces and the two-level leader
+    /// topology over them: one job-wide instance (see
+    /// [`JobState::smp_topo`]), so each collective call is a refcount
+    /// bump and no rank holds its own copy.
+    pub(crate) smp_topo: Arc<SmpTopo>,
     pub(crate) view: LocalityView,
     pub(crate) engine: MatchingEngine,
     pub(crate) stats: CommStats,
     pub(crate) next_req: ReqId,
     pub(crate) sends: FastMap<ReqId, SendState>,
     pub(crate) recvs: FastMap<ReqId, RecvState>,
-    pub(crate) send_seq: Vec<u64>,
+    /// Per-peer protocol state (send sequence numbers, copy-engine
+    /// horizons), paged in per touched peer block.
+    pub(crate) peers: PeerTable<PeerState>,
     pub(crate) win_counter: u32,
     /// Next communicator context id this rank would propose (see
     /// `Mpi::comm_split`).
@@ -993,15 +1010,6 @@ pub struct Mpi {
     pub(crate) trace: Option<RankTrace>,
     /// Causal-profile collector when profiling is enabled.
     pub(crate) prof: Option<ProfCollector>,
-    /// Virtual time until which this rank's receive-side copy engine is
-    /// busy, tracked *per sender*. Back-to-back transfers from one sender
-    /// (a bandwidth stream) serialize — the receiver cannot copy two of
-    /// its packets at once. The tracker is per sender rather than global
-    /// because packets from different senders can be *processed* in an
-    /// order that inverts their virtual timestamps (a future-stamped
-    /// packet drained early must not delay an earlier-stamped one from
-    /// someone else).
-    pub(crate) copy_busy: Vec<SimTime>,
     /// Reusable scratch buffer for batched mailbox drains in `progress`;
     /// its capacity persists across ticks so the steady-state drain path
     /// never allocates.
@@ -1110,12 +1118,13 @@ impl Mpi {
         // All ranks derive identical groups from the same placement, so
         // one rank computes them and the rest share the Arc — per-rank
         // recomputation was an O(n² log n) term in job init.
-        let coll_groups = Arc::clone(
-            state
-                .coll_groups_cache
-                .get_or_init(|| Arc::new(crate::collectives::policy_groups_of(&state, n))),
-        );
-        let coll = CollectiveSelector::new(state.policy, state.tunables, &coll_groups, n);
+        let smp_topo = Arc::clone(state.smp_topo.get_or_init(|| {
+            Arc::new(SmpTopo::new(
+                crate::collectives::policy_groups_of(&state, n),
+                n,
+            ))
+        }));
+        let coll = CollectiveSelector::new(state.policy, state.tunables, smp_topo.groups(), n);
         let stats = CommStats::with_recovery(recovery);
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
         let ft_active = plan.has_midrun_faults();
@@ -1130,15 +1139,14 @@ impl Mpi {
             state,
             selector,
             coll,
-            smp_topo: Arc::new(crate::collectives::SmpTopo::build(&coll_groups, rank)),
-            coll_groups,
+            smp_topo,
             view,
             engine: MatchingEngine::new(),
             stats,
             next_req: 1,
             sends: FastMap::default(),
             recvs: FastMap::default(),
-            send_seq: vec![0; n],
+            peers: PeerTable::new(n),
             win_counter: 0,
             next_ctx: 16,
             fate,
@@ -1151,7 +1159,6 @@ impl Mpi {
             convicted_seen: FastSet::default(),
             shrink_gen: FastMap::default(),
             ctx_coll: FastMap::default(),
-            copy_busy: vec![SimTime::ZERO; n],
             chan_seen: 0,
             tel_flight_buf: [FlightEvent::new(EventKind::ChannelChoice, 0); FLIGHT_SPILL],
             tel_flight_len: 0,
@@ -1804,7 +1811,7 @@ impl Mpi {
                 // a floor here — *when* the progress engine really drained
                 // the packet is thread-scheduling, and recv completions
                 // are floored at the receiver's clock in wait anyway.
-                let start = pkt.available_at.max(self.copy_busy[pkt.src]);
+                let start = pkt.available_at.max(self.peers.get(pkt.src).copy_busy);
                 let chunk_ready = match pkt.channel {
                     Channel::Shm => {
                         let t = start
@@ -1826,7 +1833,7 @@ impl Mpi {
                     }
                     Channel::Cma => unreachable!("eager data never travels on CMA"),
                 };
-                self.copy_busy[pkt.src] = chunk_ready;
+                self.peers.get_mut(pkt.src).copy_busy = chunk_ready;
                 self.record_rx(pkt.src, pkt.channel, len);
                 if let Some(msg) = self.engine.eager_chunk(
                     pkt.src,
@@ -2061,10 +2068,10 @@ impl Mpi {
             // CMA: the receiver performs the single-copy read, serialized
             // on its copy engine.
             Channel::Cma => {
-                let t = pkt.available_at.max(self.copy_busy[src])
-                    + cost.cma_time(size as u64, self.cross_socket(src));
-                self.copy_busy[src] = t;
-                t
+                let copy = cost.cma_time(size as u64, self.cross_socket(src));
+                let busy = &mut self.peers.get_mut(src).copy_busy;
+                *busy = pkt.available_at.max(*busy) + copy;
+                *busy
             }
             // RDMA: zero copy, just completion handling. Floored at the
             // payload's availability only — the receiver's clock floors

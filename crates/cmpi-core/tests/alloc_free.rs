@@ -4,7 +4,13 @@
 //! The whole test binary runs under a counting global allocator. A
 //! two-rank intra-host job warms the path up (growing every pool, map
 //! and slab to its steady-state footprint), barriers, then runs a
-//! measured ping-pong phase. Any allocation in that phase — on either
+//! measured ping-pong phase. Nothing on the path is reserved for the
+//! worst case up front — the matching tables, the pair queues' release
+//! histories and the flight ring's chunks all grow with use — so each
+//! warm-up below runs until the slowest-growing of them has reached the
+//! size this traffic keeps it at, and says which one that is.
+//!
+//! Any allocation in the measured phase — on either
 //! rank thread — lands in the global counter, so the assertion covers
 //! the full send/progress/match/recv pipeline: mailbox nodes (pantry),
 //! eager staging (slab recycle), matching buckets (inline/pooled), and
@@ -27,6 +33,9 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static TRACING: AtomicBool = AtomicBool::new(false);
+/// The counters are process-wide, so one test's set-up must not run
+/// inside the other's measured phase.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -72,19 +81,62 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Steady-state SHM eager ping-pong allocates nothing per op.
-#[test]
-fn steady_state_eager_loop_is_allocation_free() {
-    if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
-        TRACING.store(true, Ordering::Relaxed);
-    }
-    const WARMUP: u32 = 64;
-    const MEASURED: u32 = 256;
-    let spec = JobSpec::new(DeploymentScenario::pt2pt_pair(
+/// The intra-host pair both loops run on. Mailbox nodes recycle through
+/// a per-OS-thread pantry, so under `CMPI_EXEC=tasks` a rank stolen by
+/// the other worker between its pop and its next push finds that
+/// worker's pantry empty and allocates: a cost per migration, not per
+/// operation. One worker keeps it out of the per-operation count (the
+/// setting has no effect on rank threads).
+fn pair_spec() -> JobSpec {
+    JobSpec::new(DeploymentScenario::pt2pt_pair(
         true,
         true,
         NamespaceSharing::default(),
-    ));
+    ))
+    .with_workers(1)
+}
+
+/// Grow both matching tables past anything the measured loops need.
+/// Whether an arriving message meets a posted receive or is queued as
+/// unexpected is thread timing, so a plain ping-pong may leave one of the
+/// two tables untouched throughout its warm-up and first insert into it
+/// in the measured phase; here the barriers force each case for `KEYS`
+/// simultaneously live match keys (the loops keep at most three).
+fn warm_matching(mpi: &mut cmpi_core::Mpi) {
+    const KEYS: u32 = 8;
+    let peer = 1 - mpi.rank();
+    // Unexpected side: the peer's barrier message queues behind its
+    // sends, so all of them are drained before any receive is posted.
+    for tag in 1..=KEYS {
+        mpi.send_bytes(Bytes::new(), peer, tag);
+    }
+    mpi.barrier();
+    for tag in 1..=KEYS {
+        mpi.recv_bytes(peer, tag);
+    }
+    // Posted side: every receive is posted before the peer sends.
+    let reqs = (1..=KEYS).map(|tag| mpi.irecv_bytes(peer, tag)).collect();
+    mpi.barrier();
+    for tag in 1..=KEYS {
+        mpi.send_bytes(Bytes::new(), peer, tag);
+    }
+    mpi.waitall(reqs);
+}
+
+/// Steady-state SHM eager ping-pong allocates nothing per op.
+#[test]
+fn steady_state_eager_loop_is_allocation_free() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
+        TRACING.store(true, Ordering::Relaxed);
+    }
+    // The slowest grower is the SHM pair queue's release history: it
+    // keeps one event per release for the last queue-capacity bytes
+    // (128 KiB / 1 KiB = 128 of them here, 256 at most), so it reaches
+    // its steady depth after that many round trips, not a handful.
+    const WARMUP: u32 = 320;
+    const MEASURED: u32 = 256;
+    let spec = pair_spec();
     let counted = spec.run(|mpi| {
         let payload = Bytes::from(vec![7u8; 1024]);
         let me = mpi.rank();
@@ -101,6 +153,7 @@ fn steady_state_eager_loop_is_allocation_free() {
             }
         };
         // Warm every pool/map/slab up to its steady-state footprint.
+        warm_matching(mpi);
         pingpong(mpi, WARMUP);
         mpi.barrier();
         if me == 0 {
@@ -128,24 +181,23 @@ fn steady_state_eager_loop_is_allocation_free() {
 /// Steady-state rendezvous ping-pong — with telemetry on (the default),
 /// so every round trip records counters, histogram samples, and the
 /// sampled rendezvous flight events (RndvStart / RndvCts / RndvData,
-/// 1-in-8) — allocates nothing per op. The measured phase runs long
-/// enough to wrap the 256-slot flight ring even at the sampling rate,
+/// 1-in-8) — allocates nothing per op. The flight ring faults its
+/// storage in chunk by chunk as the write cursor first reaches each one,
+/// so its steady state begins after one full wrap of the 256 slots: the
+/// warm-up runs past that, and the measured phase wraps the ring again,
 /// covering the drop-oldest path too.
 #[test]
 fn steady_state_rndv_recording_is_allocation_free() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
         TRACING.store(true, Ordering::Relaxed);
     }
-    const WARMUP: u32 = 16;
     // 3 sampled-event candidates per rank per round trip at 1-in-8 →
-    // ~0.375 ring records each; 800 trips ≈ 306 events > 256 slots.
+    // ~0.375 ring records each; 800 trips ≈ 300 events > 256 slots.
+    const WARMUP: u32 = 800;
     const MEASURED: u32 = 800;
     const SIZE: usize = 64 * 1024; // CMA rendezvous on the intra-host pair
-    let spec = JobSpec::new(DeploymentScenario::pt2pt_pair(
-        true,
-        true,
-        NamespaceSharing::default(),
-    ));
+    let spec = pair_spec();
     let counted = spec.run(|mpi| {
         let payload = Bytes::from(vec![7u8; SIZE]);
         let me = mpi.rank();
@@ -161,6 +213,7 @@ fn steady_state_rndv_recording_is_allocation_free() {
                 }
             }
         };
+        warm_matching(mpi);
         pingpong(mpi, WARMUP);
         mpi.barrier();
         if me == 0 {

@@ -66,9 +66,14 @@ pub struct PairQueue {
     cv: Condvar,
 }
 
-/// Hard bound on the release-history length. Pre-allocated at queue
-/// construction so the steady-state release path never reallocates; when
-/// the bound is hit the oldest event is merged away, which can only
+/// Hard bound on the release-history length. The history starts empty
+/// and grows to the pair's working depth during warm-up — one event per
+/// release over the last `capacity` bytes, so a few for a pair that
+/// exchanges a few messages and up to the bound for a small-message
+/// stream — after which the steady-state release path never
+/// reallocates. (A job instantiates one queue per ordered co-resident
+/// pair that ever talks; reserving the bound up front cost 4 KiB each.)
+/// When the bound is hit the oldest event is merged away, which can only
 /// *overstate* a later stall (the walk lands on a later release time),
 /// never understate it.
 const HISTORY_CAP: usize = 256;
@@ -82,7 +87,7 @@ impl PairQueue {
             state: Mutex::new(QueueState {
                 acquired: 0,
                 released: 0,
-                history: VecDeque::with_capacity(HISTORY_CAP),
+                history: VecDeque::new(),
                 closed: false,
                 acquires: 0,
                 stalled_acquires: 0,
@@ -415,6 +420,95 @@ mod tests {
                 t.join();
             });
         }
+    }
+
+    /// The preallocating history this queue used to carry, as a plain
+    /// model: same dedup, overflow-merge and pruning rules over a `Vec`
+    /// reserved to the bound.
+    struct PreallocRef {
+        capacity: u64,
+        acquired: u64,
+        released: u64,
+        history: Vec<(u64, SimTime)>,
+    }
+
+    impl PreallocRef {
+        fn try_acquire(&mut self, bytes: u64) -> Option<SimTime> {
+            let required = (self.acquired + bytes).saturating_sub(self.capacity);
+            if self.released < required {
+                return None;
+            }
+            let mut stall = SimTime::ZERO;
+            if required > 0 {
+                let keep = self.history.iter().position(|&(c, _)| c >= required);
+                self.history.drain(..keep.expect("satisfying event lost"));
+                stall = self.history[0].1;
+            }
+            self.acquired += bytes;
+            Some(stall)
+        }
+
+        fn release(&mut self, bytes: u64, now: SimTime) {
+            self.released += bytes;
+            let t = self.history.last().map_or(now, |&(_, t)| t.max(now));
+            if self.history.last().map(|&(c, _)| c) != Some(self.released) {
+                if self.history.len() == HISTORY_CAP {
+                    self.history.remove(0);
+                }
+                self.history.push((self.released, t));
+            }
+            let dead = self.acquired.saturating_sub(self.capacity);
+            self.history.retain(|&(c, _)| c >= dead);
+            assert!(self.history.capacity() == HISTORY_CAP, "reference grew");
+        }
+    }
+
+    #[test]
+    fn history_grown_on_demand_matches_the_preallocated_one() {
+        // One-byte releases through a 1 KiB queue: up to 1024 live release
+        // events, four times the bound, so the overflow merge runs and
+        // later stalls land on merged (later) release times.
+        const CAP: u64 = 1024;
+        let q = PairQueue::new(CAP as usize);
+        let mut r = PreallocRef {
+            capacity: CAP,
+            acquired: 0,
+            released: 0,
+            history: Vec::with_capacity(HISTORY_CAP),
+        };
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut now, mut merged, mut stalled) = (SimTime::ZERO, false, 0);
+        for _ in 0..20_000 {
+            let in_flight = r.acquired - r.released;
+            // Bursts of sends, then bursts of drains, so in-flight bytes
+            // swing across the whole queue.
+            if next() % 3 != 0 && in_flight < CAP {
+                let bytes = 1 + next() % 3.min(CAP - in_flight);
+                let want = r.try_acquire(bytes);
+                assert_eq!(q.try_acquire(bytes as usize), want);
+                stalled += usize::from(want.is_some_and(|t| t > SimTime::ZERO));
+            } else if in_flight > 0 {
+                for _ in 0..1 + next() % in_flight.min(700) {
+                    now += SimTime::from_ns(1 + next() % 50);
+                    q.release(1, now);
+                    r.release(1, now);
+                    merged |= r.history.len() == HISTORY_CAP;
+                }
+            }
+            assert_eq!(q.state.lock().history.len(), r.history.len());
+        }
+        assert!(merged, "the run never reached the overflow merge");
+        assert!(
+            stalled > 100,
+            "only {stalled} acquires consulted the history"
+        );
+        assert!(q.state.lock().history.capacity() <= 2 * HISTORY_CAP);
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! The flight recorder: a fixed-capacity, allocation-free per-rank
-//! event ring.
+//! The flight recorder: a fixed-capacity per-rank event ring.
 //!
 //! Every rank owns one [`FlightRecorder`]. The owning rank thread is the
-//! only writer ([`FlightRecorder::record`] is wait-free and touches no
-//! heap); any other thread may take a [`FlightRecorder::snapshot`]
-//! concurrently — on demand, on error, or at job teardown. The ring
-//! drops oldest events when full and accounts for every drop exactly:
-//! a snapshot always satisfies `published == dropped + events.len()`.
+//! only writer ([`FlightRecorder::record`] is wait-free); any other
+//! thread may take a [`FlightRecorder::snapshot`] concurrently — on
+//! demand, on error, or at job teardown. The ring drops oldest events
+//! when full and accounts for every drop exactly: a snapshot always
+//! satisfies `published == dropped + events.len()`.
+//!
+//! # Storage
+//!
+//! Slots live in fixed [`CHUNK_SLOTS`]-slot chunks that the writer
+//! allocates the first time the ring reaches them: most ranks of a
+//! large job record a couple of init-time events and nothing else, so
+//! eager rings were 10 KiB per rank of written-once zeroes. A ring that
+//! has wrapped once holds every chunk and `record` never touches the
+//! heap again. A chunk is published before any of its slots (the
+//! writer's later `head` store releases both), so a reader that
+//! observed `head` finds the chunk of every index below it.
 //!
 //! # Slot protocol
 //!
@@ -32,6 +42,8 @@
 //! never return an *older* generation either. Accepted events are
 //! therefore never torn. The model litmus in this file checks exactly
 //! this under the exhaustive scheduler.
+
+use std::sync::OnceLock;
 
 use cmpi_model::sync::{AtomicU64, Ordering};
 
@@ -212,18 +224,39 @@ struct Slot {
     words: [AtomicU64; 4],
 }
 
+impl Slot {
+    fn empty() -> Slot {
+        Slot {
+            seq: AtomicU64::new(0),
+            words: [
+                AtomicU64::new(0),
+                AtomicU64::new(0),
+                AtomicU64::new(0),
+                AtomicU64::new(0),
+            ],
+        }
+    }
+}
+
+/// Slots per lazily-allocated chunk (a power of two; 1.25 KiB). Rings
+/// smaller than this are a single chunk of their own capacity.
+const CHUNK_SLOTS: usize = 32;
+
 /// The per-rank event ring. See the module docs for the slot protocol.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    /// `slots.len() - 1`; capacity is rounded up to a power of two so
-    /// the per-record slot index is a mask, not a 64-bit division.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+    /// log2 of the slots per chunk.
+    chunk_shift: u32,
+    /// `capacity - 1`; capacity is rounded up to a power of two so the
+    /// per-record slot index is a mask, not a 64-bit division.
     mask: u64,
     /// Total events ever published (the next global index).
     head: AtomicU64,
 }
 
-/// Default per-rank ring capacity (40 B/slot → 10 KiB/rank). Sized to
-/// sit comfortably inside L1 alongside the hot path's working set: a
+/// Default per-rank ring capacity (40 B/slot → 10 KiB/rank once every
+/// chunk is resident). Sized to sit comfortably inside L1 alongside the
+/// hot path's working set: a
 /// larger ring streams cold cache lines through every `record` call,
 /// and the eviction traffic alone showed up as ~2 % on the rendezvous
 /// ping-pong when the default was 1024.
@@ -234,35 +267,38 @@ impl FlightRecorder {
     /// power of two (min 1).
     pub fn new(capacity: usize) -> FlightRecorder {
         let cap = capacity.max(1).next_power_of_two();
+        let chunk_shift = cap.min(CHUNK_SLOTS).trailing_zeros();
         FlightRecorder {
             mask: cap as u64 - 1,
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: [
-                        AtomicU64::new(0),
-                        AtomicU64::new(0),
-                        AtomicU64::new(0),
-                        AtomicU64::new(0),
-                    ],
-                })
-                .collect(),
+            chunk_shift,
+            chunks: (0..cap >> chunk_shift).map(|_| OnceLock::new()).collect(),
             head: AtomicU64::new(0),
         }
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask as usize + 1
     }
 
-    /// Record one event. Wait-free, allocation-free; must only be
-    /// called from the ring's owning rank thread (single writer).
+    /// Chunk and in-chunk position of global event index `g`.
+    #[inline]
+    fn locate(&self, g: u64) -> (usize, usize) {
+        let i = (g & self.mask) as usize;
+        (i >> self.chunk_shift, i & ((1 << self.chunk_shift) - 1))
+    }
+
+    /// Record one event. Wait-free, and allocation-free once the ring
+    /// has wrapped (see the module docs); must only be called from the
+    /// ring's owning rank thread (single writer).
     pub fn record(&self, ev: FlightEvent) {
         // relaxed-ok: single-writer ring — this thread is the only one
         // that ever stores head, so its own last value is exact.
         let g = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(g & self.mask) as usize];
+        let (c, i) = self.locate(g);
+        let chunk = self.chunks[c]
+            .get_or_init(|| (0..1 << self.chunk_shift).map(|_| Slot::empty()).collect());
+        let slot = &chunk[i];
         // relaxed-ok: the invalidation only needs to be ordered before
         // the payload Release stores, which program order plus the
         // reader-side coherence argument (module docs) already gives.
@@ -288,11 +324,17 @@ impl FlightRecorder {
     /// `published == dropped + events.len()` holds exactly.
     pub fn snapshot(&self) -> FlightSnapshot {
         let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
+        let start = head.saturating_sub(self.capacity() as u64);
         let mut events = Vec::with_capacity((head - start) as usize);
         for g in (start..head).rev() {
-            let slot = &self.slots[(g & self.mask) as usize];
+            let (c, i) = self.locate(g);
+            // Every index below an observed `head` was written, so its
+            // chunk exists (module docs); like a corrupt kind code below,
+            // a missing one ends the suffix instead of panicking.
+            let Some(chunk) = self.chunks[c].get() else {
+                break;
+            };
+            let slot = &chunk[i];
             let want = g + 1;
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 != want {
@@ -376,6 +418,26 @@ mod tests {
         assert_eq!(s.dropped, 7);
         let kept: Vec<u64> = s.events.iter().map(|e| e.a).collect();
         assert_eq!(kept, vec![7, 8, 9, 10]);
+        assert_eq!(s.published, s.dropped + s.events.len() as u64);
+    }
+
+    #[test]
+    fn chunks_follow_the_write_cursor() {
+        let r = FlightRecorder::new(4 * CHUNK_SLOTS);
+        let resident = |r: &FlightRecorder| r.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(resident(&r), 0);
+        r.record(ev(0));
+        assert_eq!(resident(&r), 1);
+        for i in 1..=CHUNK_SLOTS as u64 {
+            r.record(ev(i));
+        }
+        assert_eq!(resident(&r), 2);
+        for i in 0..8 * CHUNK_SLOTS as u64 {
+            r.record(ev(i));
+        }
+        assert_eq!(resident(&r), 4);
+        let s = r.snapshot();
+        assert_eq!(s.events.len(), 4 * CHUNK_SLOTS);
         assert_eq!(s.published, s.dropped + s.events.len() as u64);
     }
 

@@ -34,6 +34,9 @@
 #   gate      perf gate: best-of-3 smoke bench_ledger kernels (including
 #             the task-engine job32 kernel) vs the checked-in baseline,
 #             any kernel >10 % slower fails
+#   benchmark the outside-in benchmark harness's own self-tests
+#             (benchmark/ is a workspace of its own; includes the
+#             BENCHMARK.json == metric-registry check)
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
 set -euo pipefail
@@ -117,6 +120,9 @@ echo "== telemetry overhead gate (on/off pairs, budget 2%)" >&2
 # if always-on telemetry costs more than 2 % on any of them (see the
 # estimator notes in bench_ledger's run_overhead_gate).
 cargo run --release --quiet -p cmpi-bench --bin bench_ledger -- --overhead-gate
+
+echo "== benchmark harness self-tests (benchmark/, own workspace)" >&2
+(cd benchmark && cargo test -q --offline)
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
