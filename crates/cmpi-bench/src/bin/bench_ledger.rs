@@ -24,14 +24,15 @@
 //! * `job32_wall_ms` / `job32_msgs_per_sec` — a 32-rank mixed
 //!   pt2pt+collective job (windowed neighbour exchange + allreduce +
 //!   barrier per step), end-to-end wall time;
-//! * `job32_tasks_wall_ms` — the same mixed job with ranks multiplexed
-//!   as fibers on the fixed worker pool (`ExecMode::Tasks`), so the CI
-//!   gate pins the task engine's overhead next to thread-per-rank;
 //! * `rank_scaling_{256,1024,4096}_wall_ms` (`--scaling` runs only) —
-//!   the mixed job at 256/1024/4096 ranks in task mode with at most 16
-//!   workers, steps scaled as `16 · 256 / n` so total work is constant:
+//!   the mixed job at 256/1024/4096 ranks with at most 16 workers, steps
+//!   scaled as `16 · 256 / n` so total work is constant:
 //!   sub-linear wall growth across the column is the scaling evidence
 //!   for the execution engine (`figures --scaling` renders the table).
+//!
+//! Every kernel that runs a job runs it on the execution engine's
+//! default backend (ranks as fibers on the worker pool, see
+//! `cmpi_core::exec`).
 //!
 //! With `--baseline` the emitted JSON embeds the baseline's kernels and a
 //! per-kernel `speedup` map (`baseline / current`, so > 1 is faster). A
@@ -58,7 +59,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use cmpi_cluster::{DeploymentScenario, NamespaceSharing, SimTime};
 use cmpi_core::matching::{ArrivedBody, ArrivedMsg, MatchingEngine, PostedRecv};
-use cmpi_core::{ExecMode, JobSpec, ReduceOp};
+use cmpi_core::{JobSpec, ReduceOp};
 use cmpi_prof::Json;
 
 /// Ledger format version; `--baseline`/`--gate` files must match.
@@ -274,41 +275,18 @@ fn probe_storm_ns_op(rounds: u32) -> f64 {
 
 /// The 32-rank mixed job: per step every rank exchanges a window of 1 KiB
 /// messages with four neighbours (receives posted out of arrival order to
-/// exercise the matching queues), then allreduces and barriers. Returns
-/// (wall ms, pt2pt messages sent).
+/// exercise the matching queues), then allreduces 2 KiB and barriers.
+/// Returns (wall ms, pt2pt messages sent).
 fn job32(steps: u32, pressure: bool, telemetry: bool) -> (f64, u64) {
     // Two 24-core hosts, two containers of 8 ranks each per host: the
     // neighbour exchange mixes SHM (intra-container), CMA and HCA
     // (inter-host) traffic in one job.
-    let spec = JobSpec::new(DeploymentScenario::containers(
+    let mut spec = JobSpec::new(DeploymentScenario::containers(
         2,
         2,
         8,
         NamespaceSharing::default(),
     ));
-    mixed_job(spec, steps, pressure, telemetry)
-}
-
-/// `job32` on the task execution engine: the identical workload with
-/// ranks as fibers on the fixed worker pool. The CI gate tracks this
-/// next to `job32_wall_ms`, pinning the task engine's multiplexing
-/// overhead (the PR 9 acceptance bound is within 5 % of thread mode).
-fn job32_tasks(steps: u32, telemetry: bool) -> f64 {
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        8,
-        NamespaceSharing::default(),
-    ))
-    .with_exec(ExecMode::Tasks);
-    mixed_job(spec, steps, false, telemetry).0
-}
-
-/// The shared mixed-job body: windowed 4-neighbour exchange, a 2 KiB
-/// allreduce and a barrier per step. Message counts and payload sizes
-/// are per-rank constants, so jobs with `steps · ranks` equal do equal
-/// total work regardless of rank count.
-fn mixed_job(mut spec: JobSpec, steps: u32, pressure: bool, telemetry: bool) -> (f64, u64) {
     if pressure {
         spec = spec.with_profiling();
     }
@@ -473,8 +451,6 @@ fn run_kernels(smoke: bool, pressure: bool) -> Vec<(&'static str, f64)> {
     eprintln!("bench_ledger: 32-rank mixed job ({steps} steps)");
     let (job_ms, job_msgs) = job32(steps, pressure, true);
     let msgs_per_sec = job_msgs as f64 / (job_ms / 1e3);
-    eprintln!("bench_ledger: 32-rank mixed job, task engine ({steps} steps)");
-    let job_tasks_ms = job32_tasks(steps, true);
 
     vec![
         ("pt2pt_eager_1k_ns_op", eager),
@@ -483,7 +459,6 @@ fn run_kernels(smoke: bool, pressure: bool) -> Vec<(&'static str, f64)> {
         ("probe_storm_ns_op", storm),
         ("job32_wall_ms", job_ms),
         ("job32_msgs_per_sec", msgs_per_sec),
-        ("job32_tasks_wall_ms", job_tasks_ms),
     ]
 }
 

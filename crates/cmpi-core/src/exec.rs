@@ -1,42 +1,52 @@
-//! The execution engine: ranks as cooperative tasks on a fixed worker pool.
+//! The execution engine: every rank is a task of one pool.
 //!
-//! The seed runtime spawns one OS thread per rank. That is faithful to a
-//! real MPI launch and keeps the model suites simple, but it caps the
-//! simulator at the host scheduler's comfort zone — a 4096-rank job means
-//! 4096 threads whose futex parks and wakes dominate wall clock long
-//! before the simulated protocol does. This module adds a second mode
-//! (`CMPI_EXEC=tasks`): every rank becomes a stackful fiber multiplexed
-//! over a fixed pool of workers (default: available cores). A rank that
-//! would block — recv wait, rendezvous CTS, SHM backpressure, barrier
-//! fan-in, failure-detector decision — yields its stack to the worker
-//! instead of parking on a condvar, and the *existing* mailbox poke
-//! re-enqueues it. Thread-per-rank stays as a compile-compatible
-//! fallback so the chaos and model suites can ablate both modes.
+//! A job is `n` rank bodies (`Fn(&mut Mpi) -> R` closures) handed to
+//! [`run_task_pool`]. A rank that would block — recv wait, rendezvous
+//! CTS, SHM backpressure, barrier fan-in, failure-detector decision —
+//! *deschedules* itself through [`yield_blocked`], and the mailbox poke
+//! that ends the wait reschedules it through [`TaskHook::wake`]. Those
+//! two calls (plus [`yield_now`] for poll loops) are the whole interface
+//! the rest of the crate sees; what "deschedule" means is a backend
+//! choice made once per job and invisible outside this file:
+//!
+//! * **Fibers** ([`ExecMode::Tasks`], the default wherever
+//!   [`fibers_supported`]): every rank is a stackful fiber multiplexed
+//!   over a fixed set of workers (default: available cores). Descheduling
+//!   switches the fiber's stack out to its worker; waking enqueues the
+//!   task on its home run queue. No rank ever occupies an OS thread while
+//!   it waits, which is what lets a 4096-rank job run on two cores.
+//! * **OS threads** ([`ExecMode::Threads`]: targets without the fiber
+//!   switch, and callers that pin it — `exec_equiv` uses it as the
+//!   reference): every rank body runs on its own thread. Descheduling
+//!   parks that thread; waking unparks it.
+//!
+//! Both backends drive the *same* blocked→queued handoff
+//! ([`handoff::TaskState`]); they differ in one match arm each of
+//! `yield_blocked`, `yield_now` and `TaskHook::wake`. The virtual clock,
+//! the call-entry-tax refund rules and the packet protocol never see the
+//! backend, which is what makes the two testable bit-for-bit against
+//! each other.
 //!
 //! ### Why fibers and not a state-machine rewrite
 //!
-//! Rank bodies are arbitrary user closures (`Fn(&mut Mpi) -> R`) that
-//! block deep inside library calls (a `recv` inside a collective inside
-//! a proptest plan). CPS-converting every wait site would fork the whole
-//! pt2pt/collective surface into hand-written state machines. A stackful
-//! fiber keeps the blocking call *sites* exactly where they are —
-//! `RankCell::sleep_if_idle` is the single funnel every wait loop
-//! already goes through — and swaps only what "sleep" means there:
-//! park-on-condvar (threads) vs. yield-to-worker (tasks). The virtual
-//! clock, the call-entry-tax refund rules and the packet protocol are
-//! untouched, which is what makes thread/task equivalence testable
-//! bit-for-bit.
+//! Rank bodies block deep inside library calls (a `recv` inside a
+//! collective inside a proptest plan). CPS-converting every wait site
+//! would fork the whole pt2pt/collective surface into hand-written state
+//! machines. A stackful fiber keeps the blocking call *sites* exactly
+//! where they are — `RankCell::sleep_if_idle` is the single funnel every
+//! wait loop goes through — and only changes what runs on the CPU while
+//! the rank waits.
 //!
 //! ### The yield/poke handoff
 //!
-//! The one new concurrency protocol is the blocked→queued transition in
-//! [`handoff::TaskState`]: a fiber that yields must not lose a poke that
-//! races with its own descheduling, and must never be enqueued twice
-//! (one rank on two workers would break the mailbox's single-consumer
-//! contract). The protocol is two words — a state byte and a sticky
-//! `notified` flag, all SeqCst — and lives in its own module on the
-//! model-checker atomics so the litmus tests in `model_tests` explore
-//! every interleaving of the *production* transition code.
+//! The one concurrency protocol here is the blocked→queued transition in
+//! [`handoff::TaskState`]: a rank that deschedules must not lose a poke
+//! that races with its own descheduling, and must never be scheduled
+//! twice (one rank on two workers would break the mailbox's
+//! single-consumer contract). The protocol is two words — a state byte
+//! and a sticky `notified` flag, all SeqCst — and lives in its own module
+//! on the model-checker atomics so the litmus tests in `model_tests`
+//! explore every interleaving of the *production* transition code.
 //!
 //! Single-consumer safety across worker migration: all of a fiber's
 //! mailbox pops happen while its task state is RUNNING on one worker.
@@ -55,25 +65,26 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// How ranks are mapped onto OS threads.
+/// The backend a job's tasks run on: what a blocked rank gives up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One OS thread per rank (the seed model; default).
+    /// Every rank body runs on its own OS thread and deschedules by
+    /// parking it. The only backend on targets without the fiber switch.
     Threads,
-    /// Ranks are cooperative fibers on a fixed worker pool.
+    /// Ranks are stackful fibers on a fixed worker pool (the default
+    /// wherever the fiber switch exists).
     Tasks,
 }
 
-/// Execution-engine knobs on a [`crate::JobSpec`]. Unset fields fall
-/// back to the environment (`CMPI_EXEC`, `CMPI_WORKERS`,
-/// `CMPI_STACK_KIB`) and then to defaults, so a whole test binary can be
-/// switched to task mode without touching any spec.
+/// Execution-engine knobs on a [`crate::JobSpec`]. Unset sizes fall back
+/// to the environment (`CMPI_WORKERS`, `CMPI_STACK_KIB`) and then to
+/// defaults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSpec {
-    /// Execution mode; `None` = `CMPI_EXEC` or [`ExecMode::Threads`].
+    /// Backend; `None` = [`ExecMode::Tasks`] where fibers are supported.
     pub mode: Option<ExecMode>,
-    /// Worker count in task mode; `None` = `CMPI_WORKERS` or available
-    /// cores. Clamped to the rank count.
+    /// Worker count of the fiber pool; `None` = `CMPI_WORKERS` or
+    /// available cores. Clamped to the rank count.
     pub workers: Option<usize>,
     /// Fiber stack size in KiB; `None` = `CMPI_STACK_KIB` or 1024.
     pub stack_kib: Option<usize>,
@@ -96,15 +107,10 @@ const DEFAULT_STACK_KIB: usize = 1024;
 
 impl ExecSpec {
     pub(crate) fn resolve(&self) -> ExecConfig {
-        let mode = self.mode.or_else(env_mode).unwrap_or(ExecMode::Threads);
-        let mode = if mode == ExecMode::Tasks && !fibers_supported() {
-            eprintln!(
-                "cmpi: CMPI_EXEC=tasks is not supported on this target \
-                 (need x86_64/aarch64 Linux); falling back to threads"
-            );
-            ExecMode::Threads
+        let mode = if self.mode != Some(ExecMode::Threads) && fibers_supported() {
+            ExecMode::Tasks
         } else {
-            mode
+            ExecMode::Threads
         };
         let workers = self
             .workers
@@ -124,21 +130,6 @@ impl ExecSpec {
             mode,
             workers,
             stack_bytes: stack_kib * 1024,
-        }
-    }
-}
-
-fn env_mode() -> Option<ExecMode> {
-    match std::env::var("CMPI_EXEC")
-        .ok()?
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "tasks" | "task" | "fibers" => Some(ExecMode::Tasks),
-        "threads" | "thread" => Some(ExecMode::Threads),
-        other => {
-            eprintln!("cmpi: ignoring unknown CMPI_EXEC value {other:?} (want tasks|threads)");
-            None
         }
     }
 }
@@ -164,57 +155,66 @@ pub(crate) const fn fibers_supported() -> bool {
 // The blocked→queued handoff (model-checked)
 // ---------------------------------------------------------------------------
 
-/// The wake/yield handoff protocol, on the model-checker atomics so the
-/// litmus tests in `model_tests` run the production transitions under
-/// exhaustive interleaving.
+/// The wake/yield handoff protocol, on the model-checker primitives so
+/// the litmus tests in `model_tests` run the production transitions
+/// under exhaustive interleaving.
 pub(crate) mod handoff {
-    use cmpi_model::sync::{AtomicBool, AtomicU8, Ordering};
+    use cmpi_model::sync::{AtomicBool, AtomicU8, Condvar, Mutex, Ordering};
 
-    /// Task is on a worker, executing.
+    /// Task is executing (on a worker, or on its own thread).
     pub(crate) const RUNNING: u8 = 0;
-    /// Task sits in exactly one run queue (or is being carried to one by
-    /// the unique thread whose CAS won the blocked→queued transition).
+    /// Task is scheduled to run: it sits in exactly one run queue (or is
+    /// being carried to one by the unique thread whose CAS won the
+    /// blocked→queued transition), or its parked thread has been told to
+    /// go.
     pub(crate) const QUEUED: u8 = 1;
-    /// Task yielded; its stack is suspended, no worker owns it.
+    /// Task descheduled itself; nothing runs it until a wake.
     pub(crate) const BLOCKED: u8 = 2;
     /// Task body returned (or unwound); it will never run again.
     pub(crate) const DONE: u8 = 3;
 
     /// The per-task scheduling word.
     ///
-    /// Invariant: a task enters a run queue exactly once per block
-    /// episode, because entering requires winning the single
-    /// `BLOCKED → QUEUED` compare-exchange of that episode. `wake` and
-    /// `block` race for it; SeqCst gives their accesses a total order in
-    /// which exactly one side observes the other:
+    /// Invariant: a task is scheduled exactly once per block episode,
+    /// because that requires winning the single `BLOCKED → QUEUED`
+    /// compare-exchange of the episode. `wake` and `block` race for it;
+    /// SeqCst gives their accesses a total order in which exactly one
+    /// side observes the other:
     ///
     /// * if the waker's CAS fails (state still `RUNNING`), the CAS
     ///   precedes the yielder's `BLOCKED` store in the SC order, hence
     ///   also precedes its `notified` swap — which therefore sees the
-    ///   waker's earlier `notified` store and re-enqueues locally: the
+    ///   waker's earlier `notified` store and reschedules itself: the
     ///   wakeup is not lost;
     /// * if the waker's CAS succeeds, the yielder's swap may see `true`
     ///   but its own CAS then finds `QUEUED` and fails: no double
-    ///   enqueue.
+    ///   scheduling.
     pub(crate) struct TaskState {
         state: AtomicU8,
         /// Sticky "a poke happened" flag, consumed by `block`. A stale
-        /// `true` (poke while running) costs one spurious re-enqueue;
+        /// `true` (poke while running) costs one spurious reschedule;
         /// the task re-checks its mailbox and yields again.
         notified: AtomicBool,
+        /// OS-thread backend only: where the task's own thread waits out
+        /// a block episode (`park`) until the CAS winner tells it to go
+        /// (`unpark`). Never touched when the task is a fiber.
+        parked: Mutex<()>,
+        unparked: Condvar,
     }
 
     impl TaskState {
-        /// New task, already sitting in its seed run queue.
+        /// New task, already scheduled for its first run.
         pub(crate) fn new_queued() -> Self {
             TaskState {
                 state: AtomicU8::new(QUEUED),
                 notified: AtomicBool::new(false),
+                parked: Mutex::new(()),
+                unparked: Condvar::new(),
             }
         }
 
         /// Poke-side transition. Returns `true` iff the caller must
-        /// enqueue the task (it won the blocked→queued CAS).
+        /// schedule the task (it won the blocked→queued CAS).
         pub(crate) fn wake(&self) -> bool {
             self.notified.store(true, Ordering::SeqCst);
             self.state
@@ -222,9 +222,9 @@ pub(crate) mod handoff {
                 .is_ok()
         }
 
-        /// Worker-side transition after the fiber yielded. Returns
-        /// `true` iff the worker must re-enqueue the task itself (a
-        /// poke raced with the yield and lost the CAS).
+        /// Yield-side transition, once the task has stopped running.
+        /// Returns `true` iff the yielder must reschedule the task itself
+        /// (a poke raced with the yield and lost the CAS).
         pub(crate) fn block(&self) -> bool {
             self.state.store(BLOCKED, Ordering::SeqCst);
             if self.notified.swap(false, Ordering::SeqCst) {
@@ -236,9 +236,9 @@ pub(crate) mod handoff {
             false
         }
 
-        /// Dequeue-side transition: the worker that popped the task
-        /// takes ownership. Panics if the queue held a task that was
-        /// not `QUEUED` — that would mean two workers own one rank.
+        /// Resume-side transition: whoever runs the task next takes
+        /// ownership. Panics if the task was not `QUEUED` — that would
+        /// mean two owners of one rank.
         pub(crate) fn claim(&self) {
             let prev = self.state.swap(RUNNING, Ordering::SeqCst);
             assert_eq!(prev, QUEUED, "task claimed while not queued (state {prev})");
@@ -263,6 +263,31 @@ pub(crate) mod handoff {
 
         pub(crate) fn is_blocked(&self) -> bool {
             self.state.load(Ordering::SeqCst) == BLOCKED
+        }
+
+        /// OS-thread backend: after `block()` returned `false`, wait on
+        /// the task's own thread until a waker wins the CAS (or the job
+        /// is `cancelled`). The state check and the wait happen under
+        /// the park lock, and `unpark` takes the same lock before it
+        /// notifies, so a CAS that lands between the check and the wait
+        /// cannot notify early: the wakeup is not lost.
+        pub(crate) fn park(&self, cancelled: impl Fn() -> bool) {
+            let mut g = self.parked.lock();
+            while self.is_blocked() && !cancelled() {
+                // fiber-ok: reached only from the `ExecMode::Threads` arm
+                // of `yield_blocked`, where the caller is the rank's own
+                // OS thread — parking it is that backend's deschedule,
+                // and there is no worker or fiber to strand.
+                self.unparked.wait(&mut g);
+            }
+        }
+
+        /// OS-thread backend: let a parked task re-check its state.
+        /// Called by the winner of the blocked→queued CAS (and by job
+        /// cancellation).
+        pub(crate) fn unpark(&self) {
+            let _g = self.parked.lock();
+            self.unparked.notify_one();
         }
     }
 }
@@ -360,7 +385,7 @@ extern "C" {
 }
 
 /// Unsupported-target stubs so the module typechecks everywhere; the
-/// resolver downgrades Tasks→Threads before these could ever run.
+/// resolver picks the OS-thread backend there, which never switches.
 #[cfg(not(all(
     any(target_arch = "x86_64", target_arch = "aarch64"),
     target_os = "linux"
@@ -505,12 +530,14 @@ enum FiberStatus {
     Done,
 }
 
-/// Sentinel panic payload used to unwind a cancelled fiber's stack so
-/// its locals drop. Swallowed by `fiber_main`; never user-visible.
+/// Sentinel panic payload used to unwind a cancelled task's stack so its
+/// locals drop. Swallowed where the body was started; never
+/// user-visible.
 struct Cancelled;
 
-/// Worker-private half of a task: the suspended stack and everything
-/// the body left behind.
+/// Owner-private half of a task: the body, what it left behind, and (for
+/// a fiber) the suspended stack. The OS-thread backend uses `body` and
+/// `panic` only.
 struct FiberState {
     status: FiberStatus,
     /// Suspended stack pointer (valid iff `Suspended`).
@@ -536,13 +563,13 @@ struct FiberState {
 
 /// One rank as a schedulable task.
 ///
-/// The `fiber` cell is worker-private state despite the `Sync` impl:
+/// The `fiber` cell is owner-private state despite the `Sync` impl:
 /// exactly one thread may touch it at a time, namely whichever thread
 /// owns the task per the [`handoff::TaskState`] protocol (RUNNING: the
-/// worker that claimed it; BLOCKED: nobody; teardown: the pool thread
-/// after the workers joined). The SeqCst transitions in `handoff` and
-/// the run-queue mutex provide the happens-before edges between
-/// consecutive owners.
+/// worker that claimed it, or the task's own thread; BLOCKED: nobody;
+/// teardown: the pool thread after every worker or rank thread joined).
+/// The SeqCst transitions in `handoff` and the run-queue mutex provide
+/// the happens-before edges between consecutive owners.
 struct Task {
     state: handoff::TaskState,
     fiber: UnsafeCell<FiberState>,
@@ -557,86 +584,117 @@ unsafe impl Sync for Task {}
 // dereferenced by that worker).
 unsafe impl Send for Task {}
 
-/// What a mailbox poke needs to reschedule a parked rank: the handoff
-/// word plus a route back to the run queues. Held by `RankCell` in task
-/// mode; cloned freely (pokes come from arbitrary ranks).
+/// What a mailbox poke needs to reschedule a descheduled rank: the task
+/// and a route back to its pool. Held by the rank's `RankCell`.
 pub(crate) struct TaskHook {
     pool: Arc<PoolShared>,
     index: usize,
 }
 
 impl TaskHook {
-    /// Poke-side wakeup: if this task was blocked, move it to its home
-    /// run queue. Called instead of the condvar notify; safe from any
-    /// thread, any number of times.
-    pub(crate) fn wake(&self) {
-        if self.pool.tasks[self.index].state.wake() {
-            self.pool.enqueue(self.index);
+    /// Poke-side wakeup: if this task was blocked, schedule it again.
+    /// Safe from any thread, any number of times. Returns `true` iff the
+    /// wakeup cost an OS-thread unpark (the mailbox counts those).
+    pub(crate) fn wake(&self) -> bool {
+        let task = &self.pool.tasks[self.index];
+        if !task.state.wake() {
+            return false;
+        }
+        match self.pool.mode {
+            ExecMode::Tasks => {
+                self.pool.enqueue(self.index);
+                false
+            }
+            ExecMode::Threads => {
+                task.state.unpark();
+                true
+            }
         }
     }
 }
 
 thread_local! {
-    /// The task the current worker thread is running, if any. Null on
-    /// rank threads (thread mode) and on workers between tasks — which
-    /// is what routes `RankCell::sleep_if_idle` to the right backend.
-    static CURRENT: Cell<*const Task> = const { Cell::new(std::ptr::null()) };
+    /// The task the current OS thread is running — its pool and index —
+    /// or a null pool between tasks and on threads that run none.
+    static CURRENT: Cell<(*const PoolShared, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
-/// Yield the current fiber back to its worker, to be resumed by the
-/// next [`TaskHook::wake`]. Must be called on a fiber. The caller is
-/// responsible for having published its "I am waiting" state (the
-/// mailbox `poked` protocol) *before* yielding; the handoff CAS closes
-/// the remaining race.
+/// The pool and task the calling code runs as, if any. Read once per
+/// call and never across a fiber switch: a resumed fiber may be on
+/// another thread, whose `CURRENT` its worker has set to the same value.
+fn current<'a>() -> Option<(&'a PoolShared, &'a Task)> {
+    let (pool, index) = CURRENT.with(|c| c.get());
+    // SAFETY: `CURRENT` is non-null only while one of the pool's tasks
+    // runs on this thread, and `run_task_pool` keeps the pool alive
+    // until every task has finished or been unwound.
+    let pool = unsafe { pool.as_ref() }?;
+    Some((pool, &pool.tasks[index]))
+}
+
+/// Deschedule the calling rank until the next [`TaskHook::wake`]. Must be
+/// called from a task. The caller is responsible for having published
+/// its "I am waiting" state (the mailbox `poked` protocol) *before*
+/// yielding; the handoff CAS closes the remaining race.
 pub(crate) fn yield_blocked() {
-    let task = CURRENT.with(|c| c.get());
-    assert!(!task.is_null(), "yield_blocked outside a fiber");
-    // SAFETY: `task` points into the pool's task slab, alive for the
-    // whole pool run; we are the unique RUNNING owner of its fiber cell.
-    unsafe {
-        let fs = (*task).fiber.get();
-        (*fs).status = FiberStatus::Suspended;
-        let ret = *(*fs).ret_sp;
-        // SAFETY: `ret` is the worker context that switched into us; the
-        // save slot is our own `sp` field. The worker completes the
-        // BLOCKED transition after this switch returns control to it.
-        cmpi_core_fiber_switch(std::ptr::addr_of_mut!((*fs).sp), ret);
-        // Resumed. If the pool is tearing us down, unwind so locals drop.
-        if (*fs).cancel {
-            std::panic::resume_unwind(Box::new(Cancelled));
+    let (pool, task) = current().expect("yield_blocked outside a task");
+    match pool.mode {
+        // The worker completes the BLOCKED transition once this fiber's
+        // stack is off the CPU.
+        ExecMode::Tasks => task.switch_out(false),
+        ExecMode::Threads => {
+            if !task.state.block() {
+                task.state.park(|| pool.poisoned());
+            }
+            pool.unwind_if_cancelled();
+            task.state.claim();
         }
     }
 }
 
 /// Cooperative-scheduling hint for non-blocking poll loops (`test`,
-/// `iprobe`): give the worker back so other ranks make progress, then
-/// resume without waiting for a poke. No-op off-fiber — in thread mode
-/// the OS preempts spin loops, but a fiber that busy-polls would starve
-/// every other rank multiplexed on its worker (livelock on a pool
-/// smaller than the spinning ranks). Purely a real-time scheduling
-/// event: callers have already refunded the failed poll's virtual time,
-/// so thread/task clock equivalence is untouched.
+/// `iprobe`): let other ranks make progress, then resume without waiting
+/// for a poke. A fiber that busy-polls would starve every other rank
+/// multiplexed on its worker (livelock on a pool smaller than the
+/// spinning ranks). Purely a real-time scheduling event: callers have
+/// already refunded the failed poll's virtual time, so the virtual clock
+/// is untouched. No-op outside a task.
 pub(crate) fn yield_now() {
-    let task = CURRENT.with(|c| c.get());
-    if task.is_null() {
+    let Some((pool, task)) = current() else {
         return;
+    };
+    match pool.mode {
+        ExecMode::Tasks => task.switch_out(true),
+        ExecMode::Threads => {
+            pool.unwind_if_cancelled();
+            std::thread::yield_now();
+        }
     }
-    // SAFETY: same ownership argument as `yield_blocked` — we are the
-    // unique RUNNING owner of the fiber cell until the switch, and the
-    // worker (sole next owner) takes over after it.
-    unsafe {
-        let fs = (*task).fiber.get();
-        (*fs).requeue = true;
-        (*fs).status = FiberStatus::Suspended;
-        let ret = *(*fs).ret_sp;
-        // SAFETY: `ret` is the worker context that switched into us; the
-        // save slot is our own `sp` field. The worker re-enqueues us
-        // after this switch hands control back to it — never before, so
-        // no other worker can resume this stack while it is still live
-        // here.
-        cmpi_core_fiber_switch(std::ptr::addr_of_mut!((*fs).sp), ret);
-        if (*fs).cancel {
-            std::panic::resume_unwind(Box::new(Cancelled));
+}
+
+impl Task {
+    /// Fiber backend: suspend the running fiber and hand the CPU back to
+    /// its worker, which re-enqueues the task at once (`requeue`) or
+    /// runs the blocked→queued handoff for it.
+    fn switch_out(&self, requeue: bool) {
+        // SAFETY: the caller runs *as* this fiber, so it is the unique
+        // RUNNING owner of the cell until the switch, and the worker
+        // (sole next owner) takes over after it.
+        unsafe {
+            let fs = self.fiber.get();
+            (*fs).requeue = requeue;
+            (*fs).status = FiberStatus::Suspended;
+            let ret = *(*fs).ret_sp;
+            // SAFETY: `ret` is the worker context that switched into us;
+            // the save slot is our own `sp` field. The worker touches the
+            // task only after this switch hands control back to it, so
+            // no other worker can resume this stack while it is still
+            // live here.
+            cmpi_core_fiber_switch(std::ptr::addr_of_mut!((*fs).sp), ret);
+            // Resumed. If the pool is tearing us down, unwind so locals
+            // drop.
+            if (*fs).cancel {
+                std::panic::resume_unwind(Box::new(Cancelled));
+            }
         }
     }
 }
@@ -680,7 +738,7 @@ extern "C" fn cmpi_core_fiber_boot(task: *mut Task) -> ! {
 }
 
 // ---------------------------------------------------------------------------
-// The worker pool
+// The pool
 // ---------------------------------------------------------------------------
 
 /// Parked-worker bookkeeping, under the `idle` mutex.
@@ -691,20 +749,22 @@ struct IdleState {
     strikes: u32,
 }
 
-/// Everything the workers and the pokers share.
+/// Everything the tasks, the workers and the pokers share.
 pub(crate) struct PoolShared {
+    /// The backend, fixed for the pool's lifetime.
+    mode: ExecMode,
     tasks: Box<[Task]>,
-    /// One FIFO run queue per worker. Pokes enqueue to the task's home
-    /// queue (index % workers); idle workers steal from the back of
-    /// other queues.
+    /// Fiber backend: one FIFO run queue per worker. Pokes enqueue to the
+    /// task's home queue (index % workers); idle workers steal from the
+    /// back of other queues.
     queues: Box<[Mutex<VecDeque<usize>>]>,
     idle: Mutex<IdleState>,
     idle_cv: Condvar,
-    /// Tasks not yet Done. The last finisher wakes all parked workers
-    /// so the pool winds down promptly.
+    /// Fiber backend: tasks not yet Done. The last finisher wakes all
+    /// parked workers so the pool winds down promptly.
     live: AtomicUsize,
-    /// Raised on a task panic or detected deadlock: workers stop
-    /// claiming work and exit; teardown unwinds the remnants.
+    /// Raised on a task panic or detected deadlock: no task is resumed
+    /// any more; teardown unwinds the remnants.
     poisoned: AtomicBool,
 }
 
@@ -716,6 +776,61 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 const DEADLOCK_STRIKES: u32 = 3;
 
 impl PoolShared {
+    /// A pool of `bodies.len()` tasks, every one scheduled for its first
+    /// run, with `workers` run queues (which only fibers use).
+    ///
+    /// The `'a` bodies are transmuted to `'static`; this is the
+    /// scoped-thread pattern — whoever builds a pool must finish or
+    /// unwind every body before `'a` ends (see [`run_task_pool`]).
+    fn new<'a>(
+        bodies: Vec<Box<dyn FnOnce() + Send + 'a>>,
+        mode: ExecMode,
+        workers: usize,
+    ) -> Arc<PoolShared> {
+        let n = bodies.len();
+        let tasks: Box<[Task]> = bodies
+            .into_iter()
+            .map(|body| {
+                // SAFETY: lifetime erasure only ('a → 'static); see the
+                // function doc — the pool finishes or unwinds every body
+                // before its creator returns, so the borrows never
+                // dangle.
+                let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
+                Task {
+                    state: handoff::TaskState::new_queued(),
+                    fiber: UnsafeCell::new(FiberState {
+                        status: FiberStatus::New,
+                        sp: std::ptr::null_mut(),
+                        ret_sp: std::ptr::null_mut(),
+                        body: Some(body),
+                        requeue: false,
+                        cancel: false,
+                        panic: None,
+                    }),
+                }
+            })
+            .collect();
+        Arc::new(PoolShared {
+            mode,
+            tasks,
+            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            idle: Mutex::new(IdleState {
+                parked: 0,
+                strikes: 0,
+            }),
+            idle_cv: Condvar::new(),
+            live: AtomicUsize::new(n),
+            poisoned: AtomicBool::new(false),
+        })
+    }
+
+    fn hook(self: &Arc<Self>, index: usize) -> Arc<TaskHook> {
+        Arc::new(TaskHook {
+            pool: Arc::clone(self),
+            index,
+        })
+    }
+
     fn home(&self, index: usize) -> usize {
         index % self.queues.len()
     }
@@ -753,6 +868,101 @@ impl PoolShared {
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         self.idle_cv.notify_all();
+    }
+
+    /// OS-thread backend: a poisoned pool resumes no task, so a rank
+    /// thread that reaches a yield point unwinds instead (its locals
+    /// drop, exactly as `cancel_remnants` does for a suspended fiber).
+    fn unwind_if_cancelled(&self) {
+        if self.poisoned() {
+            std::panic::resume_unwind(Box::new(Cancelled));
+        }
+    }
+
+    /// OS-thread backend: run task `idx` on the calling thread, start to
+    /// finish.
+    fn thread_main(&self, idx: usize) {
+        let task = &self.tasks[idx];
+        task.state.claim();
+        // SAFETY: claim() made this thread the owner of the fiber cell,
+        // and on this backend no other thread touches it before the
+        // join.
+        let body = unsafe { (*task.fiber.get()).body.take() }.expect("task started twice");
+        let outer = CURRENT.with(|c| c.replace((self as *const PoolShared, idx)));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(body));
+        CURRENT.with(|c| c.set(outer));
+        task.state.finish();
+        let Err(p) = outcome else { return };
+        if p.is::<Cancelled>() {
+            return;
+        }
+        // SAFETY: still the owner (see above).
+        unsafe { (*task.fiber.get()).panic = Some(p) };
+        self.poison();
+        // Ranks parked for a message this one will never send must see
+        // the poison.
+        for t in self.tasks.iter() {
+            t.state.unpark();
+        }
+    }
+
+    /// OS-thread backend: one scoped thread per task.
+    fn run_threads(&self) {
+        std::thread::scope(|scope| {
+            for idx in 0..self.tasks.len() {
+                std::thread::Builder::new()
+                    .name(format!("mpi-rank-{idx}"))
+                    .spawn_scoped(scope, move || self.thread_main(idx))
+                    .expect("failed to spawn rank thread");
+            }
+        });
+        self.propagate_panic();
+    }
+
+    /// Fiber backend: run every task on `self.queues.len()` workers, then
+    /// unwind whatever a poisoned pool left suspended.
+    fn run_fibers(&self, stack_bytes: usize) {
+        // Seed: every task starts queued on its home worker.
+        for i in 0..self.tasks.len() {
+            self.queues[self.home(i)].lock().push_back(i);
+        }
+        // The stacks live exactly as long as fibers can run: from here to
+        // the end of teardown. (The pool itself outlives this call
+        // through the hooks, which only ever enqueue an index.)
+        let stacks = StackSlab::new(self.tasks.len(), stack_bytes);
+        let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.queues.len())
+                .map(|w| {
+                    let stacks = &stacks;
+                    std::thread::Builder::new()
+                        .name(format!("cmpi-worker-{w}"))
+                        .spawn_scoped(scope, move || self.worker(w, stacks))
+                        .expect("failed to spawn pool worker")
+                })
+                .collect();
+            for h in handles {
+                if let Err(p) = h.join() {
+                    worker_panic.get_or_insert(p);
+                }
+            }
+        });
+        self.cancel_remnants();
+        self.propagate_panic();
+        if let Some(p) = worker_panic {
+            std::panic::resume_unwind(p);
+        }
+    }
+
+    /// Re-raise the lowest-index task panic, if any. Call only once
+    /// nothing runs the pool's tasks any more.
+    fn propagate_panic(&self) {
+        for task in self.tasks.iter() {
+            // SAFETY: every worker / rank thread joined; sole owner.
+            if let Some(p) = unsafe { (*task.fiber.get()).panic.take() } {
+                std::panic::resume_unwind(p);
+            }
+        }
     }
 
     /// Worker main loop.
@@ -833,12 +1043,12 @@ impl PoolShared {
             }
             (*fs).ret_sp = std::ptr::addr_of_mut!(resume);
             let to = (*fs).sp;
-            CURRENT.with(|c| c.set(task as *const Task));
+            CURRENT.with(|c| c.set((self as *const PoolShared, idx)));
             // SAFETY: `to` is a stack this pool seeded/suspended; the
             // save slot is this frame's `resume` local, which outlives
             // the switch because the fiber always switches back here.
             cmpi_core_fiber_switch(&mut resume, to);
-            CURRENT.with(|c| c.set(std::ptr::null()));
+            CURRENT.with(|c| c.set((std::ptr::null(), 0)));
             match (*fs).status {
                 FiberStatus::Done => {
                     task.state.finish();
@@ -870,7 +1080,7 @@ impl PoolShared {
     /// is not Done so its stack-held locals drop, and drop unstarted
     /// bodies. Workers are gone, so this thread owns every fiber cell.
     fn cancel_remnants(&self) {
-        for task in self.tasks.iter() {
+        for (idx, task) in self.tasks.iter().enumerate() {
             // SAFETY: single-threaded teardown; no other accessor left.
             unsafe {
                 let fs = task.fiber.get();
@@ -892,10 +1102,10 @@ impl PoolShared {
                             let mut resume: *mut u8 = std::ptr::null_mut();
                             (*fs).ret_sp = std::ptr::addr_of_mut!(resume);
                             let to = (*fs).sp;
-                            CURRENT.with(|c| c.set(task as *const Task));
+                            CURRENT.with(|c| c.set((self as *const PoolShared, idx)));
                             // SAFETY: suspended stack owned solely by us.
                             cmpi_core_fiber_switch(&mut resume, to);
-                            CURRENT.with(|c| c.set(std::ptr::null()));
+                            CURRENT.with(|c| c.set((std::ptr::null(), 0)));
                         }
                     }
                 }
@@ -904,14 +1114,14 @@ impl PoolShared {
     }
 }
 
-/// Run `bodies[i]` as task `i` on `cfg.workers` workers; `bind(i, hook)`
-/// is called before any task starts so mailbox cells can route pokes.
-/// Returns when every body has run to completion; propagates the
-/// lowest-index panic (matching thread mode's rank-ordered join).
+/// Run `bodies[i]` as task `i` on the backend `cfg.mode` names;
+/// `bind(i, hook)` is called before any task starts so mailbox cells can
+/// route pokes. Returns when every body has run to completion; a task
+/// panic takes the job down — descheduled ranks are unwound so their
+/// locals drop — and the lowest-index panic is propagated.
 ///
-/// The `'a` bodies are transmuted to `'static` internally; this is the
-/// scoped-thread pattern — every fiber is finished or unwound before
-/// this function returns, so no body outlives its borrows.
+/// Every body is finished or unwound before this function returns, so
+/// no body outlives its `'a` borrows (see [`PoolShared::new`]).
 pub(crate) fn run_task_pool<'a>(
     bodies: Vec<Box<dyn FnOnce() + Send + 'a>>,
     cfg: &ExecConfig,
@@ -921,85 +1131,29 @@ pub(crate) fn run_task_pool<'a>(
     if n == 0 {
         return;
     }
-    let workers = cfg.workers.max(1).min(n);
-    let tasks: Box<[Task]> = bodies
-        .into_iter()
-        .map(|body| {
-            // SAFETY: lifetime erasure only ('a → 'static); see the
-            // function doc — the pool finishes or unwinds every body
-            // before returning, so the borrows never dangle.
-            let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-            Task {
-                state: handoff::TaskState::new_queued(),
-                fiber: UnsafeCell::new(FiberState {
-                    status: FiberStatus::New,
-                    sp: std::ptr::null_mut(),
-                    ret_sp: std::ptr::null_mut(),
-                    body: Some(body),
-                    requeue: false,
-                    cancel: false,
-                    panic: None,
-                }),
-            }
-        })
-        .collect();
-    let pool = Arc::new(PoolShared {
-        tasks,
-        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        idle: Mutex::new(IdleState {
-            parked: 0,
-            strikes: 0,
-        }),
-        idle_cv: Condvar::new(),
-        live: AtomicUsize::new(n),
-        poisoned: AtomicBool::new(false),
-    });
+    let pool = PoolShared::new(bodies, cfg.mode, cfg.workers.max(1).min(n));
     for i in 0..n {
-        bind(
-            i,
-            Arc::new(TaskHook {
-                pool: Arc::clone(&pool),
-                index: i,
-            }),
-        );
+        bind(i, pool.hook(i));
     }
-    // Seed: every task starts queued on its home worker.
-    for i in 0..n {
-        pool.queues[pool.home(i)].lock().push_back(i);
+    match pool.mode {
+        ExecMode::Tasks => pool.run_fibers(cfg.stack_bytes),
+        ExecMode::Threads => pool.run_threads(),
     }
-    // The stacks live exactly as long as fibers can run: from here to
-    // the end of teardown. (The pool itself outlives this call through
-    // the hooks bound above, which only ever enqueue an index.)
-    let stacks = StackSlab::new(n, cfg.stack_bytes);
-    let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (pool, stacks) = (&pool, &stacks);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("cmpi-worker-{w}"))
-                    .spawn_scoped(scope, move || pool.worker(w, stacks))
-                    .expect("failed to spawn pool worker"),
-            );
-        }
-        for h in handles {
-            if let Err(p) = h.join() {
-                worker_panic.get_or_insert(p);
-            }
-        }
-    });
-    pool.cancel_remnants();
-    // Rank-ordered panic propagation, matching thread mode's join loop.
-    for task in pool.tasks.iter() {
-        // SAFETY: workers joined, teardown done; sole owner.
-        if let Some(p) = unsafe { (*task.fiber.get()).panic.take() } {
-            std::panic::resume_unwind(p);
-        }
-    }
-    if let Some(p) = worker_panic {
-        std::panic::resume_unwind(p);
-    }
+}
+
+/// Test scaffolding: run `body` on the *calling* thread as the one task
+/// of an OS-thread-backed pool, so unit and model tests can drive a
+/// `RankCell` owner through the production handoff without spawning
+/// threads the model checker cannot see.
+#[cfg(test)]
+pub(crate) fn run_on_this_thread<'a>(
+    body: impl FnOnce() + Send + 'a,
+    bind: impl FnOnce(Arc<TaskHook>),
+) {
+    let pool = PoolShared::new(vec![Box::new(body)], ExecMode::Threads, 0);
+    bind(pool.hook(0));
+    pool.thread_main(0);
+    pool.propagate_panic();
 }
 
 #[cfg(test)]
@@ -1007,147 +1161,174 @@ mod tests {
     use super::*;
     use cmpi_model::sync::AtomicU64;
 
-    fn cfg(workers: usize) -> ExecConfig {
-        ExecConfig {
-            mode: ExecMode::Tasks,
+    /// Both backends at `workers` workers: everything below must hold on
+    /// fibers and on OS threads alike.
+    fn backends(workers: usize) -> [ExecConfig; 2] {
+        [ExecMode::Tasks, ExecMode::Threads].map(|mode| ExecConfig {
+            mode,
             workers,
             stack_bytes: 256 * 1024,
-        }
+        })
     }
 
     #[test]
     fn pool_runs_every_body_once() {
-        let counter = AtomicU64::new(0);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..64)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_task_pool(bodies, &cfg(4), |_, _| {});
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
+        for cfg in backends(4) {
+            let counter = AtomicU64::new(0);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..64)
+                .map(|_| {
+                    Box::new(|| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            run_task_pool(bodies, &cfg, |_, _| {});
+            assert_eq!(counter.load(Ordering::SeqCst), 64);
+        }
     }
 
     #[test]
     fn yield_and_wake_resume_a_blocked_task() {
-        // Task 0 blocks until task 1 (running later on the same worker)
-        // pokes it — the fiber handoff in miniature.
-        let flag = Arc::new(AtomicU64::new(0));
-        let hooks: Arc<Mutex<Vec<Option<Arc<TaskHook>>>>> = Arc::new(Mutex::new(vec![None, None]));
-        let f0 = Arc::clone(&flag);
-        let f1 = Arc::clone(&flag);
-        let h1 = Arc::clone(&hooks);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                while f0.load(Ordering::SeqCst) == 0 {
-                    yield_blocked();
-                }
-                f0.store(2, Ordering::SeqCst);
-            }),
-            Box::new(move || {
-                f1.store(1, Ordering::SeqCst);
-                if let Some(h) = h1.lock()[0].as_ref() {
-                    h.wake();
-                }
-            }),
-        ];
-        let hb = Arc::clone(&hooks);
-        run_task_pool(bodies, &cfg(1), move |i, h| {
-            hb.lock()[i] = Some(h);
-        });
-        assert_eq!(flag.load(Ordering::SeqCst), 2);
+        // Task 0 blocks until task 1 (on fibers: running later on the
+        // same worker) pokes it — the handoff in miniature.
+        for cfg in backends(1) {
+            let flag = AtomicU64::new(0);
+            let hooks: Mutex<Vec<Option<Arc<TaskHook>>>> = Mutex::new(vec![None, None]);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(|| {
+                    while flag.load(Ordering::SeqCst) == 0 {
+                        yield_blocked();
+                    }
+                    flag.store(2, Ordering::SeqCst);
+                }),
+                Box::new(|| {
+                    flag.store(1, Ordering::SeqCst);
+                    if let Some(h) = hooks.lock()[0].as_ref() {
+                        h.wake();
+                    }
+                }),
+            ];
+            run_task_pool(bodies, &cfg, |i, h| {
+                hooks.lock()[i] = Some(h);
+            });
+            assert_eq!(flag.load(Ordering::SeqCst), 2);
+        }
     }
 
     #[test]
     fn results_written_through_erased_slots() {
-        let mut slots: Vec<Option<u64>> = vec![None; 16];
-        struct SlotPtr(*mut Option<u64>);
-        // SAFETY: each closure gets a distinct slot; the pool joins
-        // before the vec is read.
-        unsafe impl Send for SlotPtr {}
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                let p = SlotPtr(slot as *mut _);
-                Box::new(move || {
-                    let p = p;
-                    // SAFETY: distinct slot per task, pool joins first.
-                    unsafe { *p.0 = Some(i as u64 * 3) };
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_task_pool(bodies, &cfg(3), |_, _| {});
-        for (i, s) in slots.iter().enumerate() {
-            assert_eq!(*s, Some(i as u64 * 3));
+        for cfg in backends(3) {
+            let mut slots: Vec<Option<u64>> = vec![None; 16];
+            struct SlotPtr(*mut Option<u64>);
+            // SAFETY: each closure gets a distinct slot; the pool joins
+            // before the vec is read.
+            unsafe impl Send for SlotPtr {}
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| {
+                    let p = SlotPtr(slot as *mut _);
+                    Box::new(move || {
+                        let p = p;
+                        // SAFETY: distinct slot per task, pool joins first.
+                        unsafe { *p.0 = Some(i as u64 * 3) };
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            run_task_pool(bodies, &cfg, |_, _| {});
+            for (i, s) in slots.iter().enumerate() {
+                assert_eq!(*s, Some(i as u64 * 3));
+            }
         }
     }
 
     #[test]
     fn task_panic_propagates_lowest_index_first() {
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| panic!("rank 0 boom")),
-            Box::new(|| panic!("rank 1 boom")),
-        ];
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_task_pool(bodies, &cfg(2), |_, _| {});
-        }))
-        .expect_err("pool should propagate the panic");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("boom"), "unexpected payload {msg:?}");
+        for cfg in backends(2) {
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(|| panic!("rank 0 boom")),
+                Box::new(|| panic!("rank 1 boom")),
+            ];
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_task_pool(bodies, &cfg, |_, _| {});
+            }))
+            .expect_err("pool should propagate the panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(str::to_owned)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("boom"), "unexpected payload {msg:?}");
+        }
     }
 
     #[test]
-    fn blocked_fiber_is_unwound_on_teardown() {
+    fn blocked_task_is_unwound_on_teardown() {
         // A task that blocks forever (nobody wakes it) alongside a
         // panicking task: the pool must cancel it, run its destructors,
         // and still propagate the real panic.
-        struct DropFlag(Arc<AtomicU64>);
-        impl Drop for DropFlag {
+        struct DropFlag<'a>(&'a AtomicU64);
+        impl Drop for DropFlag<'_> {
             fn drop(&mut self) {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let dropped = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&dropped);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                let _guard = DropFlag(d);
-                loop {
-                    yield_blocked();
-                }
-            }),
-            Box::new(|| panic!("take the pool down")),
-        ];
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_task_pool(bodies, &cfg(2), |_, _| {});
-        }));
-        assert!(err.is_err());
-        assert_eq!(dropped.load(Ordering::SeqCst), 1, "guard never dropped");
+        for cfg in backends(2) {
+            let dropped = AtomicU64::new(0);
+            let started = AtomicBool::new(false);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(|| {
+                    let _guard = DropFlag(&dropped);
+                    started.store(true, Ordering::SeqCst);
+                    loop {
+                        yield_blocked();
+                    }
+                }),
+                Box::new(|| {
+                    // A pool poisoned before the blocker ever started
+                    // drops its body unrun, guard and all: take the pool
+                    // down only once the guard exists.
+                    while !started.load(Ordering::SeqCst) {
+                        yield_now();
+                    }
+                    panic!("take the pool down")
+                }),
+            ];
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_task_pool(bodies, &cfg, |_, _| {});
+            }));
+            assert!(err.is_err());
+            assert_eq!(dropped.load(Ordering::SeqCst), 1, "guard never dropped");
+        }
     }
 
     #[test]
-    fn resolve_prefers_spec_over_env() {
-        let spec = ExecSpec {
-            mode: Some(ExecMode::Tasks),
+    fn resolve_takes_sizes_from_the_spec_and_the_backend_from_the_target() {
+        let mut spec = ExecSpec {
+            mode: None,
             workers: Some(3),
             stack_kib: Some(128),
         };
         let cfg = spec.resolve();
-        assert_eq!(cfg.mode, ExecMode::Tasks);
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.stack_bytes, 128 * 1024);
+        let default = if fibers_supported() {
+            ExecMode::Tasks
+        } else {
+            ExecMode::Threads
+        };
+        assert_eq!(cfg.mode, default);
+        spec.mode = Some(ExecMode::Tasks);
+        assert_eq!(spec.resolve().mode, default);
+        spec.mode = Some(ExecMode::Threads);
+        assert_eq!(spec.resolve().mode, ExecMode::Threads);
     }
 }
 
-/// Exhaustive interleaving checks of the blocked→queued handoff — the
-/// protocol that replaces the condvar park under `CMPI_EXEC=tasks`.
+/// Exhaustive interleaving checks of the blocked→queued handoff. The
+/// OS-thread backend's park/unpark on top of it is checked end to end,
+/// from a mailbox poke to the parked owner, in `mailbox::model_tests`.
 /// Run via `scripts/check.sh` with `RUSTFLAGS="--cfg cmpi_model"`.
 #[cfg(all(test, cmpi_model))]
 mod model_tests {

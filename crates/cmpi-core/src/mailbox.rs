@@ -1,37 +1,31 @@
-//! The rank mailbox: a lock-free MPSC packet queue with a parking slot.
+//! The rank mailbox: a lock-free MPSC packet queue plus the wake-up flag
+//! of its owning rank.
 //!
 //! Every rank owns one [`RankCell`]. Any rank may push packets into it
-//! (multi-producer); only the owning rank thread pops (single consumer).
-//! The seed implementation serialized every push and pop through one
-//! `Mutex<VecDeque>` per cell — at high message rates the lock handoffs
-//! (and the futex traffic behind them) dominate the simulator's own wall
-//! clock. This module replaces the queue with an intrusive atomic-linked
-//! MPSC list (Vyukov's non-blocking queue): a push is one `swap` plus one
-//! `store`, a pop is one `load` plus a pointer chase, and no path ever
-//! blocks on another producer.
+//! (multi-producer); only the owning rank pops (single consumer). The
+//! queue is an intrusive atomic-linked MPSC list (Vyukov's non-blocking
+//! queue): a push is one `swap` plus one `store`, a pop is one `load`
+//! plus a pointer chase, and no path ever blocks on another producer.
 //!
-//! A mutex+condvar pair remains, but **only** for the empty→parked
-//! transition; the steady-state push/pop path never touches it.
+//! ### Sleeping and poking
 //!
-//! ### The park/poke protocol
+//! The cell itself never blocks anything: an owner with nothing to do
+//! deschedules through the execution engine ([`crate::exec`]), and a
+//! producer reschedules it through the [`TaskHook`] the engine bound to
+//! the cell. Lost wake-ups are prevented in two layers:
 //!
-//! Lost wake-ups are prevented by a Dekker-style flag exchange on the
-//! `poked` flag:
+//! * the `poked` flag — a producer (1) links its node (or performs the
+//!   state change a poke advertises), (2) stores `poked = true` (SeqCst),
+//!   (3) calls the hook; the consumer swaps `poked` to `false` before it
+//!   deschedules and skips the deschedule if it was set — so a poke that
+//!   lands while the owner is running is never slept through;
+//! * the engine's blocked→queued handoff — a poke that lands after that
+//!   swap but before the owner is off the CPU is caught by the hook's
+//!   sticky `notified` flag, which reschedules the owner at once.
 //!
-//! * a producer (1) links its node (or performs the state change a poke
-//!   advertises), (2) stores `poked = true` (SeqCst), (3) loads
-//!   `sleeping`; if set, it takes the park lock and notifies;
-//! * the consumer (1) takes the park lock, (2) stores `sleeping = true`
-//!   (SeqCst), (3) re-checks the queue **and** `poked`; only if both are
-//!   clear does it wait on the condvar.
-//!
-//! SeqCst gives a total order over the two flag accesses, so at least one
-//! side observes the other: either the producer sees `sleeping` and
-//! notifies under the lock (which the consumer holds until it is inside
-//! `wait`, so the notify cannot fire early), or the consumer sees `poked`
-//! and never parks. The consumer clears `poked` with a `swap` when it
-//! leaves: the read-modify-write synchronizes with the producer's store,
-//! which makes the pushed node visible to the very next `pop`.
+//! The consumer also clears `poked` with a `swap` when it resumes: the
+//! read-modify-write synchronizes with the producer's store, which makes
+//! the pushed node visible to the very next `pop`.
 
 use std::cell::UnsafeCell;
 use std::ptr;
@@ -40,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 use cmpi_model::race;
 #[cfg(cmpi_model)]
 use cmpi_model::sync::quarantine;
-use cmpi_model::sync::{yield_now, AtomicBool, AtomicPtr, AtomicU64, CondvarSlot, Ordering};
+use cmpi_model::sync::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use crate::exec::TaskHook;
 use crate::packet::Packet;
@@ -272,28 +266,23 @@ impl Drop for MpscQueue {
 pub struct MailboxStats {
     /// Packets pushed over the cell's lifetime.
     pub pushes: u64,
-    /// Times the owning rank parked on the empty cell.
+    /// Times the owning rank descheduled itself on the idle cell.
     pub parks: u64,
-    /// Producer-side notifies that found a parked consumer.
+    /// Producer-side wake-ups that had to unpark an OS thread (none when
+    /// ranks are fibers: rescheduling one is a run-queue push).
     pub wakes: u64,
 }
 
 /// A rank's mailbox: intra-host packets are pushed here directly; fabric
-/// arrivals and eager-queue drains poke it so a sleeping rank wakes up.
+/// arrivals and eager-queue drains poke it so an idle rank wakes up.
 pub(crate) struct RankCell {
     q: MpscQueue,
-    /// Producer-raised "state changed" flag; cleared by the consumer as
-    /// it leaves `sleep_if_idle`.
+    /// Producer-raised "state changed" flag; cleared by the consumer
+    /// around every deschedule.
     poked: AtomicBool,
-    /// Consumer-raised "about to park" flag; read by producers to skip
-    /// the park lock entirely on the fast path.
-    sleeping: AtomicBool,
-    park: CondvarSlot,
-    /// Task-mode scheduling hook (`CMPI_EXEC=tasks`): when bound, the
-    /// owning rank is a fiber on the worker pool, `sleep_if_idle` yields
-    /// instead of parking, and `wake` re-enqueues the fiber instead of
-    /// notifying the condvar. Unbound (thread mode), the cell behaves
-    /// exactly as the seed park/poke protocol.
+    /// The owning rank's scheduling hook, bound by the execution engine
+    /// before the rank starts: `wake` reschedules through it whatever
+    /// `exec::yield_blocked` descheduled.
     task: OnceLock<Arc<TaskHook>>,
     pushes: AtomicU64,
     parks: AtomicU64,
@@ -305,8 +294,6 @@ impl RankCell {
         RankCell {
             q: MpscQueue::new(),
             poked: AtomicBool::new(false),
-            sleeping: AtomicBool::new(false),
-            park: CondvarSlot::new(),
             task: OnceLock::new(),
             pushes: AtomicU64::new(0),
             parks: AtomicU64::new(0),
@@ -314,8 +301,8 @@ impl RankCell {
         }
     }
 
-    /// Route this cell's wake-ups to a pool task (task mode only; called
-    /// once per job, before any rank starts).
+    /// Route this cell's wake-ups to its owner's task (called once per
+    /// job, before any rank starts).
     pub(crate) fn bind_task(&self, hook: Arc<TaskHook>) {
         let bound = self.task.set(hook).is_ok();
         assert!(bound, "rank cell bound to two tasks");
@@ -335,26 +322,13 @@ impl RankCell {
     }
 
     fn wake(&self) {
+        // The store precedes the hook's handoff CAS, so the resumed
+        // owner's progress pass observes the state change.
         self.poked.store(true, Ordering::SeqCst);
-        if let Some(hook) = self.task.get() {
-            // Task mode: `sleeping` is never set (the owner yields to
-            // the pool instead of parking), so the condvar path below is
-            // dead; the handoff CAS in `TaskHook::wake` provides the
-            // exactly-once re-enqueue the notify provides in thread
-            // mode. The `poked` store above still precedes it, so the
-            // resumed fiber's progress pass observes the state change.
-            hook.wake();
-            return;
-        }
-        if self.sleeping.load(Ordering::SeqCst) {
-            // Taking the park lock orders this notify after the consumer
-            // has entered `wait` (it holds the lock from the flag checks
-            // until the wait releases it) — the notify cannot be lost.
-            //
+        // An unbound cell has no owner yet, hence nobody to reschedule.
+        if self.task.get().is_some_and(|hook| hook.wake()) {
             // relaxed-ok: profile counter, feeds stats() only.
             self.wakes.fetch_add(1, Ordering::Relaxed);
-            let _guard = self.park.lock();
-            self.park.notify_all();
         }
     }
 
@@ -370,84 +344,35 @@ impl RankCell {
         self.q.pop_batch(out, max)
     }
 
-    /// Park the owning rank until something happens (a packet push, or a
-    /// poke from the fabric or an eager-queue drain).
-    ///
-    /// Parking is preceded by a bounded yield phase: on an oversubscribed
-    /// host (more ranks than cores) yielding hands the CPU to a runnable
-    /// producer, which typically delivers within a few reschedules — no
-    /// futex wait/wake round trip on either side. Parking remains the
-    /// fallback so a genuinely idle rank does not spin.
+    /// Deschedule the owning rank until something happens (a packet
+    /// push, or a poke from the fabric or an eager-queue drain). Returns
+    /// at once if something already has.
     pub(crate) fn sleep_if_idle(&self) {
-        // Under the model checker a single yield is enough — the
-        // scheduler explores every producer interleaving anyway, and
-        // extra spins only multiply the schedule space.
-        #[cfg(cmpi_model)]
-        const YIELD_SPINS: u32 = 1;
-        #[cfg(not(cmpi_model))]
-        const YIELD_SPINS: u32 = 8;
-        if self.task.get().is_some() {
-            // Task mode: no spin phase — a fiber switch is ~100 ns (no
-            // futex round trip), and spinning would hold the worker away
-            // from runnable peer ranks, which is exactly the resource
-            // the pool multiplexes. Yield straight back to the worker;
-            // the next poke re-enqueues us (handoff protocol), and the
-            // trailing `poked` swap below keeps the same
-            // packet-visibility edge the thread path documents.
-            if self.q.has_ready() || self.poked.swap(false, Ordering::SeqCst) {
-                return;
-            }
-            // relaxed-ok: profile counter, feeds stats() only.
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            crate::exec::yield_blocked();
-            self.poked.swap(false, Ordering::SeqCst);
-            return;
+        if !self.q.has_ready() {
+            self.sleep_at_barrier();
         }
-        for _ in 0..YIELD_SPINS {
-            if self.q.has_ready() || self.poked.swap(false, Ordering::SeqCst) {
-                return;
-            }
-            yield_now();
-        }
-        let mut guard = self.park.lock();
-        self.sleeping.store(true, Ordering::SeqCst);
-        if !self.q.has_ready() && !self.poked.load(Ordering::SeqCst) {
-            // relaxed-ok: profile counter, feeds stats() only.
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            // fiber-ok: thread-mode-only tail — task mode took the
-            // yield_blocked() branch above and returned before reaching
-            // this park, so no fiber can strand a pool worker here.
-            self.park.wait(&mut guard);
-        }
-        self.sleeping.store(false, Ordering::SeqCst);
-        // The swap synchronizes with the producer's `poked` store, making
-        // its linked node visible to the caller's next `pop` loop. A poke
-        // raised after this swap is not lost either: the caller re-checks
-        // its completion state before sleeping again, and the state
-        // change it advertises happened-before the poke.
-        self.poked.swap(false, Ordering::SeqCst);
     }
 
     /// Sleep for a `PokeBarrier` waiter: pending-but-undrained packets
     /// must NOT keep the caller runnable (unlike [`Self::sleep_if_idle`])
-    /// because a rank parked at a barrier drains nothing until released.
+    /// because a rank waiting at a barrier drains nothing until released.
     /// Only the release poke (or any racing poke, re-checked by the
-    /// caller's generation loop) matters. Wakeups are not lost: a poke
-    /// landing after the `poked` swap below is caught by the handoff's
-    /// sticky `notified` flag (task mode) or the locked `poked` re-check
-    /// (thread mode).
+    /// caller's generation loop) matters.
     pub(crate) fn sleep_at_barrier(&self) {
-        if self.task.get().is_some() {
-            if self.poked.swap(false, Ordering::SeqCst) {
-                return;
-            }
-            // relaxed-ok: profile counter, feeds stats() only.
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            crate::exec::yield_blocked();
-            self.poked.swap(false, Ordering::SeqCst);
+        if self.poked.swap(false, Ordering::SeqCst) {
             return;
         }
-        self.sleep_if_idle();
+        // relaxed-ok: profile counter, feeds stats() only.
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        // A poke landing after the swap above is caught by the handoff's
+        // sticky `notified` flag.
+        crate::exec::yield_blocked();
+        // The swap synchronizes with the producer's `poked` store, making
+        // its linked node visible to the caller's next `pop` loop. A poke
+        // raised after this swap is not lost either: the caller re-checks
+        // its completion state before it sleeps again, and the state
+        // change it advertises happened-before the poke.
+        self.poked.swap(false, Ordering::SeqCst);
     }
 
     /// Snapshot of the wall-clock pressure counters.
@@ -495,6 +420,13 @@ mod tests {
         }
     }
 
+    /// Run `consumer` on the calling thread as the rank that owns `cell`
+    /// (OS-thread backend of the execution engine), so its
+    /// `sleep_if_idle` parks this thread and producers' pokes unpark it.
+    fn as_owner(cell: &RankCell, consumer: impl FnOnce() + Send) {
+        crate::exec::run_on_this_thread(consumer, |hook| cell.bind_task(hook));
+    }
+
     #[test]
     fn fifo_single_producer() {
         let cell = RankCell::new();
@@ -523,20 +455,22 @@ mod tests {
             }
             let cell = Arc::clone(&cell);
             s.spawn(move || {
-                let mut next = [0u64; PRODUCERS];
-                let mut got = 0u64;
-                while got < PRODUCERS as u64 * PER_PRODUCER {
-                    match cell.pop() {
-                        Some(p) => {
-                            let seq = seq_of(&p);
-                            assert_eq!(seq, next[p.src], "per-sender FIFO violated");
-                            next[p.src] += 1;
-                            got += 1;
+                as_owner(&cell, || {
+                    let mut next = [0u64; PRODUCERS];
+                    let mut got = 0u64;
+                    while got < PRODUCERS as u64 * PER_PRODUCER {
+                        match cell.pop() {
+                            Some(p) => {
+                                let seq = seq_of(&p);
+                                assert_eq!(seq, next[p.src], "per-sender FIFO violated");
+                                next[p.src] += 1;
+                                got += 1;
+                            }
+                            None => cell.sleep_if_idle(),
                         }
-                        None => cell.sleep_if_idle(),
                     }
-                }
-                assert!(cell.pop().is_none());
+                    assert!(cell.pop().is_none());
+                })
             });
         });
         assert_eq!(
@@ -548,7 +482,7 @@ mod tests {
 
     /// The regression test for the park/poke race window: producers
     /// pushing one packet at a time must never strand a consumer that is
-    /// just deciding to park. A lost wake-up hangs this test.
+    /// just deciding to park its thread. A lost wake-up hangs this test.
     #[test]
     fn park_poke_race_hammer() {
         const ROUNDS: usize = 200;
@@ -569,14 +503,16 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 let received = Arc::clone(&received);
                 s.spawn(move || {
-                    let mut got = 0;
-                    while got < PRODUCERS {
-                        match cell.pop() {
-                            Some(_) => got += 1,
-                            None => cell.sleep_if_idle(),
+                    as_owner(&cell, || {
+                        let mut got = 0;
+                        while got < PRODUCERS {
+                            match cell.pop() {
+                                Some(_) => got += 1,
+                                None => cell.sleep_if_idle(),
+                            }
                         }
-                    }
-                    received.store(got, Ordering::SeqCst);
+                        received.store(got, Ordering::SeqCst);
+                    })
                 });
             });
             assert_eq!(received.load(Ordering::SeqCst), PRODUCERS);
@@ -589,7 +525,7 @@ mod tests {
         let cell2 = Arc::clone(&cell);
         let h = std::thread::spawn(move || {
             // Returns only once a poke or packet arrives.
-            cell2.sleep_if_idle();
+            as_owner(&cell2, || cell2.sleep_if_idle());
         });
         // Give the sleeper a moment to actually park, then poke.
         while cell.stats().parks == 0 && !h.is_finished() {
@@ -645,6 +581,14 @@ mod model_tests {
         }
     }
 
+    /// Run `consumer` on the calling model thread as the rank that owns
+    /// `cell`, on the execution engine's OS-thread backend: its
+    /// `sleep_if_idle` goes through the production handoff and parks on
+    /// the shim's park lock, which the checker schedules.
+    fn as_owner(cell: &RankCell, consumer: impl FnOnce() + Send) {
+        crate::exec::run_on_this_thread(consumer, |hook| cell.bind_task(hook));
+    }
+
     /// Linearizability of the pop order: under every interleaving of two
     /// producers, pops respect per-producer FIFO and lose nothing.
     #[test]
@@ -678,9 +622,10 @@ mod model_tests {
         });
     }
 
-    /// No lost wakeup in the park/poke protocol: a consumer that decides
-    /// to park exactly as the producer pushes must still be woken. A lost
-    /// wakeup shows up as a model-detected deadlock.
+    /// No lost wakeup from the cell's `poked` flag through the engine's
+    /// handoff to the parked thread: a consumer that decides to sleep
+    /// exactly as the producer pushes must still be woken. A lost wakeup
+    /// shows up as a model-detected deadlock.
     #[test]
     fn model_park_poke_never_loses_wakeup() {
         Builder::new().max_executions(400_000).check(|| {
@@ -690,18 +635,20 @@ mod model_tests {
                 c1.push(pkt(0, 0));
                 c1.poke();
             });
-            let mut got = 0;
-            while got < 1 {
-                match cell.pop() {
-                    Some(_) => got += 1,
-                    None => cell.sleep_if_idle(),
+            as_owner(&cell, || {
+                let mut got = 0;
+                while got < 1 {
+                    match cell.pop() {
+                        Some(_) => got += 1,
+                        None => cell.sleep_if_idle(),
+                    }
                 }
-            }
+            });
             p.join();
         });
     }
 
-    /// A bare poke (no packet) must always un-park a sleeping consumer.
+    /// A bare poke (no packet) must always un-park a waiting consumer.
     #[test]
     fn model_bare_poke_wakes_sleeper() {
         Builder::new().max_executions(400_000).check(|| {
@@ -709,8 +656,8 @@ mod model_tests {
             let c1 = Arc::clone(&cell);
             let p = thread::spawn(move || c1.poke());
             // Returns only once the poke is observed (directly or via the
-            // condvar); a lost poke deadlocks here.
-            cell.sleep_if_idle();
+            // unpark); a lost poke deadlocks here.
+            as_owner(&cell, || cell.sleep_if_idle());
             p.join();
         });
     }
@@ -746,8 +693,8 @@ mod model_tests {
                 c.poke();
             });
 
-            let drained;
-            loop {
+            let mut drained = 0;
+            as_owner(&cell, || loop {
                 // Relaxed peek + Acquire claim, exactly as
                 // `Runtime::progress`.
                 if ready.load(Ordering::Relaxed) && ready.swap(false, Ordering::Acquire) {
@@ -756,7 +703,7 @@ mod model_tests {
                     break;
                 }
                 cell.sleep_if_idle();
-            }
+            });
             notifier.join();
             assert_eq!(drained, 7, "delivery lost or torn");
         });

@@ -720,8 +720,8 @@ impl Mpi {
             // letting it advance the clock makes virtual time
             // nondeterministic).
             self.now = t0;
-            // Task mode: hand the worker to other ranks between polls so
-            // a `test` spin loop cannot starve its own sender.
+            // Hand the CPU to other ranks between polls so a `test` spin
+            // loop cannot starve its own sender.
             crate::exec::yield_now();
         }
         self.exit(CallClass::Poll, t0);
@@ -909,7 +909,7 @@ impl Mpi {
         } else {
             // Refund the call-entry tax too — see `test`.
             self.now = t0;
-            // Failed probes also yield the worker in task mode — probe
+            // Failed probes also yield the CPU to other ranks — probe
             // storms are the canonical fiber-starvation loop.
             crate::exec::yield_now();
         }

@@ -1,7 +1,8 @@
-//! The job runtime: rank threads, mailboxes, the progress engine, and
-//! virtual clocks.
+//! The job runtime: ranks, mailboxes, the progress engine, and virtual
+//! clocks.
 //!
-//! Every MPI rank is an OS thread with a private logical clock
+//! Every MPI rank is a task of the execution engine ([`crate::exec`])
+//! with a private logical clock
 //! ([`Mpi::now`]). Packets carry availability timestamps; a receive
 //! completes at `max(receiver clock, availability) + receive costs`, so
 //! causality propagates between ranks exactly as wall-clock time would —
@@ -54,7 +55,7 @@ use cmpi_telemetry::{
 /// Bound on fabric attach (QP creation) attempts per rank.
 const MAX_ATTACH_ATTEMPTS: u32 = 5;
 
-/// What one finished rank thread leaves behind for the job to collect.
+/// What one finished rank leaves behind for the job to collect.
 type RankSlot<R> = Option<(
     R,
     SimTime,
@@ -100,9 +101,8 @@ pub struct JobSpec {
     /// Fault-injection plan (empty by default). See
     /// [`cmpi_cluster::FaultPlan`].
     pub faults: FaultPlan,
-    /// Execution-engine selection (thread-per-rank vs. task pool); unset
-    /// fields defer to `CMPI_EXEC`/`CMPI_WORKERS`/`CMPI_STACK_KIB`. See
-    /// [`crate::exec`].
+    /// Execution-engine knobs; unset sizes defer to
+    /// `CMPI_WORKERS`/`CMPI_STACK_KIB`. See [`crate::exec`].
     pub exec: ExecSpec,
 }
 
@@ -123,14 +123,14 @@ impl JobSpec {
         }
     }
 
-    /// Pin the execution mode (overrides `CMPI_EXEC`): thread-per-rank
-    /// or cooperative tasks on the worker pool.
+    /// Pin the execution engine's backend (see [`ExecMode`]). Results
+    /// do not depend on it.
     pub fn with_exec(mut self, mode: ExecMode) -> Self {
         self.exec.mode = Some(mode);
         self
     }
 
-    /// Pin the task-mode worker count (overrides `CMPI_WORKERS`).
+    /// Pin the worker count of the fiber pool (overrides `CMPI_WORKERS`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.exec.workers = Some(workers.max(1));
         self
@@ -201,7 +201,7 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Launch the job: one thread per rank, each executing `f`, and
+    /// Launch the job: one task per rank, each executing `f`, and
     /// collect results, virtual times and statistics.
     ///
     /// # Panics
@@ -258,11 +258,6 @@ impl JobSpec {
         }
         let tracing = self.tracing;
         let profiling = self.profiling;
-        let exec = self.exec.resolve();
-        // The per-rank body is identical in both execution modes — only
-        // the mapping of ranks onto OS threads differs, which is what
-        // keeps thread/task results bit-identical (the equivalence
-        // proptest pins this).
         let run_rank = |r: usize, state: Arc<JobState>| {
             let mut mpi = Mpi::init(r, state);
             if tracing {
@@ -280,54 +275,35 @@ impl JobSpec {
             mpi.tel_flush();
             (out, mpi.now, mpi.stats, mpi.trace, mpi.prof)
         };
+        // Every rank is a task of the execution engine (see
+        // `crate::exec`): its mailbox cell is bound to its task so pokes
+        // reschedule it, and bodies write results through per-rank
+        // erased slots.
         let mut slots: Vec<RankSlot<R>> = (0..n).map(|_| None).collect();
-        match exec.mode {
-            ExecMode::Threads => {
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(n);
-                    for r in 0..n {
-                        let state = Arc::clone(&state);
-                        let run_rank = &run_rank;
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("mpi-rank-{r}"))
-                                .spawn_scoped(scope, move || run_rank(r, state))
-                                .expect("failed to spawn rank thread"),
-                        );
-                    }
-                    for (r, h) in handles.into_iter().enumerate() {
-                        slots[r] = Some(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                    }
-                });
-            }
-            ExecMode::Tasks => {
-                // Ranks as fibers on a fixed worker pool (see
-                // `crate::exec`): each rank's mailbox cell is bound to
-                // its task so pokes re-enqueue the fiber, and bodies
-                // write results through per-rank erased slots.
-                struct SlotPtr<R>(*mut RankSlot<R>);
-                // SAFETY: every task writes a distinct slot, and the
-                // pool joins all workers before `slots` is read again.
-                unsafe impl<R> Send for SlotPtr<R> {}
-                let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, slot)| {
-                        let state = Arc::clone(&state);
-                        let run_rank = &run_rank;
-                        let slot = SlotPtr(slot as *mut RankSlot<R>);
-                        Box::new(move || {
-                            let slot = slot;
-                            let out = run_rank(r, state);
-                            // SAFETY: distinct slot per rank; the pool
-                            // joins before the collection loop reads.
-                            unsafe { *slot.0 = Some(out) };
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                crate::exec::run_task_pool(bodies, &exec, |r, hook| state.cells[r].bind_task(hook));
-            }
-        }
+        struct SlotPtr<R>(*mut RankSlot<R>);
+        // SAFETY: every task writes a distinct slot, and the engine
+        // finishes every task before `slots` is read again.
+        unsafe impl<R> Send for SlotPtr<R> {}
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+            .iter_mut()
+            .enumerate()
+            .map(|(r, slot)| {
+                let state = Arc::clone(&state);
+                let run_rank = &run_rank;
+                let slot = SlotPtr(slot as *mut RankSlot<R>);
+                Box::new(move || {
+                    let slot = slot;
+                    let out = run_rank(r, state);
+                    // SAFETY: distinct slot per rank; the engine
+                    // finishes every task before the collection loop
+                    // reads.
+                    unsafe { *slot.0 = Some(out) };
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        crate::exec::run_task_pool(bodies, &self.exec.resolve(), |r, hook| {
+            state.cells[r].bind_task(hook)
+        });
         let mut results = Vec::with_capacity(n);
         let mut times = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
@@ -536,11 +512,10 @@ impl WindowTable {
 }
 
 /// A job-wide rank barrier built on the mailbox poke protocol instead
-/// of `std::sync::Barrier`, so it works identically for rank *threads*
-/// (the waiter parks on its cell's condvar) and rank *fibers* (the
-/// waiter yields to the worker pool) — a futex barrier would wedge an
-/// entire worker and deadlock task mode at any worker count below the
-/// rank count.
+/// of `std::sync::Barrier`: a waiter deschedules through the execution
+/// engine like any other blocked rank, whereas a futex barrier would
+/// wedge a whole pool worker per waiter and deadlock the job at any
+/// worker count below the rank count.
 ///
 /// Sense-reversing: waiters spin on the generation word through
 /// `sleep_if_idle`, the last arriver resets the count, bumps the
@@ -577,9 +552,9 @@ impl PokeBarrier {
             while self.gen.load(Ordering::Acquire) == gen0 {
                 // Not `sleep_if_idle`: its has-pending-packets fast path
                 // keeps a barrier waiter runnable, but a rank parked here
-                // drains nothing until released — in task mode that spin
-                // would hold the worker away from the very ranks whose
-                // arrival bumps `gen` (livelock on a small pool).
+                // drains nothing until released — that spin would hold
+                // its worker away from the very ranks whose arrival
+                // bumps `gen` (livelock on a small pool).
                 state.cells[rank].sleep_at_barrier();
             }
         }

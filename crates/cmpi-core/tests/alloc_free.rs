@@ -82,11 +82,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The intra-host pair both loops run on. Mailbox nodes recycle through
-/// a per-OS-thread pantry, so under `CMPI_EXEC=tasks` a rank stolen by
-/// the other worker between its pop and its next push finds that
-/// worker's pantry empty and allocates: a cost per migration, not per
-/// operation. One worker keeps it out of the per-operation count (the
-/// setting has no effect on rank threads).
+/// a per-OS-thread pantry, so a rank fiber stolen by the other worker
+/// between its pop and its next push finds that worker's pantry empty
+/// and allocates: a cost per migration, not per operation. One worker
+/// keeps it out of the per-operation count.
 fn pair_spec() -> JobSpec {
     JobSpec::new(DeploymentScenario::pt2pt_pair(
         true,

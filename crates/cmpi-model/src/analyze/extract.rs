@@ -27,10 +27,10 @@ pub struct SourceFile {
 /// parameter, and `let` declarations before any function is extracted.
 #[derive(Clone, Debug, Default)]
 pub struct Decls {
-    /// Names declared as `Condvar` / `CondvarSlot`.
+    /// Names declared as `Condvar`.
     pub condvars: BTreeSet<String>,
-    /// Names declared as `Mutex` / `RwLock` / `CondvarSlot` (anything
-    /// with a blocking `.lock()`-family acquisition).
+    /// Names declared as `Mutex` / `RwLock` (anything with a blocking
+    /// `.lock()`-family acquisition).
     pub locks: BTreeSet<String>,
     /// Names declared as `Atomic*`.
     pub atomics: BTreeSet<String>,
@@ -127,7 +127,7 @@ pub struct BlockSite {
 }
 
 /// A blocking lock acquisition (`.lock()` / `.read()` / `.write()` on a
-/// declared `Mutex`/`RwLock`/`CondvarSlot` receiver).
+/// declared `Mutex`/`RwLock` receiver).
 #[derive(Clone, Debug)]
 pub struct LockSite {
     /// Lock identity: the receiver's field/binding name.
@@ -260,10 +260,6 @@ fn classify_type_ident(name: &str, ty: &str, decls: &mut Decls) {
     match ty {
         "Condvar" => {
             decls.condvars.insert(name.to_string());
-        }
-        "CondvarSlot" => {
-            decls.condvars.insert(name.to_string());
-            decls.locks.insert(name.to_string());
         }
         "Mutex" | "RwLock" => {
             decls.locks.insert(name.to_string());
@@ -959,8 +955,7 @@ impl<'a> Extractor<'a> {
 
             // Blocking primitives.
             let block_kind = if WAIT_METHODS.contains(&name)
-                && (recv_is(&self.decls.condvars)
-                    || matches!(qual.as_deref(), Some("Condvar" | "CondvarSlot")))
+                && (recv_is(&self.decls.condvars) || qual.as_deref() == Some("Condvar"))
             {
                 Some(BlockKind::CondvarWait)
             } else if name == "sleep" && qual.as_deref() == Some("thread") {
@@ -1004,9 +999,7 @@ impl<'a> Extractor<'a> {
                     .as_ref()
                     .and_then(|r| self.decls.typed_of(self.file_idx, self.decls.canonical(r)))
                 {
-                    Some(tys) => tys
-                        .iter()
-                        .any(|t| matches!(t.as_str(), "Mutex" | "RwLock" | "CondvarSlot")),
+                    Some(tys) => tys.iter().any(|t| matches!(t.as_str(), "Mutex" | "RwLock")),
                     // Unknown receiver (closure param, pattern binding):
                     // assume lock — conservative for the taint pass.
                     None => recv.is_some(),
@@ -1101,15 +1094,15 @@ mod tests {
     #[test]
     fn decls_classify_fields_statics_params_and_lets() {
         let src = r#"
-            struct S { cv: Condvar, slot: CondvarSlot, m: Mutex<u32>, rw: RwLock<Vec<u8>> }
+            struct S { cv: Condvar, m: Mutex<u32>, rw: RwLock<Vec<u8>> }
             static PENDING: AtomicUsize = AtomicUsize::new(0);
             fn f(rx: Receiver<u32>, h: JoinHandle<()>) {
                 let local = Mutex::new(3);
             }
         "#;
         let (d, _) = one_file(src);
-        assert!(d.condvars.contains("cv") && d.condvars.contains("slot"));
-        assert!(d.locks.contains("m") && d.locks.contains("rw") && d.locks.contains("slot"));
+        assert!(d.condvars.contains("cv"));
+        assert!(d.locks.contains("m") && d.locks.contains("rw"));
         assert!(d.locks.contains("local"));
         assert!(d.atomics.contains("PENDING"));
         assert!(d.receivers.contains("rx"));

@@ -9,7 +9,7 @@
 //! ([`passes`]):
 //!
 //! 1. **`fiber-blocking`** — taint from the fiber entry points (the
-//!    `CMPI_EXEC=tasks` engine runs every `impl Mpi` method plus
+//!    execution engine runs every `impl Mpi` method plus
 //!    `cmpi_core_fiber_boot` on a fiber); any reachable OS-blocking
 //!    primitive (condvar wait, `thread::sleep`/`park`, channel recv,
 //!    thread join, or a lock held across one of those) strands a worker

@@ -3,9 +3,9 @@
 //! The crate has three faces:
 //!
 //! 1. **A shim synchronization layer** ([`sync`]): drop-in stand-ins for
-//!    `std::sync::atomic::Atomic*`, `parking_lot::{Mutex, Condvar}` and a
-//!    [`sync::CondvarSlot`] parking primitive. In a normal build they
-//!    compile straight down to the real types (zero hot-path cost). Under
+//!    `std::sync::atomic::Atomic*` and `parking_lot::{Mutex, Condvar}`.
+//!    In a normal build they compile straight down to the real types
+//!    (zero hot-path cost). Under
 //!    `RUSTFLAGS="--cfg cmpi_model"` every load/store/RMW/lock/wait is
 //!    routed through an exhaustive model-checking scheduler.
 //!

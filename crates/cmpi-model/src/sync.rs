@@ -7,11 +7,10 @@
 //! active on the calling thread, and fall back to the embedded real
 //! primitive otherwise (so ordinary tests still pass under the cfg).
 //!
-//! [`CondvarSlot`] packages the mutex+condvar parking idiom the mailbox
-//! uses; [`quarantine`] replaces `drop(Box::from_raw(..))` on lock-free
-//! node frees so the model can keep freed addresses alive for the rest
-//! of the execution (freed-then-reallocated nodes would otherwise alias
-//! a stale store history).
+//! [`quarantine`] replaces `drop(Box::from_raw(..))` on lock-free node
+//! frees so the model can keep freed addresses alive for the rest of the
+//! execution (freed-then-reallocated nodes would otherwise alias a stale
+//! store history).
 
 pub use std::sync::atomic::Ordering;
 
@@ -521,48 +520,3 @@ mod imp {
 }
 
 pub use imp::*;
-
-/// The mailbox parking primitive: a unit mutex plus condvar, packaged so
-/// the park/wake protocol reads as intent (`lock → recheck → wait`,
-/// `lock → notify`). Works identically in normal and model builds.
-pub struct CondvarSlot {
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl CondvarSlot {
-    pub const fn new() -> Self {
-        CondvarSlot {
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Take the park lock; flag rechecks and the wait happen under it.
-    pub fn lock(&self) -> MutexGuard<'_, ()> {
-        self.lock.lock()
-    }
-
-    /// Wait on the condvar, releasing and re-acquiring the park lock.
-    pub fn wait(&self, guard: &mut MutexGuard<'_, ()>) {
-        self.cv.wait(guard);
-    }
-
-    /// Wake every parked waiter. Callers serialize against the waiter's
-    /// recheck by taking the park lock first (see mailbox `wake`).
-    pub fn notify_all(&self) {
-        self.cv.notify_all();
-    }
-}
-
-impl Default for CondvarSlot {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for CondvarSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CondvarSlot").finish_non_exhaustive()
-    }
-}

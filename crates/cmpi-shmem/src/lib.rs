@@ -30,6 +30,6 @@ pub mod segment;
 pub mod visibility;
 
 pub use locality_list::{AttachOutcome, ContainerList, PublishError};
-pub use queue::{PairQueue, QueueClosed, QueueStats};
+pub use queue::{PairQueue, QueueStats};
 pub use segment::{Segment, ShmRegistry};
 pub use visibility::{can_cma, can_shm, effective_visibility, Visibility};

@@ -8,15 +8,17 @@
 //!
 //! In the simulation the *payload* travels through the runtime's packet
 //! queues (real memory), while [`PairQueue`] accounts for the bounded
-//! buffer: a sender must `acquire` space before publishing an eager packet
-//! and learns the **virtual time at which enough space existed**; the
-//! receiver `release`s space at its own virtual consumption time. Real
-//! thread blocking and logical-clock stalling therefore stay consistent.
+//! buffer: a sender must `try_acquire` space before publishing an eager
+//! packet and learns the **virtual time at which enough space existed**;
+//! the receiver `release`s space at its own virtual consumption time. The
+//! queue never blocks a thread itself: a sender that finds it full runs
+//! its progress engine, yields to the execution engine and retries, so
+//! real waiting and logical-clock stalling stay consistent.
 
 use std::collections::VecDeque;
 
 use cmpi_cluster::SimTime;
-use cmpi_model::sync::{Condvar, Mutex};
+use cmpi_model::sync::Mutex;
 
 #[derive(Debug)]
 struct QueueState {
@@ -27,7 +29,7 @@ struct QueueState {
     /// Release history: (cumulative released bytes, virtual time of that
     /// release), monotone in both components. Pruned as acquires advance.
     history: VecDeque<(u64, SimTime)>,
-    /// Set when the receiver side is torn down; pending acquires fail.
+    /// Set when the receiver side is torn down (see [`PairQueue::close`]).
     closed: bool,
     /// Successful space claims (the stall-ratio denominator).
     acquires: u64,
@@ -35,10 +37,6 @@ struct QueueState {
     stalled_acquires: u64,
     /// High-water mark of bytes in flight.
     max_in_flight: u64,
-    /// Senders currently blocked in `acquire`. Lets `release`/`close`
-    /// skip the condvar broadcast (a futex syscall per eager chunk)
-    /// on the common uncontended path.
-    waiters: u64,
 }
 
 /// Backpressure counters of one queue (see [`PairQueue::stats`]).
@@ -53,17 +51,11 @@ pub struct QueueStats {
     pub max_in_flight: u64,
 }
 
-/// Error returned by [`PairQueue::acquire`] when the queue is closed
-/// while the sender waits for space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueClosed;
-
 /// One sender→receiver bounded eager queue (a pair of ranks has one per
 /// direction).
 pub struct PairQueue {
     capacity: u64,
     state: Mutex<QueueState>,
-    cv: Condvar,
 }
 
 /// Hard bound on the release-history length. The history starts empty
@@ -92,9 +84,7 @@ impl PairQueue {
                 acquires: 0,
                 stalled_acquires: 0,
                 max_in_flight: 0,
-                waiters: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -111,18 +101,18 @@ impl PairQueue {
 
     /// Sender side: claim `bytes` of queue space for one eager packet.
     ///
-    /// Blocks the calling thread until the space exists, then returns the
-    /// **virtual timestamp at which the space became available** — the
-    /// sender must advance its logical clock to at least this value before
-    /// charging its copy-in cost. Returns [`SimTime::ZERO`] when the queue
-    /// never had to wait (space was free from the start).
+    /// Returns the **virtual timestamp at which the space became
+    /// available** — the sender must advance its logical clock to at least
+    /// this value before charging its copy-in cost — which is
+    /// [`SimTime::ZERO`] when the space was free from the start. Returns
+    /// `None` when the space is not available yet, so the caller can run
+    /// its progress engine (a blocking wait here could deadlock across
+    /// pairs) and retry.
     ///
     /// # Panics
     /// Panics if `bytes` exceeds the queue capacity (callers must enforce
     /// `SMP_EAGER_SIZE <= SMPI_LENGTH_QUEUE`, see `Tunables::validate`).
-    ///
-    /// Returns [`QueueClosed`] if the queue was closed while waiting.
-    pub fn acquire(&self, bytes: usize) -> Result<SimTime, QueueClosed> {
+    pub fn try_acquire(&self, bytes: usize) -> Option<SimTime> {
         let bytes = bytes as u64;
         assert!(
             bytes <= self.capacity,
@@ -130,18 +120,9 @@ impl PairQueue {
             self.capacity
         );
         let mut s = self.state.lock();
-        // We may proceed once `released >= required`.
         let required = (s.acquired + bytes).saturating_sub(self.capacity);
-        while s.released < required {
-            if s.closed {
-                return Err(QueueClosed);
-            }
-            s.waiters += 1;
-            self.cv.wait(&mut s);
-            s.waiters -= 1;
-        }
-        if s.closed {
-            return Err(QueueClosed);
+        if s.released < required {
+            return None;
         }
         // The stall bound is the virtual time of the earliest release event
         // that satisfied `required`. Prune events below the requirement —
@@ -163,39 +144,6 @@ impl PairQueue {
                     .unwrap_or(false),
                 "release history lost the satisfying event"
             );
-        }
-        s.acquires += 1;
-        s.acquired += bytes;
-        s.max_in_flight = s.max_in_flight.max(s.acquired - s.released);
-        Ok(stall)
-    }
-
-    /// Non-blocking variant of [`PairQueue::acquire`]: returns `None` when
-    /// the space is not available yet, so the caller can run its progress
-    /// engine (avoiding the cross-pair deadlock a blocking wait could
-    /// cause) and retry.
-    pub fn try_acquire(&self, bytes: usize) -> Option<SimTime> {
-        let bytes = bytes as u64;
-        assert!(
-            bytes <= self.capacity,
-            "eager packet of {bytes} bytes exceeds queue capacity {}",
-            self.capacity
-        );
-        let mut s = self.state.lock();
-        let required = (s.acquired + bytes).saturating_sub(self.capacity);
-        if s.released < required {
-            return None;
-        }
-        let mut stall = SimTime::ZERO;
-        if required > 0 {
-            s.stalled_acquires += 1;
-            while let Some(&(cum, t)) = s.history.front() {
-                stall = t;
-                if cum >= required {
-                    break;
-                }
-                s.history.pop_front();
-            }
         }
         s.acquires += 1;
         s.acquired += bytes;
@@ -235,12 +183,6 @@ impl PairQueue {
         while s.history.front().is_some_and(|&(c, _)| c < dead) {
             s.history.pop_front();
         }
-        // The waiter count is maintained under this same mutex, so a
-        // sender either registered before we locked (and is notified) or
-        // will re-check `released` after we unlock — no lost wakeup.
-        if s.waiters > 0 {
-            self.cv.notify_all();
-        }
     }
 
     /// `true` once [`PairQueue::close`] ran. Senders spinning on
@@ -250,13 +192,10 @@ impl PairQueue {
         self.state.lock().closed
     }
 
-    /// Tear the queue down; blocked senders observe `Err`.
+    /// Tear the queue down: the receiver is gone, and senders polling
+    /// [`PairQueue::is_closed`] stop retrying.
     pub fn close(&self) {
-        let mut s = self.state.lock();
-        s.closed = true;
-        if s.waiters > 0 {
-            self.cv.notify_all();
-        }
+        self.state.lock().closed = true;
     }
 
     /// Snapshot of this queue's backpressure counters.
@@ -284,53 +223,51 @@ impl std::fmt::Debug for PairQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn no_stall_when_space_is_free() {
         let q = PairQueue::new(1024);
-        assert_eq!(q.acquire(512).unwrap(), SimTime::ZERO);
-        assert_eq!(q.acquire(512).unwrap(), SimTime::ZERO);
+        assert_eq!(q.try_acquire(512), Some(SimTime::ZERO));
+        assert_eq!(q.try_acquire(512), Some(SimTime::ZERO));
         assert_eq!(q.in_flight(), 1024);
     }
 
     #[test]
     #[should_panic(expected = "exceeds queue capacity")]
     fn oversized_packet_panics() {
-        PairQueue::new(64).acquire(65).ok();
+        PairQueue::new(64).try_acquire(65);
     }
 
     #[test]
     fn sender_observes_receiver_drain_time() {
-        let q = Arc::new(PairQueue::new(1000));
-        assert_eq!(q.acquire(1000).unwrap(), SimTime::ZERO);
-        let q2 = Arc::clone(&q);
-        let h = thread::spawn(move || q2.acquire(600).unwrap());
+        let q = PairQueue::new(1000);
+        assert_eq!(q.try_acquire(1000), Some(SimTime::ZERO));
+        assert_eq!(q.try_acquire(600), None);
         // Free 500 bytes at t=10us: still not enough for 600.
         q.release(500, SimTime::from_us(10));
+        assert_eq!(q.try_acquire(600), None);
         // Free 500 more at t=25us: now 600 fit; stall bound must be 25us.
         q.release(500, SimTime::from_us(25));
-        assert_eq!(h.join().unwrap(), SimTime::from_us(25));
+        assert_eq!(q.try_acquire(600), Some(SimTime::from_us(25)));
     }
 
     #[test]
     fn stall_uses_earliest_sufficient_release() {
         let q = PairQueue::new(1000);
-        q.acquire(1000).unwrap();
+        q.try_acquire(1000).unwrap();
         q.release(700, SimTime::from_us(5));
         q.release(300, SimTime::from_us(9));
         // 600 bytes already fit after the first release: stall = 5us.
-        assert_eq!(q.acquire(600).unwrap(), SimTime::from_us(5));
+        assert_eq!(q.try_acquire(600).unwrap(), SimTime::from_us(5));
         // Next 400 bytes needed the second release too: stall = 9us.
-        assert_eq!(q.acquire(400).unwrap(), SimTime::from_us(9));
+        assert_eq!(q.try_acquire(400).unwrap(), SimTime::from_us(9));
     }
 
     #[test]
     fn stats_count_stalls_and_high_water() {
         let q = PairQueue::new(100);
         assert_eq!(q.stats(), QueueStats::default());
-        q.acquire(100).unwrap();
+        q.try_acquire(100).unwrap();
         assert_eq!(
             q.stats(),
             QueueStats {
@@ -357,69 +294,23 @@ mod tests {
     }
 
     #[test]
-    fn close_unblocks_waiting_sender() {
-        let q = Arc::new(PairQueue::new(100));
-        q.acquire(100).unwrap();
-        let q2 = Arc::clone(&q);
-        let h = thread::spawn(move || q2.acquire(1));
+    fn close_is_visible_to_a_polling_sender() {
+        let q = PairQueue::new(100);
+        q.try_acquire(100).unwrap();
+        assert!(q.try_acquire(1).is_none() && !q.is_closed());
         q.close();
-        assert!(h.join().unwrap().is_err());
+        // Still full — nothing drains a dead receiver — but the sender's
+        // retry loop now has its exit.
+        assert!(q.try_acquire(1).is_none() && q.is_closed());
     }
 
     #[test]
     fn release_clamps_nonmonotone_times() {
         let q = PairQueue::new(100);
-        q.acquire(100).unwrap();
+        q.try_acquire(100).unwrap();
         q.release(50, SimTime::from_us(20));
         q.release(50, SimTime::from_us(10)); // out of order: clamped to 20
-        assert_eq!(q.acquire(100).unwrap(), SimTime::from_us(20));
-    }
-
-    /// Exhaustive interleaving checks of the blocking protocol (run via
-    /// `RUSTFLAGS="--cfg cmpi_model" cargo test -p cmpi-shmem --lib`).
-    #[cfg(cmpi_model)]
-    mod model {
-        use super::*;
-        use cmpi_model::model::{thread, Builder};
-
-        /// The waiters counter is maintained under the state mutex, so a
-        /// release can never slip between the sender's space check and
-        /// its condvar wait: blocked acquires always drain. A lost wakeup
-        /// here is reported as a model deadlock.
-        #[test]
-        fn model_release_never_loses_a_blocked_acquire() {
-            Builder::new().check(|| {
-                let q = Arc::new(PairQueue::new(100));
-                q.acquire(100).unwrap();
-                let q2 = Arc::clone(&q);
-                let t = thread::spawn(move || {
-                    q2.release(100, SimTime::from_us(3));
-                });
-                // Blocks until the release lands; the stall bound is the
-                // release's virtual time whenever a wait happened.
-                let stall = q.acquire(50).unwrap();
-                assert!(
-                    stall == SimTime::ZERO || stall == SimTime::from_us(3),
-                    "stall bound from nowhere: {stall:?}"
-                );
-                t.join();
-            });
-        }
-
-        /// `close` must unblock a sender stuck in `acquire` under every
-        /// interleaving, and the sender always observes `QueueClosed`
-        /// (the queue is full and nothing ever releases).
-        #[test]
-        fn model_close_unblocks_blocked_acquire() {
-            Builder::new().check(|| {
-                let q = Arc::new(PairQueue::new(100));
-                q.acquire(100).unwrap();
-                let q2 = Arc::clone(&q);
-                let t = thread::spawn(move || q2.close());
-                assert_eq!(q.acquire(1), Err(QueueClosed));
-                t.join();
-            });
-        }
+        assert_eq!(q.try_acquire(100).unwrap(), SimTime::from_us(20));
     }
 
     /// The preallocating history this queue used to carry, as a plain
@@ -527,7 +418,7 @@ mod tests {
                 q.release(32, recv_t);
                 pending -= 1;
             }
-            stalls.push(q.acquire(32).unwrap());
+            stalls.push(q.try_acquire(32).unwrap());
             pending += 1;
             let _ = i;
         }

@@ -3,10 +3,9 @@
 # fails fast on the first broken step.
 #
 #   build     release build of the whole workspace
-#   test      unit + integration + doc tests
-#   tasks     the same root-package test suite with CMPI_EXEC=tasks, so
-#             every tier-1 behavior is exercised with ranks as fibers on
-#             the worker pool as well as thread-per-rank
+#   test      unit + integration + doc tests of every workspace crate
+#             (root package and crates/*: exec_equiv, coll_props,
+#             matching_equiv, alloc_free, footprint, ... included)
 #   examples  every example builds and runs to completion
 #   profile   profile-smoke: profiled OSU + figures --profile runs, with
 #             JSON parse and matrix byte-conservation asserted inside
@@ -31,9 +30,8 @@
 #             atomic Release/Acquire pairing audit; any unjustified
 #             finding is a hard failure. Both stages archive their JSON
 #             findings next to the bench ledger in target/
-#   gate      perf gate: best-of-3 smoke bench_ledger kernels (including
-#             the task-engine job32 kernel) vs the checked-in baseline,
-#             any kernel >10 % slower fails
+#   gate      perf gate: best-of-3 smoke bench_ledger kernels vs the
+#             checked-in baseline, any kernel >10 % slower fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
 #             BENCHMARK.json == metric-registry check)
@@ -45,16 +43,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release" >&2
 cargo build --release
 
-echo "== cargo test -q" >&2
-cargo test -q
-
-echo "== cargo test -q (CMPI_EXEC=tasks)" >&2
-# The env knob flips every spec that does not pin a mode (see
-# crate::exec): the whole suite must hold with ranks as fibers on a
-# fixed worker pool. The exec_equiv proptest separately pins
-# bit-identical thread/task results; this run catches task-mode-only
-# breakage in tests that never mention the engine.
-CMPI_EXEC=tasks cargo test -q
+echo "== cargo test -q --workspace" >&2
+cargo test -q --workspace
 
 echo "== examples smoke" >&2
 cargo build --release --examples
