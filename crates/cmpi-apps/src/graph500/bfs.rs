@@ -144,6 +144,9 @@ pub fn run_rank(mpi: &mut Mpi, cfg: &Graph500Config) -> RankOutcome {
     let mut bfs_times = Vec::with_capacity(cfg.num_roots);
     let mut traversed = Vec::with_capacity(cfg.num_roots);
     let mut validated = true;
+    // The validation's gather root checks every tree against one
+    // regenerated edge set.
+    let edge_set = (cfg.validate && mpi.rank() == 0).then(|| validate::EdgeSet::generate(cfg));
     for i in 0..cfg.num_roots {
         let root = bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, i as u64);
         mpi.barrier();
@@ -153,7 +156,7 @@ pub fn run_rank(mpi: &mut Mpi, cfg: &Graph500Config) -> RankOutcome {
         bfs_times.push(t);
         traversed.push(edges_scanned);
         if cfg.validate {
-            validated &= validate::validate(mpi, cfg, &graph, root, &parent);
+            validated &= validate::validate(mpi, cfg, &graph, edge_set.as_ref(), root, &parent);
         }
     }
     RankOutcome {

@@ -1,7 +1,8 @@
 //! Parent-tree validation (Graph 500 kernel 2 verification).
 //!
 //! Parent arrays are gathered to rank 0, which regenerates the edge list
-//! and checks the Graph 500 validation rules:
+//! once per job ([`EdgeSet`]) and checks each root's tree against the
+//! Graph 500 validation rules:
 //!
 //! 1. the root's parent is itself;
 //! 2. every other visited vertex has a visited parent and a real edge to
@@ -13,8 +14,6 @@
 //! This is a test-scale verifier (it centralizes the tree); the figure
 //! harness disables it for its largest runs.
 
-use std::collections::HashSet;
-
 use cmpi_core::Mpi;
 
 use super::bfs::NO_PARENT;
@@ -24,12 +23,42 @@ use super::{bfs::LocalGraph, Graph500Config};
 /// Padding marker for the gather of unequal local slices.
 const PAD: u64 = u64::MAX - 1;
 
+/// The graph's undirected edge set, normalised to `(min, max)`, sorted
+/// and deduplicated. Regenerating the Kronecker list is the expensive
+/// part of validation and does not depend on the root, so rank 0 builds
+/// it once and checks every root's tree against it.
+pub struct EdgeSet {
+    edges: Vec<(u64, u64)>,
+}
+
+impl EdgeSet {
+    /// Regenerate the edge list of `cfg`'s graph (self-loops dropped).
+    pub fn generate(cfg: &Graph500Config) -> Self {
+        let mut edges: Vec<(u64, u64)> = (0..cfg.num_edges())
+            .map(|idx| edge(cfg.seed, cfg.scale, idx))
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // Kept for the whole job: give back what the duplicates held.
+        edges.shrink_to_fit();
+        EdgeSet { edges }
+    }
+
+    fn contains(&self, u: u64, v: u64) -> bool {
+        self.edges.binary_search(&(u.min(v), u.max(v))).is_ok()
+    }
+}
+
 /// Gather the distributed parent array and validate on rank 0; the
-/// verdict is broadcast so every rank returns the same bool.
+/// verdict is broadcast so every rank returns the same bool. `edges` is
+/// rank 0's edge set (other ranks pass `None`).
 pub fn validate(
     mpi: &mut Mpi,
     cfg: &Graph500Config,
     g: &LocalGraph,
+    edges: Option<&EdgeSet>,
     root: u64,
     parent: &[u64],
 ) -> bool {
@@ -41,7 +70,8 @@ pub fn validate(
     let gathered = mpi.gather(&padded, 0);
     let ok = if let Some(all) = gathered {
         let full: Vec<u64> = all.into_iter().filter(|&x| x != PAD).collect();
-        check_tree(cfg, root, &full) as u64
+        let edges = edges.expect("the gather root holds the edge set");
+        check_tree_against(cfg, edges, root, &full) as u64
     } else {
         0
     };
@@ -50,8 +80,19 @@ pub fn validate(
     verdict[0] == 1
 }
 
-/// Rank 0's sequential check of the assembled parent array.
+/// Sequential check of one assembled parent array, regenerating the
+/// edge set for it.
 pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
+    check_tree_against(cfg, &EdgeSet::generate(cfg), root, parent)
+}
+
+/// Rank 0's sequential check of the assembled parent array for `root`.
+pub fn check_tree_against(
+    cfg: &Graph500Config,
+    edges: &EdgeSet,
+    root: u64,
+    parent: &[u64],
+) -> bool {
     let n = cfg.num_vertices() as usize;
     if parent.len() != n {
         return false;
@@ -59,14 +100,6 @@ pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
     let ri = root as usize;
     if parent[ri] != root {
         return false;
-    }
-    // Regenerate the edge set (undirected, normalized).
-    let mut edges: HashSet<(u64, u64)> = HashSet::new();
-    for idx in 0..cfg.num_edges() {
-        let (u, v) = edge(cfg.seed, cfg.scale, idx);
-        if u != v {
-            edges.insert((u.min(v), u.max(v)));
-        }
     }
     // Rule 2: tree edges are real edges.
     for (v, &p) in parent.iter().enumerate() {
@@ -76,8 +109,7 @@ pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
         if p as usize >= n || parent[p as usize] == NO_PARENT {
             return false;
         }
-        let key = ((v as u64).min(p), (v as u64).max(p));
-        if !edges.contains(&key) {
+        if !edges.contains(v as u64, p) {
             return false;
         }
     }
@@ -106,7 +138,7 @@ pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
         }
     }
     // Rule 4: component coverage.
-    for &(u, v) in &edges {
+    for &(u, v) in &edges.edges {
         let uv = parent[u as usize] != NO_PARENT;
         let vv = parent[v as usize] != NO_PARENT;
         if uv != vv {
@@ -119,6 +151,7 @@ pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tiny_cfg() -> Graph500Config {
         Graph500Config {
@@ -159,6 +192,21 @@ mod tests {
         let root = super::super::generator::bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, 0);
         let parent = reference_parents(&cfg, root);
         assert!(check_tree(&cfg, root, &parent));
+    }
+
+    #[test]
+    fn one_edge_set_serves_every_root() {
+        let cfg = tiny_cfg();
+        let edges = EdgeSet::generate(&cfg);
+        assert!(edges.edges.windows(2).all(|w| w[0] < w[1]));
+        for i in 0..4 {
+            let root = super::super::generator::bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, i);
+            let mut parent = reference_parents(&cfg, root);
+            assert!(check_tree_against(&cfg, &edges, root, &parent));
+            // Another root's tree is not this root's tree.
+            parent[root as usize] = NO_PARENT;
+            assert!(!check_tree_against(&cfg, &edges, root, &parent));
+        }
     }
 
     #[test]

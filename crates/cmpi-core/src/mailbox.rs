@@ -662,50 +662,57 @@ mod model_tests {
         });
     }
 
-    /// Distilled `fabric_ready` gating protocol from `Runtime::progress`
-    /// and the fabric notifier (`runtime.rs`): the notifier writes the
-    /// delivery, raises the hint with `Release`, then pokes; progress
-    /// peeks `Relaxed`, claims with an `Acquire` swap, then reads the
-    /// delivery. Checks both liveness (the poke always ends the sleep —
-    /// a lost signal deadlocks the model) and publication (the swap's
-    /// `Acquire` is the only edge making the delivery visible, enforced
-    /// by the race detector).
+    /// The `fabric_ready` gating of `Mpi::progress` against the real
+    /// endpoint (`cmpi-fabric` is shim-synchronized under this cfg): a
+    /// post takes the sender's section, queues the message in the
+    /// receiver's section and raises its pending count there, then runs
+    /// the notifier `Mpi::init` registers — hint with `Release`, then
+    /// poke. Progress peeks `Relaxed`, claims with an `Acquire` swap and
+    /// drains into its scratch vector. A delivery lost anywhere along
+    /// that chain — an empty drain after the claim, a poke that does not
+    /// end the sleep — leaves the consumer parked with no runnable
+    /// peer, which the model reports as a deadlock.
     #[test]
     fn model_fabric_ready_gating_never_drops_a_delivery() {
-        use cmpi_model::race;
-        use cmpi_model::sync::{AtomicBool, AtomicU64, Ordering};
+        use cmpi_cluster::{CostModel, HostId};
+        use cmpi_fabric::Fabric;
+        use cmpi_model::sync::{AtomicBool, Ordering};
 
         Builder::new().max_executions(400_000).check(|| {
             let cell = Arc::new(RankCell::new());
             let ready = Arc::new(AtomicBool::new(false));
-            // Stand-in for the fabric's receive queue: plain data in the
-            // real system, so it carries race-detector hooks and only
-            // `Relaxed` atomic accesses — the `ready` edge must do all
-            // the publishing.
-            let slot = Arc::new(AtomicU64::new(0));
+            let fabric = Fabric::new(CostModel::default());
+            fabric.attach(0, HostId(0), true).unwrap();
+            fabric.attach(1, HostId(1), true).unwrap();
+            let (c, r) = (Arc::clone(&cell), Arc::clone(&ready));
+            fabric.set_notifier(
+                1,
+                Box::new(move || {
+                    // Hint before poke: the woken rank's next pass must see it.
+                    r.store(true, Ordering::Release);
+                    c.poke();
+                }),
+            );
 
-            let (c, r, s) = (Arc::clone(&cell), Arc::clone(&ready), Arc::clone(&slot));
-            let notifier = thread::spawn(move || {
-                race::write(Arc::as_ptr(&s), "gating: fabric delivers");
-                s.store(7, Ordering::Relaxed);
-                // Hint before poke: the woken rank's next pass must see it.
-                r.store(true, Ordering::Release);
-                c.poke();
+            let f = Arc::clone(&fabric);
+            let poster = thread::spawn(move || {
+                f.post_send(0, 1, 7, Bytes::new(), SimTime::ZERO).unwrap();
             });
 
-            let mut drained = 0;
+            let mut msgs = Vec::new();
             as_owner(&cell, || loop {
-                // Relaxed peek + Acquire claim, exactly as
-                // `Runtime::progress`.
+                // Relaxed peek + Acquire claim, exactly as `Mpi::progress`.
                 if ready.load(Ordering::Relaxed) && ready.swap(false, Ordering::Acquire) {
-                    race::read(Arc::as_ptr(&slot), "gating: progress drains");
-                    drained = slot.load(Ordering::Relaxed);
-                    break;
+                    fabric.poll_recv_into(1, &mut msgs).unwrap();
+                    if !msgs.is_empty() {
+                        break;
+                    }
                 }
                 cell.sleep_if_idle();
             });
-            notifier.join();
-            assert_eq!(drained, 7, "delivery lost or torn");
+            poster.join();
+            assert_eq!(msgs.len(), 1, "delivery duplicated");
+            assert_eq!(msgs[0].imm, 7, "delivery torn");
         });
     }
 

@@ -26,7 +26,7 @@ use cmpi_cluster::{
     Channel, Cluster, CostModel, DeploymentScenario, FaultPlan, MidRunFault, MidRunTrigger,
     Placement, SimTime, Tunables,
 };
-use cmpi_fabric::{Fabric, FabricError, SendInfo};
+use cmpi_fabric::{Fabric, FabricError, FabricMsg, SendInfo};
 use cmpi_shmem::visibility::visibility;
 use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 
@@ -590,7 +590,8 @@ pub(crate) struct JobState {
     /// fabric poll on this flag turns the empty pass — by far the common
     /// case — into one relaxed load instead of a registry lookup and a
     /// queue lock. Initialized `true` so the first pass always drains.
-    fabric_ready: Vec<AtomicBool>,
+    /// Shared with the fabric notifiers, like `cells`.
+    fabric_ready: Arc<[AtomicBool]>,
     /// Always-on per-rank instruments (None only under
     /// [`JobSpec::without_telemetry`]). Rank threads write their own
     /// slot; the finalize path folds substrate counters in and
@@ -598,7 +599,9 @@ pub(crate) struct JobState {
     pub(crate) telemetry: Option<JobTelemetry>,
     /// Transient QP-creation failures absorbed per rank during attach.
     attach_retries: Vec<std::sync::atomic::AtomicU32>,
-    pub(crate) cells: Vec<RankCell>,
+    /// Per-rank mailboxes. Behind an `Arc` of their own so a fabric
+    /// notifier can poke one without owning the job state.
+    pub(crate) cells: Arc<[RankCell]>,
     /// Ranks in the job (row stride of the pair-queue table).
     n_ranks: usize,
     /// Rank-indexed `src → dst` pair-queue table. `OnceLock` slots make
@@ -720,7 +723,7 @@ impl JobState {
     /// this because `sleep_if_idle` has no timeout — a waiter blocked on
     /// a rank that just died re-checks the failure state only when poked.
     pub(crate) fn poke_all(&self) {
-        for cell in &self.cells {
+        for cell in self.cells.iter() {
             cell.poke();
         }
     }
@@ -737,7 +740,7 @@ impl JobState {
             out.stalled_acquires += s.stalled_acquires;
             out.max_in_flight = out.max_in_flight.max(s.max_in_flight);
         }
-        for cell in &self.cells {
+        for cell in self.cells.iter() {
             let s = cell.stats();
             out.mailbox_pushes += s.pushes;
             out.mailbox_parks += s.parks;
@@ -989,6 +992,8 @@ pub struct Mpi {
     /// its capacity persists across ticks so the steady-state drain path
     /// never allocates.
     drain_buf: Vec<Packet>,
+    /// Scratch for the fabric drain in `progress`.
+    fabric_buf: Vec<FabricMsg>,
     /// The job-wide world rank list `[0, 1, .., n-1]` (shared, see
     /// [`JobState::world_members`]), so flat collectives don't
     /// re-collect it on every call; a refcount bump lends it around
@@ -1021,14 +1026,18 @@ impl Mpi {
         recovery.attach_retries = state.attach_retries[rank].load(Ordering::Relaxed) as u64;
         // Wake-ups for fabric arrivals.
         if state.attached[rank].load(Ordering::Acquire) {
-            let st = Arc::clone(&state);
+            // The callback lives as long as the fabric, which the job
+            // state owns: it shares the two tables it touches instead of
+            // the state, or the three would keep each other alive.
+            let fabric_ready = Arc::clone(&state.fabric_ready);
+            let cells = Arc::clone(&state.cells);
             state.fabric.set_notifier(
                 rank,
-                Arc::new(move || {
+                Box::new(move || {
                     // Raise the drain hint *before* the poke: the woken
                     // rank's next progress pass must see it.
-                    st.fabric_ready[rank].store(true, Ordering::Release);
-                    st.cells[rank].poke();
+                    fabric_ready[rank].store(true, Ordering::Release);
+                    cells[rank].poke();
                 }),
             );
         }
@@ -1143,6 +1152,7 @@ impl Mpi {
             trace: None,
             prof: None,
             drain_buf: Vec::new(),
+            fabric_buf: Vec::new(),
             world_list,
         }
     }
@@ -1709,7 +1719,7 @@ impl Mpi {
         // since the last drain. A delivery between the swap and the poll
         // is not lost: the notifier re-raises the flag and pokes the
         // mailbox, so the wait loop comes back around. The no-lost-signal
-        // property is model-checked (distilled protocol) by
+        // property is model-checked, against the real endpoint, by
         // `mailbox::model_tests::model_fabric_ready_gating_never_drops_a_delivery`.
         //
         // relaxed-ok: cheap peek only; the authoritative claim is the
@@ -1719,24 +1729,23 @@ impl Mpi {
             && self.state.fabric_ready[self.rank].load(Ordering::Relaxed)
             && self.state.fabric_ready[self.rank].swap(false, Ordering::Acquire)
         {
-            if let Ok(msgs) = self.state.fabric.poll_recv(self.rank) {
-                for m in msgs {
-                    // Split framing: the header parses off the inline
-                    // segment and the payload `Bytes` is adopted whole,
-                    // so a rendezvous payload lands in the user's
-                    // completion untouched (and the slab can reclaim
-                    // its allocation — a sliced frame could never be
-                    // reclaimed, it shares the header's allocation).
-                    let pkt = Packet::decode_parts(
-                        m.src,
-                        m.imm,
-                        m.hdr.as_slice(),
-                        m.data,
-                        m.available_at,
-                    );
-                    self.handle_packet(pkt);
-                }
+            // Like `drain_buf` below, the scratch vector is a field so
+            // a drain reuses its capacity. A detached endpoint (this
+            // rank died) drains nothing.
+            let mut msgs = std::mem::take(&mut self.fabric_buf);
+            let _ = self.state.fabric.poll_recv_into(self.rank, &mut msgs);
+            for m in msgs.drain(..) {
+                // Split framing: the header parses off the inline
+                // segment and the payload `Bytes` is adopted whole, so a
+                // rendezvous payload lands in the user's completion
+                // untouched (and the slab can reclaim its allocation — a
+                // sliced frame could never be reclaimed, it shares the
+                // header's allocation).
+                let pkt =
+                    Packet::decode_parts(m.src, m.imm, m.hdr.as_slice(), m.data, m.available_at);
+                self.handle_packet(pkt);
             }
+            self.fabric_buf = msgs;
         }
         // Batched mailbox drain: unlink a run of packets in one chain
         // walk, then dispatch. The scratch buffer is a field so its

@@ -1,17 +1,19 @@
 //! Fabric endpoints: attach, two-sided send/recv, RDMA.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use cmpi_cluster::{CostModel, FaultPlan, HostId, SimTime};
 // Per-endpoint state is shim-synchronized so the model checker can
-// explore the pending-hint protocol; fabric-global maps stay on plain
+// explore the pending-hint protocol; fabric-global tables stay on plain
 // locks (their critical sections contain no model-visible operations).
-use cmpi_model::sync::{AtomicUsize, Mutex, Ordering};
-use parking_lot::{Mutex as PlainMutex, RwLock};
+use cmpi_model::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
+use parking_lot::Mutex as PlainMutex;
 
 use crate::mr::{MemoryRegion, RKey};
+use crate::schedule::LinkSchedule;
+use crate::slots::SlotTable;
 
 /// Errors surfaced by the fabric.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,6 +25,8 @@ pub enum FabricError {
     NotAttached(usize),
     /// Unknown remote key.
     BadRKey,
+    /// The rank already attached an endpoint to this fabric.
+    AlreadyAttached(usize),
     /// Queue-pair creation failed transiently during attach (injected:
     /// resource exhaustion on the adapter). Retrying the attach succeeds
     /// once the rank's failure budget is spent.
@@ -45,6 +49,9 @@ impl std::fmt::Display for FabricError {
             }
             FabricError::NotAttached(r) => write!(f, "rank {r} has no fabric endpoint"),
             FabricError::BadRKey => write!(f, "invalid remote key"),
+            FabricError::AlreadyAttached(r) => {
+                write!(f, "rank {r} already attached a fabric endpoint")
+            }
             FabricError::QpCreationFailed(r) => {
                 write!(f, "transient QP creation failure for rank {r}")
             }
@@ -166,111 +173,79 @@ pub struct EndpointStats {
     pub rdma_bytes: u64,
 }
 
-/// Fault-injection bookkeeping for one sender: which send operation is
-/// next and how many times its posting has already failed.
+/// What the sending side of an endpoint owns. One lock, taken once per
+/// posted operation: the fault-injection cursor, the sender's counters
+/// and the transmit path's wire schedule all change together.
 #[derive(Default)]
-struct SendProgress {
+struct Tx {
+    /// Fault-injection bookkeeping: which send operation is next and how
+    /// many times its posting has already failed.
     op_index: u64,
     attempts: u32,
+    sends: u64,
+    send_bytes: u64,
+    rdma_ops: u64,
+    rdma_bytes: u64,
+    /// Cross-host transmit path.
+    egress: LinkSchedule,
 }
 
+/// What the receiving side of an endpoint owns: the receive queue, the
+/// receiver's counters and the receive path's wire schedule.
+#[derive(Default)]
+struct Rx {
+    incoming: Vec<FabricMsg>,
+    recvs: u64,
+    recv_bytes: u64,
+    /// Cross-host receive path.
+    ingress: LinkSchedule,
+}
+
+/// One rank's endpoint. `tx` and `rx` are only ever taken one after the
+/// other, never nested, and nothing else is locked inside either.
 struct Endpoint {
     host: HostId,
-    incoming: Mutex<Vec<FabricMsg>>,
-    /// Length of `incoming`, maintained under its lock. The progress
+    /// The host's single adapter, which carries both directions of its
+    /// same-host traffic: shared by every endpoint on `host`.
+    loopback: Arc<PlainMutex<LinkSchedule>>,
+    /// Lowered by [`Fabric::detach`] (the slot itself is write-once);
+    /// its `Release` store pairs with the `Acquire` load in `Fabric::ep`.
+    attached: AtomicBool,
+    tx: Mutex<Tx>,
+    rx: Mutex<Rx>,
+    /// Length of `rx.incoming`, maintained under its lock. The progress
     /// engine polls every rank on every pass; the counter lets an empty
-    /// poll — the overwhelmingly common case — return after one relaxed
-    /// load instead of taking the lock.
+    /// poll — the overwhelmingly common case — return after one load
+    /// instead of taking the lock.
     pending: AtomicUsize,
-    notifier: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
-    stats: Mutex<EndpointStats>,
-    send_progress: Mutex<SendProgress>,
-}
-
-impl Endpoint {
-    fn notify(&self) {
-        // Clone out and drop the lock before invoking: the callback pokes
-        // the rank's mailbox, which must not run under this lock.
-        let n = self.notifier.lock().clone();
-        if let Some(n) = n {
-            n();
-        }
-    }
+    /// Set once, so a delivery reads it with a plain load.
+    notifier: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// The cluster-wide fabric: switch + one HCA per host, endpoints per rank.
 ///
 /// Transfers occupy the wire. Every adapter path (a host's loopback, an
-/// endpoint's egress, an endpoint's ingress) carries an interval-based
-/// [`LinkSchedule`]: a transfer reserves the first gap at or after its
-/// virtual ready time that fits its serialization time. Interval
-/// reservation (rather than a busy-until high-water mark) matters because
-/// transfers are *committed* in real-thread order, which can invert their
-/// virtual timestamps — an early-stamped transfer must slot into the gap
-/// before a future-stamped reservation instead of queueing behind it,
-/// otherwise real scheduling would leak into virtual time. Residual
+/// endpoint's egress, an endpoint's ingress) carries a [`LinkSchedule`]
+/// owned by whoever contends for it: egress and ingress live in the
+/// endpoint's `tx` and `rx` sections, loopback in a per-host table, so
+/// no lock is shared by traffic that does not share a wire. Residual
 /// nondeterminism is bounded by genuine contention (the same ambiguity a
 /// real arbiter has), not by thread scheduling.
 pub struct Fabric {
     cost: CostModel,
     faults: FaultPlan,
-    /// Rank-indexed endpoint table. Reads vastly outnumber attaches (one
-    /// lookup per progress pass and per posted op vs. one insert per rank
-    /// at init), so this is a read-write lock over a dense slot vector
-    /// rather than a mutex-guarded map: lookups take the uncontended read
-    /// path and never hash.
-    endpoints: RwLock<Vec<Option<Arc<Endpoint>>>>,
-    mrs: PlainMutex<HashMap<RKey, Arc<MemoryRegion>>>,
-    next_rkey: PlainMutex<u64>,
-    links: PlainMutex<HashMap<LinkKey, LinkSchedule>>,
+    /// Rank-indexed endpoints. Slots are write-once so the two lookups
+    /// every posted operation makes are plain loads; a detached endpoint
+    /// stays in its slot, marked, until the fabric is dropped. Boxed, so
+    /// the table's spare room costs a pointer per slot.
+    endpoints: SlotTable<Box<Endpoint>>,
+    /// Host-indexed loopback schedules, handed to each endpoint of the
+    /// host at attach.
+    loopback: SlotTable<Arc<PlainMutex<LinkSchedule>>>,
+    /// Registered regions; region `i` has rkey `i + 1`.
+    mrs: PlainMutex<Vec<Arc<MemoryRegion>>>,
     /// Remaining injected attach failures per rank (consumed by retries).
     attach_budget: PlainMutex<HashMap<usize, u32>>,
-}
-
-/// One contended adapter path.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum LinkKey {
-    /// A host's single adapter handling same-host (loopback) traffic.
-    Loopback(HostId),
-    /// A rank endpoint's transmit path (cross-host).
-    Egress(usize),
-    /// A rank endpoint's receive path (cross-host).
-    Ingress(usize),
-}
-
-/// Non-overlapping busy intervals, keyed by start time.
-#[derive(Default, Debug)]
-struct LinkSchedule {
-    busy: BTreeMap<u64, u64>,
-}
-
-impl LinkSchedule {
-    /// Reserve the first `dur`-long gap starting at or after `ready`;
-    /// returns the transfer's start time.
-    fn reserve(&mut self, ready: SimTime, dur: SimTime) -> SimTime {
-        let d = dur.as_ns();
-        if d == 0 {
-            return ready;
-        }
-        let mut t = ready.as_ns();
-        loop {
-            if let Some((_, &e)) = self.busy.range(..=t).next_back() {
-                if e > t {
-                    t = e;
-                    continue;
-                }
-            }
-            if let Some((&s, &e)) = self.busy.range(t..).next() {
-                if s < t + d {
-                    t = e;
-                    continue;
-                }
-            }
-            break;
-        }
-        self.busy.insert(t, t + d);
-        SimTime::from_ns(t)
-    }
 }
 
 impl Fabric {
@@ -286,10 +261,9 @@ impl Fabric {
         Arc::new(Fabric {
             cost,
             faults: plan,
-            endpoints: RwLock::new(Vec::new()),
-            mrs: PlainMutex::new(HashMap::new()),
-            next_rkey: PlainMutex::new(1),
-            links: PlainMutex::new(HashMap::new()),
+            endpoints: SlotTable::new(),
+            loopback: SlotTable::new(),
+            mrs: PlainMutex::new(Vec::new()),
             attach_budget: PlainMutex::new(HashMap::new()),
         })
     }
@@ -303,99 +277,109 @@ impl Fabric {
     /// container can see the HCA (`privileged`). With an active fault
     /// plan, the first `attach_failures(rank)` calls fail with
     /// [`FabricError::QpCreationFailed`]; subsequent retries succeed.
+    /// A rank attaches once per fabric: a second successful attach is
+    /// [`FabricError::AlreadyAttached`], also after a `detach`.
     pub fn attach(&self, rank: usize, host: HostId, privileged: bool) -> Result<(), FabricError> {
         if !privileged {
             return Err(FabricError::NotPrivileged);
         }
-        {
+        let injected = self.faults.attach_failures(rank);
+        if injected > 0 {
             let mut budget = self.attach_budget.lock();
-            let left = budget
-                .entry(rank)
-                .or_insert_with(|| self.faults.attach_failures(rank));
+            let left = budget.entry(rank).or_insert(injected);
             if *left > 0 {
                 *left -= 1;
                 return Err(FabricError::QpCreationFailed(rank));
             }
         }
-        let mut eps = self.endpoints.write();
-        if eps.len() <= rank {
-            eps.resize_with(rank + 1, || None);
-        }
-        eps[rank] = Some(Arc::new(Endpoint {
-            host,
-            incoming: Mutex::new(Vec::new()),
-            pending: AtomicUsize::new(0),
-            notifier: Mutex::new(None),
-            stats: Mutex::new(EndpointStats::default()),
-            send_progress: Mutex::new(SendProgress::default()),
-        }));
-        Ok(())
+        let loopback = self
+            .loopback
+            .slot(host.0 as usize)
+            .get_or_init(Arc::default);
+        self.endpoints
+            .slot(rank)
+            .set(Box::new(Endpoint {
+                host,
+                loopback: Arc::clone(loopback),
+                attached: AtomicBool::new(true),
+                tx: Mutex::new(Tx::default()),
+                rx: Mutex::new(Rx::default()),
+                pending: AtomicUsize::new(0),
+                notifier: OnceLock::new(),
+            }))
+            .map_err(|_| FabricError::AlreadyAttached(rank))
     }
 
     /// Tear down `rank`'s endpoint (the QP-destroy a dying rank — or its
-    /// container's OOM killer — performs). Subsequent sends addressed to
+    /// container's OOM killer — performs). Subsequent operations naming
     /// the rank fail with [`FabricError::NotAttached`]; packets already
-    /// delivered to its receive queue are dropped with the endpoint.
-    /// Detaching a never-attached rank is a no-op.
+    /// delivered to its receive queue are dropped. Detaching a
+    /// never-attached rank is a no-op.
     pub fn detach(&self, rank: usize) {
-        let mut eps = self.endpoints.write();
-        if let Some(slot) = eps.get_mut(rank) {
-            *slot = None;
+        if let Some(ep) = self.endpoints.get(rank) {
+            ep.attached.store(false, Ordering::Release);
+            let mut rx = ep.rx.lock();
+            rx.incoming = Vec::new();
+            ep.pending.store(0, Ordering::Release);
         }
     }
 
-    /// Register a wake-up callback invoked whenever a message lands in
-    /// `rank`'s receive queue (the MPI progress engine's interrupt).
-    pub fn set_notifier(&self, rank: usize, f: Arc<dyn Fn() + Send + Sync>) {
+    /// Register the wake-up callback invoked whenever a message lands in
+    /// `rank`'s receive queue (the MPI progress engine's interrupt). An
+    /// endpoint takes one notifier for its lifetime; later registrations
+    /// are ignored. The fabric owns the callback until it is dropped, so
+    /// it must not own the fabric back.
+    pub fn set_notifier(&self, rank: usize, f: Box<dyn Fn() + Send + Sync>) {
         if let Ok(ep) = self.ep(rank) {
-            *ep.notifier.lock() = Some(f);
+            let _ = ep.notifier.set(f);
         }
     }
 
-    fn ep(&self, rank: usize) -> Result<Arc<Endpoint>, FabricError> {
-        self.endpoints
-            .read()
-            .get(rank)
-            .and_then(Option::as_ref)
-            .cloned()
-            .ok_or(FabricError::NotAttached(rank))
+    fn ep(&self, rank: usize) -> Result<&Endpoint, FabricError> {
+        match self.endpoints.get(rank) {
+            Some(ep) if ep.attached.load(Ordering::Acquire) => Ok(ep),
+            _ => Err(FabricError::NotAttached(rank)),
+        }
     }
 
-    /// Schedule `bytes` from `src_rank` to `dst_rank`, no earlier than
-    /// `ready`: reserves wire occupancy on every adapter path the
-    /// transfer crosses and returns the delivery time.
+    /// Move `bytes` from `src` to `dst`, no earlier than `ready`:
+    /// reserves wire occupancy on every adapter path the transfer
+    /// crosses and returns the delivery time. The sender-side section of
+    /// `src`, the host adapter (loopback only) and the receiver-side
+    /// section of `dst` are taken one after the other, never nested.
+    /// `depart` runs first, inside the sender-side section, and may
+    /// refuse the transfer before anything is reserved; `arrive` runs
+    /// last, inside the receiver-side section, with the delivery time.
     fn schedule(
         &self,
         src: &Endpoint,
         dst: &Endpoint,
-        src_rank: usize,
-        dst_rank: usize,
         bytes: u64,
         ready: SimTime,
-    ) -> SimTime {
+        depart: impl FnOnce(&mut Tx) -> Result<(), FabricError>,
+        arrive: impl FnOnce(&mut Rx, SimTime),
+    ) -> Result<SimTime, FabricError> {
         let same_host = src.host == dst.host;
         let wire = self.cost.hca_wire_time(bytes, same_host);
         let latency = self.cost.hca_latency(same_host);
-        let mut links = self.links.lock();
-        if same_host {
+        let egress_start = {
+            let mut tx = src.tx.lock();
+            depart(&mut tx)?;
+            (!same_host).then(|| tx.egress.reserve(ready, wire))
+        };
+        let start = match egress_start {
+            Some(start) => start,
             // Loopback: both directions contend for the one adapter.
-            let start = links
-                .entry(LinkKey::Loopback(src.host))
-                .or_default()
-                .reserve(ready, wire);
+            None => src.loopback.lock().reserve(ready, wire),
+        };
+        let mut rx = dst.rx.lock();
+        let delivered = if same_host {
             start + wire + latency
         } else {
-            let start = links
-                .entry(LinkKey::Egress(src_rank))
-                .or_default()
-                .reserve(ready, wire);
-            let arrive = start + latency;
-            let start2 = links
-                .entry(LinkKey::Ingress(dst_rank))
-                .or_default()
-                .reserve(arrive, wire);
-            start2 + wire
-        }
+            rx.ingress.reserve(start + latency, wire) + wire
+        };
+        arrive(&mut rx, delivered);
+        Ok(delivered)
     }
 
     /// `true` when both endpoints hang off the same host's HCA (loopback).
@@ -432,51 +416,65 @@ impl Fabric {
     ) -> Result<SendInfo, FabricError> {
         let s = self.ep(src)?;
         let d = self.ep(dst)?;
-        {
-            let mut prog = s.send_progress.lock();
-            if self.faults.send_fails(prog.op_index, prog.attempts) {
-                // Completed-in-error CQE: count the failed attempt, keep
-                // the op index so the repost targets the same operation.
-                prog.attempts += 1;
-                return Err(FabricError::TransientCompletion { src, dst });
-            }
-            prog.op_index += 1;
-            prog.attempts = 0;
-        }
         let wire_len = (hdr.len() + data.len()) as u64;
         let local_done = now + SimTime::from_ns(self.cost.hca_post_ns);
-        let delivered_at = self.schedule(&s, &d, src, dst, wire_len, local_done);
-        {
-            let mut st = s.stats.lock();
-            st.sends += 1;
-            st.send_bytes += wire_len;
+        let hdr = InlineHdr::new(hdr);
+        let delivered_at = self.schedule(
+            s,
+            d,
+            wire_len,
+            local_done,
+            |tx| {
+                if self.faults.send_fails(tx.op_index, tx.attempts) {
+                    // Completed-in-error CQE: count the failed attempt,
+                    // keep the op index so the repost targets the same
+                    // operation.
+                    tx.attempts += 1;
+                    return Err(FabricError::TransientCompletion { src, dst });
+                }
+                tx.op_index += 1;
+                tx.attempts = 0;
+                tx.sends += 1;
+                tx.send_bytes += wire_len;
+                Ok(())
+            },
+            |rx, available_at| {
+                rx.incoming.push(FabricMsg {
+                    src,
+                    imm,
+                    hdr,
+                    data,
+                    available_at,
+                });
+                // Release pairs with poll_recv_into's Acquire fast-path
+                // load: a poller that observes this count also observes
+                // the pushed message when it takes the lock. The store
+                // sits under the lock, so it can never be reordered with
+                // a concurrent drain's reset (the model checker verifies
+                // the protocol:
+                // `tests::model::pending_hint_never_loses_a_message`).
+                d.pending.store(rx.incoming.len(), Ordering::Release);
+            },
+        )?;
+        // Outside every lock: the callback pokes the rank's mailbox.
+        if let Some(notify) = d.notifier.get() {
+            notify();
         }
-        {
-            let mut q = d.incoming.lock();
-            q.push(FabricMsg {
-                src,
-                imm,
-                hdr: InlineHdr::new(hdr),
-                data,
-                available_at: delivered_at,
-            });
-            // Release pairs with poll_recv's Acquire fast-path load: a
-            // poller that observes this count also observes the pushed
-            // message when it takes the lock. The store sits under the
-            // lock, so it can never be reordered with a concurrent
-            // drain's reset (the model checker verifies the protocol:
-            // `tests::model::pending_hint_never_loses_a_message`).
-            d.pending.store(q.len(), Ordering::Release);
-        }
-        d.notify();
         Ok(SendInfo {
             local_done,
             delivered_at,
         })
     }
 
-    /// Drain `rank`'s receive queue (ordered by arrival).
-    pub fn poll_recv(&self, rank: usize) -> Result<Vec<FabricMsg>, FabricError> {
+    /// Drain `rank`'s receive queue (ordered by arrival) onto the end of
+    /// `out`; returns how many messages were moved. The queue keeps its
+    /// allocation, so a caller that reuses `out` polls without touching
+    /// the heap.
+    pub fn poll_recv_into(
+        &self,
+        rank: usize,
+        out: &mut Vec<FabricMsg>,
+    ) -> Result<usize, FabricError> {
         let ep = self.ep(rank)?;
         // Fast path: nothing has landed since the last drain. A racing
         // post is not lost — it raises `pending` and fires the rank's
@@ -485,42 +483,41 @@ impl Fabric {
         // notifier; a stale nonzero just takes the lock and finds the
         // queue empty), which is why the early return is safe.
         if ep.pending.load(Ordering::Acquire) == 0 {
-            return Ok(Vec::new());
+            return Ok(0);
         }
-        let msgs = {
-            let mut q = ep.incoming.lock();
-            ep.pending.store(0, Ordering::Release);
-            std::mem::take(&mut *q)
-        };
-        if !msgs.is_empty() {
-            let mut st = ep.stats.lock();
-            st.recvs += msgs.len() as u64;
-            st.recv_bytes += msgs
-                .iter()
-                .map(|m| (m.hdr.len() + m.data.len()) as u64)
-                .sum::<u64>();
-        }
+        let mut rx = ep.rx.lock();
+        ep.pending.store(0, Ordering::Release);
+        let n = rx.incoming.len();
+        rx.recvs += n as u64;
+        rx.recv_bytes += rx
+            .incoming
+            .iter()
+            .map(|m| (m.hdr.len() + m.data.len()) as u64)
+            .sum::<u64>();
+        out.append(&mut rx.incoming);
+        Ok(n)
+    }
+
+    /// Drain `rank`'s receive queue into a fresh vector.
+    pub fn poll_recv(&self, rank: usize) -> Result<Vec<FabricMsg>, FabricError> {
+        let mut msgs = Vec::new();
+        self.poll_recv_into(rank, &mut msgs)?;
         Ok(msgs)
     }
 
     /// Register `len` bytes of `rank`'s memory for remote access.
     pub fn register_mr(&self, rank: usize, len: usize) -> Result<Arc<MemoryRegion>, FabricError> {
         self.ep(rank)?; // must be attached
-        let mut next = self.next_rkey.lock();
-        let rkey = RKey(*next);
-        *next += 1;
-        let mr = Arc::new(MemoryRegion::new(rkey, rank, len));
-        self.mrs.lock().insert(rkey, Arc::clone(&mr));
+        let mut mrs = self.mrs.lock();
+        let mr = Arc::new(MemoryRegion::new(RKey(mrs.len() as u64 + 1), rank, len));
+        mrs.push(Arc::clone(&mr));
         Ok(mr)
     }
 
     /// Look up a registered region by rkey.
     pub fn mr(&self, rkey: RKey) -> Result<Arc<MemoryRegion>, FabricError> {
-        self.mrs
-            .lock()
-            .get(&rkey)
-            .cloned()
-            .ok_or(FabricError::BadRKey)
+        let i = usize::try_from(rkey.0.wrapping_sub(1)).map_err(|_| FabricError::BadRKey)?;
+        self.mrs.lock().get(i).cloned().ok_or(FabricError::BadRKey)
     }
 
     /// One-sided RDMA write: place `data` into `(rkey, offset)` with no
@@ -536,17 +533,24 @@ impl Fabric {
         let s = self.ep(src)?;
         let mr = self.mr(rkey)?;
         let d = self.ep(mr.owner())?;
-        let same_host = s.host == d.host;
         let posted = now + SimTime::from_ns(self.cost.hca_post_ns);
-        let data_at = self.schedule(&s, &d, src, mr.owner(), data.len() as u64, posted);
+        let data_at = self.schedule(
+            s,
+            d,
+            data.len() as u64,
+            posted,
+            |tx| {
+                tx.rdma_ops += 1;
+                tx.rdma_bytes += data.len() as u64;
+                Ok(())
+            },
+            |_, _| {},
+        )?;
         // RC write completion: the ack returns after the data hit the wire.
         let completed_at = data_at
-            + self.cost.hca_latency(same_host)
+            + self.cost.hca_latency(s.host == d.host)
             + SimTime::from_ns(self.cost.hca_completion_ns);
         mr.write(offset, data);
-        let mut st = s.stats.lock();
-        st.rdma_ops += 1;
-        st.rdma_bytes += data.len() as u64;
         Ok(RdmaCompletion {
             completed_at,
             data_at,
@@ -566,17 +570,18 @@ impl Fabric {
         let s = self.ep(src)?;
         let mr = self.mr(rkey)?;
         let d = self.ep(mr.owner())?;
-        let same_host = s.host == d.host;
         let posted = now + SimTime::from_ns(self.cost.hca_post_ns);
+        {
+            let mut tx = s.tx.lock();
+            tx.rdma_ops += 1;
+            tx.rdma_bytes += len as u64;
+        }
         // The request travels one way; the data streams back through the
         // owner's adapter.
-        let request_at = posted + self.cost.hca_latency(same_host);
-        let data_at = self.schedule(&d, &s, mr.owner(), src, len as u64, request_at);
+        let request_at = posted + self.cost.hca_latency(s.host == d.host);
+        let data_at = self.schedule(d, s, len as u64, request_at, |_| Ok(()), |_, _| {})?;
         let completed_at = data_at + SimTime::from_ns(self.cost.hca_completion_ns);
         let data = mr.read(offset, len);
-        let mut st = s.stats.lock();
-        st.rdma_ops += 1;
-        st.rdma_bytes += len as u64;
         Ok((
             data,
             RdmaCompletion {
@@ -588,7 +593,21 @@ impl Fabric {
 
     /// Per-rank counters.
     pub fn stats(&self, rank: usize) -> Result<EndpointStats, FabricError> {
-        Ok(*self.ep(rank)?.stats.lock())
+        let ep = self.ep(rank)?;
+        let mut st = {
+            let tx = ep.tx.lock();
+            EndpointStats {
+                sends: tx.sends,
+                send_bytes: tx.send_bytes,
+                rdma_ops: tx.rdma_ops,
+                rdma_bytes: tx.rdma_bytes,
+                ..EndpointStats::default()
+            }
+        };
+        let rx = ep.rx.lock();
+        st.recvs = rx.recvs;
+        st.recv_bytes = rx.recv_bytes;
+        Ok(st)
     }
 }
 
@@ -650,7 +669,7 @@ mod tests {
         let h2 = Arc::clone(&hits);
         f.set_notifier(
             1,
-            Arc::new(move || {
+            Box::new(move || {
                 h2.fetch_add(1, Ordering::SeqCst);
             }),
         );
@@ -701,6 +720,94 @@ mod tests {
             f.post_send(0, 9, 0, Bytes::new(), SimTime::ZERO),
             Err(FabricError::NotAttached(9))
         ));
+    }
+
+    #[test]
+    fn a_rank_attaches_once_and_detach_is_final() {
+        let f = fabric_two_hosts();
+        assert_eq!(
+            f.attach(1, HostId(0), true),
+            Err(FabricError::AlreadyAttached(1))
+        );
+        f.post_send(0, 1, 0, Bytes::from_static(b"queued"), SimTime::ZERO)
+            .unwrap();
+        f.detach(1);
+        f.detach(7); // never attached: no-op
+                     // Every operation naming the rank now fails, in either role, and
+                     // what sat in its queue is gone.
+        for r in [
+            f.post_send(0, 1, 0, Bytes::new(), SimTime::ZERO).err(),
+            f.post_send(1, 0, 0, Bytes::new(), SimTime::ZERO).err(),
+            f.poll_recv(1).err(),
+            f.stats(1).err(),
+            f.register_mr(1, 8).err(),
+        ] {
+            assert_eq!(r, Some(FabricError::NotAttached(1)));
+        }
+        assert_eq!(
+            f.attach(1, HostId(0), true),
+            Err(FabricError::AlreadyAttached(1))
+        );
+        // The failed posts consumed nothing on the sender.
+        assert_eq!(f.stats(0).unwrap().sends, 1);
+    }
+
+    #[test]
+    fn poll_into_appends_in_arrival_order_and_counts_once() {
+        let f = fabric_two_hosts();
+        let mut out = Vec::new();
+        assert_eq!(f.poll_recv_into(2, &mut out), Ok(0));
+        for imm in 0..3 {
+            f.post_send_parts(0, 2, imm, b"hd", Bytes::from_static(b"xyz"), SimTime::ZERO)
+                .unwrap();
+        }
+        assert_eq!(f.poll_recv_into(2, &mut out), Ok(3));
+        f.post_send(1, 2, 3, Bytes::new(), SimTime::ZERO).unwrap();
+        assert_eq!(f.poll_recv_into(2, &mut out), Ok(1));
+        assert_eq!(f.poll_recv_into(2, &mut out), Ok(0));
+        let imms: Vec<u32> = out.iter().map(|m| m.imm).collect();
+        assert_eq!(imms, [0, 1, 2, 3]);
+        assert_eq!(out[0].hdr.as_slice(), b"hd");
+        let st = f.stats(2).unwrap();
+        assert_eq!((st.recvs, st.recv_bytes), (4, 15));
+    }
+
+    #[test]
+    fn wires_are_contended_only_by_the_traffic_that_shares_them() {
+        let f = Fabric::new(CostModel::default());
+        for (rank, host) in [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)] {
+            f.attach(rank, HostId(host), true).unwrap();
+        }
+        let big = Bytes::from(vec![0u8; 256 * 1024]);
+        let at = |src, dst| {
+            f.post_send(src, dst, 0, big.clone(), SimTime::ZERO)
+                .unwrap()
+                .delivered_at
+        };
+        // One adapter per host: both directions of host 0's loopback
+        // queue behind each other, host 1's does not feel them.
+        let first = at(0, 1);
+        assert!(at(1, 0) > first);
+        assert_eq!(at(2, 3), first);
+        // Cross-host: a second stream into rank 4 queues on its ingress,
+        // a second stream out of rank 0 on its egress; disjoint pairs
+        // do neither.
+        let wire = at(0, 4);
+        assert!(at(2, 4) > wire);
+        assert!(at(0, 2) > wire);
+        assert_eq!(at(3, 1), wire);
+    }
+
+    #[test]
+    fn rkeys_are_dense_and_checked() {
+        let f = fabric_two_hosts();
+        let a = f.register_mr(0, 8).unwrap();
+        let b = f.register_mr(2, 8).unwrap();
+        assert_eq!((a.rkey(), b.rkey()), (RKey(1), RKey(2)));
+        assert_eq!(f.mr(RKey(2)).unwrap().owner(), 2);
+        for bad in [0, 3, u64::MAX] {
+            assert_eq!(f.mr(RKey(bad)).err(), Some(FabricError::BadRKey));
+        }
     }
 
     #[test]
@@ -785,17 +892,16 @@ mod tests {
                 let sender = thread::spawn(move || {
                     f2.post_send(0, 1, 7, Bytes::new(), SimTime::ZERO).unwrap();
                 });
-                let mut got = 0usize;
-                while got < 1 {
-                    let msgs = f.poll_recv(1).unwrap();
-                    got += msgs.len();
-                    if got == 0 {
+                let mut msgs = Vec::new();
+                while msgs.is_empty() {
+                    if f.poll_recv_into(1, &mut msgs).unwrap() == 0 {
                         thread::yield_now();
                     }
                 }
                 sender.join();
-                assert_eq!(got, 1, "message duplicated");
-                assert!(f.poll_recv(1).unwrap().is_empty(), "phantom message");
+                assert_eq!(f.poll_recv_into(1, &mut msgs), Ok(0), "phantom message");
+                assert_eq!(msgs.len(), 1, "message duplicated");
+                assert_eq!(msgs[0].imm, 7);
             });
         }
 
@@ -817,18 +923,18 @@ mod tests {
                 let pb = thread::spawn(move || {
                     fb.post_send(1, 2, 2, Bytes::new(), SimTime::ZERO).unwrap();
                 });
-                let mut got = 0usize;
-                while got < 2 {
-                    let msgs = f.poll_recv(2).unwrap();
-                    got += msgs.len();
-                    if msgs.is_empty() {
+                let mut msgs = Vec::new();
+                while msgs.len() < 2 {
+                    if f.poll_recv_into(2, &mut msgs).unwrap() == 0 {
                         thread::yield_now();
                     }
                 }
                 pa.join();
                 pb.join();
-                assert_eq!(got, 2, "message duplicated");
-                assert!(f.poll_recv(2).unwrap().is_empty(), "phantom message");
+                assert_eq!(f.poll_recv_into(2, &mut msgs), Ok(0), "phantom message");
+                let mut imms: Vec<u32> = msgs.iter().map(|m| m.imm).collect();
+                imms.sort_unstable();
+                assert_eq!(imms, [1, 2], "message lost or duplicated");
             });
         }
     }

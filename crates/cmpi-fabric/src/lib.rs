@@ -25,6 +25,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 pub mod endpoint;
 pub mod mr;
+mod schedule;
+mod slots;
 
 pub use endpoint::{Fabric, FabricError, FabricMsg, InlineHdr, RdmaCompletion, SendInfo};
 pub use mr::{MemoryRegion, RKey};

@@ -58,6 +58,8 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/cmpi-shmem/src/queue.rs",
     "crates/cmpi-shmem/src/segment.rs",
     "crates/cmpi-fabric/src/endpoint.rs",
+    "crates/cmpi-fabric/src/schedule.rs",
+    "crates/cmpi-fabric/src/slots.rs",
 ];
 
 /// One lint finding.

@@ -34,7 +34,8 @@
 #             checked-in baseline, any kernel >10 % slower fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
-#             BENCHMARK.json == metric-registry check)
+#             BENCHMARK.json == metric-registry check), and `bash -n`
+#             on scripts/prof.sh
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
 set -euo pipefail
@@ -113,6 +114,8 @@ cargo run --release --quiet -p cmpi-bench --bin bench_ledger -- --overhead-gate
 
 echo "== benchmark harness self-tests (benchmark/, own workspace)" >&2
 (cd benchmark && cargo test -q --offline)
+# The sampling profiler is a tool, not a gate: only its shell must parse.
+bash -n scripts/prof.sh
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings

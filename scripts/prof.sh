@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# Sampled CPU profile of one benchmark workload, for hosts without a PMU.
+#
+#   scripts/prof.sh WORKLOAD [SECONDS] [TOP]
+#
+# Builds the benchmark, preloads scripts/prof/sigprof.c (a SIGPROF
+# sampler on a 1 ms CPU-time timer; the kernel tick may be coarser) into its children — the processes that run
+# the workload; the parent only spawns and waits — and prints the TOP
+# (default 20) symbols. Dumps stay in target/prof/WORKLOAD/. Not a gate:
+# without a C compiler it says so and exits 0.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+workload="${1:?usage: scripts/prof.sh WORKLOAD [SECONDS] [TOP]}"
+seconds="${2:-10}"
+top="${3:-20}"
+if ! command -v cc >/dev/null || ! command -v nm >/dev/null; then
+  echo "prof.sh: needs cc and nm on PATH; skipping" >&2
+  exit 0
+fi
+out="target/prof/$workload"
+rm -rf "$out"
+mkdir -p "$out"
+cc -O2 -shared -fPIC -o target/prof/sigprof.so scripts/prof/sigprof.c
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-benchmark/target}"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+SIGPROF_OUT="$out" SIGPROF_MATCH=--child LD_PRELOAD="$PWD/target/prof/sigprof.so" \
+  "$CARGO_TARGET_DIR/release/cmpi-benchmark" \
+  --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >/dev/null
+python3 scripts/prof/symbolise.py "$out" "$top"
