@@ -9,7 +9,7 @@
 use bytes::Bytes;
 
 use crate::collectives::tag;
-use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, ReduceOp, Reducible};
+use crate::datatype::{reduce_from_bytes, to_bytes, vec_from_bytes, ReduceOp, Reducible};
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
@@ -49,18 +49,11 @@ impl Mpi {
             if rank >= mask {
                 let rid =
                     self.irecv_inner(Some(rank - mask), Some(tag(xop::SCAN, round)), CTX_COLL);
-                let bytes = self.wait_recv_inner(rid).0;
-                let mut lower = zeroed(data.len());
-                from_bytes(&bytes, &mut lower);
-                // Prepend the lower window (order preserved for
-                // non-commutative thinking, though our ops are
-                // commutative).
-                let mut new_partial = lower.clone();
-                reduce_into(rop, &mut new_partial, &partial);
-                partial = new_partial;
-                let mut new_result = lower;
-                reduce_into(rop, &mut new_result, &result);
-                result = new_result;
+                let lower = self.wait_recv_inner(rid).0;
+                // Fold the lower window in (it belongs on the left, but
+                // every `ReduceOp` is commutative).
+                reduce_from_bytes(rop, &mut partial, &lower);
+                reduce_from_bytes(rop, &mut result, &lower);
             }
             if let Some(id) = sreq {
                 self.wait_send_inner(id);
@@ -95,20 +88,12 @@ impl Mpi {
             if rank >= mask {
                 let rid =
                     self.irecv_inner(Some(rank - mask), Some(tag(xop::EXSCAN, round)), CTX_COLL);
-                let bytes = self.wait_recv_inner(rid).0;
-                let mut lower = zeroed(data.len());
-                from_bytes(&bytes, &mut lower);
-                let mut new_partial = lower.clone();
-                reduce_into(rop, &mut new_partial, &partial);
-                partial = new_partial;
-                result = Some(match result.take() {
-                    None => lower,
-                    Some(acc) => {
-                        let mut combined = lower;
-                        reduce_into(rop, &mut combined, &acc);
-                        combined
-                    }
-                });
+                let lower = self.wait_recv_inner(rid).0;
+                reduce_from_bytes(rop, &mut partial, &lower);
+                match &mut result {
+                    None => result = Some(vec_from_bytes(&lower, data.len())),
+                    Some(acc) => reduce_from_bytes(rop, acc, &lower),
+                }
             }
             if let Some(id) = sreq {
                 self.wait_send_inner(id);
@@ -140,14 +125,15 @@ impl Mpi {
         let list: Vec<usize> = (0..n).collect();
         // Stage 1: binomial reduce to rank 0.
         let reduced = self.reduce_inner_ctx(data, rop, &list, 0, xop::RSCAT, CTX_COLL);
-        // Stage 2: rank 0 scatters the blocks linearly.
-        let mut mine = zeroed(block);
-        if self.rank == 0 {
-            mine.copy_from_slice(&reduced[..block]);
+        // Stage 2: rank 0 scatters the blocks linearly, each a slice of
+        // one wire image of the reduction.
+        let mine = if self.rank == 0 {
+            let bs = block * T::SIZE;
+            let image = to_bytes(&reduced);
             let mut reqs = Vec::new();
             for r in 1..n {
                 reqs.push(self.isend_inner(
-                    to_bytes(&reduced[r * block..(r + 1) * block]),
+                    image.slice(r * bs..(r + 1) * bs),
                     r,
                     tag(xop::RSCAT, 1),
                     CTX_COLL,
@@ -156,11 +142,11 @@ impl Mpi {
             for id in reqs {
                 self.wait_send_inner(id);
             }
+            reduced[..block].to_vec()
         } else {
             let rid = self.irecv_inner(Some(0), Some(tag(xop::RSCAT, 1)), CTX_COLL);
-            let bytes = self.wait_recv_inner(rid).0;
-            from_bytes(&bytes, &mut mine);
-        }
+            vec_from_bytes(&self.wait_recv_inner(rid).0, block)
+        };
         self.exit(CallClass::Collective, t0);
         mine
     }

@@ -19,9 +19,11 @@
 //! message crosses `MV2_COLL_LARGE_MSG`; the `*_tuned` wrappers keep the
 //! original fixed-threshold behaviour for the ablation benchmarks.
 
+use bytes::Bytes;
+
 use crate::coll_select::{coll_trace_name, CollAlgo, CollKind};
 use crate::collectives::tag;
-use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
+use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
@@ -76,8 +78,9 @@ impl Mpi {
         // only ever combine with other ranks' padding and are dropped at
         // the end, so their values are irrelevant.
         let chunk = data.len().div_ceil(n).max(1);
-        let mut vec = data.to_vec();
-        vec.resize(chunk * n, zeroed::<T>(1)[0]);
+        let mut vec = Vec::with_capacity(chunk * n);
+        vec.extend_from_slice(data);
+        vec.resize(chunk * n, T::ZERO);
 
         // Phase 1: reduce-scatter by recursive halving. `lo..hi` is the
         // chunk range this rank is still responsible for.
@@ -95,13 +98,9 @@ impl Mpi {
                 (mid, hi, lo, mid)
             };
             let payload = to_bytes(&vec[send_lo * chunk..send_hi * chunk]);
-            let sid = self.isend_inner(payload, partner, tag(lop::RABEN, round), CTX_COLL);
-            let rid = self.irecv_inner(Some(partner), Some(tag(lop::RABEN, round)), CTX_COLL);
-            let bytes = self.wait_recv_inner(rid).0;
-            self.wait_send_inner(sid);
-            let mut incoming = zeroed((keep_hi - keep_lo) * chunk);
-            from_bytes(&bytes, &mut incoming);
-            reduce_into(rop, &mut vec[keep_lo * chunk..keep_hi * chunk], &incoming);
+            let t = tag(lop::RABEN, round);
+            let bytes = self.coll_sendrecv(payload, partner, partner, t, CTX_COLL);
+            reduce_from_bytes(rop, &mut vec[keep_lo * chunk..keep_hi * chunk], &bytes);
             lo = keep_lo;
             hi = keep_hi;
             mask >>= 1;
@@ -120,13 +119,12 @@ impl Mpi {
             let my_lo = lo & !(region - 1);
             let partner_lo = my_lo ^ region;
             let payload = to_bytes(&vec[my_lo * chunk..(my_lo + region) * chunk]);
-            let sid = self.isend_inner(payload, partner, tag(lop::RABEN, round), CTX_COLL);
-            let rid = self.irecv_inner(Some(partner), Some(tag(lop::RABEN, round)), CTX_COLL);
-            let bytes = self.wait_recv_inner(rid).0;
-            self.wait_send_inner(sid);
-            let mut incoming = zeroed(region * chunk);
-            from_bytes(&bytes, &mut incoming);
-            vec[partner_lo * chunk..(partner_lo + region) * chunk].copy_from_slice(&incoming);
+            let t = tag(lop::RABEN, round);
+            let bytes = self.coll_sendrecv(payload, partner, partner, t, CTX_COLL);
+            from_bytes(
+                &bytes,
+                &mut vec[partner_lo * chunk..(partner_lo + region) * chunk],
+            );
             mask <<= 1;
             round += 1;
         }
@@ -161,56 +159,52 @@ impl Mpi {
         let n = self.n;
         let rank = self.rank;
         let chunk = buf.len().div_ceil(n).max(1);
+        let cb = chunk * T::SIZE;
+        // Block `i` is elements i*chunk.. of `buf`, zero-padded to `chunk`
+        // on the wire; whoever receives it keeps the part that exists.
+        let keep = |buf: &mut [T], i: usize, wire: &[u8]| {
+            assert_eq!(wire.len(), cb, "datatype mismatch: bcast block size");
+            let lo = (i * chunk).min(buf.len());
+            let hi = ((i + 1) * chunk).min(buf.len());
+            from_bytes(&wire[..(hi - lo) * T::SIZE], &mut buf[lo..hi]);
+        };
         // Scatter: root sends block i to rank (root + i) % n (linear; the
-        // per-block size already amortizes the latency).
+        // per-block size already amortizes the latency). It encodes the
+        // padded vector once and every block is a slice of that image.
         let my_block_idx = (rank + n - root) % n;
-        let mut padded = zeroed(chunk * n);
-        if rank == root {
-            padded[..buf.len()].copy_from_slice(buf);
+        let mut carry: Bytes = if rank == root {
+            let mut image = Vec::with_capacity(cb * n);
+            T::encode(buf.iter().copied(), &mut image);
+            image.resize(cb * n, 0);
+            let image = Bytes::from(image);
             let mut reqs = Vec::new();
             for i in 1..n {
                 let dst = (root + i) % n;
-                let payload = to_bytes(&padded[i * chunk..(i + 1) * chunk]);
+                let payload = image.slice(i * cb..(i + 1) * cb);
                 reqs.push(self.isend_inner(payload, dst, tag(lop::SA_BCAST, 0), CTX_COLL));
             }
             for id in reqs {
                 self.wait_send_inner(id);
             }
+            image.slice(..cb)
         } else {
             let rid = self.irecv_inner(Some(root), Some(tag(lop::SA_BCAST, 0)), CTX_COLL);
-            let bytes = self.wait_recv_inner(rid).0;
-            from_bytes(
-                &bytes,
-                &mut padded[my_block_idx * chunk..(my_block_idx + 1) * chunk],
-            );
-        }
-        // Ring allgather of the blocks.
-        if n > 1 {
-            let right = (rank + 1) % n;
-            let left = (rank + n - 1) % n;
-            for step in 0..n - 1 {
-                let send_block = (my_block_idx + n - step) % n;
-                let recv_block = (my_block_idx + n - step - 1) % n;
-                let payload = to_bytes(&padded[send_block * chunk..(send_block + 1) * chunk]);
-                let sid = self.isend_inner(
-                    payload,
-                    right,
-                    tag(lop::SA_BCAST, 1 + step as u32),
-                    CTX_COLL,
-                );
-                let rid = self.irecv_inner(
-                    Some(left),
-                    Some(tag(lop::SA_BCAST, 1 + step as u32)),
-                    CTX_COLL,
-                );
-                let bytes = self.wait_recv_inner(rid).0;
-                self.wait_send_inner(sid);
-                from_bytes(
-                    &bytes,
-                    &mut padded[recv_block * chunk..(recv_block + 1) * chunk],
-                );
+            let mine = self.wait_recv_inner(rid).0;
+            keep(buf, my_block_idx, &mine);
+            mine
+        };
+        // Ring allgather of the blocks: step `s` sends block
+        // `my_block_idx - s`, which is what step `s - 1` received, so
+        // each hop passes on the handle that just arrived.
+        let right = (rank + 1) % n;
+        let left = (rank + n - 1) % n;
+        for step in 0..n - 1 {
+            let recv_block = (my_block_idx + n - step - 1) % n;
+            let t = tag(lop::SA_BCAST, 1 + step as u32);
+            carry = self.coll_sendrecv(carry, right, left, t, CTX_COLL);
+            if rank != root {
+                keep(buf, recv_block, &carry);
             }
         }
-        buf.copy_from_slice(&padded[..buf.len()]);
     }
 }

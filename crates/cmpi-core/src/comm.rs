@@ -92,7 +92,9 @@ impl Mpi {
         self.next_ctx = agreed + 1;
         // Exchange (color, key, world rank) across the parent.
         let mine = [color, key, self.rank as u64];
-        let all = self.allgather_list(&mine, parent.ranks(), cop::SPLIT + 16, parent.ctx());
+        let all = self
+            .try_allgather_list(&mine, parent.ranks(), cop::SPLIT + 16, parent.ctx())
+            .unwrap_or_else(|e| panic!("comm_split failed: {e}"));
         let mut members: Vec<(u64, u64, usize)> = all
             .chunks_exact(3)
             .filter(|c| c[0] == color)
@@ -106,38 +108,6 @@ impl Mpi {
             .insert(agreed, std::sync::Arc::new(ranks.clone()));
         self.exit(CallClass::Collective, t0);
         Comm { ctx: agreed, ranks }
-    }
-
-    /// Ring allgather over an explicit rank list (used by comm_split and
-    /// the communicator-level allgather).
-    fn allgather_list<T: MpiData>(
-        &mut self,
-        data: &[T],
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<T> {
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in group");
-        let block = data.len();
-        let mut all = vec![data[0]; block * n];
-        all[me * block..(me + 1) * block].copy_from_slice(data);
-        // Gather to position-0 rank then broadcast: simple and correct
-        // for modest group sizes.
-        let parts = self.gather_inner_ctx(to_bytes(data), list, 0, op_id, ctx);
-        if self.rank == list[0] {
-            for (world_rank, bytes) in parts {
-                let pos = list.iter().position(|&r| r == world_rank).unwrap();
-                from_bytes(&bytes, &mut all[pos * block..(pos + 1) * block]);
-            }
-        }
-        let seed = (self.rank == list[0]).then(|| to_bytes(&all));
-        let bytes = self.bcast_inner_ctx(seed, list, 0, op_id + 1, ctx);
-        from_bytes(&bytes, &mut all);
-        all
     }
 
     /// Barrier over a communicator.
@@ -188,8 +158,8 @@ impl Mpi {
     /// Allgather over a communicator (communicator-rank order).
     pub fn allgather_comm<T: MpiData>(&mut self, comm: &Comm, data: &[T]) -> Vec<T> {
         let t0 = self.enter();
-        let out = self.allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
+        let out = self.try_allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
         self.exit(CallClass::Collective, t0);
-        out
+        out.unwrap_or_else(|e| panic!("allgather failed: {e}"))
     }
 }

@@ -45,7 +45,7 @@ use bytes::Bytes;
 use crate::coll_select::CollectiveSelector;
 use crate::collectives::tag;
 use crate::comm::{cop, Comm};
-use crate::datatype::{from_bytes, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
+use crate::datatype::{from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::packet::ReqId;
@@ -421,36 +421,6 @@ impl Mpi {
         out
     }
 
-    /// Fault-tolerant gather-then-broadcast allgather over an explicit
-    /// rank list (mirrors `allgather_list`).
-    fn try_allgather_list<T: MpiData>(
-        &mut self,
-        data: &[T],
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Result<Vec<T>, MpiError> {
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in group");
-        let block = data.len();
-        let mut all = vec![data[0]; block * n];
-        all[me * block..(me + 1) * block].copy_from_slice(data);
-        let parts = self.try_gather_inner_ctx(to_bytes(data), list, 0, op_id, ctx)?;
-        if self.rank == list[0] {
-            for (world_rank, bytes) in parts {
-                let pos = list.iter().position(|&r| r == world_rank).unwrap();
-                from_bytes(&bytes, &mut all[pos * block..(pos + 1) * block]);
-            }
-        }
-        let seed = (self.rank == list[0]).then(|| to_bytes(&all));
-        let bytes = self.try_bcast_inner_ctx(seed, list, 0, op_id + 1, ctx)?;
-        from_bytes(&bytes, &mut all);
-        Ok(all)
-    }
-
     // ---- fault-tolerant communicator point-to-point -------------------------
 
     /// Fault-tolerant blocking send to communicator-rank `dst` on `comm`.
@@ -520,9 +490,6 @@ impl Mpi {
         value: T,
         rop: ReduceOp,
     ) -> Result<T, MpiError> {
-        let out = self.try_allreduce_comm(comm, &[value], rop)?;
-        let mut one = zeroed::<T>(1);
-        one.copy_from_slice(&out);
-        Ok(one[0])
+        Ok(self.try_allreduce_comm(comm, &[value], rop)?[0])
     }
 }

@@ -60,6 +60,7 @@ pub mod error;
 pub mod exec;
 pub mod failure;
 pub(crate) mod fasthash;
+pub(crate) mod frame;
 pub mod ft;
 pub mod locality;
 pub mod mailbox;

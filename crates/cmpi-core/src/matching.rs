@@ -161,19 +161,43 @@ struct Assembly {
 /// Full match key of a concrete message: `(ctx, src, tag)`.
 type MatchKey = (u32, usize, u32);
 
-/// Upper bound on retained assembly slabs; beyond this, drained buffers
-/// fall back to the allocator.
+/// Upper bound on the number of retained assembly slabs; beyond this,
+/// drained buffers fall back to the allocator.
 const SLAB_POOL_MAX: usize = 32;
 
-/// Pop a recycled slab sized to `total`, or allocate a fresh one.
-fn take_slab(slabs: &mut Vec<Vec<u8>>, total: usize) -> Vec<u8> {
-    match slabs.pop() {
-        Some(mut b) => {
-            b.clear();
-            b.resize(total, 0);
-            b
+/// Drained eager buffers kept for multi-chunk assemblies. Only a chunked
+/// SHM message ever draws from it, and a job whose peers see CMA never
+/// sends one, so the pool is bounded by bytes as well as by count: what
+/// it retains is memory the rank holds until finalize.
+#[derive(Debug, Default)]
+struct SlabPool {
+    bufs: Vec<Vec<u8>>,
+    /// Sum of the pooled buffers' capacities.
+    bytes: usize,
+}
+
+impl SlabPool {
+    /// Pop a recycled slab sized to `total`, or allocate a fresh one.
+    fn take(&mut self, total: usize) -> Vec<u8> {
+        match self.bufs.pop() {
+            Some(mut b) => {
+                self.bytes -= b.capacity();
+                b.clear();
+                b.resize(total, 0);
+                b
+            }
+            None => vec![0u8; total],
         }
-        None => vec![0u8; total],
+    }
+
+    /// Keep `buf` unless that takes the pool past `SLAB_POOL_MAX` buffers
+    /// or `budget` bytes (so no single buffer above `budget` is kept).
+    fn put(&mut self, buf: Vec<u8>, budget: usize) {
+        let cap = buf.capacity();
+        if cap > 0 && self.bufs.len() < SLAB_POOL_MAX && self.bytes + cap <= budget {
+            self.bytes += cap;
+            self.bufs.push(buf);
+        }
     }
 }
 
@@ -349,7 +373,7 @@ pub struct MatchingEngine {
     /// across buckets reproduces the linear queue's FIFO order.
     stamp: u64,
     /// Recycled multi-chunk assembly buffers.
-    slabs: Vec<Vec<u8>>,
+    slabs: SlabPool,
 }
 
 impl Default for MatchingEngine {
@@ -372,7 +396,7 @@ impl MatchingEngine {
             spare_recv_deques: Vec::new(),
             posted_wild: VecDeque::new(),
             stamp: 0,
-            slabs: Vec::new(),
+            slabs: SlabPool::default(),
         }
     }
 
@@ -436,7 +460,7 @@ impl MatchingEngine {
                 tag,
                 total,
                 received: 0,
-                buf: take_slab(slabs, total as usize),
+                buf: slabs.take(total as usize),
                 ready: SimTime::ZERO,
                 arrived: SimTime::ZERO,
                 channel,
@@ -476,22 +500,25 @@ impl MatchingEngine {
         }
     }
 
-    /// Return a drained eager payload's backing buffer to the slab pool.
+    /// Return a drained eager payload's backing buffer to the slab pool,
+    /// which may hold `budget` bytes in all (the SHM queue length: more
+    /// than that is never in flight through chunked assembly at once).
     /// No-op when the buffer is still shared (zero-copy fast-path
     /// handouts whose sender-side handle is alive) or the pool is full.
-    pub fn recycle(&mut self, data: Bytes) {
-        if self.slabs.len() < SLAB_POOL_MAX {
-            if let Ok(buf) = data.try_into_vec() {
-                if buf.capacity() > 0 {
-                    self.slabs.push(buf);
-                }
-            }
+    pub fn recycle(&mut self, data: Bytes, budget: usize) {
+        if let Ok(buf) = data.try_into_vec() {
+            self.slabs.put(buf, budget);
         }
     }
 
     /// Number of buffers currently in the slab pool (diagnostics).
     pub fn pooled_slabs(&self) -> usize {
-        self.slabs.len()
+        self.slabs.bufs.len()
+    }
+
+    /// Bytes of capacity the slab pool currently retains (diagnostics).
+    pub fn pooled_slab_bytes(&self) -> usize {
+        self.slabs.bytes
     }
 
     /// Ingest a rendezvous announcement (always a complete message).
@@ -741,6 +768,10 @@ impl MatchingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The slab pool's byte budget in these tests: the default
+    /// `smpi_length_queue`.
+    const BUDGET: usize = 128 << 10;
 
     fn eager_msg(
         e: &mut MatchingEngine,
@@ -1178,14 +1209,14 @@ mod tests {
         };
         // The handout is the sender's own buffer: sole whole ownership,
         // so it recycles into the slab pool.
-        e.recycle(data);
+        e.recycle(data, BUDGET);
         assert_eq!(e.pooled_slabs(), 1);
     }
 
     #[test]
     fn slab_pool_feeds_multi_chunk_assemblies() {
         let mut e = MatchingEngine::new();
-        e.recycle(Bytes::from(vec![0u8; 128]));
+        e.recycle(Bytes::from(vec![0u8; 128]), BUDGET);
         assert_eq!(e.pooled_slabs(), 1);
         assert!(e
             .eager_chunk(
@@ -1220,8 +1251,45 @@ mod tests {
             panic!("wrong body");
         };
         assert_eq!(&data[..], b"abcdef");
-        e.recycle(data);
+        e.recycle(data, BUDGET);
         assert_eq!(e.pooled_slabs(), 1, "drained slab must come back");
+    }
+
+    #[test]
+    fn slab_pool_is_bounded_by_bytes() {
+        let mut e = MatchingEngine::new();
+        // A halo-sized payload is more than the whole budget: never kept.
+        e.recycle(Bytes::from(vec![0u8; 1 << 20]), BUDGET);
+        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (0, 0));
+        // 48 KiB buffers: two fit 128 KiB, the third would not.
+        for _ in 0..3 {
+            e.recycle(Bytes::from(vec![0u8; 48 << 10]), BUDGET);
+        }
+        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (2, 96 << 10));
+        // An assembly draws one and gives its bytes back to the budget.
+        assert!(e
+            .eager_chunk(
+                1,
+                0,
+                0,
+                0,
+                6,
+                0,
+                Bytes::from_static(b"abc"),
+                SimTime::ZERO,
+                SimTime::ZERO,
+                Channel::Shm,
+            )
+            .is_none());
+        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (1, 48 << 10));
+        e.recycle(Bytes::from(vec![0u8; 64 << 10]), BUDGET);
+        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (2, 112 << 10));
+        // The count bound still holds for buffers too small to matter.
+        for _ in 0..2 * SLAB_POOL_MAX {
+            e.recycle(Bytes::from(vec![0u8; 8]), BUDGET);
+        }
+        assert_eq!(e.pooled_slabs(), SLAB_POOL_MAX);
+        assert!(e.pooled_slab_bytes() <= BUDGET);
     }
 
     #[test]
@@ -1229,9 +1297,9 @@ mod tests {
         let mut e = MatchingEngine::new();
         let b = Bytes::from(vec![1u8; 16]);
         let held = b.clone();
-        e.recycle(b);
+        e.recycle(b, BUDGET);
         assert_eq!(e.pooled_slabs(), 0, "shared allocation must not pool");
-        e.recycle(held.slice(1..));
+        e.recycle(held.slice(1..), BUDGET);
         assert_eq!(e.pooled_slabs(), 0, "sub-slice must not pool");
     }
 

@@ -22,7 +22,7 @@ use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
 use cmpi_prof::WaitClass;
 
-use crate::datatype::{from_bytes, reduce_into, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::locality::LocalityPolicy;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
@@ -182,8 +182,14 @@ impl Mpi {
         offset: usize,
         out: &mut [T],
     ) {
+        let bytes = self.get_wire(win, target, offset, out.len() * T::SIZE);
+        from_bytes(&bytes, out);
+    }
+
+    /// The transfer half of [`Mpi::get`]: `blen` bytes of `target`'s
+    /// window as they sit there, every cost charged.
+    fn get_wire(&mut self, win: &mut Window, target: usize, offset: usize, blen: usize) -> Vec<u8> {
         let t0 = self.enter();
-        let blen = out.len() * T::SIZE;
         let cost = self.state.cost;
         let channel = self.onesided_channel(target, blen);
         let cross = self.cross_socket(target);
@@ -225,12 +231,12 @@ impl Mpi {
                 data
             }
         };
-        from_bytes(&bytes, out);
         // A get pulls data *from* the target: the origin initiates, the
         // delivery lands here.
         self.record_tx(target, channel, blen);
         self.record_rx(target, channel, blen);
         self.exit(CallClass::OneSided, t0);
+        bytes
     }
 
     /// Elementwise accumulate into `target`'s window (`MPI_Accumulate`):
@@ -250,9 +256,9 @@ impl Mpi {
         data: &[T],
         rop: ReduceOp,
     ) -> Vec<T> {
-        let mut current = vec![data[0]; data.len()];
-        self.get(win, target, offset, &mut current);
-        reduce_into(rop, &mut current, data);
+        let resident = self.get_wire(win, target, offset, std::mem::size_of_val(data));
+        let mut current = data.to_vec();
+        reduce_from_bytes(rop, &mut current, &resident);
         // One combine per element charged as compute-side work.
         self.now += cmpi_cluster::SimTime::from_ns(2 * data.len() as u64);
         self.put(win, target, offset, &current);

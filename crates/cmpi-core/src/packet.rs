@@ -8,11 +8,9 @@
 //! immediate data. The frame is split: the fixed-size header travels in
 //! a stack [`WireHeader`] (the WQE's inline segment) while the payload
 //! rides as a reference-counted [`Bytes`] handle, so neither framing nor
-//! unframing copies or allocates for the payload. The single-buffer
-//! [`Packet::encode`]/[`Packet::decode`] forms remain for callers that
-//! want one contiguous frame.
+//! unframing copies or allocates for the payload.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use cmpi_cluster::{Channel, SimTime};
 
 /// Request identifier, unique within the issuing rank.
@@ -187,17 +185,6 @@ fn parse_kind(imm: u32, b: &[u8]) -> PacketKind {
     }
 }
 
-/// Encoded header length for a given discriminant.
-fn header_len(imm: u32) -> usize {
-    match imm {
-        K_EAGER | K_RTS => 32,
-        K_CTS => 16,
-        K_RNDV | K_FIN => 8,
-        K_REVOKE => 4,
-        other => panic!("corrupt HCA frame: unknown kind {other}"),
-    }
-}
-
 impl Packet {
     /// Frame the packet for the HCA channel without touching the heap:
     /// `(imm, header, payload)`. The header lives on the stack and the
@@ -273,29 +260,6 @@ impl Packet {
             data: payload,
         }
     }
-
-    /// Frame the packet as one contiguous buffer: `(imm, wire bytes)`.
-    /// Copies header and payload; kept for callers that want a single
-    /// frame (the hot HCA path uses [`Packet::encode_parts`]).
-    pub fn encode(&self) -> (u32, Bytes) {
-        let (imm, hdr, payload) = self.encode_parts();
-        let mut buf = BytesMut::with_capacity(hdr.len() + payload.len());
-        buf.extend_from_slice(hdr.as_slice());
-        buf.extend_from_slice(&payload);
-        (imm, buf.freeze())
-    }
-
-    /// Reconstruct a packet from a contiguous HCA frame.
-    pub fn decode(src: usize, imm: u32, wire: Bytes, available_at: SimTime) -> Packet {
-        let hdr = header_len(imm);
-        Packet {
-            src,
-            channel: Channel::Hca,
-            available_at,
-            kind: parse_kind(imm, &wire[..hdr]),
-            data: wire.slice(hdr..),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,8 +274,8 @@ mod tests {
             kind,
             data: Bytes::copy_from_slice(payload),
         };
-        let (imm, wire) = p.encode();
-        let q = Packet::decode(3, imm, wire, SimTime::from_us(9));
+        let (imm, hdr, body) = p.encode_parts();
+        let q = Packet::decode_parts(3, imm, hdr.as_slice(), body, SimTime::from_us(9));
         assert_eq!(q.kind, p.kind);
         assert_eq!(q.data, p.data);
         assert_eq!(q.src, 3);
@@ -371,11 +335,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "corrupt HCA frame")]
     fn unknown_kind_panics() {
-        Packet::decode(0, 200, Bytes::new(), SimTime::ZERO);
+        Packet::decode_parts(0, 200, &[], Bytes::new(), SimTime::ZERO);
     }
 
     #[test]
-    fn split_and_contiguous_framings_agree() {
+    fn split_framing_hands_the_payload_through_whole() {
         let payload = Bytes::from(vec![0x5au8; 1024]);
         let p = Packet {
             src: 4,
@@ -391,18 +355,17 @@ mod tests {
             data: payload.clone(),
         };
         let (imm, hdr, body) = p.encode_parts();
-        let (imm2, wire) = p.encode();
-        assert_eq!(imm, imm2);
-        assert_eq!([hdr.as_slice(), &body[..]].concat(), wire.to_vec());
+        assert_eq!(
+            hdr.len(),
+            32,
+            "eager header is ctx, tag, seq, total, offset"
+        );
         let q = Packet::decode_parts(4, imm, hdr.as_slice(), body, SimTime::from_us(3));
-        let r = Packet::decode(4, imm, wire, SimTime::from_us(3));
         assert_eq!(q.kind, p.kind);
-        assert_eq!(r.kind, p.kind);
         assert_eq!(q.data, p.data);
-        assert_eq!(r.data, p.data);
         // The split payload is the sender's own allocation (shared), not
         // a copy: dropping the other handles makes it recyclable whole.
-        drop((p, r, payload));
+        drop((p, payload));
         assert!(
             q.data.try_into_vec().is_ok(),
             "split payload must stay whole-allocation"

@@ -833,7 +833,8 @@ impl Mpi {
             buf.len()
         );
         from_bytes(&data, &mut buf[..elems]);
-        self.engine.recycle(data);
+        self.engine
+            .recycle(data, self.state.tunables.smpi_length_queue);
         status
     }
 
@@ -879,7 +880,8 @@ impl Mpi {
         let elems = status.len / T::SIZE;
         assert!(elems <= recv.len(), "message truncated");
         from_bytes(&data, &mut recv[..elems]);
-        self.engine.recycle(data);
+        self.engine
+            .recycle(data, self.state.tunables.smpi_length_queue);
         status
     }
 

@@ -33,16 +33,31 @@ use cmpi_core::JobSpec;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by the counted allocations (a `realloc` counts its
+/// new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set by every rank closure on the thread that runs it. Only those
+    /// threads are counted: while one test measures, the harness spawns
+    /// the next test's thread, and that allocates.
+    static RUNS_RANKS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 static TRACING: AtomicBool = AtomicBool::new(false);
 /// The counters are process-wide, so one test's set-up must not run
 /// inside the other's measured phase.
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Whether an allocation on this thread, now, belongs to a measured phase.
+fn counted() -> bool {
+    COUNTING.load(Ordering::Relaxed) && RUNS_RANKS.try_with(|f| f.get()).unwrap_or(false)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             if TRACING.load(Ordering::Relaxed) {
                 // Suppress recursive counting while the backtrace itself
                 // allocates.
@@ -63,8 +78,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             if TRACING.load(Ordering::Relaxed) {
                 COUNTING.store(false, Ordering::Relaxed);
                 eprintln!(
@@ -139,6 +155,7 @@ fn steady_state_eager_loop_is_allocation_free() {
     const MEASURED: u32 = 256;
     let spec = pair_spec();
     let counted = spec.run(|mpi| {
+        RUNS_RANKS.set(true);
         let payload = Bytes::from(vec![7u8; 1024]);
         let me = mpi.rank();
         let peer = 1 - me;
@@ -200,6 +217,7 @@ fn steady_state_rndv_recording_is_allocation_free() {
     const SIZE: usize = 64 * 1024; // CMA rendezvous on the intra-host pair
     let spec = pair_spec();
     let counted = spec.run(|mpi| {
+        RUNS_RANKS.set(true);
         let payload = Bytes::from(vec![7u8; SIZE]);
         let me = mpi.rank();
         let peer = 1 - me;
@@ -269,6 +287,7 @@ fn cross_host_eager_loop_allocates_only_amortised_schedule_growth() {
     ))
     .with_workers(1);
     let counted = spec.run(|mpi| {
+        RUNS_RANKS.set(true);
         let payload = Bytes::from(vec![7u8; 1024]);
         let me = mpi.rank();
         let peer = 1 - me;
@@ -311,5 +330,115 @@ fn cross_host_eager_loop_allocates_only_amortised_schedule_growth() {
         "cross-host eager loop allocated {allocs} times over {} messages = {per_msg:.3} per \
          message (rerun with CMPI_ALLOC_TRACE=1 for backtraces)",
         2 * MEASURED
+    );
+}
+
+/// The typed collectives move each payload byte once: after warm-up, the
+/// bytes a rank allocates per call stay within a small multiple of the
+/// bytes that call hands back to it (or, for a broadcast, sends), and the
+/// allocations per call within a small count. The multiples are the copy
+/// counts of DESIGN §10 "The data path"; a re-encode per hop, a decode
+/// temporary or a handle per frame shows up here as a budget overrun.
+///
+/// 16 ranks in two locality groups of 8 on one worker, so every call
+/// takes the two-level algorithms the way the benchmark's `coll64` does.
+#[test]
+fn collectives_allocate_a_small_multiple_of_what_they_return() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
+        TRACING.store(true, Ordering::Relaxed);
+    }
+    const WARMUP: u32 = 8;
+    const CALLS: u32 = 16;
+    const KIB: usize = 1024 / 8; // u64 elements
+    let spec = JobSpec::new(DeploymentScenario::containers(
+        2,
+        2,
+        4,
+        NamespaceSharing::default(),
+    ))
+    .with_workers(1);
+    let counted = spec.run(|mpi| {
+        RUNS_RANKS.set(true);
+        let (n, me) = (mpi.size(), mpi.rank());
+        // Run `call` WARMUP times, then CALLS times under the counter;
+        // rank 0 reports (allocations, bytes) of all ranks together.
+        let measure = |mpi: &mut cmpi_core::Mpi, call: &mut dyn FnMut(&mut cmpi_core::Mpi)| {
+            for _ in 0..WARMUP {
+                call(mpi);
+            }
+            mpi.barrier();
+            if me == 0 {
+                ALLOCS.store(0, Ordering::Relaxed);
+                BYTES.store(0, Ordering::Relaxed);
+                COUNTING.store(true, Ordering::Relaxed);
+            }
+            mpi.barrier();
+            for _ in 0..CALLS {
+                call(mpi);
+            }
+            mpi.barrier();
+            if me == 0 {
+                COUNTING.store(false, Ordering::Relaxed);
+            }
+            mpi.barrier();
+            (
+                ALLOCS.load(Ordering::Relaxed),
+                BYTES.load(Ordering::Relaxed),
+            )
+        };
+        let vec4k: Vec<u64> = (0..4 * KIB).map(|i| (me + i) as u64).collect();
+        let slabs: Vec<u64> = (0..n * KIB).map(|i| (me * n + i) as u64).collect();
+        let mut buf = vec4k.clone();
+        [
+            measure(mpi, &mut |mpi| {
+                mpi.allreduce(&vec4k, cmpi_core::ReduceOp::Sum);
+            }),
+            measure(mpi, &mut |mpi| mpi.bcast(&mut buf, 3)),
+            measure(mpi, &mut |mpi| {
+                mpi.allgather(&vec4k);
+            }),
+            measure(mpi, &mut |mpi| {
+                mpi.alltoall(&slabs, KIB);
+            }),
+        ]
+    });
+    let n = counted.results.len() as f64;
+    // (name, bytes a call returns to one rank, budget as a multiple of
+    // them, budget in allocations) — per rank per call, averaged over
+    // members and leaders. Measured 2.42 / 0.08 / 1.25 / 2.91 x and
+    // 3.95 / 0.18 / 4.05 / 7.75 allocations; before the data path was
+    // rebuilt 3.29 / 0.08 / 1.49 / 4.87 x and 5.70 / 0.18 / 14.67 / 53.87.
+    let budgets = [
+        // The result, one encode on the way up, and at the two leaders
+        // the wire-image accumulator of the inter-leader exchange.
+        ("allreduce 4 KiB", 4096.0, 2.75, 4.5),
+        // Only the root encodes; everyone else decodes into `buf`.
+        ("bcast 4 KiB", 4096.0, 0.25, 0.5),
+        // The result, plus the bundles staged at the leaders.
+        ("allgather 4 KiB", 16.0 * 4096.0, 1.4, 5.0),
+        // The result, one image of the group's slabs and one bundle of
+        // the external ones; leaders stage both directions once.
+        ("alltoall 1 KiB per peer", 16.0 * 1024.0, 3.25, 9.0),
+    ];
+    let mut over = Vec::new();
+    for ((name, returned, byte_multiple, count_budget), (allocs, bytes)) in
+        budgets.into_iter().zip(counted.results[0])
+    {
+        let per_call = n * CALLS as f64;
+        let (allocs, multiple) = (allocs as f64 / per_call, bytes as f64 / per_call / returned);
+        let row = format!(
+            "{name}: {allocs:.2} allocations (budget {count_budget}) and {multiple:.2} x the \
+             {returned} bytes returned (budget {byte_multiple} x)"
+        );
+        println!("{row}");
+        if multiple > byte_multiple || allocs > count_budget {
+            over.push(row);
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "per rank per call, over budget (rerun with CMPI_ALLOC_TRACE=1 for backtraces):\n{}",
+        over.join("\n")
     );
 }

@@ -55,6 +55,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/cmpi-core/src/packet.rs",
     "crates/cmpi-core/src/pt2pt.rs",
     "crates/cmpi-core/src/channel.rs",
+    "crates/cmpi-core/src/datatype.rs",
     "crates/cmpi-shmem/src/queue.rs",
     "crates/cmpi-shmem/src/segment.rs",
     "crates/cmpi-fabric/src/endpoint.rs",

@@ -4,23 +4,42 @@
 usage: symbolise.py DUMP_DIR [TOP]
 
 Every sampled pc is attributed to the mapped file that contains it and,
-within the file, to the nearest preceding function symbol `nm` lists.
-A file's load address is taken as its lowest mapping, which is right
-for position-independent executables and shared objects.
+within the file, to the function symbol of `nm -S` whose extent covers
+it. A pc past the end of the nearest preceding symbol belongs to code
+the file does not name — a stripped libc keeps only its exported
+symbols, so the IFUNC'd memmove/memset variants and the allocator's
+internals have none — and is reported by file and 4 KiB page
+(`libc.so.6+0x16d000`) rather than under a neighbour it is not part of.
+A symbol without a size (hand-written assembly) keeps every pc up to
+the next symbol. A file's load address is taken as its lowest mapping,
+which is right for position-independent executables and shared objects.
 """
 import bisect, collections, glob, re, subprocess, sys
 
 def symbols(path):
-    """(addresses, names) of the functions `path` defines, sorted by address."""
-    out = []
-    for flags in (["-C", "--defined-only"], ["-C", "-D", "--defined-only"]):
+    """(addresses, sizes, names) of the functions `path` defines, sorted by address."""
+    out = {}
+    for flags in (["-C", "-S", "--defined-only"], ["-C", "-S", "-D", "--defined-only"]):
         nm = subprocess.run(["nm", *flags, path], capture_output=True, text=True)
         for line in nm.stdout.splitlines():
-            parts = line.split(" ", 2)
-            if len(parts) == 3 and parts[1] in "tTwW":
-                out.append((int(parts[0], 16), re.sub(r"::h[0-9a-f]{16}$", "", parts[2])))
-    out = sorted(set(out))
-    return [a for a, _ in out], [n for _, n in out]
+            # "addr size type name", or "addr type name" for a symbol without a size.
+            m = re.match(r"([0-9a-f]+) (?:([0-9a-f]+) )?([tTwW]) (.*)", line)
+            if m:
+                addr, size = int(m[1], 16), int(m[2] or "0", 16)
+                name = re.sub(r"::h[0-9a-f]{16}$", "", m[4])
+                # Aliases share an address; keep the one with the largest extent.
+                if size >= out.get(addr, (-1, ""))[0]:
+                    out[addr] = (size, name)
+    addrs = sorted(out)
+    return addrs, [out[a][0] for a in addrs], [out[a][1] for a in addrs]
+
+def attribute(table, offset, file):
+    """The name `offset` into `file` is counted under."""
+    addrs, sizes, names = table
+    i = bisect.bisect_right(addrs, offset) - 1
+    if i >= 0 and (sizes[i] == 0 or offset < addrs[i] + sizes[i]):
+        return names[i]
+    return f"{file}+{offset & ~0xfff:#x}"
 
 def main():
     dumps = glob.glob(sys.argv[1] + "/*.prof")
@@ -42,10 +61,9 @@ def main():
                 continue
             if path not in tables:
                 tables[path] = symbols(path)
-            addrs, names = tables[path]
-            i = bisect.bisect_right(addrs, pc - base[path]) - 1
-            name = names[i] if i >= 0 else "?"
-            counts[f"{name}  [{path.rsplit('/', 1)[-1]}]" if ".so" in path else name] += 1
+            file = path.rsplit("/", 1)[-1]
+            name = attribute(tables[path], pc - base[path], file)
+            counts[f"{name}  [{file}]" if ".so" in path and not name.startswith(file) else name] += 1
     total = sum(counts.values())
     print(f"{total} samples of CPU time from {len(dumps)} processes")
     for name, n in counts.most_common(top):
