@@ -5,7 +5,7 @@
 //! `MPI_Test` polling on the receive side, and one `MPI_Allreduce` per
 //! level to detect termination.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use cmpi_cluster::SimTime;
 use cmpi_core::{Completion, Mpi, ReduceOp, ANY_SOURCE, ANY_TAG};
 
@@ -24,6 +24,9 @@ const TAG_END: u32 = 102;
 /// full batches travel the CMA rendezvous path while stragglers and end
 /// markers stay on SHM (this is what makes CMA dominate Table I).
 const BATCH_PAIRS: usize = 520;
+
+/// Wire size of one `(vertex, predecessor)` pair: two little-endian `u64`.
+const PAIR_BYTES: usize = 16;
 
 /// What each rank reports back to the driver.
 #[derive(Clone, Debug)]
@@ -49,6 +52,35 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
+    /// Assemble the CSR slice of vertices `[lo, hi)` from received pair
+    /// batches `(owned vertex, neighbour)` in two decode passes: count
+    /// each row into `xadj`, prefix-sum, fill. A row lists its neighbours
+    /// in block order and, within a block, in wire order — the order that
+    /// decides BFS parents.
+    pub fn from_blocks(lo: u64, hi: u64, blocks: &[Bytes]) -> LocalGraph {
+        let local_n = (hi - lo) as usize;
+        let mut xadj = vec![0usize; local_n + 1];
+        for block in blocks {
+            for (src_v, _) in decode_pairs(block) {
+                debug_assert!(src_v >= lo && src_v < hi);
+                xadj[(src_v - lo) as usize + 1] += 1;
+            }
+        }
+        for i in 0..local_n {
+            xadj[i + 1] += xadj[i];
+        }
+        let mut cursor = xadj[..local_n].to_vec();
+        let mut adj = vec![0u64; xadj[local_n]];
+        for block in blocks {
+            for (src_v, dst_v) in decode_pairs(block) {
+                let at = &mut cursor[(src_v - lo) as usize];
+                adj[*at] = dst_v;
+                *at += 1;
+            }
+        }
+        LocalGraph { lo, hi, xadj, adj }
+    }
+
     /// Number of owned vertices.
     pub fn local_n(&self) -> usize {
         (self.hi - self.lo) as usize
@@ -62,80 +94,71 @@ impl LocalGraph {
 }
 
 pub(super) fn encode_pairs(pairs: &[(u64, u64)]) -> Bytes {
-    let mut b = BytesMut::with_capacity(pairs.len() * 16);
-    for &(v, u) in pairs {
-        b.put_u64_le(v);
-        b.put_u64_le(u);
-    }
-    b.freeze()
+    // An exact-size map collects with one reservation and a 16-byte
+    // store per pair; flattening the arrays moves nothing.
+    let wire: Vec<[u8; PAIR_BYTES]> = pairs
+        .iter()
+        .map(|&(v, u)| (v as u128 | (u as u128) << 64).to_le_bytes())
+        .collect();
+    Bytes::from(wire.into_flattened())
 }
 
-pub(super) fn decode_pairs(data: &[u8]) -> Vec<(u64, u64)> {
-    assert_eq!(data.len() % 16, 0, "corrupt pair batch");
-    data.chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().unwrap()),
-                u64::from_le_bytes(c[8..16].try_into().unwrap()),
-            )
-        })
-        .collect()
+/// The pairs of one batch, front to back, borrowed from the wire image;
+/// `len()` is the batch's pair count.
+pub(super) fn decode_pairs(data: &[u8]) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+    let (pairs, rest) = data.as_chunks::<PAIR_BYTES>();
+    assert!(rest.is_empty(), "corrupt pair batch");
+    pairs.iter().map(|pair| {
+        let both = u128::from_le_bytes(*pair);
+        (both as u64, (both >> 64) as u64)
+    })
+}
+
+/// Generate share `part` of `parts` of the global edge list and bucket
+/// both directions of every edge by the owner of its first vertex under
+/// a `parts`-way partition, charging kernel 1's compute.
+pub(super) fn bucket_edges(
+    mpi: &mut Mpi,
+    cfg: &Graph500Config,
+    part: usize,
+    parts: usize,
+) -> Vec<Vec<(u64, u64)>> {
+    let n = cfg.num_vertices();
+    let m = cfg.num_edges();
+    let per = m.div_ceil(parts as u64);
+    let e_lo = (part as u64 * per).min(m);
+    let e_hi = ((part as u64 + 1) * per).min(m);
+    // Two pairs per edge, spread over `parts` owners.
+    let expected = 2 * (e_hi - e_lo) as usize / parts;
+    let mut buckets: Vec<Vec<(u64, u64)>> =
+        (0..parts).map(|_| Vec::with_capacity(expected)).collect();
+    for idx in e_lo..e_hi {
+        let (u, v) = edge(cfg.seed, cfg.scale, idx);
+        if u == v {
+            continue; // Graph 500 drops self-loops
+        }
+        buckets[owner(u, n, parts)].push((u, v));
+        buckets[owner(v, n, parts)].push((v, u));
+    }
+    // Generation cost: the reference kernel 1 is compute-heavy.
+    mpi.compute_items(e_hi - e_lo, 12);
+    buckets
 }
 
 /// Build this rank's CSR slice: every rank generates an equal share of
 /// the global edge list, routes each endpoint to its owner with
 /// `alltoallv`, and assembles local adjacency.
 pub fn build_graph(mpi: &mut Mpi, cfg: &Graph500Config) -> LocalGraph {
-    let n = cfg.num_vertices();
-    let m = cfg.num_edges();
     let p = mpi.size();
     let rank = mpi.rank();
-    let (lo, hi) = owned_range(rank, n, p);
-
-    // Generate our share of edges and bucket both directions by owner.
-    let per = m.div_ceil(p as u64);
-    let e_lo = (rank as u64 * per).min(m);
-    let e_hi = ((rank as u64 + 1) * per).min(m);
-    let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    for idx in e_lo..e_hi {
-        let (u, v) = edge(cfg.seed, cfg.scale, idx);
-        if u == v {
-            continue; // Graph 500 drops self-loops
-        }
-        buckets[owner(u, n, p)].push((u, v));
-        buckets[owner(v, n, p)].push((v, u));
-    }
-    // Generation cost: the reference kernel 1 is compute-heavy.
-    mpi.compute_items(e_hi - e_lo, 12);
-
+    let (lo, hi) = owned_range(rank, cfg.num_vertices(), p);
+    let buckets = bucket_edges(mpi, cfg, rank, p);
     let blocks: Vec<Bytes> = buckets.iter().map(|b| encode_pairs(b)).collect();
     drop(buckets);
     let incoming = mpi.alltoallv_bytes(blocks);
-
-    // Assemble CSR.
-    let local_n = (hi - lo) as usize;
-    let mut degree = vec![0usize; local_n];
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    for block in &incoming {
-        for (src_v, dst_v) in decode_pairs(block) {
-            debug_assert!(src_v >= lo && src_v < hi);
-            degree[(src_v - lo) as usize] += 1;
-            edges.push((src_v, dst_v));
-        }
-    }
-    let mut xadj = vec![0usize; local_n + 1];
-    for i in 0..local_n {
-        xadj[i + 1] = xadj[i] + degree[i];
-    }
-    let mut cursor = xadj.clone();
-    let mut adj = vec![0u64; edges.len()];
-    for (src_v, dst_v) in edges {
-        let i = (src_v - lo) as usize;
-        adj[cursor[i]] = dst_v;
-        cursor[i] += 1;
-    }
-    mpi.compute_items(adj.len() as u64, 6);
-    LocalGraph { lo, hi, xadj, adj }
+    let graph = LocalGraph::from_blocks(lo, hi, &incoming);
+    mpi.compute_items(graph.adj.len() as u64, 6);
+    graph
 }
 
 /// One full benchmark run on one rank.
@@ -179,10 +202,12 @@ pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (V
         frontier.push(root);
     }
     let mut edges_scanned = 0u64;
+    // Per-destination coalescing buckets; every flush leaves them empty,
+    // so the levels share them.
+    let mut out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
 
     loop {
         let mut next: Vec<u64> = Vec::new();
-        let mut out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
         let mut send_reqs = Vec::new();
 
         // Scan the frontier, coalescing remote discoveries.
@@ -269,17 +294,92 @@ pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pair_codec_roundtrips() {
-        let pairs = vec![(1u64, 2u64), (u64::MAX, 0), (42, 43)];
-        assert_eq!(decode_pairs(&encode_pairs(&pairs)), pairs);
-        assert!(decode_pairs(&[]).is_empty());
+        for len in [0u64, 1, BATCH_PAIRS as u64] {
+            let pairs: Vec<(u64, u64)> = (0..len).map(|i| (u64::MAX - i, i * i + 42)).collect();
+            let wire = encode_pairs(&pairs);
+            assert_eq!(wire.len(), pairs.len() * PAIR_BYTES);
+            let decoded = decode_pairs(&wire);
+            assert_eq!(decoded.len(), pairs.len());
+            assert_eq!(decoded.collect::<Vec<_>>(), pairs);
+        }
+        // Vertex first, predecessor second, both little-endian.
+        let wire = encode_pairs(&[(0x0102, 0x0304)]);
+        assert_eq!(wire[..], [2, 1, 0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "corrupt pair batch")]
     fn truncated_batch_is_rejected() {
-        decode_pairs(&[0u8; 15]);
+        let _ = decode_pairs(&[0u8; 15]);
+    }
+
+    /// The assembly `from_blocks` replaced: every incoming pair
+    /// materialised beside a degree vector, then one fill pass.
+    fn assemble_reference(lo: u64, hi: u64, blocks: &[Bytes]) -> (Vec<usize>, Vec<u64>) {
+        let local_n = (hi - lo) as usize;
+        let mut degree = vec![0usize; local_n];
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        for block in blocks {
+            for (src_v, dst_v) in decode_pairs(block) {
+                degree[(src_v - lo) as usize] += 1;
+                edges.push((src_v, dst_v));
+            }
+        }
+        let mut xadj = vec![0usize; local_n + 1];
+        for i in 0..local_n {
+            xadj[i + 1] = xadj[i] + degree[i];
+        }
+        let mut cursor = xadj.clone();
+        let mut adj = vec![0u64; edges.len()];
+        for (src_v, dst_v) in edges {
+            let i = (src_v - lo) as usize;
+            adj[cursor[i]] = dst_v;
+            cursor[i] += 1;
+        }
+        (xadj, adj)
+    }
+
+    #[test]
+    fn a_rank_that_owns_nothing_gets_an_empty_slice() {
+        // More ranks than vertices: `owned_range` hands out `[n, n)`.
+        let g = LocalGraph::from_blocks(8, 8, &[Bytes::new(), Bytes::new()]);
+        assert_eq!((g.local_n(), g.xadj, g.adj), (0, vec![0], vec![]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Adjacency order included: it decides BFS parents.
+        #[test]
+        fn from_blocks_matches_the_edge_vector_assembly(
+            lo in 0u64..1000,
+            local_n in 1u64..40,
+            raw in proptest::collection::vec(
+                proptest::collection::vec((any::<u64>(), any::<u64>()), 0..60),
+                0..8,
+            ),
+        ) {
+            let blocks: Vec<Bytes> = raw
+                .iter()
+                .map(|block| {
+                    let pairs: Vec<(u64, u64)> =
+                        block.iter().map(|&(src, dst)| (lo + src % local_n, dst)).collect();
+                    encode_pairs(&pairs)
+                })
+                .collect();
+            let g = LocalGraph::from_blocks(lo, lo + local_n, &blocks);
+            let (xadj, adj) = assemble_reference(lo, lo + local_n, &blocks);
+            prop_assert_eq!(g.local_n() as u64, local_n);
+            prop_assert_eq!(&g.xadj, &xadj);
+            prop_assert_eq!(&g.adj, &adj);
+            for v in lo..lo + local_n {
+                let i = (v - lo) as usize;
+                prop_assert_eq!(g.neighbors(v), &adj[xadj[i]..xadj[i + 1]]);
+            }
+        }
     }
 }

@@ -16,8 +16,8 @@
 use bytes::Bytes;
 use cmpi_core::{Comm, Mpi, MpiError, ReduceOp};
 
-use super::bfs::{decode_pairs, encode_pairs, LocalGraph, NO_PARENT};
-use super::generator::{bfs_root, edge, owned_range, owner};
+use super::bfs::{bucket_edges, decode_pairs, encode_pairs, LocalGraph, NO_PARENT};
+use super::generator::{bfs_root, owned_range, owner};
 use super::Graph500Config;
 
 const TAG_BUILD: u32 = 201;
@@ -114,27 +114,12 @@ fn build_graph_ft(
     cfg: &Graph500Config,
     comm: &Comm,
 ) -> Result<LocalGraph, MpiError> {
-    let n = cfg.num_vertices();
-    let m = cfg.num_edges();
     let p = comm.size();
     let me = comm
         .comm_rank_of(mpi.rank())
         .expect("rank not in communicator");
-    let (lo, hi) = owned_range(me, n, p);
-
-    let per = m.div_ceil(p as u64);
-    let e_lo = (me as u64 * per).min(m);
-    let e_hi = ((me as u64 + 1) * per).min(m);
-    let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    for idx in e_lo..e_hi {
-        let (u, v) = edge(cfg.seed, cfg.scale, idx);
-        if u == v {
-            continue;
-        }
-        buckets[owner(u, n, p)].push((u, v));
-        buckets[owner(v, n, p)].push((v, u));
-    }
-    mpi.compute_items(e_hi - e_lo, 12);
+    let (lo, hi) = owned_range(me, cfg.num_vertices(), p);
+    let buckets = bucket_edges(mpi, cfg, me, p);
 
     let mut incoming: Vec<Bytes> = Vec::with_capacity(p);
     incoming.push(encode_pairs(&buckets[me]));
@@ -153,29 +138,9 @@ fn build_graph_ft(
     }
     drop(buckets);
 
-    let local_n = (hi - lo) as usize;
-    let mut degree = vec![0usize; local_n];
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    for block in &incoming {
-        for (src_v, dst_v) in decode_pairs(block) {
-            debug_assert!(src_v >= lo && src_v < hi);
-            degree[(src_v - lo) as usize] += 1;
-            edges.push((src_v, dst_v));
-        }
-    }
-    let mut xadj = vec![0usize; local_n + 1];
-    for i in 0..local_n {
-        xadj[i + 1] = xadj[i] + degree[i];
-    }
-    let mut cursor = xadj.clone();
-    let mut adj = vec![0u64; edges.len()];
-    for (src_v, dst_v) in edges {
-        let i = (src_v - lo) as usize;
-        adj[cursor[i]] = dst_v;
-        cursor[i] += 1;
-    }
-    mpi.compute_items(adj.len() as u64, 6);
-    Ok(LocalGraph { lo, hi, xadj, adj })
+    let graph = LocalGraph::from_blocks(lo, hi, &incoming);
+    mpi.compute_items(graph.adj.len() as u64, 6);
+    Ok(graph)
 }
 
 /// Level-synchronous BFS over `comm`, all transfers fault-tolerant.

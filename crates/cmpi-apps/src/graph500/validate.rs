@@ -64,7 +64,8 @@ pub fn validate(
 ) -> bool {
     let n = cfg.num_vertices();
     let per = n.div_ceil(mpi.size() as u64) as usize;
-    let mut padded = parent.to_vec();
+    let mut padded = Vec::with_capacity(per);
+    padded.extend_from_slice(parent);
     padded.resize(per, PAD);
     debug_assert_eq!(g.local_n(), parent.len());
     let gathered = mpi.gather(&padded, 0);
@@ -116,11 +117,11 @@ pub fn check_tree_against(
     // Rule 3: chains terminate at the root. Memoized walk.
     let mut state = vec![0u8; n]; // 0 unknown, 1 in-progress, 2 ok
     state[ri] = 2;
+    let mut path = Vec::new();
     for v in 0..n {
         if parent[v] == NO_PARENT {
             continue;
         }
-        let mut path = Vec::new();
         let mut cur = v;
         while state[cur] == 0 {
             state[cur] = 1;
@@ -133,7 +134,7 @@ pub fn check_tree_against(
         if state[cur] != 2 {
             return false;
         }
-        for x in path {
+        for x in path.drain(..) {
             state[x] = 2;
         }
     }

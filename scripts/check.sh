@@ -50,7 +50,8 @@ cargo test -q --workspace
 echo "== examples smoke" >&2
 cargo build --release --examples
 for ex in quickstart locality_detection graph500_bfs npb_kernels \
-          pgas_gups profile_and_trace fault_injection coll_phases; do
+          pgas_gups profile_and_trace fault_injection coll_phases \
+          g500_phases; do
   echo "-- example: $ex" >&2
   cargo run --release --quiet --example "$ex" >/dev/null
 done
