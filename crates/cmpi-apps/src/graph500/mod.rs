@@ -10,7 +10,7 @@ pub mod generator;
 pub mod validate;
 
 use cmpi_cluster::SimTime;
-use cmpi_core::{JobResult, JobSpec, JobStats, MpiError};
+use cmpi_core::{JobResult, JobSpec, JobStats, MpiError, TelemetrySnapshot};
 
 pub use ft::FtRankOutcome;
 
@@ -74,6 +74,9 @@ pub struct Graph500Result {
     pub traversed_edges: Vec<u64>,
     /// Job-wide communication/recovery statistics.
     pub stats: JobStats,
+    /// The job's telemetry snapshot (absent only under
+    /// `JobSpec::without_telemetry`).
+    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 impl Graph500Result {
@@ -137,6 +140,7 @@ fn summarize(cfg: Graph500Config, res: JobResult<bfs::RankOutcome>) -> Graph500R
         validated,
         traversed_edges: traversed,
         stats: res.stats,
+        telemetry: res.telemetry,
     }
 }
 

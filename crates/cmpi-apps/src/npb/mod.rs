@@ -23,7 +23,7 @@ pub mod lu;
 pub mod mg;
 
 use cmpi_cluster::SimTime;
-use cmpi_core::{JobSpec, JobStats};
+use cmpi_core::{JobSpec, JobStats, TelemetrySnapshot};
 
 /// Problem-size class (reduced re-interpretations of the NPB classes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,6 +90,9 @@ pub struct KernelResult {
     pub elapsed: SimTime,
     /// Job-wide communication/recovery statistics.
     pub stats: JobStats,
+    /// The job's telemetry snapshot (absent only under
+    /// `JobSpec::without_telemetry`).
+    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 /// Run one kernel on a job spec.
@@ -114,6 +117,7 @@ pub fn run(spec: &JobSpec, kernel: Kernel, class: NpbClass) -> KernelResult {
         verified,
         elapsed,
         stats: r.stats,
+        telemetry: r.telemetry,
     }
 }
 

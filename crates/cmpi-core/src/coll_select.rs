@@ -118,7 +118,7 @@ impl CollAlgo {
 }
 
 /// The trace-event label for one (kind, algorithm) pair. Static strings
-/// because [`crate::trace::RankTrace`] stores `&'static str` names.
+/// because a [`crate::trace::TraceEvent`] stores a `&'static str` name.
 pub fn coll_trace_name(kind: CollKind, algo: CollAlgo) -> &'static str {
     match (kind, algo) {
         (CollKind::Barrier, CollAlgo::TwoLevel) => "barrier-smp",

@@ -642,7 +642,7 @@ impl Mpi {
     pub fn barrier(&mut self) {
         let t0 = self.enter();
         let algo = self.coll.select(CollKind::Barrier, 0);
-        self.record_coll_sel(CollKind::Barrier, algo);
+        self.obs.coll(CollKind::Barrier, algo);
         if algo == CollAlgo::TwoLevel {
             self.barrier_smp_inner();
         } else {
@@ -661,7 +661,7 @@ impl Mpi {
         let algo = self
             .coll
             .select(CollKind::Bcast, std::mem::size_of_val(buf));
-        self.record_coll_sel(CollKind::Bcast, algo);
+        self.obs.coll(CollKind::Bcast, algo);
         match algo {
             CollAlgo::TwoLevel => self.bcast_smp_inner(buf, root),
             CollAlgo::Large => self.bcast_scatter_allgather_inner(buf, root),
@@ -693,7 +693,7 @@ impl Mpi {
         let algo = self
             .coll
             .select(CollKind::Reduce, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Reduce, algo);
+        self.obs.coll(CollKind::Reduce, algo);
         let acc = if algo == CollAlgo::TwoLevel {
             self.reduce_smp_inner(data, rop, root)
         } else {
@@ -713,7 +713,7 @@ impl Mpi {
         let algo = self
             .coll
             .select(CollKind::Allreduce, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Allreduce, algo);
+        self.obs.coll(CollKind::Allreduce, algo);
         let out = match algo {
             CollAlgo::TwoLevel => self.allreduce_smp_inner(data, rop),
             CollAlgo::Large => self.allreduce_rabenseifner_inner(data, rop),
@@ -735,7 +735,7 @@ impl Mpi {
         let algo = self
             .coll
             .select(CollKind::Gather, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Gather, algo);
+        self.obs.coll(CollKind::Gather, algo);
         let out = if algo == CollAlgo::TwoLevel {
             let all = self.gather_smp_inner(data, root);
             (self.rank == root).then_some(all)
@@ -836,7 +836,7 @@ impl Mpi {
         let algo = self
             .coll
             .select(CollKind::Allgather, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Allgather, algo);
+        self.obs.coll(CollKind::Allgather, algo);
         let all = if algo == CollAlgo::TwoLevel {
             self.allgather_smp_inner(data)
         } else {
@@ -890,7 +890,7 @@ impl Mpi {
             "alltoall data must be n * block elements"
         );
         let algo = self.coll.select(CollKind::Alltoall, block * T::SIZE);
-        self.record_coll_sel(CollKind::Alltoall, algo);
+        self.obs.coll(CollKind::Alltoall, algo);
         let out = if algo == CollAlgo::TwoLevel {
             self.alltoall_smp_inner(data, block)
         } else {

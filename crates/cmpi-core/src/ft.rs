@@ -48,6 +48,7 @@ use crate::comm::{cop, Comm};
 use crate::datatype::{from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
+use crate::obs::{Detail, Incident};
 use crate::packet::ReqId;
 use crate::pt2pt::{Status, CTX_FT};
 use crate::runtime::{Mpi, RecvState, SendState};
@@ -85,13 +86,7 @@ impl Mpi {
     /// purely local-plus-flood: no agreement, callable from any member.
     pub fn revoke(&mut self, comm: &Comm) {
         let t0 = self.enter();
-        if self.mark_revoked(comm.ctx()) {
-            self.stats.recovery.revokes += 1;
-            if let Some(tr) = &mut self.trace {
-                tr.instant("revoke", self.now, None, None, 1);
-            }
-            self.flood_revoke(comm.ctx());
-        }
+        self.revoke_ctx(comm.ctx());
         self.exit(CallClass::Pt2pt, t0);
     }
 
@@ -252,21 +247,13 @@ impl Mpi {
             survivors.len(),
         );
         self.ctx_coll.insert(d.new_ctx, Arc::new((groups, sel)));
-        self.stats.recovery.shrinks += 1;
-        if let Some(tel) = self.tel() {
-            tel.metrics.inc(cmpi_telemetry::MetricId::FtShrinks);
-            tel.flight.record(
-                cmpi_telemetry::FlightEvent::new(
-                    cmpi_telemetry::EventKind::Shrink,
-                    self.now.as_ns(),
-                )
-                .a(d.new_ctx as u64)
-                .b(survivors.len() as u64),
-            );
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.instant("shrink", self.now, None, None, 1);
-        }
+        let detail = Detail {
+            a: d.new_ctx as u64,
+            b: survivors.len() as u64,
+            ..Detail::default()
+        };
+        self.obs
+            .incident(Incident::SHRINK, self.now, None, detail, 1);
         Comm::from_parts(d.new_ctx, survivors)
     }
 

@@ -65,6 +65,7 @@ pub mod ft;
 pub mod locality;
 pub mod mailbox;
 pub mod matching;
+pub(crate) mod obs;
 pub mod onesided;
 pub mod packet;
 pub(crate) mod peer_table;

@@ -1,0 +1,671 @@
+//! One observability store per rank.
+//!
+//! Everything the library reports about a job — the mpiP-style
+//! [`JobStats`] behind the paper's Table I and Fig. 3(a), the per-peer
+//! matrix and wait tables of a [`JobProfile`], the [`JobTrace`] timeline
+//! and the always-on [`TelemetrySnapshot`] — is read from one [`Obs`] per
+//! rank, written only by that rank, through one record call per protocol
+//! edge:
+//!
+//! | call | edge |
+//! |---|---|
+//! | [`Obs::call`] | an MPI call (or `compute`) returns |
+//! | [`Obs::route`] | a send has been put on its channel |
+//! | [`Obs::tx`] / [`Obs::rx`] / [`Obs::rx_remote`] | a payload leaves / lands / is placed in a peer's window |
+//! | [`Obs::wait`] | a two-sided request settles |
+//! | [`Obs::stall`] / [`Obs::rma_wait`] | eager-queue backpressure / a one-sided completion |
+//! | [`Obs::coll`] | the collective selector picked an algorithm |
+//! | [`Obs::rndv_step`] | the CTS or the payload of a rendezvous is handled |
+//! | [`Obs::depth`] | a receive stays posted / a message stays unexpected |
+//! | [`Obs::probe`] | an `iprobe` returns |
+//! | [`Obs::incident`] | a recovery action or a failure-lifecycle step |
+//! | [`Obs::finish`] | the rank is done recording |
+//!
+//! Inside the store a number lives in exactly one place. [`CommStats`] is
+//! the base ledger, always on. The telemetry level adds the eleven
+//! metrics nothing else keeps ([`Own`]) and the staging of flight
+//! events; the profiling level the per-peer matrix and the wait table;
+//! the tracing level the timeline. Which levels a job runs is decided
+//! once, in [`JobObs`], and checked here — never at a call site.
+//!
+//! The four results are views, built once by [`job_result`] after every
+//! rank has finished. [`rank_snapshot`] is the only place a source is mapped
+//! to a [`MetricId`]. The one structure a reader may race its writer on
+//! is the flight ring ([`cmpi_telemetry::FlightRecorder`], a
+//! model-checked seqlock); the store itself is plain memory.
+
+use std::sync::Arc;
+
+use cmpi_cluster::{Channel, SimTime};
+use cmpi_prof::{FabricCounters, JobProfile, ProfCollector, QueuePressure, WaitClass};
+use cmpi_telemetry::{
+    chan_code, EventKind, FlightEvent, FlightSnapshot, HistogramAccumulator, JobTelemetry,
+    MetricId, RankSnapshot, TelemetrySnapshot, DEFAULT_FLIGHT_CAPACITY,
+};
+
+use crate::channel::{Protocol, Route};
+use crate::coll_select::{CollAlgo, CollKind};
+use crate::pt2pt::CTX_WORLD;
+use crate::runtime::{JobResult, JobSpec, JobState};
+use crate::stats::{CallClass, CommStats, JobStats, RecoveryStats};
+use crate::trace::{flow_id, JobTrace, RankTrace};
+
+/// What a job's ranks share: the detail levels its spec asked for and
+/// the flight rings.
+pub(crate) struct JobObs {
+    tracing: bool,
+    profiling: bool,
+    /// `None` only under [`JobSpec::without_telemetry`].
+    telemetry: Option<Arc<JobTelemetry>>,
+}
+
+impl JobObs {
+    pub(crate) fn new(spec: &JobSpec) -> Self {
+        let n = spec.scenario.num_ranks();
+        JobObs {
+            tracing: spec.tracing,
+            profiling: spec.profiling,
+            telemetry: spec
+                .telemetry
+                .then(|| Arc::new(JobTelemetry::new(n, DEFAULT_FLIGHT_CAPACITY))),
+        }
+    }
+}
+
+/// Events the flight write-behind buffer holds before it spills (see
+/// `Obs::staged`).
+const FLIGHT_SPILL: usize = 16;
+
+/// The eleven metrics only this rank's record calls write.
+#[derive(Default)]
+struct Own {
+    late_sender_ns: u64,
+    late_receiver_ns: u64,
+    transfer_ns: u64,
+    eager_msgs: u64,
+    rndv_msgs: u64,
+    probe_hits: u64,
+    probe_misses: u64,
+    posted_peak: u64,
+    unexpected_peak: u64,
+    latency: HistogramAccumulator,
+    msg_size: HistogramAccumulator,
+}
+
+/// One rank's observability store (see the module docs).
+pub(crate) struct Obs {
+    rank: usize,
+    stats: CommStats,
+    /// This job's rings when the telemetry level is on. The rank is the
+    /// only writer of its own ring.
+    rings: Option<Arc<JobTelemetry>>,
+    /// Kept inline (not behind a box) for two reasons: a request settles
+    /// between a receive completing and the next send's locked queue
+    /// CAS, where stores that miss serialize into measured latency; and
+    /// on an oversubscribed core every message context-switches,
+    /// evicting any line the record calls touch — inline fields share
+    /// lines the hot path re-warms anyway, a separate allocation
+    /// re-misses every op. Only the histograms' bucket arrays are on the
+    /// heap, touched when a same-bucket run ends.
+    own: Own,
+    /// Channels this rank has routed at least one message on, as a
+    /// bitmask of `1 << chan_code::*`. Gates the first-use
+    /// `ChannelChoice` flight event so the steady-state send path stays
+    /// event-free.
+    chan_seen: u8,
+    /// Sampling counter for the per-message rendezvous handshake events
+    /// (`RndvStart`/`RndvCts`/`RndvData`): even buffered, recording all
+    /// three steps of every 64 KiB transfer costs a few percent, so the
+    /// ring keeps a 1-in-8 sample (first candidate always recorded).
+    /// Exact message counts are `eager_msgs` / `rndv_msgs`; the ring is
+    /// a diagnostic trace, not a ledger.
+    flight_sample: u8,
+    /// Write-behind buffer for high-rate flight events (rendezvous
+    /// protocol steps, channel choices): plain stores into one warm
+    /// line, spilled to the shared ring [`FLIGHT_SPILL`] at a time. A
+    /// direct ring `record` is 2–3 cold-line touches once a large
+    /// payload copy has flushed L1, which alone cost ~2 % on the 64 KiB
+    /// rendezvous kernel. Incidents hit the ring directly so they are
+    /// never lost in an unflushed buffer. Ring publication order may
+    /// therefore trail virtual-time order slightly; events carry their
+    /// own timestamps. Allocated with the store, not by the first event:
+    /// a small block that first appears between an application's large
+    /// ones pins the heap above them (+ 2.9 MiB of peak RSS on the
+    /// 16-rank Graph 500 job when it was tried).
+    staged: Vec<FlightEvent>,
+    /// The timeline, at the tracing level.
+    trace: Option<Box<RankTrace>>,
+    /// The per-peer matrix and the wait table, at the profiling level.
+    prof: Option<Box<ProfCollector>>,
+}
+
+/// Wait-state class of a blocked interval: user pt2pt traffic runs on
+/// `CTX_WORLD`; everything else (collective-internal contexts and split
+/// communicators driven by collectives) classifies as collective skew.
+fn wait_class(ctx: u32) -> WaitClass {
+    if ctx == CTX_WORLD {
+        WaitClass::Pt2pt
+    } else {
+        WaitClass::Collective
+    }
+}
+
+/// How an incident reaches its recovery counter.
+type Counter = fn(&mut RecoveryStats) -> &mut u64;
+
+/// A recovery action or a failure-lifecycle step, as its one row: trace
+/// label, flight-event kind (the init recoveries precede any traffic and
+/// stay off the ring) and the recovery counter it bumps — so the three
+/// cannot be hooked apart.
+#[derive(Clone, Copy)]
+pub(crate) struct Incident(&'static str, Option<EventKind>, Option<Counter>);
+
+#[rustfmt::skip]
+impl Incident {
+    /// This rank executed its scripted death.
+    pub(crate) const DEATH: Self = Self("death", Some(EventKind::Death), None);
+    /// The failure detector started suspecting a peer.
+    pub(crate) const SUSPECT: Self = Self("suspect", Some(EventKind::Suspect), Some(|r| &mut r.suspicions));
+    /// A peer was convicted dead; `Detail::a` is the detection latency.
+    pub(crate) const CONVICT: Self = Self("convict", Some(EventKind::Convict), Some(|r| &mut r.convictions));
+    /// A communicator revocation was initiated or first observed here.
+    pub(crate) const REVOKE: Self = Self("revoke", Some(EventKind::Revoke), Some(|r| &mut r.revokes));
+    /// A shrink decision was adopted.
+    pub(crate) const SHRINK: Self = Self("shrink", Some(EventKind::Shrink), Some(|r| &mut r.shrinks));
+    /// A fabric send completed in error and was reposted.
+    pub(crate) const SEND_RETRY: Self = Self("send-retry", Some(EventKind::SendRetry), Some(|r| &mut r.send_retries));
+    /// A peer was taken off the intra-host channels at init.
+    pub(crate) const HCA_DOWNGRADE: Self = Self("hca-downgrade", Some(EventKind::HcaDowngrade), Some(|r| &mut r.hca_downgrades));
+    /// A stale or corrupt container list was re-initialized at attach.
+    pub(crate) const LIST_RECOVERY: Self = Self("list-recovery", None, Some(|r| &mut r.list_recoveries));
+    /// A conflicting claim on this rank's list slot was repaired.
+    pub(crate) const PUBLISH_CONFLICT: Self = Self("publish-conflict-repair", None, Some(|r| &mut r.publish_conflicts));
+    /// The container list was rescanned for a silent peer.
+    pub(crate) const INIT_RETRY: Self = Self("init-retry", None, Some(|r| &mut r.init_retries));
+    /// A transient QP-creation failure was absorbed at attach.
+    pub(crate) const ATTACH_RETRY: Self = Self("attach-retry", None, Some(|r| &mut r.attach_retries));
+}
+
+/// What an incident carries beyond its kind, time and peer.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Detail {
+    /// The trace instant's `reason` (downgrade reason, fault class).
+    pub(crate) reason: Option<&'static str>,
+    /// The flight event's `detail` code.
+    pub(crate) code: u8,
+    /// The flight event's first payload word.
+    pub(crate) a: u64,
+    /// The flight event's second payload word.
+    pub(crate) b: u64,
+}
+
+impl Obs {
+    pub(crate) fn new(rank: usize, n: usize, job: &JobObs) -> Obs {
+        Obs {
+            rank,
+            stats: CommStats::default(),
+            rings: job.telemetry.clone(),
+            own: Own::default(),
+            chan_seen: 0,
+            flight_sample: 0,
+            staged: Vec::with_capacity(job.telemetry.is_some() as usize * FLIGHT_SPILL),
+            trace: job.tracing.then(Box::default),
+            prof: job.profiling.then(|| Box::new(ProfCollector::new(n))),
+        }
+    }
+
+    /// The base ledger so far.
+    pub(crate) fn stats(&self) -> &CommStats {
+        &self.stats
+    }
+
+    // ---- record calls ------------------------------------------------------
+
+    /// An MPI call of `class` (or `compute`) ran from `t0` to `t1`;
+    /// `name` labels it on the timeline.
+    #[inline]
+    pub(crate) fn call(&mut self, class: CallClass, name: &'static str, t0: SimTime, t1: SimTime) {
+        self.stats.add_time(class, t1 - t0);
+        if let Some(tr) = &mut self.trace {
+            tr.record(class, name, t0, t1);
+        }
+    }
+
+    /// Message `seq` to `dst`, posted at `posted`, is on its channel as of
+    /// `now` (`route` is `None` for the self-send shortcut): protocol
+    /// counter and message-size histogram on every call, flight events
+    /// only on protocol edges (first use of a channel, each rendezvous
+    /// start) so the eager steady state never touches the ring.
+    ///
+    /// Called *after* the wire work: the peer is already unblocked, so
+    /// these stores overlap with its processing instead of stalling the
+    /// pre-push critical path (a locked queue CAS drains the store
+    /// buffer, so even a handful of cold stores ahead of it shows up
+    /// directly in latency).
+    #[inline]
+    pub(crate) fn route(
+        &mut self,
+        dst: usize,
+        route: Option<Route>,
+        len: usize,
+        seq: u64,
+        posted: SimTime,
+        now: SimTime,
+    ) {
+        if let Some(tr) = &mut self.trace {
+            tr.flow_start(flow_id(self.rank, dst, seq), posted);
+        }
+        if self.rings.is_none() {
+            return;
+        }
+        let code = match route.map(|r| r.channel) {
+            Some(Channel::Shm) => chan_code::SHM,
+            Some(Channel::Cma) => chan_code::CMA,
+            Some(Channel::Hca) => chan_code::HCA,
+            None => chan_code::SELF,
+        };
+        let rendezvous = matches!(route, Some(r) if r.protocol == Protocol::Rendezvous);
+        let bit = 1u8 << code;
+        let first_use = self.chan_seen & bit == 0;
+        self.chan_seen |= bit;
+        self.own.msg_size.observe(len as u64);
+        if rendezvous {
+            self.own.rndv_msgs += 1;
+        } else {
+            self.own.eager_msgs += 1;
+        }
+        if rendezvous || first_use {
+            self.route_edge(dst, code, rendezvous, first_use, len, now);
+        }
+    }
+
+    /// The protocol-edge tail of [`Obs::route`], kept out of line so the
+    /// eager steady state (which takes neither branch) pays only a
+    /// not-taken jump for it.
+    fn route_edge(
+        &mut self,
+        dst: usize,
+        code: u8,
+        rendezvous: bool,
+        first_use: bool,
+        len: usize,
+        now: SimTime,
+    ) {
+        if rendezvous {
+            self.stage_sampled(
+                FlightEvent::new(EventKind::RndvStart, now.as_ns())
+                    .peer(dst)
+                    .a(len as u64),
+            );
+        }
+        if first_use {
+            self.stage(
+                FlightEvent::new(EventKind::ChannelChoice, now.as_ns())
+                    .peer(dst)
+                    .detail(code),
+            );
+        }
+    }
+
+    /// A data transfer this rank initiated: the aggregate channel
+    /// counters (Table I) always, the per-peer matrix row when profiling
+    /// — one call records both, so the row sums are the counters.
+    #[inline]
+    pub(crate) fn tx(&mut self, dst: usize, channel: Channel, bytes: usize) {
+        self.stats.record_op(channel, bytes);
+        if let Some(p) = &mut self.prof {
+            p.tx.record(dst, channel, bytes);
+        }
+    }
+
+    /// A delivery to this rank (the aggregate counters stay
+    /// initiator-side, as the paper's Table I accounting).
+    #[inline]
+    pub(crate) fn rx(&mut self, src: usize, channel: Channel, bytes: usize) {
+        if let Some(p) = &mut self.prof {
+            p.rx.record(src, channel, bytes);
+        }
+    }
+
+    /// A one-sided delivery this rank performed *into* `target`'s window
+    /// (the target executes no code for a put; assembly folds these into
+    /// its rx row).
+    #[inline]
+    pub(crate) fn rx_remote(&mut self, target: usize, channel: Channel, bytes: usize) {
+        if let Some(p) = &mut self.prof {
+            p.rx_remote.record(target, channel, bytes);
+        }
+    }
+
+    /// A two-sided request on `ctx` settled after blocking for
+    /// `late_sender + late_receiver + transfer`: the part before the
+    /// message (payload or RTS) arrived, the part before the CTS was
+    /// observable, and the remainder. A receive also closes its trace
+    /// `flow` at the completion time.
+    #[inline]
+    pub(crate) fn wait(
+        &mut self,
+        ctx: u32,
+        late_sender: SimTime,
+        late_receiver: SimTime,
+        transfer: SimTime,
+        flow: Option<(u64, SimTime)>,
+    ) {
+        let class = wait_class(ctx);
+        if self.rings.is_some() {
+            self.own.late_sender_ns += late_sender.as_ns();
+            self.own.late_receiver_ns += late_receiver.as_ns();
+            self.own.transfer_ns += transfer.as_ns();
+            if class == WaitClass::Pt2pt {
+                let blocked = late_sender + late_receiver + transfer;
+                self.own.latency.observe(blocked.as_ns());
+            }
+        }
+        self.blocked(class, late_sender, late_receiver, transfer);
+        if let (Some(tr), Some((id, at))) = (&mut self.trace, flow) {
+            tr.flow_finish(id, at);
+        }
+    }
+
+    /// A send on `ctx` waited `stalled` for the receiver to drain the
+    /// bounded eager queue. Not a completion, so it feeds the wait table
+    /// only: the always-on wait counters and the latency histogram count
+    /// settled requests.
+    pub(crate) fn stall(&mut self, ctx: u32, stalled: SimTime) {
+        self.blocked(wait_class(ctx), SimTime::ZERO, stalled, SimTime::ZERO);
+    }
+
+    /// A one-sided completion (flush, fence, synchronous get or small
+    /// put) was `waited` for; all of it is transfer. Wait table only,
+    /// like [`Obs::stall`].
+    pub(crate) fn rma_wait(&mut self, waited: SimTime) {
+        self.blocked(WaitClass::OneSided, SimTime::ZERO, SimTime::ZERO, waited);
+    }
+
+    /// One blocked interval into the wait table. Partner-not-ready time
+    /// is late-sender / late-receiver on user pt2pt traffic and arrival
+    /// skew everywhere else.
+    #[inline]
+    fn blocked(
+        &mut self,
+        class: WaitClass,
+        late_sender: SimTime,
+        late_receiver: SimTime,
+        transfer: SimTime,
+    ) {
+        if let Some(p) = &mut self.prof {
+            let w = p.waits.class_mut(class);
+            match class {
+                WaitClass::Pt2pt => w.record(late_sender, late_receiver, SimTime::ZERO, transfer),
+                _ => {
+                    let skew = late_sender + late_receiver;
+                    w.record(SimTime::ZERO, SimTime::ZERO, skew, transfer);
+                }
+            }
+        }
+    }
+
+    /// The collective selector routed one `kind` call to `algo`.
+    pub(crate) fn coll(&mut self, kind: CollKind, algo: CollAlgo) {
+        self.stats.record_coll(kind, algo);
+    }
+
+    /// A rendezvous of `len` bytes with `peer` passed `step` at `t`: the
+    /// sender dispatched the payload on the CTS (`RndvCts`) or the
+    /// receiver took delivery (`RndvData`). Sampled onto the ring, see
+    /// `flight_sample`.
+    #[inline]
+    pub(crate) fn rndv_step(&mut self, step: EventKind, t: SimTime, peer: usize, len: usize) {
+        debug_assert!(matches!(step, EventKind::RndvCts | EventKind::RndvData));
+        if self.rings.is_some() {
+            self.stage_sampled(FlightEvent::new(step, t.as_ns()).peer(peer).a(len as u64));
+        }
+    }
+
+    /// The matching queues hold `posted` receives and `unexpected`
+    /// messages after one more entry stayed in either (an entry consumed
+    /// on arrival cannot raise a high-water mark).
+    #[inline]
+    pub(crate) fn depth(&mut self, posted: usize, unexpected: usize) {
+        if self.rings.is_some() {
+            self.own.posted_peak = self.own.posted_peak.max(posted as u64);
+            self.own.unexpected_peak = self.own.unexpected_peak.max(unexpected as u64);
+        }
+    }
+
+    /// An `iprobe` returned, with a match or without.
+    pub(crate) fn probe(&mut self, hit: bool) {
+        if self.rings.is_some() {
+            if hit {
+                self.own.probe_hits += 1;
+            } else {
+                self.own.probe_misses += 1;
+            }
+        }
+    }
+
+    /// An incident at `at`, `count` occurrences folded into one event
+    /// (more than one only for the init recoveries, which are counted
+    /// before the clock runs): its recovery counter, its flight event and
+    /// its trace instant, from its one row.
+    pub(crate) fn incident(
+        &mut self,
+        Incident(label, event, counter): Incident,
+        at: SimTime,
+        peer: Option<usize>,
+        detail: Detail,
+        count: u64,
+    ) {
+        if let Some(counter) = counter {
+            *counter(&mut self.stats.recovery) += count;
+        }
+        if event == Some(EventKind::Convict) {
+            // Max-merged: the report names the slowest detection.
+            let worst = &mut self.stats.recovery.detect_ns;
+            *worst = (*worst).max(detail.a);
+        }
+        // Staged events normally stay behind incidents (see `staged`);
+        // a death is the last thing its rank's ring says, so what was
+        // staged goes first.
+        if event == Some(EventKind::Death) {
+            self.spill();
+        }
+        if let (Some(rings), Some(event)) = (&self.rings, event) {
+            let mut ev = FlightEvent::new(event, at.as_ns())
+                .detail(detail.code)
+                .a(detail.a)
+                .b(detail.b);
+            if let Some(p) = peer {
+                ev = ev.peer(p);
+            }
+            rings.ring(self.rank).record(ev);
+        }
+        if let Some(tr) = &mut self.trace {
+            tr.instant(label, at, peer, detail.reason, count);
+        }
+    }
+
+    // ---- flight staging ----------------------------------------------------
+
+    /// Queue a high-rate flight event via the write-behind buffer (see
+    /// `staged`). Only call with the telemetry level on.
+    #[inline]
+    fn stage(&mut self, ev: FlightEvent) {
+        self.staged.push(ev);
+        if self.staged.len() == FLIGHT_SPILL {
+            self.spill();
+        }
+    }
+
+    /// Queue a *sampled* high-rate flight event (see `flight_sample`).
+    /// The first candidate always records so short jobs still show the
+    /// protocol in their ring.
+    #[inline]
+    fn stage_sampled(&mut self, ev: FlightEvent) {
+        self.flight_sample = self.flight_sample.wrapping_add(1);
+        if self.flight_sample & 7 == 1 {
+            self.stage(ev);
+        }
+    }
+
+    /// Publish the staged flight events to this rank's ring.
+    fn spill(&mut self) {
+        if let Some(rings) = &self.rings {
+            let ring = rings.ring(self.rank);
+            for ev in self.staged.drain(..) {
+                ring.record(ev);
+            }
+        }
+    }
+
+    /// The rank is done recording: nothing stays staged, and the store
+    /// moves to the heap for [`job_result`] without its staging buffer
+    /// (a job's heap peaks there).
+    pub(crate) fn finish(mut self) -> Box<Obs> {
+        self.spill();
+        self.staged = Vec::new();
+        Box::new(self)
+    }
+}
+
+// ---- views ---------------------------------------------------------------------
+
+/// Turn what the finished ranks left behind (rank-ordered: return
+/// value, final clock, store) into the job's result: the four views are
+/// built here, once. The substrate counters — pair queues and mailboxes,
+/// fabric endpoints, heartbeat slots — are sampled here too, once, for
+/// every view that shows them. Each store is freed as it is read: a
+/// job's heap peaks in this function.
+pub(crate) fn job_result<R>(
+    finished: impl Iterator<Item = (R, SimTime, Box<Obs>)>,
+    state: &JobState,
+    elapsed: SimTime,
+) -> JobResult<R> {
+    let job = &state.obs;
+    let n = state.placement.num_ranks();
+    let queue = state.queue_pressure();
+    let fabric: Vec<FabricCounters> = (0..n)
+        .map(|r| match state.fabric.stats(r) {
+            Ok(s) => FabricCounters {
+                sends: s.sends,
+                send_bytes: s.send_bytes,
+                recvs: s.recvs,
+                recv_bytes: s.recv_bytes,
+                rdma_ops: s.rdma_ops,
+                rdma_bytes: s.rdma_bytes,
+            },
+            // Unprivileged containers have no endpoint.
+            Err(_) => FabricCounters::default(),
+        })
+        .collect();
+    let mut results = Vec::with_capacity(n);
+    let mut times = Vec::with_capacity(n);
+    let mut per_rank = Vec::with_capacity(n);
+    let mut timelines = Vec::new();
+    let mut collectors = Vec::new();
+    let mut snapshots = Vec::new();
+    for (rank, (out, t, store)) in finished.enumerate() {
+        results.push(out);
+        times.push(t);
+        let store = *store;
+        if let Some(rings) = &job.telemetry {
+            let flight = rings.ring(rank).snapshot();
+            // Heartbeats only flow on fault-active jobs; a zero beat
+            // means the detector never armed for this rank.
+            let beat = state.detector.last_beat(rank).as_ns();
+            let gap = if beat > 0 {
+                elapsed.as_ns().saturating_sub(beat)
+            } else {
+                0
+            };
+            let substrate = (&queue, &fabric[rank], gap);
+            snapshots.push(rank_snapshot(
+                rank,
+                &store.stats,
+                store.own,
+                flight,
+                substrate,
+            ));
+        }
+        timelines.extend(store.trace.map(|t| *t));
+        collectors.extend(store.prof.map(|p| *p));
+        per_rank.push(store.stats);
+    }
+    let telemetry = job.telemetry.is_some();
+    JobResult {
+        results,
+        times,
+        stats: JobStats::new(per_rank),
+        elapsed,
+        trace: job.tracing.then_some(JobTrace { ranks: timelines }),
+        profile: job
+            .profiling
+            .then(|| JobProfile::assemble(collectors, queue, fabric)),
+        telemetry: telemetry.then_some(TelemetrySnapshot { ranks: snapshots }),
+    }
+}
+
+/// The one-source map: where each of the 38 metrics is kept. Eleven are
+/// the store's [`Own`], fifteen are fields or column sums of the rank's
+/// [`CommStats`], twelve are substrate counters. The job-wide substrate
+/// aggregates have no rank of their own and are reported on rank 0
+/// (their help text says "job-wide"); a histogram's scalar slot stays
+/// zero.
+fn rank_snapshot(
+    rank: usize,
+    stats: &CommStats,
+    own: Own,
+    flight: FlightSnapshot,
+    (queue, fabric, heartbeat_gap_ns): (&QueuePressure, &FabricCounters, u64),
+) -> RankSnapshot {
+    let job_wide = |v: u64| if rank == 0 { v } else { 0 };
+    let selected = |algo: CollAlgo| -> u64 {
+        let calls = CollKind::ALL.iter().map(|&k| stats.coll_count(k, algo));
+        calls.sum()
+    };
+    let rec = &stats.recovery;
+    let source = |id: MetricId| match id {
+        MetricId::ShmOps => stats.channel(Channel::Shm).ops,
+        MetricId::CmaOps => stats.channel(Channel::Cma).ops,
+        MetricId::HcaOps => stats.channel(Channel::Hca).ops,
+        MetricId::ShmBytes => stats.channel(Channel::Shm).bytes,
+        MetricId::CmaBytes => stats.channel(Channel::Cma).bytes,
+        MetricId::HcaBytes => stats.channel(Channel::Hca).bytes,
+        MetricId::EagerMsgs => own.eager_msgs,
+        MetricId::RndvMsgs => own.rndv_msgs,
+        MetricId::ProbeHits => own.probe_hits,
+        MetricId::ProbeMisses => own.probe_misses,
+        MetricId::SendRetries => rec.send_retries,
+        MetricId::HcaDowngrades => rec.hca_downgrades,
+        MetricId::FtSuspicions => rec.suspicions,
+        MetricId::FtConvictions => rec.convictions,
+        MetricId::FtRevokes => rec.revokes,
+        MetricId::FtShrinks => rec.shrinks,
+        MetricId::CollFlat => selected(CollAlgo::Flat),
+        MetricId::CollTwoLevel => selected(CollAlgo::TwoLevel),
+        MetricId::CollLarge => selected(CollAlgo::Large),
+        MetricId::MailboxPushes => job_wide(queue.mailbox_pushes),
+        MetricId::MailboxParks => job_wide(queue.mailbox_parks),
+        MetricId::MailboxWakes => job_wide(queue.mailbox_wakes),
+        MetricId::ShmQueueAcquires => job_wide(queue.acquires),
+        MetricId::ShmQueueStalls => job_wide(queue.stalled_acquires),
+        MetricId::FabricSends => fabric.sends,
+        MetricId::FabricRecvs => fabric.recvs,
+        MetricId::FabricRdma => fabric.rdma_ops,
+        MetricId::LateSenderNs => own.late_sender_ns,
+        MetricId::LateReceiverNs => own.late_receiver_ns,
+        MetricId::TransferNs => own.transfer_ns,
+        MetricId::FlightEvents => flight.published,
+        MetricId::FlightDropped => flight.dropped,
+        MetricId::MatchPostedPeak => own.posted_peak,
+        MetricId::MatchUnexpectedPeak => own.unexpected_peak,
+        MetricId::HeartbeatGapNs => heartbeat_gap_ns,
+        MetricId::ShmMaxInFlight => job_wide(queue.max_in_flight),
+        MetricId::Pt2ptLatencyNs | MetricId::MsgSizeBytes => 0,
+    };
+    RankSnapshot {
+        scalars: MetricId::ALL.iter().map(|&id| source(id)).collect(),
+        histos: vec![own.latency.finish(), own.msg_size.finish()],
+        flight,
+    }
+}

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
-use cmpi_prof::WaitClass;
 
 use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::locality::LocalityPolicy;
@@ -152,13 +151,7 @@ impl Mpi {
                     // latency, which is what bounds the paper's 4-byte put
                     // rate to ~0.5 Mops/s on the Default configuration.
                     let waited = comp.completed_at.saturating_sub(self.now);
-                    self.record_wait(
-                        WaitClass::OneSided,
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                        waited,
-                    );
+                    self.obs.rma_wait(waited);
                     self.now = self.now.max(comp.completed_at) + cost.copy_time(blen as u64, false);
                 } else {
                     // Large puts are true RDMA writes: asynchronous after
@@ -168,8 +161,8 @@ impl Mpi {
                 win.pending[target] = win.pending[target].max(comp.completed_at);
             }
         }
-        self.record_tx(target, channel, blen);
-        self.record_rx_remote(target, channel, blen);
+        self.obs.tx(target, channel, blen);
+        self.obs.rx_remote(target, channel, blen);
         self.exit(CallClass::OneSided, t0);
     }
 
@@ -220,21 +213,15 @@ impl Mpi {
                     .rdma_read(self.rank, rkey, offset, blen, self.now)
                     .expect("RDMA get failed");
                 let waited = comp.completed_at.saturating_sub(self.now);
-                self.record_wait(
-                    WaitClass::OneSided,
-                    SimTime::ZERO,
-                    SimTime::ZERO,
-                    SimTime::ZERO,
-                    waited,
-                );
+                self.obs.rma_wait(waited);
                 self.now = self.now.max(comp.completed_at);
                 data
             }
         };
         // A get pulls data *from* the target: the origin initiates, the
         // delivery lands here.
-        self.record_tx(target, channel, blen);
-        self.record_rx(target, channel, blen);
+        self.obs.tx(target, channel, blen);
+        self.obs.rx(target, channel, blen);
         self.exit(CallClass::OneSided, t0);
         bytes
     }
@@ -270,13 +257,7 @@ impl Mpi {
     pub fn flush(&mut self, win: &mut Window, target: usize) {
         let t0 = self.enter();
         let waited = win.pending[target].saturating_sub(self.now);
-        self.record_wait(
-            WaitClass::OneSided,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            waited,
-        );
+        self.obs.rma_wait(waited);
         self.now = self.now.max(win.pending[target]);
         win.pending[target] = SimTime::ZERO;
         self.exit(CallClass::OneSided, t0);
@@ -291,13 +272,7 @@ impl Mpi {
             *t = SimTime::ZERO;
         }
         let waited = latest.saturating_sub(self.now);
-        self.record_wait(
-            WaitClass::OneSided,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            waited,
-        );
+        self.obs.rma_wait(waited);
         self.now = latest;
     }
 

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
-use cmpi_prof::WaitClass;
 
 use crate::channel::Protocol;
 use crate::datatype::{from_bytes, to_bytes, MpiData};
@@ -24,19 +23,6 @@ use crate::matching::{ArrivedBody, ArrivedMsg, PostedRecv};
 use crate::packet::{Packet, PacketKind, ReqId};
 use crate::runtime::{Mpi, RecvState, SendState};
 use crate::stats::CallClass;
-use crate::trace::flow_id;
-use cmpi_telemetry::{chan_code, EventKind, FlightEvent, MetricId};
-
-/// Wait-state class of a blocked interval: user pt2pt traffic runs on
-/// `CTX_WORLD`; everything else (collective-internal contexts and split
-/// communicators driven by collectives) classifies as collective skew.
-fn wait_class(ctx: u32) -> WaitClass {
-    if ctx == CTX_WORLD {
-        WaitClass::Pt2pt
-    } else {
-        WaitClass::Collective
-    }
-}
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -92,57 +78,6 @@ impl Completion {
 impl Mpi {
     // ---- internal operations (no time-class attribution) -------------------
 
-    /// Always-on routing ledger for one send: protocol counter and
-    /// message-size histogram on every call, flight events only on
-    /// protocol edges (first use of a channel, each rendezvous start) so
-    /// the eager steady state never touches the ring.
-    #[inline]
-    fn tel_route(&mut self, dst: usize, code: u8, rendezvous: bool, len: usize) {
-        if self.state.telemetry.is_none() {
-            return;
-        }
-        let bit = 1u8 << code;
-        let first_use = self.chan_seen & bit == 0;
-        self.chan_seen |= bit;
-        self.tel_observe_msg_size(len as u64);
-        if rendezvous {
-            self.tel_pending.rndv_msgs += 1;
-        } else {
-            self.tel_pending.eager_msgs += 1;
-        }
-        if rendezvous || first_use {
-            self.tel_route_edge(dst, code, rendezvous, first_use, len);
-        }
-    }
-
-    /// The protocol-edge tail of [`Mpi::tel_route`], kept out of line so
-    /// the eager steady state (which takes neither branch) pays only a
-    /// not-taken jump for it.
-    fn tel_route_edge(
-        &mut self,
-        dst: usize,
-        code: u8,
-        rendezvous: bool,
-        first_use: bool,
-        len: usize,
-    ) {
-        let now = self.now.as_ns();
-        if rendezvous {
-            self.tel_sample_flight(
-                FlightEvent::new(EventKind::RndvStart, now)
-                    .peer(dst)
-                    .a(len as u64),
-            );
-        }
-        if first_use {
-            self.tel_record_flight(
-                FlightEvent::new(EventKind::ChannelChoice, now)
-                    .peer(dst)
-                    .detail(code),
-            );
-        }
-    }
-
     /// Start a send on communicator context `ctx`.
     pub(crate) fn isend_inner(&mut self, data: Bytes, dst: usize, tag: u32, ctx: u32) -> ReqId {
         assert!(dst < self.n, "send to invalid rank {dst}");
@@ -152,18 +87,16 @@ impl Mpi {
         let id = self.fresh_req();
         let len = data.len();
         let cost = self.state.cost;
-        if let Some(tr) = &mut self.trace {
-            tr.flow_start(flow_id(self.rank, dst, seq), self.now);
-        }
+        let posted = self.now;
 
         if dst == self.rank {
             // Self-message: one local copy, straight into the matching
             // engine (bypassing `handle_packet`, so both ledger sides are
             // recorded here).
-            self.tel_route(dst, chan_code::SELF, false, len);
+            self.obs.route(dst, None, len, seq, posted, self.now);
             let ready = self.now + cost.copy_time(len as u64, false);
-            self.record_tx(dst, Channel::Shm, len);
-            self.record_rx(dst, Channel::Shm, len);
+            self.obs.tx(dst, Channel::Shm, len);
+            self.obs.rx(dst, Channel::Shm, len);
             let msg = ArrivedMsg {
                 src: self.rank,
                 ctx,
@@ -191,12 +124,6 @@ impl Mpi {
         let peer = self.view.peer(dst);
         let route = self.selector.route(&peer, len);
         let cross = self.cross_socket(dst);
-        let tel_code = match route.channel {
-            Channel::Shm => chan_code::SHM,
-            Channel::Cma => chan_code::CMA,
-            Channel::Hca => chan_code::HCA,
-        };
-        let tel_rndv = matches!(route.protocol, Protocol::Rendezvous);
         match (route.channel, route.protocol) {
             (Channel::Shm, Protocol::Eager) => {
                 let q = Arc::clone(self.state.pair_queue(self.rank, dst));
@@ -207,7 +134,7 @@ impl Mpi {
                 // Time spent waiting for the receiver to drain the pair
                 // queue — late-receiver backpressure, not transfer.
                 let mut stalled = SimTime::ZERO;
-                loop {
+                'chunks: loop {
                     let clen = chunk.min(total - off);
                     // Claim queue space; run progress while the receiver
                     // drains so cross-pair traffic cannot deadlock.
@@ -220,15 +147,7 @@ impl Mpi {
                         // full). Eager completion is local, so the send
                         // still succeeds — the remaining chunks go nowhere.
                         if q.is_closed() || self.state.detector.is_down(dst).is_some() {
-                            self.sends.insert(
-                                id,
-                                SendState::Done {
-                                    t: self.now + SimTime::from_ns(cost.request_ns),
-                                    ctx,
-                                    rndv_cts: None,
-                                },
-                            );
-                            return id;
+                            break 'chunks;
                         }
                         self.progress();
                         if q.try_acquire(clen).is_none() {
@@ -257,29 +176,14 @@ impl Mpi {
                         },
                         data: data.slice(off..off + clen),
                     });
-                    self.record_tx(dst, Channel::Shm, clen);
+                    self.obs.tx(dst, Channel::Shm, clen);
                     off += clen;
                     if off >= total {
                         break;
                     }
                 }
                 if stalled > SimTime::ZERO {
-                    match wait_class(ctx) {
-                        WaitClass::Pt2pt => self.record_wait(
-                            WaitClass::Pt2pt,
-                            SimTime::ZERO,
-                            stalled,
-                            SimTime::ZERO,
-                            SimTime::ZERO,
-                        ),
-                        class => self.record_wait(
-                            class,
-                            SimTime::ZERO,
-                            SimTime::ZERO,
-                            stalled,
-                            SimTime::ZERO,
-                        ),
-                    }
+                    self.obs.stall(ctx, stalled);
                 }
                 self.sends.insert(
                     id,
@@ -338,7 +242,7 @@ impl Mpi {
                     self.try_hca_post(dst, imm, hdr, payload, self.now, "HCA eager send")
                 {
                     self.now = info.local_done;
-                    self.record_tx(dst, Channel::Hca, len);
+                    self.obs.tx(dst, Channel::Hca, len);
                 }
                 self.sends.insert(
                     id,
@@ -384,12 +288,7 @@ impl Mpi {
             }
             (c, p) => unreachable!("selector produced impossible route {c:?}/{p:?}"),
         }
-        // Ledger the routing decision *after* the wire work: the peer is
-        // already unblocked, so the scratch stores overlap with its
-        // processing instead of stalling the pre-push critical path (a
-        // locked queue CAS drains the store buffer, so even a handful of
-        // cold stores ahead of it shows up directly in latency).
-        self.tel_route(dst, tel_code, tel_rndv, len);
+        self.obs.route(dst, Some(route), len, seq, posted, self.now);
         id
     }
 
@@ -406,12 +305,9 @@ impl Mpi {
             posted_at,
         }) {
             self.fulfill(id, msg, posted_at);
-        } else if self.state.telemetry.is_some() {
-            // The receive stayed posted: track the occupancy high-water
-            // mark (a consumed post cannot raise it).
-            let depth = self.engine.posted_len() as u64;
-            let p = &mut self.tel_pending;
-            p.posted_peak = p.posted_peak.max(depth);
+        } else {
+            self.obs
+                .depth(self.engine.posted_len(), self.engine.unexpected_len());
         }
         id
     }
@@ -426,23 +322,7 @@ impl Mpi {
             .map(|c| c.saturating_sub(t_enter).min(blocked))
             .unwrap_or(SimTime::ZERO);
         let transfer = blocked.saturating_sub(late);
-        if self.state.telemetry.is_some() {
-            self.tel_pending.late_receiver_ns += late.as_ns();
-            self.tel_pending.transfer_ns += transfer.as_ns();
-            if matches!(wait_class(ctx), WaitClass::Pt2pt) {
-                self.tel_observe_latency(blocked.as_ns());
-            }
-        }
-        match wait_class(ctx) {
-            WaitClass::Pt2pt => self.record_wait(
-                WaitClass::Pt2pt,
-                SimTime::ZERO,
-                late,
-                SimTime::ZERO,
-                transfer,
-            ),
-            class => self.record_wait(class, SimTime::ZERO, SimTime::ZERO, late, transfer),
-        }
+        self.obs.wait(ctx, SimTime::ZERO, late, transfer, None);
         self.now = done;
     }
 
@@ -454,26 +334,8 @@ impl Mpi {
         let blocked = done.saturating_sub(t_enter);
         let late = arrived.saturating_sub(t_enter).min(blocked);
         let transfer = blocked.saturating_sub(late);
-        if self.state.telemetry.is_some() {
-            self.tel_pending.late_sender_ns += late.as_ns();
-            self.tel_pending.transfer_ns += transfer.as_ns();
-            if matches!(wait_class(ctx), WaitClass::Pt2pt) {
-                self.tel_observe_latency(blocked.as_ns());
-            }
-        }
-        match wait_class(ctx) {
-            WaitClass::Pt2pt => self.record_wait(
-                WaitClass::Pt2pt,
-                late,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                transfer,
-            ),
-            class => self.record_wait(class, SimTime::ZERO, SimTime::ZERO, late, transfer),
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.flow_finish(flow, done);
-        }
+        self.obs
+            .wait(ctx, late, SimTime::ZERO, transfer, Some((flow, done)));
         self.now = done;
     }
 
@@ -915,13 +777,7 @@ impl Mpi {
             // storms are the canonical fiber-starvation loop.
             crate::exec::yield_now();
         }
-        if self.state.telemetry.is_some() {
-            self.tel_scratch.inc(if out.is_some() {
-                MetricId::ProbeHits
-            } else {
-                MetricId::ProbeMisses
-            });
-        }
+        self.obs.probe(out.is_some());
         self.exit(CallClass::Poll, t0);
         out
     }

@@ -32,7 +32,6 @@ use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 
 use crate::channel::ChannelSelector;
 use crate::coll_select::CollectiveSelector;
-use crate::coll_select::{CollAlgo, CollKind};
 use crate::collectives::SmpTopo;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
@@ -41,28 +40,22 @@ use crate::fasthash::{FastMap, FastSet};
 use crate::locality::{LocalityMap, LocalityPolicy, LocalityView};
 use crate::mailbox::RankCell;
 use crate::matching::{ArrivedBody, ArrivedMsg, MatchingEngine};
+use crate::obs::{Detail, Incident, JobObs, Obs};
 use crate::packet::{Packet, PacketKind, ReqId, WireHeader};
 use crate::peer_table::PeerTable;
 use crate::pt2pt::{Status, CTX_COLL, CTX_WORLD};
-use crate::stats::{CallClass, CommStats, JobStats, RecoveryStats};
-use crate::trace::{flow_id, JobTrace, RankTrace};
-use cmpi_prof::{FabricCounters, JobProfile, ProfCollector, QueuePressure};
-use cmpi_telemetry::{
-    EventKind, FlightEvent, JobTelemetry, LocalMetrics, MetricId, RankTelemetry, TelemetrySnapshot,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+use crate::stats::{CallClass, CommStats, JobStats};
+use crate::trace::{flow_id, JobTrace};
+use cmpi_prof::{JobProfile, QueuePressure};
+use cmpi_telemetry::{EventKind, TelemetrySnapshot};
 
 /// Bound on fabric attach (QP creation) attempts per rank.
 const MAX_ATTACH_ATTEMPTS: u32 = 5;
 
-/// What one finished rank leaves behind for the job to collect.
-type RankSlot<R> = Option<(
-    R,
-    SimTime,
-    CommStats,
-    Option<RankTrace>,
-    Option<ProfCollector>,
-)>;
+/// What one finished rank leaves behind for the job to collect. The
+/// store is boxed as the rank finishes ([`Obs::finish`]), so the slots,
+/// which exist from launch, stay a few words each.
+type RankSlot<R> = Option<(R, SimTime, Box<Obs>)>;
 
 /// Bound on reposts of a send whose completion erred transiently.
 const MAX_SEND_ATTEMPTS: u32 = 8;
@@ -93,7 +86,7 @@ pub struct JobSpec {
     /// Collect the causal profile (per-peer channel matrix + wait-state
     /// decomposition), surfaced as [`JobResult::profile`].
     pub profiling: bool,
-    /// Always-on telemetry (flight recorder + metrics registry),
+    /// Always-on telemetry (flight recorder + metrics),
     /// surfaced as [`JobResult::telemetry`]. On by default — the bench
     /// suite gates its hot-path cost at 2 % — and droppable with
     /// [`JobSpec::without_telemetry`] for overhead A/B runs.
@@ -256,24 +249,14 @@ impl JobSpec {
             }
             state.attached[r].store(ok, Ordering::Release);
         }
-        let tracing = self.tracing;
-        let profiling = self.profiling;
         let run_rank = |r: usize, state: Arc<JobState>| {
             let mut mpi = Mpi::init(r, state);
-            if tracing {
-                mpi.trace = Some(RankTrace::default());
-            }
-            if profiling {
-                mpi.prof = Some(ProfCollector::new(mpi.n));
-            }
-            mpi.emit_init_events();
             let out = f(&mut mpi);
             // Drain any protocol work peers still need from
             // us before tearing down.
             let rank = mpi.rank;
             mpi.state.finalize_barrier.wait(&mpi.state, rank);
-            mpi.tel_flush();
-            (out, mpi.now, mpi.stats, mpi.trace, mpi.prof)
+            (out, mpi.now, mpi.obs.finish())
         };
         // Every rank is a task of the execution engine (see
         // `crate::exec`): its mailbox cell is bound to its task so pokes
@@ -304,95 +287,12 @@ impl JobSpec {
         crate::exec::run_task_pool(bodies, &self.exec.resolve(), |r, hook| {
             state.cells[r].bind_task(hook)
         });
-        let mut results = Vec::with_capacity(n);
-        let mut times = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        let mut traces = Vec::with_capacity(n);
-        let mut profs = Vec::with_capacity(n);
-        for s in slots {
-            let (out, t, st, tr, pr) = s.expect("rank produced no result");
-            results.push(out);
-            times.push(t);
-            stats.push(st);
-            traces.push(tr);
-            profs.push(pr);
-        }
-        let elapsed = times.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let trace = traces[0].is_some().then(|| JobTrace {
-            ranks: traces.into_iter().map(Option::unwrap).collect(),
-        });
-        let profile = profs[0].is_some().then(|| {
-            let collectors = profs.into_iter().map(Option::unwrap).collect();
-            let fabric = (0..n)
-                .map(|r| match state.fabric.stats(r) {
-                    Ok(s) => FabricCounters {
-                        sends: s.sends,
-                        send_bytes: s.send_bytes,
-                        recvs: s.recvs,
-                        recv_bytes: s.recv_bytes,
-                        rdma_ops: s.rdma_ops,
-                        rdma_bytes: s.rdma_bytes,
-                    },
-                    // Unprivileged containers have no endpoint.
-                    Err(_) => FabricCounters::default(),
-                })
-                .collect();
-            JobProfile::assemble(collectors, state.queue_pressure(), fabric)
-        });
-        let telemetry = state.telemetry.as_ref().map(|t| {
-            // Fold the substrate counters in at the sample point: the
-            // job-wide mailbox/queue aggregates land on rank 0 (their
-            // `help()` text says "(job-wide, sampled)"), the per-endpoint
-            // fabric counters and heartbeat gaps on their own ranks.
-            let qp = state.queue_pressure();
-            let m0 = &t.rank(0).metrics;
-            m0.add(MetricId::MailboxPushes, qp.mailbox_pushes);
-            m0.add(MetricId::MailboxParks, qp.mailbox_parks);
-            m0.add(MetricId::MailboxWakes, qp.mailbox_wakes);
-            m0.add(MetricId::ShmQueueAcquires, qp.acquires);
-            m0.add(MetricId::ShmQueueStalls, qp.stalled_acquires);
-            m0.gauge_set(MetricId::ShmMaxInFlight, qp.max_in_flight);
-            for (r, rank_stats) in stats.iter().enumerate().take(n) {
-                let m = &t.rank(r).metrics;
-                // Channel ops/bytes come from the per-rank CommStats the
-                // hot path already maintains — recounting them in the
-                // telemetry scratch would double the per-message cost
-                // for numbers the stats layer has anyway.
-                for (ch, ops_id, by_id) in [
-                    (Channel::Shm, MetricId::ShmOps, MetricId::ShmBytes),
-                    (Channel::Cma, MetricId::CmaOps, MetricId::CmaBytes),
-                    (Channel::Hca, MetricId::HcaOps, MetricId::HcaBytes),
-                ] {
-                    let c = rank_stats.channel(ch);
-                    m.add(ops_id, c.ops);
-                    m.add(by_id, c.bytes);
-                }
-                if let Ok(s) = state.fabric.stats(r) {
-                    m.add(MetricId::FabricSends, s.sends);
-                    m.add(MetricId::FabricRecvs, s.recvs);
-                    m.add(MetricId::FabricRdma, s.rdma_ops);
-                }
-                // Heartbeats only flow on fault-active jobs; a zero beat
-                // means the detector never armed for this rank.
-                let beat = state.detector.last_beat(r);
-                if beat.as_ns() > 0 {
-                    m.gauge_set(
-                        MetricId::HeartbeatGapNs,
-                        elapsed.as_ns().saturating_sub(beat.as_ns()),
-                    );
-                }
-            }
-            t.snapshot()
-        });
-        JobResult {
-            results,
-            times,
-            stats: JobStats::new(stats),
-            elapsed,
-            trace,
-            profile,
-            telemetry,
-        }
+        let clocks = slots.iter().flatten().map(|s| s.1);
+        let elapsed = clocks.fold(SimTime::ZERO, SimTime::max);
+        let finished = slots
+            .into_iter()
+            .map(|s| s.expect("rank produced no result"));
+        crate::obs::job_result(finished, &state, elapsed)
     }
 
     /// Launch a fault-tolerant job: like [`JobSpec::run`], but the rank
@@ -409,21 +309,13 @@ impl JobSpec {
     }
 }
 
-/// Trace/report label for a mid-run fault class.
-fn midrun_fault_name(fault: MidRunFault) -> &'static str {
+/// Trace/report label and flight-event `detail` code of a mid-run fault
+/// class.
+fn midrun_fault_detail(fault: MidRunFault) -> (&'static str, u8) {
     match fault {
-        MidRunFault::Crash => "crash",
-        MidRunFault::ContainerKill => "container-kill",
-        MidRunFault::Hang => "hang",
-    }
-}
-
-/// Flight-event `detail` code of a mid-run fault class.
-fn midrun_fault_code(fault: MidRunFault) -> u8 {
-    match fault {
-        MidRunFault::Crash => 1,
-        MidRunFault::ContainerKill => 2,
-        MidRunFault::Hang => 3,
+        MidRunFault::Crash => ("crash", 1),
+        MidRunFault::ContainerKill => ("container-kill", 2),
+        MidRunFault::Hang => ("hang", 3),
     }
 }
 
@@ -592,11 +484,8 @@ pub(crate) struct JobState {
     /// queue lock. Initialized `true` so the first pass always drains.
     /// Shared with the fabric notifiers, like `cells`.
     fabric_ready: Arc<[AtomicBool]>,
-    /// Always-on per-rank instruments (None only under
-    /// [`JobSpec::without_telemetry`]). Rank threads write their own
-    /// slot; the finalize path folds substrate counters in and
-    /// snapshots.
-    pub(crate) telemetry: Option<JobTelemetry>,
+    /// The observability levels this job runs and its flight rings.
+    pub(crate) obs: JobObs,
     /// Transient QP-creation failures absorbed per rank during attach.
     attach_retries: Vec<std::sync::atomic::AtomicU32>,
     /// Per-rank mailboxes. Behind an `Arc` of their own so a fabric
@@ -652,9 +541,7 @@ impl JobState {
             decisions: DecisionLog::default(),
             ft_ctx: AtomicU32::new(FT_CTX_BASE),
             fabric_ready: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            telemetry: spec
-                .telemetry
-                .then(|| JobTelemetry::new(n, DEFAULT_FLIGHT_CAPACITY)),
+            obs: JobObs::new(spec),
             attach_retries: (0..n)
                 .map(|_| std::sync::atomic::AtomicU32::new(0))
                 .collect(),
@@ -729,8 +616,9 @@ impl JobState {
     }
 
     /// Aggregate backpressure counters over every instantiated pair queue
-    /// and every rank mailbox (collected at finalize for the job profile).
-    fn queue_pressure(&self) -> QueuePressure {
+    /// and every rank mailbox (sampled once, when the job's views are
+    /// built).
+    pub(crate) fn queue_pressure(&self) -> QueuePressure {
         let mut out = QueuePressure::default();
         let rows = self.queues.iter().filter_map(|slot| slot.get());
         for q in rows.flat_map(|row| row.iter().filter_map(OnceLock::get)) {
@@ -836,39 +724,6 @@ pub(crate) enum RecvState {
     },
 }
 
-/// The per-rank MPI handle — the library's ADI3 surface.
-/// Size of the flight-event write-behind buffer (see
-/// [`Mpi::tel_record_flight`]).
-const FLIGHT_SPILL: usize = 16;
-
-/// Hot settle-path telemetry accumulator (see the `tel_pending` field
-/// docs): a handful of plain counters plus a one-bucket latency
-/// histogram cache, sized to stay within a cache line.
-#[derive(Default)]
-pub(crate) struct TelPending {
-    pub(crate) late_sender_ns: u64,
-    pub(crate) late_receiver_ns: u64,
-    pub(crate) transfer_ns: u64,
-    pub(crate) eager_msgs: u64,
-    pub(crate) rndv_msgs: u64,
-    pub(crate) posted_peak: u64,
-    pub(crate) unexpected_peak: u64,
-    pub(crate) coll_flat: u64,
-    pub(crate) coll_two_level: u64,
-    pub(crate) coll_large: u64,
-    lat_sum: u64,
-    lat_count: u64,
-    lat_bucket: u32,
-    /// Zero-latency observations, counted apart from the bucket cache: a
-    /// windowed workload settles most requests with no blocking at all,
-    /// and the zeros would otherwise alternate with the occasional real
-    /// wait and defeat the one-bucket cache every time.
-    lat_zero: u64,
-    msg_sum: u64,
-    msg_count: u64,
-    msg_bucket: u32,
-}
-
 /// What a rank remembers about one peer (see [`Mpi::peers`]).
 #[derive(Clone, Copy, Default)]
 pub(crate) struct PeerState {
@@ -885,6 +740,7 @@ pub(crate) struct PeerState {
     pub(crate) copy_busy: SimTime,
 }
 
+/// The per-rank MPI handle — the library's ADI3 surface.
 pub struct Mpi {
     pub(crate) rank: usize,
     pub(crate) n: usize,
@@ -901,7 +757,9 @@ pub struct Mpi {
     pub(crate) smp_topo: Arc<SmpTopo>,
     pub(crate) view: LocalityView,
     pub(crate) engine: MatchingEngine,
-    pub(crate) stats: CommStats,
+    /// This rank's observability store: every counter, event and timing
+    /// it reports goes through one of its record calls.
+    pub(crate) obs: Obs,
     pub(crate) next_req: ReqId,
     pub(crate) sends: FastMap<ReqId, SendState>,
     pub(crate) recvs: FastMap<ReqId, RecvState>,
@@ -946,48 +804,6 @@ pub struct Mpi {
     /// Collective topology for shrink-produced contexts: the survivor
     /// policy groups and a selector sized to the shrunk membership.
     pub(crate) ctx_coll: FastMap<u32, Arc<ShrunkTopology>>,
-    /// Channels this rank has routed at least one message on, as a
-    /// bitmask of `1 << cmpi_telemetry::chan_code::*`. Gates the
-    /// first-use `ChannelChoice` flight event so the steady-state send
-    /// path stays event-free.
-    pub(crate) chan_seen: u8,
-    /// This thread's unsynchronized metric scratch: hot-path counters
-    /// and histogram samples accumulate here with plain arithmetic and
-    /// merge into the shared slab once, at rank teardown — a dozen
-    /// locked RMWs per message would cost ~10 % on the eager path.
-    pub(crate) tel_scratch: Box<LocalMetrics>,
-    /// Write-behind buffer for high-rate flight events (rendezvous
-    /// protocol steps, channel choices): plain stores into one warm
-    /// line, spilled to the shared ring in batches. A direct ring
-    /// `record` is 2–3 cold-line touches once a large payload copy has
-    /// flushed L1, which alone cost ~2 % on the 64 KiB rendezvous
-    /// kernel. Rare critical events (convict, revoke, death, retry,
-    /// downgrade) still hit the ring directly so they are never lost in
-    /// an unflushed buffer. Ring publication order may therefore trail
-    /// virtual-time order slightly; events carry their own timestamps.
-    pub(crate) tel_flight_buf: [FlightEvent; FLIGHT_SPILL],
-    pub(crate) tel_flight_len: u8,
-    /// Sampling counter for the per-message rendezvous handshake events
-    /// (`RndvStart`/`RndvCts`/`RndvData`): even buffered, recording all
-    /// three steps of every 64 KiB transfer costs a few percent, so the
-    /// ring keeps a 1-in-8 sample (first candidate always recorded).
-    /// Exact message counts live in the metrics registry (`EagerMsgs`,
-    /// `RndvMsgs`); the ring is a diagnostic trace, not a ledger.
-    pub(crate) tel_flight_sample: u8,
-    /// Per-message telemetry accumulator, kept inline (not behind the
-    /// scratch box) for two reasons: settle runs between a receive
-    /// completing and the next send's locked queue CAS, where stores
-    /// that miss serialize into measured latency; and on an
-    /// oversubscribed core every message context-switches, evicting any
-    /// line the hooks touch — inline fields share lines the hot path
-    /// re-warms anyway, a separate allocation re-misses every op.
-    /// Spilled into `tel_scratch` on histogram-bucket change and at
-    /// [`Mpi::tel_flush`].
-    pub(crate) tel_pending: TelPending,
-    /// Recorded timeline when tracing is enabled.
-    pub(crate) trace: Option<RankTrace>,
-    /// Causal-profile collector when profiling is enabled.
-    pub(crate) prof: Option<ProfCollector>,
     /// Reusable scratch buffer for batched mailbox drains in `progress`;
     /// its capacity persists across ticks so the steady-state drain path
     /// never allocates.
@@ -1005,7 +821,6 @@ impl Mpi {
     fn init(rank: usize, state: Arc<JobState>) -> Mpi {
         let n = state.placement.num_ranks();
         let plan = state.faults.clone();
-        let mut recovery = RecoveryStats::default();
         // Phase 1: publish membership into the host's container list,
         // validating (and if needed recovering) the segment header.
         let (list, report) = LocalityView::publish_with(
@@ -1015,15 +830,13 @@ impl Mpi {
             rank,
             &plan,
         );
-        if matches!(
+        let list_recoveries = matches!(
             report.outcome,
             AttachOutcome::RecoveredStale | AttachOutcome::RecoveredCorrupt
-        ) {
-            recovery.list_recoveries = 1;
-        }
+        ) as u64;
         // relaxed-ok: report-only read of a monotonic counter; the launch
         // thread finished all attaches before the rank threads spawned.
-        recovery.attach_retries = state.attach_retries[rank].load(Ordering::Relaxed) as u64;
+        let attach_retries = state.attach_retries[rank].load(Ordering::Relaxed) as u64;
         // Wake-ups for fabric arrivals.
         if state.attached[rank].load(Ordering::Acquire) {
             // The callback lives as long as the fabric, which the job
@@ -1049,21 +862,23 @@ impl Mpi {
         // conflicting claim overwrote it; a second barrier keeps scans
         // off the unsettled list. The plan is job-wide, so every rank
         // takes the same branch and the barrier count matches.
+        let mut publish_conflicts = 0;
         if !plan.is_empty() {
-            recovery.publish_conflicts =
+            publish_conflicts =
                 LocalityView::repair_own_slot(&list, &state.cluster, &state.placement, rank, &plan);
             state.repair_barrier.wait(&state, rank);
         }
         // Each absorbed attach failure cost one backed-off QP-creation
         // round trip of virtual time.
         let mut now = SimTime::ZERO;
-        for k in 0..recovery.attach_retries {
+        for k in 0..attach_retries {
             now += SimTime::from_ns(state.cost.hca_post_ns << k.min(8));
         }
         // Bounded rescan for expected-but-silent co-resident publishers:
         // a wedged peer gets a grace period before being written off.
         // Silent bytes never appear after the barrier in this model, so
         // the retry count is a pure function of the plan.
+        let mut init_retries = 0;
         if !plan.is_empty() && !matches!(state.policy, LocalityPolicy::Hostname) {
             let my_cont = state.cluster.container(state.placement.loc(rank).container);
             let expected: Vec<usize> = (0..n)
@@ -1074,11 +889,11 @@ impl Mpi {
                     }
                 })
                 .collect();
-            while recovery.init_retries < MAX_INIT_RETRIES as u64
+            while init_retries < MAX_INIT_RETRIES as u64
                 && expected.iter().any(|&p| list.membership_of(p) == 0)
             {
-                now += SimTime::from_us(50 << recovery.init_retries);
-                recovery.init_retries += 1;
+                now += SimTime::from_us(50 << init_retries);
+                init_retries += 1;
             }
         }
         // Phase 2: scan the list and resolve peers. Fault-free jobs take
@@ -1097,7 +912,28 @@ impl Mpi {
                 &plan,
             )
         };
-        recovery.hca_downgrades = view.num_downgraded();
+        // Ledger what init had to repair or route around, stamped at the
+        // end of init: downgrades show up in the health surface even when
+        // nobody asked for a trace, and a Perfetto view shows *why* a
+        // pair ended up on the HCA before the first message flows.
+        let mut obs = Obs::new(rank, n, &state.obs);
+        for (peer, reason) in view.downgraded_peers() {
+            let detail = Detail {
+                reason: Some(reason.name()),
+                ..Detail::default()
+            };
+            obs.incident(Incident::HCA_DOWNGRADE, now, Some(peer), detail, 1);
+        }
+        for (kind, count) in [
+            (Incident::LIST_RECOVERY, list_recoveries),
+            (Incident::PUBLISH_CONFLICT, publish_conflicts),
+            (Incident::INIT_RETRY, init_retries),
+            (Incident::ATTACH_RETRY, attach_retries),
+        ] {
+            if count > 0 {
+                obs.incident(kind, now, None, Detail::default(), count);
+            }
+        }
         let selector = ChannelSelector::new(state.policy, state.tunables);
         // All ranks derive identical groups from the same placement, so
         // one rank computes them and the rest share the Arc — per-rank
@@ -1109,7 +945,6 @@ impl Mpi {
             ))
         }));
         let coll = CollectiveSelector::new(state.policy, state.tunables, smp_topo.groups(), n);
-        let stats = CommStats::with_recovery(recovery);
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
         let ft_active = plan.has_midrun_faults();
         let mut ctx_members = FastMap::default();
@@ -1126,7 +961,7 @@ impl Mpi {
             smp_topo,
             view,
             engine: MatchingEngine::new(),
-            stats,
+            obs,
             next_req: 1,
             sends: FastMap::default(),
             recvs: FastMap::default(),
@@ -1143,14 +978,6 @@ impl Mpi {
             convicted_seen: FastSet::default(),
             shrink_gen: FastMap::default(),
             ctx_coll: FastMap::default(),
-            chan_seen: 0,
-            tel_flight_buf: [FlightEvent::new(EventKind::ChannelChoice, 0); FLIGHT_SPILL],
-            tel_flight_len: 0,
-            tel_flight_sample: 0,
-            tel_scratch: Box::default(),
-            tel_pending: TelPending::default(),
-            trace: None,
-            prof: None,
             drain_buf: Vec::new(),
             fabric_buf: Vec::new(),
             world_list,
@@ -1189,17 +1016,14 @@ impl Mpi {
 
     /// A snapshot of this rank's statistics so far.
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        self.obs.stats()
     }
 
     /// Charge `t` of computation (time spent outside MPI).
     pub fn compute(&mut self, t: SimTime) {
         let t0 = self.now;
         self.now += t;
-        self.stats.add_time(CallClass::Compute, t);
-        if let Some(tr) = &mut self.trace {
-            tr.record(CallClass::Compute, "compute", t0, self.now);
-        }
+        self.obs.call(CallClass::Compute, "compute", t0, self.now);
     }
 
     /// Model computation proportional to `work_items` at `ns_per_item`.
@@ -1230,202 +1054,11 @@ impl Mpi {
     /// [`Mpi::exit`] with an explicit trace label (collectives record the
     /// selected algorithm, e.g. `"bcast-smp"`, instead of the class name).
     pub(crate) fn exit_named(&mut self, class: CallClass, t0: SimTime, name: &'static str) {
-        self.stats.add_time(class, self.now - t0);
-        if let Some(tr) = &mut self.trace {
-            tr.record(class, name, t0, self.now);
-        }
+        self.obs.call(class, name, t0, self.now);
     }
 
     pub(crate) fn cross_socket(&self, peer: usize) -> bool {
         peer != self.rank && !self.view.peer(peer).same_socket
-    }
-
-    /// This rank's always-on instruments (`None` only under
-    /// [`JobSpec::without_telemetry`]). The rank thread is the sole
-    /// flight-ring writer; metric slabs tolerate concurrent snapshots.
-    #[inline]
-    pub(crate) fn tel(&self) -> Option<&RankTelemetry> {
-        self.state.telemetry.as_ref().map(|t| t.rank(self.rank))
-    }
-
-    /// Ledger one collective-selector decision: the per-(kind, algo)
-    /// audit matrix always, plus the always-on decision counters.
-    pub(crate) fn record_coll_sel(&mut self, kind: CollKind, algo: CollAlgo) {
-        self.stats.record_coll(kind, algo);
-        if self.state.telemetry.is_some() {
-            match algo {
-                CollAlgo::Flat => self.tel_pending.coll_flat += 1,
-                CollAlgo::TwoLevel => self.tel_pending.coll_two_level += 1,
-                CollAlgo::Large => self.tel_pending.coll_large += 1,
-            }
-        }
-    }
-
-    /// Queue a high-rate flight event via the write-behind buffer (see
-    /// the `tel_flight_buf` field docs). Only call with telemetry on.
-    #[inline]
-    pub(crate) fn tel_record_flight(&mut self, ev: FlightEvent) {
-        let n = self.tel_flight_len as usize;
-        self.tel_flight_buf[n] = ev;
-        self.tel_flight_len += 1;
-        if self.tel_flight_len as usize == FLIGHT_SPILL {
-            self.tel_flight_spill();
-        }
-    }
-
-    /// Queue a *sampled* high-rate flight event: 1-in-8 of the
-    /// per-message rendezvous handshake steps reach the ring (see the
-    /// `tel_flight_sample` field docs). The first candidate always
-    /// records so short jobs still show the protocol in their trace.
-    #[inline]
-    pub(crate) fn tel_sample_flight(&mut self, ev: FlightEvent) {
-        self.tel_flight_sample = self.tel_flight_sample.wrapping_add(1);
-        if self.tel_flight_sample & 7 == 1 {
-            self.tel_record_flight(ev);
-        }
-    }
-
-    /// Publish the buffered flight events to this rank's ring.
-    pub(crate) fn tel_flight_spill(&mut self) {
-        if let Some(t) = self.state.telemetry.as_ref() {
-            let flight = &t.rank(self.rank).flight;
-            for ev in &self.tel_flight_buf[..self.tel_flight_len as usize] {
-                flight.record(*ev);
-            }
-        }
-        self.tel_flight_len = 0;
-    }
-
-    /// Merge the scratch into this rank's shared slab (teardown, and any
-    /// point a live reader is about to sample).
-    pub(crate) fn tel_flush(&mut self) {
-        self.tel_flight_spill();
-        if let Some(t) = self.state.telemetry.as_ref() {
-            let p = &mut self.tel_pending;
-            if p.late_sender_ns > 0 {
-                self.tel_scratch
-                    .add(MetricId::LateSenderNs, p.late_sender_ns);
-                p.late_sender_ns = 0;
-            }
-            if p.late_receiver_ns > 0 {
-                self.tel_scratch
-                    .add(MetricId::LateReceiverNs, p.late_receiver_ns);
-                p.late_receiver_ns = 0;
-            }
-            if p.transfer_ns > 0 {
-                self.tel_scratch.add(MetricId::TransferNs, p.transfer_ns);
-                p.transfer_ns = 0;
-            }
-            if p.eager_msgs > 0 {
-                self.tel_scratch.add(MetricId::EagerMsgs, p.eager_msgs);
-                p.eager_msgs = 0;
-            }
-            if p.rndv_msgs > 0 {
-                self.tel_scratch.add(MetricId::RndvMsgs, p.rndv_msgs);
-                p.rndv_msgs = 0;
-            }
-            if p.coll_flat > 0 {
-                self.tel_scratch.add(MetricId::CollFlat, p.coll_flat);
-                p.coll_flat = 0;
-            }
-            if p.coll_two_level > 0 {
-                self.tel_scratch
-                    .add(MetricId::CollTwoLevel, p.coll_two_level);
-                p.coll_two_level = 0;
-            }
-            if p.coll_large > 0 {
-                self.tel_scratch.add(MetricId::CollLarge, p.coll_large);
-                p.coll_large = 0;
-            }
-            if p.posted_peak > 0 {
-                self.tel_scratch
-                    .gauge_max(MetricId::MatchPostedPeak, p.posted_peak);
-                p.posted_peak = 0;
-            }
-            if p.unexpected_peak > 0 {
-                self.tel_scratch
-                    .gauge_max(MetricId::MatchUnexpectedPeak, p.unexpected_peak);
-                p.unexpected_peak = 0;
-            }
-            if p.lat_count > 0 {
-                self.tel_scratch.observe_bulk(
-                    MetricId::Pt2ptLatencyNs,
-                    p.lat_bucket as usize,
-                    p.lat_count,
-                    p.lat_sum,
-                );
-                p.lat_count = 0;
-                p.lat_sum = 0;
-            }
-            if p.lat_zero > 0 {
-                self.tel_scratch
-                    .observe_bulk(MetricId::Pt2ptLatencyNs, 0, p.lat_zero, 0);
-                p.lat_zero = 0;
-            }
-            if p.msg_count > 0 {
-                self.tel_scratch.observe_bulk(
-                    MetricId::MsgSizeBytes,
-                    p.msg_bucket as usize,
-                    p.msg_count,
-                    p.msg_sum,
-                );
-                p.msg_count = 0;
-                p.msg_sum = 0;
-            }
-            self.tel_scratch.flush_into(&t.rank(self.rank).metrics);
-        }
-    }
-
-    /// Record one pt2pt blocking latency via the pending same-bucket
-    /// cache: consecutive samples that land in one log2 bucket (the
-    /// common case — virtual-time latencies repeat) cost three plain
-    /// adds on the hot line; the histogram proper is only touched when
-    /// the bucket changes.
-    #[inline]
-    pub(crate) fn tel_observe_latency(&mut self, v: u64) {
-        if v == 0 {
-            // The windowed common case: the completion was already in
-            // hand, nothing blocked. One add, no bucket math.
-            self.tel_pending.lat_zero += 1;
-            return;
-        }
-        let b = cmpi_prof::size_bucket(v as usize) as u32;
-        let p = &mut self.tel_pending;
-        if b != p.lat_bucket && p.lat_count > 0 {
-            self.tel_scratch.observe_bulk(
-                MetricId::Pt2ptLatencyNs,
-                p.lat_bucket as usize,
-                p.lat_count,
-                p.lat_sum,
-            );
-            p.lat_count = 0;
-            p.lat_sum = 0;
-        }
-        p.lat_bucket = b;
-        p.lat_count += 1;
-        p.lat_sum += v;
-    }
-
-    /// Record one sent-message size via the pending same-bucket cache
-    /// (same rationale as [`Mpi::tel_observe_latency`]; a ping-pong
-    /// stream repeats one size forever).
-    #[inline]
-    pub(crate) fn tel_observe_msg_size(&mut self, v: u64) {
-        let b = cmpi_prof::size_bucket(v as usize) as u32;
-        let p = &mut self.tel_pending;
-        if b != p.msg_bucket && p.msg_count > 0 {
-            self.tel_scratch.observe_bulk(
-                MetricId::MsgSizeBytes,
-                p.msg_bucket as usize,
-                p.msg_count,
-                p.msg_sum,
-            );
-            p.msg_count = 0;
-            p.msg_sum = 0;
-        }
-        p.msg_bucket = b;
-        p.msg_count += 1;
-        p.msg_sum += v;
     }
 
     // ---- mid-run fault tolerance --------------------------------------------
@@ -1468,16 +1101,14 @@ impl Mpi {
         // its program order, so a peer that observes the death and then
         // drains its mailbox sees every pre-death packet.
         self.state.detector.mark_down(&[self.rank], self.now, fault);
-        self.tel_flight_spill();
-        if let Some(tel) = self.tel() {
-            tel.flight.record(
-                FlightEvent::new(EventKind::Death, self.now.as_ns())
-                    .detail(midrun_fault_code(fault)),
-            );
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.instant("death", self.now, None, Some(midrun_fault_name(fault)), 1);
-        }
+        let (name, code) = midrun_fault_detail(fault);
+        let detail = Detail {
+            reason: Some(name),
+            code,
+            ..Detail::default()
+        };
+        self.obs
+            .incident(Incident::DEATH, self.now, None, detail, 1);
         match fault {
             // A hung rank keeps its endpoint and queues: only lease
             // expiry — never a transport error — reveals it.
@@ -1534,80 +1165,48 @@ impl Mpi {
 
     /// Ledger a conviction: advance the clock to the deterministic
     /// conviction time (death + lease) and, on first observation of this
-    /// peer's death, record suspicion/conviction stats and trace events.
+    /// peer's death, record the suspicion and the conviction.
     pub(crate) fn convict(&mut self, d: Death) {
         let convict_at = self.state.detector.convict_time(&d);
         self.now = self.now.max(convict_at);
         if self.convicted_seen.insert(d.rank) {
             self.state.detector.suspect(self.rank, d.rank);
-            self.stats.recovery.suspicions += 1;
-            self.stats.recovery.convictions += 1;
-            self.stats.recovery.detect_ns = self
-                .stats
-                .recovery
-                .detect_ns
-                .max(self.now.as_ns() - d.at.as_ns());
-            if let Some(tel) = self.tel() {
-                tel.metrics.inc(MetricId::FtSuspicions);
-                tel.metrics.inc(MetricId::FtConvictions);
-                tel.flight
-                    .record(FlightEvent::new(EventKind::Suspect, convict_at.as_ns()).peer(d.rank));
-                tel.flight.record(
-                    FlightEvent::new(EventKind::Convict, self.now.as_ns())
-                        .peer(d.rank)
-                        .a(self.now.as_ns() - d.at.as_ns()),
-                );
-            }
-            if let Some(tr) = &mut self.trace {
-                tr.instant("suspect", convict_at, Some(d.rank), None, 1);
-                tr.instant(
-                    "convict",
-                    self.now,
-                    Some(d.rank),
-                    Some(midrun_fault_name(d.kind)),
-                    1,
-                );
-            }
+            let peer = Some(d.rank);
+            self.obs
+                .incident(Incident::SUSPECT, convict_at, peer, Detail::default(), 1);
+            let detail = Detail {
+                reason: Some(midrun_fault_detail(d.kind).0),
+                a: self.now.as_ns() - d.at.as_ns(),
+                ..Detail::default()
+            };
+            self.obs
+                .incident(Incident::CONVICT, self.now, peer, detail, 1);
         }
     }
 
-    /// Mark `ctx` revoked locally, pairing the user world context and the
-    /// collective-internal context (they are one communicator). Returns
-    /// whether `ctx` itself was freshly marked.
-    pub(crate) fn mark_revoked(&mut self, ctx: u32) -> bool {
-        let fresh = self.revoked.insert(ctx);
+    /// Revoke `ctx` at this rank — its own `revoke` call or the first
+    /// notice to arrive: mark it (with its pair: the user world context
+    /// and the collective-internal context are one communicator), ledger
+    /// it, and push the notice to every member's mailbox. Mark-first, so
+    /// the flood terminates: a repeat is dropped here. Best effort: dead
+    /// peers' mailboxes absorb the notice harmlessly. The flood is
+    /// out-of-band control traffic — every receiver re-floods once, so
+    /// the notice survives the originator dying mid-flood.
+    pub(crate) fn revoke_ctx(&mut self, ctx: u32) {
+        if !self.revoked.insert(ctx) {
+            return;
+        }
         if ctx == CTX_COLL {
             self.revoked.insert(CTX_WORLD);
         } else if ctx == CTX_WORLD {
             self.revoked.insert(CTX_COLL);
         }
-        fresh
-    }
-
-    /// Process an incoming revocation notice: the first receipt marks
-    /// the context revoked and re-floods the notice (mark-first, so the
-    /// flood terminates); repeats are dropped.
-    fn handle_revoke_packet(&mut self, ctx: u32) {
-        if !self.mark_revoked(ctx) {
-            return;
-        }
-        self.stats.recovery.revokes += 1;
-        if let Some(tel) = self.tel() {
-            tel.metrics.inc(MetricId::FtRevokes);
-            tel.flight
-                .record(FlightEvent::new(EventKind::Revoke, self.now.as_ns()).a(ctx as u64));
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.instant("revoke", self.now, None, None, 1);
-        }
-        self.flood_revoke(ctx);
-    }
-
-    /// Push the revocation notice for `ctx` to every member's mailbox
-    /// (best effort: dead peers' mailboxes absorb it harmlessly). The
-    /// flood is out-of-band control traffic — every receiver re-floods
-    /// once, so the notice survives the originator dying mid-flood.
-    pub(crate) fn flood_revoke(&mut self, ctx: u32) {
+        let detail = Detail {
+            a: ctx as u64,
+            ..Detail::default()
+        };
+        self.obs
+            .incident(Incident::REVOKE, self.now, None, detail, 1);
         let members: Arc<Vec<usize>> = match self.ctx_members.get(&ctx) {
             Some(m) => Arc::clone(m),
             None => Arc::clone(&self.state.world_members),
@@ -1624,86 +1223,6 @@ impl Mpi {
                 kind: PacketKind::Revoke { ctx },
                 data: Bytes::new(),
             });
-        }
-    }
-
-    /// Ledger a data transfer this rank initiated: the aggregate channel
-    /// counters (Table I) always, plus the per-peer matrix row when
-    /// profiling.
-    pub(crate) fn record_tx(&mut self, dst: usize, channel: Channel, bytes: usize) {
-        self.stats.record_op(channel, bytes);
-        if let Some(p) = &mut self.prof {
-            p.tx.record(dst, channel, bytes);
-        }
-    }
-
-    /// Ledger a delivery to this rank (profiling only — the aggregate
-    /// counters stay initiator-side, as the seed's Table I accounting).
-    pub(crate) fn record_rx(&mut self, src: usize, channel: Channel, bytes: usize) {
-        if let Some(p) = &mut self.prof {
-            p.rx.record(src, channel, bytes);
-        }
-    }
-
-    /// Ledger a one-sided delivery this rank performed *into* `target`'s
-    /// window (the target executes no code for a put; assembly folds these
-    /// into its rx row).
-    pub(crate) fn record_rx_remote(&mut self, target: usize, channel: Channel, bytes: usize) {
-        if let Some(p) = &mut self.prof {
-            p.rx_remote.record(target, channel, bytes);
-        }
-    }
-
-    /// Attribute one blocked interval to the wait-state table.
-    pub(crate) fn record_wait(
-        &mut self,
-        class: cmpi_prof::WaitClass,
-        late_sender: SimTime,
-        late_receiver: SimTime,
-        arrival_skew: SimTime,
-        transfer: SimTime,
-    ) {
-        if let Some(p) = &mut self.prof {
-            p.waits
-                .class_mut(class)
-                .record(late_sender, late_receiver, arrival_skew, transfer);
-        }
-    }
-
-    /// Replay init-time incidents (HCA downgrades, recovery actions) into
-    /// the trace as instant events, so a Perfetto view shows *why* a pair
-    /// ended up on the HCA before the first message flows.
-    pub(crate) fn emit_init_events(&mut self) {
-        let downgrades: Vec<(usize, crate::locality::DowngradeReason)> =
-            self.view.downgraded_peers().collect();
-        // Telemetry is unconditional: downgrades must show up in the
-        // health surface even when nobody asked for a trace.
-        if let Some(tel) = self.tel() {
-            for (peer, _) in &downgrades {
-                tel.metrics.inc(MetricId::HcaDowngrades);
-                tel.flight.record(
-                    FlightEvent::new(EventKind::HcaDowngrade, self.now.as_ns()).peer(*peer),
-                );
-            }
-        }
-        if self.trace.is_none() {
-            return;
-        }
-        let recovery = self.stats.recovery;
-        let t = self.now;
-        let tr = self.trace.as_mut().expect("checked above");
-        for (peer, reason) in downgrades {
-            tr.instant("hca-downgrade", t, Some(peer), Some(reason.name()), 1);
-        }
-        for (name, count) in [
-            ("list-recovery", recovery.list_recoveries),
-            ("publish-conflict-repair", recovery.publish_conflicts),
-            ("init-retry", recovery.init_retries),
-            ("attach-retry", recovery.attach_retries),
-        ] {
-            if count > 0 {
-                tr.instant(name, t, None, None, count);
-            }
         }
     }
 
@@ -1818,7 +1337,7 @@ impl Mpi {
                     Channel::Cma => unreachable!("eager data never travels on CMA"),
                 };
                 self.peers.get_mut(pkt.src).copy_busy = chunk_ready;
-                self.record_rx(pkt.src, pkt.channel, len);
+                self.obs.rx(pkt.src, pkt.channel, len);
                 if let Some(msg) = self.engine.eager_chunk(
                     pkt.src,
                     ctx,
@@ -1878,7 +1397,7 @@ impl Mpi {
                     },
                 );
             }
-            PacketKind::Revoke { ctx } => self.handle_revoke_packet(ctx),
+            PacketKind::Revoke { ctx } => self.revoke_ctx(ctx),
         }
     }
 
@@ -1888,11 +1407,8 @@ impl Mpi {
             Some(p) => self.fulfill(p.rreq, msg, p.posted_at),
             None => {
                 self.engine.push_unexpected(msg);
-                if self.state.telemetry.is_some() {
-                    let depth = self.engine.unexpected_len() as u64;
-                    let p = &mut self.tel_pending;
-                    p.unexpected_peak = p.unexpected_peak.max(depth);
-                }
+                self.obs
+                    .depth(self.engine.posted_len(), self.engine.unexpected_len());
             }
         }
     }
@@ -2002,14 +1518,8 @@ impl Mpi {
         let t = pkt.available_at;
         let len = data.len();
         self.send_control(dst, PacketKind::RndvData { rreq }, data, channel, t);
-        self.record_tx(dst, channel, len);
-        if self.state.telemetry.is_some() {
-            self.tel_sample_flight(
-                FlightEvent::new(EventKind::RndvCts, t.as_ns())
-                    .peer(dst)
-                    .a(len as u64),
-            );
-        }
+        self.obs.tx(dst, channel, len);
+        self.obs.rndv_step(EventKind::RndvCts, t, dst, len);
         self.sends.insert(
             sreq,
             SendState::AwaitFin {
@@ -2065,14 +1575,8 @@ impl Mpi {
             Channel::Shm => unreachable!("rendezvous payload never travels on SHM"),
         };
         self.send_control(src, PacketKind::Fin { sreq }, Bytes::new(), channel, t);
-        self.record_rx(src, channel, size);
-        if self.state.telemetry.is_some() {
-            self.tel_sample_flight(
-                FlightEvent::new(EventKind::RndvData, t.as_ns())
-                    .peer(src)
-                    .a(size as u64),
-            );
-        }
+        self.obs.rx(src, channel, size);
+        self.obs.rndv_step(EventKind::RndvData, t, src, size);
         let status = Status {
             src,
             tag,
@@ -2162,15 +1666,8 @@ impl Mpi {
             ) {
                 Ok(info) => return Some(info),
                 Err(FabricError::TransientCompletion { .. }) => {
-                    self.stats.recovery.send_retries += 1;
-                    if let Some(tel) = self.tel() {
-                        tel.metrics.inc(MetricId::SendRetries);
-                        tel.flight
-                            .record(FlightEvent::new(EventKind::SendRetry, t.as_ns()).peer(dst));
-                    }
-                    if let Some(tr) = &mut self.trace {
-                        tr.instant("send-retry", t, Some(dst), None, 1);
-                    }
+                    self.obs
+                        .incident(Incident::SEND_RETRY, t, Some(dst), Detail::default(), 1);
                     t += SimTime::from_ns(self.state.cost.hca_post_ns << attempt.min(8));
                 }
                 Err(FabricError::NotAttached(r))

@@ -21,6 +21,7 @@
 
 use cmpi_cluster::SimTime;
 use cmpi_prof::Json;
+use cmpi_telemetry::{chrome_event, chrome_instant};
 
 use crate::stats::CallClass;
 
@@ -178,33 +179,30 @@ impl JobTrace {
     pub fn to_json(&self) -> Json {
         let mut events = Vec::new();
         for (rank, rt) in self.ranks.iter().enumerate() {
-            let tid = Json::num(rank as u64);
             for e in &rt.events {
-                events.push(Json::Obj(vec![
-                    ("name".into(), Json::str(e.name)),
-                    ("cat".into(), Json::str(e.class.name())),
-                    ("ph".into(), Json::str("X")),
-                    ("pid".into(), Json::num(0)),
-                    ("tid".into(), tid.clone()),
-                    ("ts".into(), Json::Num(e.start.as_us_f64())),
-                    ("dur".into(), Json::Num((e.end - e.start).as_us_f64())),
-                ]));
+                let dur = Json::Num((e.end - e.start).as_us_f64());
+                let tail = vec![("dur".to_string(), dur)];
+                let ts = e.start.as_us_f64();
+                events.push(chrome_event(
+                    e.name,
+                    e.class.name(),
+                    "X",
+                    None,
+                    rank,
+                    ts,
+                    tail,
+                ));
             }
             for f in &rt.flows {
-                let mut fields = vec![
-                    ("name".into(), Json::str("msg")),
-                    ("cat".into(), Json::str("flow")),
-                    ("ph".into(), Json::str(if f.start { "s" } else { "f" })),
-                    ("id".into(), Json::Str(format!("{:#x}", f.id))),
-                    ("pid".into(), Json::num(0)),
-                    ("tid".into(), tid.clone()),
-                    ("ts".into(), Json::Num(f.at.as_us_f64())),
-                ];
-                if !f.start {
+                let (ph, tail) = if f.start {
+                    ("s", Vec::new())
+                } else {
                     // Bind the arrowhead to the enclosing slice.
-                    fields.push(("bp".into(), Json::str("e")));
-                }
-                events.push(Json::Obj(fields));
+                    ("f", vec![("bp".to_string(), Json::str("e"))])
+                };
+                let id = Some(("id", Json::Str(format!("{:#x}", f.id))));
+                let ts = f.at.as_us_f64();
+                events.push(chrome_event("msg", "flow", ph, id, rank, ts, tail));
             }
             for i in &rt.instants {
                 let mut args = vec![("count".to_string(), Json::num(i.count))];
@@ -214,16 +212,8 @@ impl JobTrace {
                 if let Some(d) = i.detail {
                     args.push(("reason".into(), Json::str(d)));
                 }
-                events.push(Json::Obj(vec![
-                    ("name".into(), Json::str(i.name)),
-                    ("cat".into(), Json::str("incident")),
-                    ("ph".into(), Json::str("i")),
-                    ("s".into(), Json::str("t")),
-                    ("pid".into(), Json::num(0)),
-                    ("tid".into(), tid.clone()),
-                    ("ts".into(), Json::Num(i.at.as_us_f64())),
-                    ("args".into(), Json::Obj(args)),
-                ]));
+                let ts = i.at.as_us_f64();
+                events.push(chrome_instant(i.name, "incident", rank, ts, args));
             }
         }
         Json::Arr(events)

@@ -98,9 +98,9 @@ fn per_rank_heap_is_bounded_and_independent_of_job_size() {
         large * 4 <= small * 5,
         "per-rank heap grew with the job: {small} B/rank at 256 ranks, {large} B/rank at 2048"
     );
-    // Measured 4 820 B/rank when this budget was set (DESIGN.md §16 says
+    // Measured 3 233 B/rank when this budget was set (DESIGN.md §16 says
     // what the bytes are); + 25 %.
-    const BUDGET: usize = 6_025;
+    const BUDGET: usize = 4_041;
     assert!(
         small <= BUDGET,
         "a rank of a 256-rank noop job holds {small} B of heap, budget {BUDGET} B"

@@ -52,6 +52,7 @@ pub const RELAXED_WHITELIST: &[&str] = &["crates/cmpi-model/src/"];
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/cmpi-core/src/mailbox.rs",
     "crates/cmpi-core/src/matching.rs",
+    "crates/cmpi-core/src/obs.rs",
     "crates/cmpi-core/src/packet.rs",
     "crates/cmpi-core/src/pt2pt.rs",
     "crates/cmpi-core/src/channel.rs",
@@ -458,7 +459,7 @@ fn fn_body(src: &str, marker: &str) -> Option<String> {
 }
 
 /// Rule 6: every `MetricId` variant appears both in the DESIGN.md
-/// metric inventory table (§15) and in the exhaustive
+/// metric inventory table (§11) and in the exhaustive
 /// `exposition_covers_every_metric` test in cmpi-telemetry's
 /// `metrics.rs` — the same closed loop the error-display rule keeps for
 /// `MpiError`, so a metric cannot be added without being documented and
@@ -513,7 +514,7 @@ pub fn lint_metric_ids(metrics_src: &str, design_md: &str) -> Vec<Violation> {
 
 /// Rule 7: every analyzer rule name ([`crate::analyze::RULES`]) appears
 /// in the DESIGN.md §17 rule inventory — the same closed documentation
-/// loop the error-display (§14) and metric-ids (§15) rules keep, so an
+/// loop the error-display (§14) and metric-ids (§11) rules keep, so an
 /// analyzer pass cannot be added without its obligations and annotation
 /// grammar being written down.
 pub fn lint_rule_inventory(design_md: &str) -> Vec<Violation> {

@@ -94,7 +94,7 @@ pub fn profiled_run(
 }
 
 /// Run `kernel` once and return the always-on telemetry snapshot
-/// (metric registry + flight rings) for exactly that communication
+/// (metrics + flight rings) for exactly that communication
 /// pattern — what `osu --metrics` prints.
 pub fn metrics_run(
     spec: &JobSpec,

@@ -57,7 +57,7 @@ pub struct QueuePressure {
     pub max_in_flight: u64,
     /// Packets pushed into rank mailboxes (lock-free MPSC path).
     pub mailbox_pushes: u64,
-    /// Times a rank parked on its mailbox condvar (empty-queue idle).
+    /// Times a rank's task descheduled on its empty mailbox.
     pub mailbox_parks: u64,
     /// Cross-thread wakeups delivered to parked ranks.
     pub mailbox_wakes: u64,

@@ -2,7 +2,7 @@
 //! snapshots, producing per-rank and job-level verdicts.
 //!
 //! Rules are deliberately simple ratio/watermark tests over the
-//! always-on registry — the point is a cheap steady-state signal an
+//! always-on metrics — the point is a cheap steady-state signal an
 //! operator (or the roadmap's elastic scheduler) can poll without
 //! re-running a job under the profiler. Each firing names its rule,
 //! scope and evidence; an all-clear produces an empty finding list,
@@ -257,20 +257,10 @@ pub fn evaluate_default(snap: &TelemetrySnapshot) -> HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{RankMetrics, RankSnapshot};
-    use crate::ring::FlightSnapshot;
+    use crate::metrics::{rank_with, RankSnapshot};
 
-    fn snap(metrics: Vec<RankMetrics>) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            ranks: metrics
-                .iter()
-                .map(|m| RankSnapshot {
-                    scalars: m.snapshot_scalars(),
-                    histos: m.snapshot_histos(),
-                    flight: FlightSnapshot::default(),
-                })
-                .collect(),
-        }
+    fn snap(ranks: Vec<RankSnapshot>) -> TelemetrySnapshot {
+        TelemetrySnapshot { ranks }
     }
 
     #[test]
@@ -278,18 +268,14 @@ mod tests {
         let report = evaluate_default(&snap(Vec::new()));
         assert!(report.is_ok());
         assert_eq!(report.status, HealthStatus::Ok);
-        let m = RankMetrics::default();
-        m.add(MetricId::ShmOps, 100);
-        m.add(MetricId::TransferNs, 1_000_000);
+        let m = rank_with(&[(MetricId::ShmOps, 100), (MetricId::TransferNs, 1_000_000)]);
         let report = evaluate_default(&snap(vec![m]));
         assert!(report.is_ok(), "{:?}", report.findings);
     }
 
     #[test]
     fn conviction_is_critical() {
-        let m = RankMetrics::default();
-        m.inc(MetricId::FtConvictions);
-        m.inc(MetricId::FtRevokes);
+        let m = rank_with(&[(MetricId::FtConvictions, 1), (MetricId::FtRevokes, 1)]);
         let report = evaluate_default(&snap(vec![m]));
         assert_eq!(report.status, HealthStatus::Critical);
         assert_eq!(report.findings[0].rule, "rank-failure");
@@ -299,10 +285,10 @@ mod tests {
     #[test]
     fn late_sender_skew_escalates_with_ratio() {
         let mk = |late: u64, transfer: u64| {
-            let m = RankMetrics::default();
-            m.add(MetricId::LateSenderNs, late);
-            m.add(MetricId::TransferNs, transfer);
-            m
+            rank_with(&[
+                (MetricId::LateSenderNs, late),
+                (MetricId::TransferNs, transfer),
+            ])
         };
         // Below the volume floor: silent even at a huge ratio.
         let report = evaluate_default(&snap(vec![mk(50_000, 1)]));
@@ -318,10 +304,10 @@ mod tests {
     #[test]
     fn stall_ratio_needs_volume() {
         let mk = |stalls: u64, acquires: u64| {
-            let m = RankMetrics::default();
-            m.add(MetricId::ShmQueueStalls, stalls);
-            m.add(MetricId::ShmQueueAcquires, acquires);
-            m
+            rank_with(&[
+                (MetricId::ShmQueueStalls, stalls),
+                (MetricId::ShmQueueAcquires, acquires),
+            ])
         };
         assert!(
             evaluate_default(&snap(vec![mk(10, 20)])).is_ok(),
@@ -336,11 +322,7 @@ mod tests {
 
     #[test]
     fn heartbeat_gap_tracks_lease() {
-        let mk = |gap: u64| {
-            let m = RankMetrics::default();
-            m.gauge_set(MetricId::HeartbeatGapNs, gap);
-            m
-        };
+        let mk = |gap: u64| rank_with(&[(MetricId::HeartbeatGapNs, gap)]);
         assert!(evaluate_default(&snap(vec![mk(10_000)])).is_ok());
         let report = evaluate_default(&snap(vec![mk(150_000)]));
         assert_eq!(report.status, HealthStatus::Warn);
@@ -352,10 +334,7 @@ mod tests {
     #[test]
     fn probe_storm_warns_on_miss_ratio() {
         let mk = |hits: u64, misses: u64| {
-            let m = RankMetrics::default();
-            m.add(MetricId::ProbeHits, hits);
-            m.add(MetricId::ProbeMisses, misses);
-            m
+            rank_with(&[(MetricId::ProbeHits, hits), (MetricId::ProbeMisses, misses)])
         };
         assert!(
             evaluate_default(&snap(vec![mk(10, 100)])).is_ok(),
@@ -372,9 +351,10 @@ mod tests {
 
     #[test]
     fn report_json_round_trips() {
-        let m = RankMetrics::default();
-        m.inc(MetricId::FtConvictions);
-        m.gauge_set(MetricId::HeartbeatGapNs, 400_000);
+        let m = rank_with(&[
+            (MetricId::FtConvictions, 1),
+            (MetricId::HeartbeatGapNs, 400_000),
+        ]);
         let report = evaluate_default(&snap(vec![m]));
         let doc = report.to_json().to_string();
         let parsed = Json::parse(&doc).expect("health JSON must parse");

@@ -1,25 +1,26 @@
-//! Always-on observability for container-MPI jobs.
+//! Always-on observability for container-MPI jobs: what is cheap enough
+//! to never turn off (the benchmark reports the telemetry-on/off ratio
+//! of the eager ping-pong with every run).
 //!
-//! Three pieces, all cheap enough to never turn off (the bench suite
-//! gates the telemetry-on/off delta at 2 % on the hot kernels):
+//! Three pieces:
 //!
 //! * a **flight recorder** ([`FlightRecorder`]) — a fixed-capacity,
 //!   allocation-free per-rank event ring recording protocol
 //!   transitions, channel choices, retries/downgrades and
-//!   failure-detector events, dumpable as Chrome-trace JSON;
-//! * a **metrics registry** ([`RankMetrics`], [`MetricId`]) — typed
-//!   counters/gauges/log2 histograms behind a static id table (no
-//!   string lookups on the hot path), snapshotted to Prometheus text
-//!   and JSON exposition;
+//!   failure-detector events, dumpable as Chrome-trace JSON. The ring is
+//!   the one structure here a reader may race its writer on, and the
+//!   model checker proves the slot protocol;
+//! * a **metric vocabulary** ([`MetricId`], [`RankSnapshot`],
+//!   [`TelemetrySnapshot`]) — typed counters/gauges/log2 histograms
+//!   behind a static id table, rendered as Prometheus text and JSON;
 //! * a **health evaluator** ([`evaluate`]) — threshold rules over
 //!   snapshots producing per-rank/per-job verdicts.
 //!
-//! This crate is substrate-agnostic: `cmpi-core` owns the
-//! [`JobTelemetry`] instance (one [`RankTelemetry`] per rank, shared
-//! via `Arc`), feeds the hot-path hooks, folds substrate counters in
-//! at sample points, and surfaces snapshots through `JobResult`. The
-//! opt-in PR 3 profiler answers *why was this job slow* after the
-//! fact; this crate answers *is this job healthy* while it runs.
+//! This crate is substrate-agnostic and keeps no number of its own:
+//! `cmpi-core` owns the [`JobTelemetry`] rings, each rank's store holds
+//! the values only that rank writes (in [`HistogramAccumulator`]s and
+//! plain fields), and one function there maps every [`MetricId`] to its
+//! source when the job's [`TelemetrySnapshot`] is built at teardown.
 
 #![forbid(unsafe_code)]
 
@@ -31,8 +32,8 @@ pub use health::{
     evaluate, evaluate_default, HealthFinding, HealthReport, HealthStatus, HealthThresholds,
 };
 pub use metrics::{
-    validate_prometheus, AtomicHistogram, HistogramSnapshot, LocalMetrics, MetricId, MetricKind,
-    RankMetrics, RankSnapshot, TelemetrySnapshot, NUM_METRICS,
+    validate_prometheus, HistogramAccumulator, HistogramSnapshot, MetricId, MetricKind,
+    RankSnapshot, TelemetrySnapshot, NUM_METRICS,
 };
 pub use ring::{
     chan_code, chan_code_name, EventKind, FlightEvent, FlightRecorder, FlightSnapshot,
@@ -41,75 +42,71 @@ pub use ring::{
 
 use cmpi_prof::Json;
 
-/// One rank's always-on instruments: its metric slab plus its flight
-/// ring. The owning rank thread is the only writer; snapshot readers
-/// may run concurrently.
-pub struct RankTelemetry {
-    /// The typed metric slab.
-    pub metrics: RankMetrics,
-    /// The event ring.
-    pub flight: FlightRecorder,
-}
-
-/// A whole job's telemetry: one [`RankTelemetry`] per rank, created at
-/// job setup and shared (`Arc`) between the rank threads and whoever
-/// snapshots.
+/// A whole job's flight rings, one per rank, created at job setup and
+/// shared between the ranks (each the only writer of its own ring) and
+/// whoever snapshots.
 pub struct JobTelemetry {
-    ranks: Vec<RankTelemetry>,
+    rings: Vec<FlightRecorder>,
 }
 
 impl JobTelemetry {
-    /// Instruments for `num_ranks` ranks with `flight_capacity` events
-    /// of ring per rank (see [`DEFAULT_FLIGHT_CAPACITY`]).
+    /// Rings for `num_ranks` ranks holding `flight_capacity` events each
+    /// (see [`DEFAULT_FLIGHT_CAPACITY`]).
     pub fn new(num_ranks: usize, flight_capacity: usize) -> JobTelemetry {
         JobTelemetry {
-            ranks: (0..num_ranks)
-                .map(|_| RankTelemetry {
-                    metrics: RankMetrics::default(),
-                    flight: FlightRecorder::new(flight_capacity),
-                })
+            rings: (0..num_ranks)
+                .map(|_| FlightRecorder::new(flight_capacity))
                 .collect(),
         }
     }
 
-    /// Number of ranks instrumented.
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// One rank's instruments.
-    pub fn rank(&self, rank: usize) -> &RankTelemetry {
-        &self.ranks[rank]
-    }
-
-    /// Point-in-time copy of every rank's metrics and ring. The
-    /// flight-recorder volume counters ([`MetricId::FlightEvents`],
-    /// [`MetricId::FlightDropped`]) are sampled from the rings here
-    /// rather than double-counted on the record path.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            ranks: self
-                .ranks
-                .iter()
-                .map(|r| {
-                    let flight = r.flight.snapshot();
-                    let mut scalars = r.metrics.snapshot_scalars();
-                    scalars[MetricId::FlightEvents.index()] = flight.published;
-                    scalars[MetricId::FlightDropped.index()] = flight.dropped;
-                    RankSnapshot {
-                        scalars,
-                        histos: r.metrics.snapshot_histos(),
-                        flight,
-                    }
-                })
-                .collect(),
-        }
+    /// One rank's ring.
+    pub fn ring(&self, rank: usize) -> &FlightRecorder {
+        &self.rings[rank]
     }
 }
 
-/// Append one ring snapshot's Chrome trace-event objects (`ph:"i"`
-/// instants, `tid` = rank, microsecond timestamps) to `out`.
-pub(crate) fn ring_chrome_events(flight: &FlightSnapshot, rank: usize, out: &mut Vec<Json>) {
+/// The one place a Chrome trace-event object is built (`pid` 0, `tid` =
+/// rank, microsecond timestamps). `lead` is the field the phase wants
+/// ahead of the ids (an instant's scope `s`, a flow's `id`), `tail` what
+/// follows the timestamp (`dur`, `bp`, `args`).
+pub fn chrome_event(
+    name: &str,
+    cat: &str,
+    ph: &str,
+    lead: Option<(&str, Json)>,
+    rank: usize,
+    ts_us: f64,
+    tail: Vec<(String, Json)>,
+) -> Json {
+    let mut fields = vec![
+        ("name".to_string(), Json::str(name)),
+        ("cat".to_string(), Json::str(cat)),
+        ("ph".to_string(), Json::str(ph)),
+    ];
+    fields.extend(lead.map(|(k, v)| (k.to_string(), v)));
+    fields.push(("pid".to_string(), Json::num(0)));
+    fields.push(("tid".to_string(), Json::num(rank as u64)));
+    fields.push(("ts".to_string(), Json::Num(ts_us)));
+    fields.extend(tail);
+    Json::Obj(fields)
+}
+
+/// A thread-scoped Chrome instant (`ph:"i"`) carrying `args`.
+pub fn chrome_instant(
+    name: &str,
+    cat: &str,
+    rank: usize,
+    ts_us: f64,
+    args: Vec<(String, Json)>,
+) -> Json {
+    let scope = Some(("s", Json::str("t")));
+    let tail = vec![("args".to_string(), Json::Obj(args))];
+    chrome_event(name, cat, "i", scope, rank, ts_us, tail)
+}
+
+/// Append one ring snapshot's Chrome instants to `out`.
+pub(crate) fn flight_chrome_events(flight: &FlightSnapshot, rank: usize, out: &mut Vec<Json>) {
     for ev in &flight.events {
         let mut args = vec![("detail".to_string(), Json::num(ev.detail as u64))];
         if let Some(p) = ev.peer {
@@ -120,35 +117,16 @@ pub(crate) fn ring_chrome_events(flight: &FlightSnapshot, rank: usize, out: &mut
         }
         args.push(("a".to_string(), Json::num(ev.a)));
         args.push(("b".to_string(), Json::num(ev.b)));
-        out.push(Json::Obj(vec![
-            ("name".to_string(), Json::str(ev.kind.name())),
-            ("cat".to_string(), Json::str("flight")),
-            ("ph".to_string(), Json::str("i")),
-            ("s".to_string(), Json::str("t")),
-            ("pid".to_string(), Json::num(0)),
-            ("tid".to_string(), Json::num(rank as u64)),
-            ("ts".to_string(), Json::Num(ev.at_ns as f64 / 1_000.0)),
-            ("args".to_string(), Json::Obj(args)),
-        ]));
+        let ts_us = ev.at_ns as f64 / 1_000.0;
+        out.push(chrome_instant(ev.kind.name(), "flight", rank, ts_us, args));
     }
     // One summary instant per rank so a dump always shows the drop
     // accounting even after heavy wrap.
-    out.push(Json::Obj(vec![
-        ("name".to_string(), Json::str("flight-summary")),
-        ("cat".to_string(), Json::str("flight")),
-        ("ph".to_string(), Json::str("i")),
-        ("s".to_string(), Json::str("t")),
-        ("pid".to_string(), Json::num(0)),
-        ("tid".to_string(), Json::num(rank as u64)),
-        ("ts".to_string(), Json::Num(0.0)),
-        (
-            "args".to_string(),
-            Json::Obj(vec![
-                ("published".to_string(), Json::num(flight.published)),
-                ("dropped".to_string(), Json::num(flight.dropped)),
-            ]),
-        ),
-    ]));
+    let args = vec![
+        ("published".to_string(), Json::num(flight.published)),
+        ("dropped".to_string(), Json::num(flight.dropped)),
+    ];
+    out.push(chrome_instant("flight-summary", "flight", rank, 0.0, args));
 }
 
 #[cfg(test)]
@@ -156,35 +134,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_telemetry_snapshot_samples_flight_counters() {
-        let t = JobTelemetry::new(2, 4);
-        for i in 0..6 {
-            t.rank(0)
-                .flight
-                .record(FlightEvent::new(EventKind::SendRetry, i));
-        }
-        t.rank(1).metrics.inc(MetricId::EagerMsgs);
-        let snap = t.snapshot();
-        assert_eq!(snap.num_ranks(), 2);
-        assert_eq!(snap.ranks[0].get(MetricId::FlightEvents), 6);
-        assert_eq!(snap.ranks[0].get(MetricId::FlightDropped), 2);
-        assert_eq!(snap.ranks[1].get(MetricId::FlightEvents), 0);
-        assert_eq!(snap.ranks[1].get(MetricId::EagerMsgs), 1);
-        assert_eq!(snap.ranks[0].flight.events.len(), 4);
-    }
-
-    #[test]
     fn flight_chrome_dump_round_trips() {
         let t = JobTelemetry::new(2, 8);
-        t.rank(0).flight.record(
+        t.ring(0).record(
             FlightEvent::new(EventKind::ChannelChoice, 1_500)
                 .peer(1)
                 .detail(chan_code::CMA),
         );
-        t.rank(1)
-            .flight
+        t.ring(1)
             .record(FlightEvent::new(EventKind::Convict, 9_000).peer(0).a(1234));
-        let doc = t.snapshot().flight_chrome_json().to_string();
+        let snap = TelemetrySnapshot {
+            ranks: (0..2)
+                .map(|r| RankSnapshot {
+                    flight: t.ring(r).snapshot(),
+                    ..metrics::rank_with(&[])
+                })
+                .collect(),
+        };
+        let doc = snap.flight_chrome_json().to_string();
         let parsed = Json::parse(&doc).expect("chrome dump must parse");
         let events = parsed.as_arr().unwrap();
         // Two real events plus one summary per rank.

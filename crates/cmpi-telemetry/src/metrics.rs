@@ -1,23 +1,21 @@
-//! The metrics registry: typed counters, gauges and log2-bucket
-//! histograms with a static id table.
+//! The metric vocabulary and its exposition: typed counters, gauges and
+//! log2-bucket histograms with a static id table.
 //!
 //! Every metric is a [`MetricId`] variant — registered once, at compile
-//! time. Hot-path updates index a per-rank atomic slab directly
-//! (`metric id → array slot`, no string hashing, no locks, no
-//! allocation); string names only appear at exposition time.
-//! Snapshots are point-in-time copies exposed as Prometheus text
-//! ([`TelemetrySnapshot::to_prometheus`]) and JSON
-//! ([`TelemetrySnapshot::to_json`], via the strict [`cmpi_prof::Json`]
-//! model, so every emitted document round-trips).
+//! time; string names only appear at exposition time. A rank's values
+//! reach a [`RankSnapshot`] once, at job teardown, from the one place
+//! each number is kept (the rank's observability store in `cmpi-core`,
+//! its `CommStats`, or a substrate counter); this crate renders
+//! snapshots as Prometheus text ([`TelemetrySnapshot::to_prometheus`])
+//! and JSON ([`TelemetrySnapshot::to_json`], via the strict
+//! [`cmpi_prof::Json`] model, so every emitted document round-trips).
 //!
 //! Histograms reuse the profiler's log2 bucketing
 //! ([`cmpi_prof::size_bucket`]): bucket `k` counts values whose
-//! `next_power_of_two` is `2^k`. A histogram snapshot never tears —
-//! `bucket sum == count` always holds on the emitted copy (bounded
-//! validation retries with a reconcile fallback; see
-//! [`AtomicHistogram::snapshot`]).
+//! `next_power_of_two` is `2^k`. The one writer of a histogram is the
+//! rank that owns its [`HistogramAccumulator`], so `bucket sum == count`
+//! holds by construction.
 
-use cmpi_model::sync::{AtomicU64, Ordering};
 use cmpi_prof::{size_bucket, Json, SIZE_BUCKETS};
 
 use crate::ring::FlightSnapshot;
@@ -27,7 +25,7 @@ use crate::ring::FlightSnapshot;
 pub enum MetricKind {
     /// Monotone event count.
     Counter,
-    /// Point-in-time level (peaks are kept via [`RankMetrics::gauge_max`]).
+    /// Point-in-time level or high-water mark.
     Gauge,
     /// Log2-bucket value distribution.
     Histogram,
@@ -44,13 +42,14 @@ impl MetricKind {
     }
 }
 
-/// Every metric the runtime records. The discriminant is the slot index
-/// in the per-rank registry; histograms sit at the tail.
+/// Every metric the runtime reports. The discriminant is the slot index
+/// in [`RankSnapshot::scalars`]; histograms sit at the tail.
 ///
 /// Adding a variant requires: an [`MetricId::ALL`] entry, `name`/`help`
-/// arms, a row in the DESIGN.md §15 metric inventory table, and a line
-/// in the `exposition_covers_every_metric` test — cmpi-lint enforces
-/// the last two.
+/// arms, a source in `cmpi-core`'s one-source map (its `match` is
+/// exhaustive), a row in the DESIGN.md §11 metric inventory table, and a
+/// line in the `exposition_covers_every_metric` test — cmpi-lint
+/// enforces the last two.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum MetricId {
@@ -94,9 +93,10 @@ pub enum MetricId {
     CollLarge = 18,
     /// Packets pushed into rank mailboxes (job-wide, sampled).
     MailboxPushes = 19,
-    /// Mailbox condvar parks (job-wide, sampled).
+    /// Times a rank's task descheduled on its empty mailbox (job-wide,
+    /// sampled).
     MailboxParks = 20,
-    /// Wakeups delivered to parked ranks (job-wide, sampled).
+    /// Pokes that rescheduled a descheduled rank (job-wide, sampled).
     MailboxWakes = 21,
     /// SHM pair-queue credit acquires (job-wide, sampled).
     ShmQueueAcquires = 22,
@@ -132,9 +132,9 @@ pub enum MetricId {
     MsgSizeBytes = 37,
 }
 
-/// Total number of registered metrics.
+/// Total number of metrics.
 pub const NUM_METRICS: usize = 38;
-/// Number of histogram metrics (the registry tail).
+/// Number of histogram metrics (the tail of [`MetricId::ALL`]).
 pub const NUM_HISTOGRAMS: usize = 2;
 const FIRST_HISTOGRAM: usize = NUM_METRICS - NUM_HISTOGRAMS;
 
@@ -181,7 +181,7 @@ impl MetricId {
         MetricId::MsgSizeBytes,
     ];
 
-    /// The registry slot this metric occupies.
+    /// The slot this metric occupies.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -295,91 +295,7 @@ impl MetricId {
     }
 }
 
-/// A concurrently-updatable log2 histogram.
-///
-/// Updates are wait-free. A snapshot validates `bucket sum == count`
-/// with bounded retries; if a concurrent updater keeps the copy torn,
-/// the fallback reconciles `count` to the observed bucket sum so the
-/// invariant holds on every emitted snapshot.
-pub struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        AtomicHistogram {
-            buckets: (0..SIZE_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHistogram {
-    /// Count one observation of `v`.
-    pub fn record(&self, v: u64) {
-        // relaxed-ok: per-bucket and sum increments carry no ordering
-        // obligation of their own; the Release on count below publishes
-        // them for the snapshot's Acquire validation read.
-        self.buckets[size_bucket(v as usize)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Release);
-    }
-
-    /// Total observations so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
-    }
-
-    /// Point-in-time copy satisfying `buckets.iter().sum() == count`.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        for _ in 0..8 {
-            let c1 = self.count.load(Ordering::Acquire);
-            let (buckets, total) = self.read_buckets();
-            // relaxed-ok: both are validation reads; acceptance only
-            // requires that no update landed between the two count
-            // loads, which the equality test itself establishes.
-            let sum = self.sum.load(Ordering::Relaxed);
-            let c2 = self.count.load(Ordering::Relaxed);
-            if c1 == c2 && total == c1 {
-                return HistogramSnapshot {
-                    buckets,
-                    count: c1,
-                    sum,
-                };
-            }
-        }
-        // Reconcile under sustained concurrent updates: trust the bucket
-        // copy and derive count from it, keeping the invariant exact
-        // (sum stays a same-order approximation).
-        let (buckets, total) = self.read_buckets();
-        // relaxed-ok: sum is documented as a same-order approximation
-        // under concurrent updates; the count/bucket invariant is kept
-        // exact by read_buckets, not by ordering on sum.
-        let sum = self.sum.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            buckets,
-            count: total,
-            sum,
-        }
-    }
-
-    fn read_buckets(&self) -> (Vec<u64>, u64) {
-        let mut copy = vec![0u64; SIZE_BUCKETS];
-        let mut total = 0u64;
-        for (out, b) in copy.iter_mut().zip(self.buckets.iter()) {
-            // relaxed-ok: the enclosing snapshot loop validates the copy
-            // against two Acquire/Relaxed count reads before accepting.
-            *out = b.load(Ordering::Relaxed);
-            total += *out;
-        }
-        (copy, total)
-    }
-}
-
-/// A torn-free histogram copy (`buckets` sum equals `count`).
+/// A log2 histogram's contents: `buckets` sum equals `count`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts, `SIZE_BUCKETS` entries (bucket `k` holds
@@ -391,211 +307,73 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-/// One rank's always-on metric slab. Scalar metrics live in a flat
-/// atomic array indexed by [`MetricId::index`]; histograms at the tail.
-pub struct RankMetrics {
-    scalars: Box<[AtomicU64]>,
-    histos: [AtomicHistogram; NUM_HISTOGRAMS],
-}
-
-impl Default for RankMetrics {
+/// No observations, every bucket present.
+impl Default for HistogramSnapshot {
     fn default() -> Self {
-        RankMetrics {
-            scalars: (0..NUM_METRICS).map(|_| AtomicU64::new(0)).collect(),
-            histos: Default::default(),
+        HistogramSnapshot {
+            buckets: vec![0; SIZE_BUCKETS],
+            count: 0,
+            sum: 0,
         }
     }
 }
 
-impl RankMetrics {
-    /// Add to a counter. Wait-free, allocation-free.
-    #[inline]
-    pub fn add(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Counter);
-        // relaxed-ok: independent monotone counters; snapshots tolerate
-        // any interleaving of individual increments.
-        self.scalars[id.index()].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Count one event on a counter.
-    #[inline]
-    pub fn inc(&self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Set a gauge to `v`.
-    #[inline]
-    pub fn gauge_set(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Gauge);
-        // relaxed-ok: gauges are sampled levels with no ordering ties.
-        self.scalars[id.index()].store(v, Ordering::Relaxed);
-    }
-
-    /// Raise a peak gauge to at least `v`. Single-writer discipline:
-    /// only the owning rank thread updates its gauges, so the
-    /// load/store pair cannot lose a concurrent raise.
-    #[inline]
-    pub fn gauge_max(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Gauge);
-        let slot = &self.scalars[id.index()];
-        // relaxed-ok: single-writer peak tracking (see doc comment).
-        if v > slot.load(Ordering::Relaxed) {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Observe a histogram value.
-    #[inline]
-    pub fn observe(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Histogram);
-        self.histos[id.histo_index()].record(v);
-    }
-
-    /// Current value of a scalar metric.
-    pub fn value(&self, id: MetricId) -> u64 {
-        debug_assert_ne!(id.kind(), MetricKind::Histogram);
-        // relaxed-ok: a scalar metric is a single independent word; a
-        // reader needs no ordering against other metrics, only the
-        // atomicity of this load.
-        self.scalars[id.index()].load(Ordering::Relaxed)
-    }
-
-    /// The live histogram behind a histogram metric.
-    pub fn histogram(&self, id: MetricId) -> &AtomicHistogram {
-        debug_assert_eq!(id.kind(), MetricKind::Histogram);
-        &self.histos[id.histo_index()]
-    }
-
-    pub(crate) fn snapshot_scalars(&self) -> Vec<u64> {
-        self.scalars
-            .iter()
-            // relaxed-ok: scalars are independent words; a snapshot is
-            // point-in-time per metric, not a cross-metric consistent
-            // cut (the histogram invariant is handled separately).
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    pub(crate) fn snapshot_histos(&self) -> Vec<HistogramSnapshot> {
-        self.histos.iter().map(|h| h.snapshot()).collect()
+impl HistogramSnapshot {
+    fn add_run(&mut self, bucket: usize, count: u64, sum: u64) {
+        self.buckets[bucket] += count;
+        self.count += count;
+        self.sum += sum;
     }
 }
 
-/// One thread's unsynchronized metric scratch.
+/// The write side of one histogram metric, owned by the rank that
+/// records into it.
 ///
-/// Atomic RMWs are locked instructions; a message-path that fires a
-/// dozen of them per operation pays measurably (~10 % on the eager
-/// ping-pong). A rank thread therefore accumulates its hot-path metrics
-/// here with plain arithmetic and merges the whole scratch into the
-/// shared [`RankMetrics`] slab once, via [`LocalMetrics::flush_into`],
-/// at teardown. Rare-path updates (fault handling, retries) may still
-/// hit the atomic slab directly — `flush_into` adds, so the two
-/// write routes compose.
-pub struct LocalMetrics {
-    scalars: [u64; NUM_METRICS],
-    histos: [LocalHistogram; NUM_HISTOGRAMS],
+/// Consecutive observations that land in one log2 bucket — the common
+/// case: virtual-time latencies repeat, a ping-pong stream sends one
+/// size forever — cost three plain adds on the accumulator's own line;
+/// the bucket array is only touched when the bucket changes. Zeros are
+/// counted apart from the run: a windowed workload settles most
+/// requests with no blocking at all, and the zeros would otherwise
+/// alternate with the occasional real wait and end the run every time.
+#[derive(Default)]
+pub struct HistogramAccumulator {
+    zeros: u64,
+    run_sum: u64,
+    run_count: u64,
+    run_bucket: u32,
+    hist: HistogramSnapshot,
 }
 
-struct LocalHistogram {
-    buckets: [u64; SIZE_BUCKETS],
-    sum: u64,
-    count: u64,
-}
-
-impl Default for LocalMetrics {
-    fn default() -> Self {
-        LocalMetrics {
-            scalars: [0; NUM_METRICS],
-            histos: std::array::from_fn(|_| LocalHistogram {
-                buckets: [0; SIZE_BUCKETS],
-                sum: 0,
-                count: 0,
-            }),
+impl HistogramAccumulator {
+    /// Count one observation of `v`.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        if v == 0 {
+            self.zeros += 1;
+            return;
         }
-    }
-}
-
-impl LocalMetrics {
-    /// Add to a counter.
-    #[inline]
-    pub fn add(&mut self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Counter);
-        self.scalars[id.index()] += v;
-    }
-
-    /// Count one event on a counter.
-    #[inline]
-    pub fn inc(&mut self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Raise a peak gauge to at least `v` (flushed with
-    /// [`RankMetrics::gauge_max`], so scratch peaks merge with any
-    /// directly-set slab value).
-    #[inline]
-    pub fn gauge_max(&mut self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Gauge);
-        let slot = &mut self.scalars[id.index()];
-        *slot = v.max(*slot);
-    }
-
-    /// Observe a histogram value.
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Histogram);
-        let h = &mut self.histos[id.histo_index()];
-        h.buckets[size_bucket(v as usize)] += 1;
-        h.sum += v;
-        h.count += 1;
-    }
-
-    /// Merge `count` observations that all landed in `bucket`, carrying
-    /// their value `sum` — the runtime batches consecutive same-bucket
-    /// samples on one hot cache line and spills them here in bulk.
-    #[inline]
-    pub fn observe_bulk(&mut self, id: MetricId, bucket: usize, count: u64, sum: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Histogram);
-        let h = &mut self.histos[id.histo_index()];
-        h.buckets[bucket] += count;
-        h.sum += sum;
-        h.count += count;
-    }
-
-    /// Merge everything accumulated so far into the shared slab and
-    /// reset the scratch to zero.
-    pub fn flush_into(&mut self, m: &RankMetrics) {
-        for (i, v) in self.scalars.iter_mut().enumerate() {
-            if *v == 0 {
-                continue;
-            }
-            let id = MetricId::ALL[i];
-            match id.kind() {
-                MetricKind::Counter => m.add(id, *v),
-                MetricKind::Gauge => m.gauge_max(id, *v),
-                MetricKind::Histogram => unreachable!("histogram slots stay zero"),
-            }
-            *v = 0;
+        let b = size_bucket(v as usize) as u32;
+        if b != self.run_bucket && self.run_count > 0 {
+            self.end_run();
         }
-        for (k, h) in self.histos.iter_mut().enumerate() {
-            if h.count == 0 {
-                continue;
-            }
-            let target = &m.histos[k];
-            for (j, b) in h.buckets.iter_mut().enumerate() {
-                if *b != 0 {
-                    // relaxed-ok: published by the Release on count below,
-                    // mirroring AtomicHistogram::record.
-                    target.buckets[j].fetch_add(*b, Ordering::Relaxed);
-                    *b = 0;
-                }
-            }
-            // relaxed-ok: published by the Release on count below,
-            // mirroring AtomicHistogram::record.
-            target.sum.fetch_add(h.sum, Ordering::Relaxed);
-            target.count.fetch_add(h.count, Ordering::Release);
-            h.sum = 0;
-            h.count = 0;
-        }
+        self.run_bucket = b;
+        self.run_count += 1;
+        self.run_sum += v;
+    }
+
+    fn end_run(&mut self) {
+        self.hist
+            .add_run(self.run_bucket as usize, self.run_count, self.run_sum);
+        self.run_count = 0;
+        self.run_sum = 0;
+    }
+
+    /// Everything observed so far.
+    pub fn finish(mut self) -> HistogramSnapshot {
+        self.end_run();
+        self.hist.add_run(0, self.zeros, 0);
+        self.hist
     }
 }
 
@@ -605,7 +383,7 @@ pub struct RankSnapshot {
     /// Scalar values, indexed by [`MetricId::index`] (histogram slots
     /// stay zero).
     pub scalars: Vec<u64>,
-    /// Histogram copies, registry-tail order.
+    /// Histogram contents, in the order of the tail of [`MetricId::ALL`].
     pub histos: Vec<HistogramSnapshot>,
     /// This rank's flight-recorder contents.
     pub flight: FlightSnapshot,
@@ -735,7 +513,7 @@ impl TelemetrySnapshot {
     pub fn flight_chrome_json(&self) -> Json {
         let mut events = Vec::new();
         for (rank, r) in self.ranks.iter().enumerate() {
-            crate::ring_chrome_events(&r.flight, rank, &mut events);
+            crate::flight_chrome_events(&r.flight, rank, &mut events);
         }
         Json::Arr(events)
     }
@@ -821,19 +599,27 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
+/// One rank holding `values`, histograms and ring empty (what this
+/// crate's unit tests build snapshots from).
+#[cfg(test)]
+pub(crate) fn rank_with(values: &[(MetricId, u64)]) -> RankSnapshot {
+    let mut scalars = vec![0; NUM_METRICS];
+    for &(id, v) in values {
+        scalars[id.index()] = v;
+    }
+    RankSnapshot {
+        scalars,
+        histos: vec![HistogramSnapshot::default(); NUM_HISTOGRAMS],
+        flight: FlightSnapshot::default(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::FlightSnapshot;
 
-    fn snap_of(m: &RankMetrics) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            ranks: vec![RankSnapshot {
-                scalars: m.snapshot_scalars(),
-                histos: m.snapshot_histos(),
-                flight: FlightSnapshot::default(),
-            }],
-        }
+    fn job_of(ranks: Vec<RankSnapshot>) -> TelemetrySnapshot {
+        TelemetrySnapshot { ranks }
     }
 
     #[test]
@@ -861,34 +647,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_accumulate() {
-        let m = RankMetrics::default();
-        m.inc(MetricId::ShmOps);
-        m.add(MetricId::ShmOps, 4);
-        m.add(MetricId::ShmBytes, 1024);
-        m.gauge_max(MetricId::MatchPostedPeak, 3);
-        m.gauge_max(MetricId::MatchPostedPeak, 2);
-        m.gauge_set(MetricId::HeartbeatGapNs, 77);
-        assert_eq!(m.value(MetricId::ShmOps), 5);
-        assert_eq!(m.value(MetricId::ShmBytes), 1024);
-        assert_eq!(
-            m.value(MetricId::MatchPostedPeak),
-            3,
-            "peak must not regress"
-        );
-        assert_eq!(m.value(MetricId::HeartbeatGapNs), 77);
-        assert_eq!(m.value(MetricId::CmaOps), 0);
-    }
-
-    #[test]
-    fn histogram_snapshot_holds_invariant() {
-        let m = RankMetrics::default();
+    fn accumulator_holds_the_histogram_invariant() {
+        let mut acc = HistogramAccumulator::default();
         for v in [0u64, 1, 2, 3, 100, 5_000, 1 << 20] {
-            m.observe(MetricId::Pt2ptLatencyNs, v);
+            acc.observe(v);
         }
-        let h = m.histogram(MetricId::Pt2ptLatencyNs).snapshot();
+        let h = acc.finish();
         assert_eq!(h.count, 7);
         assert_eq!(h.sum, 5_106 + (1 << 20));
+        assert_eq!(h.buckets.len(), SIZE_BUCKETS);
         assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
         assert_eq!(h.buckets[0], 2, "0 and 1 share bucket 0");
         assert_eq!(h.buckets[1], 1);
@@ -949,8 +716,7 @@ mod tests {
         }
         // Every metric emits a named, documented family in both
         // expositions, even at zero.
-        let m = RankMetrics::default();
-        let snap = snap_of(&m);
+        let snap = job_of(vec![rank_with(&[])]);
         let text = snap.to_prometheus();
         validate_prometheus(&text).expect("exposition must validate");
         let json = snap.to_json().to_string();
@@ -971,11 +737,12 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_validates() {
-        let m = RankMetrics::default();
-        m.add(MetricId::HcaOps, 9);
-        m.observe(MetricId::MsgSizeBytes, 512);
-        m.observe(MetricId::MsgSizeBytes, 64);
-        let text = snap_of(&m).to_prometheus();
+        let mut rank = rank_with(&[(MetricId::HcaOps, 9)]);
+        let mut sizes = HistogramAccumulator::default();
+        sizes.observe(512);
+        sizes.observe(64);
+        rank.histos[MetricId::MsgSizeBytes.histo_index()] = sizes.finish();
+        let text = job_of(vec![rank]).to_prometheus();
         let samples = validate_prometheus(&text).expect("exposition must validate");
         assert!(
             samples >= NUM_METRICS,
@@ -1001,10 +768,11 @@ mod tests {
 
     #[test]
     fn json_exposition_round_trips() {
-        let m = RankMetrics::default();
-        m.add(MetricId::EagerMsgs, 3);
-        m.observe(MetricId::Pt2ptLatencyNs, 1000);
-        let doc = snap_of(&m).to_json().to_string();
+        let mut rank = rank_with(&[(MetricId::EagerMsgs, 3)]);
+        let mut latency = HistogramAccumulator::default();
+        latency.observe(1000);
+        rank.histos[MetricId::Pt2ptLatencyNs.histo_index()] = latency.finish();
+        let doc = job_of(vec![rank]).to_json().to_string();
         let parsed = Json::parse(&doc).expect("telemetry JSON must parse");
         assert_eq!(
             parsed.get("schema").and_then(|s| s.as_str()),
@@ -1021,22 +789,10 @@ mod tests {
 
     #[test]
     fn job_total_sums_counters_and_peaks_gauges() {
-        let a = RankMetrics::default();
-        let b = RankMetrics::default();
-        a.add(MetricId::RndvMsgs, 2);
-        b.add(MetricId::RndvMsgs, 5);
-        a.gauge_max(MetricId::ShmMaxInFlight, 10);
-        b.gauge_max(MetricId::ShmMaxInFlight, 4);
-        let snap = TelemetrySnapshot {
-            ranks: [&a, &b]
-                .iter()
-                .map(|m| RankSnapshot {
-                    scalars: m.snapshot_scalars(),
-                    histos: m.snapshot_histos(),
-                    flight: FlightSnapshot::default(),
-                })
-                .collect(),
-        };
+        let snap = job_of(vec![
+            rank_with(&[(MetricId::RndvMsgs, 2), (MetricId::ShmMaxInFlight, 10)]),
+            rank_with(&[(MetricId::RndvMsgs, 5), (MetricId::ShmMaxInFlight, 4)]),
+        ]);
         assert_eq!(snap.job_total(MetricId::RndvMsgs), 7);
         assert_eq!(snap.job_total(MetricId::ShmMaxInFlight), 10);
     }

@@ -1,71 +1,41 @@
-//! Property tests for the always-on telemetry layer: a metrics
-//! snapshot taken during concurrent histogram updates never tears
-//! (bucket sum == count, sum plausible), and a flight-recorder dump
-//! always round-trips through the strict cmpi-prof JSON parser with
-//! its event stream intact.
+//! Property tests for the always-on telemetry layer: a histogram
+//! accumulator holds exactly what was observed (bucket sum == count)
+//! whatever its run cache did, and a flight-recorder dump always
+//! round-trips through the strict cmpi-prof JSON parser with its event
+//! stream intact.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use cmpi_prof::Json;
+use cmpi_prof::{size_bucket, Json, SIZE_BUCKETS};
 use cmpi_telemetry::{
-    validate_prometheus, EventKind, FlightEvent, JobTelemetry, MetricId, RankMetrics,
+    validate_prometheus, EventKind, FlightEvent, FlightRecorder, HistogramAccumulator,
+    HistogramSnapshot, MetricId, RankSnapshot, TelemetrySnapshot, NUM_METRICS,
 };
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A reader snapshotting a histogram while a writer hammers it with
-    /// arbitrary values must always observe `sum(buckets) == count`:
-    /// the seq-consistent bucket/count protocol may lag the writer but
-    /// can never expose a half-applied observation.
+    /// Any value stream leaves the accumulator holding what counting each
+    /// value on its own would: `sum(buckets) == count`, the exact sum,
+    /// every value in the bucket `size_bucket` names — however the
+    /// same-bucket runs and the zeros fall.
     #[test]
-    fn histogram_snapshot_never_tears_under_concurrent_writes(
-        values in proptest::collection::vec(any::<u64>(), 1..512),
+    fn accumulator_matches_one_by_one_counting(
+        values in proptest::collection::vec(any::<u64>(), 0..512),
+        shift in 12u32..64,
     ) {
-        let m = Arc::new(RankMetrics::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = std::thread::spawn({
-            let m = Arc::clone(&m);
-            let stop = Arc::clone(&stop);
-            let values = values.clone();
-            move || {
-                // Loop the value stream until the reader has taken its
-                // snapshots, so writes genuinely overlap them.
-                while !stop.load(Ordering::Relaxed) {
-                    for &v in &values {
-                        m.observe(MetricId::Pt2ptLatencyNs, v);
-                        m.observe(MetricId::MsgSizeBytes, v >> 32);
-                    }
-                }
-            }
-        });
-        for _ in 0..64 {
-            for id in [MetricId::Pt2ptLatencyNs, MetricId::MsgSizeBytes] {
-                let h = m.histogram(id).snapshot();
-                prop_assert_eq!(
-                    h.buckets.iter().sum::<u64>(),
-                    h.count,
-                    "snapshot tore a histogram"
-                );
-            }
+        // Shifted down so runs, bucket changes and zeros all occur (and
+        // 512 values cannot overflow the sum).
+        let values: Vec<u64> = values.iter().map(|v| v >> shift).collect();
+        let mut acc = HistogramAccumulator::default();
+        let mut buckets = vec![0u64; SIZE_BUCKETS];
+        for &v in &values {
+            acc.observe(v);
+            buckets[size_bucket(v as usize)] += 1;
         }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        // Quiescent: the final snapshot accounts for every observation.
-        let rounds = {
-            let h = m.histogram(MetricId::Pt2ptLatencyNs).snapshot();
-            prop_assert_eq!(h.count % values.len() as u64, 0);
-            h.count / values.len() as u64
-        };
-        let expect_sum: u64 = values
-            .iter()
-            .fold(0u64, |a, &v| a.wrapping_add(v))
-            .wrapping_mul(rounds);
-        let h = m.histogram(MetricId::Pt2ptLatencyNs).snapshot();
-        prop_assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
-        prop_assert_eq!(h.sum, expect_sum);
+        let h = acc.finish();
+        prop_assert_eq!(h.count, values.len() as u64);
+        prop_assert_eq!(h.sum, values.iter().sum::<u64>());
+        prop_assert_eq!(h.buckets, buckets);
     }
 
     /// Any event stream — including ones that wrap the ring — dumps to
@@ -80,13 +50,21 @@ proptest! {
             0..96,
         ),
     ) {
-        let t = JobTelemetry::new(1, capacity);
+        let ring = FlightRecorder::new(capacity);
         for &(kind, peer, at_ns, a) in &events {
-            t.rank(0).flight.record(
-                FlightEvent::new(EventKind::ALL[kind], at_ns).peer(peer as usize).a(a),
-            );
+            ring.record(FlightEvent::new(EventKind::ALL[kind], at_ns).peer(peer as usize).a(a));
         }
-        let snap = t.snapshot();
+        let flight = ring.snapshot();
+        let mut scalars = vec![0; NUM_METRICS];
+        scalars[MetricId::FlightEvents.index()] = flight.published;
+        scalars[MetricId::FlightDropped.index()] = flight.dropped;
+        let snap = TelemetrySnapshot {
+            ranks: vec![RankSnapshot {
+                scalars,
+                histos: vec![HistogramSnapshot::default(); 2],
+                flight,
+            }],
+        };
         let flight = &snap.ranks[0].flight;
         prop_assert_eq!(flight.published, events.len() as u64);
         prop_assert_eq!(
@@ -122,7 +100,7 @@ proptest! {
         );
 
         // The same snapshot's Prometheus exposition stays valid with
-        // the sampled flight counters folded in.
+        // the ring's volume counters in it.
         validate_prometheus(&snap.to_prometheus()).expect("exposition must validate");
     }
 }

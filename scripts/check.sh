@@ -35,7 +35,7 @@
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
 #             BENCHMARK.json == metric-registry check), and `bash -n`
-#             on scripts/prof.sh
+#             on scripts/prof.sh and scripts/loc.sh
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
 set -euo pipefail
@@ -115,8 +115,10 @@ cargo run --release --quiet -p cmpi-bench --bin bench_ledger -- --overhead-gate
 
 echo "== benchmark harness self-tests (benchmark/, own workspace)" >&2
 (cd benchmark && cargo test -q --offline)
-# The sampling profiler is a tool, not a gate: only its shell must parse.
+# The sampling profiler and the line counter are tools, not gates: only
+# their shell must parse.
 bash -n scripts/prof.sh
+bash -n scripts/loc.sh
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,6 +9,9 @@ use container_mpi::apps::graph500::{self, Graph500Config, Graph500Result};
 use container_mpi::apps::npb::{self, Kernel, NpbClass};
 use container_mpi::prelude::*;
 
+mod common;
+use common::assert_recovery_matches_metrics;
+
 fn cfg() -> Graph500Config {
     Graph500Config {
         scale: 9,
@@ -30,7 +33,9 @@ fn two_hosts() -> DeploymentScenario {
 }
 
 fn bfs(scenario: DeploymentScenario, plan: FaultPlan) -> Graph500Result {
-    graph500::run(&JobSpec::new(scenario).with_faults(plan), cfg())
+    let r = graph500::run(&JobSpec::new(scenario).with_faults(plan), cfg());
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
+    r
 }
 
 /// Fault-free reference for a scenario.
@@ -189,6 +194,7 @@ fn revoked_pid_namespace_disables_cma_but_keeps_chunked_shm() {
     );
     assert_eq!(r.stats.channel_ops(Channel::Hca), 0);
     assert_eq!(r.stats.recovery().hca_downgrades, 0);
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
 }
 
 #[test]
@@ -247,6 +253,7 @@ fn npb_kernels_survive_every_fault_class() {
                 "{name} should leave a recovery trace on {}",
                 kernel.name()
             );
+            assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
         }
     }
 }

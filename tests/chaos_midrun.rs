@@ -11,7 +11,11 @@
 
 use bytes::Bytes;
 use container_mpi::apps::graph500::{self, FtRankOutcome, Graph500Config};
+use container_mpi::mpi::{EventKind, MetricId};
 use container_mpi::prelude::*;
+
+mod common;
+use common::assert_recovery_matches_metrics;
 
 fn cfg() -> Graph500Config {
     Graph500Config {
@@ -35,6 +39,7 @@ fn run_ft(
     plan: FaultPlan,
 ) -> (FtResults, JobResult<Result<FtRankOutcome, MpiError>>) {
     let r = graph500::run_ft(&JobSpec::new(scenario).with_faults(plan), cfg());
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
     (r.results.clone(), r)
 }
 
@@ -226,6 +231,7 @@ fn pending_operations_on_a_dead_peer_error_instead_of_hanging() {
     let rec = a.stats.recovery();
     assert!(rec.convictions >= 3, "{rec:?}");
     assert!(rec.detect_ns >= FAILURE_LEASE.as_ns(), "{rec:?}");
+    assert_recovery_matches_metrics(&a.stats, a.telemetry.as_ref());
 }
 
 #[test]
@@ -270,6 +276,19 @@ fn collectives_on_a_revoked_communicator_fail_fast_at_every_member() {
     }
     assert_eq!(a.stats.recovery().convictions, 0, "nobody died");
     assert!(a.stats.recovery().revokes >= 8);
+    // The initiator's revocation is ledgered like every member's: the
+    // metric counts it and rank 0's ring shows it.
+    let tel = a.telemetry.as_ref().expect("telemetry is on by default");
+    assert_eq!(
+        a.stats.recovery().revokes,
+        tel.job_total(MetricId::FtRevokes)
+    );
+    let ring0 = &tel.ranks[0].flight.events;
+    assert!(
+        ring0.iter().any(|e| e.kind == EventKind::Revoke),
+        "rank 0's ring misses its own revoke: {ring0:?}"
+    );
+    assert_recovery_matches_metrics(&a.stats, a.telemetry.as_ref());
 }
 
 #[test]
@@ -321,6 +340,7 @@ fn shrunk_communicator_rederives_locality_topology() {
             assert_eq!(*out, Err(MpiError::ProcessFailed { peer: rank }));
         }
     }
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
 }
 
 #[test]
@@ -337,6 +357,7 @@ fn fully_revoked_namespaces_plus_midrun_crash_recovers_on_hca() {
         .with_crash(1, MidRunTrigger::AfterOps(25));
     let clean = graph500::run_ft(&JobSpec::new(scenario.clone()), cfg());
     let r = graph500::run_ft(&JobSpec::new(scenario).with_faults(plan), cfg());
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
     let survivors: Vec<usize> = (0..8).filter(|&x| x != 1).collect();
     let out = r.results[0].as_ref().expect("survivor failed to recover");
     assert_eq!(out.comm_ranks, survivors);
