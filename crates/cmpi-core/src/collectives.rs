@@ -8,21 +8,28 @@
 //! Section V-C reports: the intra-host fraction of the traffic moves from
 //! the HCA loopback to SHM/CMA.
 //!
-//! On top of the flat defaults the module provides a *two-level*
-//! (SMP-aware) family — [`Mpi::bcast_smp`], [`Mpi::allreduce_smp`],
-//! [`Mpi::reduce_smp`], [`Mpi::gather_smp`], [`Mpi::allgather_smp`],
-//! [`Mpi::barrier_smp`], [`Mpi::alltoall_smp`] — that stages through
-//! per-group leaders (host-local fan-in, inter-leader exchange,
-//! host-local fan-out). The public entry points route through the
-//! [`crate::coll_select::CollectiveSelector`], so `ContainerDetector`
-//! jobs pick up hierarchical scheduling automatically while the
-//! `Hostname` ("Default") policy degenerates to the flat paths.
+//! On top of the flat defaults the module holds a *two-level*
+//! (SMP-aware) family that stages through per-group leaders (host-local
+//! fan-in, inter-leader exchange, host-local fan-out). Nothing names an
+//! algorithm from outside: every public entry goes through one bracket
+//! ([`Mpi::try_collective`]) and the
+//! [`crate::coll_select::CollectiveSelector`] is the only thing that
+//! picks, so `ContainerDetector` jobs schedule hierarchically while the
+//! `Hostname` ("Default") policy degenerates to the flat paths, and a
+//! test or an ablation pins an algorithm the way a user would — policy
+//! plus `Tunables`.
+//!
+//! Every algorithm returns `Result`: what a failure means is decided
+//! once, by the entry (the plain API panics in [`plain`], the `try_` API
+//! hands the error to the caller), not by a second copy of the algorithm.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::coll_select::{coll_trace_name, CollAlgo, CollKind};
+use cmpi_cluster::Tunables;
+
+use crate::coll_select::{coll_trace_name, CollAlgo, CollKind, CollectiveSelector};
 use crate::datatype::{
     extend_from_bytes, from_bytes, reduce_bytes, reduce_from_bytes, to_bytes, vec_from_bytes,
     zeroed, MpiData, ReduceOp, Reducible,
@@ -34,8 +41,12 @@ use crate::pt2pt::CTX_COLL;
 use crate::runtime::{JobState, Mpi};
 use crate::stats::CallClass;
 
-/// Collective op ids baked into internal tags (high bits).
-mod op {
+/// Every op id the library bakes into an internal tag (high bits), in one
+/// table so `cmpi-lint`'s `tag-width` rule sees all of them: distinct,
+/// non-zero, inside the id field and below [`op::END`]. An algorithm that
+/// needs two message classes names two ids or separates them in the round
+/// field — never `id + 1`.
+pub(crate) mod op {
     pub const BARRIER: u32 = 1;
     pub const BCAST: u32 = 2;
     pub const REDUCE: u32 = 3;
@@ -50,6 +61,9 @@ mod op {
     pub const SMP_PHASE0: u32 = 10;
     pub const SMP_PHASE1: u32 = 11;
     pub const SMP_PHASE2: u32 = 12;
+    // The barriers inside `win_allocate` and `fence`.
+    pub const WIN_ALLOCATE: u32 = 13;
+    pub const WIN_FENCE: u32 = 14;
     /// Root→leader shuttle for rooted two-level ops whose root is not its
     /// group's leader.
     pub const SMP_SHUTTLE: u32 = 15;
@@ -70,6 +84,26 @@ mod op {
     pub const SMP_A2A1: u32 = 33;
     pub const SMP_A2A2: u32 = 34;
     pub const SMP_A2A3: u32 = 35;
+    pub const SCAN: u32 = 40;
+    pub const EXSCAN: u32 = 41;
+    pub const REDUCE_SCATTER: u32 = 42;
+    pub const GATHERV: u32 = 44;
+    pub const ALLGATHERV: u32 = 45;
+    pub const RABENSEIFNER: u32 = 48;
+    pub const SCATTER_ALLGATHER: u32 = 50;
+    // Communicator collectives. `comm_world()` shares `CTX_COLL` with the
+    // world collectives above, so the context id alone does not keep the
+    // two families apart — distinct ids do.
+    pub const COMM_SPLIT: u32 = 52;
+    pub const COMM_SPLIT_GATHER: u32 = 53;
+    pub const COMM_BARRIER: u32 = 54;
+    pub const COMM_BCAST: u32 = 55;
+    pub const COMM_REDUCE: u32 = 56;
+    pub const COMM_ALLREDUCE: u32 = 57;
+    pub const COMM_ALLGATHER: u32 = 58;
+    /// One past the table: id spaces outside it (the agreement tags of
+    /// `ft.rs`) start at or above this.
+    pub const END: u32 = 64;
 }
 
 /// Width of the round field in an internal collective tag.
@@ -147,9 +181,10 @@ pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The job's two-level collective topology: the policy's locality
-/// groups, their leaders, and a rank→group index. One instance serves
-/// every rank (see `JobState::smp_topo`).
+/// A communicator's two-level collective topology: its members' locality
+/// groups, their leaders, a rank→group index, and the algorithm selector
+/// sized to that shape. The world's instance serves every rank of the job
+/// (see `JobState::smp_topo`), so every rank decides identically.
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every
 /// phase of every collective, so two phases of one call can never
@@ -160,12 +195,21 @@ pub(crate) struct SmpTopo {
     leaders: Vec<usize>,
     /// Index into `groups` of each rank's group.
     group_idx: Vec<u32>,
+    selector: CollectiveSelector,
 }
 
 impl SmpTopo {
-    /// Index the locality groups (a partition of ranks `0..n`, each group
-    /// sorted ascending).
-    pub(crate) fn new(groups: Vec<Vec<usize>>, n: usize) -> SmpTopo {
+    /// Index the locality groups: disjoint sets of ranks below `n`, each
+    /// sorted ascending. The world's groups partition `0..n`; a shrunk
+    /// communicator's leave its dead in no group.
+    pub(crate) fn new(
+        groups: Vec<Vec<usize>>,
+        n: usize,
+        policy: LocalityPolicy,
+        tunables: Tunables,
+    ) -> SmpTopo {
+        let members = groups.iter().map(Vec::len).sum();
+        let selector = CollectiveSelector::new(policy, tunables, &groups, members);
         let leaders = groups.iter().map(|g| g[0]).collect();
         let mut group_idx = vec![u32::MAX; n];
         for (gi, g) in groups.iter().enumerate() {
@@ -173,12 +217,17 @@ impl SmpTopo {
                 group_idx[r] = gi as u32;
             }
         }
-        assert!(!group_idx.contains(&u32::MAX), "rank in no group");
         SmpTopo {
             groups,
             leaders,
             group_idx,
+            selector,
         }
+    }
+
+    /// The selector sized to these groups.
+    pub(crate) fn selector(&self) -> &CollectiveSelector {
+        &self.selector
     }
 
     /// The locality groups, ordered by smallest member.
@@ -202,33 +251,79 @@ impl SmpTopo {
     }
 }
 
+/// What the bracket needs to know about the call it wraps.
+#[derive(Clone, Copy)]
+pub(crate) enum Call {
+    /// A world collective the selector schedules; the `usize` is the
+    /// per-rank message size it selects on.
+    Selected(CollKind, usize),
+    /// A communicator collective: the flat list algorithm, always.
+    Flat(CollKind),
+    /// A collective with one algorithm and no row in the selection ledger.
+    Fixed(&'static str),
+}
+
+impl Call {
+    fn name(self) -> &'static str {
+        match self {
+            Call::Selected(kind, _) | Call::Flat(kind) => kind.name(),
+            Call::Fixed(name) => name,
+        }
+    }
+}
+
+/// The plain API's failure mode, in one place: a program that did not opt
+/// into the `try_` calls cannot continue past a collective that lost a
+/// member, so the error ends the rank under the operation's name.
+pub(crate) fn plain<R>(what: &str, out: Result<R, MpiError>) -> R {
+    out.unwrap_or_else(|e| panic!("{what} failed: {e}"))
+}
+
 impl Mpi {
-    // ---- internal helpers (no time-class attribution) ----------------------
+    // ---- the call path ---------------------------------------------------------
 
-    fn coll_send(&mut self, data: Bytes, dst: usize, t: u32, ctx: u32) {
-        let id = self.isend_inner(data, dst, t, ctx);
-        self.wait_send_inner(id);
-    }
-
-    fn coll_recv(&mut self, src: usize, t: u32, ctx: u32) -> Bytes {
-        let id = self.irecv_inner(Some(src), Some(t), ctx);
-        self.wait_recv_inner(id).0
-    }
-
-    pub(crate) fn coll_sendrecv(
+    /// The one bracket every collective entry runs in: enter, pick and
+    /// record the algorithm, run `body` with it, exit under the picked
+    /// algorithm's call name. `ft` is the only difference between the
+    /// plain and the fault-tolerant entry of one collective: the
+    /// fault-tolerant one counts the op and executes the rank's scripted
+    /// fate on the way in, and hands the error back on the way out.
+    pub(crate) fn try_collective<R>(
         &mut self,
-        data: Bytes,
-        dst: usize,
-        src: usize,
-        t: u32,
-        ctx: u32,
-    ) -> Bytes {
-        let sid = self.isend_inner(data, dst, t, ctx);
-        let rid = self.irecv_inner(Some(src), Some(t), ctx);
-        let out = self.wait_recv_inner(rid).0;
-        self.wait_send_inner(sid);
+        ft: bool,
+        call: Call,
+        body: impl FnOnce(&mut Mpi, CollAlgo) -> Result<R, MpiError>,
+    ) -> Result<R, MpiError> {
+        let t0 = if ft { self.ft_enter()? } else { self.enter() };
+        let picked = match call {
+            Call::Selected(kind, bytes) => {
+                Some((kind, self.world_topo().selector().select(kind, bytes)))
+            }
+            Call::Flat(kind) => Some((kind, CollAlgo::Flat)),
+            Call::Fixed(_) => None,
+        };
+        let (algo, name) = match picked {
+            Some((kind, algo)) => {
+                self.obs.coll(kind, algo);
+                (algo, coll_trace_name(kind, algo))
+            }
+            None => (CollAlgo::Flat, CallClass::Collective.name()),
+        };
+        let out = body(self, algo);
+        self.exit_named(CallClass::Collective, t0, name);
         out
     }
+
+    /// [`Mpi::try_collective`] for the plain API.
+    pub(crate) fn collective<R>(
+        &mut self,
+        call: Call,
+        body: impl FnOnce(&mut Mpi, CollAlgo) -> Result<R, MpiError>,
+    ) -> R {
+        plain(call.name(), self.try_collective(false, call, body))
+    }
+
+    // ---- message helpers (no time-class attribution) ---------------------------
 
     pub(crate) fn try_coll_send(
         &mut self,
@@ -269,52 +364,48 @@ impl Mpi {
         Ok(out.0)
     }
 
+    // ---- list algorithms -------------------------------------------------------
+    //
+    // Each runs over an explicit rank list (positions in `list` act as
+    // virtual ranks) on an explicit context, fails fast at entry on a
+    // revoked context or convicted member, and in flight when a partner
+    // dies mid-round. The world, a two-level phase and a communicator
+    // call all run these same bodies.
+
     /// Flat fan-in to `list[0]`: every member posts one empty message to
     /// the leader and moves on; the leader absorbs them all. On an
     /// oversubscribed host this beats a tree for synchronization-only
     /// traffic — members never wait on each other (no intermediate
     /// park/wake chain), only the leader blocks — mirroring the
     /// shared-memory flag barrier MVAPICH2 uses for its SMP phase.
-    pub(crate) fn coll_fanin_inner(&mut self, list: &[usize], op_id: u32) {
+    fn fanin_list(&mut self, list: &[usize], op_id: u32) -> Result<(), MpiError> {
         let leader = list[0];
         if self.rank == leader {
             for &r in &list[1..] {
-                let _ = self.coll_recv(r, tag(op_id, 0), CTX_COLL);
+                self.try_coll_recv(r, tag(op_id, 0), CTX_COLL)?;
             }
+            Ok(())
         } else {
-            self.coll_send(Bytes::new(), leader, tag(op_id, 0), CTX_COLL);
+            self.try_coll_send(Bytes::new(), leader, tag(op_id, 0), CTX_COLL)
         }
     }
 
     /// Flat fan-out from `list[0]`: the leader releases every member with
-    /// one empty message. Counterpart of [`Mpi::coll_fanin_inner`].
-    pub(crate) fn coll_fanout_inner(&mut self, list: &[usize], op_id: u32) {
+    /// one empty message. Counterpart of [`Mpi::fanin_list`].
+    fn fanout_list(&mut self, list: &[usize], op_id: u32) -> Result<(), MpiError> {
         let leader = list[0];
         if self.rank == leader {
             for &r in &list[1..] {
-                self.coll_send(Bytes::new(), r, tag(op_id, 1), CTX_COLL);
+                self.try_coll_send(Bytes::new(), r, tag(op_id, 1), CTX_COLL)?;
             }
         } else {
-            let _ = self.coll_recv(leader, tag(op_id, 1), CTX_COLL);
+            self.try_coll_recv(leader, tag(op_id, 1), CTX_COLL)?;
         }
+        Ok(())
     }
 
-    /// Dissemination barrier over an explicit rank list (positions in
-    /// `list` act as virtual ranks).
-    pub(crate) fn barrier_inner(&mut self, list: &[usize], op_id: u32) {
-        self.barrier_inner_ctx(list, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::barrier_inner`] on an explicit communicator context.
-    pub(crate) fn barrier_inner_ctx(&mut self, list: &[usize], op_id: u32, ctx: u32) {
-        self.try_barrier_inner_ctx(list, op_id, ctx)
-            .unwrap_or_else(|e| panic!("barrier failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::barrier_inner_ctx`]: fails fast at entry on a
-    /// revoked context or convicted member, and in flight when a partner
-    /// dies mid-round.
-    pub(crate) fn try_barrier_inner_ctx(
+    /// Dissemination barrier.
+    pub(crate) fn barrier_list(
         &mut self,
         list: &[usize],
         op_id: u32,
@@ -341,33 +432,12 @@ impl Mpi {
         Ok(())
     }
 
-    /// Binomial broadcast over an explicit rank list; `root_pos` indexes
-    /// `list`. Every rank returns the payload.
-    pub(crate) fn bcast_inner(
-        &mut self,
-        data: Option<Bytes>,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Bytes {
-        self.bcast_inner_ctx(data, list, root_pos, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::bcast_inner`] on an explicit communicator context.
-    pub(crate) fn bcast_inner_ctx(
-        &mut self,
-        data: Option<Bytes>,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-        ctx: u32,
-    ) -> Bytes {
-        self.try_bcast_inner_ctx(data, list, root_pos, op_id, ctx)
-            .unwrap_or_else(|e| panic!("bcast failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::bcast_inner_ctx`].
-    pub(crate) fn try_bcast_inner_ctx(
+    /// Binomial broadcast; `root_pos` indexes `list`. Every rank returns
+    /// the payload. Its messages travel in round 1 of `op_id` and those of
+    /// [`Mpi::reduce_list`] and [`Mpi::gather_list`] in round 0, so a
+    /// composition that reduces or gathers and then broadcasts under one
+    /// id keeps the two message classes apart.
+    pub(crate) fn bcast_list(
         &mut self,
         data: Option<Bytes>,
         list: &[usize],
@@ -389,7 +459,7 @@ impl Mpi {
             if relative & mask != 0 {
                 let src_pos = (relative ^ mask) % n; // relative - mask
                 let src = list[(src_pos + root_pos) % n];
-                payload = self.try_coll_recv(src, tag(op_id, 0), ctx)?;
+                payload = self.try_coll_recv(src, tag(op_id, 1), ctx)?;
                 break;
             }
             mask <<= 1;
@@ -399,42 +469,15 @@ impl Mpi {
         while mask > 0 {
             if relative + mask < n {
                 let dst = list[((relative + mask) + root_pos) % n];
-                self.try_coll_send(payload.clone(), dst, tag(op_id, 0), ctx)?;
+                self.try_coll_send(payload.clone(), dst, tag(op_id, 1), ctx)?;
             }
             mask >>= 1;
         }
         Ok(payload)
     }
 
-    /// Binomial reduce over a rank list; only the root's return value is
-    /// meaningful.
-    pub(crate) fn reduce_inner<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Vec<T> {
-        self.reduce_inner_ctx(data, rop, list, root_pos, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::reduce_inner`] on an explicit communicator context.
-    pub(crate) fn reduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<T> {
-        self.try_reduce_inner_ctx(data, rop, list, root_pos, op_id, ctx)
-            .unwrap_or_else(|e| panic!("reduce failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::reduce_inner_ctx`].
-    pub(crate) fn try_reduce_inner_ctx<T: Reducible>(
+    /// Binomial reduce; only the root's return value is meaningful.
+    pub(crate) fn reduce_list<T: Reducible>(
         &mut self,
         data: &[T],
         rop: ReduceOp,
@@ -471,33 +514,9 @@ impl Mpi {
         Ok(acc)
     }
 
-    /// Recursive-doubling allreduce over a rank list (falls back to
-    /// reduce+bcast when the group size is not a power of two).
-    pub(crate) fn allreduce_inner<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        op_id: u32,
-    ) -> Vec<T> {
-        self.allreduce_inner_ctx(data, rop, list, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::allreduce_inner`] on an explicit communicator context.
-    pub(crate) fn allreduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<T> {
-        self.try_allreduce_inner_ctx(data, rop, list, op_id, ctx)
-            .unwrap_or_else(|e| panic!("allreduce failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::allreduce_inner_ctx`].
-    pub(crate) fn try_allreduce_inner_ctx<T: Reducible>(
+    /// Recursive-doubling allreduce (reduce + bcast when the group size
+    /// is not a power of two).
+    pub(crate) fn allreduce_list<T: Reducible>(
         &mut self,
         data: &[T],
         rop: ReduceOp,
@@ -511,10 +530,10 @@ impl Mpi {
             return Ok(data.to_vec());
         }
         if !n.is_power_of_two() {
-            let red = self.try_reduce_inner_ctx(data, rop, list, 0, op_id, ctx)?;
+            let red = self.reduce_list(data, rop, list, 0, op_id, ctx)?;
             let root = self.rank == list[0];
             let seed = root.then(|| to_bytes(&red));
-            let bytes = self.try_bcast_inner_ctx(seed, list, 0, op_id + 1, ctx)?;
+            let bytes = self.bcast_list(seed, list, 0, op_id, ctx)?;
             return Ok(if root {
                 red
             } else {
@@ -544,20 +563,7 @@ impl Mpi {
     /// the bundles of its child subtrees as they arrived — `(rank, block)`
     /// frames in tree-relative order, its own block not among them; other
     /// ranks' return values are meaningless.
-    pub(crate) fn gather_inner<T: MpiData>(
-        &mut self,
-        mine: &[T],
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Vec<Bytes> {
-        self.try_gather_inner_ctx(mine, list, root_pos, op_id, CTX_COLL)
-            .unwrap_or_else(|e| panic!("gather failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::gather_inner`] on an explicit communicator
-    /// context.
-    pub(crate) fn try_gather_inner_ctx<T: MpiData>(
+    pub(crate) fn gather_list<T: MpiData>(
         &mut self,
         mine: &[T],
         list: &[usize],
@@ -597,7 +603,7 @@ impl Mpi {
     /// `list[0]` and broadcast the list-ordered concatenation to all
     /// (communicator allgather and the membership exchange of
     /// `comm_split`; simple and correct for modest group sizes).
-    pub(crate) fn try_allgather_list<T: MpiData>(
+    pub(crate) fn allgather_list<T: MpiData>(
         &mut self,
         data: &[T],
         list: &[usize],
@@ -606,7 +612,7 @@ impl Mpi {
     ) -> Result<Vec<T>, MpiError> {
         let block = data.len();
         let total = block * list.len();
-        let children = self.try_gather_inner_ctx(data, list, 0, op_id, ctx)?;
+        let children = self.gather_list(data, list, 0, op_id, ctx)?;
         let root = self.rank == list[0];
         let mut all = Vec::new();
         if root {
@@ -628,7 +634,7 @@ impl Mpi {
             assert!(expected.next().is_none(), "allgather frames missing");
         }
         let seed = root.then(|| to_bytes(&all));
-        let bytes = self.try_bcast_inner_ctx(seed, list, 0, op_id + 1, ctx)?;
+        let bytes = self.bcast_list(seed, list, 0, op_id, ctx)?;
         Ok(if root {
             all
         } else {
@@ -640,45 +646,30 @@ impl Mpi {
 
     /// Synchronize all ranks (`MPI_Barrier`).
     pub fn barrier(&mut self) {
-        let t0 = self.enter();
-        let algo = self.coll.select(CollKind::Barrier, 0);
-        self.obs.coll(CollKind::Barrier, algo);
-        if algo == CollAlgo::TwoLevel {
-            self.barrier_smp_inner();
-        } else {
-            self.with_world_list(|mpi, list| mpi.barrier_inner(list, op::BARRIER));
-        }
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Barrier, algo),
-        );
+        self.collective(
+            Call::Selected(CollKind::Barrier, 0),
+            |mpi, algo| match algo {
+                CollAlgo::TwoLevel => mpi.barrier_two_level(),
+                _ => mpi.barrier_list(&mpi.world_ranks(), op::BARRIER, CTX_COLL),
+            },
+        )
     }
 
     /// Broadcast `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Bcast, std::mem::size_of_val(buf));
-        self.obs.coll(CollKind::Bcast, algo);
-        match algo {
-            CollAlgo::TwoLevel => self.bcast_smp_inner(buf, root),
-            CollAlgo::Large => self.bcast_scatter_allgather_inner(buf, root),
+        let call = Call::Selected(CollKind::Bcast, std::mem::size_of_val(buf));
+        self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.bcast_two_level(buf, root),
+            CollAlgo::Large => mpi.bcast_scatter_allgather(buf, root),
             CollAlgo::Flat => {
-                let seed = (self.rank == root).then(|| to_bytes(buf));
-                let out =
-                    self.with_world_list(|mpi, list| mpi.bcast_inner(seed, list, root, op::BCAST));
-                if self.rank != root {
+                let seed = (mpi.rank == root).then(|| to_bytes(buf));
+                let out = mpi.bcast_list(seed, &mpi.world_ranks(), root, op::BCAST, CTX_COLL)?;
+                if mpi.rank != root {
                     from_bytes(&out, buf);
                 }
+                Ok(())
             }
-        }
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, algo),
-        );
+        })
     }
 
     /// Reduce elementwise to `root` (`MPI_Reduce`). Returns `Some(result)`
@@ -689,82 +680,68 @@ impl Mpi {
         rop: ReduceOp,
         root: usize,
     ) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Reduce, std::mem::size_of_val(data));
-        self.obs.coll(CollKind::Reduce, algo);
-        let acc = if algo == CollAlgo::TwoLevel {
-            self.reduce_smp_inner(data, rop, root)
-        } else {
-            self.with_world_list(|mpi, list| mpi.reduce_inner(data, rop, list, root, op::REDUCE))
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Reduce, algo),
-        );
+        let call = Call::Selected(CollKind::Reduce, std::mem::size_of_val(data));
+        let acc = self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.reduce_two_level(data, rop, root),
+            _ => mpi.reduce_list(data, rop, &mpi.world_ranks(), root, op::REDUCE, CTX_COLL),
+        });
         (self.rank == root).then_some(acc)
     }
 
     /// Elementwise reduction visible on every rank (`MPI_Allreduce`).
     pub fn allreduce<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Allreduce, std::mem::size_of_val(data));
-        self.obs.coll(CollKind::Allreduce, algo);
-        let out = match algo {
-            CollAlgo::TwoLevel => self.allreduce_smp_inner(data, rop),
-            CollAlgo::Large => self.allreduce_rabenseifner_inner(data, rop),
-            CollAlgo::Flat => self
-                .with_world_list(|mpi, list| mpi.allreduce_inner(data, rop, list, op::ALLREDUCE)),
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, algo),
-        );
-        out
+        let call = Call::Selected(CollKind::Allreduce, std::mem::size_of_val(data));
+        self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.allreduce_two_level(data, rop),
+            CollAlgo::Large => mpi.allreduce_rabenseifner(data, rop),
+            CollAlgo::Flat => {
+                mpi.allreduce_list(data, rop, &mpi.world_ranks(), op::ALLREDUCE, CTX_COLL)
+            }
+        })
     }
 
     /// Gather equal-size contributions to `root` (`MPI_Gather`). Returns
     /// the rank-ordered concatenation at the root.
     pub fn gather<T: MpiData>(&mut self, data: &[T], root: usize) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Gather, std::mem::size_of_val(data));
-        self.obs.coll(CollKind::Gather, algo);
-        let out = if algo == CollAlgo::TwoLevel {
-            let all = self.gather_smp_inner(data, root);
-            (self.rank == root).then_some(all)
-        } else {
-            let children =
-                self.with_world_list(|mpi, list| mpi.gather_inner(data, list, root, op::GATHER));
-            (self.rank == root).then(|| {
-                let block = data.len();
-                let mut all = zeroed(block * self.n);
-                all[root * block..(root + 1) * block].copy_from_slice(data);
-                for bundle in &children {
-                    place_blocks(bundle, block, &mut all, "gather subtree bundle");
-                }
-                all
-            })
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Gather, algo),
-        );
-        out
+        let call = Call::Selected(CollKind::Gather, std::mem::size_of_val(data));
+        let all = self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.gather_two_level(data, root),
+            _ => mpi.gather_binomial(data, root),
+        });
+        (self.rank == root).then_some(all)
+    }
+
+    /// Binomial gather over the world; the rank-ordered concatenation at
+    /// the root, empty elsewhere.
+    fn gather_binomial<T: MpiData>(&mut self, data: &[T], root: usize) -> Result<Vec<T>, MpiError> {
+        let children = self.gather_list(data, &self.world_ranks(), root, op::GATHER, CTX_COLL)?;
+        if self.rank != root {
+            return Ok(Vec::new());
+        }
+        let block = data.len();
+        let mut all = zeroed(block * self.n);
+        all[root * block..(root + 1) * block].copy_from_slice(data);
+        for bundle in &children {
+            place_blocks(bundle, block, &mut all, "gather subtree bundle");
+        }
+        Ok(all)
     }
 
     /// Scatter equal-size blocks from `root` (`MPI_Scatter`). `data` is
     /// required at the root (length `n * block`), ignored elsewhere;
     /// returns this rank's block.
     pub fn scatter<T: MpiData>(&mut self, data: Option<&[T]>, block: usize, root: usize) -> Vec<T> {
-        let t0 = self.enter();
+        self.collective(Call::Fixed("scatter"), |mpi, _| {
+            mpi.scatter_binomial(data, block, root)
+        })
+    }
+
+    fn scatter_binomial<T: MpiData>(
+        &mut self,
+        data: Option<&[T]>,
+        block: usize,
+        root: usize,
+    ) -> Result<Vec<T>, MpiError> {
         let n = self.n;
         let relative = (self.rank + n - root) % n;
         // Every block travels as one frame keyed by its *relative*
@@ -796,7 +773,7 @@ impl Mpi {
                 span <<= 1;
             }
             let parent = ((relative ^ span) + root) % n;
-            let held = self.coll_recv(parent, tag(op::SCATTER, 0), CTX_COLL);
+            let held = self.try_coll_recv(parent, tag(op::SCATTER, 0), CTX_COLL)?;
             let covered = span.min(n - relative);
             assert_eq!(
                 held.len(),
@@ -821,37 +798,25 @@ impl Mpi {
                 let hi = (relative + 2 * span).min(n);
                 let part = held.slice((lo - first) * frame..(hi - first) * frame);
                 let dst = (lo + root) % n;
-                self.coll_send(part, dst, tag(op::SCATTER, 0), CTX_COLL);
+                self.try_coll_send(part, dst, tag(op::SCATTER, 0), CTX_COLL)?;
             }
             span >>= 1;
         }
-        self.exit(CallClass::Collective, t0);
-        out
+        Ok(out)
     }
 
     /// All-to-all gather of equal contributions (`MPI_Allgather`). Returns
     /// the rank-ordered concatenation.
     pub fn allgather<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Allgather, std::mem::size_of_val(data));
-        self.obs.coll(CollKind::Allgather, algo);
-        let all = if algo == CollAlgo::TwoLevel {
-            self.allgather_smp_inner(data)
-        } else {
-            self.allgather_flat_inner(data)
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allgather, algo),
-        );
-        all
+        let call = Call::Selected(CollKind::Allgather, std::mem::size_of_val(data));
+        self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.allgather_two_level(data),
+            _ => mpi.allgather_ring(data),
+        })
     }
 
     /// Ring allgather over the world.
-    fn allgather_flat_inner<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
+    fn allgather_ring<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
         let n = self.n;
         let block = data.len();
         let mut all = zeroed(block * n);
@@ -864,48 +829,38 @@ impl Mpi {
             let mut carry = to_bytes(data);
             for step in 0..n - 1 {
                 let recv_block = (self.rank + n - step - 1) % n;
-                carry = self.coll_sendrecv(
-                    carry,
-                    right,
-                    left,
-                    tag(op::ALLGATHER, step as u32),
-                    CTX_COLL,
-                );
+                let t = tag(op::ALLGATHER, step as u32);
+                carry = self.try_coll_sendrecv(carry, right, left, t, CTX_COLL)?;
                 from_bytes(
                     &carry,
                     &mut all[recv_block * block..(recv_block + 1) * block],
                 );
             }
         }
-        all
+        Ok(all)
     }
 
     /// Personalized all-to-all exchange (`MPI_Alltoall`). `data` holds one
     /// `block`-element slab per destination; returns one slab per source.
     pub fn alltoall<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let t0 = self.enter();
         assert_eq!(
             data.len(),
             block * self.n,
             "alltoall data must be n * block elements"
         );
-        let algo = self.coll.select(CollKind::Alltoall, block * T::SIZE);
-        self.obs.coll(CollKind::Alltoall, algo);
-        let out = if algo == CollAlgo::TwoLevel {
-            self.alltoall_smp_inner(data, block)
-        } else {
-            self.alltoall_flat_inner(data, block)
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Alltoall, algo),
-        );
-        out
+        let call = Call::Selected(CollKind::Alltoall, block * T::SIZE);
+        self.collective(call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.alltoall_two_level(data, block),
+            _ => mpi.alltoall_pairwise(data, block),
+        })
     }
 
     /// Pairwise alltoall over the world.
-    fn alltoall_flat_inner<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
+    fn alltoall_pairwise<T: MpiData>(
+        &mut self,
+        data: &[T],
+        block: usize,
+    ) -> Result<Vec<T>, MpiError> {
         let n = self.n;
         let bs = block * T::SIZE;
         let mut out = zeroed(block * n);
@@ -916,79 +871,71 @@ impl Mpi {
         for step in 1..n {
             let dst = (self.rank + step) % n;
             let src = (self.rank + n - step) % n;
-            let got = self.coll_sendrecv(
+            let got = self.try_coll_sendrecv(
                 image.slice(dst * bs..(dst + 1) * bs),
                 dst,
                 src,
                 tag(op::ALLTOALL, step as u32),
                 CTX_COLL,
-            );
+            )?;
             from_bytes(&got, &mut out[src * block..(src + 1) * block]);
         }
-        out
+        Ok(out)
     }
 
     /// Variable-size personalized all-to-all (`MPI_Alltoallv`): one byte
     /// payload per destination; returns one payload per source.
     pub fn alltoallv_bytes(&mut self, blocks: Vec<Bytes>) -> Vec<Bytes> {
-        let t0 = self.enter();
-        let n = self.n;
-        assert_eq!(blocks.len(), n, "alltoallv needs one block per rank");
-        let mut out: Vec<Bytes> = vec![Bytes::new(); n];
-        out[self.rank] = blocks[self.rank].clone();
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        for step in 1..n {
-            let dst = (self.rank + step) % n;
-            let src = (self.rank + n - step) % n;
-            sends.push(self.isend_inner(blocks[dst].clone(), dst, tag(op::ALLTOALLV, 0), CTX_COLL));
-            recvs.push((
-                src,
-                self.irecv_inner(Some(src), Some(tag(op::ALLTOALLV, 0)), CTX_COLL),
-            ));
-        }
-        for (src, rid) in recvs {
-            out[src] = self.wait_recv_inner(rid).0;
-        }
-        for sid in sends {
-            self.wait_send_inner(sid);
-        }
-        self.exit(CallClass::Collective, t0);
-        out
+        self.collective(Call::Fixed("alltoallv"), |mpi, _| {
+            let n = mpi.n;
+            assert_eq!(blocks.len(), n, "alltoallv needs one block per rank");
+            let mut out: Vec<Bytes> = vec![Bytes::new(); n];
+            out[mpi.rank] = blocks[mpi.rank].clone();
+            let mut sends = Vec::new();
+            let mut recvs = Vec::new();
+            for step in 1..n {
+                let dst = (mpi.rank + step) % n;
+                let src = (mpi.rank + n - step) % n;
+                sends.push(mpi.isend_inner(
+                    blocks[dst].clone(),
+                    dst,
+                    tag(op::ALLTOALLV, 0),
+                    CTX_COLL,
+                ));
+                recvs.push((
+                    src,
+                    mpi.irecv_inner(Some(src), Some(tag(op::ALLTOALLV, 0)), CTX_COLL),
+                ));
+            }
+            for (src, rid) in recvs {
+                out[src] = mpi.try_wait_recv_inner(rid)?.0;
+            }
+            for sid in sends {
+                mpi.try_wait_send_inner(sid)?;
+            }
+            Ok(out)
+        })
     }
 
-    // ---- two-level (SMP-aware) variants --------------------------------------
+    // ---- two-level (SMP-aware) algorithms ------------------------------------
 
     /// The locality groups the active policy induces (each group sorted,
     /// groups ordered by smallest member). All ranks compute the same
     /// partition.
     pub fn policy_groups(&self) -> Vec<Vec<usize>> {
-        self.smp_topo.groups().to_vec()
+        self.world_topo().groups().to_vec()
     }
 
-    /// The job's two-level topology. Built once per job (the world
-    /// locality groups never change after init; shrink-produced
-    /// communicators carry their own groups in `ctx_coll`), so every
-    /// collective call pays a refcount bump instead of re-cloning the
-    /// whole group structure.
-    fn smp_topology(&self) -> Arc<SmpTopo> {
-        Arc::clone(&self.smp_topo)
+    /// The job's two-level topology (see `JobState::smp_topo`): a
+    /// refcount bump lends it around the `&mut self` phases of one call.
+    fn topo(&self) -> Arc<SmpTopo> {
+        Arc::clone(self.world_topo())
     }
 
     /// Two-level broadcast: root → its group's leader → inter-leader
     /// binomial tree → host-local binomial trees.
-    pub fn bcast_smp<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        self.bcast_smp_inner(buf, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, CollAlgo::TwoLevel),
-        );
-    }
-
-    fn bcast_smp_inner<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let topo = self.smp_topology();
+    fn bcast_two_level<T: MpiData>(&mut self, buf: &mut [T], root: usize) -> Result<(), MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_leader = my_group[0];
         let root_leader = topo.leader_of(root);
@@ -998,129 +945,113 @@ impl Mpi {
         if root != root_leader {
             if self.rank == root {
                 let b = payload.clone().expect("root payload missing");
-                self.coll_send(b, root_leader, tag(op::SMP_SHUTTLE, 0), CTX_COLL);
+                self.try_coll_send(b, root_leader, tag(op::SMP_SHUTTLE, 0), CTX_COLL)?;
             } else if self.rank == root_leader {
-                payload = Some(self.coll_recv(root, tag(op::SMP_SHUTTLE, 0), CTX_COLL));
+                payload = Some(self.try_coll_recv(root, tag(op::SMP_SHUTTLE, 0), CTX_COLL)?);
             }
         }
         // Phase 1: inter-leader broadcast.
         if self.rank == my_leader && topo.leaders.len() > 1 {
             let root_pos = topo.group_index(root);
-            let out = self.bcast_inner(payload.take(), &topo.leaders, root_pos, op::SMP_PHASE0);
+            let seed = payload.take();
+            let out = self.bcast_list(seed, &topo.leaders, root_pos, op::SMP_PHASE0, CTX_COLL)?;
             payload = Some(out);
         }
         // Phase 2: host-local broadcast from the leader.
         if my_group.len() > 1 {
-            let out = self.bcast_inner(payload.take(), my_group, 0, op::SMP_PHASE1);
+            let out = self.bcast_list(payload.take(), my_group, 0, op::SMP_PHASE1, CTX_COLL)?;
             payload = Some(out);
         }
         if self.rank != root {
             from_bytes(&payload.expect("bcast payload missing"), buf);
         }
+        Ok(())
     }
 
     /// Two-level allreduce: host-local reduce to the leader, inter-leader
     /// allreduce, host-local broadcast.
-    pub fn allreduce_smp<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let out = self.allreduce_smp_inner(data, rop);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, CollAlgo::TwoLevel),
-        );
-        out
-    }
-
-    fn allreduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let topo = self.smp_topology();
+    fn allreduce_two_level<T: Reducible>(
+        &mut self,
+        data: &[T],
+        rop: ReduceOp,
+    ) -> Result<Vec<T>, MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_leader = my_group[0];
         let mut acc = if my_group.len() > 1 {
-            self.reduce_inner(data, rop, my_group, 0, op::SMP_PHASE0)
+            self.reduce_list(data, rop, my_group, 0, op::SMP_PHASE0, CTX_COLL)?
         } else {
             data.to_vec()
         };
         if self.rank == my_leader && topo.leaders.len() > 1 {
-            acc = self.allreduce_inner(&acc, rop, &topo.leaders, op::SMP_PHASE1);
+            acc = self.allreduce_list(&acc, rop, &topo.leaders, op::SMP_PHASE1, CTX_COLL)?;
         }
         if my_group.len() > 1 {
             let seed = (self.rank == my_leader).then(|| to_bytes(&acc));
-            let out = self.bcast_inner(seed, my_group, 0, op::SMP_PHASE2);
+            let out = self.bcast_list(seed, my_group, 0, op::SMP_PHASE2, CTX_COLL)?;
             if self.rank != my_leader {
                 from_bytes(&out, &mut acc);
             }
         }
-        acc
+        Ok(acc)
     }
 
     /// Two-level reduce: host-local reduce to the leader, inter-leader
     /// reduce rooted at the root's leader, leader → root shuttle.
-    pub fn reduce_smp<T: Reducible>(
+    fn reduce_two_level<T: Reducible>(
         &mut self,
         data: &[T],
         rop: ReduceOp,
         root: usize,
-    ) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let acc = self.reduce_smp_inner(data, rop, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Reduce, CollAlgo::TwoLevel),
-        );
-        (self.rank == root).then_some(acc)
-    }
-
-    fn reduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp, root: usize) -> Vec<T> {
-        let topo = self.smp_topology();
+    ) -> Result<Vec<T>, MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_leader = my_group[0];
         let root_leader = topo.leader_of(root);
         // Phase 0: host-local fan-in to the group leader.
         let mut acc = if my_group.len() > 1 {
-            self.reduce_inner(data, rop, my_group, 0, op::SMP_REDUCE0)
+            self.reduce_list(data, rop, my_group, 0, op::SMP_REDUCE0, CTX_COLL)?
         } else {
             data.to_vec()
         };
         // Phase 1: inter-leader reduce rooted at the root's leader.
         if self.rank == my_leader && topo.leaders.len() > 1 {
             let root_pos = topo.group_index(root);
-            acc = self.reduce_inner(&acc, rop, &topo.leaders, root_pos, op::SMP_REDUCE1);
+            acc = self.reduce_list(
+                &acc,
+                rop,
+                &topo.leaders,
+                root_pos,
+                op::SMP_REDUCE1,
+                CTX_COLL,
+            )?;
         }
         // Phase 2: shuttle to a non-leader root.
         if root != root_leader {
             if self.rank == root_leader {
-                self.coll_send(to_bytes(&acc), root, tag(op::SMP_REDUCE2, 0), CTX_COLL);
+                self.try_coll_send(to_bytes(&acc), root, tag(op::SMP_REDUCE2, 0), CTX_COLL)?;
             } else if self.rank == root {
-                let b = self.coll_recv(root_leader, tag(op::SMP_REDUCE2, 0), CTX_COLL);
+                let b = self.try_coll_recv(root_leader, tag(op::SMP_REDUCE2, 0), CTX_COLL)?;
                 acc = vec_from_bytes(&b, data.len());
             }
         }
-        acc
+        Ok(acc)
     }
 
     /// Two-level gather: host-local gather to the leader, leaders gather
     /// the per-group bundles to the root's leader, leader → root shuttle.
-    /// Returns the rank-ordered concatenation at the root.
-    pub fn gather_smp<T: MpiData>(&mut self, data: &[T], root: usize) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let all = self.gather_smp_inner(data, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Gather, CollAlgo::TwoLevel),
-        );
-        (self.rank == root).then_some(all)
-    }
-
-    fn gather_smp_inner<T: MpiData>(&mut self, data: &[T], root: usize) -> Vec<T> {
-        let topo = self.smp_topology();
+    /// The rank-ordered concatenation at the root, empty elsewhere.
+    fn gather_two_level<T: MpiData>(
+        &mut self,
+        data: &[T],
+        root: usize,
+    ) -> Result<Vec<T>, MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let root_leader = topo.leader_of(root);
         let block = data.len();
         // Phase 0: host-local gather to the group leader.
-        let members = self.gather_inner(data, my_group, 0, op::SMP_GATHER0);
+        let members = self.gather_list(data, my_group, 0, op::SMP_GATHER0, CTX_COLL)?;
         // Phase 1: leaders gather their groups' bundles, one frame per
         // group, to the root's leader.
         let mut mine = Bytes::new();
@@ -1129,7 +1060,13 @@ impl Mpi {
             mine = subtree_bundle(self.rank, data, &members);
             if topo.leaders.len() > 1 {
                 let root_pos = topo.group_index(root);
-                others = self.gather_inner(&mine[..], &topo.leaders, root_pos, op::SMP_GATHER1);
+                others = self.gather_list(
+                    &mine[..],
+                    &topo.leaders,
+                    root_pos,
+                    op::SMP_GATHER1,
+                    CTX_COLL,
+                )?;
             }
         }
         let mut all = Vec::new();
@@ -1153,44 +1090,34 @@ impl Mpi {
                 for (_, group) in groups {
                     w.append(group);
                 }
-                self.coll_send(w.finish(), root, tag(op::SMP_GATHER2, 0), CTX_COLL);
+                self.try_coll_send(w.finish(), root, tag(op::SMP_GATHER2, 0), CTX_COLL)?;
             }
         } else if self.rank == root {
-            let b = self.coll_recv(root_leader, tag(op::SMP_GATHER2, 0), CTX_COLL);
+            let b = self.try_coll_recv(root_leader, tag(op::SMP_GATHER2, 0), CTX_COLL)?;
             all = zeroed(block * self.n);
             place_blocks(&b, block, &mut all, "gather-smp root bundle");
         }
-        all
+        Ok(all)
     }
 
     /// Two-level allgather: host-local gather to the leaders, leaders
     /// assemble and redistribute the world bundle, host-local broadcast.
-    /// Returns the rank-ordered concatenation on every rank.
-    pub fn allgather_smp<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let t0 = self.enter();
-        let all = self.allgather_smp_inner(data);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allgather, CollAlgo::TwoLevel),
-        );
-        all
-    }
-
-    fn allgather_smp_inner<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let topo = self.smp_topology();
+    /// The rank-ordered concatenation on every rank.
+    fn allgather_two_level<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_leader = my_group[0];
         let block = data.len();
         // Phase 0: host-local gather to the leader.
-        let members = self.gather_inner(data, my_group, 0, op::SMP_AG0);
+        let members = self.gather_list(data, my_group, 0, op::SMP_AG0, CTX_COLL)?;
         // Phases 1+2: leaders assemble the world bundle at the first
         // leader and broadcast it back over the leader tree.
         let mut world: Option<Bytes> = None;
         if self.rank == my_leader {
             let mine = subtree_bundle(self.rank, data, &members);
             if topo.leaders.len() > 1 {
-                let others = self.gather_inner(&mine[..], &topo.leaders, 0, op::SMP_AG1);
+                let others =
+                    self.gather_list(&mine[..], &topo.leaders, 0, op::SMP_AG1, CTX_COLL)?;
                 let seed = (self.rank == topo.leaders[0]).then(|| {
                     let mut blocks: Vec<(usize, &[u8])> =
                         frames_ok(&mine, "allgather-smp group bundle").collect();
@@ -1207,14 +1134,14 @@ impl Mpi {
                     }
                     w.finish()
                 });
-                world = Some(self.bcast_inner(seed, &topo.leaders, 0, op::SMP_AG2));
+                world = Some(self.bcast_list(seed, &topo.leaders, 0, op::SMP_AG2, CTX_COLL)?);
             } else {
                 world = Some(mine);
             }
         }
         // Phase 3: host-local broadcast of the world bundle.
         let world = if my_group.len() > 1 {
-            self.bcast_inner(world, my_group, 0, op::SMP_AG3)
+            self.bcast_list(world, my_group, 0, op::SMP_AG3, CTX_COLL)?
         } else {
             world.expect("allgather-smp world bundle missing")
         };
@@ -1231,61 +1158,40 @@ impl Mpi {
             extend_from_bytes(part, block, &mut all);
         }
         assert!(ranks.is_empty(), "allgather-smp world bundle is short");
-        all
+        Ok(all)
     }
 
     /// Two-level barrier: host-local fan-in to the leaders, inter-leader
     /// dissemination barrier, host-local fan-out.
-    pub fn barrier_smp(&mut self) {
-        let t0 = self.enter();
-        self.barrier_smp_inner();
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Barrier, CollAlgo::TwoLevel),
-        );
-    }
-
-    fn barrier_smp_inner(&mut self) {
-        let topo = self.smp_topology();
+    fn barrier_two_level(&mut self) -> Result<(), MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_leader = my_group[0];
         // Phase 0: host-local flat fan-in (members post-and-go, only the
         // leader blocks — no intermediate tree hops to schedule).
         if my_group.len() > 1 {
-            self.coll_fanin_inner(my_group, op::SMP_BAR0);
+            self.fanin_list(my_group, op::SMP_BAR0)?;
         }
         // Phase 1: inter-leader dissemination barrier.
         if self.rank == my_leader && topo.leaders.len() > 1 {
-            self.barrier_inner(&topo.leaders, op::SMP_BAR1);
+            self.barrier_list(&topo.leaders, op::SMP_BAR1, CTX_COLL)?;
         }
         // Phase 2: host-local fan-out releases the group.
         if my_group.len() > 1 {
-            self.coll_fanout_inner(my_group, op::SMP_BAR2);
+            self.fanout_list(my_group, op::SMP_BAR2)?;
         }
+        Ok(())
     }
 
     /// Hierarchical alltoall: intra-group slabs exchange directly;
     /// inter-group slabs are bundled through the leaders so only one
     /// (aggregated) message crosses each group pair.
-    pub fn alltoall_smp<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let t0 = self.enter();
-        assert_eq!(
-            data.len(),
-            block * self.n,
-            "alltoall data must be n * block elements"
-        );
-        let out = self.alltoall_smp_inner(data, block);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Alltoall, CollAlgo::TwoLevel),
-        );
-        out
-    }
-
-    fn alltoall_smp_inner<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let topo = self.smp_topology();
+    fn alltoall_two_level<T: MpiData>(
+        &mut self,
+        data: &[T],
+        block: usize,
+    ) -> Result<Vec<T>, MpiError> {
+        let topo = self.topo();
         let my_group = topo.group_of(self.rank);
         let my_gi = topo.group_index(self.rank);
         let my_leader = my_group[0];
@@ -1310,19 +1216,19 @@ impl Mpi {
             for step in 1..m {
                 let to = (my_pos + step) % m;
                 let src = my_group[(my_pos + m - step) % m];
-                let got = self.coll_sendrecv(
+                let got = self.try_coll_sendrecv(
                     image.slice(to * bs..(to + 1) * bs),
                     my_group[to],
                     src,
                     tag(op::SMP_A2A0, step as u32),
                     CTX_COLL,
-                );
+                )?;
                 from_bytes(&got, &mut out[src * block..(src + 1) * block]);
             }
         }
         let num_leaders = topo.leaders.len();
         if num_leaders == 1 {
-            return out;
+            return Ok(out);
         }
         let external = |d: &usize| topo.group_index(*d) != my_gi;
         if self.rank != my_leader {
@@ -1332,12 +1238,12 @@ impl Mpi {
             for d in (0..n).filter(external) {
                 w.put(d, slab(d));
             }
-            self.coll_send(w.finish(), my_leader, tag(op::SMP_A2A1, 0), CTX_COLL);
+            self.try_coll_send(w.finish(), my_leader, tag(op::SMP_A2A1, 0), CTX_COLL)?;
             // Phase D: the leader returns what the other groups sent
             // here, keyed by source rank.
-            let b = self.coll_recv(my_leader, tag(op::SMP_A2A3, 0), CTX_COLL);
+            let b = self.try_coll_recv(my_leader, tag(op::SMP_A2A3, 0), CTX_COLL)?;
             place_blocks(&b, block, &mut out, "alltoall-smp distribution bundle");
-            return out;
+            return Ok(out);
         }
         // Phase B at the leader: stage every external slab of the group
         // once, by destination group — one aggregate per peer group,
@@ -1354,7 +1260,7 @@ impl Mpi {
             staged[topo.group_index(d)].put(self.rank * n + d, slab(d));
         }
         for &member in &my_group[1..] {
-            let b = self.coll_recv(member, tag(op::SMP_A2A1, 0), CTX_COLL);
+            let b = self.try_coll_recv(member, tag(op::SMP_A2A1, 0), CTX_COLL)?;
             for (d, part) in frames_ok(&b, "alltoall-smp member bundle") {
                 staged[topo.group_index(d)].put_bytes(member * n + d, part);
             }
@@ -1364,13 +1270,13 @@ impl Mpi {
         for step in 1..num_leaders {
             let to = (my_gi + step) % num_leaders;
             let from = (my_gi + num_leaders - step) % num_leaders;
-            incoming.push(self.coll_sendrecv(
+            incoming.push(self.try_coll_sendrecv(
                 std::mem::take(&mut staged[to]).finish(),
                 topo.leaders[to],
                 topo.leaders[from],
                 tag(op::SMP_A2A2, step as u32),
                 CTX_COLL,
-            ));
+            )?);
         }
         // Phase D: sort the incoming slabs by member position once and
         // hand each member its own, keyed by source rank.
@@ -1391,9 +1297,9 @@ impl Mpi {
             }
         }
         for (w, &member) in per_member.into_iter().zip(my_group).skip(1) {
-            self.coll_send(w.finish(), member, tag(op::SMP_A2A3, 0), CTX_COLL);
+            self.try_coll_send(w.finish(), member, tag(op::SMP_A2A3, 0), CTX_COLL)?;
         }
-        out
+        Ok(out)
     }
 }
 

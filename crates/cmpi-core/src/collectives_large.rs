@@ -1,5 +1,4 @@
-//! Large-message collective algorithms and size-based algorithm
-//! selection (MVAPICH2-style tuning).
+//! Large-message collective algorithms (MVAPICH2-style tuning).
 //!
 //! The default algorithms (binomial bcast, recursive-doubling allreduce)
 //! move the full vector every round — optimal for latency, wasteful for
@@ -12,62 +11,28 @@
 //!   binomial tree, then a ring allgather reassembles — same bandwidth
 //!   bound.
 //!
-//! Both fall back to the latency-optimal algorithms for small messages or
-//! non-power-of-two groups (like MVAPICH2's tuning tables). The main
-//! entry points (`Mpi::bcast`, `Mpi::allreduce`) reach these algorithms
-//! through the [`crate::coll_select::CollectiveSelector`] once the
-//! message crosses `MV2_COLL_LARGE_MSG`; the `*_tuned` wrappers keep the
-//! original fixed-threshold behaviour for the ablation benchmarks.
+//! Nothing calls these by name: `Mpi::bcast` and `Mpi::allreduce` reach
+//! them through the [`crate::coll_select::CollectiveSelector`] once the
+//! message crosses `MV2_COLL_LARGE_MSG` (`Tunables::coll_large_msg`, the
+//! one large-message threshold), and the selector keeps Rabenseifner to
+//! power-of-two worlds, like MVAPICH2's tuning tables.
 
 use bytes::Bytes;
 
-use crate::coll_select::{coll_trace_name, CollAlgo, CollKind};
-use crate::collectives::tag;
+use crate::collectives::{op, tag};
 use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::error::MpiError;
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
-use crate::stats::CallClass;
-
-/// Message size (bytes) above which the `*_tuned` wrappers select the
-/// bandwidth-optimal algorithms (MVAPICH2 switches in the tens of KiB).
-pub const LARGE_COLL_THRESHOLD: usize = 32 * 1024;
-
-mod lop {
-    pub const RABEN: u32 = 48;
-    pub const SA_BCAST: u32 = 50;
-}
 
 impl Mpi {
-    /// Allreduce with automatic algorithm selection: recursive doubling
-    /// below [`LARGE_COLL_THRESHOLD`], Rabenseifner above (power-of-two
-    /// rank counts; otherwise the default algorithm).
-    pub fn allreduce_tuned<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let bytes = std::mem::size_of_val(data);
-        if bytes >= LARGE_COLL_THRESHOLD && self.n.is_power_of_two() && self.n > 1 {
-            self.allreduce_rabenseifner(data, rop)
-        } else {
-            self.allreduce(data, rop)
-        }
-    }
-
     /// Rabenseifner's algorithm: recursive-halving reduce-scatter then
     /// recursive-doubling allgather. Requires a power-of-two rank count.
-    pub fn allreduce_rabenseifner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let out = self.allreduce_rabenseifner_inner(data, rop);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, CollAlgo::Large),
-        );
-        out
-    }
-
-    pub(crate) fn allreduce_rabenseifner_inner<T: Reducible>(
+    pub(crate) fn allreduce_rabenseifner<T: Reducible>(
         &mut self,
         data: &[T],
         rop: ReduceOp,
-    ) -> Vec<T> {
+    ) -> Result<Vec<T>, MpiError> {
         let n = self.n;
         assert!(
             n.is_power_of_two(),
@@ -98,8 +63,8 @@ impl Mpi {
                 (mid, hi, lo, mid)
             };
             let payload = to_bytes(&vec[send_lo * chunk..send_hi * chunk]);
-            let t = tag(lop::RABEN, round);
-            let bytes = self.coll_sendrecv(payload, partner, partner, t, CTX_COLL);
+            let t = tag(op::RABENSEIFNER, round);
+            let bytes = self.try_coll_sendrecv(payload, partner, partner, t, CTX_COLL)?;
             reduce_from_bytes(rop, &mut vec[keep_lo * chunk..keep_hi * chunk], &bytes);
             lo = keep_lo;
             hi = keep_hi;
@@ -119,8 +84,8 @@ impl Mpi {
             let my_lo = lo & !(region - 1);
             let partner_lo = my_lo ^ region;
             let payload = to_bytes(&vec[my_lo * chunk..(my_lo + region) * chunk]);
-            let t = tag(lop::RABEN, round);
-            let bytes = self.coll_sendrecv(payload, partner, partner, t, CTX_COLL);
+            let t = tag(op::RABENSEIFNER, round);
+            let bytes = self.try_coll_sendrecv(payload, partner, partner, t, CTX_COLL)?;
             from_bytes(
                 &bytes,
                 &mut vec[partner_lo * chunk..(partner_lo + region) * chunk],
@@ -129,33 +94,16 @@ impl Mpi {
             round += 1;
         }
         vec.truncate(data.len());
-        vec
-    }
-
-    /// Broadcast with automatic algorithm selection: binomial below
-    /// [`LARGE_COLL_THRESHOLD`], scatter + ring allgather above.
-    pub fn bcast_tuned<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let bytes = std::mem::size_of_val(buf);
-        if bytes >= LARGE_COLL_THRESHOLD && self.n > 1 {
-            self.bcast_scatter_allgather(buf, root);
-        } else {
-            self.bcast(buf, root);
-        }
+        Ok(vec)
     }
 
     /// Scatter–allgather broadcast: the root scatters `n` blocks, a ring
     /// allgather reassembles them everywhere.
-    pub fn bcast_scatter_allgather<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        self.bcast_scatter_allgather_inner(buf, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, CollAlgo::Large),
-        );
-    }
-
-    pub(crate) fn bcast_scatter_allgather_inner<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
+    pub(crate) fn bcast_scatter_allgather<T: MpiData>(
+        &mut self,
+        buf: &mut [T],
+        root: usize,
+    ) -> Result<(), MpiError> {
         let n = self.n;
         let rank = self.rank;
         let chunk = buf.len().div_ceil(n).max(1);
@@ -181,15 +129,14 @@ impl Mpi {
             for i in 1..n {
                 let dst = (root + i) % n;
                 let payload = image.slice(i * cb..(i + 1) * cb);
-                reqs.push(self.isend_inner(payload, dst, tag(lop::SA_BCAST, 0), CTX_COLL));
+                reqs.push(self.isend_inner(payload, dst, tag(op::SCATTER_ALLGATHER, 0), CTX_COLL));
             }
             for id in reqs {
-                self.wait_send_inner(id);
+                self.try_wait_send_inner(id)?;
             }
             image.slice(..cb)
         } else {
-            let rid = self.irecv_inner(Some(root), Some(tag(lop::SA_BCAST, 0)), CTX_COLL);
-            let mine = self.wait_recv_inner(rid).0;
+            let mine = self.try_coll_recv(root, tag(op::SCATTER_ALLGATHER, 0), CTX_COLL)?;
             keep(buf, my_block_idx, &mine);
             mine
         };
@@ -200,11 +147,12 @@ impl Mpi {
         let left = (rank + n - 1) % n;
         for step in 0..n - 1 {
             let recv_block = (my_block_idx + n - step - 1) % n;
-            let t = tag(lop::SA_BCAST, 1 + step as u32);
-            carry = self.coll_sendrecv(carry, right, left, t, CTX_COLL);
+            let t = tag(op::SCATTER_ALLGATHER, 1 + step as u32);
+            carry = self.try_coll_sendrecv(carry, right, left, t, CTX_COLL)?;
             if rank != root {
                 keep(buf, recv_block, &carry);
             }
         }
+        Ok(())
     }
 }

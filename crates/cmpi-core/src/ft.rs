@@ -1,5 +1,7 @@
 //! ULFM-style recovery: [`Mpi::revoke`], [`Mpi::try_shrink`] and the
-//! fault-tolerant communicator operations.
+//! fault-tolerant communicator point-to-point exchange. (The `try_X_comm`
+//! collectives sit beside their plain twins in [`crate::comm`]: one body,
+//! two ways into the bracket.)
 //!
 //! The recovery protocol mirrors User-Level Failure Mitigation as
 //! MVAPICH2/Open MPI implement it:
@@ -35,17 +37,17 @@
 //! by redundant commits — assert membership and results, never ctx
 //! values), and the shrunk communicator's collectives run the flat
 //! algorithms (its re-derived locality groups and collective selector
-//! are exposed via [`Mpi::comm_groups`] for apps that want hierarchy).
+//! are a field of its communicator-table entry, exposed via
+//! [`Mpi::comm_groups`] for apps that want hierarchy).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::coll_select::CollectiveSelector;
-use crate::collectives::tag;
-use crate::comm::{cop, Comm};
-use crate::datatype::{from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::collectives::{op, tag, SmpTopo};
+use crate::comm::{Comm, CommEntry};
+use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::obs::{Detail, Incident};
@@ -54,10 +56,11 @@ use crate::pt2pt::{Status, CTX_FT};
 use crate::runtime::{Mpi, RecvState, SendState};
 use crate::stats::CallClass;
 
-/// Base op id of agreement tags (kept clear of `op::`/`cop::` spaces; the
-/// shrink generation is folded in mod 256 so consecutive generations never
-/// cross-match).
+/// Base op id of agreement tags: the 256 ids from here up (the shrink
+/// generation is folded in mod 256 so consecutive generations never
+/// cross-match) lie above the collective id table.
 const AGREE_OP_BASE: u32 = 2048;
+const _: () = assert!(AGREE_OP_BASE >= op::END);
 
 /// Pack an agreement attempt's identity into the 20-bit tag round field:
 /// detector epoch (mod 2^14) in the high bits, tree level (< 64) in the
@@ -220,16 +223,15 @@ impl Mpi {
     fn adopt_decision(&mut self, comm: &Comm, gen: u64, d: &Decision) -> Comm {
         self.shrink_gen.insert(comm.ctx(), gen + 1);
         self.now = self.now.max(d.at);
-        let survivors: Vec<usize> = comm
-            .ranks()
-            .iter()
-            .copied()
-            .filter(|r| !d.dead.contains(r))
-            .collect();
-        self.ctx_members
-            .insert(d.new_ctx, std::sync::Arc::new(survivors.clone()));
+        let survivors: Arc<Vec<usize>> = Arc::new(
+            comm.ranks()
+                .iter()
+                .copied()
+                .filter(|r| !d.dead.contains(r))
+                .collect(),
+        );
         let groups: Vec<Vec<usize>> = self
-            .smp_topo
+            .world_topo()
             .groups()
             .iter()
             .map(|g| {
@@ -240,13 +242,12 @@ impl Mpi {
             })
             .filter(|g| !g.is_empty())
             .collect();
-        let sel = CollectiveSelector::new(
-            self.state.policy,
-            self.state.tunables,
-            &groups,
-            survivors.len(),
-        );
-        self.ctx_coll.insert(d.new_ctx, Arc::new((groups, sel)));
+        let topo = SmpTopo::new(groups, self.n, self.state.policy, self.state.tunables);
+        let entry = CommEntry {
+            members: Arc::clone(&survivors),
+            topo: Some(Arc::new(topo)),
+        };
+        self.comms.insert(d.new_ctx, entry);
         let detail = Detail {
             a: d.new_ctx as u64,
             b: survivors.len() as u64,
@@ -257,16 +258,19 @@ impl Mpi {
         Comm::from_parts(d.new_ctx, survivors)
     }
 
-    /// The locality groups re-derived for a shrink-produced communicator
-    /// (`None` for communicators that did not come from [`Mpi::try_shrink`]).
+    /// The locality groups of `comm`'s members: re-derived over the
+    /// survivors for a shrink-produced communicator, the policy groups for
+    /// the world, `None` for a split-produced one (nothing derives them).
     pub fn comm_groups(&self, comm: &Comm) -> Option<Vec<Vec<usize>>> {
-        self.ctx_coll.get(&comm.ctx()).map(|g| g.0.clone())
+        let topo = self.comms.get(&comm.ctx())?.topo.as_ref()?;
+        Some(topo.groups().to_vec())
     }
 
-    /// Whether the re-derived collective selector of a shrink-produced
-    /// communicator would schedule hierarchically.
+    /// Whether the collective selector sized to `comm`'s groups would
+    /// schedule hierarchically (`None` where [`Mpi::comm_groups`] is).
     pub fn comm_hierarchical(&self, comm: &Comm) -> Option<bool> {
-        self.ctx_coll.get(&comm.ctx()).map(|g| g.1.hierarchical())
+        let topo = self.comms.get(&comm.ctx())?.topo.as_ref()?;
+        Some(topo.selector().hierarchical())
     }
 
     // ---- abortable agreement steps ------------------------------------------
@@ -340,111 +344,12 @@ impl Mpi {
         }
     }
 
-    // ---- fault-tolerant communicator collectives ----------------------------
-
-    /// Fault-tolerant [`Mpi::barrier_comm`].
-    pub fn try_barrier_comm(&mut self, comm: &Comm) -> Result<(), MpiError> {
-        let t0 = self.ft_enter()?;
-        let out = self.try_barrier_inner_ctx(comm.ranks(), cop::BARRIER, comm.ctx());
-        self.exit(CallClass::Collective, t0);
-        out
-    }
-
-    /// Fault-tolerant [`Mpi::bcast_comm`] from communicator-rank `root`.
-    pub fn try_bcast_comm<T: MpiData>(
-        &mut self,
-        comm: &Comm,
-        buf: &mut [T],
-        root: usize,
-    ) -> Result<(), MpiError> {
-        let t0 = self.ft_enter()?;
-        let seed = (self.rank == comm.world_rank(root)).then(|| to_bytes(buf));
-        let out = self.try_bcast_inner_ctx(seed, comm.ranks(), root, cop::BCAST, comm.ctx());
-        let out = out.map(|bytes| {
-            if self.rank != comm.world_rank(root) {
-                from_bytes(&bytes, buf);
-            }
-        });
-        self.exit(CallClass::Collective, t0);
-        out
-    }
-
-    /// Fault-tolerant [`Mpi::reduce_comm`] to communicator-rank `root`.
-    pub fn try_reduce_comm<T: Reducible>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-        rop: ReduceOp,
-        root: usize,
-    ) -> Result<Option<Vec<T>>, MpiError> {
-        let t0 = self.ft_enter()?;
-        let out = self.try_reduce_inner_ctx(data, rop, comm.ranks(), root, cop::REDUCE, comm.ctx());
-        self.exit(CallClass::Collective, t0);
-        out.map(|acc| (self.rank == comm.world_rank(root)).then_some(acc))
-    }
-
-    /// Fault-tolerant [`Mpi::allreduce_comm`].
-    pub fn try_allreduce_comm<T: Reducible>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-        rop: ReduceOp,
-    ) -> Result<Vec<T>, MpiError> {
-        let t0 = self.ft_enter()?;
-        let out = self.try_allreduce_inner_ctx(data, rop, comm.ranks(), cop::ALLREDUCE, comm.ctx());
-        self.exit(CallClass::Collective, t0);
-        out
-    }
-
-    /// Fault-tolerant [`Mpi::allgather_comm`] (communicator-rank order).
-    pub fn try_allgather_comm<T: MpiData>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-    ) -> Result<Vec<T>, MpiError> {
-        let t0 = self.ft_enter()?;
-        let out = self.try_allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
-        self.exit(CallClass::Collective, t0);
-        out
-    }
-
     // ---- fault-tolerant communicator point-to-point -------------------------
 
-    /// Fault-tolerant blocking send to communicator-rank `dst` on `comm`.
-    /// User tags on a communicator must stay below `1 << 20` (the space
-    /// above is reserved for the library's internal collective tags).
-    pub fn try_send_comm(
-        &mut self,
-        comm: &Comm,
-        data: Bytes,
-        dst: usize,
-        tag: u32,
-    ) -> Result<(), MpiError> {
-        assert!(tag < 1 << 20, "communicator user tag {tag} out of range");
-        let t0 = self.ft_enter()?;
-        let id = self.isend_inner(data, comm.world_rank(dst), tag, comm.ctx());
-        let out = self.try_wait_send_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
-        out
-    }
-
-    /// Fault-tolerant blocking receive from communicator-rank `src` on
-    /// `comm`. The returned status carries *world* ranks.
-    pub fn try_recv_comm(
-        &mut self,
-        comm: &Comm,
-        src: usize,
-        tag: u32,
-    ) -> Result<(Bytes, Status), MpiError> {
-        assert!(tag < 1 << 20, "communicator user tag {tag} out of range");
-        let t0 = self.ft_enter()?;
-        let id = self.irecv_inner(Some(comm.world_rank(src)), Some(tag), comm.ctx());
-        let out = self.try_wait_recv_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
-        out
-    }
-
     /// Fault-tolerant pairwise exchange on `comm` (communicator ranks).
+    /// User tags on a communicator must stay below `1 << 20` (the space
+    /// above is reserved for the library's internal collective tags). The
+    /// returned status carries *world* ranks.
     pub fn try_sendrecv_comm(
         &mut self,
         comm: &Comm,

@@ -55,7 +55,6 @@ pub mod collectives_ext;
 pub mod collectives_large;
 pub mod comm;
 pub mod datatype;
-pub mod datatype_derived;
 pub mod error;
 pub mod exec;
 pub mod failure;
@@ -69,7 +68,6 @@ pub(crate) mod obs;
 pub mod onesided;
 pub mod packet;
 pub(crate) mod peer_table;
-pub mod persistent;
 pub mod pt2pt;
 pub mod runtime;
 pub mod stats;
@@ -79,13 +77,11 @@ pub use channel::{ChannelSelector, Protocol, Route};
 pub use coll_select::{coll_trace_name, CollAlgo, CollKind, CollectiveSelector};
 pub use comm::Comm;
 pub use datatype::{MpiData, ReduceOp};
-pub use datatype_derived::Layout;
 pub use error::MpiError;
 pub use exec::{ExecMode, ExecSpec};
 pub use failure::{Death, Decision, FailureDetector, FAILURE_LEASE};
 pub use locality::{DowngradeReason, LocalityPolicy, LocalityView, PublishReport};
 pub use onesided::Window;
-pub use persistent::{Persistent, PersistentRecv, PersistentSend};
 pub use pt2pt::{Completion, Request, Status, ANY_SOURCE, ANY_TAG};
 pub use runtime::{JobResult, JobSpec, Mpi};
 pub use stats::{CallClass, ChannelCounter, CommStats, JobStats, RecoveryStats};

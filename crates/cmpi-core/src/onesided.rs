@@ -21,8 +21,10 @@ use std::sync::Arc;
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
 
+use crate::collectives::{op, plain};
 use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::locality::LocalityPolicy;
+use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -54,6 +56,13 @@ impl Window {
 }
 
 impl Mpi {
+    /// The world barrier inside a collective window call. The window API
+    /// has no fault-tolerant form, so a failure ends the rank.
+    fn window_barrier(&mut self, op_id: u32) {
+        let out = self.barrier_list(&self.world_ranks(), op_id, CTX_COLL);
+        plain("window barrier", out)
+    }
+
     /// Collectively allocate a window of `len` bytes per rank
     /// (`MPI_Win_allocate`).
     pub fn win_allocate(&mut self, len: usize) -> Window {
@@ -68,7 +77,7 @@ impl Mpi {
         self.state.windows.publish(id, self.rank, Arc::clone(&mr));
         // The registration exchange is collective; the barrier also
         // provides the happens-before edge for the region table.
-        self.with_world_list(|mpi, list| mpi.barrier_inner(list, 13));
+        self.window_barrier(op::WIN_ALLOCATE);
         let regions = (0..self.n)
             .map(|r| self.state.windows.region(id, r))
             .collect();
@@ -289,7 +298,7 @@ impl Mpi {
     pub fn fence(&mut self, win: &mut Window) {
         let t0 = self.enter();
         self.drain_pending(win);
-        self.with_world_list(|mpi, list| mpi.barrier_inner(list, 14));
+        self.window_barrier(op::WIN_FENCE);
         self.exit(CallClass::OneSided, t0);
     }
 

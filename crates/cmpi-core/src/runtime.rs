@@ -33,6 +33,7 @@ use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 use crate::channel::ChannelSelector;
 use crate::coll_select::CollectiveSelector;
 use crate::collectives::SmpTopo;
+use crate::comm::CommEntry;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
 use crate::failure::{Death, DecisionLog, FailureDetector, FAILURE_LEASE};
@@ -347,10 +348,6 @@ const WIN_CHUNKS: usize = 1024;
 /// One window chunk: `WIN_CHUNK` windows × `n` per-rank region slots.
 type WindowChunk = Vec<Vec<OnceLock<Arc<cmpi_fabric::MemoryRegion>>>>;
 
-/// Collective topology of a shrink-produced communicator: the survivor
-/// policy groups and a selector sized to the shrunk membership.
-pub(crate) type ShrunkTopology = (Vec<Vec<usize>>, CollectiveSelector);
-
 /// Rank-indexed window registry. The seed kept a job-wide
 /// `Mutex<HashMap>` here; window ids are small dense counters (identical
 /// on every rank — allocation is collective), so a chunked `OnceLock`
@@ -512,12 +509,13 @@ pub(crate) struct JobState {
     repair_barrier: PokeBarrier,
     finalize_barrier: PokeBarrier,
     /// World membership `[0, 1, .., n-1]`, built once per job and shared
-    /// by every rank's context table and flat-collective path — at 4096
+    /// by the world entry of every rank's communicator table — at 4096
     /// ranks, per-rank copies of this list alone cost ~134 MB and an
     /// O(n²) init.
     world_members: Arc<Vec<usize>>,
-    /// The policy locality groups with their leaders and rank→group
-    /// index, identical on every rank by construction, computed once by
+    /// The policy locality groups with their leaders, rank→group index
+    /// and collective selector, identical on every rank by construction,
+    /// computed once by
     /// whichever rank initializes first: the grouping is O(n log n)
     /// string-keyed work and the tables are O(n), so per-rank copies made
     /// job init O(n² log n) time and O(n²) memory.
@@ -747,14 +745,6 @@ pub struct Mpi {
     pub(crate) now: SimTime,
     pub(crate) state: Arc<JobState>,
     pub(crate) selector: ChannelSelector,
-    /// Per-call collective algorithm selector (policy + tunables +
-    /// topology shape), fixed at init so every rank decides identically.
-    pub(crate) coll: CollectiveSelector,
-    /// The locality groups the policy induces and the two-level leader
-    /// topology over them: one job-wide instance (see
-    /// [`JobState::smp_topo`]), so each collective call is a refcount
-    /// bump and no rank holds its own copy.
-    pub(crate) smp_topo: Arc<SmpTopo>,
     pub(crate) view: LocalityView,
     pub(crate) engine: MatchingEngine,
     /// This rank's observability store: every counter, event and timing
@@ -785,13 +775,14 @@ pub struct Mpi {
     ft_active: bool,
     /// Communicator contexts revoked at this rank.
     pub(crate) revoked: FastSet<u32>,
-    /// World-rank membership of registered communicator contexts,
-    /// consulted when a death must fail pending wildcard receives.
-    /// Unregistered contexts are treated as spanning all ranks. The
-    /// lists are shared (`Arc`): the world contexts point at the one
-    /// job-wide member list, and split-produced lists are cloned only
-    /// on revocation floods.
-    pub(crate) ctx_members: FastMap<u32, Arc<Vec<usize>>>,
+    /// The communicator table: members, locality groups and collective
+    /// selector of every registered context, the world (under `CTX_WORLD`
+    /// and `CTX_COLL`) included. Its entry shares the job-wide member
+    /// list and topology (see [`JobState::smp_topo`]), so every rank
+    /// decides identically; a collective call borrows from it by
+    /// refcount bump. Unregistered contexts are
+    /// treated as spanning all ranks.
+    pub(crate) comms: FastMap<u32, CommEntry>,
     /// Requests cancelled by failure handling: late protocol packets
     /// referencing them are dropped instead of panicking.
     pub(crate) cancelled: FastSet<ReqId>,
@@ -801,20 +792,12 @@ pub struct Mpi {
     /// Shrink generation per parent context (how many shrinks of that
     /// communicator this rank has adopted).
     pub(crate) shrink_gen: FastMap<u32, u64>,
-    /// Collective topology for shrink-produced contexts: the survivor
-    /// policy groups and a selector sized to the shrunk membership.
-    pub(crate) ctx_coll: FastMap<u32, Arc<ShrunkTopology>>,
     /// Reusable scratch buffer for batched mailbox drains in `progress`;
     /// its capacity persists across ticks so the steady-state drain path
     /// never allocates.
     drain_buf: Vec<Packet>,
     /// Scratch for the fabric drain in `progress`.
     fabric_buf: Vec<FabricMsg>,
-    /// The job-wide world rank list `[0, 1, .., n-1]` (shared, see
-    /// [`JobState::world_members`]), so flat collectives don't
-    /// re-collect it on every call; a refcount bump lends it around
-    /// `&mut self` inner calls.
-    pub(crate) world_list: Arc<Vec<usize>>,
 }
 
 impl Mpi {
@@ -939,26 +922,24 @@ impl Mpi {
         // one rank computes them and the rest share the Arc — per-rank
         // recomputation was an O(n² log n) term in job init.
         let smp_topo = Arc::clone(state.smp_topo.get_or_init(|| {
-            Arc::new(SmpTopo::new(
-                crate::collectives::policy_groups_of(&state, n),
-                n,
-            ))
+            let groups = crate::collectives::policy_groups_of(&state, n);
+            Arc::new(SmpTopo::new(groups, n, state.policy, state.tunables))
         }));
-        let coll = CollectiveSelector::new(state.policy, state.tunables, smp_topo.groups(), n);
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
         let ft_active = plan.has_midrun_faults();
-        let mut ctx_members = FastMap::default();
-        ctx_members.insert(CTX_WORLD, Arc::clone(&state.world_members));
-        ctx_members.insert(CTX_COLL, Arc::clone(&state.world_members));
-        let world_list = Arc::clone(&state.world_members);
+        let world = CommEntry {
+            members: Arc::clone(&state.world_members),
+            topo: Some(smp_topo),
+        };
+        let mut comms = FastMap::default();
+        comms.insert(CTX_WORLD, world.clone());
+        comms.insert(CTX_COLL, world);
         Mpi {
             rank,
             n,
             now,
             state,
             selector,
-            coll,
-            smp_topo,
             view,
             engine: MatchingEngine::new(),
             obs,
@@ -973,14 +954,12 @@ impl Mpi {
             dead: false,
             ft_active,
             revoked: FastSet::default(),
-            ctx_members,
+            comms,
             cancelled: FastSet::default(),
             convicted_seen: FastSet::default(),
             shrink_gen: FastMap::default(),
-            ctx_coll: FastMap::default(),
             drain_buf: Vec::new(),
             fabric_buf: Vec::new(),
-            world_list,
         }
     }
 
@@ -1011,7 +990,7 @@ impl Mpi {
 
     /// The active collective algorithm selector.
     pub fn coll_selector(&self) -> &CollectiveSelector {
-        &self.coll
+        self.world_topo().selector()
     }
 
     /// A snapshot of this rank's statistics so far.
@@ -1143,11 +1122,9 @@ impl Mpi {
             Some(p) if p != self.rank => self.state.detector.is_down(p),
             Some(_) => None,
             None => {
-                let members = self.ctx_members.get(&ctx);
                 let detector = &self.state.detector;
-                match members {
-                    Some(m) => m
-                        .iter()
+                match self.comms.get(&ctx) {
+                    Some(entry) => (entry.members.iter())
                         .filter(|&&r| r != self.rank)
                         .find_map(|&r| detector.is_down(r)),
                     None => (0..self.n)
@@ -1207,8 +1184,8 @@ impl Mpi {
         };
         self.obs
             .incident(Incident::REVOKE, self.now, None, detail, 1);
-        let members: Arc<Vec<usize>> = match self.ctx_members.get(&ctx) {
-            Some(m) => Arc::clone(m),
+        let members: Arc<Vec<usize>> = match self.comms.get(&ctx) {
+            Some(entry) => Arc::clone(&entry.members),
             None => Arc::clone(&self.state.world_members),
         };
         let t = self.now + SimTime::from_ns(self.state.cost.shm_post_ns);
@@ -1285,12 +1262,18 @@ impl Mpi {
         self.drain_buf = buf;
     }
 
-    /// Run `f` with the shared world rank list `[0, .., n-1]` without
-    /// allocating. A refcount bump lends the list out because the inner
-    /// collectives need `&mut self`.
-    pub(crate) fn with_world_list<R>(&mut self, f: impl FnOnce(&mut Self, &[usize]) -> R) -> R {
-        let list = Arc::clone(&self.world_list);
-        f(self, &list)
+    /// The world's topology (and with it the job's collective selector),
+    /// from its communicator-table entry.
+    pub(crate) fn world_topo(&self) -> &Arc<SmpTopo> {
+        let world = self.comms.get(&CTX_COLL).and_then(|e| e.topo.as_ref());
+        world.expect("the world entry is registered at init and never removed")
+    }
+
+    /// The shared world rank list `[0, .., n-1]` (the `Arc` the world's
+    /// table entry holds): a refcount bump lends it around the `&mut
+    /// self` list algorithms without allocating.
+    pub(crate) fn world_ranks(&self) -> Arc<Vec<usize>> {
+        Arc::clone(&self.state.world_members)
     }
 
     /// Park until new packets or pokes arrive.

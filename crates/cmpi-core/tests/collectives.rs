@@ -2,8 +2,8 @@
 //! reference computations, plus the locality effects of Section V-C.
 
 use bytes::Bytes;
-use cmpi_cluster::{Channel, DeploymentScenario, NamespaceSharing};
-use cmpi_core::{JobSpec, LocalityPolicy, ReduceOp};
+use cmpi_cluster::{Channel, DeploymentScenario, NamespaceSharing, Tunables};
+use cmpi_core::{CollAlgo, CollKind, JobSpec, LocalityPolicy, ReduceOp};
 
 /// 8 ranks in 2 containers on one host.
 fn spec8(policy: LocalityPolicy) -> JobSpec {
@@ -224,33 +224,49 @@ fn detector_speeds_up_collectives_on_co_resident_containers() {
     assert!(opt < def, "opt {opt} must beat def {def}");
 }
 
-#[test]
-fn smp_collectives_match_flat_results() {
-    let spec = JobSpec::new(DeploymentScenario::containers(
+/// 2 hosts x 2 containers x 2 ranks: genuinely hierarchical under the
+/// container detector, so every selectable collective goes two-level
+/// unless `MV2_USE_SMP_COLL` is off.
+fn spec_two_hosts(smp_coll: bool) -> JobSpec {
+    JobSpec::new(DeploymentScenario::containers(
         2,
         2,
         2,
         NamespaceSharing::default(),
-    ));
-    let r = spec.run(|mpi| {
-        let mine = vec![mpi.rank() as u64 + 1; 8];
-        let flat = mpi.allreduce(&mine, ReduceOp::Sum);
-        let smp = mpi.allreduce_smp(&mine, ReduceOp::Sum);
-        assert_eq!(flat, smp);
+    ))
+    .with_tunables(Tunables::default().with_smp_coll_enable(smp_coll))
+}
 
-        let mut buf = if mpi.rank() == 3 {
-            vec![11u32, 22]
-        } else {
-            vec![0u32; 2]
-        };
-        mpi.bcast_smp(&mut buf, 3);
-        (flat[0], buf)
-    });
+#[test]
+fn smp_collectives_match_flat_results() {
+    let run = |smp_coll: bool, algo: CollAlgo| {
+        let r = spec_two_hosts(smp_coll).run(|mpi| {
+            let mine = vec![mpi.rank() as u64 + 1; 8];
+            let sum = mpi.allreduce(&mine, ReduceOp::Sum);
+            let mut buf = if mpi.rank() == 3 {
+                vec![11u32, 22]
+            } else {
+                vec![0u32; 2]
+            };
+            mpi.bcast(&mut buf, 3);
+            (sum, buf)
+        });
+        for kind in [CollKind::Allreduce, CollKind::Bcast] {
+            assert_eq!(r.stats.coll_selections(kind, algo), 8, "{}", kind.name());
+        }
+        r.results
+    };
+    let smp = run(true, CollAlgo::TwoLevel);
+    assert_eq!(smp, run(false, CollAlgo::Flat));
     let total: u64 = (1..=8).sum();
-    for (flat0, buf) in &r.results {
-        assert_eq!(*flat0, total);
+    for (sum, buf) in &smp {
+        assert_eq!(sum, &[total; 8]);
         assert_eq!(buf, &[11, 22]);
     }
+}
+
+fn mpi_groups_two_hosts() -> Vec<Vec<usize>> {
+    vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]
 }
 
 #[test]
@@ -263,7 +279,15 @@ fn policy_groups_partition_ranks() {
     ));
     let r = spec.run(|mpi| mpi.policy_groups());
     // Detector: one group per host.
-    assert_eq!(r.results[0], vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
+    assert_eq!(r.results[0], mpi_groups_two_hosts());
+    // The world is a communicator with that topology; a split-produced
+    // one has none derived.
+    let r = spec.run(|mpi| {
+        let world = mpi.comm_world();
+        let half = mpi.comm_split(&world, (mpi.rank() / 4) as u64, 0);
+        (mpi.comm_groups(&world), mpi.comm_groups(&half))
+    });
+    assert_eq!(r.results[0], (Some(mpi_groups_two_hosts()), None));
     let spec = spec.with_policy(LocalityPolicy::Hostname);
     let r = spec.run(|mpi| mpi.policy_groups());
     // Hostname: one group per container.
@@ -350,7 +374,6 @@ fn selector_routes_two_level_under_detector_and_flat_under_default() {
             mpi.alltoall(&d, 1);
         })
     };
-    use cmpi_core::{CollAlgo, CollKind};
     let opt = run(LocalityPolicy::ContainerDetector);
     let def = run(LocalityPolicy::Hostname);
     for kind in CollKind::ALL {
@@ -375,8 +398,6 @@ fn selector_routes_two_level_under_detector_and_flat_under_default() {
 
 #[test]
 fn selector_honours_thresholds_and_large_switchover() {
-    use cmpi_cluster::Tunables;
-    use cmpi_core::{CollAlgo, CollKind};
     let spec = || {
         JobSpec::new(DeploymentScenario::containers(
             2,
@@ -424,28 +445,31 @@ fn selector_honours_thresholds_and_large_switchover() {
 
 #[test]
 fn new_smp_variants_match_sequential_references() {
-    // 2 hosts x 2 containers x 2 ranks: genuinely hierarchical, with
-    // non-leader roots (3, 5) exercising the root<->leader shuttles.
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        2,
-        NamespaceSharing::default(),
-    ));
+    // Non-leader roots (3, 5) exercise the root<->leader shuttles.
     let n = 8usize;
     let block = 3usize;
-    let r = spec.run(move |mpi| {
+    let r = spec_two_hosts(true).run(move |mpi| {
         let rank = mpi.rank();
         let mine: Vec<u64> = (0..block).map(|i| (rank * 31 + i) as u64).collect();
 
-        let red = mpi.reduce_smp(&mine, ReduceOp::Sum, 5);
-        let gat = mpi.gather_smp(&mine, 3);
-        let ag = mpi.allgather_smp(&mine);
+        let red = mpi.reduce(&mine, ReduceOp::Sum, 5);
+        let gat = mpi.gather(&mine, 3);
+        let ag = mpi.allgather(&mine);
         let a2a_in: Vec<u64> = (0..n * block).map(|j| (rank * 1000 + j) as u64).collect();
-        let a2a = mpi.alltoall_smp(&a2a_in, block);
-        mpi.barrier_smp();
+        let a2a = mpi.alltoall(&a2a_in, block);
+        mpi.barrier();
         (red, gat, ag, a2a)
     });
+    for kind in [
+        CollKind::Reduce,
+        CollKind::Gather,
+        CollKind::Allgather,
+        CollKind::Alltoall,
+        CollKind::Barrier,
+    ] {
+        let picked = r.stats.coll_selections(kind, CollAlgo::TwoLevel);
+        assert_eq!(picked, 8, "{} must run two-level", kind.name());
+    }
     let concat: Vec<u64> = (0..n)
         .flat_map(|r| (0..block).map(move |i| (r * 31 + i) as u64))
         .collect();
@@ -461,30 +485,28 @@ fn new_smp_variants_match_sequential_references() {
         if let Some(v) = gat {
             assert_eq!(v, &concat);
         }
-        assert_eq!(ag, &concat, "allgather_smp rank {rank}");
+        assert_eq!(ag, &concat, "two-level allgather rank {rank}");
         let expect: Vec<u64> = (0..n * block)
             .map(|j| {
                 let src = j / block;
                 (src * 1000 + rank * block + j % block) as u64
             })
             .collect();
-        assert_eq!(a2a, &expect, "alltoall_smp rank {rank}");
+        assert_eq!(a2a, &expect, "two-level alltoall rank {rank}");
     }
 }
 
 #[test]
 fn barrier_smp_synchronizes_clocks() {
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        2,
-        NamespaceSharing::default(),
-    ));
-    let r = spec.run(|mpi| {
+    let r = spec_two_hosts(true).run(|mpi| {
         mpi.compute(cmpi_cluster::SimTime::from_us(10 * (mpi.rank() as u64 + 1)));
-        mpi.barrier_smp();
+        mpi.barrier();
         mpi.now()
     });
+    let picked = r
+        .stats
+        .coll_selections(CollKind::Barrier, CollAlgo::TwoLevel);
+    assert_eq!(picked, 8);
     let slowest_entry = cmpi_cluster::SimTime::from_us(80);
     for (rk, t) in r.results.iter().enumerate() {
         assert!(*t >= slowest_entry, "rank {rk} left the barrier at {t}");

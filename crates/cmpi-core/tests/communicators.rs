@@ -1,7 +1,7 @@
 //! Communicator (comm_split) integration tests.
 
 use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
-use cmpi_core::{JobSpec, ReduceOp};
+use cmpi_core::{CollAlgo, CollKind, JobSpec, ReduceOp};
 
 fn spec8() -> JobSpec {
     JobSpec::new(DeploymentScenario::containers(
@@ -46,25 +46,47 @@ fn key_controls_ordering_within_group() {
     }
 }
 
+/// Run `body` once through the plain entries (`X_comm`) and once through
+/// the fault-tolerant ones (`try_X_comm`; `body` gets `true`): on a
+/// healthy job the two are one call path, so results and every rank's
+/// virtual clock must agree.
+fn both_entries<R: PartialEq + std::fmt::Debug + Send>(
+    body: impl Fn(&mut cmpi_core::Mpi, bool) -> R + Send + Sync,
+) -> Vec<R> {
+    let run = |ft: bool| spec8().run(|mpi| (body(mpi, ft), mpi.now())).results;
+    let (plain, ft) = (run(false), run(true));
+    assert_eq!(plain, ft, "X_comm and try_X_comm diverge");
+    plain.into_iter().map(|(out, _)| out).collect()
+}
+
 #[test]
 fn collectives_stay_inside_their_communicator() {
-    let r = spec8().run(|mpi| {
+    let results = both_entries(|mpi, ft| {
         let world = mpi.comm_world();
         let half = mpi.comm_split(&world, (mpi.rank() / 4) as u64, 0);
         // Concurrent allreduces on the two disjoint halves.
-        let sum = mpi.allreduce_comm(&half, &[mpi.rank() as u64], ReduceOp::Sum)[0];
+        let mine = [mpi.rank() as u64];
+        let sum = if ft {
+            mpi.try_allreduce_comm(&half, &mine, ReduceOp::Sum).unwrap()[0]
+        } else {
+            mpi.allreduce_comm(&half, &mine, ReduceOp::Sum)[0]
+        };
         // Concurrent barriers and bcasts too.
-        mpi.barrier_comm(&half);
         let mut buf = if half.comm_rank_of(mpi.rank()) == Some(0) {
             vec![mpi.rank() as u64]
         } else {
             vec![0u64]
         };
-        mpi.bcast_comm(&half, &mut buf, 0);
+        if ft {
+            mpi.try_barrier_comm(&half).unwrap();
+            mpi.try_bcast_comm(&half, &mut buf, 0).unwrap();
+        } else {
+            mpi.barrier_comm(&half);
+            mpi.bcast_comm(&half, &mut buf, 0);
+        }
         (sum, buf[0])
     });
-    for rank in 0..8 {
-        let (sum, leader) = r.results[rank];
+    for (rank, &(sum, leader)) in results.iter().enumerate() {
         if rank < 4 {
             assert_eq!(sum, 1 + 2 + 3, "rank {rank}");
             assert_eq!(leader, 0);
@@ -77,18 +99,23 @@ fn collectives_stay_inside_their_communicator() {
 
 #[test]
 fn reduce_and_allgather_over_comm() {
-    let r = spec8().run(|mpi| {
+    let results = both_entries(|mpi, ft| {
         let world = mpi.comm_world();
         let comm = mpi.comm_split(&world, (mpi.rank() % 2) as u64, mpi.rank() as u64);
-        let red = mpi.reduce_comm(&comm, &[mpi.rank() as u64], ReduceOp::Max, 1);
-        let all = mpi.allgather_comm(&comm, &[mpi.rank() as u32 * 10]);
-        (red, all)
+        let (max, tens) = ([mpi.rank() as u64], [mpi.rank() as u32 * 10]);
+        if ft {
+            let red = mpi.try_reduce_comm(&comm, &max, ReduceOp::Max, 1).unwrap();
+            (red, mpi.try_allgather_comm(&comm, &tens).unwrap())
+        } else {
+            let red = mpi.reduce_comm(&comm, &max, ReduceOp::Max, 1);
+            (red, mpi.allgather_comm(&comm, &tens))
+        }
     });
     // Odd group = {1,3,5,7}: root comm-rank 1 = world rank 3.
-    assert_eq!(r.results[3].0.as_ref().unwrap(), &vec![7u64]);
-    assert!(r.results[1].0.is_none());
-    assert_eq!(r.results[1].1, vec![10, 30, 50, 70]);
-    assert_eq!(r.results[0].1, vec![0, 20, 40, 60]);
+    assert_eq!(results[3].0.as_ref().unwrap(), &vec![7u64]);
+    assert!(results[1].0.is_none());
+    assert_eq!(results[1].1, vec![10, 30, 50, 70]);
+    assert_eq!(results[0].1, vec![0, 20, 40, 60]);
 }
 
 #[test]
@@ -113,6 +140,10 @@ fn nested_splits_allocate_distinct_contexts() {
         assert_eq!(sb, 2);
         assert_eq!(sc, 8);
     }
+    // Communicator collectives are on the selection ledger like the
+    // world's: three allreduces at each of the eight ranks, all flat.
+    let flat = r.stats.coll_selections(CollKind::Allreduce, CollAlgo::Flat);
+    assert_eq!(flat, 3 * 8);
 }
 
 #[test]

@@ -108,3 +108,26 @@ proptest! {
         }
     }
 }
+
+/// The plain API has one failure mode, whichever algorithm meets the
+/// failure: a world collective that touches a convicted member ends the
+/// rank under the collective's own name. The ring allgather has no entry
+/// check — it is the wait on the dead neighbour that fails — so this is
+/// the bracket's panic, not the point-to-point layer's.
+#[test]
+#[should_panic(expected = "allgather failed")]
+fn plain_world_collective_on_a_convicted_member_panics_by_name() {
+    let scenario = DeploymentScenario::containers(1, 1, 4, NamespaceSharing::default());
+    let plan = FaultPlan::none().with_crash(3, MidRunTrigger::AfterOps(1));
+    JobSpec::new(scenario).with_faults(plan).run(|mpi| {
+        if mpi.rank() == 3 {
+            // First call boundary: the scripted fate fires.
+            let world = mpi.comm_world();
+            let _ = mpi.try_barrier_comm(&world);
+            return;
+        }
+        let convicted = mpi.try_recv_bytes(3, 5);
+        assert_eq!(convicted, Err(MpiError::ProcessFailed { peer: 3 }));
+        mpi.allgather(&[mpi.rank() as u64]);
+    });
+}

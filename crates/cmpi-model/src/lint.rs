@@ -15,7 +15,8 @@
 //!    a poisoned packet must surface as an `MpiError`, not a panic in
 //!    the progress engine.
 //! 4. **tag-width** — the collective tag packing in `collectives.rs`
-//!    must keep every op id inside the high bits left over above
+//!    must keep every op id of its one `mod op` table distinct, below
+//!    the table's `END` and inside the high bits left over above
 //!    `TAG_ROUND_BITS`, and `packet.rs` wire discriminants must stay
 //!    distinct, non-zero byte-sized values. `TAG_ROUND_BITS` may be
 //!    defined in exactly one file (single width authority).
@@ -252,7 +253,9 @@ pub fn lint_tag_widths(collectives_src: &str, packet_src: &str) -> Vec<Violation
     let mut in_op = false;
     let mut seen: Vec<(String, u32, usize)> = Vec::new();
     for (i, code) in coll_lines.iter().enumerate() {
-        if code.trim_start().starts_with("mod op") {
+        let item = code.trim_start();
+        let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+        if item.starts_with("mod op") {
             in_op = true;
             continue;
         }
@@ -300,6 +303,18 @@ pub fn lint_tag_widths(collectives_src: &str, packet_src: &str) -> Vec<Violation
             rule: "tag-width",
             msg: "no op ids found in `mod op`".into(),
         });
+    }
+    // `END` is what id spaces outside the table start from, so the table
+    // has to stay below it.
+    if let Some(&(_, end, _)) = seen.iter().find(|(name, _, _)| name == "END") {
+        for (name, v, line) in seen.iter().filter(|(_, v, _)| *v > end) {
+            out.push(Violation {
+                file: coll_file.to_string(),
+                line: *line,
+                rule: "tag-width",
+                msg: format!("op id {name} = {v} lies above the table's END = {end}"),
+            });
+        }
     }
 
     // Packet wire discriminants: distinct, non-zero, byte-sized.
@@ -605,6 +620,16 @@ mod tests {
         let pkt_dup = "const K_EAGER: u32 = 1;\nconst K_RTS: u32 = 1;\n";
         let v = lint_tag_widths(coll_ok, pkt_dup);
         assert_eq!(rules_of(&v), vec!["tag-width"]);
+
+        // The table is found behind a visibility prefix, and holds its
+        // ids below its own END.
+        let coll_dup = "pub(crate) mod op {\n    pub const A: u32 = 7;\n    pub const B: u32 = 7;\n    pub const END: u32 = 8;\n}\nconst TAG_ROUND_BITS: u32 = 20;\n";
+        let v = lint_tag_widths(coll_dup, pkt_ok);
+        assert_eq!(rules_of(&v), vec!["tag-width"]);
+        assert!(v[0].msg.contains("duplicates"), "{}", v[0].msg);
+        let v = lint_tag_widths(&coll_dup.replace("B: u32 = 7", "B: u32 = 9"), pkt_ok);
+        assert_eq!(rules_of(&v), vec!["tag-width"]);
+        assert!(v[0].msg.contains("above the table's END"), "{}", v[0].msg);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use cmpi_core::{JobSpec, ReduceOp};
 
 use crate::common::{us_per_op, SizePoint};
 
-/// Which collective a benchmark drives.
+/// Which collective a benchmark drives. The algorithm is the library's
+/// choice: an ablation pins one through the spec's policy and `Tunables`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CollOp {
     /// `MPI_Bcast` from rank 0.
@@ -17,20 +18,6 @@ pub enum CollOp {
     Allgather,
     /// `MPI_Alltoall`.
     Alltoall,
-    /// Two-level broadcast (ablation).
-    BcastSmp,
-    /// Two-level allreduce (ablation).
-    AllreduceSmp,
-    /// Two-level barrier (ablation; size column is ignored).
-    BarrierSmp,
-    /// Two-level reduce to rank 0 (ablation).
-    ReduceSmp,
-    /// Two-level gather to rank 0 (ablation).
-    GatherSmp,
-    /// Two-level allgather (ablation).
-    AllgatherSmp,
-    /// Two-level alltoall (ablation).
-    AlltoallSmp,
     /// `MPI_Barrier` (size column is ignored).
     Barrier,
     /// `MPI_Reduce` to rank 0.
@@ -43,12 +30,6 @@ pub enum CollOp {
     ReduceScatter,
     /// `MPI_Scan` (inclusive prefix sum).
     Scan,
-    /// Allreduce with size-based algorithm selection (Rabenseifner for
-    /// large vectors).
-    AllreduceTuned,
-    /// Broadcast with size-based algorithm selection (scatter-allgather
-    /// for large vectors).
-    BcastTuned,
 }
 
 impl CollOp {
@@ -59,21 +40,12 @@ impl CollOp {
             CollOp::Allreduce => "allreduce",
             CollOp::Allgather => "allgather",
             CollOp::Alltoall => "alltoall",
-            CollOp::BcastSmp => "bcast-smp",
-            CollOp::AllreduceSmp => "allreduce-smp",
-            CollOp::BarrierSmp => "barrier-smp",
-            CollOp::ReduceSmp => "reduce-smp",
-            CollOp::GatherSmp => "gather-smp",
-            CollOp::AllgatherSmp => "allgather-smp",
-            CollOp::AlltoallSmp => "alltoall-smp",
             CollOp::Barrier => "barrier",
             CollOp::Reduce => "reduce",
             CollOp::Gather => "gather",
             CollOp::Scatter => "scatter",
             CollOp::ReduceScatter => "reduce-scatter",
             CollOp::Scan => "scan",
-            CollOp::AllreduceTuned => "allreduce-tuned",
-            CollOp::BcastTuned => "bcast-tuned",
         }
     }
 }
@@ -125,29 +97,6 @@ pub(crate) fn run_op(mpi: &mut cmpi_core::Mpi, op: CollOp, mine: &[u64], elems: 
             let data = vec![0u64; elems * n];
             mpi.alltoall(&data, elems);
         }
-        CollOp::BcastSmp => {
-            let mut buf = mine.to_vec();
-            mpi.bcast_smp(&mut buf, 0);
-        }
-        CollOp::AllreduceSmp => {
-            mpi.allreduce_smp(mine, ReduceOp::Sum);
-        }
-        CollOp::BarrierSmp => {
-            mpi.barrier_smp();
-        }
-        CollOp::ReduceSmp => {
-            mpi.reduce_smp(mine, ReduceOp::Sum, 0);
-        }
-        CollOp::GatherSmp => {
-            mpi.gather_smp(mine, 0);
-        }
-        CollOp::AllgatherSmp => {
-            mpi.allgather_smp(mine);
-        }
-        CollOp::AlltoallSmp => {
-            let data = vec![0u64; elems * n];
-            mpi.alltoall_smp(&data, elems);
-        }
         CollOp::Barrier => {
             mpi.barrier();
         }
@@ -167,13 +116,6 @@ pub(crate) fn run_op(mpi: &mut cmpi_core::Mpi, op: CollOp, mine: &[u64], elems: 
         }
         CollOp::Scan => {
             mpi.scan(mine, ReduceOp::Sum);
-        }
-        CollOp::AllreduceTuned => {
-            mpi.allreduce_tuned(mine, ReduceOp::Sum);
-        }
-        CollOp::BcastTuned => {
-            let mut buf = mine.to_vec();
-            mpi.bcast_tuned(&mut buf, 0);
         }
     }
 }
@@ -233,22 +175,6 @@ mod tests {
             CollOp::Scan,
         ] {
             let pts = latency(&s, op, &[256], 2);
-            assert!(pts[0].value > 0.0, "{}", op.name());
-        }
-    }
-
-    #[test]
-    fn smp_variants_run() {
-        for op in [
-            CollOp::BcastSmp,
-            CollOp::AllreduceSmp,
-            CollOp::BarrierSmp,
-            CollOp::ReduceSmp,
-            CollOp::GatherSmp,
-            CollOp::AllgatherSmp,
-            CollOp::AlltoallSmp,
-        ] {
-            let pts = latency(&spec(LocalityPolicy::ContainerDetector), op, &[256], 2);
             assert!(pts[0].value > 0.0, "{}", op.name());
         }
     }

@@ -19,7 +19,14 @@
 //! 0's `cmpi_ft_revokes_total` read 0 and its flight ring held no
 //! `revoke` event; with one `incident` call per edge it reads 1 and the
 //! ring holds the event, which moves that job's three telemetry hashes
-//! (the parent's values are kept in the comment next to them).
+//! (the parent's value is kept in the comment next to the one of them
+//! that has not moved since). A second in PR 22: communicator collectives
+//! used to bypass the selection ledger and exit under the class name, so
+//! [`midrun_crash`]'s and [`revoke_then_shrink`]'s `try_allreduce_comm`
+//! calls now appear in the Flat column of the selection table and in
+//! `cmpi_coll_flat_total`, and their trace spans are named `allreduce`
+//! instead of `collective` — four hashes of each job, no time, byte or
+//! message count among them (EXPERIMENTS.md "PR 22" has the diff).
 //!
 //! On a mismatch the assertion prints the observed row in the syntax of
 //! the table (in decimal; the table is in hex only because that is how it
@@ -261,26 +268,24 @@ const G500_DETECTOR: Golden = Golden {
 };
 
 const MIDRUN_CRASH: Golden = Golden {
-    stats_report: 0xd485_52ba_8df7_b6be,
+    stats_report: 0x798b_84a5_aa8a_ec7b,
     profile_report: 0x2617_d74b_af9b_da8f,
     profile_json: 0x7564_980f_6cec_5f03,
-    prometheus: 0x9b34_bbc5_f6bb_4650,
-    telemetry_json: 0x89ac_6557_5018_0f34,
+    prometheus: 0x6c64_392c_a27f_8f59,
+    telemetry_json: 0x9294_56c0_0076_3bd4,
     flight_chrome: 0x1b58_b645_c305_c884,
-    trace_chrome: 0x363b_3442_d091_d2a5,
+    trace_chrome: 0x8454_4853_d763_c3e8,
 };
 
 const REVOKE_THEN_SHRINK: Golden = Golden {
-    stats_report: 0x2b5a_840e_7827_b7d5,
+    stats_report: 0xe485_3143_0e4e_1302,
     profile_report: 0xbbb1_f38d_d0dd_2d0c,
     profile_json: 0x58d3_1514_66bd_d667,
-    // At the parent, without rank 0's own revoke: 0xc507_f4b0_aa1d_8743.
-    prometheus: 0xebea_3956_68d8_ea1f,
-    // At the parent, without rank 0's own revoke: 0x50c9_4187_b660_1e5d.
-    telemetry_json: 0x2a39_4f90_5648_0b5f,
+    prometheus: 0x6fd9_8ce4_1c2f_3d7f,
+    telemetry_json: 0x301b_61e4_5404_228e,
     // At the parent, without rank 0's own revoke: 0x034d_e7aa_c739_d06f.
     flight_chrome: 0x51a8_c268_d140_0638,
-    trace_chrome: 0x7019_84e6_af37_1f92,
+    trace_chrome: 0x7dd1_fa08_97a5_b3a0,
 };
 
 const DEGRADED_INIT: Golden = Golden {
