@@ -346,7 +346,6 @@ impl Mpi {
         Ok(self.try_wait_recv_inner(id)?.0)
     }
 
-    /// Both halves run to an outcome so neither request leaks on error.
     pub(crate) fn try_coll_sendrecv(
         &mut self,
         data: Bytes,
@@ -355,13 +354,9 @@ impl Mpi {
         t: u32,
         ctx: u32,
     ) -> Result<Bytes, MpiError> {
-        let sid = self.isend_inner(data, dst, t, ctx);
-        let rid = self.irecv_inner(Some(src), Some(t), ctx);
-        let rout = self.try_wait_recv_inner(rid);
-        let sout = self.try_wait_send_inner(sid);
-        let out = rout?;
-        sout?;
-        Ok(out.0)
+        Ok(self
+            .sendrecv_inner(data, (dst, t), (Some(src), Some(t)), ctx)?
+            .0)
     }
 
     // ---- list algorithms -------------------------------------------------------

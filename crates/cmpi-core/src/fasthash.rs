@@ -1,8 +1,8 @@
 //! A non-cryptographic hasher for the runtime's hot-path maps.
 //!
-//! The matching engine and request tables key their maps by small
-//! integers (`(ctx, src, tag)` triples, request ids, `(src, seq)`
-//! pairs). `std`'s default SipHash costs more than the seed's entire
+//! The matching engine and the per-rank context tables key their maps
+//! by small integers (`(ctx, src, tag)` triples, `(src, seq)` pairs,
+//! context ids). `std`'s default SipHash costs more than the seed's entire
 //! linear scan at realistic queue depths, so the hot maps use this
 //! FxHash-style multiply-xor hasher instead: a few cycles per word,
 //! good dispersion for integer keys. Keys come from inside the job

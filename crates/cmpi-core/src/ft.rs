@@ -45,15 +45,16 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collectives::{op, tag, SmpTopo};
+use crate::collectives::{op, plain, tag, SmpTopo};
 use crate::comm::{Comm, CommEntry};
 use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::obs::{Detail, Incident};
 use crate::packet::ReqId;
-use crate::pt2pt::{Status, CTX_FT};
-use crate::runtime::{Mpi, RecvState, SendState};
+use crate::pt2pt::{Completion, Status, CTX_FT};
+use crate::requests::Slot;
+use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
 /// Base op id of agreement tags: the 256 ids from here up (the shrink
@@ -88,9 +89,11 @@ impl Mpi {
     /// them — completes with [`MpiError::Revoked`]. Idempotent and
     /// purely local-plus-flood: no agreement, callable from any member.
     pub fn revoke(&mut self, comm: &Comm) {
-        let t0 = self.enter();
-        self.revoke_ctx(comm.ctx());
-        self.exit(CallClass::Pt2pt, t0);
+        let revoked = self.pt2pt(false, |mpi| {
+            mpi.revoke_ctx(comm.ctx());
+            Ok(())
+        });
+        plain("revoke", revoked)
     }
 
     /// Whether `comm` has been revoked (locally observed).
@@ -154,7 +157,8 @@ impl Mpi {
                 if me & mask == 0 {
                     let child = me | mask;
                     if child < s {
-                        match self.agree_recv(survivors[child], t, key, epoch) {
+                        let id = self.irecv_inner(Some(survivors[child]), Some(t), CTX_FT);
+                        match self.agree_step(id, key, epoch) {
                             AgreeStep::Data(b) => {
                                 for (a, byte) in acc.iter_mut().zip(b.iter()) {
                                     *a |= byte;
@@ -166,13 +170,9 @@ impl Mpi {
                     }
                 } else {
                     let parent_pos = me ^ mask;
-                    match self.agree_send(
-                        Bytes::copy_from_slice(&acc),
-                        survivors[parent_pos],
-                        t,
-                        key,
-                        epoch,
-                    ) {
+                    let up = Bytes::copy_from_slice(&acc);
+                    let id = self.isend_inner(up, survivors[parent_pos], t, CTX_FT);
+                    match self.agree_step(id, key, epoch) {
                         AgreeStep::Data(_) => {}
                         AgreeStep::Decided(d) => return Ok(self.adopt_decision(comm, gen, &d)),
                         AgreeStep::Restart => continue 'attempt,
@@ -275,72 +275,35 @@ impl Mpi {
 
     // ---- abortable agreement steps ------------------------------------------
 
-    fn abort_req(&mut self, id: ReqId, is_send: bool) {
-        if is_send {
-            self.sends.remove(&id);
-        } else {
-            self.engine.cancel_posted(id);
-            self.recvs.remove(&id);
-        }
-        self.cancelled.insert(id);
-    }
-
-    /// Receive one agreement payload, abandoning the attempt if a
-    /// decision or a fresh death preempts it. The peer is a believed
-    /// survivor, but it may never send (it adopted a decision or
-    /// restarted on a newer epoch) — hence the watchful loop instead of
-    /// a plain wait.
-    fn agree_recv(&mut self, src: usize, t: u32, key: (u32, u64), epoch: u64) -> AgreeStep {
-        let id = self.irecv_inner(Some(src), Some(t), CTX_FT);
+    /// Run one agreement transfer — a posted receive or a started send —
+    /// to an outcome, abandoning it if a decision or a fresh death
+    /// preempts it. The peer is a believed survivor, but it may never
+    /// answer (it adopted a decision or restarted on a newer epoch) —
+    /// hence the watchful loop instead of a plain wait. A send carries a
+    /// few mask bytes, so on SHM/HCA it completes locally; only a CMA
+    /// (rendezvous-only) route can park it on the receiver, and that
+    /// receiver is inside the same watchful protocol.
+    fn agree_step(&mut self, id: ReqId, key: (u32, u64), epoch: u64) -> AgreeStep {
+        let t_enter = self.now;
         loop {
             self.progress();
-            if matches!(self.recvs.get(&id), Some(RecvState::Done { .. })) {
-                let (data, _) = self
-                    .try_wait_recv_inner(id)
-                    .unwrap_or_else(|e| panic!("completed agreement recv failed: {e}"));
-                return AgreeStep::Data(data);
+            // A finished transfer counts even if the attempt is preempted.
+            if !self.reqs.get(id).is_some_and(Slot::is_done) {
+                let moved = self.state.detector.epoch() != epoch;
+                let decided = self.state.decisions.get(key).map(AgreeStep::Decided);
+                if let Some(step) = decided.or(moved.then_some(AgreeStep::Restart)) {
+                    self.cancel(id);
+                    return step;
+                }
             }
-            if let Some(d) = self.state.decisions.get(key) {
-                self.abort_req(id, false);
-                return AgreeStep::Decided(d);
+            match self.try_complete(id, t_enter) {
+                Ok(Some(Completion::Recv(data, _))) => return AgreeStep::Data(data),
+                Ok(Some(Completion::Send)) => return AgreeStep::Data(Bytes::new()),
+                Ok(None) => self.sleep_if_idle(),
+                // The peer died between this attempt's convergence scan
+                // and its epoch read: a fresh death like any other.
+                Err(_) => return AgreeStep::Restart,
             }
-            if self.state.detector.epoch() != epoch {
-                self.abort_req(id, false);
-                return AgreeStep::Restart;
-            }
-            self.sleep_if_idle();
-        }
-    }
-
-    /// Send one agreement payload with the same abort semantics. The
-    /// payload is a few mask bytes, so on SHM/HCA it completes locally;
-    /// only a CMA (rendezvous-only) route can park it on the receiver,
-    /// and that receiver is inside the same watchful protocol.
-    fn agree_send(
-        &mut self,
-        data: Bytes,
-        dst: usize,
-        t: u32,
-        key: (u32, u64),
-        epoch: u64,
-    ) -> AgreeStep {
-        let id = self.isend_inner(data, dst, t, CTX_FT);
-        loop {
-            self.progress();
-            if matches!(self.sends.get(&id), Some(SendState::Done { .. })) {
-                self.try_wait_send_inner(id)
-                    .unwrap_or_else(|e| panic!("completed agreement send failed: {e}"));
-                return AgreeStep::Data(Bytes::new());
-            }
-            if let Some(d) = self.state.decisions.get(key) {
-                self.abort_req(id, true);
-                return AgreeStep::Decided(d);
-            }
-            if self.state.detector.epoch() != epoch {
-                self.abort_req(id, true);
-                return AgreeStep::Restart;
-            }
-            self.sleep_if_idle();
         }
     }
 
@@ -363,15 +326,11 @@ impl Mpi {
             stag < 1 << 20 && rtag < 1 << 20,
             "communicator user tag out of range"
         );
-        let t0 = self.ft_enter()?;
-        let sid = self.isend_inner(data, comm.world_rank(dst), stag, comm.ctx());
-        let rid = self.irecv_inner(Some(comm.world_rank(src)), Some(rtag), comm.ctx());
-        let rout = self.try_wait_recv_inner(rid);
-        let sout = self.try_wait_send_inner(sid);
-        self.exit(CallClass::Pt2pt, t0);
-        let out = rout?;
-        sout?;
-        Ok(out)
+        self.pt2pt(true, |mpi| {
+            let to = (comm.world_rank(dst), stag);
+            let from = (Some(comm.world_rank(src)), Some(rtag));
+            mpi.sendrecv_inner(data, to, from, comm.ctx())
+        })
     }
 
     /// Fault-tolerant typed allreduce convenience used by recovery loops:

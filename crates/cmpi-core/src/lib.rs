@@ -69,6 +69,7 @@ pub mod onesided;
 pub mod packet;
 pub(crate) mod peer_table;
 pub mod pt2pt;
+pub(crate) mod requests;
 pub mod runtime;
 pub mod stats;
 pub mod trace;

@@ -115,6 +115,24 @@ impl Mpi {
         }
     }
 
+    /// What the origin is charged for moving `blen` bytes to or from a
+    /// co-resident target's window on an intra-host `channel`: a chunked
+    /// user-space copy through shared memory, or one CMA syscall.
+    fn rma_local_time(&self, channel: Channel, blen: usize, cross: bool) -> SimTime {
+        let cost = &self.state.cost;
+        let tun = &self.state.tunables;
+        let transfer = match channel {
+            Channel::Shm => {
+                let chunks = blen.div_ceil(tun.smp_eager_size.max(1)).max(1);
+                SimTime::from_ns(cost.shm_post_ns * chunks as u64)
+                    + cost.shm_copy_time(blen as u64, tun.smpi_length_queue as u64, cross)
+            }
+            Channel::Cma => cost.cma_time(blen as u64, cross),
+            Channel::Hca => unreachable!("the HCA is charged by the fabric"),
+        };
+        SimTime::from_ns(cost.onesided_local_op_ns) + transfer
+    }
+
     /// Store `data` into `target`'s window at byte offset `offset`
     /// (`MPI_Put`). Completion is deferred to [`Mpi::flush`]/[`Mpi::fence`].
     pub fn put<T: MpiData>(&mut self, win: &mut Window, target: usize, offset: usize, data: &[T]) {
@@ -125,24 +143,9 @@ impl Mpi {
         let channel = self.onesided_channel(target, blen);
         let cross = self.cross_socket(target);
         match channel {
-            Channel::Shm => {
-                // Direct store into the shared window.
-                let chunks = blen
-                    .div_ceil(self.state.tunables.smp_eager_size.max(1))
-                    .max(1);
-                self.now += SimTime::from_ns(cost.onesided_local_op_ns)
-                    + SimTime::from_ns(cost.shm_post_ns * chunks as u64)
-                    + cost.shm_copy_time(
-                        blen as u64,
-                        self.state.tunables.smpi_length_queue as u64,
-                        cross,
-                    );
-                win.regions[target].write(offset, &bytes);
-                win.pending[target] = win.pending[target].max(self.now);
-            }
-            Channel::Cma => {
-                self.now +=
-                    SimTime::from_ns(cost.onesided_local_op_ns) + cost.cma_time(blen as u64, cross);
+            // Direct store into the shared window / one CMA write.
+            Channel::Shm | Channel::Cma => {
+                self.now += self.rma_local_time(channel, blen, cross);
                 win.regions[target].write(offset, &bytes);
                 win.pending[target] = win.pending[target].max(self.now);
             }
@@ -192,26 +195,11 @@ impl Mpi {
     /// window as they sit there, every cost charged.
     fn get_wire(&mut self, win: &mut Window, target: usize, offset: usize, blen: usize) -> Vec<u8> {
         let t0 = self.enter();
-        let cost = self.state.cost;
         let channel = self.onesided_channel(target, blen);
         let cross = self.cross_socket(target);
         let bytes = match channel {
-            Channel::Shm => {
-                let chunks = blen
-                    .div_ceil(self.state.tunables.smp_eager_size.max(1))
-                    .max(1);
-                self.now += SimTime::from_ns(cost.onesided_local_op_ns)
-                    + SimTime::from_ns(cost.shm_post_ns * chunks as u64)
-                    + cost.shm_copy_time(
-                        blen as u64,
-                        self.state.tunables.smpi_length_queue as u64,
-                        cross,
-                    );
-                win.regions[target].read(offset, blen)
-            }
-            Channel::Cma => {
-                self.now +=
-                    SimTime::from_ns(cost.onesided_local_op_ns) + cost.cma_time(blen as u64, cross);
+            Channel::Shm | Channel::Cma => {
+                self.now += self.rma_local_time(channel, blen, cross);
                 win.regions[target].read(offset, blen)
             }
             Channel::Hca => {

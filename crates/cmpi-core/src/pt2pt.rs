@@ -17,11 +17,13 @@ use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 
 use crate::channel::Protocol;
+use crate::collectives::plain;
 use crate::datatype::{from_bytes, to_bytes, MpiData};
 use crate::error::MpiError;
 use crate::matching::{ArrivedBody, ArrivedMsg, PostedRecv};
 use crate::packet::{Packet, PacketKind, ReqId};
-use crate::runtime::{Mpi, RecvState, SendState};
+use crate::requests::{RecvState, SendState, Slot};
+use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
@@ -53,7 +55,6 @@ pub struct Status {
 #[derive(Debug)]
 pub struct Request {
     pub(crate) id: ReqId,
-    pub(crate) is_send: bool,
 }
 
 /// Outcome of completing a request.
@@ -75,6 +76,14 @@ impl Completion {
     }
 }
 
+fn src_opt(src: usize) -> Option<usize> {
+    (src != ANY_SOURCE).then_some(src)
+}
+
+fn tag_opt(tag: u32) -> Option<u32> {
+    (tag != ANY_TAG).then_some(tag)
+}
+
 impl Mpi {
     // ---- internal operations (no time-class attribution) -------------------
 
@@ -84,7 +93,6 @@ impl Mpi {
         let next_seq = &mut self.peers.get_mut(dst).send_seq;
         let seq = *next_seq;
         *next_seq += 1;
-        let id = self.fresh_req();
         let len = data.len();
         let cost = self.state.cost;
         let posted = self.now;
@@ -110,32 +118,23 @@ impl Mpi {
                 channel: Channel::Shm,
             };
             self.dispatch(msg);
-            self.sends.insert(
-                id,
-                SendState::Done {
-                    t: self.now + SimTime::from_ns(cost.request_ns),
-                    ctx,
-                    rndv_cts: None,
-                },
-            );
-            return id;
+            return self.locally_complete_send(ctx);
         }
 
         let peer = self.view.peer(dst);
         let route = self.selector.route(&peer, len);
         let cross = self.cross_socket(dst);
-        match (route.channel, route.protocol) {
+        let parked = match (route.channel, route.protocol) {
             (Channel::Shm, Protocol::Eager) => {
                 let q = Arc::clone(self.state.pair_queue(self.rank, dst));
                 let qcap = self.state.tunables.smpi_length_queue;
                 let chunk = self.state.tunables.smp_eager_size.max(1);
-                let total = len;
                 let mut off = 0usize;
                 // Time spent waiting for the receiver to drain the pair
                 // queue — late-receiver backpressure, not transfer.
                 let mut stalled = SimTime::ZERO;
                 'chunks: loop {
-                    let clen = chunk.min(total - off);
+                    let clen = chunk.min(len - off);
                     // Claim queue space; run progress while the receiver
                     // drains so cross-pair traffic cannot deadlock.
                     let stall = loop {
@@ -171,131 +170,85 @@ impl Mpi {
                             ctx,
                             tag,
                             seq,
-                            total: total as u64,
+                            total: len as u64,
                             offset: off as u64,
                         },
                         data: data.slice(off..off + clen),
                     });
                     self.obs.tx(dst, Channel::Shm, clen);
                     off += clen;
-                    if off >= total {
+                    if off >= len {
                         break;
                     }
                 }
                 if stalled > SimTime::ZERO {
                     self.obs.stall(ctx, stalled);
                 }
-                self.sends.insert(
-                    id,
-                    SendState::Done {
-                        t: self.now + SimTime::from_ns(cost.request_ns),
-                        ctx,
-                        rndv_cts: None,
-                    },
-                );
-            }
-            (Channel::Cma, Protocol::Rendezvous) => {
-                self.now += SimTime::from_ns(cost.shm_post_ns);
-                self.send_control(
-                    dst,
-                    PacketKind::Rts {
-                        ctx,
-                        tag,
-                        seq,
-                        size: len as u64,
-                        sreq: id,
-                    },
-                    Bytes::new(),
-                    Channel::Cma,
-                    self.now,
-                );
-                self.sends.insert(
-                    id,
-                    SendState::AwaitCts {
-                        data,
-                        dst,
-                        channel: Channel::Cma,
-                        ctx,
-                    },
-                );
+                None
             }
             (Channel::Hca, Protocol::Eager) => {
                 // Stage into the pre-registered eager buffer.
                 self.now += cost.copy_time(len as u64, false);
-                let pkt = Packet {
-                    src: self.rank,
-                    channel: Channel::Hca,
-                    available_at: self.now,
-                    kind: PacketKind::Eager {
-                        ctx,
-                        tag,
-                        seq,
-                        total: len as u64,
-                        offset: 0,
-                    },
-                    data,
+                let kind = PacketKind::Eager {
+                    ctx,
+                    tag,
+                    seq,
+                    total: len as u64,
+                    offset: 0,
                 };
-                let (imm, hdr, payload) = pkt.encode_parts();
                 // A detached (dead) destination swallows the message; the
                 // eager send still completes locally.
-                if let Some(info) =
-                    self.try_hca_post(dst, imm, hdr, payload, self.now, "HCA eager send")
-                {
+                if let Some(info) = self.send_control(dst, kind, data, Channel::Hca, self.now) {
                     self.now = info.local_done;
                     self.obs.tx(dst, Channel::Hca, len);
                 }
-                self.sends.insert(
-                    id,
-                    SendState::Done {
-                        t: self.now + SimTime::from_ns(cost.request_ns),
-                        ctx,
-                        rndv_cts: None,
-                    },
-                );
+                None
             }
-            (Channel::Hca, Protocol::Rendezvous) => {
-                self.now += SimTime::from_ns(cost.hca_rndv_setup_ns);
-                let rts = Packet {
-                    src: self.rank,
-                    channel: Channel::Hca,
-                    available_at: self.now,
-                    kind: PacketKind::Rts {
-                        ctx,
-                        tag,
-                        seq,
-                        size: len as u64,
-                        sreq: id,
-                    },
-                    data: Bytes::new(),
+            (channel @ (Channel::Cma | Channel::Hca), Protocol::Rendezvous) => {
+                self.now += SimTime::from_ns(match channel {
+                    Channel::Cma => cost.shm_post_ns,
+                    _ => cost.hca_rndv_setup_ns,
+                });
+                let parked = SendState::AwaitCts {
+                    data,
+                    dst,
+                    channel,
+                    ctx,
                 };
-                let (imm, hdr, payload) = rts.encode_parts();
-                // A dead destination never answers the RTS; park the send
-                // anyway and let wait complete it in error.
-                if let Some(info) =
-                    self.try_hca_post(dst, imm, hdr, payload, self.now, "HCA rendezvous RTS")
-                {
+                let id = self.reqs.alloc(Slot::Send(parked));
+                let rts = PacketKind::Rts {
+                    ctx,
+                    tag,
+                    seq,
+                    size: len as u64,
+                    sreq: id,
+                };
+                // A dead destination never answers the RTS; the send stays
+                // parked and wait completes it in error.
+                if let Some(info) = self.send_control(dst, rts, Bytes::new(), channel, self.now) {
                     self.now = info.local_done;
                 }
-                self.sends.insert(
-                    id,
-                    SendState::AwaitCts {
-                        data,
-                        dst,
-                        channel: Channel::Hca,
-                        ctx,
-                    },
-                );
+                Some(id)
             }
             (c, p) => unreachable!("selector produced impossible route {c:?}/{p:?}"),
-        }
+        };
         self.obs.route(dst, Some(route), len, seq, posted, self.now);
-        id
+        parked.unwrap_or_else(|| self.locally_complete_send(ctx))
+    }
+
+    /// The request of a send whose buffer is reusable already (eager and
+    /// self-sends): complete one request-bookkeeping step from now.
+    fn locally_complete_send(&mut self, ctx: u32) -> ReqId {
+        self.reqs.alloc(Slot::Send(SendState::Done {
+            t: self.now + SimTime::from_ns(self.state.cost.request_ns),
+            ctx,
+            rndv_cts: None,
+        }))
     }
 
     /// Post a receive on context `ctx`. `None` = wildcard.
     pub(crate) fn irecv_inner(&mut self, src: Option<usize>, tag: Option<u32>, ctx: u32) -> ReqId {
-        let id = self.fresh_req();
-        self.recvs.insert(id, RecvState::Posted { src, ctx });
+        let id = self.reqs.alloc(Slot::Recv(RecvState::Posted { src, ctx }));
         let posted_at = self.now;
         if let Some(msg) = self.engine.post_recv(PostedRecv {
             rreq: id,
@@ -339,229 +292,231 @@ impl Mpi {
         self.now = done;
     }
 
-    /// Block until send `id` completes; advances the clock to completion.
-    /// Errors caused by injected faults abort the job (the plain API has
-    /// `MPI_ERRORS_ARE_FATAL` semantics).
-    pub(crate) fn wait_send_inner(&mut self, id: ReqId) {
-        self.try_wait_send_inner(id)
-            .unwrap_or_else(|e| panic!("wait on send request {id} failed: {e}"));
-    }
-
-    /// Block until send `id` completes, or fail it when its destination
-    /// is convicted dead or its communicator is revoked. A failed send is
-    /// removed and remembered in `cancelled` so late protocol packets
-    /// (CTS, FIN) for it are dropped instead of resurrecting it.
-    pub(crate) fn try_wait_send_inner(&mut self, id: ReqId) -> Result<(), MpiError> {
-        let t_enter = self.now;
-        loop {
-            self.progress();
-            let (ctx, dst) = match self.sends.get(&id) {
-                Some(SendState::Done { .. }) => {
-                    let Some(SendState::Done { t, ctx, rndv_cts }) = self.sends.remove(&id) else {
-                        unreachable!()
-                    };
-                    self.settle_send(t_enter, t, ctx, rndv_cts);
-                    return Ok(());
-                }
-                Some(&SendState::AwaitCts { dst, ctx, .. })
-                | Some(&SendState::AwaitFin { dst, ctx, .. }) => (ctx, dst),
-                None => panic!("waiting on unknown send request {id}"),
-            };
-            if let Err(e) = self.check_op_failure(ctx, Some(dst)) {
-                self.sends.remove(&id);
-                self.cancelled.insert(id);
-                return Err(e);
-            }
-            self.sleep_if_idle();
-        }
-    }
-
-    /// Block until receive `id` completes; returns payload and status.
-    /// Errors caused by injected faults abort the job (the plain API has
-    /// `MPI_ERRORS_ARE_FATAL` semantics).
-    pub(crate) fn wait_recv_inner(&mut self, id: ReqId) -> (Bytes, Status) {
-        self.try_wait_recv_inner(id)
-            .unwrap_or_else(|e| panic!("wait on recv request {id} failed: {e}"))
-    }
-
-    /// Block until receive `id` completes, or fail it when its source is
-    /// convicted dead (for a wildcard: when *any* member of the context
-    /// is — the ULFM failed-process-pending analog) or its communicator
-    /// is revoked. A failed receive is unposted from the matching engine
-    /// so a stale arrival cannot fill it, and remembered in `cancelled`
-    /// so a late rendezvous payload is dropped.
-    pub(crate) fn try_wait_recv_inner(&mut self, id: ReqId) -> Result<(Bytes, Status), MpiError> {
-        let t_enter = self.now;
-        loop {
-            self.progress();
-            let (ctx, peer) = match self.recvs.get(&id) {
-                Some(RecvState::Done { .. }) => {
-                    let Some(RecvState::Done {
-                        data,
-                        status,
-                        t,
-                        arrived,
-                        ctx,
-                        flow,
-                    }) = self.recvs.remove(&id)
-                    else {
-                        unreachable!()
-                    };
-                    self.settle_recv(t_enter, t, arrived, ctx, flow);
-                    return Ok((data, status));
-                }
-                Some(&RecvState::Posted { src, ctx }) => (ctx, src),
-                Some(&RecvState::AwaitData { src, ctx, .. }) => (ctx, Some(src)),
-                None => panic!("waiting on unknown recv request {id}"),
-            };
-            if let Err(e) = self.check_op_failure(ctx, peer) {
-                self.engine.cancel_posted(id);
-                self.recvs.remove(&id);
-                self.cancelled.insert(id);
-                return Err(e);
-            }
-            self.sleep_if_idle();
-        }
-    }
-
-    /// One non-blocking completion check.
+    /// The one completion check, for a caller blocked (or polling) since
+    /// `t_enter`; run the progress engine first. A finished request is
+    /// freed and settled: the clock advances to its completion and the
+    /// blocked interval is attributed. A pending one is checked against
+    /// the failure state — its destination or source convicted dead (for a
+    /// wildcard receive: *any* member of the context, the ULFM
+    /// failed-process-pending analog), its communicator revoked — and
+    /// cancelled with the error if it can never finish. `Ok(None)` means
+    /// "not yet" and charges no virtual time.
     ///
-    /// A *failed* test charges no virtual time: the number of failed
-    /// polls a spinning loop performs depends on real thread scheduling,
-    /// so charging per poll would make virtual time nondeterministic.
-    /// Instead, a successful test charges one poll plus the causal jump
-    /// to the completion time — which is exactly the time a real spin
-    /// loop would have burned inside `MPI_Test`.
-    pub(crate) fn test_inner(&mut self, req: &Request) -> Option<Completion> {
-        let t_enter = self.now;
-        self.progress();
-        if req.is_send {
-            if let Some(SendState::Done { .. }) = self.sends.get(&req.id) {
-                let Some(SendState::Done { t, ctx, rndv_cts }) = self.sends.remove(&req.id) else {
-                    unreachable!()
-                };
+    /// A finished request is read in place, not moved out: a slot is a
+    /// hundred bytes, and so is every tuple built to carry its fields to a
+    /// shared tail — measured at a tenth of an eager message's host time
+    /// (EXPERIMENTS "PR 23"), which is why the two arms settle separately.
+    ///
+    /// # Panics
+    /// Panics with `unknown request {id}` if the table does not hold `id`:
+    /// a handle used again after it completed, or one this rank never
+    /// issued.
+    pub(crate) fn try_complete(
+        &mut self,
+        id: ReqId,
+        t_enter: SimTime,
+    ) -> Result<Option<Completion>, MpiError> {
+        let (ctx, peer) = match self.reqs.get_mut(id) {
+            &mut Slot::Send(SendState::Done { t, ctx, rndv_cts }) => {
+                self.reqs.remove(id);
                 self.settle_send(t_enter, t, ctx, rndv_cts);
-                self.now += SimTime::from_ns(self.state.cost.poll_ns);
-                return Some(Completion::Send);
+                return Ok(Some(Completion::Send));
             }
-        } else if let Some(RecvState::Done { .. }) = self.recvs.get(&req.id) {
-            let Some(RecvState::Done {
-                data,
+            &mut Slot::Recv(RecvState::Done {
+                ref mut data,
                 status,
                 t,
                 arrived,
                 ctx,
                 flow,
-            }) = self.recvs.remove(&req.id)
-            else {
-                unreachable!()
-            };
-            self.settle_recv(t_enter, t, arrived, ctx, flow);
-            self.now += SimTime::from_ns(self.state.cost.poll_ns);
-            return Some(Completion::Recv(data, status));
-        }
-        None
-    }
-
-    /// [`Self::test_inner`] with failure reporting: a request whose peer
-    /// is convicted dead (or whose communicator is revoked) completes in
-    /// error instead of never completing. Failed polls stay free.
-    pub(crate) fn try_test_inner(&mut self, req: &Request) -> Result<Option<Completion>, MpiError> {
-        if let Some(c) = self.test_inner(req) {
-            return Ok(Some(c));
-        }
-        let (ctx, peer) = if req.is_send {
-            match self.sends.get(&req.id) {
-                Some(&SendState::AwaitCts { dst, ctx, .. })
-                | Some(&SendState::AwaitFin { dst, ctx, .. }) => (ctx, Some(dst)),
-                _ => return Ok(None),
+            }) => {
+                let data = std::mem::take(data);
+                self.reqs.remove(id);
+                self.settle_recv(t_enter, t, arrived, ctx, flow);
+                return Ok(Some(Completion::Recv(data, status)));
             }
-        } else {
-            match self.recvs.get(&req.id) {
-                Some(&RecvState::Posted { src, ctx }) => (ctx, src),
-                Some(&RecvState::AwaitData { src, ctx, .. }) => (ctx, Some(src)),
-                _ => return Ok(None),
-            }
+            &mut Slot::Send(
+                SendState::AwaitCts { dst, ctx, .. } | SendState::AwaitFin { dst, ctx, .. },
+            ) => (ctx, Some(dst)),
+            &mut Slot::Recv(RecvState::Posted { src, ctx }) => (ctx, src),
+            &mut Slot::Recv(RecvState::AwaitData { src, ctx, .. }) => (ctx, Some(src)),
+            Slot::Cancelled => panic!("unknown request {id}"),
         };
-        match self.check_op_failure(ctx, peer) {
-            Ok(()) => Ok(None),
-            Err(e) => {
-                if !req.is_send {
-                    self.engine.cancel_posted(req.id);
-                    self.recvs.remove(&req.id);
-                } else {
-                    self.sends.remove(&req.id);
-                }
-                self.cancelled.insert(req.id);
-                Err(e)
+        self.check_op_failure(ctx, peer)
+            .inspect_err(|_| self.cancel(id))?;
+        Ok(None)
+    }
+
+    /// Give up on pending request `id`. A posted receive is unposted from
+    /// the matching engine (so a stale arrival cannot fill it) and freed
+    /// at once; a request mid-rendezvous — a send awaiting its CTS or FIN,
+    /// a receive awaiting its payload — can still be named by one packet
+    /// on the wire, so it leaves a tombstone for that packet to consume
+    /// instead of resurrecting it.
+    pub(crate) fn cancel(&mut self, id: ReqId) {
+        match self.reqs.get_mut(id) {
+            Slot::Recv(RecvState::Posted { .. }) => {
+                self.engine.cancel_posted(id);
+                self.reqs.remove(id);
             }
+            slot @ (Slot::Send(SendState::AwaitCts { .. } | SendState::AwaitFin { .. })
+            | Slot::Recv(RecvState::AwaitData { .. })) => *slot = Slot::Cancelled,
+            other => panic!("cancelling request {id} in state {other:?}"),
         }
     }
 
-    fn src_opt(src: usize) -> Option<usize> {
-        if src == ANY_SOURCE {
-            None
-        } else {
-            Some(src)
+    /// Block until `id` completes or fails; advances the clock to the
+    /// completion.
+    fn wait_inner(&mut self, id: ReqId) -> Result<Completion, MpiError> {
+        let t_enter = self.now;
+        loop {
+            self.progress();
+            if let Some(done) = self.try_complete(id, t_enter)? {
+                return Ok(done);
+            }
+            self.sleep_if_idle();
         }
     }
 
-    fn tag_opt(tag: u32) -> Option<u32> {
-        if tag == ANY_TAG {
-            None
-        } else {
-            Some(tag)
+    /// [`Self::wait_inner`] on a send.
+    pub(crate) fn try_wait_send_inner(&mut self, id: ReqId) -> Result<(), MpiError> {
+        self.wait_inner(id).map(drop)
+    }
+
+    /// [`Self::wait_inner`] on a receive.
+    pub(crate) fn try_wait_recv_inner(&mut self, id: ReqId) -> Result<(Bytes, Status), MpiError> {
+        self.wait_inner(id).map(Completion::into_recv)
+    }
+
+    /// Simultaneous send and receive on `ctx`. Both halves run to an
+    /// outcome (so neither request leaks); the receive's error wins.
+    pub(crate) fn sendrecv_inner(
+        &mut self,
+        data: Bytes,
+        (dst, stag): (usize, u32),
+        (src, rtag): (Option<usize>, Option<u32>),
+        ctx: u32,
+    ) -> Result<(Bytes, Status), MpiError> {
+        let sid = self.isend_inner(data, dst, stag, ctx);
+        let rid = self.irecv_inner(src, rtag, ctx);
+        let rout = self.try_wait_recv_inner(rid);
+        let sout = self.try_wait_send_inner(sid);
+        let out = rout?;
+        sout?;
+        Ok(out)
+    }
+
+    // ---- the call path -------------------------------------------------------
+    //
+    // A plain entry is the bracket plus `plain(name, ..)`: the plain API
+    // has `MPI_ERRORS_ARE_FATAL` semantics, so an operation that lost its
+    // peer ends the rank under the operation's name. Its `try_` twin is the
+    // same body with `ft = true`: it executes this rank's own scripted
+    // mid-run fate at entry (the call boundary is where a simulated rank
+    // can die) and returns `Err(ProcessFailed | Revoked)` where the plain
+    // call would abort.
+
+    /// The one bracket every blocking or non-blocking point-to-point entry
+    /// runs in: enter (`ft`: count the op and meet the rank's fate first),
+    /// run `body`, attribute the elapsed virtual time.
+    pub(crate) fn pt2pt<R>(
+        &mut self,
+        ft: bool,
+        body: impl FnOnce(&mut Mpi) -> Result<R, MpiError>,
+    ) -> Result<R, MpiError> {
+        let t0 = if ft { self.ft_enter()? } else { self.enter() };
+        let out = body(self);
+        self.exit(CallClass::Pt2pt, t0);
+        out
+    }
+
+    /// The bracket of the polling calls: progress, then one non-blocking
+    /// `check`. A hit charges one poll (plus whatever causal jump `check`
+    /// made) — exactly the time a real spin loop would have burned inside
+    /// `MPI_Test`. A miss charges *nothing*, the call-entry tax included:
+    /// how many failed polls a spin loop performs is real scheduling, and
+    /// letting them advance the clock would make virtual time
+    /// nondeterministic. A miss also hands the CPU to other ranks, so a
+    /// spin loop cannot starve the rank it is waiting for; failed polls
+    /// never count as ops either (`ft` only meets the fate).
+    fn poll<R>(
+        &mut self,
+        ft: bool,
+        check: impl FnOnce(&mut Mpi, SimTime) -> Result<Option<R>, MpiError>,
+    ) -> Result<Option<R>, MpiError> {
+        let t0 = self.enter();
+        if ft {
+            self.check_fate()?;
         }
+        let t_enter = self.now;
+        self.progress();
+        let out = check(self, t_enter);
+        match out {
+            Ok(Some(_)) => self.now += SimTime::from_ns(self.state.cost.poll_ns),
+            Ok(None) => {
+                self.now = t0;
+                crate::exec::yield_now();
+            }
+            Err(_) => {}
+        }
+        self.exit(CallClass::Poll, t0);
+        out
     }
 
     // ---- public byte-level API ---------------------------------------------
 
     /// Blocking send of raw bytes to `dst`.
     pub fn send_bytes(&mut self, data: Bytes, dst: usize, tag: u32) {
-        let t0 = self.enter();
-        let id = self.isend_inner(data, dst, tag, CTX_WORLD);
-        self.wait_send_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
+        let sent = self.pt2pt(false, |mpi| mpi.try_coll_send(data, dst, tag, CTX_WORLD));
+        plain("send", sent)
+    }
+
+    /// Fault-tolerant [`Self::send_bytes`].
+    pub fn try_send_bytes(&mut self, data: Bytes, dst: usize, tag: u32) -> Result<(), MpiError> {
+        self.pt2pt(true, |mpi| mpi.try_coll_send(data, dst, tag, CTX_WORLD))
     }
 
     /// Blocking receive of raw bytes. `src`/`tag` may be [`ANY_SOURCE`] /
     /// [`ANY_TAG`].
     pub fn recv_bytes(&mut self, src: usize, tag: u32) -> (Bytes, Status) {
-        let t0 = self.enter();
-        let id = self.irecv_inner(Self::src_opt(src), Self::tag_opt(tag), CTX_WORLD);
-        let out = self.wait_recv_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
-        out
+        plain("recv", self.recv_on(false, src, tag))
+    }
+
+    /// Fault-tolerant [`Self::recv_bytes`].
+    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<(Bytes, Status), MpiError> {
+        self.recv_on(true, src, tag)
+    }
+
+    fn recv_on(&mut self, ft: bool, src: usize, tag: u32) -> Result<(Bytes, Status), MpiError> {
+        self.pt2pt(ft, |mpi| {
+            let id = mpi.irecv_inner(src_opt(src), tag_opt(tag), CTX_WORLD);
+            mpi.try_wait_recv_inner(id)
+        })
     }
 
     /// Non-blocking send of raw bytes.
     pub fn isend_bytes(&mut self, data: Bytes, dst: usize, tag: u32) -> Request {
-        let t0 = self.enter();
-        let id = self.isend_inner(data, dst, tag, CTX_WORLD);
-        self.exit(CallClass::Pt2pt, t0);
-        Request { id, is_send: true }
+        let id = self.pt2pt(false, |mpi| Ok(mpi.isend_inner(data, dst, tag, CTX_WORLD)));
+        let id = plain("isend", id);
+        Request { id }
     }
 
     /// Non-blocking receive of raw bytes.
     pub fn irecv_bytes(&mut self, src: usize, tag: u32) -> Request {
-        let t0 = self.enter();
-        let id = self.irecv_inner(Self::src_opt(src), Self::tag_opt(tag), CTX_WORLD);
-        self.exit(CallClass::Pt2pt, t0);
-        Request { id, is_send: false }
+        let (src, tag) = (src_opt(src), tag_opt(tag));
+        let id = self.pt2pt(false, |mpi| Ok(mpi.irecv_inner(src, tag, CTX_WORLD)));
+        let id = plain("irecv", id);
+        Request { id }
     }
 
     /// Block until `req` completes.
     pub fn wait(&mut self, req: Request) -> Completion {
-        let t0 = self.enter();
-        let out = if req.is_send {
-            self.wait_send_inner(req.id);
-            Completion::Send
-        } else {
-            let (data, status) = self.wait_recv_inner(req.id);
-            Completion::Recv(data, status)
-        };
-        self.exit(CallClass::Pt2pt, t0);
-        out
+        plain("wait", self.pt2pt(false, |mpi| mpi.wait_inner(req.id)))
+    }
+
+    /// Fault-tolerant [`Self::wait`].
+    pub fn try_wait(&mut self, req: Request) -> Result<Completion, MpiError> {
+        self.pt2pt(true, |mpi| mpi.wait_inner(req.id))
     }
 
     /// Block until all requests complete (in order).
@@ -570,53 +525,37 @@ impl Mpi {
     }
 
     /// Check one request for completion without blocking (`MPI_Test`).
-    /// After `Some(..)` the request is finished and must not be waited on
-    /// again.
+    /// After `Some(..)` the request is finished and must not be tested or
+    /// waited on again. Like every plain call, a request that can never
+    /// finish (dead peer, revoked communicator) ends the rank.
     pub fn test(&mut self, req: &Request) -> Option<Completion> {
-        let t0 = self.enter();
-        let out = self.test_inner(req);
-        if out.is_none() {
-            // Refund the call-entry tax: a failed poll must charge no
-            // virtual time at all (see `test_inner` — the number of
-            // failed polls a spin loop performs is real scheduling, and
-            // letting it advance the clock makes virtual time
-            // nondeterministic).
-            self.now = t0;
-            // Hand the CPU to other ranks between polls so a `test` spin
-            // loop cannot starve its own sender.
-            crate::exec::yield_now();
-        }
-        self.exit(CallClass::Poll, t0);
-        out
+        let done = self.poll(false, |mpi, t| mpi.try_complete(req.id, t));
+        plain("test", done)
     }
 
-    // ---- public fault-tolerant API ------------------------------------------
-    //
-    // `try_` variants return `Err(ProcessFailed | Revoked)` where the
-    // plain API would hang or abort; they also execute this rank's own
-    // scripted mid-run fate at entry (the call boundary is where a
-    // simulated rank can die).
-
-    /// Fault-tolerant [`Self::send_bytes`].
-    pub fn try_send_bytes(&mut self, data: Bytes, dst: usize, tag: u32) -> Result<(), MpiError> {
-        let t0 = self.ft_enter()?;
-        let id = self.isend_inner(data, dst, tag, CTX_WORLD);
-        let out = self.try_wait_send_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
-        out
+    /// Fault-tolerant [`Self::test`]: `Ok(None)` means "not yet", and a
+    /// request on a dead peer or revoked communicator finishes with `Err`.
+    pub fn try_test(&mut self, req: &Request) -> Result<Option<Completion>, MpiError> {
+        self.poll(true, |mpi, t| mpi.try_complete(req.id, t))
     }
 
-    /// Fault-tolerant [`Self::recv_bytes`].
-    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<(Bytes, Status), MpiError> {
-        let t0 = self.ft_enter()?;
-        let id = self.irecv_inner(Self::src_opt(src), Self::tag_opt(tag), CTX_WORLD);
-        let out = self.try_wait_recv_inner(id);
-        self.exit(CallClass::Pt2pt, t0);
-        out
+    /// Simultaneous send and receive (deadlock-free pairwise exchange).
+    pub fn sendrecv_bytes(
+        &mut self,
+        data: Bytes,
+        dst: usize,
+        stag: u32,
+        src: usize,
+        rtag: u32,
+    ) -> (Bytes, Status) {
+        let from = (src_opt(src), tag_opt(rtag));
+        let out = self.pt2pt(false, |m| {
+            m.sendrecv_inner(data, (dst, stag), from, CTX_WORLD)
+        });
+        plain("sendrecv", out)
     }
 
-    /// Fault-tolerant [`Self::sendrecv_bytes`]. Both halves run to an
-    /// outcome (so neither request leaks); the receive's error wins.
+    /// Fault-tolerant [`Self::sendrecv_bytes`].
     pub fn try_sendrecv_bytes(
         &mut self,
         data: Bytes,
@@ -625,63 +564,17 @@ impl Mpi {
         src: usize,
         rtag: u32,
     ) -> Result<(Bytes, Status), MpiError> {
-        let t0 = self.ft_enter()?;
-        let sid = self.isend_inner(data, dst, stag, CTX_WORLD);
-        let rid = self.irecv_inner(Self::src_opt(src), Self::tag_opt(rtag), CTX_WORLD);
-        let rout = self.try_wait_recv_inner(rid);
-        let sout = self.try_wait_send_inner(sid);
-        self.exit(CallClass::Pt2pt, t0);
-        let out = rout?;
-        sout?;
-        Ok(out)
-    }
-
-    /// Fault-tolerant [`Self::wait`].
-    pub fn try_wait(&mut self, req: Request) -> Result<Completion, MpiError> {
-        let t0 = self.ft_enter()?;
-        let out = if req.is_send {
-            self.try_wait_send_inner(req.id).map(|()| Completion::Send)
-        } else {
-            self.try_wait_recv_inner(req.id)
-                .map(|(data, status)| Completion::Recv(data, status))
-        };
-        self.exit(CallClass::Pt2pt, t0);
-        out
-    }
-
-    /// Fault-tolerant [`Self::test`]: `Ok(None)` means "not yet", and a
-    /// request on a dead peer or revoked communicator finishes with
-    /// `Err` instead of polling `None` forever.
-    pub fn try_test(&mut self, req: &Request) -> Result<Option<Completion>, MpiError> {
-        let t0 = self.enter();
-        self.check_fate()?;
-        let out = self.try_test_inner(req);
-        if matches!(out, Ok(None)) {
-            // Refund the call-entry tax exactly like `test`.
-            self.now = t0;
-            // And yield the worker between polls exactly like `test`.
-            crate::exec::yield_now();
-        }
-        self.exit(CallClass::Poll, t0);
-        out
+        let from = (src_opt(src), tag_opt(rtag));
+        self.pt2pt(true, |m| {
+            m.sendrecv_inner(data, (dst, stag), from, CTX_WORLD)
+        })
     }
 
     // ---- public typed API ----------------------------------------------------
 
-    /// Blocking typed send.
-    pub fn send<T: MpiData>(&mut self, buf: &[T], dst: usize, tag: u32) {
-        self.send_bytes(to_bytes(buf), dst, tag);
-    }
-
-    /// Blocking typed receive into `buf` (message may be shorter than the
-    /// buffer). Returns the status; `status.len / T::SIZE` elements were
-    /// written.
-    ///
-    /// # Panics
-    /// Panics if the message is longer than `buf` (MPI truncation abort)
-    /// or not a whole number of elements.
-    pub fn recv<T: MpiData>(&mut self, buf: &mut [T], src: usize, tag: u32) -> Status {
-        let (data, status) = self.recv_bytes(src, tag);
+    /// The typed tail of a receive: decode the payload into the front of
+    /// `buf` and hand its buffer back to the engine's pool.
+    fn unpack<T: MpiData>(&mut self, (data, status): (Bytes, Status), buf: &mut [T]) -> Status {
         assert_eq!(
             status.len % T::SIZE,
             0,
@@ -700,30 +593,29 @@ impl Mpi {
         status
     }
 
+    /// Blocking typed send.
+    pub fn send<T: MpiData>(&mut self, buf: &[T], dst: usize, tag: u32) {
+        self.send_bytes(to_bytes(buf), dst, tag);
+    }
+
+    /// Blocking typed receive into `buf` (message may be shorter than the
+    /// buffer). Returns the status; `status.len / T::SIZE` elements were
+    /// written.
+    ///
+    /// # Panics
+    /// Panics if the message is longer than `buf` (MPI truncation abort)
+    /// or not a whole number of elements.
+    pub fn recv<T: MpiData>(&mut self, buf: &mut [T], src: usize, tag: u32) -> Status {
+        let msg = self.recv_bytes(src, tag);
+        self.unpack(msg, buf)
+    }
+
     /// Non-blocking typed send.
     pub fn isend<T: MpiData>(&mut self, buf: &[T], dst: usize, tag: u32) -> Request {
         self.isend_bytes(to_bytes(buf), dst, tag)
     }
 
-    /// Simultaneous send and receive (deadlock-free pairwise exchange).
-    pub fn sendrecv_bytes(
-        &mut self,
-        data: Bytes,
-        dst: usize,
-        stag: u32,
-        src: usize,
-        rtag: u32,
-    ) -> (Bytes, Status) {
-        let t0 = self.enter();
-        let sid = self.isend_inner(data, dst, stag, CTX_WORLD);
-        let rid = self.irecv_inner(Self::src_opt(src), Self::tag_opt(rtag), CTX_WORLD);
-        let out = self.wait_recv_inner(rid);
-        self.wait_send_inner(sid);
-        self.exit(CallClass::Pt2pt, t0);
-        out
-    }
-
-    /// Typed simultaneous send and receive.
+    /// Typed simultaneous send and receive; panics like [`Self::recv`].
     pub fn sendrecv<T: MpiData>(
         &mut self,
         send: &[T],
@@ -733,53 +625,29 @@ impl Mpi {
         src: usize,
         rtag: u32,
     ) -> Status {
-        let (data, status) = self.sendrecv_bytes(to_bytes(send), dst, stag, src, rtag);
-        assert_eq!(
-            status.len % T::SIZE,
-            0,
-            "message is not a whole number of elements"
-        );
-        let elems = status.len / T::SIZE;
-        assert!(elems <= recv.len(), "message truncated");
-        from_bytes(&data, &mut recv[..elems]);
-        self.engine
-            .recycle(data, self.state.tunables.smpi_length_queue);
-        status
+        let msg = self.sendrecv_bytes(to_bytes(send), dst, stag, src, rtag);
+        self.unpack(msg, recv)
     }
 
     /// Non-destructively check for a matching incoming message
-    /// (`MPI_Iprobe`). Runs the progress engine and charges one poll.
+    /// (`MPI_Iprobe`). Runs the progress engine; a hit charges one poll.
     pub fn iprobe(&mut self, src: usize, tag: u32) -> Option<Status> {
-        let t0 = self.enter();
-        self.progress();
-        let out = self
-            .engine
-            .peek_unexpected(Self::src_opt(src), CTX_WORLD, Self::tag_opt(tag))
-            .map(|m| {
-                let len = match &m.body {
-                    ArrivedBody::Eager { data, .. } => data.len(),
-                    ArrivedBody::Rts { size, .. } => *size as usize,
-                };
-                Status {
+        let probe = self.poll(false, |mpi, _| {
+            let hit = mpi
+                .engine
+                .peek_unexpected(src_opt(src), CTX_WORLD, tag_opt(tag))
+                .map(|m| Status {
                     src: m.src,
                     tag: m.tag,
-                    len,
-                }
-            });
-        if out.is_some() {
-            // Successful probes charge one poll (failed ones are free for
-            // the same determinism reason as `test`).
-            self.now += SimTime::from_ns(self.state.cost.poll_ns);
-        } else {
-            // Refund the call-entry tax too — see `test`.
-            self.now = t0;
-            // Failed probes also yield the CPU to other ranks — probe
-            // storms are the canonical fiber-starvation loop.
-            crate::exec::yield_now();
-        }
-        self.obs.probe(out.is_some());
-        self.exit(CallClass::Poll, t0);
-        out
+                    len: match &m.body {
+                        ArrivedBody::Eager { data, .. } => data.len(),
+                        ArrivedBody::Rts { size, .. } => *size as usize,
+                    },
+                });
+            mpi.obs.probe(hit.is_some());
+            Ok(hit)
+        });
+        plain("iprobe", probe)
     }
 
     /// Park the calling thread until new traffic arrives (no virtual-time

@@ -45,6 +45,7 @@ use crate::obs::{Detail, Incident, JobObs, Obs};
 use crate::packet::{Packet, PacketKind, ReqId, WireHeader};
 use crate::peer_table::PeerTable;
 use crate::pt2pt::{Status, CTX_COLL, CTX_WORLD};
+use crate::requests::{RecvState, RequestTable, SendState, Slot};
 use crate::stats::{CallClass, CommStats, JobStats};
 use crate::trace::{flow_id, JobTrace};
 use cmpi_prof::{JobProfile, QueuePressure};
@@ -636,92 +637,6 @@ impl JobState {
     }
 }
 
-/// Per-rank state of an in-flight send.
-#[derive(Debug)]
-pub(crate) enum SendState {
-    /// Rendezvous announced; payload parked until the CTS arrives.
-    AwaitCts {
-        /// Parked payload.
-        data: Bytes,
-        /// Destination rank.
-        dst: usize,
-        /// Channel the rendezvous runs on.
-        channel: Channel,
-        /// Communicator context (classifies the wait state).
-        ctx: u32,
-    },
-    /// Payload dispatched; waiting for the receiver's FIN.
-    AwaitFin {
-        /// Destination rank (consulted when a death must fail the send).
-        dst: usize,
-        /// Communicator context.
-        ctx: u32,
-        /// When the receiver's CTS became observable here — everything up
-        /// to this point was late-receiver time, not transfer.
-        cts_at: SimTime,
-    },
-    /// Complete as of `t`.
-    Done {
-        /// Completion time.
-        t: SimTime,
-        /// Communicator context (classifies the wait state).
-        ctx: u32,
-        /// CTS observation time for rendezvous sends (`None` for eager):
-        /// splits a blocked `wait` into late-receiver vs. transfer.
-        rndv_cts: Option<SimTime>,
-    },
-}
-
-/// Per-rank state of an in-flight receive.
-#[derive(Debug)]
-pub(crate) enum RecvState {
-    /// Posted, nothing matched yet.
-    Posted {
-        /// Expected source (`None` = wildcard). A wildcard receive fails
-        /// when *any* member of its context is convicted dead — the ULFM
-        /// "failed process pending" analog.
-        src: Option<usize>,
-        /// Communicator context.
-        ctx: u32,
-    },
-    /// Matched an RTS and sent the CTS; waiting for the payload.
-    AwaitData {
-        /// Sender rank.
-        src: usize,
-        /// Matched tag.
-        tag: u32,
-        /// Sender's request id (echoed in the FIN).
-        sreq: ReqId,
-        /// Rendezvous channel.
-        channel: Channel,
-        /// Announced size.
-        size: usize,
-        /// Communicator context.
-        ctx: u32,
-        /// Flow id (derived, both ends agree; see [`crate::trace::flow_id`]).
-        flow: u64,
-        /// When the sender's RTS arrived — the late-sender boundary.
-        rts_at: SimTime,
-    },
-    /// Complete: payload and status available.
-    Done {
-        /// Received payload.
-        data: Bytes,
-        /// MPI status.
-        status: Status,
-        /// Completion time.
-        t: SimTime,
-        /// When the message (eager payload / RTS) arrived at this rank —
-        /// blocked time before this point is the partner's fault, after
-        /// it the channel's.
-        arrived: SimTime,
-        /// Communicator context (classifies the wait state).
-        ctx: u32,
-        /// Flow id for the trace arrow.
-        flow: u64,
-    },
-}
-
 /// What a rank remembers about one peer (see [`Mpi::peers`]).
 #[derive(Clone, Copy, Default)]
 pub(crate) struct PeerState {
@@ -750,9 +665,8 @@ pub struct Mpi {
     /// This rank's observability store: every counter, event and timing
     /// it reports goes through one of its record calls.
     pub(crate) obs: Obs,
-    pub(crate) next_req: ReqId,
-    pub(crate) sends: FastMap<ReqId, SendState>,
-    pub(crate) recvs: FastMap<ReqId, RecvState>,
+    /// Every request this rank has in flight (see [`crate::requests`]).
+    pub(crate) reqs: RequestTable,
     /// Per-peer protocol state (send sequence numbers, copy-engine
     /// horizons), paged in per touched peer block.
     pub(crate) peers: PeerTable<PeerState>,
@@ -783,9 +697,6 @@ pub struct Mpi {
     /// refcount bump. Unregistered contexts are
     /// treated as spanning all ranks.
     pub(crate) comms: FastMap<u32, CommEntry>,
-    /// Requests cancelled by failure handling: late protocol packets
-    /// referencing them are dropped instead of panicking.
-    pub(crate) cancelled: FastSet<ReqId>,
     /// Dead peers whose conviction this rank has already ledgered
     /// (suspicion/conviction stats and trace events fire once per peer).
     convicted_seen: FastSet<usize>,
@@ -943,9 +854,7 @@ impl Mpi {
             view,
             engine: MatchingEngine::new(),
             obs,
-            next_req: 1,
-            sends: FastMap::default(),
-            recvs: FastMap::default(),
+            reqs: RequestTable::default(),
             peers: PeerTable::new(n),
             win_counter: 0,
             next_ctx: 16,
@@ -955,7 +864,6 @@ impl Mpi {
             ft_active,
             revoked: FastSet::default(),
             comms,
-            cancelled: FastSet::default(),
             convicted_seen: FastSet::default(),
             shrink_gen: FastMap::default(),
             drain_buf: Vec::new(),
@@ -1011,12 +919,6 @@ impl Mpi {
     }
 
     // ---- internal plumbing --------------------------------------------------
-
-    pub(crate) fn fresh_req(&mut self) -> ReqId {
-        let id = self.next_req;
-        self.next_req += 1;
-        id
-    }
 
     /// Per-call entry: charge the container tax, remember the start time.
     pub(crate) fn enter(&mut self) -> SimTime {
@@ -1122,15 +1024,12 @@ impl Mpi {
             Some(p) if p != self.rank => self.state.detector.is_down(p),
             Some(_) => None,
             None => {
-                let detector = &self.state.detector;
-                match self.comms.get(&ctx) {
-                    Some(entry) => (entry.members.iter())
-                        .filter(|&&r| r != self.rank)
-                        .find_map(|&r| detector.is_down(r)),
-                    None => (0..self.n)
-                        .filter(|&r| r != self.rank)
-                        .find_map(|r| detector.is_down(r)),
-                }
+                let members = match self.comms.get(&ctx) {
+                    Some(entry) => &entry.members,
+                    None => &self.state.world_members,
+                };
+                (members.iter().filter(|&&r| r != self.rank))
+                    .find_map(|&r| self.state.detector.is_down(r))
             }
         };
         if let Some(d) = death {
@@ -1358,27 +1257,22 @@ impl Mpi {
             PacketKind::Cts { sreq, rreq } => self.handle_cts(&pkt, sreq, rreq),
             PacketKind::RndvData { rreq } => self.handle_rndv_data(pkt, rreq),
             PacketKind::Fin { sreq } => {
-                // A late FIN for a send we already completed in error
-                // (peer convicted dead / context revoked) has no request
-                // to finish: drop it.
-                if self.cancelled.contains(&sreq) {
+                // A late FIN (the send already completed in error: peer
+                // convicted dead / context revoked) has nothing to finish.
+                let Some(slot) = self
+                    .reqs
+                    .named_by_packet(sreq, "FIN for unknown send request")
+                else {
                     return;
-                }
-                let st = self
-                    .sends
-                    .remove(&sreq)
-                    .expect("FIN for unknown send request");
-                let SendState::AwaitFin { ctx, cts_at, .. } = st else {
-                    panic!("FIN for a send not awaiting one: {st:?}");
                 };
-                self.sends.insert(
-                    sreq,
-                    SendState::Done {
-                        t: pkt.available_at,
-                        ctx,
-                        rndv_cts: Some(cts_at),
-                    },
-                );
+                let &mut Slot::Send(SendState::AwaitFin { ctx, cts_at, .. }) = slot else {
+                    panic!("FIN for a send not awaiting one: {slot:?}");
+                };
+                *slot = Slot::Send(SendState::Done {
+                    t: pkt.available_at,
+                    ctx,
+                    rndv_cts: Some(cts_at),
+                });
             }
             PacketKind::Revoke { ctx } => self.revoke_ctx(ctx),
         }
@@ -1406,7 +1300,7 @@ impl Mpi {
     pub(crate) fn fulfill(&mut self, rreq: ReqId, msg: ArrivedMsg, posted_at: SimTime) {
         let cost = &self.state.cost;
         let flow = flow_id(msg.src, self.rank, msg.seq);
-        match msg.body {
+        let next = match msg.body {
             ArrivedBody::Eager {
                 data,
                 ready_at,
@@ -1423,17 +1317,14 @@ impl Mpi {
                     tag: msg.tag,
                     len: data.len(),
                 };
-                self.recvs.insert(
-                    rreq,
-                    RecvState::Done {
-                        data,
-                        status,
-                        t,
-                        arrived: arrived_at,
-                        ctx: msg.ctx,
-                        flow,
-                    },
-                );
+                RecvState::Done {
+                    data,
+                    status,
+                    t,
+                    arrived: arrived_at,
+                    ctx: msg.ctx,
+                    flow,
+                }
             }
             ArrivedBody::Rts {
                 size,
@@ -1449,84 +1340,70 @@ impl Mpi {
                 // floor above), and recv completion is floored at the
                 // receiver's clock in wait anyway.
                 let t = posted_at.max(available_at) + SimTime::from_ns(cost.request_ns);
-                self.send_control(
-                    msg.src,
-                    PacketKind::Cts { sreq, rreq },
-                    Bytes::new(),
-                    msg.channel,
-                    t,
-                );
-                self.recvs.insert(
-                    rreq,
-                    RecvState::AwaitData {
-                        src: msg.src,
-                        tag: msg.tag,
-                        sreq,
-                        channel: msg.channel,
-                        size: size as usize,
-                        ctx: msg.ctx,
-                        flow,
-                        rts_at: available_at,
-                    },
-                );
+                let cts = PacketKind::Cts { sreq, rreq };
+                self.send_control(msg.src, cts, Bytes::new(), msg.channel, t);
+                RecvState::AwaitData {
+                    src: msg.src,
+                    tag: msg.tag,
+                    sreq,
+                    channel: msg.channel,
+                    size: size as usize,
+                    ctx: msg.ctx,
+                    flow,
+                    rts_at: available_at,
+                }
             }
-        }
+        };
+        *self.reqs.get_mut(rreq) = Slot::Recv(next);
     }
 
     /// The sender's CTS handler: dispatch the parked payload.
     fn handle_cts(&mut self, pkt: &Packet, sreq: ReqId, rreq: ReqId) {
-        // The send was already completed in error: the parked payload is
-        // gone and the receiver (dead or revoked with us) gets nothing.
-        if self.cancelled.contains(&sreq) {
+        // A late CTS (the send already completed in error): the parked
+        // payload is gone and the receiver (dead or revoked with us) gets
+        // nothing.
+        let Some(slot) = self
+            .reqs
+            .named_by_packet(sreq, "CTS for unknown send request")
+        else {
             return;
-        }
-        let st = self
-            .sends
-            .remove(&sreq)
-            .expect("CTS for unknown send request");
-        let SendState::AwaitCts {
-            data,
+        };
+        let &mut Slot::Send(SendState::AwaitCts {
+            ref mut data,
             dst,
             channel,
             ctx,
-        } = st
+        }) = slot
         else {
-            panic!("CTS for a send not awaiting one: {st:?}");
+            panic!("CTS for a send not awaiting one: {slot:?}");
         };
+        let data = std::mem::take(data);
+        let cts_at = pkt.available_at;
+        *slot = Slot::Send(SendState::AwaitFin { dst, ctx, cts_at });
         // Inject the payload when the CTS becomes available, not at this
         // rank's clock when it really drained the packet — the parked
         // payload has been ready since the RTS (causally before any CTS),
         // and the drain moment is thread scheduling. The sender's wait
         // floors its own completion at its clock via `settle_send`.
-        let t = pkt.available_at;
         let len = data.len();
-        self.send_control(dst, PacketKind::RndvData { rreq }, data, channel, t);
+        self.send_control(dst, PacketKind::RndvData { rreq }, data, channel, cts_at);
         self.obs.tx(dst, channel, len);
-        self.obs.rndv_step(EventKind::RndvCts, t, dst, len);
-        self.sends.insert(
-            sreq,
-            SendState::AwaitFin {
-                dst,
-                ctx,
-                cts_at: pkt.available_at,
-            },
-        );
+        self.obs.rndv_step(EventKind::RndvCts, cts_at, dst, len);
     }
 
     /// The receiver's payload handler: charge the transfer, complete the
     /// receive, notify the sender.
     fn handle_rndv_data(&mut self, pkt: Packet, rreq: ReqId) {
-        // The receive was already completed in error; its sender either
-        // died (no FIN owed) or will fail out of its own wait via the
-        // revoked-context check, so dropping the payload cannot hang it.
-        if self.cancelled.contains(&rreq) {
+        // A late payload (the receive already completed in error): its
+        // sender either died (no FIN owed) or will fail out of its own wait
+        // via the revoked-context check, so dropping it cannot hang anyone.
+        let Some(slot) = self
+            .reqs
+            .named_by_packet(rreq, "rendezvous data for unknown recv")
+        else {
             return;
-        }
-        let st = self
-            .recvs
-            .remove(&rreq)
-            .expect("rendezvous data for unknown recv");
-        let RecvState::AwaitData {
+        };
+        let &mut Slot::Recv(RecvState::AwaitData {
             src,
             tag,
             sreq,
@@ -1535,9 +1412,9 @@ impl Mpi {
             ctx,
             flow,
             rts_at,
-        } = st
+        }) = slot
         else {
-            panic!("rendezvous data for a recv not awaiting it: {st:?}");
+            panic!("rendezvous data for a recv not awaiting it: {slot:?}");
         };
         debug_assert_eq!(size, pkt.data.len(), "rendezvous size mismatch");
         let cost = &self.state.cost;
@@ -1565,21 +1442,21 @@ impl Mpi {
             tag,
             len: size,
         };
-        self.recvs.insert(
-            rreq,
-            RecvState::Done {
-                data: pkt.data,
-                status,
-                t,
-                arrived: rts_at,
-                ctx,
-                flow,
-            },
-        );
+        *self.reqs.get_mut(rreq) = Slot::Recv(RecvState::Done {
+            data: pkt.data,
+            status,
+            t,
+            arrived: rts_at,
+            ctx,
+            flow,
+        });
     }
 
-    /// Emit a protocol packet (control or rendezvous payload) on `channel`
-    /// at detached-timeline time `t`.
+    /// Emit a protocol packet on `channel` at detached-timeline time `t`:
+    /// the only function that frames one for the HCA. Returns the fabric's
+    /// completion info of an HCA post — `None` on the intra-host channels,
+    /// and for a destination that died mid-run, which swallows the packet:
+    /// nothing the dead rank will ever do depends on it.
     pub(crate) fn send_control(
         &mut self,
         dst: usize,
@@ -1587,32 +1464,30 @@ impl Mpi {
         data: Bytes,
         channel: Channel,
         t: SimTime,
-    ) {
+    ) -> Option<SendInfo> {
         let cost = &self.state.cost;
+        let mut pkt = Packet {
+            src: self.rank,
+            channel,
+            available_at: t,
+            kind,
+            data,
+        };
         match channel {
             Channel::Shm | Channel::Cma => {
-                let available_at =
-                    t + SimTime::from_ns(cost.shm_post_ns) + SimTime::from_ns(cost.shm_wakeup_ns);
-                self.state.cells[dst].push(Packet {
-                    src: self.rank,
-                    channel,
-                    available_at,
-                    kind,
-                    data,
-                });
+                pkt.available_at +=
+                    SimTime::from_ns(cost.shm_post_ns) + SimTime::from_ns(cost.shm_wakeup_ns);
+                self.state.cells[dst].push(pkt);
+                None
             }
             Channel::Hca => {
-                let pkt = Packet {
-                    src: self.rank,
-                    channel,
-                    available_at: t,
-                    kind,
-                    data,
+                let what = match pkt.kind {
+                    PacketKind::Eager { .. } => "HCA eager send",
+                    PacketKind::Rts { .. } => "HCA rendezvous RTS",
+                    _ => "HCA control send",
                 };
                 let (imm, hdr, payload) = pkt.encode_parts();
-                // Control traffic to a rank that died mid-run is dropped:
-                // nothing the dead rank will ever do depends on it.
-                let _ = self.try_hca_post(dst, imm, hdr, payload, t, "HCA control send");
+                self.try_hca_post(dst, imm, hdr, payload, t, what)
             }
         }
     }
@@ -1627,7 +1502,7 @@ impl Mpi {
     /// # Panics
     /// Panics on permanent fabric errors (unattached endpoint — the
     /// container was not privileged) and when the retry budget runs out.
-    pub(crate) fn try_hca_post(
+    fn try_hca_post(
         &mut self,
         dst: usize,
         imm: u32,

@@ -131,3 +131,24 @@ fn plain_world_collective_on_a_convicted_member_panics_by_name() {
         mpi.allgather(&[mpi.rank() as u64]);
     });
 }
+
+/// A plain `test` spin on a request whose peer was convicted takes the
+/// plain API's failure mode like `wait` does, instead of polling `None`
+/// for ever: the spinning rank stays runnable, so not even the quiescence
+/// detector would end it.
+#[test]
+#[should_panic(expected = "test failed")]
+fn plain_test_spin_on_a_convicted_peer_panics_by_name() {
+    let scenario = DeploymentScenario::containers(1, 1, 2, NamespaceSharing::default());
+    let plan = FaultPlan::none().with_crash(1, MidRunTrigger::AfterOps(1));
+    JobSpec::new(scenario).with_faults(plan).run(|mpi| {
+        if mpi.rank() == 1 {
+            // First call boundary: the scripted fate fires.
+            let world = mpi.comm_world();
+            let _ = mpi.try_barrier_comm(&world);
+            return;
+        }
+        let req = mpi.irecv_bytes(1, 5);
+        while mpi.test(&req).is_none() {}
+    });
+}

@@ -461,3 +461,220 @@ fn clocks_are_monotone_and_elapsed_is_max() {
         r.times.iter().copied().fold(SimTime::ZERO, SimTime::max)
     );
 }
+
+/// `test` leaves the handle alive after `Some(..)`; using it again is a
+/// usage error the table diagnoses (the id's generation is gone), not a
+/// poll that answers `None` for ever.
+#[test]
+#[should_panic(expected = "unknown request")]
+fn testing_a_finished_request_again_is_diagnosed() {
+    JobSpec::new(DeploymentScenario::native(1, 1)).run(|mpi| {
+        let req = mpi.irecv_bytes(0, 3);
+        mpi.send_bytes(Bytes::from_static(b"once"), 0, 3);
+        assert!(mpi.test(&req).is_some());
+        // The slot is reused by a live request in between: the stale
+        // handle must not see it.
+        let other = mpi.irecv_bytes(0, 4);
+        mpi.test(&req);
+        mpi.wait(other);
+    });
+}
+
+// ---- virtual-time golden ----------------------------------------------------
+
+/// The API shapes `virtual_times_are_pinned` drives, one two-rank job each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// `isend_bytes` / `irecv_bytes`, then `wait`.
+    Nonblocking,
+    /// Both sides spin `test`; the sender computes 10 µs first, so the
+    /// receiver's first polls fail (and must charge nothing).
+    TestSpin,
+    /// Three messages, received in reverse tag order, `waitall` both sides.
+    WaitallReversed,
+    /// Every rank sends to itself.
+    SelfSend,
+    /// The receiver arrives 1 ms late: the message (or its RTS) is
+    /// unexpected and an eager payload pays the extra copy.
+    Unexpected,
+    /// IPC-only containers (no CMA) with a 16 KiB pair queue and a late
+    /// receiver: above 8 KiB the detector chunks through SHM and stalls on
+    /// the queue; hostname routing goes to the HCA as ever.
+    Backpressure,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape::Nonblocking,
+    Shape::TestSpin,
+    Shape::WaitallReversed,
+    Shape::SelfSend,
+    Shape::Unexpected,
+    Shape::Backpressure,
+];
+const PINNED_SIZES: [usize; 4] = [8, 1024, 64 * 1024, 1024 * 1024];
+
+/// Both ranks' final clocks in ns, then transfer operations on
+/// [SHM, CMA, HCA].
+type Pinned = ([u64; 2], [u64; 3]);
+
+fn observe_shape(policy: LocalityPolicy, len: usize, shape: Shape) -> Pinned {
+    let mut sharing = NamespaceSharing::default();
+    let mut tunables = cmpi_cluster::Tunables::default();
+    if shape == Shape::Backpressure {
+        sharing.pid = false;
+        tunables = tunables.with_smpi_length_queue(16 * 1024);
+    }
+    let spec = JobSpec::new(DeploymentScenario::pt2pt_pair(true, true, sharing))
+        .with_policy(policy)
+        .with_tunables(tunables)
+        .with_exec(cmpi_core::ExecMode::Tasks)
+        .with_workers(1);
+    let r = spec.run(|mpi| {
+        let me = mpi.rank();
+        let payload = Bytes::from(vec![0xa5u8; len]);
+        match shape {
+            Shape::Nonblocking => {
+                let req = if me == 0 {
+                    mpi.isend_bytes(payload, 1, 3)
+                } else {
+                    mpi.irecv_bytes(0, 3)
+                };
+                if let Completion::Recv(data, st) = mpi.wait(req) {
+                    assert_eq!((data.len(), st.len, st.src, st.tag), (len, len, 0, 3));
+                }
+            }
+            Shape::TestSpin => {
+                let req = if me == 0 {
+                    mpi.compute(SimTime::from_us(10));
+                    mpi.isend_bytes(payload, 1, 3)
+                } else {
+                    mpi.irecv_bytes(0, 3)
+                };
+                let done = loop {
+                    if let Some(c) = mpi.test(&req) {
+                        break c;
+                    }
+                };
+                if let Completion::Recv(data, _) = done {
+                    assert_eq!(data.len(), len);
+                }
+            }
+            Shape::WaitallReversed => {
+                let reqs = if me == 0 {
+                    (1..=3)
+                        .map(|t| mpi.isend_bytes(payload.clone(), 1, t))
+                        .collect()
+                } else {
+                    (1..=3).rev().map(|t| mpi.irecv_bytes(0, t)).collect()
+                };
+                for (i, c) in mpi.waitall(reqs).into_iter().enumerate() {
+                    if let Completion::Recv(data, st) = c {
+                        assert_eq!((data.len(), st.tag), (len, 3 - i as u32));
+                    }
+                }
+            }
+            Shape::SelfSend => {
+                let rreq = mpi.irecv_bytes(me, 3);
+                let sreq = mpi.isend_bytes(payload, me, 3);
+                let (data, _) = mpi.wait(rreq).into_recv();
+                assert_eq!(data.len(), len);
+                mpi.wait(sreq);
+            }
+            Shape::Unexpected | Shape::Backpressure => {
+                if me == 0 {
+                    mpi.send_bytes(payload, 1, 3);
+                } else {
+                    mpi.compute(SimTime::from_ms(1));
+                    let (data, _) = mpi.recv_bytes(0, 3);
+                    assert_eq!(data.len(), len);
+                }
+            }
+        }
+        mpi.now().as_ns()
+    });
+    let ops = [Channel::Shm, Channel::Cma, Channel::Hca].map(|c| r.stats.channel_ops(c));
+    ([r.results[0], r.results[1]], ops)
+}
+
+/// Point-to-point virtual time, pinned: policy × size × API shape on one
+/// worker (so the schedule, hence every time, repeats exactly). Recorded
+/// at `6a96e1d`, before the request table and the call path were
+/// converged; a host-side change to the point-to-point layer must leave
+/// every row alone. On a mismatch the whole observed table is printed in
+/// the syntax of the constant.
+#[test]
+fn virtual_times_are_pinned() {
+    let policies = [LocalityPolicy::ContainerDetector, LocalityPolicy::Hostname];
+    let mut observed = Vec::new();
+    for policy in policies {
+        for len in PINNED_SIZES {
+            for shape in SHAPES {
+                observed.push(observe_shape(policy, len, shape));
+            }
+        }
+    }
+    if observed != PINNED {
+        let mut table = String::new();
+        for (i, (t, ops)) in observed.iter().enumerate() {
+            let (p, rest) = (i / 24, i % 24);
+            let (len, shape) = (PINNED_SIZES[rest / 6], SHAPES[rest % 6]);
+            table += &format!(
+                "    ([{}, {}], [{}, {}, {}]), // {:?} {} {:?}\n",
+                t[0], t[1], ops[0], ops[1], ops[2], policies[p], len, shape
+            );
+        }
+        panic!("point-to-point virtual times moved; observed:\n{table}");
+    }
+}
+
+#[rustfmt::skip]
+const PINNED: [Pinned; 48] = [
+    ([101, 192], [1, 0, 0]), // ContainerDetector 8 Nonblocking
+    ([10131, 10222], [1, 0, 0]), // ContainerDetector 8 TestSpin
+    ([273, 374], [3, 0, 0]), // ContainerDetector 8 WaitallReversed
+    ([71, 71], [2, 0, 0]), // ContainerDetector 8 SelfSend
+    ([101, 1000041], [1, 0, 0]), // ContainerDetector 8 Unexpected
+    ([101, 1000041], [1, 0, 0]), // ContainerDetector 8 Backpressure
+    ([228, 446], [1, 0, 0]), // ContainerDetector 1024 Nonblocking
+    ([10258, 10476], [1, 0, 0]), // ContainerDetector 1024 TestSpin
+    ([654, 882], [3, 0, 0]), // ContainerDetector 1024 WaitallReversed
+    ([173, 173], [2, 0, 0]), // ContainerDetector 1024 SelfSend
+    ([228, 1000143], [1, 0, 0]), // ContainerDetector 1024 Unexpected
+    ([228, 1000143], [1, 0, 0]), // ContainerDetector 1024 Backpressure
+    ([7854, 7754], [0, 1, 0]), // ContainerDetector 65536 Nonblocking
+    ([17884, 17784], [0, 1, 0]), // ContainerDetector 65536 TestSpin
+    ([22562, 22492], [0, 3, 0]), // ContainerDetector 65536 WaitallReversed
+    ([6624, 6624], [2, 0, 0]), // ContainerDetector 65536 SelfSend
+    ([1007694, 1007594], [0, 1, 0]), // ContainerDetector 65536 Unexpected
+    ([8802, 1006594], [8, 0, 0]), // ContainerDetector 65536 Backpressure
+    ([106158, 106058], [0, 1, 0]), // ContainerDetector 1048576 Nonblocking
+    ([116188, 116088], [0, 1, 0]), // ContainerDetector 1048576 TestSpin
+    ([317474, 317404], [0, 3, 0]), // ContainerDetector 1048576 WaitallReversed
+    ([104928, 104928], [2, 0, 0]), // ContainerDetector 1048576 SelfSend
+    ([1105998, 1105898], [0, 1, 0]), // ContainerDetector 1048576 Unexpected
+    ([140682, 1104898], [128, 0, 0]), // ContainerDetector 1048576 Backpressure
+    ([191, 1706], [0, 0, 1]), // Hostname 8 Nonblocking
+    ([10221, 11736], [0, 0, 1]), // Hostname 8 TestSpin
+    ([543, 2138], [0, 0, 3]), // Hostname 8 WaitallReversed
+    ([71, 71], [2, 0, 0]), // Hostname 8 SelfSend
+    ([191, 1000041], [0, 0, 1]), // Hostname 8 Unexpected
+    ([191, 1000041], [0, 0, 1]), // Hostname 8 Backpressure
+    ([293, 2248], [0, 0, 1]), // Hostname 1024 Nonblocking
+    ([10323, 12278], [0, 0, 1]), // Hostname 1024 TestSpin
+    ([849, 2982], [0, 0, 3]), // Hostname 1024 WaitallReversed
+    ([173, 173], [2, 0, 0]), // Hostname 1024 SelfSend
+    ([293, 1000143], [0, 0, 1]), // Hostname 1024 Unexpected
+    ([293, 1000143], [0, 0, 1]), // Hostname 1024 Backpressure
+    ([28708, 27255], [0, 0, 1]), // Hostname 65536 Nonblocking
+    ([38738, 37285], [0, 0, 1]), // Hostname 65536 TestSpin
+    ([72884, 71461], [0, 0, 3]), // Hostname 65536 WaitallReversed
+    ([6624, 6624], [2, 0, 0]), // Hostname 65536 SelfSend
+    ([1026447, 1024994], [0, 0, 1]), // Hostname 65536 Unexpected
+    ([1026447, 1024994], [0, 0, 1]), // Hostname 65536 Backpressure
+    ([356388, 354935], [0, 0, 1]), // Hostname 1048576 Nonblocking
+    ([366418, 364965], [0, 0, 1]), // Hostname 1048576 TestSpin
+    ([1055924, 1054501], [0, 0, 3]), // Hostname 1048576 WaitallReversed
+    ([104928, 104928], [2, 0, 0]), // Hostname 1048576 SelfSend
+    ([1354127, 1352674], [0, 0, 1]), // Hostname 1048576 Unexpected
+    ([1354127, 1352674], [0, 0, 1]), // Hostname 1048576 Backpressure
+];

@@ -56,6 +56,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/cmpi-core/src/obs.rs",
     "crates/cmpi-core/src/packet.rs",
     "crates/cmpi-core/src/pt2pt.rs",
+    "crates/cmpi-core/src/requests.rs",
     "crates/cmpi-core/src/channel.rs",
     "crates/cmpi-core/src/datatype.rs",
     "crates/cmpi-shmem/src/queue.rs",

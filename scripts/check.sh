@@ -30,8 +30,6 @@
 #             atomic Release/Acquire pairing audit; any unjustified
 #             finding is a hard failure. Both stages archive their JSON
 #             findings next to the bench ledger in target/
-#   gate      perf gate: best-of-3 smoke bench_ledger kernels vs the
-#             checked-in baseline, any kernel >10 % slower fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
 #             BENCHMARK.json == metric-registry check), and `bash -n`
@@ -100,12 +98,6 @@ cargo run --release --quiet -p cmpi-model --bin cmpi-lint -- --analyze \
   --json target/analyze_findings.json
 python3 -c "import json; json.load(open('target/analyze_findings.json'))" 2>/dev/null \
   || grep -q '"schema"' target/analyze_findings.json
-
-echo "== bench gate (smoke kernels vs scripts/bench_gate_smoke.json)" >&2
-# Best-of-3 smoke kernels against the checked-in baseline; >10 % slower
-# on any kernel fails the build (see bench_ledger --gate).
-cargo run --release --quiet -p cmpi-bench --bin bench_ledger -- --smoke \
-  --gate scripts/bench_gate_smoke.json >/dev/null
 
 echo "== telemetry overhead gate (on/off pairs, budget 2%)" >&2
 # Paired on/off runs of the eager, rendezvous and job32 kernels; fails

@@ -383,3 +383,128 @@ fn fully_revoked_namespaces_plus_midrun_crash_recovers_on_hca() {
         "intra-container SHM gone"
     );
 }
+
+// ---- late protocol packets ----------------------------------------------------
+//
+// A rendezvous request that completed in error can still be named by one
+// packet already on its way: the CTS for a failed send, the payload for a
+// failed receive, the FIN for a send that failed after shipping. Each job
+// below forces one of them, on one worker so the schedule repeats, and
+// then proves the rank that dropped the packet is still whole: both ranks
+// shrink and finish a collective on the fresh context.
+
+const LATE_LEN: usize = 1 << 20;
+
+/// Run `body` on the co-resident pair (1 MiB travels by CMA rendezvous),
+/// then shrink the revoked world and allreduce over the survivors — both
+/// ranks. Returns what `body` returned at each rank.
+fn late_packet_job(
+    body: impl Fn(&mut Mpi) -> Result<&'static str, MpiError> + Send + Sync,
+) -> Vec<&'static str> {
+    let scenario = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::default());
+    let r = JobSpec::new(scenario)
+        .with_exec(ExecMode::Tasks)
+        .with_workers(1)
+        .run_ft(|mpi| -> Result<(&'static str, u64), MpiError> {
+            let world = mpi.comm_world();
+            let what = body(mpi)?;
+            // The late packet is dropped inside one of these calls' progress
+            // passes: the mailbox is FIFO per producer and the collective's
+            // messages queue behind it.
+            let fixed = mpi.try_shrink(&world)?;
+            let sum = mpi.try_allreduce_one(&fixed, mpi.rank() as u64 + 1, ReduceOp::Sum)?;
+            Ok((what, sum))
+        });
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
+    assert_eq!(r.stats.channel_ops(Channel::Hca), 0);
+    let outcomes = r.results.into_iter().map(|x| {
+        let (what, sum) = x.expect("a rank did not survive a late packet");
+        assert_eq!(sum, 3, "collective on the fresh context is wrong");
+        what
+    });
+    outcomes.collect()
+}
+
+#[test]
+fn a_late_cts_for_a_failed_send_is_dropped() {
+    // Rank 0 fails its parked send without ever yielding; whenever rank 1
+    // matches the RTS, its CTS names a request that is gone.
+    let out = late_packet_job(|mpi| {
+        let world = mpi.comm_world();
+        if mpi.rank() == 0 {
+            let req = mpi.isend_bytes(Bytes::from(vec![7u8; LATE_LEN]), 1, 4);
+            mpi.revoke(&world);
+            assert_eq!(mpi.try_wait(req).err(), Some(MpiError::Revoked));
+            Ok("send failed awaiting the CTS")
+        } else {
+            // The RTS sits ahead of the revoke notice in this mailbox: the
+            // receive matches it (the CTS leaves) and then fails.
+            let req = mpi.irecv_bytes(0, 4);
+            assert_eq!(mpi.try_wait(req).err(), Some(MpiError::Revoked));
+            Ok("recv failed awaiting the payload")
+        }
+    });
+    assert_eq!(
+        out,
+        [
+            "send failed awaiting the CTS",
+            "recv failed awaiting the payload"
+        ]
+    );
+}
+
+#[test]
+fn a_late_payload_for_a_failed_receive_is_dropped() {
+    // Rank 1 matches the RTS (its CTS leaves), revokes and fails the
+    // receive before rank 0 runs again. Rank 0 finds the CTS ahead of the
+    // revoke notice, ships the payload, and only then fails.
+    let out = late_packet_job(|mpi| {
+        let world = mpi.comm_world();
+        if mpi.rank() == 0 {
+            let req = mpi.isend_bytes(Bytes::from(vec![7u8; LATE_LEN]), 1, 4);
+            assert_eq!(mpi.try_wait(req).err(), Some(MpiError::Revoked));
+            Ok("send failed awaiting the FIN")
+        } else {
+            while mpi.iprobe(0, 4).is_none() {}
+            let req = mpi.irecv_bytes(0, 4);
+            mpi.revoke(&world);
+            assert_eq!(mpi.try_wait(req).err(), Some(MpiError::Revoked));
+            Ok("recv failed awaiting the payload")
+        }
+    });
+    assert_eq!(
+        out,
+        [
+            "send failed awaiting the FIN",
+            "recv failed awaiting the payload"
+        ]
+    );
+}
+
+#[test]
+fn a_late_fin_for_a_failed_send_is_dropped() {
+    // Rank 1 answers the RTS and sends a marker behind its CTS; when rank 0
+    // sees the marker it has shipped the payload. It fails the send at
+    // once — rank 1 has not run since, so the FIN cannot be there yet — and
+    // rank 1 completes its receive normally and FINs a request that is
+    // gone.
+    let out = late_packet_job(|mpi| {
+        let world = mpi.comm_world();
+        if mpi.rank() == 0 {
+            let req = mpi.isend_bytes(Bytes::from(vec![7u8; LATE_LEN]), 1, 4);
+            while mpi.iprobe(1, 5).is_none() {}
+            mpi.revoke(&world);
+            assert_eq!(mpi.try_wait(req).err(), Some(MpiError::Revoked));
+            Ok("send failed awaiting the FIN")
+        } else {
+            while mpi.iprobe(0, 4).is_none() {}
+            let req = mpi.irecv_bytes(0, 4);
+            mpi.send_bytes(Bytes::from_static(b"go"), 0, 5);
+            // The payload sits ahead of the revoke notice.
+            let (data, st) = mpi.try_wait(req)?.into_recv();
+            assert_eq!((data.len(), st.src, data[LATE_LEN - 1]), (LATE_LEN, 0, 7));
+            Ok("recv completed")
+        }
+    });
+    assert_eq!(out, ["send failed awaiting the FIN", "recv completed"]);
+}
