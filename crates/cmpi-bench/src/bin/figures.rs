@@ -1,24 +1,26 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [--fig 1|3a|3bc|7a|7b|7c|8|9|10|11|12] [--table 1]
-//!         [--ablation faults|namespaces|collectives] [--ablations]
-//!         [--profile] [--health] [--scaling] [--all] [--full] [--csv DIR]
+//! figures [--fig ID]... [--full] [--csv DIR]
 //! ```
 //!
-//! `--profile` runs Graph 500 under the causal profiler and prints the
-//! per-peer channel matrix, the wait-state decomposition, and the
-//! substrate pressure counters for the Default vs. Proposed designs.
+//! Every output is one entry of [`FIGURES`]: each `--fig ID` selects one,
+//! no `--fig` selects them all, and they print in the table's order. The
+//! ids are the paper's figure numbers, `table1`, the ablations
+//! (`namespaces`, `collectives`, `faults`), the PGAS extension (`pgas`),
+//! and three views of the system itself:
 //!
-//! `--health` runs a 32-rank mixed job under the always-on telemetry
-//! layer, validates the Prometheus and JSON expositions, and prints the
-//! health evaluator's verdict plus the job-total metrics.
-//!
-//! `--scaling` runs the mixed job on the task execution engine at
-//! growing rank counts (to 1024 quick, 4096 with `--full`, best of 3 a
-//! point) and prints the wall-clock growth against the rank-count
-//! growth, then the container list's publish and scan cost at 10^3 /
-//! 10^5 / 10^6 ranks.
+//! * `profile` runs Graph 500 under the causal profiler and prints the
+//!   per-peer channel matrix, the wait-state decomposition, and the
+//!   substrate pressure counters for the Default vs. Proposed designs;
+//! * `health` runs a 32-rank mixed job under the always-on telemetry
+//!   layer, validates the Prometheus and JSON expositions, and prints the
+//!   health evaluator's verdict plus the job-total metrics;
+//! * `scaling` runs the mixed job on the task execution engine at growing
+//!   rank counts (to 1024 quick, 4096 with `--full`, best of 3 a point)
+//!   and prints the wall-clock growth against the rank-count growth, then
+//!   the container list's publish and scan cost at 10^3 / 10^5 / 10^6
+//!   ranks.
 //!
 //! Without `--full` the CI-sized effort is used (seconds per figure);
 //! `--full` switches to the paper-shaped deployment (256 ranks, scale-16
@@ -28,89 +30,68 @@ use std::io::Write;
 
 use cmpi_bench::{experiments as ex, Effort, Table};
 
+/// Makes the tables of one output.
+type Driver = fn(&Effort) -> Vec<Table>;
+
+/// Every output, in print order: its `--fig` id and its driver.
+/// Dispatch and the usage text both read this table.
+const FIGURES: &[(&str, Driver)] = &[
+    ("1", |e| vec![ex::fig01(e)]),
+    ("3a", |e| vec![ex::fig03a(e)]),
+    ("3bc", |e| {
+        let (lat, bw) = ex::fig03bc(e);
+        vec![lat, bw]
+    }),
+    ("table1", |e| vec![ex::table1(e)]),
+    ("7a", |e| vec![ex::fig07a(e)]),
+    ("7b", |e| vec![ex::fig07b(e)]),
+    ("7c", |e| vec![ex::fig07c(e)]),
+    ("8", ex::fig08),
+    ("9", ex::fig09),
+    ("10", ex::fig10),
+    ("11", |e| vec![ex::fig11(e)]),
+    ("12", |e| vec![ex::fig12(e)]),
+    ("namespaces", |e| vec![ex::ablation_namespaces(e)]),
+    ("collectives", |e| vec![ex::ablation_smp_collectives(e)]),
+    ("faults", |e| vec![ex::ablation_faults(e)]),
+    ("pgas", |e| vec![ex::ext_pgas(e)]),
+    ("profile", ex::profile_tables),
+    ("health", ex::health_tables),
+    ("scaling", |e| {
+        vec![ex::scaling_table(e), ex::container_list_table()]
+    }),
+];
+
+fn usage_text() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
+    format!(
+        "usage: figures [--fig ID]... [--full] [--csv DIR]\n\
+         \x20  ids (no --fig runs all): {}",
+        ids.join(" ")
+    )
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: figures [--fig <id>]... [--table 1] [--ablation <name>]... [--ablations] [--profile] [--health] [--scaling] [--all] [--full] [--csv DIR]\n\
-         \x20  figure ids: 1 3a 3bc 7a 7b 7c 8 9 10 11 12\n\
-         \x20  ablation names: faults namespaces collectives"
-    );
+    eprintln!("{}", usage_text());
     std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut figs: Vec<String> = Vec::new();
-    let mut tables: Vec<String> = Vec::new();
-    let mut ablations = false;
-    let mut profile = false;
-    let mut health = false;
-    let mut scaling = false;
-    let mut ablation_names: Vec<String> = Vec::new();
-    let mut all = false;
+    let mut ids: Vec<String> = Vec::new();
     let mut full = false;
     let mut csv_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fig" => {
-                figs.push(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--table" => {
-                tables.push(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--ablation" => {
-                ablation_names.push(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--ablations" => {
-                ablations = true;
-                i += 1;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--health" => {
-                health = true;
-                i += 1;
-            }
-            "--scaling" => {
-                scaling = true;
-                i += 1;
-            }
-            "--all" => {
-                all = true;
-                i += 1;
-            }
-            "--full" => {
-                full = true;
-                i += 1;
-            }
-            "--csv" => {
-                csv_dir = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fig" => ids.push(args.next().unwrap_or_else(|| usage())),
+            "--full" => full = true,
+            "--csv" => csv_dir = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
-    for a in &ablation_names {
-        if !matches!(a.as_str(), "faults" | "namespaces" | "collectives") {
-            eprintln!("unknown ablation: {a}");
-            usage();
-        }
-    }
-    if figs.is_empty()
-        && tables.is_empty()
-        && !ablations
-        && ablation_names.is_empty()
-        && !profile
-        && !health
-        && !scaling
-        && !all
-    {
-        all = true;
+    if let Some(id) = ids.iter().find(|&id| FIGURES.iter().all(|&(f, _)| f != id)) {
+        eprintln!("unknown figure id: {id}");
+        usage();
     }
     let e = if full {
         Effort::full()
@@ -124,69 +105,11 @@ fn main() {
         if full { " (--full)" } else { "" }
     );
 
-    let mut out: Vec<Table> = Vec::new();
-    let want = |id: &str, figs: &[String]| all || figs.iter().any(|f| f == id);
-    if want("1", &figs) {
-        out.push(ex::fig01(&e));
-    }
-    if want("3a", &figs) {
-        out.push(ex::fig03a(&e));
-    }
-    if want("3bc", &figs) {
-        let (a, b) = ex::fig03bc(&e);
-        out.push(a);
-        out.push(b);
-    }
-    if all || tables.iter().any(|t| t == "1") {
-        out.push(ex::table1(&e));
-    }
-    if want("7a", &figs) {
-        out.push(ex::fig07a(&e));
-    }
-    if want("7b", &figs) {
-        out.push(ex::fig07b(&e));
-    }
-    if want("7c", &figs) {
-        out.push(ex::fig07c(&e));
-    }
-    if want("8", &figs) {
-        out.extend(ex::fig08(&e));
-    }
-    if want("9", &figs) {
-        out.extend(ex::fig09(&e));
-    }
-    if want("10", &figs) {
-        out.extend(ex::fig10(&e));
-    }
-    if want("11", &figs) {
-        out.push(ex::fig11(&e));
-    }
-    if want("12", &figs) {
-        out.push(ex::fig12(&e));
-    }
-    let want_ablation = |name: &str| ablations || all || ablation_names.iter().any(|a| a == name);
-    if want_ablation("namespaces") {
-        out.push(ex::ablation_namespaces(&e));
-    }
-    if want_ablation("collectives") {
-        out.push(ex::ablation_smp_collectives(&e));
-    }
-    if want_ablation("faults") {
-        out.push(ex::ablation_faults(&e));
-    }
-    if ablations || all {
-        out.push(ex::ext_pgas(&e));
-    }
-    if profile || all {
-        out.extend(ex::profile_tables(&e));
-    }
-    if health || all {
-        out.extend(ex::health_tables(&e));
-    }
-    if scaling || all {
-        out.push(ex::scaling_table(&e));
-        out.push(ex::container_list_table());
-    }
+    let out: Vec<Table> = FIGURES
+        .iter()
+        .filter(|&&(id, _)| ids.is_empty() || ids.iter().any(|w| w == id))
+        .flat_map(|&(_, driver)| driver(&e))
+        .collect();
 
     for t in &out {
         println!("{t}");
@@ -205,6 +128,24 @@ fn main() {
             let mut f = std::fs::File::create(&path).expect("create csv");
             f.write_all(t.to_csv().as_bytes()).expect("write csv");
             eprintln!("wrote {path}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_unique_and_the_usage_lists_each() {
+        let usage = usage_text();
+        let listed: Vec<&str> = usage.split_whitespace().collect();
+        for (i, &(id, _)) in FIGURES.iter().enumerate() {
+            assert!(
+                FIGURES[..i].iter().all(|&(f, _)| f != id),
+                "id {id} appears twice"
+            );
+            assert!(listed.contains(&id), "usage does not list {id}: {usage}");
         }
     }
 }

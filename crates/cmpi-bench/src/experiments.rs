@@ -3,6 +3,7 @@
 use bytes::Bytes;
 use cmpi_apps::graph500::{self, Graph500Config};
 use cmpi_apps::npb::{self, Kernel, NpbClass};
+use cmpi_apps::pgas;
 use cmpi_cluster::{
     Channel, ContainerId, DeploymentScenario, FaultPlan, HostId, MidRunTrigger, NamespaceId,
     NamespaceSharing, SimTime, Tunables,
@@ -882,7 +883,7 @@ pub fn profile_tables(e: &Effort) -> Vec<Table> {
     vec![chans, waits, summary, detect]
 }
 
-/// `figures --health`: run a 32-rank mixed job (2 hosts × 4 containers
+/// `figures --fig health`: run a 32-rank mixed job (2 hosts × 4 containers
 /// × 4 ranks — SHM, CMA, and HCA traffic all live) under the always-on
 /// telemetry layer, validate both exposition formats, and turn the
 /// health evaluator's verdict into tables.
@@ -1085,7 +1086,7 @@ pub fn scaling_point(hosts: u32, steps: u32) -> ScalingPoint {
     }
 }
 
-/// `figures --scaling`: the mixed job scaled 16× in ranks at fixed
+/// `figures --fig scaling`: the mixed job scaled 16× in ranks at fixed
 /// total message volume (steps shrink as ranks grow), on the task
 /// engine. The claim is the column's *shape*: real wall-clock grows
 /// sub-linearly in rank count while per-message virtual cost stays
@@ -1142,7 +1143,7 @@ pub fn scaling_table(e: &Effort) -> Table {
     t
 }
 
-/// `figures --scaling` companion: the paper's container list (Section
+/// `figures --fig scaling` companion: the paper's container list (Section
 /// IV-B) at 10^3 / 10^5 / 10^6 ranks, in real time — one publish (the
 /// rank's compare-and-swap on its own byte, here an idempotent republish
 /// of a claimed slot mid-list), one full scan (`local_size`, the count
@@ -1211,7 +1212,7 @@ pub fn ext_pgas(e: &Effort) -> Table {
     );
     let updates = (e.iters as u64) * 50;
     let mk = |name: &str, spec: JobSpec| {
-        let r = spec.run(move |mpi| cmpi_pgas::gups(mpi, 1 << 12, updates, 7));
+        let r = spec.run(move |mpi| pgas::gups(mpi, 1 << 12, updates, 7));
         (name.to_string(), r.results[0].0, r.elapsed)
     };
     let sharing = NamespaceSharing::default();

@@ -2,10 +2,11 @@
 //!
 //! One driver per table/figure of the paper (Zhang, Lu, Panda — ICPP
 //! 2016). Each driver returns a [`Table`] of virtual-time measurements
-//! that the `figures` binary prints (`figures --all` runs every one of
-//! them in CI). The crate's other binary, `overhead_gate`, answers one
-//! question — what always-on telemetry costs — and times the same
-//! [`mixed_step`] the scaling table does.
+//! that the `figures` binary prints; its `--fig` ids select drivers, and
+//! with none it runs every one of them, as CI does. The crate's other
+//! binary, `overhead_gate`, answers one question — what always-on
+//! telemetry costs — and times the same [`mixed_step`] the scaling table
+//! does.
 //!
 //! | driver | paper artefact |
 //! |--------|----------------|

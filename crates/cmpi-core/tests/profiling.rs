@@ -233,4 +233,32 @@ proptest! {
         assert_ledgers_consistent(&r);
         assert_waits_decompose(r.profile.as_ref().unwrap());
     }
+
+    /// One-sided put + flush rounds from rank 0 into rank 1's window: the
+    /// target makes no call for them, so its rx row holds exactly what
+    /// the origin recorded on its behalf, and the flushes wait as
+    /// `OneSided`.
+    #[test]
+    fn put_flush_ledgers_balance(
+        size in 1usize..70_001,
+        rounds in 1usize..5,
+    ) {
+        let spec = JobSpec::new(four_rank_scenario()).with_profiling();
+        let r = spec.run(move |mpi| {
+            let mut win = mpi.win_allocate(size);
+            mpi.fence(&mut win);
+            if mpi.rank() == 0 {
+                let data = vec![7u8; size];
+                for _ in 0..rounds {
+                    mpi.put(&mut win, 1, 0, &data);
+                    mpi.flush(&mut win, 1);
+                }
+            }
+            mpi.fence(&mut win);
+        });
+        assert_ledgers_consistent(&r);
+        let p = r.profile.as_ref().unwrap();
+        prop_assert!(p.wait_total(WaitClass::OneSided).samples > 0);
+        prop_assert_eq!(p.rx[1].cell(0).bytes(), (rounds * size) as u64);
+    }
 }

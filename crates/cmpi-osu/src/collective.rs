@@ -1,5 +1,7 @@
-//! Collective benchmarks (`osu_bcast`, `osu_allreduce`, `osu_allgather`,
-//! `osu_alltoall`) — Fig. 10.
+//! Collective benchmarks (`osu_barrier`, `osu_bcast`, `osu_reduce`,
+//! `osu_allreduce`, `osu_gather`, `osu_allgather`, `osu_alltoall`): the
+//! four of Fig. 10 plus the three more the flat-vs-two-level ablation
+//! times.
 
 use cmpi_cluster::SimTime;
 use cmpi_core::{JobSpec, ReduceOp};
@@ -24,12 +26,6 @@ pub enum CollOp {
     Reduce,
     /// `MPI_Gather` to rank 0.
     Gather,
-    /// `MPI_Scatter` from rank 0.
-    Scatter,
-    /// `MPI_Reduce_scatter_block`.
-    ReduceScatter,
-    /// `MPI_Scan` (inclusive prefix sum).
-    Scan,
 }
 
 impl CollOp {
@@ -43,9 +39,6 @@ impl CollOp {
             CollOp::Barrier => "barrier",
             CollOp::Reduce => "reduce",
             CollOp::Gather => "gather",
-            CollOp::Scatter => "scatter",
-            CollOp::ReduceScatter => "reduce-scatter",
-            CollOp::Scan => "scan",
         }
     }
 }
@@ -81,7 +74,7 @@ pub fn latency(spec: &JobSpec, op: CollOp, sizes: &[usize], iters: usize) -> Vec
         .collect()
 }
 
-pub(crate) fn run_op(mpi: &mut cmpi_core::Mpi, op: CollOp, mine: &[u64], elems: usize, n: usize) {
+fn run_op(mpi: &mut cmpi_core::Mpi, op: CollOp, mine: &[u64], elems: usize, n: usize) {
     match op {
         CollOp::Bcast => {
             let mut buf = mine.to_vec();
@@ -105,17 +98,6 @@ pub(crate) fn run_op(mpi: &mut cmpi_core::Mpi, op: CollOp, mine: &[u64], elems: 
         }
         CollOp::Gather => {
             mpi.gather(mine, 0);
-        }
-        CollOp::Scatter => {
-            let data: Option<Vec<u64>> = (mpi.rank() == 0).then(|| vec![0u64; elems * n]);
-            mpi.scatter(data.as_deref(), elems, 0);
-        }
-        CollOp::ReduceScatter => {
-            let data = vec![1u64; elems * n];
-            mpi.reduce_scatter_block(&data, elems, ReduceOp::Sum);
-        }
-        CollOp::Scan => {
-            mpi.scan(mine, ReduceOp::Sum);
         }
     }
 }
@@ -166,14 +148,7 @@ mod tests {
     #[test]
     fn extended_ops_run_and_scale() {
         let s = spec(LocalityPolicy::ContainerDetector);
-        for op in [
-            CollOp::Barrier,
-            CollOp::Reduce,
-            CollOp::Gather,
-            CollOp::Scatter,
-            CollOp::ReduceScatter,
-            CollOp::Scan,
-        ] {
+        for op in [CollOp::Barrier, CollOp::Reduce, CollOp::Gather] {
             let pts = latency(&s, op, &[256], 2);
             assert!(pts[0].value > 0.0, "{}", op.name());
         }

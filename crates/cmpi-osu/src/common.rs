@@ -7,14 +7,12 @@ use cmpi_cluster::SimTime;
 pub struct SizePoint {
     /// Message size in bytes.
     pub size: usize,
-    /// Metric value (µs for latency benches, MB/s for bandwidth benches,
-    /// messages/s for rate benches).
+    /// Metric value (µs for latency benches, MB/s for bandwidth benches).
     pub value: f64,
 }
 
 impl SizePoint {
-    /// Construct a point.
-    pub fn new(size: usize, value: f64) -> Self {
+    pub(crate) fn new(size: usize, value: f64) -> Self {
         SizePoint { size, value }
     }
 }
@@ -31,25 +29,17 @@ pub fn power_of_two_sizes(max: usize) -> Vec<usize> {
 }
 
 /// Latency in µs from a span covering `ops` one-way transfers.
-pub fn us_per_op(span: SimTime, ops: u64) -> f64 {
+pub(crate) fn us_per_op(span: SimTime, ops: u64) -> f64 {
     span.as_us_f64() / ops as f64
 }
 
 /// Bandwidth in MB/s from `bytes` moved over `span`.
-pub fn mb_per_s(bytes: u64, span: SimTime) -> f64 {
+pub(crate) fn mb_per_s(bytes: u64, span: SimTime) -> f64 {
     if span.is_zero() {
         return 0.0;
     }
     // bytes/ns * 1e9 / 1e6 = bytes/ns * 1000.
     bytes as f64 / span.as_ns() as f64 * 1000.0
-}
-
-/// Message rate in messages/s.
-pub fn msgs_per_s(msgs: u64, span: SimTime) -> f64 {
-    if span.is_zero() {
-        return 0.0;
-    }
-    msgs as f64 / span.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -69,8 +59,6 @@ mod tests {
         assert!((mb_per_s(1_000_000, SimTime::from_ms(1)) - 1000.0).abs() < 1e-9);
         // 10 ops in 50 us = 5 us/op.
         assert!((us_per_op(SimTime::from_us(50), 10) - 5.0).abs() < 1e-9);
-        // 1000 msgs in 1 ms = 1M msg/s.
-        assert!((msgs_per_s(1000, SimTime::from_ms(1)) - 1e6).abs() < 1e-3);
         assert_eq!(mb_per_s(1, SimTime::ZERO), 0.0);
     }
 }

@@ -4,12 +4,12 @@
 //! (OSU micro-benchmarks v5.0 on MVAPICH2-2.2b), measuring *virtual* time
 //! on the simulated cluster:
 //!
-//! * [`pt2pt`] — `osu_latency`, `osu_bw`, `osu_bibw`, `osu_mbw_mr`
-//!   (Figs. 3(b)(c), 7, 8);
+//! * [`pt2pt`] — `osu_latency`, `osu_bw`, `osu_bibw` (Figs. 3(b)(c), 7, 8);
 //! * [`onesided`] — `osu_put_lat`, `osu_put_bw`, `osu_get_lat`,
 //!   `osu_get_bw` (Fig. 9);
-//! * [`collective`] — `osu_bcast`, `osu_allreduce`, `osu_allgather`,
-//!   `osu_alltoall` (Fig. 10).
+//! * [`collective`] — `osu_barrier`, `osu_bcast`, `osu_reduce`,
+//!   `osu_allreduce`, `osu_gather`, `osu_allgather`, `osu_alltoall`
+//!   (Fig. 10 and the flat-vs-two-level ablation).
 //!
 //! Every benchmark takes a fully configured [`cmpi_core::JobSpec`], so the
 //! same code measures Native, Cont-Def, Cont-Opt and forced-channel
@@ -17,10 +17,8 @@
 
 #![forbid(unsafe_code)]
 pub mod collective;
-pub mod common;
+mod common;
 pub mod onesided;
-pub mod profile;
 pub mod pt2pt;
 
 pub use common::{power_of_two_sizes, SizePoint};
-pub use profile::{metrics_run, profiled_run, ProfileKernel};

@@ -3,8 +3,8 @@
 //! Each rank carries a [`ProfCollector`] while profiling is on; at
 //! finalize the runtime assembles the collectors — plus substrate
 //! counters from the SHM queues and the fabric endpoints — into a
-//! [`JobProfile`], the artifact behind `figures --profile`, the OSU
-//! `--profile` flag, and the integration tests.
+//! [`JobProfile`], the artifact behind `figures --fig profile` and the
+//! integration tests.
 
 use cmpi_cluster::{Channel, SimTime};
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example pgas_gups
 //! ```
 
-use container_mpi::pgas;
+use cmpi_apps::pgas;
 use container_mpi::prelude::*;
 
 fn run(policy: LocalityPolicy) -> (f64, u64, SimTime) {

@@ -7,12 +7,11 @@
 #             (root package and crates/*: exec_equiv, coll_props,
 #             matching_equiv, alloc_free, footprint, ... included)
 #   examples  every example builds and runs to completion
-#   figures   figures --all at quick effort: every paper figure/table
-#             driver, the ablations, the profile tables, the health
-#             tables (validated Prometheus + JSON exposition on a 32-rank
-#             mixed job) and the scaling tables
-#   telemetry profiled OSU run (JSON round-trip asserted inside) and
-#             osu --metrics smoke (validated Prometheus + JSON)
+#   figures   figures (no --fig: every id) at quick effort: every paper
+#             figure/table driver, the ablations, the PGAS extension, the
+#             profile tables, the health tables (validated Prometheus
+#             exposition, metrics JSON and flight dump round-trips on a
+#             32-rank mixed job) and the scaling tables
 #   chaos     chaos-midrun: mid-run crash / hang / container-kill runs in
 #             release mode (detector conviction, revoke/shrink recovery,
 #             deterministic FT Graph 500 answers) plus the failure-detector
@@ -54,21 +53,10 @@ for ex in quickstart locality_detection graph500_bfs npb_kernels \
   cargo run --release --quiet --example "$ex" >/dev/null
 done
 
-echo "== figures --all (every driver, quick effort)" >&2
+echo "== figures (every driver, quick effort)" >&2
 # The health driver validates its Prometheus and JSON expositions
-# before printing.
-cargo run --release --quiet -p cmpi-bench --bin figures -- --all >/dev/null
-
-echo "== telemetry smoke (osu --profile-json + osu --metrics)" >&2
-# The osu bin round-trip-validates the JSON and the Prometheus
-# exposition before writing them; the profile_and_trace example (run
-# above) asserts byte conservation.
-cargo run --release --quiet -p cmpi-osu --bin osu -- latency --max-size 16384 \
-  --iters 4 --profile-json target/osu_profile.json >/dev/null
-cargo run --release --quiet -p cmpi-osu --bin osu -- latency --max-size 4096 \
-  --iters 4 --metrics --metrics-json target/osu_metrics.json >/dev/null
-python3 -c "import json; json.load(open('target/osu_metrics.json'))" 2>/dev/null \
-  || grep -q '"schema"' target/osu_metrics.json
+# before printing; tests/profile.rs round-trips the profile JSON.
+cargo run --release --quiet -p cmpi-bench --bin figures >/dev/null
 
 echo "== chaos-midrun (crash / hang / container-kill + detector property test)" >&2
 cargo test -q --release --test chaos_midrun

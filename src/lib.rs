@@ -40,17 +40,14 @@ pub use cmpi_fabric as fabric;
 pub use cmpi_core as mpi;
 
 /// Causal profiling: per-peer channel matrices, wait-state analysis,
-/// JSON export (the `figures --profile` / `osu --profile` payload).
+/// JSON export (the `figures --fig profile` payload).
 pub use cmpi_prof as prof;
 
 /// OSU-style micro-benchmarks.
 pub use cmpi_osu as osu;
 
-/// Graph 500 and NAS Parallel Benchmark applications.
+/// Graph 500, NAS Parallel Benchmark and PGAS (GUPS) applications.
 pub use cmpi_apps as apps;
-
-/// PGAS-style global arrays (the paper's future-work extension).
-pub use cmpi_pgas as pgas;
 
 /// The most common imports in one place.
 pub mod prelude {

@@ -95,9 +95,9 @@ fn golden_of(texts: &[(&'static str, String); 7]) -> Golden {
 
 // ------------------------------------------------------------------ jobs
 
-/// (a) The 32-rank mixed job of `figures --health`: eager and rendezvous
-/// around a ring, a probe miss, allreduce and barrier, over SHM, CMA and
-/// HCA at once.
+/// (a) The 32-rank mixed job of `figures --fig health`: eager and
+/// rendezvous around a ring, a probe miss, allreduce and barrier, over
+/// SHM, CMA and HCA at once.
 fn mixed32() -> [(&'static str, String); 7] {
     let scenario = DeploymentScenario::containers(2, 4, 4, NamespaceSharing::default());
     let r = observed(JobSpec::new(scenario)).run(|mpi| {
@@ -160,7 +160,7 @@ fn graph500(policy: LocalityPolicy) -> [(&'static str, String); 7] {
     render(&r)
 }
 
-/// (d) The detection-latency job of `figures --profile`: 4 ranks, rank 3
+/// (d) The detection-latency job of `figures --fig profile`: 4 ranks, rank 3
 /// crashes at its first call, the survivors convict it, shrink and
 /// finish a collective.
 fn midrun_crash() -> [(&'static str, String); 7] {
