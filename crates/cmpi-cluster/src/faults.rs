@@ -101,7 +101,9 @@ pub struct FaultPlan {
     pub torn_publish_ranks: BTreeSet<usize>,
     /// Duplicate publishes: rank → slot of a *different* rank it also
     /// claims (two ranks claiming one slot). Surfaces as `CorruptList`
-    /// from the CAS publish; the rightful owner re-asserts its byte.
+    /// from the CAS publish; the rightful owner re-asserts its byte. A
+    /// claim on a rank placed on another host is not injected: that
+    /// rank never attaches the claimant's list.
     pub duplicate_publish: BTreeMap<usize, usize>,
     /// Containers whose IPC-namespace sharing was revoked after placement
     /// (restarted without `--ipc=host`): SHM impossible, co-residency

@@ -594,10 +594,8 @@ impl Mpi {
         Ok(children)
     }
 
-    /// Gather one `data.len()`-element block per member of `list` to
-    /// `list[0]` and broadcast the list-ordered concatenation to all
-    /// (communicator allgather and the membership exchange of
-    /// `comm_split`; simple and correct for modest group sizes).
+    /// Ring allgather of one `data.len()`-element block per member of
+    /// `list`; the list-ordered concatenation on every member.
     pub(crate) fn allgather_list<T: MpiData>(
         &mut self,
         data: &[T],
@@ -605,36 +603,29 @@ impl Mpi {
         op_id: u32,
         ctx: u32,
     ) -> Result<Vec<T>, MpiError> {
+        self.check_op_failure(ctx, None)?;
+        let n = list.len();
+        let me = list
+            .iter()
+            .position(|&r| r == self.rank)
+            .expect("rank not in allgather group");
         let block = data.len();
-        let total = block * list.len();
-        let children = self.gather_list(data, list, 0, op_id, ctx)?;
-        let root = self.rank == list[0];
-        let mut all = Vec::new();
-        if root {
-            // Rooted at position 0 the frames arrive in list order, so
-            // the result fills front to back.
-            all.reserve_exact(total);
-            all.extend_from_slice(data);
-            let mut expected = list[1..].iter();
-            for bundle in &children {
-                for (world_rank, part) in frames_ok(bundle, "allgather subtree bundle") {
-                    assert_eq!(
-                        expected.next(),
-                        Some(&world_rank),
-                        "allgather frames out of list order"
-                    );
-                    extend_from_bytes(part, block, &mut all);
-                }
-            }
-            assert!(expected.next().is_none(), "allgather frames missing");
+        let mut all = zeroed(block * n);
+        all[me * block..(me + 1) * block].copy_from_slice(data);
+        let right = list[(me + 1) % n];
+        let left = list[(me + n - 1) % n];
+        // Step `s` sends block `me - s`, which is what step `s - 1`
+        // received: each hop passes on the handle that just arrived.
+        let mut carry = to_bytes(data);
+        for step in 0..n - 1 {
+            let recv_block = (me + n - step - 1) % n;
+            carry = self.try_coll_sendrecv(carry, right, left, tag(op_id, step as u32), ctx)?;
+            from_bytes(
+                &carry,
+                &mut all[recv_block * block..(recv_block + 1) * block],
+            );
         }
-        let seed = root.then(|| to_bytes(&all));
-        let bytes = self.bcast_list(seed, list, 0, op_id, ctx)?;
-        Ok(if root {
-            all
-        } else {
-            vec_from_bytes(&bytes, total)
-        })
+        Ok(all)
     }
 
     // ---- public collectives --------------------------------------------------
@@ -806,33 +797,8 @@ impl Mpi {
         let call = Call::Selected(CollKind::Allgather, std::mem::size_of_val(data));
         self.collective(call, |mpi, algo| match algo {
             CollAlgo::TwoLevel => mpi.allgather_two_level(data),
-            _ => mpi.allgather_ring(data),
+            _ => mpi.allgather_list(data, &mpi.world_ranks(), op::ALLGATHER, CTX_COLL),
         })
-    }
-
-    /// Ring allgather over the world.
-    fn allgather_ring<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
-        let n = self.n;
-        let block = data.len();
-        let mut all = zeroed(block * n);
-        all[self.rank * block..(self.rank + 1) * block].copy_from_slice(data);
-        if n > 1 {
-            let right = (self.rank + 1) % n;
-            let left = (self.rank + n - 1) % n;
-            // Step `s` sends block `rank - s`, which is what step `s - 1`
-            // received: each hop passes on the handle that just arrived.
-            let mut carry = to_bytes(data);
-            for step in 0..n - 1 {
-                let recv_block = (self.rank + n - step - 1) % n;
-                let t = tag(op::ALLGATHER, step as u32);
-                carry = self.try_coll_sendrecv(carry, right, left, t, CTX_COLL)?;
-                from_bytes(
-                    &carry,
-                    &mut all[recv_block * block..(recv_block + 1) * block],
-                );
-            }
-        }
-        Ok(all)
     }
 
     /// Personalized all-to-all exchange (`MPI_Alltoall`). `data` holds one

@@ -71,7 +71,7 @@ impl DowngradeReason {
 }
 
 /// Everything a rank knows about one peer after initialization.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PeerInfo {
     /// Does the active policy consider the peer local?
     pub considered_local: bool,
@@ -91,38 +91,42 @@ pub struct PublishReport {
     pub outcome: AttachOutcome,
 }
 
-/// Container-pair visibility plus the hostname relation — everything
-/// about a peer that depends only on *which containers* the two ranks
-/// occupy, not on the ranks themselves.
+/// Everything about a peer that depends only on *which containers* the
+/// two ranks occupy, not on the ranks themselves.
 #[derive(Clone, Copy, Debug)]
 struct PairVis {
+    /// What the kernel permits after the fault plan's revocations.
     vis: Visibility,
+    /// The placement put the pair in one IPC namespace on one host, so
+    /// the peer's byte belongs on this rank's list.
+    placed_shm: bool,
     hostname_eq: bool,
 }
 
 /// Rank-count-independent locality ground truth, computed **once per
-/// job** and shared by every rank's view. A job with `n` ranks has far
-/// fewer containers than ranks (`C ≪ n`), and every per-peer fact the
-/// per-rank scan needs — visibility, hostname equality, the expected
-/// membership byte — is a pure function of the *container pair*. Before
-/// this table each rank recomputed namespace gating per peer, an
-/// O(n²) job-init term that dominated 4096-rank launches.
+/// job** (fault plan included) and shared by every rank's view. A job
+/// with `n` ranks has far fewer containers than ranks (`C ≪ n`), and
+/// every per-peer fact the detector's cross-check needs — effective and
+/// placed visibility, hostname equality, the expected membership byte —
+/// is a pure function of the *container pair*; the only per-peer input
+/// left is the byte the peer published.
 #[derive(Debug)]
 pub struct LocalityMap {
-    n: usize,
     n_conts: usize,
     /// rank → raw host id.
     host: Box<[u32]>,
     /// rank → raw socket id.
     socket: Box<[u32]>,
     /// rank → raw container id (dense: containers index the pair table).
-    pub(crate) cont: Box<[u32]>,
+    cont: Box<[u32]>,
     /// rank → index among its host's ranks, rank-ascending. Sizes the
     /// per-sender SHM pair-queue rows by host width instead of job width.
     pub(crate) host_rank_idx: Box<[u32]>,
-    /// rank → number of ranks placed on its host.
-    pub(crate) host_ranks: Box<[u32]>,
-    /// Row-major `C × C` container-pair table (fault-free visibility).
+    /// Every rank, grouped by host and ascending within a host.
+    by_host: Box<[u32]>,
+    /// host → offset of its ranks in `by_host`; entry `h + 1` ends them.
+    host_start: Box<[u32]>,
+    /// Row-major `C × C` container-pair table.
     pair: Box<[PairVis]>,
     /// container → the membership byte its ranks publish.
     expected_byte: Box<[u8]>,
@@ -131,41 +135,71 @@ pub struct LocalityMap {
 }
 
 impl LocalityMap {
-    /// Precompute the shared tables for one job. `O(n + C²)`.
+    /// The shared tables of a fault-free job.
     pub fn build(cluster: &Cluster, placement: &Placement) -> LocalityMap {
+        Self::with_faults(cluster, placement, &FaultPlan::none())
+    }
+
+    /// Precompute the shared tables for one job under `plan`'s namespace
+    /// revocations. `O(n + C²)`.
+    pub(crate) fn with_faults(
+        cluster: &Cluster,
+        placement: &Placement,
+        plan: &FaultPlan,
+    ) -> LocalityMap {
         let n = placement.num_ranks();
         let n_conts = cluster.containers.len();
         let mut host = Vec::with_capacity(n);
         let mut socket = Vec::with_capacity(n);
         let mut cont = Vec::with_capacity(n);
         let mut host_rank_idx = Vec::with_capacity(n);
-        let mut seen = vec![0u32; cluster.hosts.len()];
+        // Per-host counts at `h + 1`, prefix-summed into offsets below.
+        let mut host_start = vec![0u32; cluster.hosts.len() + 1];
         for r in 0..n {
             let loc = placement.loc(r);
             host.push(loc.host.0);
             socket.push(loc.socket.0);
             cont.push(loc.container.0);
-            host_rank_idx.push(seen[loc.host.0 as usize]);
-            seen[loc.host.0 as usize] += 1;
+            host_rank_idx.push(host_start[loc.host.0 as usize + 1]);
+            host_start[loc.host.0 as usize + 1] += 1;
         }
-        let host_ranks = (0..n).map(|r| seen[host[r] as usize]).collect();
+        for h in 1..host_start.len() {
+            host_start[h] += host_start[h - 1];
+        }
+        let mut by_host = vec![0u32; n];
+        for r in 0..n {
+            by_host[(host_start[host[r] as usize] + host_rank_idx[r]) as usize] = r as u32;
+        }
         let mut pair = Vec::with_capacity(n_conts * n_conts);
         for a in &cluster.containers {
             for b in &cluster.containers {
+                let hostname_eq = a.hostname == b.hostname;
+                // A hostname is per container, or per host for native
+                // ranks, so the hostname policy never finds a local peer
+                // off the host — which is what lets a scan visit only
+                // its own host's ranks.
+                assert!(
+                    !hostname_eq || a.host == b.host,
+                    "{} and {} share hostname {:?} across hosts",
+                    a.id,
+                    b.id,
+                    a.hostname
+                );
                 pair.push(PairVis {
-                    vis: visibility(cluster, a.id, b.id),
-                    hostname_eq: a.hostname == b.hostname,
+                    vis: effective_visibility(cluster, plan, a.id, b.id),
+                    placed_shm: visibility(cluster, a.id, b.id).shm,
+                    hostname_eq,
                 });
             }
         }
         LocalityMap {
-            n,
             n_conts,
             host: host.into(),
             socket: socket.into(),
             cont: cont.into(),
             host_rank_idx: host_rank_idx.into(),
-            host_ranks,
+            by_host: by_host.into(),
+            host_start: host_start.into(),
             pair: pair.into(),
             expected_byte: (0..n_conts)
                 .map(|i| ContainerList::membership_byte(ContainerId(i as u32)))
@@ -184,27 +218,22 @@ impl LocalityMap {
         self.host[a] == self.host[b] && self.socket[a] == self.socket[b]
     }
 
-    /// Same-host relation (mirrors [`Placement::same_host`]).
-    pub(crate) fn same_host(&self, a: usize, b: usize) -> bool {
-        self.host[a] == self.host[b]
+    /// The ranks placed on `rank`'s host, ascending (`rank` included).
+    pub(crate) fn host_ranks(&self, rank: usize) -> &[u32] {
+        let h = self.host[rank] as usize;
+        &self.by_host[self.host_start[h] as usize..self.host_start[h + 1] as usize]
+    }
+
+    /// Whether the placement put the two ranks in one IPC namespace on
+    /// one host (so each one's byte belongs on the other's list).
+    pub(crate) fn placed_shm(&self, a: usize, b: usize) -> bool {
+        self.pair(self.cont[a], self.cont[b]).placed_shm
     }
 }
 
-/// How a view answers per-peer queries.
-#[derive(Clone, Debug)]
-enum ViewRepr {
-    /// Fault-path representation: a dense per-peer table, built by the
-    /// full cross-check walk (`O(n)` per rank, with per-peer effective
-    /// visibility).
-    Dense { peers: Vec<PeerInfo> },
-    /// Fault-free representation: per-peer answers are derived on demand
-    /// from the job-shared [`LocalityMap`] — nothing rank-sized is
-    /// allocated beyond the (host-bounded) local rank list, and no
-    /// downgrade can exist by construction.
-    Shared { map: Arc<LocalityMap>, my_cont: u32 },
-}
-
-/// A rank's resolved locality knowledge.
+/// A rank's resolved locality knowledge: the local ranks and downgrades
+/// its scan found, every other per-peer answer derived on demand from
+/// the job-shared [`LocalityMap`]. Nothing in it grows with the job.
 #[derive(Clone, Debug)]
 pub struct LocalityView {
     rank: usize,
@@ -212,9 +241,9 @@ pub struct LocalityView {
     local_ranks: Vec<usize>,
     /// Position of this rank within `local_ranks`.
     local_ordering: usize,
-    /// Whether this rank runs inside a real container (per-call tax).
-    in_container: bool,
-    repr: ViewRepr,
+    /// Peers the cross-check took off SHM/CMA, rank-ascending.
+    downgrades: Vec<(usize, DowngradeReason)>,
+    map: Arc<LocalityMap>,
 }
 
 impl LocalityView {
@@ -276,7 +305,9 @@ impl LocalityView {
             }
         }
         if let Some(victim) = plan.duplicate_claim_of(rank) {
-            if victim != rank && victim < list.num_ranks() {
+            // Only a co-resident victim attaches this host's list and can
+            // repair its slot, so a claim on a remote rank is not made.
+            if victim != rank && victim < list.num_ranks() && placement.same_host(rank, victim) {
                 // Unconditional store so the final pre-barrier state does
                 // not depend on thread arrival order: whichever of the
                 // victim's CAS and this store runs last, the slot holds
@@ -314,8 +345,9 @@ impl LocalityView {
         }
     }
 
-    /// Phase 2 (after the job barrier): scan the list and resolve every
-    /// peer under `policy`.
+    /// Phase 2 for one rank outside a job: build a fault-free
+    /// [`LocalityMap`] and scan against it (what a job's ranks do with
+    /// the job's map).
     pub fn build(
         policy: LocalityPolicy,
         cluster: &Cluster,
@@ -323,74 +355,22 @@ impl LocalityView {
         rank: usize,
         list: &ContainerList,
     ) -> LocalityView {
-        Self::build_with(policy, cluster, placement, rank, list, &FaultPlan::none())
+        let map = Arc::new(LocalityMap::build(cluster, placement));
+        Self::scan(policy, &map, rank, list)
     }
 
-    /// Fault-aware phase 2: scan the list, *cross-check* each published
-    /// byte against placement ground truth and the kernel's effective
-    /// namespace gating, and downgrade peers that fail the check to the
-    /// HCA channel instead of aborting.
+    /// Phase 2 (after the job barrier): resolve every rank placed on this
+    /// rank's host under `policy`. The detector *cross-checks* each
+    /// peer's published byte against placement ground truth and the
+    /// kernel's effective namespace gating, and downgrades a peer that
+    /// fails the check to the HCA instead of aborting.
     ///
-    /// Each peer's [`PeerInfo::vis`] is the *effective* visibility (after
-    /// the plan's namespace revocations), so the channel selector can
+    /// Ranks on other hosts are never visited: their bytes live on other
+    /// hosts' segments and their hostnames differ, so every policy finds
+    /// them remote without a downgrade. Each peer's [`PeerInfo::vis`] is
+    /// the *effective* visibility from `map`, so the channel selector can
     /// never pick SHM/CMA where the kernel would refuse them.
-    pub fn build_with(
-        policy: LocalityPolicy,
-        cluster: &Cluster,
-        placement: &Placement,
-        rank: usize,
-        list: &ContainerList,
-        plan: &FaultPlan,
-    ) -> LocalityView {
-        let n = placement.num_ranks();
-        let my_loc = placement.loc(rank);
-        let my_cont = cluster.container(my_loc.container);
-        let mut peers = Vec::with_capacity(n);
-        for peer in 0..n {
-            let p_loc = placement.loc(peer);
-            let p_cont = cluster.container(p_loc.container);
-            // Placement intent vs kernel ground truth.
-            let base = visibility(cluster, my_cont.id, p_cont.id);
-            let vis = effective_visibility(cluster, plan, my_cont.id, p_cont.id);
-            let (considered_local, downgraded) = match policy {
-                LocalityPolicy::Hostname => (my_cont.hostname == p_cont.hostname, None),
-                LocalityPolicy::ContainerDetector | LocalityPolicy::ForceChannel(_) => {
-                    Self::cross_check(rank, peer, p_cont.id, list, base, vis)
-                }
-            };
-            peers.push(PeerInfo {
-                considered_local,
-                vis,
-                same_socket: placement.same_socket(rank, peer),
-                downgraded,
-            });
-        }
-        let local_ranks: Vec<usize> = (0..n).filter(|&p| peers[p].considered_local).collect();
-        let local_ordering = local_ranks
-            .iter()
-            .position(|&p| p == rank)
-            .expect("rank missing from its own locality set");
-        LocalityView {
-            rank,
-            local_ranks,
-            local_ordering,
-            in_container: !my_cont.native,
-            repr: ViewRepr::Dense { peers },
-        }
-    }
-
-    /// Fault-free phase 2 against the job-shared [`LocalityMap`]: one
-    /// cheap pass over the membership bytes (two array loads and a
-    /// compare per peer) instead of per-peer namespace recomputation.
-    ///
-    /// Equivalent to [`LocalityView::build`] when the fault plan is
-    /// empty: with no silent/torn publishers and no namespace
-    /// revocations, effective visibility equals declared visibility, a
-    /// peer's byte appears on this rank's segment iff the pair shares an
-    /// IPC namespace on one host, and a published byte always matches
-    /// its container — so the detector's verdict collapses to the byte
-    /// compare and no peer can be downgraded.
-    pub(crate) fn build_shared(
+    pub(crate) fn scan(
         policy: LocalityPolicy,
         map: &Arc<LocalityMap>,
         rank: usize,
@@ -398,18 +378,23 @@ impl LocalityView {
     ) -> LocalityView {
         let myc = map.cont[rank];
         let mut local_ranks = Vec::new();
-        for peer in 0..map.n {
+        let mut downgrades = Vec::new();
+        for &peer in map.host_ranks(rank) {
+            let peer = peer as usize;
             let pc = map.cont[peer];
-            let local = peer == rank
-                || match policy {
-                    LocalityPolicy::Hostname => map.pair(myc, pc).hostname_eq,
-                    LocalityPolicy::ContainerDetector | LocalityPolicy::ForceChannel(_) => {
-                        let byte = list.membership_of(peer);
-                        byte != 0 && byte == map.expected_byte[pc as usize]
-                    }
-                };
+            let pair = map.pair(myc, pc);
+            let (local, downgraded) = match policy {
+                LocalityPolicy::Hostname => (pair.hostname_eq, None),
+                LocalityPolicy::ContainerDetector | LocalityPolicy::ForceChannel(_) => {
+                    let byte = list.membership_of(peer);
+                    Self::cross_check(rank, peer, byte, map.expected_byte[pc as usize], pair)
+                }
+            };
             if local {
                 local_ranks.push(peer);
+            }
+            if let Some(reason) = downgraded {
+                downgrades.push((peer, reason));
             }
         }
         let local_ordering = local_ranks
@@ -420,34 +405,31 @@ impl LocalityView {
             rank,
             local_ranks,
             local_ordering,
-            in_container: map.in_container[myc as usize],
-            repr: ViewRepr::Shared {
-                map: Arc::clone(map),
-                my_cont: myc,
-            },
+            downgrades,
+            map: Arc::clone(map),
         }
     }
 
-    /// The detector's per-peer cross-check: a peer is local only when its
-    /// published byte exists, matches its container, and the kernel still
-    /// permits at least one intra-host facility. Anything else that the
-    /// placement *expected* to be local is a downgrade, not an abort.
+    /// The detector's per-peer cross-check of the byte `actual` the peer
+    /// left on this rank's list: a peer is local only when the byte
+    /// exists, equals its container's `expected` byte, and the kernel
+    /// still permits at least one intra-host facility. Anything else
+    /// that the placement *expected* to be local is a downgrade, not an
+    /// abort.
     fn cross_check(
         rank: usize,
         peer: usize,
-        peer_cont: cmpi_cluster::ContainerId,
-        list: &ContainerList,
-        base: Visibility,
-        vis: Visibility,
+        actual: u8,
+        expected: u8,
+        pair: PairVis,
     ) -> (bool, Option<DowngradeReason>) {
         if peer == rank {
             return (true, None);
         }
-        let actual = list.membership_of(peer);
-        let expected = ContainerList::membership_byte(peer_cont);
+        let vis = pair.vis;
         if actual == 0 {
             // Never published on our segment.
-            if !base.shm {
+            if !pair.placed_shm {
                 // Cross-host or never-shared: absence is normal.
                 (false, None)
             } else if !vis.shm {
@@ -472,20 +454,20 @@ impl LocalityView {
         self.rank
     }
 
-    /// Peer knowledge. In the shared representation the answer is
-    /// assembled on demand from the job-wide map; `local_ranks` is
-    /// host-bounded (≤ ranks-per-host), so the membership search is a
-    /// handful of compares.
+    /// Peer knowledge, assembled on demand from the job-wide map.
+    /// `local_ranks` and `downgrades` are host-bounded (≤ ranks-per-host),
+    /// so each search is a handful of compares.
     pub fn peer(&self, peer: usize) -> PeerInfo {
-        match &self.repr {
-            ViewRepr::Dense { peers } => peers[peer],
-            ViewRepr::Shared { map, my_cont } => PeerInfo {
-                considered_local: peer == self.rank
-                    || self.local_ranks.binary_search(&peer).is_ok(),
-                vis: map.pair(*my_cont, map.cont[peer]).vis,
-                same_socket: map.same_socket(self.rank, peer),
-                downgraded: None,
-            },
+        let map = &*self.map;
+        PeerInfo {
+            considered_local: peer == self.rank || self.local_ranks.binary_search(&peer).is_ok(),
+            vis: map.pair(map.cont[self.rank], map.cont[peer]).vis,
+            same_socket: map.same_socket(self.rank, peer),
+            downgraded: self
+                .downgrades
+                .binary_search_by_key(&peer, |&(p, _)| p)
+                .ok()
+                .map(|i| self.downgrades[i].1),
         }
     }
 
@@ -506,20 +488,13 @@ impl LocalityView {
 
     /// Whether per-call container overhead applies to this rank.
     pub fn in_container(&self) -> bool {
-        self.in_container
+        self.map.in_container[self.map.cont[self.rank] as usize]
     }
 
-    /// Peers this rank downgraded to the HCA, with the reason. The
-    /// shared (fault-free) representation has none by construction.
+    /// Peers this rank downgraded to the HCA, with the reason,
+    /// rank-ascending.
     pub fn downgraded_peers(&self) -> impl Iterator<Item = (usize, DowngradeReason)> + '_ {
-        let peers: &[PeerInfo] = match &self.repr {
-            ViewRepr::Dense { peers } => peers,
-            ViewRepr::Shared { .. } => &[],
-        };
-        peers
-            .iter()
-            .enumerate()
-            .filter_map(|(p, info)| info.downgraded.map(|r| (p, r)))
+        self.downgrades.iter().copied()
     }
 
     /// Number of peers downgraded to the HCA.
@@ -545,6 +520,7 @@ impl LocalityView {
 mod tests {
     use super::*;
     use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
+    use proptest::prelude::*;
 
     /// Publish all ranks, then build one rank's view.
     fn detect_all(s: &DeploymentScenario, policy: LocalityPolicy) -> Vec<LocalityView> {
@@ -621,13 +597,9 @@ mod tests {
         assert!(!views[0].in_container());
     }
 
-    /// Publish all ranks under a fault plan (with the repair pass), then
-    /// build every rank's degraded view.
-    fn detect_all_with(
-        s: &DeploymentScenario,
-        policy: LocalityPolicy,
-        plan: &FaultPlan,
-    ) -> Vec<LocalityView> {
+    /// Publish all ranks under a fault plan (with the repair pass) and
+    /// return every rank's list.
+    fn publish_all_with(s: &DeploymentScenario, plan: &FaultPlan) -> Vec<ContainerList> {
         let reg = ShmRegistry::new();
         let lists: Vec<ContainerList> = (0..s.num_ranks())
             .map(|r| LocalityView::publish_with(&reg, &s.cluster, &s.placement, r, plan).0)
@@ -635,9 +607,123 @@ mod tests {
         for (r, list) in lists.iter().enumerate() {
             LocalityView::repair_own_slot(list, &s.cluster, &s.placement, r, plan);
         }
+        lists
+    }
+
+    /// Publish all ranks under a fault plan, then scan every rank's
+    /// degraded view against the plan's map.
+    fn detect_all_with(
+        s: &DeploymentScenario,
+        policy: LocalityPolicy,
+        plan: &FaultPlan,
+    ) -> Vec<LocalityView> {
+        let lists = publish_all_with(s, plan);
+        let map = Arc::new(LocalityMap::with_faults(&s.cluster, &s.placement, plan));
         (0..s.num_ranks())
-            .map(|r| LocalityView::build_with(policy, &s.cluster, &s.placement, r, &lists[r], plan))
+            .map(|r| LocalityView::scan(policy, &map, r, &lists[r]))
             .collect()
+    }
+
+    /// The dense walk the host-local scan replaced, kept as its
+    /// reference: every one of the job's peers, both visibilities
+    /// recomputed per peer, one [`PeerInfo`] each.
+    fn reference_walk(
+        policy: LocalityPolicy,
+        s: &DeploymentScenario,
+        rank: usize,
+        list: &ContainerList,
+        plan: &FaultPlan,
+    ) -> Vec<PeerInfo> {
+        let (cluster, placement) = (&s.cluster, &s.placement);
+        let my_cont = cluster.container(placement.loc(rank).container);
+        (0..placement.num_ranks())
+            .map(|peer| {
+                let p_cont = cluster.container(placement.loc(peer).container);
+                let pair = PairVis {
+                    vis: effective_visibility(cluster, plan, my_cont.id, p_cont.id),
+                    placed_shm: visibility(cluster, my_cont.id, p_cont.id).shm,
+                    hostname_eq: my_cont.hostname == p_cont.hostname,
+                };
+                let (considered_local, downgraded) = match policy {
+                    LocalityPolicy::Hostname => (pair.hostname_eq, None),
+                    _ => LocalityView::cross_check(
+                        rank,
+                        peer,
+                        list.membership_of(peer),
+                        ContainerList::membership_byte(p_cont.id),
+                        pair,
+                    ),
+                };
+                PeerInfo {
+                    considered_local,
+                    vis: pair.vis,
+                    same_socket: placement.same_socket(rank, peer),
+                    downgraded,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The host-local scan answers every query exactly as the dense
+        /// walk does, for random deployments, sampled fault plans (plus
+        /// a duplicate claim, co-resident or not) and all three policies.
+        #[test]
+        fn scan_equals_the_dense_walk(
+            hosts in 1u32..4,
+            containers_per_host in 1u32..4,
+            ranks_per_container in 1u32..4,
+            ipc in any::<bool>(),
+            pid in any::<bool>(),
+            seed in any::<u64>(),
+            claim in (any::<u8>(), any::<u8>()),
+            policy_idx in 0usize..3,
+        ) {
+            let sharing = NamespaceSharing { ipc, pid, ..NamespaceSharing::default() };
+            let s = DeploymentScenario::containers(
+                hosts,
+                containers_per_host,
+                ranks_per_container,
+                sharing,
+            );
+            let n = s.num_ranks();
+            let plan = FaultPlan::sampled(seed, &s)
+                .with_duplicate_publish(claim.0 as usize % n, claim.1 as usize % n);
+            let policy = [
+                LocalityPolicy::Hostname,
+                LocalityPolicy::ContainerDetector,
+                LocalityPolicy::ForceChannel(Channel::Shm),
+            ][policy_idx];
+            let lists = publish_all_with(&s, &plan);
+            let map = Arc::new(LocalityMap::with_faults(&s.cluster, &s.placement, &plan));
+            for (rank, list) in lists.iter().enumerate() {
+                let view = LocalityView::scan(policy, &map, rank, list);
+                let dense = reference_walk(policy, &s, rank, list, &plan);
+                let local: Vec<usize> = (0..n).filter(|&p| dense[p].considered_local).collect();
+                prop_assert_eq!(view.local_ranks(), &local[..], "rank {}", rank);
+                let ordering = local.iter().position(|&p| p == rank);
+                prop_assert_eq!(Some(view.local_ordering()), ordering);
+                let native = s.cluster.container(s.placement.loc(rank).container).native;
+                prop_assert_eq!(view.in_container(), !native);
+                let downgraded: Vec<_> = (0..n)
+                    .filter_map(|p| dense[p].downgraded.map(|r| (p, r)))
+                    .collect();
+                prop_assert_eq!(view.downgraded_peers().collect::<Vec<_>>(), downgraded);
+                for (p, info) in dense.iter().enumerate() {
+                    prop_assert_eq!(view.peer(p), *info, "rank {} peer {}", rank, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "across hosts")]
+    fn a_hostname_shared_across_hosts_is_rejected() {
+        let mut s = DeploymentScenario::containers(2, 1, 1, NamespaceSharing::default());
+        s.cluster.containers[1].hostname = s.cluster.containers[0].hostname.clone();
+        LocalityMap::build(&s.cluster, &s.placement);
     }
 
     #[test]

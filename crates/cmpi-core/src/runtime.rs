@@ -27,7 +27,6 @@ use cmpi_cluster::{
     Placement, SimTime, Tunables,
 };
 use cmpi_fabric::{Fabric, FabricError, FabricMsg, SendInfo};
-use cmpi_shmem::visibility::visibility;
 use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 
 use crate::channel::ChannelSelector;
@@ -489,8 +488,6 @@ pub(crate) struct JobState {
     /// Per-rank mailboxes. Behind an `Arc` of their own so a fabric
     /// notifier can poke one without owning the job state.
     pub(crate) cells: Arc<[RankCell]>,
-    /// Ranks in the job (row stride of the pair-queue table).
-    n_ranks: usize,
     /// Rank-indexed `src → dst` pair-queue table. `OnceLock` slots make
     /// the steady-state lookup a plain load — the seed's job-wide
     /// `Mutex<HashMap>` serialized every SHM chunk of every pair through
@@ -545,11 +542,11 @@ impl JobState {
                 .map(|_| std::sync::atomic::AtomicU32::new(0))
                 .collect(),
             cells: (0..n).map(|_| RankCell::new()).collect(),
-            n_ranks: n,
             queues: (0..n).map(|_| OnceLock::new()).collect(),
-            loc_map: Arc::new(LocalityMap::build(
+            loc_map: Arc::new(LocalityMap::with_faults(
                 &spec.scenario.cluster,
                 &spec.scenario.placement,
+                &spec.faults,
             )),
             windows: WindowTable::new(n),
             init_barrier: PokeBarrier::new(n),
@@ -565,7 +562,7 @@ impl JobState {
     /// steady-state path is a lock-free slot load.
     pub(crate) fn pair_queue(&self, src: usize, dst: usize) -> &Arc<PairQueue> {
         let row = self.queues[src].get_or_init(|| {
-            (0..self.loc_map.host_ranks[src] as usize)
+            (0..self.loc_map.host_ranks(src).len())
                 .map(|_| OnceLock::new())
                 .collect()
         });
@@ -590,14 +587,10 @@ impl JobState {
     /// instead of waiting forever.
     pub(crate) fn close_incoming_queues(&self, rank: usize) {
         let dst_idx = self.loc_map.host_rank_idx[rank] as usize;
-        for src in 0..self.n_ranks {
-            // Rows are indexed by host-local position, so a row of a
-            // sender on another host must not be touched — its slot at
-            // `dst_idx` belongs to a different rank.
-            if !self.loc_map.same_host(src, rank) {
-                continue;
-            }
-            if let Some(row) = self.queues[src].get() {
+        // Rows are indexed by host-local position, so only senders on
+        // `rank`'s host have a slot at `dst_idx` that belongs to it.
+        for &src in self.loc_map.host_ranks(rank) {
+            if let Some(row) = self.queues[src as usize].get() {
                 if let Some(q) = row[dst_idx].get() {
                     q.close();
                 }
@@ -771,41 +764,21 @@ impl Mpi {
         // Bounded rescan for expected-but-silent co-resident publishers:
         // a wedged peer gets a grace period before being written off.
         // Silent bytes never appear after the barrier in this model, so
-        // the retry count is a pure function of the plan.
-        let mut init_retries = 0;
-        if !plan.is_empty() && !matches!(state.policy, LocalityPolicy::Hostname) {
-            let my_cont = state.cluster.container(state.placement.loc(rank).container);
-            let expected: Vec<usize> = (0..n)
-                .filter(|&p| {
-                    p != rank && {
-                        let p_cont = state.cluster.container(state.placement.loc(p).container);
-                        visibility(&state.cluster, my_cont.id, p_cont.id).shm
-                    }
-                })
-                .collect();
-            while init_retries < MAX_INIT_RETRIES as u64
-                && expected.iter().any(|&p| list.membership_of(p) == 0)
-            {
-                now += SimTime::from_us(50 << init_retries);
-                init_retries += 1;
-            }
+        // one look decides whether every retry runs, and the count is a
+        // pure function of the plan.
+        let map = &state.loc_map;
+        let silent = !matches!(state.policy, LocalityPolicy::Hostname)
+            && map.host_ranks(rank).iter().any(|&p| {
+                let p = p as usize;
+                p != rank && map.placed_shm(rank, p) && list.membership_of(p) == 0
+            });
+        let init_retries = if silent { MAX_INIT_RETRIES as u64 } else { 0 };
+        for k in 0..init_retries {
+            now += SimTime::from_us(50 << k);
         }
-        // Phase 2: scan the list and resolve peers. Fault-free jobs take
-        // the shared-map fast path (per-peer byte compares against the
-        // job-wide locality tables); fault plans take the full per-peer
-        // cross-check walk, which downgrades instead of aborting.
-        let view = if plan.is_empty() {
-            LocalityView::build_shared(state.policy, &state.loc_map, rank, &list)
-        } else {
-            LocalityView::build_with(
-                state.policy,
-                &state.cluster,
-                &state.placement,
-                rank,
-                &list,
-                &plan,
-            )
-        };
+        // Phase 2: scan the list and resolve peers, cross-checking each
+        // one and downgrading instead of aborting.
+        let view = LocalityView::scan(state.policy, map, rank, &list);
         // Ledger what init had to repair or route around, stamped at the
         // end of init: downgrades show up in the health surface even when
         // nobody asked for a trace, and a Perfetto view shows *why* a

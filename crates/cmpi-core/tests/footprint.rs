@@ -14,14 +14,16 @@
 //! per-rank bytes at 256 (a dense per-rank table of length n would be
 //! 8× larger there and cannot come back unnoticed), and per-rank bytes
 //! at 256 stay inside an absolute budget of the measured value + 25 %.
-//! A third: the heap a job took is back once the job has returned (the
-//! fabric's delivery callbacks once kept the whole job state alive,
-//! 1.2 MB per 256-rank job).
+//! The first holds under a fault plan too: a plan that never fires
+//! still takes the job through its fault-aware init. A third: the heap
+//! a job took is back once the job has returned (the fabric's delivery
+//! callbacks once kept the whole job state alive, 1.2 MB per 256-rank
+//! job).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
+use cmpi_cluster::{DeploymentScenario, FaultPlan, MidRunTrigger, NamespaceSharing};
 use cmpi_core::{ExecMode, JobSpec};
 
 struct TrackingAlloc;
@@ -72,12 +74,13 @@ static GLOBAL: TrackingAlloc = TrackingAlloc;
 
 const STACK_KIB: usize = 128;
 
-/// Peak live heap bytes per rank of a noop job on `hosts` hosts of 16
-/// ranks each (two containers of eight).
-fn noop_bytes_per_rank(hosts: u32) -> usize {
+/// Peak live heap bytes per rank of a noop job under `plan` on `hosts`
+/// hosts of 16 ranks each (two containers of eight).
+fn noop_bytes_per_rank(hosts: u32, plan: &FaultPlan) -> usize {
     let scenario = DeploymentScenario::containers(hosts, 2, 8, NamespaceSharing::default());
     let n = scenario.num_ranks();
     let spec = JobSpec::new(scenario)
+        .with_faults(plan.clone())
         .with_exec(ExecMode::Tasks)
         .with_workers(1)
         .with_stack_kib(STACK_KIB);
@@ -89,15 +92,28 @@ fn noop_bytes_per_rank(hosts: u32) -> usize {
     (PEAK.load(Ordering::Relaxed) - before) / n
 }
 
-#[test]
-fn per_rank_heap_is_bounded_and_independent_of_job_size() {
-    let small = noop_bytes_per_rank(16);
-    let large = noop_bytes_per_rank(128);
-    eprintln!("noop job heap: {small} B/rank at 256 ranks, {large} B/rank at 2048 ranks");
+/// Heap bytes per rank of a noop job under `plan` at 256 and at 2048
+/// ranks, after asserting that the second is within 1.25× of the first.
+fn assert_independent_of_job_size(what: &str, plan: &FaultPlan) -> usize {
+    let small = noop_bytes_per_rank(16, plan);
+    let large = noop_bytes_per_rank(128, plan);
+    eprintln!("noop job heap {what}: {small} B/rank at 256 ranks, {large} B/rank at 2048 ranks");
     assert!(
         large * 4 <= small * 5,
-        "per-rank heap grew with the job: {small} B/rank at 256 ranks, {large} B/rank at 2048"
+        "per-rank heap grew with the job {what}: {small} B/rank at 256 ranks, {large} B/rank \
+         at 2048"
     );
+    small
+}
+
+// One test, because the allocator's counters are process-wide and the
+// test harness runs tests on parallel threads.
+#[test]
+fn per_rank_heap_is_bounded_and_independent_of_job_size() {
+    let none = FaultPlan::none();
+    let small = assert_independent_of_job_size("without a fault plan", &none);
+    let never = FaultPlan::none().with_crash(0, MidRunTrigger::AfterOps(u64::MAX));
+    assert_independent_of_job_size("under a fault plan that never fires", &never);
     // Measured 3 233 B/rank when this budget was set (DESIGN.md §16 says
     // what the bytes are); + 25 %.
     const BUDGET: usize = 4_041;
@@ -108,8 +124,8 @@ fn per_rank_heap_is_bounded_and_independent_of_job_size() {
     // Lazily-built process-wide state was paid for by the runs above, so
     // whatever two more jobs leave behind is per-job.
     let before = LIVE.load(Ordering::Relaxed);
-    noop_bytes_per_rank(16);
-    noop_bytes_per_rank(16);
+    noop_bytes_per_rank(16, &none);
+    noop_bytes_per_rank(16, &none);
     let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     assert!(
         kept < 64 * 1024,

@@ -6,9 +6,11 @@
 #   scripts/loc.sh REV      counts at REV beside them, and the difference
 #
 # A line is "test" when it sits in a file under a tests/ or benches/
-# directory, or at or after the file's first `#[cfg(test)]`; everything
-# else in a *.rs file under crates/ is "non-test". Blank lines and
-# comments count: the measure is what a reader has to scroll past.
+# directory, or at or after the file's first line that is exactly
+# `#[cfg(test)]` (surrounding whitespace aside; a comment quoting the
+# attribute does not count); everything else in a *.rs file under
+# crates/ is "non-test". Blank lines and comments count: the measure is
+# what a reader has to scroll past.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +25,7 @@ count_tree() {
         all_test = FILENAME ~ /\/(tests|benches)\//
         in_test = 0
       }
-      /#\[cfg\(test\)\]/ { in_test = 1 }
+      /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { in_test = 1 }
       { if (all_test || in_test) test[crate]++; else code[crate]++ }
       END { for (c in seen) printf "%s %d %d\n", c, code[c], test[c] }
     ' | sort )
