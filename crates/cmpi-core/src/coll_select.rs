@@ -11,7 +11,7 @@
 //! Three families are selectable:
 //!
 //! * **Flat**: the MVAPICH2/MPICH defaults (dissemination barrier,
-//!   binomial trees, recursive doubling, ring, pairwise) over the world;
+//!   binomial trees, recursive doubling, ring, pairwise) over the scope;
 //! * **Two-level**: stage through per-group leaders — host-local fan-in,
 //!   inter-leader exchange, host-local fan-out — so the intra-host bulk of
 //!   the traffic rides SHM/CMA and only leaders touch the fabric;

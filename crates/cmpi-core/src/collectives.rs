@@ -19,6 +19,14 @@
 //! test or an ablation pins an algorithm the way a user would — policy
 //! plus `Tunables`.
 //!
+//! Every algorithm runs over the [`Scope`] it is given — members, this
+//! rank's position among them, context, and the members' topology where
+//! one is attached — and knows nothing else about where it runs. The
+//! world is the scope its entries build; a communicator is the scope its
+//! `Comm` describes. Each kind with communicator entries has one body,
+//! `X_in(ft, scope, …)`, shared by its world entry, `X_comm` and
+//! `try_X_comm`.
+//!
 //! Every algorithm returns `Result`: what a failure means is decided
 //! once, by the entry (the plain API panics in [`plain`], the `try_` API
 //! hands the error to the caller), not by a second copy of the algorithm.
@@ -35,9 +43,9 @@ use crate::datatype::{
     zeroed, MpiData, ReduceOp, Reducible,
 };
 use crate::error::MpiError;
+use crate::fasthash::FastMap;
 use crate::frame::{frames_ok, FrameWriter, FRAME_HEADER};
 use crate::locality::LocalityPolicy;
-use crate::pt2pt::CTX_COLL;
 use crate::runtime::{JobState, Mpi};
 use crate::stats::CallClass;
 
@@ -45,7 +53,8 @@ use crate::stats::CallClass;
 /// table so `cmpi-lint`'s `tag-width` rule sees all of them: distinct,
 /// non-zero, inside the id field and below [`op::END`]. An algorithm that
 /// needs two message classes names two ids or separates them in the round
-/// field — never `id + 1`.
+/// field — never `id + 1`. Communicator calls use the world's ids, even
+/// on `comm_world()`'s shared context (DESIGN §10 says why that is safe).
 pub(crate) mod op {
     pub const BARRIER: u32 = 1;
     pub const BCAST: u32 = 2;
@@ -91,16 +100,9 @@ pub(crate) mod op {
     pub const ALLGATHERV: u32 = 45;
     pub const RABENSEIFNER: u32 = 48;
     pub const SCATTER_ALLGATHER: u32 = 50;
-    // Communicator collectives. `comm_world()` shares `CTX_COLL` with the
-    // world collectives above, so the context id alone does not keep the
-    // two families apart — distinct ids do.
+    // `comm_split`'s context agreement and membership exchange.
     pub const COMM_SPLIT: u32 = 52;
     pub const COMM_SPLIT_GATHER: u32 = 53;
-    pub const COMM_BARRIER: u32 = 54;
-    pub const COMM_BCAST: u32 = 55;
-    pub const COMM_REDUCE: u32 = 56;
-    pub const COMM_ALLREDUCE: u32 = 57;
-    pub const COMM_ALLGATHER: u32 = 58;
     /// One past the table: id spaces outside it (the agreement tags of
     /// `ft.rs`) start at or above this.
     pub const END: u32 = 64;
@@ -127,81 +129,73 @@ pub(crate) fn tag(op_id: u32, round: u32) -> u32 {
 }
 
 /// What a tree node sends up a binomial gather: its own block framed
-/// under its rank, then the bundles its children sent, as they arrived.
+/// under its key, then the bundles its children sent, as they arrived.
 /// Children arrive in ascending relative order and each bundle is itself
 /// ascending, so the frames are in tree-relative order.
-fn subtree_bundle<T: MpiData>(rank: usize, mine: &[T], children: &[Bytes]) -> Bytes {
+fn subtree_bundle<T: MpiData>(key: usize, mine: &[T], children: &[Bytes]) -> Bytes {
     let forwarded: usize = children.iter().map(Bytes::len).sum();
     let mut w = FrameWriter::with_capacity(1, mine.len() * T::SIZE + forwarded);
-    w.put(rank, mine);
+    w.put(key, mine);
     for bundle in children {
         w.append(bundle);
     }
     w.finish()
 }
 
-/// Decode every `(rank, block)` frame of `bundle` into its rank's slot of
-/// the rank-ordered `all`.
+/// Decode every `(position, block)` frame of `bundle` into its slot of
+/// the position-ordered `all`.
 fn place_blocks<T: MpiData>(bundle: &[u8], block: usize, all: &mut [T], what: &str) {
-    for (r, part) in frames_ok(bundle, what) {
-        from_bytes(part, &mut all[r * block..(r + 1) * block]);
+    for (p, part) in frames_ok(bundle, what) {
+        from_bytes(part, &mut all[p * block..(p + 1) * block]);
     }
 }
 
-/// The locality groups `state.policy` induces over all `n` ranks: each
-/// group sorted, groups ordered by smallest member. A pure function of
-/// job-wide state, so every rank computes the same partition.
+/// The locality groups `state.policy` induces over all `n` ranks: ranks
+/// on one host that share a hostname (`Hostname`) or an IPC namespace
+/// (every other policy), each group ascending, groups ordered by smallest
+/// member. A pure function of job-wide state, so every rank computes the
+/// same partition.
 pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
-    let mut keyed: Vec<(String, usize)> = (0..n)
-        .map(|r| {
-            let loc = state.placement.loc(r);
-            let cont = state.cluster.container(loc.container);
-            let key = match state.policy {
-                LocalityPolicy::Hostname => format!("h:{}:{}", loc.host, cont.hostname),
-                _ => format!("d:{}:{}", loc.host, cont.ipc_ns.0),
-            };
-            (key, r)
-        })
-        .collect();
-    keyed.sort();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut cur_key: Option<String> = None;
-    for (k, r) in keyed {
-        if cur_key.as_deref() == Some(k.as_str()) {
-            groups.last_mut().unwrap().push(r);
-        } else {
-            cur_key = Some(k);
-            groups.push(vec![r]);
-        }
+    let mut by_key: FastMap<_, Vec<usize>> = FastMap::default();
+    for r in 0..n {
+        let loc = state.placement.loc(r);
+        let cont = state.cluster.container(loc.container);
+        let key = match state.policy {
+            LocalityPolicy::Hostname => (loc.host, cont.hostname.as_str(), None),
+            _ => (loc.host, "", Some(cont.ipc_ns)),
+        };
+        by_key.entry(key).or_default().push(r);
     }
-    for g in &mut groups {
-        g.sort_unstable();
-    }
-    groups.sort_by_key(|g| g[0]);
+    let mut groups: Vec<Vec<usize>> = by_key.into_values().collect();
+    groups.sort_unstable_by_key(|g| g[0]);
     groups
 }
 
-/// A communicator's two-level collective topology: its members' locality
-/// groups, their leaders, a rank→group index, and the algorithm selector
-/// sized to that shape. The world's instance serves every rank of the job
-/// (see `JobState::smp_topo`), so every rank decides identically.
+/// A scope's two-level collective topology: its members' locality groups,
+/// their leaders, a rank→group index, the scope position of each member
+/// and the algorithm selector sized to that shape. The world's instance
+/// serves every rank of the job (see `JobState::smp_topo`), so every rank
+/// decides identically.
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every
 /// phase of every collective, so two phases of one call can never
 /// disagree about who the leader is. Rooted collectives whose root is not
 /// its group's leader shuttle the payload between the two explicitly.
 pub(crate) struct SmpTopo {
-    groups: Vec<Vec<usize>>,
-    leaders: Vec<usize>,
-    /// Index into `groups` of each rank's group.
+    groups: Vec<Arc<Vec<usize>>>,
+    leaders: Arc<Vec<usize>>,
+    /// Index into `groups` of each rank's group, by world rank.
     group_idx: Vec<u32>,
+    /// Scope position of each member, by world rank; empty where the two
+    /// coincide (the world).
+    pos: Vec<u32>,
     selector: CollectiveSelector,
 }
 
 impl SmpTopo {
     /// Index the locality groups: disjoint sets of ranks below `n`, each
-    /// sorted ascending. The world's groups partition `0..n`; a shrunk
-    /// communicator's leave its dead in no group.
+    /// sorted ascending. The world's groups partition `0..n`; a restricted
+    /// topology's leave non-members in no group.
     pub(crate) fn new(
         groups: Vec<Vec<usize>>,
         n: usize,
@@ -210,7 +204,7 @@ impl SmpTopo {
     ) -> SmpTopo {
         let members = groups.iter().map(Vec::len).sum();
         let selector = CollectiveSelector::new(policy, tunables, &groups, members);
-        let leaders = groups.iter().map(|g| g[0]).collect();
+        let leaders = Arc::new(groups.iter().map(|g| g[0]).collect());
         let mut group_idx = vec![u32::MAX; n];
         for (gi, g) in groups.iter().enumerate() {
             for &r in g {
@@ -218,10 +212,30 @@ impl SmpTopo {
             }
         }
         SmpTopo {
-            groups,
+            groups: groups.into_iter().map(Arc::new).collect(),
             leaders,
             group_idx,
+            pos: Vec::new(),
             selector,
+        }
+    }
+
+    /// This topology restricted to `members` (world ranks in scope
+    /// order): each group keeps the members it holds, empty groups go, and
+    /// every member maps to its position in `members`.
+    pub(crate) fn restricted(&self, members: &[usize]) -> SmpTopo {
+        let mut pos = vec![u32::MAX; self.group_idx.len()];
+        for (p, &r) in members.iter().enumerate() {
+            pos[r] = p as u32;
+        }
+        let groups = (self.groups.iter())
+            .map(|g| g.iter().copied().filter(|&r| pos[r] != u32::MAX).collect())
+            .filter(|g: &Vec<usize>| !g.is_empty())
+            .collect();
+        let (policy, tunables) = (self.selector.policy(), *self.selector.tunables());
+        SmpTopo {
+            pos,
+            ..SmpTopo::new(groups, self.group_idx.len(), policy, tunables)
         }
     }
 
@@ -231,8 +245,8 @@ impl SmpTopo {
     }
 
     /// The locality groups, ordered by smallest member.
-    pub(crate) fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
+    pub(crate) fn groups(&self) -> Vec<Vec<usize>> {
+        self.groups.iter().map(|g| g.to_vec()).collect()
     }
 
     /// Position of `rank`'s group in `groups` (and of its leader in
@@ -241,24 +255,80 @@ impl SmpTopo {
         self.group_idx[rank] as usize
     }
 
-    /// The members of `rank`'s group, ascending.
-    fn group_of(&self, rank: usize) -> &[usize] {
-        &self.groups[self.group_index(rank)]
+    /// The scope position of member `rank`.
+    fn position(&self, rank: usize) -> usize {
+        self.pos.get(rank).map_or(rank, |&p| p as usize)
+    }
+}
+
+/// Where a collective runs: the members' world ranks in order, this
+/// rank's position among them, the context and, where one is attached,
+/// the members' topology, whose selector picks the algorithm. A root, a
+/// block index or a result slot is a position in `ranks`.
+pub(crate) struct Scope {
+    pub(crate) ranks: Arc<Vec<usize>>,
+    pub(crate) me: usize,
+    pub(crate) ctx: u32,
+    pub(crate) topo: Option<Arc<SmpTopo>>,
+}
+
+impl Scope {
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.ranks.len()
     }
 
-    fn leader_of(&self, rank: usize) -> usize {
-        self.leaders[self.group_index(rank)]
+    /// The world rank at position `pos`.
+    pub(crate) fn rank(&self, pos: usize) -> usize {
+        self.ranks[pos]
+    }
+
+    /// A root outside the scope is a usage error, like a buffer of the
+    /// wrong length: it panics on every entry, `try_` included.
+    pub(crate) fn check_root(&self, what: &str, root: usize) {
+        let n = self.len();
+        assert!(root < n, "{what}: root {root} out of range for {n} members");
+    }
+
+    /// The topology a two-level body stages through (the selector picks
+    /// two-level only where there is one).
+    fn topo(&self) -> &SmpTopo {
+        self.topo.as_deref().expect("no topology")
+    }
+
+    /// A flat scope over `ranks` on this scope's context.
+    fn part(&self, ranks: &Arc<Vec<usize>>, me: usize) -> Scope {
+        Scope {
+            ranks: Arc::clone(ranks),
+            me,
+            ctx: self.ctx,
+            topo: None,
+        }
+    }
+
+    /// This rank's locality group as a scope of its own: members
+    /// ascending, its leader at position 0.
+    fn group(&self) -> Scope {
+        let (topo, rank) = (self.topo(), self.rank(self.me));
+        let members = &topo.groups[topo.group_index(rank)];
+        let me = members.binary_search(&rank).expect("rank not in its group");
+        self.part(members, me)
+    }
+
+    /// The group leaders as a scope; this rank's position is its group's
+    /// index, which is its own position only at a leader.
+    fn leaders(&self) -> Scope {
+        let topo = self.topo();
+        self.part(&topo.leaders, topo.group_index(self.rank(self.me)))
     }
 }
 
 /// What the bracket needs to know about the call it wraps.
 #[derive(Clone, Copy)]
 pub(crate) enum Call {
-    /// A world collective the selector schedules; the `usize` is the
+    /// A collective the scope's selector schedules; the `usize` is the
     /// per-rank message size it selects on.
     Selected(CollKind, usize),
-    /// A communicator collective: the flat list algorithm, always.
-    Flat(CollKind),
     /// A collective with one algorithm and no row in the selection ledger.
     Fixed(&'static str),
 }
@@ -266,7 +336,7 @@ pub(crate) enum Call {
 impl Call {
     fn name(self) -> &'static str {
         match self {
-            Call::Selected(kind, _) | Call::Flat(kind) => kind.name(),
+            Call::Selected(kind, _) => kind.name(),
             Call::Fixed(name) => name,
         }
     }
@@ -283,31 +353,29 @@ impl Mpi {
     // ---- the call path ---------------------------------------------------------
 
     /// The one bracket every collective entry runs in: enter, pick and
-    /// record the algorithm, run `body` with it, exit under the picked
-    /// algorithm's call name. `ft` is the only difference between the
-    /// plain and the fault-tolerant entry of one collective: the
-    /// fault-tolerant one counts the op and executes the rank's scripted
-    /// fate on the way in, and hands the error back on the way out.
+    /// record the algorithm from `scope`, run `body` with it, exit under
+    /// the picked algorithm's call name. `ft` is the only difference
+    /// between the plain and the fault-tolerant entry of one collective:
+    /// the fault-tolerant one counts the op and executes the rank's
+    /// scripted fate on the way in, and hands the error back on the way
+    /// out.
     pub(crate) fn try_collective<R>(
         &mut self,
         ft: bool,
+        scope: &Scope,
         call: Call,
         body: impl FnOnce(&mut Mpi, CollAlgo) -> Result<R, MpiError>,
     ) -> Result<R, MpiError> {
         let t0 = if ft { self.ft_enter()? } else { self.enter() };
-        let picked = match call {
+        let (algo, name) = match call {
             Call::Selected(kind, bytes) => {
-                Some((kind, self.world_topo().selector().select(kind, bytes)))
-            }
-            Call::Flat(kind) => Some((kind, CollAlgo::Flat)),
-            Call::Fixed(_) => None,
-        };
-        let (algo, name) = match picked {
-            Some((kind, algo)) => {
+                // A scope without a topology runs flat.
+                let topo = scope.topo.as_ref();
+                let algo = topo.map_or(CollAlgo::Flat, |t| t.selector.select(kind, bytes));
                 self.obs.coll(kind, algo);
                 (algo, coll_trace_name(kind, algo))
             }
-            None => (CollAlgo::Flat, CallClass::Collective.name()),
+            Call::Fixed(_) => (CollAlgo::Flat, CallClass::Collective.name()),
         };
         let out = body(self, algo);
         self.exit_named(CallClass::Collective, t0, name);
@@ -317,10 +385,11 @@ impl Mpi {
     /// [`Mpi::try_collective`] for the plain API.
     pub(crate) fn collective<R>(
         &mut self,
+        scope: &Scope,
         call: Call,
         body: impl FnOnce(&mut Mpi, CollAlgo) -> Result<R, MpiError>,
     ) -> R {
-        plain(call.name(), self.try_collective(false, call, body))
+        plain(call.name(), self.try_collective(false, scope, call, body))
     }
 
     // ---- message helpers (no time-class attribution) ---------------------------
@@ -361,100 +430,48 @@ impl Mpi {
 
     // ---- list algorithms -------------------------------------------------------
     //
-    // Each runs over an explicit rank list (positions in `list` act as
-    // virtual ranks) on an explicit context, fails fast at entry on a
-    // revoked context or convicted member, and in flight when a partner
-    // dies mid-round. The world, a two-level phase and a communicator
-    // call all run these same bodies.
-
-    /// Flat fan-in to `list[0]`: every member posts one empty message to
-    /// the leader and moves on; the leader absorbs them all. On an
-    /// oversubscribed host this beats a tree for synchronization-only
-    /// traffic — members never wait on each other (no intermediate
-    /// park/wake chain), only the leader blocks — mirroring the
-    /// shared-memory flag barrier MVAPICH2 uses for its SMP phase.
-    fn fanin_list(&mut self, list: &[usize], op_id: u32) -> Result<(), MpiError> {
-        let leader = list[0];
-        if self.rank == leader {
-            for &r in &list[1..] {
-                self.try_coll_recv(r, tag(op_id, 0), CTX_COLL)?;
-            }
-            Ok(())
-        } else {
-            self.try_coll_send(Bytes::new(), leader, tag(op_id, 0), CTX_COLL)
-        }
-    }
-
-    /// Flat fan-out from `list[0]`: the leader releases every member with
-    /// one empty message. Counterpart of [`Mpi::fanin_list`].
-    fn fanout_list(&mut self, list: &[usize], op_id: u32) -> Result<(), MpiError> {
-        let leader = list[0];
-        if self.rank == leader {
-            for &r in &list[1..] {
-                self.try_coll_send(Bytes::new(), r, tag(op_id, 1), CTX_COLL)?;
-            }
-        } else {
-            self.try_coll_recv(leader, tag(op_id, 1), CTX_COLL)?;
-        }
-        Ok(())
-    }
+    // Each fails fast at entry on a revoked context or convicted member,
+    // and in flight when a partner dies mid-round. The world, a two-level
+    // phase and a communicator call all run these same bodies.
 
     /// Dissemination barrier.
-    pub(crate) fn barrier_list(
-        &mut self,
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Result<(), MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
-        if n <= 1 {
-            return Ok(());
-        }
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in barrier group");
+    pub(crate) fn barrier_list(&mut self, scope: &Scope, op_id: u32) -> Result<(), MpiError> {
+        self.check_op_failure(scope.ctx, None)?;
+        let (n, me) = (scope.len(), scope.me);
         let mut k = 0u32;
         let mut dist = 1usize;
         while dist < n {
-            let dst = list[(me + dist) % n];
-            let src = list[(me + n - dist % n) % n];
-            self.try_coll_sendrecv(Bytes::new(), dst, src, tag(op_id, k), ctx)?;
+            let dst = scope.rank((me + dist) % n);
+            let src = scope.rank((me + n - dist % n) % n);
+            self.try_coll_sendrecv(Bytes::new(), dst, src, tag(op_id, k), scope.ctx)?;
             dist <<= 1;
             k += 1;
         }
         Ok(())
     }
 
-    /// Binomial broadcast; `root_pos` indexes `list`. Every rank returns
-    /// the payload. Its messages travel in round 1 of `op_id` and those of
+    /// Binomial broadcast from position `root`. Every rank returns the
+    /// payload. Its messages travel in round 1 of `op_id` and those of
     /// [`Mpi::reduce_list`] and [`Mpi::gather_list`] in round 0, so a
     /// composition that reduces or gathers and then broadcasts under one
     /// id keeps the two message classes apart.
     pub(crate) fn bcast_list(
         &mut self,
         data: Option<Bytes>,
-        list: &[usize],
-        root_pos: usize,
+        scope: &Scope,
+        root: usize,
         op_id: u32,
-        ctx: u32,
     ) -> Result<Bytes, MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in bcast group");
-        let relative = (me + n - root_pos) % n;
+        self.check_op_failure(scope.ctx, None)?;
+        let n = scope.len();
+        let relative = (scope.me + n - root) % n;
         let mut payload = data.unwrap_or_default();
         // Receive phase.
         let mut mask = 1usize;
         while mask < n {
             if relative & mask != 0 {
-                let src_pos = (relative ^ mask) % n; // relative - mask
-                let src = list[(src_pos + root_pos) % n];
-                payload = self.try_coll_recv(src, tag(op_id, 1), ctx)?;
+                let src = scope.rank(((relative ^ mask) + root) % n); // relative - mask
+                payload = self.try_coll_recv(src, tag(op_id, 1), scope.ctx)?;
                 break;
             }
             mask <<= 1;
@@ -463,45 +480,40 @@ impl Mpi {
         mask >>= 1;
         while mask > 0 {
             if relative + mask < n {
-                let dst = list[((relative + mask) + root_pos) % n];
-                self.try_coll_send(payload.clone(), dst, tag(op_id, 1), ctx)?;
+                let dst = scope.rank((relative + mask + root) % n);
+                self.try_coll_send(payload.clone(), dst, tag(op_id, 1), scope.ctx)?;
             }
             mask >>= 1;
         }
         Ok(payload)
     }
 
-    /// Binomial reduce; only the root's return value is meaningful.
+    /// Binomial reduce to position `root`; only the root's return value is
+    /// meaningful.
     pub(crate) fn reduce_list<T: Reducible>(
         &mut self,
         data: &[T],
         rop: ReduceOp,
-        list: &[usize],
-        root_pos: usize,
+        scope: &Scope,
+        root: usize,
         op_id: u32,
-        ctx: u32,
     ) -> Result<Vec<T>, MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in reduce group");
-        let relative = (me + n - root_pos) % n;
+        self.check_op_failure(scope.ctx, None)?;
+        let n = scope.len();
+        let relative = (scope.me + n - root) % n;
         let mut acc = data.to_vec();
         let mut mask = 1usize;
         while mask < n {
             if relative & mask == 0 {
                 let peer_rel = relative | mask;
                 if peer_rel < n {
-                    let peer = list[(peer_rel + root_pos) % n];
-                    let bytes = self.try_coll_recv(peer, tag(op_id, 0), ctx)?;
+                    let peer = scope.rank((peer_rel + root) % n);
+                    let bytes = self.try_coll_recv(peer, tag(op_id, 0), scope.ctx)?;
                     reduce_from_bytes(rop, &mut acc, &bytes);
                 }
             } else {
-                let peer_rel = relative ^ mask;
-                let peer = list[(peer_rel + root_pos) % n];
-                self.try_coll_send(to_bytes(&acc), peer, tag(op_id, 0), ctx)?;
+                let peer = scope.rank(((relative ^ mask) + root) % n);
+                self.try_coll_send(to_bytes(&acc), peer, tag(op_id, 0), scope.ctx)?;
                 break;
             }
             mask <<= 1;
@@ -515,38 +527,34 @@ impl Mpi {
         &mut self,
         data: &[T],
         rop: ReduceOp,
-        list: &[usize],
+        scope: &Scope,
         op_id: u32,
-        ctx: u32,
     ) -> Result<Vec<T>, MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
+        self.check_op_failure(scope.ctx, None)?;
+        let n = scope.len();
         if n == 1 {
             return Ok(data.to_vec());
         }
         if !n.is_power_of_two() {
-            let red = self.reduce_list(data, rop, list, 0, op_id, ctx)?;
-            let root = self.rank == list[0];
+            let red = self.reduce_list(data, rop, scope, 0, op_id)?;
+            let root = scope.me == 0;
             let seed = root.then(|| to_bytes(&red));
-            let bytes = self.bcast_list(seed, list, 0, op_id, ctx)?;
+            let bytes = self.bcast_list(seed, scope, 0, op_id)?;
             return Ok(if root {
                 red
             } else {
                 vec_from_bytes(&bytes, data.len())
             });
         }
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in allreduce group");
         // The accumulator lives as its wire image: a round sends it as
         // it is and folds the partner's image in with one pass.
         let mut acc = to_bytes(data);
         let mut mask = 1usize;
         let mut round = 0u32;
         while mask < n {
-            let peer = list[me ^ mask];
-            let theirs = self.try_coll_sendrecv(acc.clone(), peer, peer, tag(op_id, round), ctx)?;
+            let peer = scope.rank(scope.me ^ mask);
+            let t = tag(op_id, round);
+            let theirs = self.try_coll_sendrecv(acc.clone(), peer, peer, t, scope.ctx)?;
             acc = reduce_bytes::<T>(rop, &acc, &theirs);
             mask <<= 1;
             round += 1;
@@ -554,39 +562,36 @@ impl Mpi {
         Ok(vec_from_bytes(&acc, data.len()))
     }
 
-    /// Binomial gather of one block per rank. The root's return value is
-    /// the bundles of its child subtrees as they arrived — `(rank, block)`
-    /// frames in tree-relative order, its own block not among them; other
-    /// ranks' return values are meaningless.
+    /// Binomial gather of one block per member to position `root`, each
+    /// framed under its member's `key` (its position in the scope the
+    /// caller serves). The root's return value is the bundles of its child
+    /// subtrees as they arrived — `(key, block)` frames in tree-relative
+    /// order, its own block not among them; other ranks' return values are
+    /// meaningless.
     pub(crate) fn gather_list<T: MpiData>(
         &mut self,
         mine: &[T],
-        list: &[usize],
-        root_pos: usize,
+        scope: &Scope,
+        root: usize,
         op_id: u32,
-        ctx: u32,
+        key: usize,
     ) -> Result<Vec<Bytes>, MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in gather group");
-        let relative = (me + n - root_pos) % n;
+        self.check_op_failure(scope.ctx, None)?;
+        let n = scope.len();
+        let relative = (scope.me + n - root) % n;
         let mut children: Vec<Bytes> = Vec::new();
         let mut mask = 1usize;
         while mask < n {
             if relative & mask == 0 {
                 let src_rel = relative | mask;
                 if src_rel < n {
-                    let src = list[(src_rel + root_pos) % n];
-                    children.push(self.try_coll_recv(src, tag(op_id, 0), ctx)?);
+                    let src = scope.rank((src_rel + root) % n);
+                    children.push(self.try_coll_recv(src, tag(op_id, 0), scope.ctx)?);
                 }
             } else {
-                let dst_rel = relative ^ mask;
-                let dst = list[(dst_rel + root_pos) % n];
-                let up = subtree_bundle(self.rank, mine, &children);
-                self.try_coll_send(up, dst, tag(op_id, 0), ctx)?;
+                let dst = scope.rank(((relative ^ mask) + root) % n);
+                let up = subtree_bundle(key, mine, &children);
+                self.try_coll_send(up, dst, tag(op_id, 0), scope.ctx)?;
                 break;
             }
             mask <<= 1;
@@ -594,32 +599,28 @@ impl Mpi {
         Ok(children)
     }
 
-    /// Ring allgather of one `data.len()`-element block per member of
-    /// `list`; the list-ordered concatenation on every member.
+    /// Ring allgather of one `data.len()`-element block per member; the
+    /// concatenation in scope order on every member.
     pub(crate) fn allgather_list<T: MpiData>(
         &mut self,
         data: &[T],
-        list: &[usize],
+        scope: &Scope,
         op_id: u32,
-        ctx: u32,
     ) -> Result<Vec<T>, MpiError> {
-        self.check_op_failure(ctx, None)?;
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in allgather group");
+        self.check_op_failure(scope.ctx, None)?;
+        let (n, me) = (scope.len(), scope.me);
         let block = data.len();
         let mut all = zeroed(block * n);
         all[me * block..(me + 1) * block].copy_from_slice(data);
-        let right = list[(me + 1) % n];
-        let left = list[(me + n - 1) % n];
+        let right = scope.rank((me + 1) % n);
+        let left = scope.rank((me + n - 1) % n);
         // Step `s` sends block `me - s`, which is what step `s - 1`
         // received: each hop passes on the handle that just arrived.
         let mut carry = to_bytes(data);
         for step in 0..n - 1 {
             let recv_block = (me + n - step - 1) % n;
-            carry = self.try_coll_sendrecv(carry, right, left, tag(op_id, step as u32), ctx)?;
+            let t = tag(op_id, step as u32);
+            carry = self.try_coll_sendrecv(carry, right, left, t, scope.ctx)?;
             from_bytes(
                 &carry,
                 &mut all[recv_block * block..(recv_block + 1) * block],
@@ -628,29 +629,46 @@ impl Mpi {
         Ok(all)
     }
 
-    // ---- public collectives --------------------------------------------------
+    // ---- public collectives and their bodies -----------------------------------
 
     /// Synchronize all ranks (`MPI_Barrier`).
     pub fn barrier(&mut self) {
-        self.collective(
-            Call::Selected(CollKind::Barrier, 0),
-            |mpi, algo| match algo {
-                CollAlgo::TwoLevel => mpi.barrier_two_level(),
-                _ => mpi.barrier_list(&mpi.world_ranks(), op::BARRIER, CTX_COLL),
-            },
-        )
+        plain("barrier", self.barrier_in(false, &self.world_scope()))
+    }
+
+    /// The barrier body of the world and communicator entries.
+    pub(crate) fn barrier_in(&mut self, ft: bool, scope: &Scope) -> Result<(), MpiError> {
+        let call = Call::Selected(CollKind::Barrier, 0);
+        self.try_collective(ft, scope, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.barrier_two_level(scope),
+            _ => mpi.barrier_list(scope, op::BARRIER),
+        })
     }
 
     /// Broadcast `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
+        let world = self.world_scope();
+        plain("bcast", self.bcast_in(false, &world, buf, root))
+    }
+
+    /// The broadcast body of the world and communicator entries; `root`
+    /// is a position in `scope`.
+    pub(crate) fn bcast_in<T: MpiData>(
+        &mut self,
+        ft: bool,
+        scope: &Scope,
+        buf: &mut [T],
+        root: usize,
+    ) -> Result<(), MpiError> {
+        scope.check_root("bcast", root);
         let call = Call::Selected(CollKind::Bcast, std::mem::size_of_val(buf));
-        self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.bcast_two_level(buf, root),
-            CollAlgo::Large => mpi.bcast_scatter_allgather(buf, root),
+        self.try_collective(ft, scope, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.bcast_two_level(scope, buf, root),
+            CollAlgo::Large => mpi.bcast_scatter_allgather(scope, buf, root),
             CollAlgo::Flat => {
-                let seed = (mpi.rank == root).then(|| to_bytes(buf));
-                let out = mpi.bcast_list(seed, &mpi.world_ranks(), root, op::BCAST, CTX_COLL)?;
-                if mpi.rank != root {
+                let at_root = scope.me == root;
+                let out = mpi.bcast_list(at_root.then(|| to_bytes(buf)), scope, root, op::BCAST)?;
+                if !at_root {
                     from_bytes(&out, buf);
                 }
                 Ok(())
@@ -666,46 +684,78 @@ impl Mpi {
         rop: ReduceOp,
         root: usize,
     ) -> Option<Vec<T>> {
+        let world = self.world_scope();
+        plain("reduce", self.reduce_in(false, &world, data, rop, root))
+    }
+
+    /// The reduce body of the world and communicator entries; `root` is a
+    /// position in `scope`.
+    pub(crate) fn reduce_in<T: Reducible>(
+        &mut self,
+        ft: bool,
+        scope: &Scope,
+        data: &[T],
+        rop: ReduceOp,
+        root: usize,
+    ) -> Result<Option<Vec<T>>, MpiError> {
+        scope.check_root("reduce", root);
         let call = Call::Selected(CollKind::Reduce, std::mem::size_of_val(data));
-        let acc = self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.reduce_two_level(data, rop, root),
-            _ => mpi.reduce_list(data, rop, &mpi.world_ranks(), root, op::REDUCE, CTX_COLL),
-        });
-        (self.rank == root).then_some(acc)
+        let acc = self.try_collective(ft, scope, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.reduce_two_level(scope, data, rop, root),
+            _ => mpi.reduce_list(data, rop, scope, root, op::REDUCE),
+        })?;
+        Ok((scope.me == root).then_some(acc))
     }
 
     /// Elementwise reduction visible on every rank (`MPI_Allreduce`).
     pub fn allreduce<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
+        let world = self.world_scope();
+        plain("allreduce", self.allreduce_in(false, &world, data, rop))
+    }
+
+    /// The allreduce body of the world and communicator entries.
+    pub(crate) fn allreduce_in<T: Reducible>(
+        &mut self,
+        ft: bool,
+        scope: &Scope,
+        data: &[T],
+        rop: ReduceOp,
+    ) -> Result<Vec<T>, MpiError> {
         let call = Call::Selected(CollKind::Allreduce, std::mem::size_of_val(data));
-        self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.allreduce_two_level(data, rop),
-            CollAlgo::Large => mpi.allreduce_rabenseifner(data, rop),
-            CollAlgo::Flat => {
-                mpi.allreduce_list(data, rop, &mpi.world_ranks(), op::ALLREDUCE, CTX_COLL)
-            }
+        self.try_collective(ft, scope, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.allreduce_two_level(scope, data, rop),
+            CollAlgo::Large => mpi.allreduce_rabenseifner(scope, data, rop),
+            CollAlgo::Flat => mpi.allreduce_list(data, rop, scope, op::ALLREDUCE),
         })
     }
 
     /// Gather equal-size contributions to `root` (`MPI_Gather`). Returns
     /// the rank-ordered concatenation at the root.
     pub fn gather<T: MpiData>(&mut self, data: &[T], root: usize) -> Option<Vec<T>> {
+        let world = self.world_scope();
+        world.check_root("gather", root);
         let call = Call::Selected(CollKind::Gather, std::mem::size_of_val(data));
-        let all = self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.gather_two_level(data, root),
-            _ => mpi.gather_binomial(data, root),
+        let all = self.collective(&world, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.gather_two_level(&world, data, root),
+            _ => mpi.gather_binomial(&world, data, root),
         });
-        (self.rank == root).then_some(all)
+        (world.me == root).then_some(all)
     }
 
-    /// Binomial gather over the world; the rank-ordered concatenation at
-    /// the root, empty elsewhere.
-    fn gather_binomial<T: MpiData>(&mut self, data: &[T], root: usize) -> Result<Vec<T>, MpiError> {
-        let children = self.gather_list(data, &self.world_ranks(), root, op::GATHER, CTX_COLL)?;
-        if self.rank != root {
+    /// Binomial gather to position `root`: the concatenation in scope
+    /// order at the root, empty elsewhere.
+    fn gather_binomial<T: MpiData>(
+        &mut self,
+        scope: &Scope,
+        data: &[T],
+        root: usize,
+    ) -> Result<Vec<T>, MpiError> {
+        let children = self.gather_list(data, scope, root, op::GATHER, scope.me)?;
+        if scope.me != root {
             return Ok(Vec::new());
         }
         let block = data.len();
-        let mut all = zeroed(block * self.n);
+        let mut all = zeroed(block * scope.len());
         all[root * block..(root + 1) * block].copy_from_slice(data);
         for bundle in &children {
             place_blocks(bundle, block, &mut all, "gather subtree bundle");
@@ -717,25 +767,29 @@ impl Mpi {
     /// required at the root (length `n * block`), ignored elsewhere;
     /// returns this rank's block.
     pub fn scatter<T: MpiData>(&mut self, data: Option<&[T]>, block: usize, root: usize) -> Vec<T> {
-        self.collective(Call::Fixed("scatter"), |mpi, _| {
-            mpi.scatter_binomial(data, block, root)
+        let world = self.world_scope();
+        world.check_root("scatter", root);
+        self.collective(&world, Call::Fixed("scatter"), |mpi, _| {
+            mpi.scatter_binomial(&world, data, block, root)
         })
     }
 
+    /// Binomial scatter from position `root`.
     fn scatter_binomial<T: MpiData>(
         &mut self,
+        scope: &Scope,
         data: Option<&[T]>,
         block: usize,
         root: usize,
     ) -> Result<Vec<T>, MpiError> {
-        let n = self.n;
-        let relative = (self.rank + n - root) % n;
+        let n = scope.len();
+        let relative = (scope.me + n - root) % n;
         // Every block travels as one frame keyed by its *relative*
         // position, and a subtree's frames are consecutive: `held` starts
         // at the frame of position `first`, and each child is sent the
         // slice that covers its own subtree.
         let frame = FRAME_HEADER + block * T::SIZE;
-        let (out, held, first, mut span) = if self.rank == root {
+        let (out, held, first, mut span) = if scope.me == root {
             let data = data.expect("scatter root must supply data");
             assert_eq!(
                 data.len(),
@@ -758,8 +812,8 @@ impl Mpi {
             while relative & span == 0 {
                 span <<= 1;
             }
-            let parent = ((relative ^ span) + root) % n;
-            let held = self.try_coll_recv(parent, tag(op::SCATTER, 0), CTX_COLL)?;
+            let parent = scope.rank(((relative ^ span) + root) % n);
+            let held = self.try_coll_recv(parent, tag(op::SCATTER, 0), scope.ctx)?;
             let covered = span.min(n - relative);
             assert_eq!(
                 held.len(),
@@ -783,8 +837,8 @@ impl Mpi {
                 let lo = relative + span;
                 let hi = (relative + 2 * span).min(n);
                 let part = held.slice((lo - first) * frame..(hi - first) * frame);
-                let dst = (lo + root) % n;
-                self.try_coll_send(part, dst, tag(op::SCATTER, 0), CTX_COLL)?;
+                let dst = scope.rank((lo + root) % n);
+                self.try_coll_send(part, dst, tag(op::SCATTER, 0), scope.ctx)?;
             }
             span >>= 1;
         }
@@ -794,50 +848,63 @@ impl Mpi {
     /// All-to-all gather of equal contributions (`MPI_Allgather`). Returns
     /// the rank-ordered concatenation.
     pub fn allgather<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
+        let world = self.world_scope();
+        plain("allgather", self.allgather_in(false, &world, data))
+    }
+
+    /// The allgather body of the world and communicator entries.
+    pub(crate) fn allgather_in<T: MpiData>(
+        &mut self,
+        ft: bool,
+        scope: &Scope,
+        data: &[T],
+    ) -> Result<Vec<T>, MpiError> {
         let call = Call::Selected(CollKind::Allgather, std::mem::size_of_val(data));
-        self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.allgather_two_level(data),
-            _ => mpi.allgather_list(data, &mpi.world_ranks(), op::ALLGATHER, CTX_COLL),
+        self.try_collective(ft, scope, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.allgather_two_level(scope, data),
+            _ => mpi.allgather_list(data, scope, op::ALLGATHER),
         })
     }
 
     /// Personalized all-to-all exchange (`MPI_Alltoall`). `data` holds one
     /// `block`-element slab per destination; returns one slab per source.
     pub fn alltoall<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
+        let world = self.world_scope();
         assert_eq!(
             data.len(),
-            block * self.n,
+            block * world.len(),
             "alltoall data must be n * block elements"
         );
         let call = Call::Selected(CollKind::Alltoall, block * T::SIZE);
-        self.collective(call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.alltoall_two_level(data, block),
-            _ => mpi.alltoall_pairwise(data, block),
+        self.collective(&world, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.alltoall_two_level(&world, data, block),
+            _ => mpi.alltoall_pairwise(&world, data, block),
         })
     }
 
-    /// Pairwise alltoall over the world.
+    /// Pairwise alltoall: step `s` sends to position `me + s` and receives
+    /// from `me - s`.
     fn alltoall_pairwise<T: MpiData>(
         &mut self,
+        scope: &Scope,
         data: &[T],
         block: usize,
     ) -> Result<Vec<T>, MpiError> {
-        let n = self.n;
+        let (n, me) = (scope.len(), scope.me);
         let bs = block * T::SIZE;
         let mut out = zeroed(block * n);
-        out[self.rank * block..(self.rank + 1) * block]
-            .copy_from_slice(&data[self.rank * block..(self.rank + 1) * block]);
+        out[me * block..(me + 1) * block].copy_from_slice(&data[me * block..(me + 1) * block]);
         // One wire image of every slab; each step sends a slice of it.
         let image = to_bytes(data);
         for step in 1..n {
-            let dst = (self.rank + step) % n;
-            let src = (self.rank + n - step) % n;
+            let dst = (me + step) % n;
+            let src = (me + n - step) % n;
             let got = self.try_coll_sendrecv(
                 image.slice(dst * bs..(dst + 1) * bs),
-                dst,
-                src,
+                scope.rank(dst),
+                scope.rank(src),
                 tag(op::ALLTOALL, step as u32),
-                CTX_COLL,
+                scope.ctx,
             )?;
             from_bytes(&got, &mut out[src * block..(src + 1) * block]);
         }
@@ -847,26 +914,21 @@ impl Mpi {
     /// Variable-size personalized all-to-all (`MPI_Alltoallv`): one byte
     /// payload per destination; returns one payload per source.
     pub fn alltoallv_bytes(&mut self, blocks: Vec<Bytes>) -> Vec<Bytes> {
-        self.collective(Call::Fixed("alltoallv"), |mpi, _| {
-            let n = mpi.n;
+        let world = self.world_scope();
+        self.collective(&world, Call::Fixed("alltoallv"), |mpi, _| {
+            let (n, me) = (world.len(), world.me);
             assert_eq!(blocks.len(), n, "alltoallv needs one block per rank");
+            let t = tag(op::ALLTOALLV, 0);
             let mut out: Vec<Bytes> = vec![Bytes::new(); n];
-            out[mpi.rank] = blocks[mpi.rank].clone();
+            out[me] = blocks[me].clone();
             let mut sends = Vec::new();
             let mut recvs = Vec::new();
             for step in 1..n {
-                let dst = (mpi.rank + step) % n;
-                let src = (mpi.rank + n - step) % n;
-                sends.push(mpi.isend_inner(
-                    blocks[dst].clone(),
-                    dst,
-                    tag(op::ALLTOALLV, 0),
-                    CTX_COLL,
-                ));
-                recvs.push((
-                    src,
-                    mpi.irecv_inner(Some(src), Some(tag(op::ALLTOALLV, 0)), CTX_COLL),
-                ));
+                let dst = (me + step) % n;
+                let src = (me + n - step) % n;
+                sends.push(mpi.isend_inner(blocks[dst].clone(), world.rank(dst), t, world.ctx));
+                let from = Some(world.rank(src));
+                recvs.push((src, mpi.irecv_inner(from, Some(t), world.ctx)));
             }
             for (src, rid) in recvs {
                 out[src] = mpi.try_wait_recv_inner(rid)?.0;
@@ -879,51 +941,52 @@ impl Mpi {
     }
 
     // ---- two-level (SMP-aware) algorithms ------------------------------------
+    //
+    // Each phase runs a list algorithm over this rank's group or over the
+    // group leaders, both scopes of their own (`Scope::group` / `leaders`).
 
     /// The locality groups the active policy induces (each group sorted,
     /// groups ordered by smallest member). All ranks compute the same
     /// partition.
     pub fn policy_groups(&self) -> Vec<Vec<usize>> {
-        self.world_topo().groups().to_vec()
-    }
-
-    /// The job's two-level topology (see `JobState::smp_topo`): a
-    /// refcount bump lends it around the `&mut self` phases of one call.
-    fn topo(&self) -> Arc<SmpTopo> {
-        Arc::clone(self.world_topo())
+        self.world_scope().topo().groups()
     }
 
     /// Two-level broadcast: root → its group's leader → inter-leader
     /// binomial tree → host-local binomial trees.
-    fn bcast_two_level<T: MpiData>(&mut self, buf: &mut [T], root: usize) -> Result<(), MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_leader = my_group[0];
-        let root_leader = topo.leader_of(root);
-        let mut payload: Option<Bytes> = (self.rank == root).then(|| to_bytes(buf));
+    fn bcast_two_level<T: MpiData>(
+        &mut self,
+        scope: &Scope,
+        buf: &mut [T],
+        root: usize,
+    ) -> Result<(), MpiError> {
+        let (topo, group, leaders) = (scope.topo(), scope.group(), scope.leaders());
+        let root_rank = scope.rank(root);
+        let root_gi = topo.group_index(root_rank);
+        let root_leader = leaders.rank(root_gi);
+        let at_root = scope.me == root;
+        let mut payload: Option<Bytes> = at_root.then(|| to_bytes(buf));
         // Phase 0: shuttle to the root's group leader when the root is
         // not a leader itself.
-        if root != root_leader {
-            if self.rank == root {
+        if root_rank != root_leader {
+            let t = tag(op::SMP_SHUTTLE, 0);
+            if at_root {
                 let b = payload.clone().expect("root payload missing");
-                self.try_coll_send(b, root_leader, tag(op::SMP_SHUTTLE, 0), CTX_COLL)?;
+                self.try_coll_send(b, root_leader, t, scope.ctx)?;
             } else if self.rank == root_leader {
-                payload = Some(self.try_coll_recv(root, tag(op::SMP_SHUTTLE, 0), CTX_COLL)?);
+                payload = Some(self.try_coll_recv(root_rank, t, scope.ctx)?);
             }
         }
         // Phase 1: inter-leader broadcast.
-        if self.rank == my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo.group_index(root);
+        if group.me == 0 && leaders.len() > 1 {
             let seed = payload.take();
-            let out = self.bcast_list(seed, &topo.leaders, root_pos, op::SMP_PHASE0, CTX_COLL)?;
-            payload = Some(out);
+            payload = Some(self.bcast_list(seed, &leaders, root_gi, op::SMP_PHASE0)?);
         }
         // Phase 2: host-local broadcast from the leader.
-        if my_group.len() > 1 {
-            let out = self.bcast_list(payload.take(), my_group, 0, op::SMP_PHASE1, CTX_COLL)?;
-            payload = Some(out);
+        if group.len() > 1 {
+            payload = Some(self.bcast_list(payload.take(), &group, 0, op::SMP_PHASE1)?);
         }
-        if self.rank != root {
+        if !at_root {
             from_bytes(&payload.expect("bcast payload missing"), buf);
         }
         Ok(())
@@ -933,24 +996,23 @@ impl Mpi {
     /// allreduce, host-local broadcast.
     fn allreduce_two_level<T: Reducible>(
         &mut self,
+        scope: &Scope,
         data: &[T],
         rop: ReduceOp,
     ) -> Result<Vec<T>, MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_leader = my_group[0];
-        let mut acc = if my_group.len() > 1 {
-            self.reduce_list(data, rop, my_group, 0, op::SMP_PHASE0, CTX_COLL)?
+        let (group, leaders) = (scope.group(), scope.leaders());
+        let mut acc = if group.len() > 1 {
+            self.reduce_list(data, rop, &group, 0, op::SMP_PHASE0)?
         } else {
             data.to_vec()
         };
-        if self.rank == my_leader && topo.leaders.len() > 1 {
-            acc = self.allreduce_list(&acc, rop, &topo.leaders, op::SMP_PHASE1, CTX_COLL)?;
+        if group.me == 0 && leaders.len() > 1 {
+            acc = self.allreduce_list(&acc, rop, &leaders, op::SMP_PHASE1)?;
         }
-        if my_group.len() > 1 {
-            let seed = (self.rank == my_leader).then(|| to_bytes(&acc));
-            let out = self.bcast_list(seed, my_group, 0, op::SMP_PHASE2, CTX_COLL)?;
-            if self.rank != my_leader {
+        if group.len() > 1 {
+            let seed = (group.me == 0).then(|| to_bytes(&acc));
+            let out = self.bcast_list(seed, &group, 0, op::SMP_PHASE2)?;
+            if group.me != 0 {
                 from_bytes(&out, &mut acc);
             }
         }
@@ -961,38 +1023,32 @@ impl Mpi {
     /// reduce rooted at the root's leader, leader → root shuttle.
     fn reduce_two_level<T: Reducible>(
         &mut self,
+        scope: &Scope,
         data: &[T],
         rop: ReduceOp,
         root: usize,
     ) -> Result<Vec<T>, MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_leader = my_group[0];
-        let root_leader = topo.leader_of(root);
+        let (topo, group, leaders) = (scope.topo(), scope.group(), scope.leaders());
+        let root_rank = scope.rank(root);
+        let root_gi = topo.group_index(root_rank);
+        let root_leader = leaders.rank(root_gi);
         // Phase 0: host-local fan-in to the group leader.
-        let mut acc = if my_group.len() > 1 {
-            self.reduce_list(data, rop, my_group, 0, op::SMP_REDUCE0, CTX_COLL)?
+        let mut acc = if group.len() > 1 {
+            self.reduce_list(data, rop, &group, 0, op::SMP_REDUCE0)?
         } else {
             data.to_vec()
         };
         // Phase 1: inter-leader reduce rooted at the root's leader.
-        if self.rank == my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo.group_index(root);
-            acc = self.reduce_list(
-                &acc,
-                rop,
-                &topo.leaders,
-                root_pos,
-                op::SMP_REDUCE1,
-                CTX_COLL,
-            )?;
+        if group.me == 0 && leaders.len() > 1 {
+            acc = self.reduce_list(&acc, rop, &leaders, root_gi, op::SMP_REDUCE1)?;
         }
         // Phase 2: shuttle to a non-leader root.
-        if root != root_leader {
+        if root_rank != root_leader {
+            let t = tag(op::SMP_REDUCE2, 0);
             if self.rank == root_leader {
-                self.try_coll_send(to_bytes(&acc), root, tag(op::SMP_REDUCE2, 0), CTX_COLL)?;
-            } else if self.rank == root {
-                let b = self.try_coll_recv(root_leader, tag(op::SMP_REDUCE2, 0), CTX_COLL)?;
+                self.try_coll_send(to_bytes(&acc), root_rank, t, scope.ctx)?;
+            } else if scope.me == root {
+                let b = self.try_coll_recv(root_leader, t, scope.ctx)?;
                 acc = vec_from_bytes(&b, data.len());
             }
         }
@@ -1001,45 +1057,41 @@ impl Mpi {
 
     /// Two-level gather: host-local gather to the leader, leaders gather
     /// the per-group bundles to the root's leader, leader → root shuttle.
-    /// The rank-ordered concatenation at the root, empty elsewhere.
+    /// The concatenation in scope order at the root, empty elsewhere.
     fn gather_two_level<T: MpiData>(
         &mut self,
+        scope: &Scope,
         data: &[T],
         root: usize,
     ) -> Result<Vec<T>, MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let root_leader = topo.leader_of(root);
+        let (topo, group, leaders) = (scope.topo(), scope.group(), scope.leaders());
+        let root_rank = scope.rank(root);
+        let root_gi = topo.group_index(root_rank);
+        let root_leader = leaders.rank(root_gi);
         let block = data.len();
         // Phase 0: host-local gather to the group leader.
-        let members = self.gather_list(data, my_group, 0, op::SMP_GATHER0, CTX_COLL)?;
+        let members = self.gather_list(data, &group, 0, op::SMP_GATHER0, scope.me)?;
         // Phase 1: leaders gather their groups' bundles, one frame per
         // group, to the root's leader.
         let mut mine = Bytes::new();
         let mut others = Vec::new();
-        if self.rank == my_group[0] {
-            mine = subtree_bundle(self.rank, data, &members);
-            if topo.leaders.len() > 1 {
-                let root_pos = topo.group_index(root);
-                others = self.gather_list(
-                    &mine[..],
-                    &topo.leaders,
-                    root_pos,
-                    op::SMP_GATHER1,
-                    CTX_COLL,
-                )?;
+        if group.me == 0 {
+            mine = subtree_bundle(scope.me, data, &members);
+            if leaders.len() > 1 {
+                others =
+                    self.gather_list(&mine[..], &leaders, root_gi, op::SMP_GATHER1, scope.me)?;
             }
         }
         let mut all = Vec::new();
         if self.rank == root_leader {
-            // Every group's bundle of (rank, block) frames, by leader.
-            let mut groups: Vec<(usize, &[u8])> = vec![(self.rank, &mine[..])];
+            // Every group's bundle of (position, block) frames, by leader.
+            let mut groups: Vec<(usize, &[u8])> = vec![(scope.me, &mine[..])];
             for bundle in &others {
                 groups.extend(frames_ok(bundle, "gather-smp leader bundle"));
             }
             groups.sort_unstable_by_key(|&(leader, _)| leader);
-            if self.rank == root {
-                all = zeroed(block * self.n);
+            if scope.me == root {
+                all = zeroed(block * scope.len());
                 for (_, group) in groups {
                     place_blocks(group, block, &mut all, "gather-smp group bundle");
                 }
@@ -1051,35 +1103,37 @@ impl Mpi {
                 for (_, group) in groups {
                     w.append(group);
                 }
-                self.try_coll_send(w.finish(), root, tag(op::SMP_GATHER2, 0), CTX_COLL)?;
+                let t = tag(op::SMP_GATHER2, 0);
+                self.try_coll_send(w.finish(), root_rank, t, scope.ctx)?;
             }
-        } else if self.rank == root {
-            let b = self.try_coll_recv(root_leader, tag(op::SMP_GATHER2, 0), CTX_COLL)?;
-            all = zeroed(block * self.n);
+        } else if scope.me == root {
+            let b = self.try_coll_recv(root_leader, tag(op::SMP_GATHER2, 0), scope.ctx)?;
+            all = zeroed(block * scope.len());
             place_blocks(&b, block, &mut all, "gather-smp root bundle");
         }
         Ok(all)
     }
 
     /// Two-level allgather: host-local gather to the leaders, leaders
-    /// assemble and redistribute the world bundle, host-local broadcast.
-    /// The rank-ordered concatenation on every rank.
-    fn allgather_two_level<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_leader = my_group[0];
+    /// assemble and redistribute the scope's bundle, host-local
+    /// broadcast. The concatenation in scope order on every rank.
+    fn allgather_two_level<T: MpiData>(
+        &mut self,
+        scope: &Scope,
+        data: &[T],
+    ) -> Result<Vec<T>, MpiError> {
+        let (group, leaders) = (scope.group(), scope.leaders());
         let block = data.len();
         // Phase 0: host-local gather to the leader.
-        let members = self.gather_list(data, my_group, 0, op::SMP_AG0, CTX_COLL)?;
-        // Phases 1+2: leaders assemble the world bundle at the first
+        let members = self.gather_list(data, &group, 0, op::SMP_AG0, scope.me)?;
+        // Phases 1+2: leaders assemble the scope's bundle at the first
         // leader and broadcast it back over the leader tree.
-        let mut world: Option<Bytes> = None;
-        if self.rank == my_leader {
-            let mine = subtree_bundle(self.rank, data, &members);
-            if topo.leaders.len() > 1 {
-                let others =
-                    self.gather_list(&mine[..], &topo.leaders, 0, op::SMP_AG1, CTX_COLL)?;
-                let seed = (self.rank == topo.leaders[0]).then(|| {
+        let mut whole: Option<Bytes> = None;
+        if group.me == 0 {
+            let mine = subtree_bundle(scope.me, data, &members);
+            if leaders.len() > 1 {
+                let others = self.gather_list(&mine[..], &leaders, 0, op::SMP_AG1, scope.me)?;
+                let seed = (leaders.me == 0).then(|| {
                     let mut blocks: Vec<(usize, &[u8])> =
                         frames_ok(&mine, "allgather-smp group bundle").collect();
                     for bundle in &others {
@@ -1087,122 +1141,122 @@ impl Mpi {
                             blocks.extend(frames_ok(group, "allgather-smp group bundle"));
                         }
                     }
-                    blocks.sort_unstable_by_key(|&(r, _)| r);
+                    blocks.sort_unstable_by_key(|&(p, _)| p);
                     let payload = blocks.iter().map(|(_, part)| part.len()).sum();
                     let mut w = FrameWriter::with_capacity(blocks.len(), payload);
-                    for (r, part) in blocks {
-                        w.put_bytes(r, part);
+                    for (p, part) in blocks {
+                        w.put_bytes(p, part);
                     }
                     w.finish()
                 });
-                world = Some(self.bcast_list(seed, &topo.leaders, 0, op::SMP_AG2, CTX_COLL)?);
+                whole = Some(self.bcast_list(seed, &leaders, 0, op::SMP_AG2)?);
             } else {
-                world = Some(mine);
+                whole = Some(mine);
             }
         }
-        // Phase 3: host-local broadcast of the world bundle.
-        let world = if my_group.len() > 1 {
-            self.bcast_list(world, my_group, 0, op::SMP_AG3, CTX_COLL)?
+        // Phase 3: host-local broadcast of the scope's bundle.
+        let whole = if group.len() > 1 {
+            self.bcast_list(whole, &group, 0, op::SMP_AG3)?
         } else {
-            world.expect("allgather-smp world bundle missing")
+            whole.expect("allgather-smp bundle missing")
         };
-        // The world bundle is rank-ordered, so the result fills front to
-        // back.
-        let mut all = Vec::with_capacity(block * self.n);
-        let mut ranks = 0..self.n;
-        for (r, part) in frames_ok(&world, "allgather-smp world bundle") {
+        // The bundle is in scope order, so the result fills front to back.
+        let mut all = Vec::with_capacity(block * scope.len());
+        let mut positions = 0..scope.len();
+        for (p, part) in frames_ok(&whole, "allgather-smp bundle") {
             assert_eq!(
-                ranks.next(),
-                Some(r),
-                "allgather-smp world bundle out of rank order"
+                positions.next(),
+                Some(p),
+                "allgather-smp bundle out of order"
             );
             extend_from_bytes(part, block, &mut all);
         }
-        assert!(ranks.is_empty(), "allgather-smp world bundle is short");
+        assert!(positions.is_empty(), "allgather-smp bundle is short");
         Ok(all)
     }
 
-    /// Two-level barrier: host-local fan-in to the leaders, inter-leader
-    /// dissemination barrier, host-local fan-out.
-    fn barrier_two_level(&mut self) -> Result<(), MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_leader = my_group[0];
-        // Phase 0: host-local flat fan-in (members post-and-go, only the
-        // leader blocks — no intermediate tree hops to schedule).
-        if my_group.len() > 1 {
-            self.fanin_list(my_group, op::SMP_BAR0)?;
+    /// Two-level barrier: host-local flat fan-in to the leader,
+    /// inter-leader dissemination barrier, host-local flat fan-out. On an
+    /// oversubscribed host a flat fan beats a tree for synchronization-only
+    /// traffic — members post one empty message and move on, only the
+    /// leader blocks, no intermediate park/wake chain — mirroring the
+    /// shared-memory flag barrier MVAPICH2 uses for its SMP phase.
+    fn barrier_two_level(&mut self, scope: &Scope) -> Result<(), MpiError> {
+        let (group, leaders) = (scope.group(), scope.leaders());
+        let (leader, members, ctx) = (group.rank(0), &group.ranks[1..], scope.ctx);
+        let (fan_in, fan_out) = (tag(op::SMP_BAR0, 0), tag(op::SMP_BAR2, 1));
+        if group.me != 0 {
+            self.try_coll_send(Bytes::new(), leader, fan_in, ctx)?;
+            self.try_coll_recv(leader, fan_out, ctx)?;
+            return Ok(());
         }
-        // Phase 1: inter-leader dissemination barrier.
-        if self.rank == my_leader && topo.leaders.len() > 1 {
-            self.barrier_list(&topo.leaders, op::SMP_BAR1, CTX_COLL)?;
+        for &r in members {
+            self.try_coll_recv(r, fan_in, ctx)?;
         }
-        // Phase 2: host-local fan-out releases the group.
-        if my_group.len() > 1 {
-            self.fanout_list(my_group, op::SMP_BAR2)?;
+        if leaders.len() > 1 {
+            self.barrier_list(&leaders, op::SMP_BAR1)?;
+        }
+        for &r in members {
+            self.try_coll_send(Bytes::new(), r, fan_out, ctx)?;
         }
         Ok(())
     }
 
     /// Hierarchical alltoall: intra-group slabs exchange directly;
     /// inter-group slabs are bundled through the leaders so only one
-    /// (aggregated) message crosses each group pair.
+    /// (aggregated) message crosses each group pair. Slabs, frame keys and
+    /// result slots are scope positions.
     fn alltoall_two_level<T: MpiData>(
         &mut self,
+        scope: &Scope,
         data: &[T],
         block: usize,
     ) -> Result<Vec<T>, MpiError> {
-        let topo = self.topo();
-        let my_group = topo.group_of(self.rank);
-        let my_gi = topo.group_index(self.rank);
-        let my_leader = my_group[0];
-        let n = self.n;
-        let m = my_group.len();
+        let (topo, group, leaders) = (scope.topo(), scope.group(), scope.leaders());
+        let (n, me, m, my_gi) = (scope.len(), scope.me, group.len(), leaders.me);
         let bs = block * T::SIZE;
-        let my_pos = my_group
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in its group");
-        let slab = |r: usize| &data[r * block..(r + 1) * block];
+        let slab = |p: usize| &data[p * block..(p + 1) * block];
         let mut out = zeroed(block * n);
-        out[self.rank * block..(self.rank + 1) * block].copy_from_slice(slab(self.rank));
+        out[me * block..(me + 1) * block].copy_from_slice(slab(me));
         // Phase A: intra-group pairwise exchange (local channels); every
         // send is a slice of one wire image of the group's slabs.
         if m > 1 {
             let mut image = Vec::with_capacity(m * bs);
-            for &member in my_group {
-                T::encode(slab(member).iter().copied(), &mut image);
+            for &member in group.ranks.iter() {
+                T::encode(slab(topo.position(member)).iter().copied(), &mut image);
             }
             let image = Bytes::from(image);
             for step in 1..m {
-                let to = (my_pos + step) % m;
-                let src = my_group[(my_pos + m - step) % m];
+                let to = (group.me + step) % m;
+                let src = group.rank((group.me + m - step) % m);
                 let got = self.try_coll_sendrecv(
                     image.slice(to * bs..(to + 1) * bs),
-                    my_group[to],
+                    group.rank(to),
                     src,
                     tag(op::SMP_A2A0, step as u32),
-                    CTX_COLL,
+                    scope.ctx,
                 )?;
-                from_bytes(&got, &mut out[src * block..(src + 1) * block]);
+                let s = topo.position(src);
+                from_bytes(&got, &mut out[s * block..(s + 1) * block]);
             }
         }
-        let num_leaders = topo.leaders.len();
-        if num_leaders == 1 {
+        if leaders.len() == 1 {
             return Ok(out);
         }
-        let external = |d: &usize| topo.group_index(*d) != my_gi;
-        if self.rank != my_leader {
+        let group_of = |p: usize| topo.group_index(scope.rank(p));
+        let external = |p: &usize| group_of(*p) != my_gi;
+        let leader = group.rank(0);
+        if group.me != 0 {
             // Phase B: hand the externally-destined slabs to the leader,
-            // framed straight out of `data`, keyed by destination rank.
+            // framed straight out of `data`, keyed by destination.
             let mut w = FrameWriter::with_capacity(n - m, (n - m) * bs);
             for d in (0..n).filter(external) {
                 w.put(d, slab(d));
             }
-            self.try_coll_send(w.finish(), my_leader, tag(op::SMP_A2A1, 0), CTX_COLL)?;
+            self.try_coll_send(w.finish(), leader, tag(op::SMP_A2A1, 0), scope.ctx)?;
             // Phase D: the leader returns what the other groups sent
-            // here, keyed by source rank.
-            let b = self.try_coll_recv(my_leader, tag(op::SMP_A2A3, 0), CTX_COLL)?;
+            // here, keyed by source.
+            let b = self.try_coll_recv(leader, tag(op::SMP_A2A3, 0), scope.ctx)?;
             place_blocks(&b, block, &mut out, "alltoall-smp distribution bundle");
             return Ok(out);
         }
@@ -1212,35 +1266,37 @@ impl Mpi {
         // destinations ascending within each.
         let mut staged: Vec<FrameWriter> = (topo.groups.iter())
             .enumerate()
-            .map(|(gi, group)| {
-                let parts = if gi == my_gi { 0 } else { m * group.len() };
+            .map(|(gi, g)| {
+                let parts = if gi == my_gi { 0 } else { m * g.len() };
                 FrameWriter::with_capacity(parts, parts * bs)
             })
             .collect();
         for d in (0..n).filter(external) {
-            staged[topo.group_index(d)].put(self.rank * n + d, slab(d));
+            staged[group_of(d)].put(me * n + d, slab(d));
         }
-        for &member in &my_group[1..] {
-            let b = self.try_coll_recv(member, tag(op::SMP_A2A1, 0), CTX_COLL)?;
+        for &member in &group.ranks[1..] {
+            let b = self.try_coll_recv(member, tag(op::SMP_A2A1, 0), scope.ctx)?;
+            let src = topo.position(member);
             for (d, part) in frames_ok(&b, "alltoall-smp member bundle") {
-                staged[topo.group_index(d)].put_bytes(member * n + d, part);
+                staged[group_of(d)].put_bytes(src * n + d, part);
             }
         }
         // Phase C: leaders exchange the aggregates pairwise.
+        let num_leaders = leaders.len();
         let mut incoming: Vec<Bytes> = Vec::with_capacity(num_leaders - 1);
         for step in 1..num_leaders {
             let to = (my_gi + step) % num_leaders;
             let from = (my_gi + num_leaders - step) % num_leaders;
             incoming.push(self.try_coll_sendrecv(
                 std::mem::take(&mut staged[to]).finish(),
-                topo.leaders[to],
-                topo.leaders[from],
+                leaders.rank(to),
+                leaders.rank(from),
                 tag(op::SMP_A2A2, step as u32),
-                CTX_COLL,
+                scope.ctx,
             )?);
         }
-        // Phase D: sort the incoming slabs by member position once and
-        // hand each member its own, keyed by source rank.
+        // Phase D: sort the incoming slabs by member once and hand each
+        // member its own, keyed by source.
         let mut per_member: Vec<FrameWriter> = (0..m)
             .map(|pos| {
                 let parts = if pos == 0 { 0 } else { n - m };
@@ -1249,16 +1305,16 @@ impl Mpi {
             .collect();
         for b in &incoming {
             for (key, part) in frames_ok(b, "alltoall-smp leader bundle") {
-                let (s, d) = (key / n, key % n);
-                match my_group.binary_search(&d) {
+                let (s, d) = (key / n, scope.rank(key % n));
+                match group.ranks.binary_search(&d) {
                     Ok(0) => from_bytes(part, &mut out[s * block..(s + 1) * block]),
                     Ok(pos) => per_member[pos].put_bytes(s, part),
-                    Err(_) => panic!("alltoall-smp slab for rank {d} reached rank {my_leader}"),
+                    Err(_) => panic!("alltoall-smp slab for rank {d} reached rank {leader}"),
                 }
             }
         }
-        for (w, &member) in per_member.into_iter().zip(my_group).skip(1) {
-            self.try_coll_send(w.finish(), member, tag(op::SMP_A2A3, 0), CTX_COLL)?;
+        for (w, &member) in per_member.into_iter().zip(group.ranks.iter()).skip(1) {
+            self.try_coll_send(w.finish(), member, tag(op::SMP_A2A3, 0), scope.ctx)?;
         }
         Ok(out)
     }
@@ -1267,6 +1323,80 @@ impl Mpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::JobSpec;
+    use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
+
+    /// Every two-level body, and the two large-message ones, on a scope
+    /// that is not the world: each parity half of 2 hosts × 2 containers
+    /// × 2 ranks in reverse rank order, so positions and world ranks
+    /// disagree, with the world's topology restricted to it (two groups
+    /// of two; position 0 leads no group, so rooted bodies shuttle). Each
+    /// must return what the flat body returns on the same scope.
+    #[test]
+    fn scope_bodies_match_flat_on_a_split_communicator() {
+        let scenario = DeploymentScenario::containers(2, 2, 2, NamespaceSharing::default());
+        JobSpec::new(scenario).run(|mpi| {
+            let (n, r) = (mpi.size(), mpi.rank());
+            let world = mpi.comm_world();
+            let comm = mpi.comm_split(&world, (r % 2) as u64, (n - r) as u64);
+            let topo = mpi.world_topo().restricted(comm.ranks());
+            assert!(topo.selector().hierarchical(), "{:?}", topo.groups());
+            let flat = comm.scope();
+            let staged = Scope {
+                topo: Some(Arc::new(topo)),
+                ..comm.scope()
+            };
+            let (m, me, root) = (flat.len(), flat.me, 0);
+            let mine = [r as u64 * 10 + 1, r as u64 * 10 + 2, r as u64 * 10 + 3];
+            let slabs: Vec<u64> = (0..m * 3).map(|i| (r * 100 + i) as u64).collect();
+
+            mpi.barrier_two_level(&staged).unwrap();
+            mpi.barrier_list(&flat, op::BARRIER).unwrap();
+
+            let seed = if me == root { mine } else { [0; 3] };
+            let (mut two, mut large) = (seed, seed);
+            mpi.bcast_two_level(&staged, &mut two, root).unwrap();
+            mpi.bcast_scatter_allgather(&flat, &mut large, root)
+                .unwrap();
+            let at_root = (me == root).then(|| to_bytes(&mine));
+            let out = mpi.bcast_list(at_root, &flat, root, op::BCAST).unwrap();
+            assert_eq!(two.to_vec(), vec_from_bytes::<u64>(&out, 3));
+            assert_eq!(large, two);
+
+            let two = mpi.reduce_two_level(&staged, &mine, ReduceOp::Sum, root);
+            let one = mpi.reduce_list(&mine, ReduceOp::Sum, &flat, root, op::REDUCE);
+            if me == root {
+                assert_eq!(two.unwrap(), one.unwrap());
+            }
+
+            let two = mpi
+                .allreduce_two_level(&staged, &mine, ReduceOp::Sum)
+                .unwrap();
+            let large = mpi
+                .allreduce_rabenseifner(&flat, &mine, ReduceOp::Sum)
+                .unwrap();
+            let one = mpi.allreduce_list(&mine, ReduceOp::Sum, &flat, op::ALLREDUCE);
+            assert_eq!(two, one.unwrap());
+            assert_eq!(large, two);
+
+            let two = mpi.gather_two_level(&staged, &mine, root).unwrap();
+            let one = mpi.gather_binomial(&flat, &mine, root).unwrap();
+            assert_eq!(two, one);
+
+            let two = mpi.allgather_two_level(&staged, &mine).unwrap();
+            let one = mpi.allgather_list(&mine, &flat, op::ALLGATHER).unwrap();
+            assert_eq!(two, one);
+            let in_comm_order = comm
+                .ranks()
+                .iter()
+                .flat_map(|&s| (1..=3).map(move |i| s * 10 + i));
+            assert!(two.iter().map(|&v| v as usize).eq(in_comm_order));
+
+            let two = mpi.alltoall_two_level(&staged, &slabs, 3).unwrap();
+            let one = mpi.alltoall_pairwise(&flat, &slabs, 3).unwrap();
+            assert_eq!(two, one);
+        });
+    }
 
     #[test]
     fn tag_packs_op_and_round() {

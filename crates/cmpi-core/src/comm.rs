@@ -2,29 +2,29 @@
 //! collectively with [`Mpi::comm_split`] (≈ `MPI_Comm_split`), and the
 //! per-context table every rank keeps about the ones it belongs to.
 //!
-//! Collectives over a communicator run the list algorithms of
-//! [`crate::collectives`] on the communicator's rank list, and their
-//! traffic is isolated by the communicator's context id so concurrent
-//! collectives on disjoint communicators can never cross-match. Each
-//! comes as a plain entry (`X_comm`, a failure ends the rank) and a
-//! fault-tolerant one (`try_X_comm`, a failure is the caller's to
-//! handle); the two share one body and differ only in how the bracket
-//! ([`Mpi::try_collective`]) is entered and left.
+//! A communicator's collectives are the world's bodies run over its
+//! [`Scope`]: its ranks, the holder's position among them (found once,
+//! when the communicator is made) and its context id, which keeps
+//! concurrent collectives on disjoint communicators apart. `X_comm` and
+//! `try_X_comm` both call `X_in` and differ only in how they enter and
+//! leave the bracket ([`Mpi::try_collective`]). The scope carries no
+//! topology, so every call records `(kind, Flat)`.
 
 use std::sync::Arc;
 
-use crate::coll_select::CollKind;
-use crate::collectives::{op, Call, SmpTopo};
-use crate::datatype::{from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::collectives::{op, plain, Call, Scope, SmpTopo};
+use crate::datatype::{MpiData, ReduceOp, Reducible};
 use crate::error::MpiError;
-use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 
-/// A communicator: an ordered group of world ranks plus a context id.
+/// A communicator: an ordered group of world ranks plus a context id, as
+/// one of its members holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Comm {
     ctx: u32,
     ranks: Arc<Vec<usize>>,
+    /// The holder's position in `ranks`.
+    pub(crate) me: usize,
 }
 
 /// What a rank knows about one communicator context it belongs to — one
@@ -37,20 +37,19 @@ pub(crate) struct CommEntry {
     /// on and whom a revocation floods.
     pub(crate) members: Arc<Vec<usize>>,
     /// The members' locality groups with the selector sized to them: the
-    /// job's topology for the world, the survivor topology `try_shrink`
-    /// derives for a shrunk communicator, `None` for a split-produced one
-    /// (nothing derives its groups). Only the world's selector picks
-    /// algorithms; communicator collectives run flat, and a shrunk
-    /// communicator's topology is a reported fact ([`Mpi::comm_groups`]).
+    /// job's topology for the world, the survivors' for a shrunk
+    /// communicator (a reported fact, [`Mpi::comm_groups`]: its scope
+    /// leaves it out), `None` for a split-produced one.
     pub(crate) topo: Option<Arc<SmpTopo>>,
 }
 
 impl Comm {
-    /// Assemble a communicator from an agreed context id and member list
-    /// (used by `comm_split` and the fault-tolerance `shrink` path, which
-    /// derive both fields from an agreement protocol).
-    pub(crate) fn from_parts(ctx: u32, ranks: Arc<Vec<usize>>) -> Comm {
-        Comm { ctx, ranks }
+    /// Assemble a communicator from an agreed context id, member list and
+    /// the holder's position in it (used by `comm_world`, `comm_split` and
+    /// the fault-tolerance `shrink` path, which derive the fields from an
+    /// agreement protocol).
+    pub(crate) fn from_parts(ctx: u32, ranks: Arc<Vec<usize>>, me: usize) -> Comm {
+        Comm { ctx, ranks, me }
     }
 
     /// The communicator's context id.
@@ -77,42 +76,53 @@ impl Comm {
     pub fn comm_rank_of(&self, world_rank: usize) -> Option<usize> {
         self.ranks.iter().position(|&r| r == world_rank)
     }
+
+    /// Where this communicator's collectives run: its ranks, the holder's
+    /// position, its context and no topology (they run flat).
+    pub(crate) fn scope(&self) -> Scope {
+        Scope {
+            ranks: Arc::clone(&self.ranks),
+            me: self.me,
+            ctx: self.ctx,
+            topo: None,
+        }
+    }
 }
 
 impl Mpi {
     /// The communicator containing every rank (≈ `MPI_COMM_WORLD`).
     pub fn comm_world(&self) -> Comm {
-        Comm::from_parts(CTX_COLL, self.world_ranks())
+        let world = self.world_scope();
+        Comm::from_parts(world.ctx, world.ranks, world.me)
     }
 
     /// Collectively split `parent` into sub-communicators by `color`;
     /// `key` (then world rank) orders ranks inside each new group
     /// (≈ `MPI_Comm_split`). Every member of `parent` must call this.
     pub fn comm_split(&mut self, parent: &Comm, color: u64, key: u64) -> Comm {
-        self.collective(Call::Fixed("comm_split"), |mpi, _| {
+        let scope = parent.scope();
+        self.collective(&scope, Call::Fixed("comm_split"), |mpi, _| {
             // Agree on a fresh context id: the maximum of the members'
             // counters. Context ids only need to be unique among
             // communicators that share a member, which this guarantees
             // (each member bumps its counter past the agreed id).
-            let agreed = mpi.allreduce_list(
-                &[mpi.next_ctx as u64],
-                ReduceOp::Max,
-                parent.ranks(),
-                op::COMM_SPLIT,
-                parent.ctx(),
-            )?[0] as u32;
+            let counter = [mpi.next_ctx as u64];
+            let agreed = mpi.allreduce_list(&counter, ReduceOp::Max, &scope, op::COMM_SPLIT)?[0];
+            let agreed = agreed as u32;
             mpi.next_ctx = agreed + 1;
             // Exchange (color, key, world rank) across the parent.
             let mine = [color, key, mpi.rank as u64];
-            let all =
-                mpi.allgather_list(&mine, parent.ranks(), op::COMM_SPLIT_GATHER, parent.ctx())?;
-            let mut members: Vec<(u64, u64, usize)> = all
+            let all = mpi.allgather_list(&mine, &scope, op::COMM_SPLIT_GATHER)?;
+            let mut members: Vec<(u64, u64)> = all
                 .chunks_exact(3)
                 .filter(|c| c[0] == color)
-                .map(|c| (c[1], c[2], c[2] as usize))
+                .map(|c| (c[1], c[2]))
                 .collect();
-            members.sort_by_key(|&(k, wr, _)| (k, wr));
-            let ranks = Arc::new(members.into_iter().map(|(_, _, r)| r).collect());
+            members.sort_unstable();
+            let me = members
+                .binary_search(&(key, mpi.rank as u64))
+                .expect("a splitting rank is in its own color");
+            let ranks = Arc::new(members.into_iter().map(|(_, r)| r as usize).collect());
             // Remember the membership so failure checks and revocation
             // floods know who participates in this context.
             let entry = CommEntry {
@@ -120,7 +130,7 @@ impl Mpi {
                 topo: None,
             };
             mpi.comms.insert(agreed, entry);
-            Ok(Comm::from_parts(agreed, ranks))
+            Ok(Comm::from_parts(agreed, ranks, me))
         })
     }
 
@@ -128,38 +138,17 @@ impl Mpi {
 
     /// Barrier over a communicator.
     pub fn barrier_comm(&mut self, comm: &Comm) {
-        self.collective(Call::Flat(CollKind::Barrier), |mpi, _| {
-            mpi.barrier_list(comm.ranks(), op::COMM_BARRIER, comm.ctx())
-        })
+        plain("barrier", self.barrier_in(false, &comm.scope()))
     }
 
     /// Fault-tolerant [`Mpi::barrier_comm`].
     pub fn try_barrier_comm(&mut self, comm: &Comm) -> Result<(), MpiError> {
-        self.try_collective(true, Call::Flat(CollKind::Barrier), |mpi, _| {
-            mpi.barrier_list(comm.ranks(), op::COMM_BARRIER, comm.ctx())
-        })
-    }
-
-    fn bcast_comm_body<T: MpiData>(
-        &mut self,
-        comm: &Comm,
-        buf: &mut [T],
-        root: usize,
-    ) -> Result<(), MpiError> {
-        let at_root = self.rank == comm.world_rank(root);
-        let seed = at_root.then(|| to_bytes(buf));
-        let out = self.bcast_list(seed, comm.ranks(), root, op::COMM_BCAST, comm.ctx())?;
-        if !at_root {
-            from_bytes(&out, buf);
-        }
-        Ok(())
+        self.barrier_in(true, &comm.scope())
     }
 
     /// Broadcast over a communicator from communicator-rank `root`.
     pub fn bcast_comm<T: MpiData>(&mut self, comm: &Comm, buf: &mut [T], root: usize) {
-        self.collective(Call::Flat(CollKind::Bcast), |mpi, _| {
-            mpi.bcast_comm_body(comm, buf, root)
-        })
+        plain("bcast", self.bcast_in(false, &comm.scope(), buf, root))
     }
 
     /// Fault-tolerant [`Mpi::bcast_comm`].
@@ -169,20 +158,7 @@ impl Mpi {
         buf: &mut [T],
         root: usize,
     ) -> Result<(), MpiError> {
-        self.try_collective(true, Call::Flat(CollKind::Bcast), |mpi, _| {
-            mpi.bcast_comm_body(comm, buf, root)
-        })
-    }
-
-    fn reduce_comm_body<T: Reducible>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-        rop: ReduceOp,
-        root: usize,
-    ) -> Result<Option<Vec<T>>, MpiError> {
-        let acc = self.reduce_list(data, rop, comm.ranks(), root, op::COMM_REDUCE, comm.ctx())?;
-        Ok((self.rank == comm.world_rank(root)).then_some(acc))
+        self.bcast_in(true, &comm.scope(), buf, root)
     }
 
     /// Reduce over a communicator to communicator-rank `root`.
@@ -193,9 +169,8 @@ impl Mpi {
         rop: ReduceOp,
         root: usize,
     ) -> Option<Vec<T>> {
-        self.collective(Call::Flat(CollKind::Reduce), |mpi, _| {
-            mpi.reduce_comm_body(comm, data, rop, root)
-        })
+        let scope = comm.scope();
+        plain("reduce", self.reduce_in(false, &scope, data, rop, root))
     }
 
     /// Fault-tolerant [`Mpi::reduce_comm`].
@@ -206,9 +181,7 @@ impl Mpi {
         rop: ReduceOp,
         root: usize,
     ) -> Result<Option<Vec<T>>, MpiError> {
-        self.try_collective(true, Call::Flat(CollKind::Reduce), |mpi, _| {
-            mpi.reduce_comm_body(comm, data, rop, root)
-        })
+        self.reduce_in(true, &comm.scope(), data, rop, root)
     }
 
     /// Allreduce over a communicator.
@@ -218,9 +191,8 @@ impl Mpi {
         data: &[T],
         rop: ReduceOp,
     ) -> Vec<T> {
-        self.collective(Call::Flat(CollKind::Allreduce), |mpi, _| {
-            mpi.allreduce_list(data, rop, comm.ranks(), op::COMM_ALLREDUCE, comm.ctx())
-        })
+        let scope = comm.scope();
+        plain("allreduce", self.allreduce_in(false, &scope, data, rop))
     }
 
     /// Fault-tolerant [`Mpi::allreduce_comm`].
@@ -230,16 +202,12 @@ impl Mpi {
         data: &[T],
         rop: ReduceOp,
     ) -> Result<Vec<T>, MpiError> {
-        self.try_collective(true, Call::Flat(CollKind::Allreduce), |mpi, _| {
-            mpi.allreduce_list(data, rop, comm.ranks(), op::COMM_ALLREDUCE, comm.ctx())
-        })
+        self.allreduce_in(true, &comm.scope(), data, rop)
     }
 
     /// Allgather over a communicator (communicator-rank order).
     pub fn allgather_comm<T: MpiData>(&mut self, comm: &Comm, data: &[T]) -> Vec<T> {
-        self.collective(Call::Flat(CollKind::Allgather), |mpi, _| {
-            mpi.allgather_list(data, comm.ranks(), op::COMM_ALLGATHER, comm.ctx())
-        })
+        plain("allgather", self.allgather_in(false, &comm.scope(), data))
     }
 
     /// Fault-tolerant [`Mpi::allgather_comm`].
@@ -248,8 +216,6 @@ impl Mpi {
         comm: &Comm,
         data: &[T],
     ) -> Result<Vec<T>, MpiError> {
-        self.try_collective(true, Call::Flat(CollKind::Allgather), |mpi, _| {
-            mpi.allgather_list(data, comm.ranks(), op::COMM_ALLGATHER, comm.ctx())
-        })
+        self.allgather_in(true, &comm.scope(), data)
     }
 }

@@ -1,7 +1,8 @@
 //! ULFM-style recovery: [`Mpi::revoke`], [`Mpi::try_shrink`] and the
 //! fault-tolerant communicator point-to-point exchange. (The `try_X_comm`
-//! collectives sit beside their plain twins in [`crate::comm`]: one body,
-//! two ways into the bracket.)
+//! collectives sit beside their plain twins in [`crate::comm`]: both run
+//! the kind's one `X_in` body over the communicator's scope, entering the
+//! bracket two ways.)
 //!
 //! The recovery protocol mirrors User-Level Failure Mitigation as
 //! MVAPICH2/Open MPI implement it:
@@ -35,17 +36,17 @@
 //! Two non-goals, both deliberate: context ids of shrunk communicators
 //! are *not* run-deterministic (they come from a shared allocator raced
 //! by redundant commits — assert membership and results, never ctx
-//! values), and the shrunk communicator's collectives run the flat
-//! algorithms (its re-derived locality groups and collective selector
-//! are a field of its communicator-table entry, exposed via
-//! [`Mpi::comm_groups`] for apps that want hierarchy).
+//! values), and the shrunk communicator's collectives run flat: its
+//! topology (the world's restricted to the survivors, each mapped to its
+//! survivor position) is kept in its table entry, exposed via
+//! [`Mpi::comm_groups`], but left out of its scope.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collectives::{op, plain, tag, SmpTopo};
+use crate::collectives::{op, plain, tag};
 use crate::comm::{Comm, CommEntry};
 use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
@@ -223,26 +224,12 @@ impl Mpi {
     fn adopt_decision(&mut self, comm: &Comm, gen: u64, d: &Decision) -> Comm {
         self.shrink_gen.insert(comm.ctx(), gen + 1);
         self.now = self.now.max(d.at);
-        let survivors: Arc<Vec<usize>> = Arc::new(
-            comm.ranks()
-                .iter()
-                .copied()
-                .filter(|r| !d.dead.contains(r))
-                .collect(),
-        );
-        let groups: Vec<Vec<usize>> = self
-            .world_topo()
-            .groups()
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .copied()
-                    .filter(|r| survivors.contains(r))
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|g| !g.is_empty())
-            .collect();
-        let topo = SmpTopo::new(groups, self.n, self.state.policy, self.state.tunables);
+        let alive = |r: &&usize| !d.dead.contains(r);
+        let survivors: Arc<Vec<usize>> =
+            Arc::new(comm.ranks().iter().filter(alive).copied().collect());
+        // The survivors before this rank in communicator order.
+        let me = comm.ranks()[..comm.me].iter().filter(alive).count();
+        let topo = self.world_topo().restricted(&survivors);
         let entry = CommEntry {
             members: Arc::clone(&survivors),
             topo: Some(Arc::new(topo)),
@@ -255,7 +242,7 @@ impl Mpi {
         };
         self.obs
             .incident(Incident::SHRINK, self.now, None, detail, 1);
-        Comm::from_parts(d.new_ctx, survivors)
+        Comm::from_parts(d.new_ctx, survivors, me)
     }
 
     /// The locality groups of `comm`'s members: re-derived over the
@@ -263,7 +250,7 @@ impl Mpi {
     /// the world, `None` for a split-produced one (nothing derives them).
     pub fn comm_groups(&self, comm: &Comm) -> Option<Vec<Vec<usize>>> {
         let topo = self.comms.get(&comm.ctx())?.topo.as_ref()?;
-        Some(topo.groups().to_vec())
+        Some(topo.groups())
     }
 
     /// Whether the collective selector sized to `comm`'s groups would

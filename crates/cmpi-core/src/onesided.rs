@@ -21,10 +21,9 @@ use std::sync::Arc;
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
 
-use crate::collectives::{op, plain};
+use crate::collectives::{op, plain, Scope};
 use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::locality::LocalityPolicy;
-use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -58,9 +57,8 @@ impl Window {
 impl Mpi {
     /// The world barrier inside a collective window call. The window API
     /// has no fault-tolerant form, so a failure ends the rank.
-    fn window_barrier(&mut self, op_id: u32) {
-        let out = self.barrier_list(&self.world_ranks(), op_id, CTX_COLL);
-        plain("window barrier", out)
+    fn window_barrier(&mut self, world: &Scope, op_id: u32) {
+        plain("window barrier", self.barrier_list(world, op_id))
     }
 
     /// Collectively allocate a window of `len` bytes per rank
@@ -77,16 +75,17 @@ impl Mpi {
         self.state.windows.publish(id, self.rank, Arc::clone(&mr));
         // The registration exchange is collective; the barrier also
         // provides the happens-before edge for the region table.
-        self.window_barrier(op::WIN_ALLOCATE);
-        let regions = (0..self.n)
-            .map(|r| self.state.windows.region(id, r))
+        let world = self.world_scope();
+        self.window_barrier(&world, op::WIN_ALLOCATE);
+        let regions = (world.ranks.iter())
+            .map(|&r| self.state.windows.region(id, r))
             .collect();
         self.exit(CallClass::OneSided, t0);
         Window {
             id,
             len,
             regions,
-            pending: vec![SimTime::ZERO; self.n],
+            pending: vec![SimTime::ZERO; world.len()],
         }
     }
 
@@ -286,7 +285,8 @@ impl Mpi {
     pub fn fence(&mut self, win: &mut Window) {
         let t0 = self.enter();
         self.drain_pending(win);
-        self.window_barrier(op::WIN_FENCE);
+        let world = self.world_scope();
+        self.window_barrier(&world, op::WIN_FENCE);
         self.exit(CallClass::OneSided, t0);
     }
 

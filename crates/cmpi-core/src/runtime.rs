@@ -30,8 +30,7 @@ use cmpi_fabric::{Fabric, FabricError, FabricMsg, SendInfo};
 use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
 
 use crate::channel::ChannelSelector;
-use crate::coll_select::CollectiveSelector;
-use crate::collectives::SmpTopo;
+use crate::collectives::{Scope, SmpTopo};
 use crate::comm::CommEntry;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
@@ -869,11 +868,6 @@ impl Mpi {
         &self.selector
     }
 
-    /// The active collective algorithm selector.
-    pub fn coll_selector(&self) -> &CollectiveSelector {
-        self.world_topo().selector()
-    }
-
     /// A snapshot of this rank's statistics so far.
     pub fn stats(&self) -> &CommStats {
         self.obs.stats()
@@ -1141,11 +1135,16 @@ impl Mpi {
         world.expect("the world entry is registered at init and never removed")
     }
 
-    /// The shared world rank list `[0, .., n-1]` (the `Arc` the world's
-    /// table entry holds): a refcount bump lends it around the `&mut
-    /// self` list algorithms without allocating.
-    pub(crate) fn world_ranks(&self) -> Arc<Vec<usize>> {
-        Arc::clone(&self.state.world_members)
+    /// The world as a collective scope: every rank in rank order, on the
+    /// collective context, with the job's topology — refcount bumps of the
+    /// world entry's `Arc`s, no allocation.
+    pub(crate) fn world_scope(&self) -> Scope {
+        Scope {
+            ranks: Arc::clone(&self.state.world_members),
+            me: self.rank,
+            ctx: CTX_COLL,
+            topo: Some(Arc::clone(self.world_topo())),
+        }
     }
 
     /// Park until new packets or pokes arrive.

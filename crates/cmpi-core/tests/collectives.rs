@@ -512,3 +512,37 @@ fn barrier_smp_synchronizes_clocks() {
         assert!(*t >= slowest_entry, "rank {rk} left the barrier at {t}");
     }
 }
+
+/// 4 ranks in one container: root 5 lies past the last rank.
+fn spec4() -> JobSpec {
+    JobSpec::new(DeploymentScenario::containers(
+        1,
+        1,
+        4,
+        NamespaceSharing::default(),
+    ))
+}
+
+#[test]
+#[should_panic(expected = "bcast: root 5 out of range for 4 members")]
+fn bcast_rejects_a_root_past_the_world() {
+    spec4().run(|mpi| mpi.bcast(&mut [0u64; 4], 5));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn reduce_rejects_a_root_past_the_world() {
+    spec4().run(|mpi| mpi.reduce(&[1u64], ReduceOp::Sum, 5));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn gather_rejects_a_root_past_the_world() {
+    spec4().run(|mpi| mpi.gather(&[1u64], 5));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn scatter_rejects_a_root_past_the_world() {
+    spec4().run(|mpi| mpi.scatter(Some(&[1u64; 4][..]), 1, 5));
+}

@@ -126,3 +126,9 @@ fn scans_are_float_stable_across_policies() {
     let b = run(LocalityPolicy::Hostname);
     assert_eq!(a, b, "scan results must not depend on routing");
 }
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn gatherv_rejects_a_root_past_the_world() {
+    spec(4).run(|mpi| mpi.gatherv_bytes(Bytes::from_static(b"x"), 5));
+}

@@ -159,3 +159,44 @@ fn singleton_communicators_work() {
         assert_eq!(r.results[rank], rank as u64);
     }
 }
+
+/// A rooted communicator collective with communicator-rank 5 of a
+/// four-member parity half: a usage error on both entries, never an
+/// `MpiError`.
+fn with_root_past_a_half(body: impl Fn(&mut cmpi_core::Mpi, &cmpi_core::Comm) + Send + Sync) {
+    spec8().run(|mpi| {
+        let world = mpi.comm_world();
+        let half = mpi.comm_split(&world, (mpi.rank() % 2) as u64, 0);
+        body(mpi, &half);
+    });
+}
+
+#[test]
+#[should_panic(expected = "bcast: root 5 out of range for 4 members")]
+fn bcast_comm_rejects_a_root_past_the_communicator() {
+    with_root_past_a_half(|mpi, half| mpi.bcast_comm(half, &mut [0u64], 5));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn try_bcast_comm_rejects_a_root_past_the_communicator() {
+    with_root_past_a_half(|mpi, half| {
+        let _ = mpi.try_bcast_comm(half, &mut [0u64], 5);
+    });
+}
+
+#[test]
+#[should_panic(expected = "reduce: root 5 out of range for 4 members")]
+fn reduce_comm_rejects_a_root_past_the_communicator() {
+    with_root_past_a_half(|mpi, half| {
+        mpi.reduce_comm(half, &[1u64], ReduceOp::Sum, 5);
+    });
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn try_reduce_comm_rejects_a_root_past_the_communicator() {
+    with_root_past_a_half(|mpi, half| {
+        let _ = mpi.try_reduce_comm(half, &[1u64], ReduceOp::Sum, 5);
+    });
+}

@@ -35,16 +35,38 @@
 #             on scripts/prof.sh and scripts/loc.sh
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
+#
+# On exit, pass or fail, it prints the wall seconds each stage took and
+# the total (bash SECONDS, so whole seconds; `model` is the checker's own
+# suite, `model-cfg` the --cfg cmpi_model runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release" >&2
+stage_names=()
+stage_starts=()
+# stage NAME TITLE: close the running stage and announce the next.
+stage() {
+  stage_names+=("$1")
+  stage_starts+=("$SECONDS")
+  echo "== $2" >&2
+}
+report() {
+  local i end
+  for i in "${!stage_names[@]}"; do
+    end=${stage_starts[i + 1]:-$SECONDS}
+    printf '%6d s  %s\n' "$((end - stage_starts[i]))" "${stage_names[i]}"
+  done >&2
+  printf '%6d s  total\n' "$SECONDS" >&2
+}
+trap report EXIT
+
+stage build "cargo build --release"
 cargo build --release
 
-echo "== cargo test -q --workspace" >&2
+stage test "cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "== examples smoke" >&2
+stage examples "examples smoke"
 cargo build --release --examples
 for ex in quickstart locality_detection graph500_bfs npb_kernels \
           pgas_gups profile_and_trace fault_injection coll_phases \
@@ -53,47 +75,47 @@ for ex in quickstart locality_detection graph500_bfs npb_kernels \
   cargo run --release --quiet --example "$ex" >/dev/null
 done
 
-echo "== figures (every driver, quick effort)" >&2
+stage figures "figures (every driver, quick effort)"
 # The health driver validates its Prometheus and JSON expositions
 # before printing; tests/profile.rs round-trips the profile JSON.
 cargo run --release --quiet -p cmpi-bench --bin figures >/dev/null
 
-echo "== chaos-midrun (crash / hang / container-kill + detector property test)" >&2
+stage chaos "chaos-midrun (crash / hang / container-kill + detector property test)"
 cargo test -q --release --test chaos_midrun
 cargo test -q --release -p cmpi-core --test failure_proptest
 
-echo "== model checker (normal cfg self-tests)" >&2
+stage model "model checker (normal cfg self-tests)"
 cargo test -q -p cmpi-model
 
-echo "== model checker (--cfg cmpi_model exhaustive runs)" >&2
+stage model-cfg "model checker (--cfg cmpi_model exhaustive runs)"
 RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
   cargo test -q -p cmpi-model
 RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
   cargo test -q -p cmpi-core -p cmpi-shmem -p cmpi-fabric -p cmpi-telemetry --lib
 
-echo "== cmpi-lint" >&2
+stage lint "cmpi-lint"
 cargo run --release --quiet -p cmpi-model --bin cmpi-lint
 
-echo "== cmpi-analyze (call-graph passes; findings are hard failures)" >&2
+stage analyze "cmpi-analyze (call-graph passes; findings are hard failures)"
 cargo run --release --quiet -p cmpi-model --bin cmpi-lint -- --analyze
 
-echo "== telemetry overhead gate (on/off pairs, budget 2%)" >&2
+stage overhead "telemetry overhead gate (on/off pairs, budget 2%)"
 # Paired on/off runs of the eager, rendezvous and job32 kernels; fails
 # if always-on telemetry costs more than 2 % on any of them (the
 # estimator is documented and unit-tested in overhead_gate.rs).
 cargo run --release --quiet -p cmpi-bench --bin overhead_gate
 
-echo "== benchmark harness self-tests (benchmark/, own workspace)" >&2
+stage benchmark "benchmark harness self-tests (benchmark/, own workspace)"
 (cd benchmark && cargo test -q --offline)
 # The sampling profiler and the line counter are tools, not gates: only
 # their shell must parse.
 bash -n scripts/prof.sh
 bash -n scripts/loc.sh
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
+stage clippy "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo fmt --all --check" >&2
+stage fmt "cargo fmt --all --check"
 cargo fmt --all --check
 
 echo "ok: all tier-1 checks passed" >&2
