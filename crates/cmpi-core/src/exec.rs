@@ -43,18 +43,33 @@
 //! [`handoff::TaskState`]: a rank that deschedules must not lose a poke
 //! that races with its own descheduling, and must never be scheduled
 //! twice (one rank on two workers would break the mailbox's
-//! single-consumer contract). The protocol is two words — a state byte
-//! and a sticky `notified` flag, all SeqCst — and lives in its own module
-//! on the model-checker atomics so the litmus tests in `model_tests`
-//! explore every interleaving of the *production* transition code.
+//! single-consumer contract). The protocol is one word — a state in its
+//! low bits and a sticky `NOTIFIED` bit, every transition one SeqCst
+//! read-modify-write — and lives in its own module on the model-checker
+//! atomics so the litmus tests in `model_tests` explore every
+//! interleaving of the *production* transition code.
 //!
 //! Single-consumer safety across worker migration: all of a fiber's
 //! mailbox pops happen while its task state is RUNNING on one worker.
-//! The chain {pops on worker A} → BLOCKED store (SeqCst, worker A) →
-//! poker's CAS (SeqCst) → enqueue under the run-queue mutex → dequeue +
-//! RUNNING swap on worker B gives every pop on B a happens-before edge
-//! to every pop on A — the queue's `tail` cursor migrates safely even
-//! though it is an unsynchronized `UnsafeCell`.
+//! The chain {pops on worker A} → `BLOCKED` swap (worker A) → the
+//! winning `BLOCKED → QUEUED` compare-exchange → enqueue under the
+//! run-queue mutex → dequeue + `claim` on worker B gives every pop on B
+//! a happens-before edge to every pop on A — the queue's `tail` cursor
+//! migrates safely even though it is an unsynchronized `UnsafeCell`.
+//!
+//! ### The run queues
+//!
+//! A worker that must put the task it just ran back (a voluntary yield,
+//! or a `block` that found a poke pending) and owns that task's home
+//! queue pushes it and pops its next task under one hold of the queue
+//! lock. The `idle` lock is taken by `enqueue` only when the atomic
+//! parked count says a worker waits; `park` raises that count under
+//! `idle` *before* it re-checks the queues, so an enqueue that reads
+//! zero pushed before the re-check and is seen by it.
+//!
+//! The one-worker run order is a tested invariant
+//! (`tests/run_order.rs`): virtual time reaches it through the HCA link
+//! schedule, which reserves gaps first-fit in real post order.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
@@ -99,8 +114,8 @@ pub(crate) struct ExecConfig {
 }
 
 /// Minimum fiber stack: deep collective recursion plus a panic unwind
-/// both fit comfortably; anything smaller risks silent overruns since
-/// the stacks carry no guard page (see [`StackSlab`]).
+/// both fit comfortably; anything smaller risks overruns, which the
+/// stacks have no guard page to stop (see [`StackSlab`]).
 const MIN_STACK_KIB: usize = 64;
 /// Default fiber stack (KiB).
 const DEFAULT_STACK_KIB: usize = 1024;
@@ -159,45 +174,51 @@ pub(crate) const fn fibers_supported() -> bool {
 /// the litmus tests in `model_tests` run the production transitions
 /// under exhaustive interleaving.
 pub(crate) mod handoff {
-    use cmpi_model::sync::{AtomicBool, AtomicU8, Condvar, Mutex, Ordering};
+    use cmpi_model::sync::{AtomicU8, Condvar, Mutex, Ordering};
 
     /// Task is executing (on a worker, or on its own thread).
-    pub(crate) const RUNNING: u8 = 0;
+    const RUNNING: u8 = 0;
     /// Task is scheduled to run: it sits in exactly one run queue (or is
-    /// being carried to one by the unique thread whose CAS won the
+    /// being carried to one by the unique thread that won the
     /// blocked→queued transition), or its parked thread has been told to
     /// go.
-    pub(crate) const QUEUED: u8 = 1;
+    const QUEUED: u8 = 1;
     /// Task descheduled itself; nothing runs it until a wake.
-    pub(crate) const BLOCKED: u8 = 2;
+    const BLOCKED: u8 = 2;
     /// Task body returned (or unwound); it will never run again.
-    pub(crate) const DONE: u8 = 3;
+    const DONE: u8 = 3;
+    /// The bits of the word that hold one of the four states above.
+    const STATE: u8 = 0b011;
+    const _: () = assert!(
+        RUNNING == 0,
+        "claim clears the state bits to reach RUNNING and requeue ors QUEUED into them"
+    );
+    /// Sticky "a poke happened" bit, consumed by `block`. A stale one
+    /// (poke while running) costs one spurious reschedule; the task
+    /// re-checks its mailbox and yields again.
+    const NOTIFIED: u8 = 0b100;
 
-    /// The per-task scheduling word.
+    /// The per-task scheduling word: the state in its low two bits and
+    /// the `NOTIFIED` bit above them, so every transition is one
+    /// read-modify-write of one location.
     ///
     /// Invariant: a task is scheduled exactly once per block episode,
-    /// because that requires winning the single `BLOCKED → QUEUED`
-    /// compare-exchange of the episode. `wake` and `block` race for it;
-    /// SeqCst gives their accesses a total order in which exactly one
-    /// side observes the other:
+    /// because that requires winning the episode's single
+    /// `BLOCKED → QUEUED` transition. `wake` and `block` race for it,
+    /// and the word's modification order decides:
     ///
-    /// * if the waker's CAS fails (state still `RUNNING`), the CAS
-    ///   precedes the yielder's `BLOCKED` store in the SC order, hence
-    ///   also precedes its `notified` swap — which therefore sees the
-    ///   waker's earlier `notified` store and reschedules itself: the
-    ///   wakeup is not lost;
-    /// * if the waker's CAS succeeds, the yielder's swap may see `true`
-    ///   but its own CAS then finds `QUEUED` and fails: no double
-    ///   scheduling.
+    /// * a wake ordered before the yielder's `BLOCKED` swap finds the
+    ///   task not blocked and only sets `NOTIFIED`; the swap returns that
+    ///   bit and the yielder reschedules the task itself: the wakeup is
+    ///   not lost;
+    /// * a wake ordered after the swap finds `BLOCKED` and wins the
+    ///   transition; a yielder that saw an older `NOTIFIED` then loses
+    ///   its own compare-exchange: no double scheduling.
     pub(crate) struct TaskState {
-        state: AtomicU8,
-        /// Sticky "a poke happened" flag, consumed by `block`. A stale
-        /// `true` (poke while running) costs one spurious reschedule;
-        /// the task re-checks its mailbox and yields again.
-        notified: AtomicBool,
+        word: AtomicU8,
         /// OS-thread backend only: where the task's own thread waits out
-        /// a block episode (`park`) until the CAS winner tells it to go
-        /// (`unpark`). Never touched when the task is a fiber.
+        /// a block episode (`park`) until the transition's winner tells
+        /// it to go (`unpark`). Never touched when the task is a fiber.
         parked: Mutex<()>,
         unparked: Condvar,
     }
@@ -206,71 +227,89 @@ pub(crate) mod handoff {
         /// New task, already scheduled for its first run.
         pub(crate) fn new_queued() -> Self {
             TaskState {
-                state: AtomicU8::new(QUEUED),
-                notified: AtomicBool::new(false),
+                word: AtomicU8::new(QUEUED),
                 parked: Mutex::new(()),
                 unparked: Condvar::new(),
             }
         }
 
-        /// Poke-side transition. Returns `true` iff the caller must
-        /// schedule the task (it won the blocked→queued CAS).
+        /// Poke-side transition: set `NOTIFIED`, and take a `BLOCKED`
+        /// task to `QUEUED` in the same step. Returns `true` iff the
+        /// caller must schedule the task (it won the blocked→queued
+        /// transition). A winning wake leaves the bit set, exactly as a
+        /// losing one does, so the task's next `block` reschedules it at
+        /// once. A word that already carries the bit and is not blocked
+        /// is left unwritten.
         pub(crate) fn wake(&self) -> bool {
-            self.notified.store(true, Ordering::SeqCst);
-            self.state
-                .compare_exchange(BLOCKED, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
+            let mut cur = self.word.load(Ordering::SeqCst);
+            loop {
+                let blocked = cur & STATE == BLOCKED;
+                let new = if blocked {
+                    QUEUED | NOTIFIED
+                } else {
+                    cur | NOTIFIED
+                };
+                if new == cur {
+                    return false;
+                }
+                match self
+                    .word
+                    .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
+                {
+                    Ok(_) => return blocked,
+                    Err(seen) => cur = seen,
+                }
+            }
         }
 
-        /// Yield-side transition, once the task has stopped running.
-        /// Returns `true` iff the yielder must reschedule the task itself
-        /// (a poke raced with the yield and lost the CAS).
+        /// Yield-side transition, once the task has stopped running:
+        /// `BLOCKED`, consuming `NOTIFIED`. Returns `true` iff the yielder
+        /// must reschedule the task itself (a poke raced with the yield
+        /// and did not take the transition).
         pub(crate) fn block(&self) -> bool {
-            self.state.store(BLOCKED, Ordering::SeqCst);
-            if self.notified.swap(false, Ordering::SeqCst) {
-                return self
-                    .state
+            let prev = self.word.swap(BLOCKED, Ordering::SeqCst);
+            prev & NOTIFIED != 0
+                && self
+                    .word
                     .compare_exchange(BLOCKED, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok();
-            }
-            false
+                    .is_ok()
         }
 
         /// Resume-side transition: whoever runs the task next takes
-        /// ownership. Panics if the task was not `QUEUED` — that would
-        /// mean two owners of one rank.
+        /// ownership (`NOTIFIED` is kept). Panics if the task was not
+        /// `QUEUED` — that would mean two owners of one rank.
         pub(crate) fn claim(&self) {
-            let prev = self.state.swap(RUNNING, Ordering::SeqCst);
+            let prev = self.word.fetch_and(NOTIFIED, Ordering::SeqCst) & STATE;
             assert_eq!(prev, QUEUED, "task claimed while not queued (state {prev})");
         }
 
         /// Voluntary-yield transition: the running worker puts the task
-        /// straight back to `QUEUED` without ever passing through
-        /// `BLOCKED`. Used by `yield_now` (cooperative poll loops): the
-        /// task needs no poke to become runnable again, and skipping
-        /// `BLOCKED` means a racing `wake` can only set the sticky
-        /// `notified` flag (its CAS finds `RUNNING`/`QUEUED` and fails),
-        /// so the single-enqueue invariant holds — the worker's enqueue
-        /// after this call is the episode's only one.
+        /// straight back to `QUEUED` (`RUNNING` is zero, so or-ing keeps
+        /// `NOTIFIED`) without ever passing through `BLOCKED`. Used by
+        /// `yield_now` (cooperative poll loops): the task needs no poke
+        /// to become runnable again, and skipping `BLOCKED` means a
+        /// racing `wake` can only set `NOTIFIED`, so the single-enqueue
+        /// invariant holds — the worker's enqueue after this call is the
+        /// episode's only one.
         pub(crate) fn requeue(&self) {
-            self.state.store(QUEUED, Ordering::SeqCst);
+            self.word.fetch_or(QUEUED, Ordering::SeqCst);
         }
 
         /// Terminal transition.
         pub(crate) fn finish(&self) {
-            self.state.store(DONE, Ordering::SeqCst);
+            self.word.store(DONE, Ordering::SeqCst);
         }
 
         pub(crate) fn is_blocked(&self) -> bool {
-            self.state.load(Ordering::SeqCst) == BLOCKED
+            self.word.load(Ordering::SeqCst) & STATE == BLOCKED
         }
 
         /// OS-thread backend: after `block()` returned `false`, wait on
-        /// the task's own thread until a waker wins the CAS (or the job
-        /// is `cancelled`). The state check and the wait happen under
-        /// the park lock, and `unpark` takes the same lock before it
-        /// notifies, so a CAS that lands between the check and the wait
-        /// cannot notify early: the wakeup is not lost.
+        /// the task's own thread until a waker wins the transition (or
+        /// the job is `cancelled`). The state check and the wait happen
+        /// under the park lock, and `unpark` takes the same lock before
+        /// it notifies, so a wake that lands between the check and the
+        /// wait cannot notify early: the wakeup is not lost.
         pub(crate) fn park(&self, cancelled: impl Fn() -> bool) {
             let mut g = self.parked.lock();
             while self.is_blocked() && !cancelled() {
@@ -283,8 +322,8 @@ pub(crate) mod handoff {
         }
 
         /// OS-thread backend: let a parked task re-check its state.
-        /// Called by the winner of the blocked→queued CAS (and by job
-        /// cancellation).
+        /// Called by the winner of the blocked→queued transition (and by
+        /// job cancellation).
         pub(crate) fn unpark(&self) {
             let _g = self.parked.lock();
             self.unparked.notify_one();
@@ -417,18 +456,42 @@ use fallback_asm::{cmpi_core_fiber_switch, cmpi_core_fiber_thunk};
 ///
 /// No guard pages: adding them needs `mprotect`, and the workspace
 /// deliberately has no libc-level dependency. A fiber that overruns its
-/// stack writes into the top of its lower neighbour's, silently; the
-/// defence is generous sizing (1 MiB default, see `CMPI_STACK_KIB`)
-/// against rank bodies whose deepest frames are a collective inside a
-/// proptest plan.
+/// stack writes into the top of its lower neighbour's. The defence is
+/// generous sizing (1 MiB default, see `CMPI_STACK_KIB`) against rank
+/// bodies whose deepest frames are a collective inside a proptest plan,
+/// and a [`STACK_CANARY`] in the lowest 8 bytes of every stack: the
+/// worker checks it each time a fiber switches out and takes the job
+/// down naming the rank. That catches an overrun after the fact, at the
+/// next switch, and only one whose frames wrote over the canary.
+///
+/// The stacks start `CANARY_SLACK` bytes below a page boundary. With a
+/// stack size of whole pages (every size in use) each canary above
+/// stack 0's then shares a page with the top of the stack below it,
+/// which that stack's fiber touches on its first run anyway: the
+/// canaries commit one page per job, not one per rank. It also keeps
+/// every fiber's seeded first frame inside its top page; a slab that
+/// starts a few bytes into a page has each seed frame straddle into the
+/// bottom page of the stack above, a page per rank nothing else uses.
 struct StackSlab {
-    base: *mut u8,
+    /// The allocation, as returned by the allocator.
+    raw: *mut u8,
+    /// Bytes from `raw` to the bottom of stack 0.
+    skip: usize,
     layout: std::alloc::Layout,
     stack_bytes: usize,
 }
 
+/// Written into the lowest 8 bytes of every fiber stack at slab
+/// creation; any other value there means the stack's fiber overran it.
+const STACK_CANARY: u64 = 0x5EED_CA4A_2D57_AC4B;
+/// Distance from a stack's bottom to the next page boundary above it.
+const CANARY_SLACK: usize = 64;
+/// The page size the slack is laid out against.
+const PAGE: usize = 4096;
+
 // SAFETY: workers share the slab by reference only to compute stack
-// tops (`top` reads fields that never change after construction); each
+// tops (`top` reads fields that never change after construction) and to
+// read the canary of a stack whose fiber they just switched out of; each
 // stack region is touched solely by the unique owner of its task's
 // fiber cell (see `Task`).
 unsafe impl Sync for StackSlab {}
@@ -438,38 +501,65 @@ impl StackSlab {
         // 16-byte alignment and a 16-multiple stride keep every top
         // aligned for both ABIs.
         let stack_bytes = stack_bytes.max(MIN_STACK_KIB * 1024) & !15;
+        // One page more than the stacks, for the canary slack.
         let layout = stacks
             .checked_mul(stack_bytes)
+            .and_then(|bytes| bytes.checked_add(PAGE))
             .and_then(|bytes| std::alloc::Layout::from_size_align(bytes, 16).ok())
             .expect("stack slab layout");
         // SAFETY: layout has non-zero size (the pool has at least one
         // task and stacks are at least MIN_STACK_KIB).
-        let base = unsafe { std::alloc::alloc(layout) };
+        let raw = unsafe { std::alloc::alloc(layout) };
         assert!(
-            !base.is_null(),
+            !raw.is_null(),
             "could not reserve {stacks} fiber stacks of {} KiB; lower CMPI_STACK_KIB",
             stack_bytes / 1024
         );
-        StackSlab {
-            base,
+        // Start at the lowest address CANARY_SLACK below a page boundary:
+        // less than the page the layout holds beyond the stacks, and
+        // 16-aligned because `raw` is.
+        let skip = (PAGE - (raw as usize + CANARY_SLACK) % PAGE) % PAGE;
+        let slab = StackSlab {
+            raw,
+            skip,
             layout,
             stack_bytes,
+        };
+        for i in 0..stacks {
+            // SAFETY: the bottom of stack `i` is inside the allocation,
+            // 16-aligned, with at least 8 bytes of the stack above it.
+            unsafe { slab.bottom(i).write(STACK_CANARY) };
         }
+        slab
     }
 
     /// One past the highest byte of stack `index` — its initial (empty,
     /// 16-aligned) top.
     fn top(&self, index: usize) -> *mut u8 {
-        assert!((index + 1) * self.stack_bytes <= self.layout.size());
+        let offset = self.skip + (index + 1) * self.stack_bytes;
+        assert!(offset <= self.layout.size());
         // SAFETY: checked above to stay inside the allocation we own.
-        unsafe { self.base.add((index + 1) * self.stack_bytes) }
+        unsafe { self.raw.add(offset) }
+    }
+
+    /// The lowest 8 bytes of stack `index`, where its canary lives.
+    fn bottom(&self, index: usize) -> *mut u64 {
+        self.top(index).wrapping_sub(self.stack_bytes) as *mut u64
+    }
+
+    /// Whether stack `index` still holds its canary.
+    fn intact(&self, index: usize) -> bool {
+        // SAFETY: `bottom` is an aligned word inside the allocation,
+        // written at creation; the fiber that might overwrite it is
+        // switched out while its worker reads.
+        unsafe { self.bottom(index).read() == STACK_CANARY }
     }
 }
 
 impl Drop for StackSlab {
     fn drop(&mut self) {
-        // SAFETY: base/layout are exactly what alloc returned.
-        unsafe { std::alloc::dealloc(self.base, self.layout) }
+        // SAFETY: raw/layout are exactly what alloc returned.
+        unsafe { std::alloc::dealloc(self.raw, self.layout) }
     }
 }
 
@@ -741,14 +831,6 @@ extern "C" fn cmpi_core_fiber_boot(task: *mut Task) -> ! {
 // The pool
 // ---------------------------------------------------------------------------
 
-/// Parked-worker bookkeeping, under the `idle` mutex.
-struct IdleState {
-    parked: usize,
-    /// Consecutive full-quiescence observations (all workers parked,
-    /// queues empty, tasks outstanding). Reset by any sign of life.
-    strikes: u32,
-}
-
 /// Everything the tasks, the workers and the pokers share.
 pub(crate) struct PoolShared {
     /// The backend, fixed for the pool's lifetime.
@@ -758,8 +840,14 @@ pub(crate) struct PoolShared {
     /// task's home queue (index % workers); idle workers steal from the
     /// back of other queues.
     queues: Box<[Mutex<VecDeque<usize>>]>,
-    idle: Mutex<IdleState>,
+    /// Where workers park, guarding the count of consecutive
+    /// full-quiescence observations (all workers parked, queues empty,
+    /// tasks outstanding), which any sign of life resets.
+    idle: Mutex<u32>,
     idle_cv: Condvar,
+    /// Workers parked on `idle_cv`. Changed only under `idle`; read
+    /// without it by `enqueue`, which takes `idle` only to notify.
+    parked: AtomicUsize,
     /// Fiber backend: tasks not yet Done. The last finisher wakes all
     /// parked workers so the pool winds down promptly.
     live: AtomicUsize,
@@ -814,11 +902,9 @@ impl PoolShared {
             mode,
             tasks,
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(IdleState {
-                parked: 0,
-                strikes: 0,
-            }),
+            idle: Mutex::new(0),
             idle_cv: Condvar::new(),
+            parked: AtomicUsize::new(0),
             live: AtomicUsize::new(n),
             poisoned: AtomicBool::new(false),
         })
@@ -838,7 +924,17 @@ impl PoolShared {
     /// Put a QUEUED task onto a run queue and wake a parked worker.
     fn enqueue(&self, index: usize) {
         self.queues[self.home(index)].lock().push_back(index);
-        if self.idle.lock().parked > 0 {
+        self.notify_parked();
+    }
+
+    /// Wake one parked worker, if the count says one waits. A push that
+    /// reads zero here preceded the parker's count increment, hence its
+    /// queue re-check, which sees the push (see `park`).
+    fn notify_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            // The parker holds `idle` from its re-check into its wait, so
+            // a notify under it cannot fall between the two.
+            let _g = self.idle.lock();
             self.idle_cv.notify_one();
         }
     }
@@ -947,7 +1043,7 @@ impl PoolShared {
                 }
             }
         });
-        self.cancel_remnants();
+        self.cancel_remnants(&stacks);
         self.propagate_panic();
         if let Some(p) = worker_panic {
             std::panic::resume_unwind(p);
@@ -965,14 +1061,16 @@ impl PoolShared {
         }
     }
 
-    /// Worker main loop.
+    /// Worker main loop: run the task `run_task` hands back, else find
+    /// one, else park.
     fn worker(&self, me: usize, stacks: &StackSlab) {
+        let mut next = None;
         loop {
             if self.poisoned() {
                 return;
             }
-            if let Some(idx) = self.find_work(me) {
-                self.run_task(idx, stacks);
+            if let Some(idx) = next.take().or_else(|| self.find_work(me)) {
+                next = self.run_task(idx, me, stacks);
                 continue;
             }
             if self.live.load(Ordering::SeqCst) == 0 {
@@ -983,53 +1081,61 @@ impl PoolShared {
     }
 
     fn park(&self) {
-        let mut g = self.idle.lock();
-        // Re-check with the lock held: an enqueue between our sweep and
-        // this lock sees `parked == 0` and skips the notify, so we must
-        // not wait on it.
+        let mut strikes = self.idle.lock();
+        // Count ourselves before the re-check: an enqueue that reads the
+        // count as zero pushed before this increment, so the re-check
+        // below sees its task; one that reads it later notifies, under
+        // `idle`, which we hold until the wait releases it.
+        self.parked.fetch_add(1, Ordering::SeqCst);
         // lock-order: idle -> queues is the designed order — park holds
         // `idle` while any_queued sweeps the run queues; enqueue takes
         // queues then idle *sequentially* (each released before the
         // next), so the reverse edge never exists.
         if self.any_queued() || self.live.load(Ordering::SeqCst) == 0 || self.poisoned() {
+            self.parked.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        g.parked += 1;
         // fiber-ok: worker-thread context, never fiber context — park()
         // runs on the pool's OS worker between tasks (fibers block via
         // yield_blocked(), which switches back to this loop instead of
         // ever reaching an OS wait).
-        let timed_out = self.idle_cv.wait_for(&mut g, PARK_TIMEOUT).timed_out();
-        g.parked -= 1;
+        let timed_out = self
+            .idle_cv
+            .wait_for(&mut strikes, PARK_TIMEOUT)
+            .timed_out();
+        let others = self.parked.fetch_sub(1, Ordering::SeqCst) - 1;
         if !timed_out {
-            g.strikes = 0;
+            *strikes = 0;
             return;
         }
-        // Timed out: quiescence probe. `parked` was decremented above,
-        // so "everyone else parked" is parked == workers - 1.
-        let all_parked = g.parked == self.queues.len() - 1;
+        // Timed out: quiescence probe. The count changes only under
+        // `idle`, which we hold, so "everyone else parked" is exact.
+        let all_parked = others == self.queues.len() - 1;
         let live = self.live.load(Ordering::SeqCst);
         if all_parked && live > 0 && !self.any_queued() && !self.poisoned() {
-            g.strikes += 1;
-            if g.strikes >= DEADLOCK_STRIKES {
+            *strikes += 1;
+            if *strikes >= DEADLOCK_STRIKES {
                 let stuck: Vec<usize> = (0..self.tasks.len())
                     .filter(|&i| self.tasks[i].state.is_blocked())
                     .collect();
                 self.poison();
-                drop(g);
+                drop(strikes);
                 panic!(
                     "cmpi task pool deadlock: {live} task(s) outstanding, all workers idle, \
                      no queued work; blocked ranks: {stuck:?}"
                 );
             }
         } else {
-            g.strikes = 0;
+            *strikes = 0;
         }
     }
 
-    /// Claim, switch into, and dispose of one task (task `i` runs on
-    /// stack `i` of `stacks`).
-    fn run_task(&self, idx: usize, stacks: &StackSlab) {
+    /// Claim, switch into, and dispose of one task on worker `me` (task
+    /// `i` runs on stack `i` of `stacks`). A task that must run again and
+    /// is at home here goes back on this worker's queue under the same
+    /// hold that pops the next task, which is returned; `None` sends the
+    /// worker to `find_work`.
+    fn run_task(&self, idx: usize, me: usize, stacks: &StackSlab) -> Option<usize> {
         let task = &self.tasks[idx];
         task.state.claim();
         let mut resume: *mut u8 = std::ptr::null_mut();
@@ -1049,7 +1155,14 @@ impl PoolShared {
             // the switch because the fiber always switches back here.
             cmpi_core_fiber_switch(&mut resume, to);
             CURRENT.with(|c| c.set((std::ptr::null(), 0)));
-            match (*fs).status {
+            if !stacks.intact(idx) {
+                self.poison();
+                panic!(
+                    "rank {idx} overran its {} KiB fiber stack",
+                    stacks.stack_bytes / 1024
+                );
+            }
+            let again = match (*fs).status {
                 FiberStatus::Done => {
                     task.state.finish();
                     if (*fs).panic.is_some() {
@@ -1059,27 +1172,47 @@ impl PoolShared {
                         let _g = self.idle.lock();
                         self.idle_cv.notify_all();
                     }
+                    false
                 }
-                FiberStatus::Suspended => {
-                    if (*fs).requeue {
-                        // Voluntary yield: the task is runnable now; put
-                        // it straight back without the blocked handoff.
-                        (*fs).requeue = false;
-                        task.state.requeue();
-                        self.enqueue(idx);
-                    } else if task.state.block() {
-                        self.enqueue(idx);
-                    }
+                FiberStatus::Suspended if (*fs).requeue => {
+                    // Voluntary yield: the task is runnable now; put it
+                    // straight back without the blocked handoff.
+                    (*fs).requeue = false;
+                    task.state.requeue();
+                    true
                 }
+                FiberStatus::Suspended => task.state.block(),
                 FiberStatus::New => unreachable!("fiber yielded before first entry"),
+            };
+            if !again {
+                return None;
             }
         }
+        if self.home(idx) != me {
+            self.enqueue(idx);
+            return None;
+        }
+        let (next, more) = {
+            let mut q = self.queues[me].lock();
+            q.push_back(idx);
+            (q.pop_front(), !q.is_empty())
+        };
+        // Work left behind for a parked worker to steal.
+        if more {
+            self.notify_parked();
+        }
+        next
     }
 
     /// Post-join teardown, on the pool thread: unwind every fiber that
     /// is not Done so its stack-held locals drop, and drop unstarted
     /// bodies. Workers are gone, so this thread owns every fiber cell.
-    fn cancel_remnants(&self) {
+    fn cancel_remnants(&self, stacks: &StackSlab) {
+        // An overrun breaks its own canary and writes into the top of
+        // the stack below: neither stack's frames can be trusted to
+        // unwind, so their locals leak instead.
+        let sound =
+            |i: usize| stacks.intact(i) && (i + 1 == self.tasks.len() || stacks.intact(i + 1));
         for (idx, task) in self.tasks.iter().enumerate() {
             // SAFETY: single-threaded teardown; no other accessor left.
             unsafe {
@@ -1089,6 +1222,9 @@ impl PoolShared {
                     FiberStatus::Done => {}
                     FiberStatus::New => {
                         (*fs).body = None;
+                        (*fs).status = FiberStatus::Done;
+                    }
+                    FiberStatus::Suspended if !sound(idx) => {
                         (*fs).status = FiberStatus::Done;
                     }
                     FiberStatus::Suspended => {
@@ -1303,6 +1439,56 @@ mod tests {
         }
     }
 
+    /// 4 KiB frames, `depth` deep, every byte written; the deepest one
+    /// yields.
+    #[inline(never)]
+    fn recurse(depth: usize) -> u8 {
+        let mut frame = [depth as u8 | 1; 4096];
+        std::hint::black_box(&mut frame);
+        if depth == 0 {
+            yield_now();
+        } else {
+            recurse(depth - 1);
+        }
+        frame[4095]
+    }
+
+    /// On one worker with 64 KiB stacks, run task 0's `first` body, then
+    /// let task 1 run 32 KiB past the bottom of its stack into task 0's.
+    fn overrun_after(first: impl FnOnce() + Send) {
+        let cfg = ExecConfig {
+            mode: ExecMode::Tasks,
+            workers: 1,
+            stack_bytes: 64 * 1024,
+        };
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+            Box::new(first),
+            Box::new(|| {
+                std::hint::black_box(recurse(24));
+            }),
+        ];
+        run_task_pool(bodies, &cfg, |_, _| {});
+    }
+
+    /// An overrun into a finished neighbour takes the job down at the
+    /// overrunning fiber's next switch, by rank, instead of running on.
+    #[test]
+    #[should_panic(expected = "rank 1 overran its 64 KiB fiber stack")]
+    fn stack_overrun_is_reported_at_the_next_switch() {
+        overrun_after(|| {});
+    }
+
+    /// With the neighbour suspended instead, the overrun wrote over its
+    /// saved context: teardown must not resume it to unwind (that would
+    /// return through frame bytes), and the report is the same panic.
+    #[test]
+    #[should_panic(expected = "rank 1 overran its 64 KiB fiber stack")]
+    fn an_overrun_neighbour_is_not_resumed_at_teardown() {
+        overrun_after(|| loop {
+            yield_blocked();
+        });
+    }
+
     #[test]
     fn resolve_takes_sizes_from_the_spec_and_the_backend_from_the_target() {
         let mut spec = ExecSpec {
@@ -1326,15 +1512,16 @@ mod tests {
     }
 }
 
-/// Exhaustive interleaving checks of the blocked→queued handoff. The
-/// OS-thread backend's park/unpark on top of it is checked end to end,
-/// from a mailbox poke to the parked owner, in `mailbox::model_tests`.
+/// Exhaustive interleaving checks of the blocked→queued handoff and of
+/// the pool's counter-checked idle notify. The OS-thread backend's
+/// park/unpark on top of the handoff is checked end to end, from a
+/// mailbox poke to the parked owner, in `mailbox::model_tests`.
 /// Run via `scripts/check.sh` with `RUSTFLAGS="--cfg cmpi_model"`.
 #[cfg(all(test, cmpi_model))]
 mod model_tests {
     use super::handoff::TaskState;
     use cmpi_model::model::{thread, Builder};
-    use cmpi_model::sync::{AtomicUsize, Ordering};
+    use cmpi_model::sync::{AtomicUsize, Condvar, Mutex, Ordering};
     use std::sync::Arc;
 
     /// A poke racing a yield: however the two interleave, the task is
@@ -1397,7 +1584,7 @@ mod model_tests {
 
     /// A poke that lands while the task is still RUNNING (before the
     /// yield starts) is deferred, not dropped: the subsequent block()
-    /// observes the sticky notified flag and re-enqueues.
+    /// observes the sticky `NOTIFIED` bit and re-enqueues.
     #[test]
     fn model_early_poke_is_deferred_not_lost() {
         Builder::new().max_executions(400_000).check(|| {
@@ -1407,5 +1594,99 @@ mod model_tests {
             assert!(st.block(), "deferred poke must re-enqueue at yield");
             st.claim();
         });
+    }
+
+    /// A wake that wins the blocked→queued transition still leaves the
+    /// poke pending, so the task's next `block` reschedules it at once.
+    /// The one-worker run order (`tests/run_order.rs`) depends on this
+    /// extra turn.
+    #[test]
+    fn model_won_wake_keeps_the_flag_sticky() {
+        Builder::new().max_executions(400_000).check(|| {
+            let st = TaskState::new_queued();
+            st.claim();
+            assert!(!st.block(), "no poke yet, the task stays blocked");
+            assert!(st.wake(), "a wake of a blocked task wins the transition");
+            st.claim();
+            assert!(st.block(), "the won wake's poke must still be pending");
+        });
+    }
+
+    /// The pool's idle protocol distilled onto the shim primitives: one
+    /// run queue, the `idle` mutex and condvar, and the parked count that
+    /// `enqueue` reads without taking `idle`. `count_first` is the pool's
+    /// order (raise the count, then re-check the queue); `false` raises
+    /// it after the re-check.
+    struct Idle {
+        queue: Mutex<usize>,
+        idle: Mutex<()>,
+        idle_cv: Condvar,
+        parked: AtomicUsize,
+    }
+
+    impl Idle {
+        fn enqueue(&self) {
+            *self.queue.lock() += 1;
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                let _g = self.idle.lock();
+                self.idle_cv.notify_one();
+            }
+        }
+
+        fn park(&self, count_first: bool) {
+            let mut g = self.idle.lock();
+            if count_first {
+                self.parked.fetch_add(1, Ordering::SeqCst);
+            }
+            if *self.queue.lock() > 0 {
+                if count_first {
+                    self.parked.fetch_sub(1, Ordering::SeqCst);
+                }
+                return;
+            }
+            if !count_first {
+                self.parked.fetch_add(1, Ordering::SeqCst);
+            }
+            self.idle_cv.wait(&mut g);
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A worker parks while its queue is empty as another thread
+    /// enqueues; a notify lost between the two leaves it waiting beside a
+    /// non-empty queue, which the model reports as a deadlock.
+    fn enqueue_vs_park(count_first: bool) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            let pool = Arc::new(Idle {
+                queue: Mutex::new(0),
+                idle: Mutex::new(()),
+                idle_cv: Condvar::new(),
+                parked: AtomicUsize::new(0),
+            });
+            let p = Arc::clone(&pool);
+            let enqueuer = thread::spawn(move || p.enqueue());
+            while *pool.queue.lock() == 0 {
+                pool.park(count_first);
+            }
+            enqueuer.join();
+        }
+    }
+
+    #[test]
+    fn model_enqueue_racing_a_park_is_never_slept_through() {
+        Builder::new()
+            .max_executions(400_000)
+            .check(enqueue_vs_park(true));
+    }
+
+    /// The checker catches the order the pool must not use: counted after
+    /// the re-check, an enqueue can read zero, skip the notify, and leave
+    /// the worker parked beside its task.
+    #[test]
+    fn model_count_raised_after_the_recheck_loses_a_wakeup() {
+        let report = Builder::new()
+            .max_executions(400_000)
+            .check_expect_failure(enqueue_vs_park(false));
+        assert!(report.contains("deadlock"), "report:\n{report}");
     }
 }

@@ -21,7 +21,7 @@
 //!   lands while the owner is running is never slept through;
 //! * the engine's blocked→queued handoff — a poke that lands after that
 //!   swap but before the owner is off the CPU is caught by the hook's
-//!   sticky `notified` flag, which reschedules the owner at once.
+//!   sticky `NOTIFIED` bit, which reschedules the owner at once.
 //!
 //! The consumer also clears `poked` with a `swap` when it resumes: the
 //! read-modify-write synchronizes with the producer's store, which makes
@@ -362,10 +362,12 @@ impl RankCell {
         if self.poked.swap(false, Ordering::SeqCst) {
             return;
         }
-        // relaxed-ok: profile counter, feeds stats() only.
-        self.parks.fetch_add(1, Ordering::Relaxed);
+        // relaxed-ok: profile counter, feeds stats() only; the owner is
+        // its one writer, so a load and a store count it without an RMW.
+        self.parks
+            .store(self.parks.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         // A poke landing after the swap above is caught by the handoff's
-        // sticky `notified` flag.
+        // sticky `NOTIFIED` bit.
         crate::exec::yield_blocked();
         // The swap synchronizes with the producer's `poked` store, making
         // its linked node visible to the caller's next `pop` loop. A poke

@@ -11,8 +11,6 @@
 //!   message, receiver-side copy out;
 //! * **HCA rendezvous** — RTS/CTS over the fabric, zero-copy RDMA payload.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 
@@ -126,7 +124,6 @@ impl Mpi {
         let cross = self.cross_socket(dst);
         let parked = match (route.channel, route.protocol) {
             (Channel::Shm, Protocol::Eager) => {
-                let q = Arc::clone(self.state.pair_queue(self.rank, dst));
                 let qcap = self.state.tunables.smpi_length_queue;
                 let chunk = self.state.tunables.smp_eager_size.max(1);
                 let mut off = 0usize;
@@ -136,8 +133,11 @@ impl Mpi {
                 'chunks: loop {
                     let clen = chunk.min(len - off);
                     // Claim queue space; run progress while the receiver
-                    // drains so cross-pair traffic cannot deadlock.
+                    // drains so cross-pair traffic cannot deadlock. The
+                    // queue is borrowed from the job state afresh around
+                    // every progress call: no refcount traffic.
                     let stall = loop {
+                        let q = self.state.pair_queue(self.rank, dst);
                         if let Some(s) = q.try_acquire(clen) {
                             break s;
                         }
@@ -149,6 +149,7 @@ impl Mpi {
                             break 'chunks;
                         }
                         self.progress();
+                        let q = self.state.pair_queue(self.rank, dst);
                         if q.try_acquire(clen).is_none() {
                             self.sleep_if_idle();
                         } else {

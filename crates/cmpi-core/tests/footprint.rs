@@ -30,11 +30,13 @@ struct TrackingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Size of the one allocation left out of the count (the stack slab).
-static EXCLUDED_SIZE: AtomicUsize = AtomicUsize::new(0);
+/// The job's stack bytes: the one allocation at least this large (the
+/// stack slab, which adds a page of layout slack) is left out of the
+/// count.
+static EXCLUDED_SIZE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 fn counted(size: usize) -> bool {
-    size != EXCLUDED_SIZE.load(Ordering::Relaxed)
+    size < EXCLUDED_SIZE.load(Ordering::Relaxed)
 }
 
 fn grow(bytes: usize) {

@@ -137,6 +137,23 @@ mod imp {
                     }
                 }
 
+                pub fn fetch_sub(&self, v: $Prim, ord: Ordering) -> $Prim {
+                    match engine::current() {
+                        Some((e, tid)) if !std::thread::panicking() => e.atomic_rmw(
+                            tid,
+                            self.addr(),
+                            ord,
+                            self.init(),
+                            stringify!($Name),
+                            &mut |old| (old as $Prim).wrapping_sub(v) as u64,
+                        ) as $Prim,
+                        Some((e, _)) => e.raw_rmw(self.addr(), self.init(), &mut |old| {
+                            (old as $Prim).wrapping_sub(v) as u64
+                        }) as $Prim,
+                        None => self.real.fetch_sub(v, ord),
+                    }
+                }
+
                 pub fn fetch_or(&self, v: $Prim, ord: Ordering) -> $Prim {
                     match engine::current() {
                         Some((e, tid)) if !std::thread::panicking() => e.atomic_rmw(

@@ -3,11 +3,15 @@
 #
 #   scripts/prof.sh WORKLOAD [SECONDS] [TOP]
 #
-# Builds the benchmark, preloads scripts/prof/sigprof.c (a SIGPROF
-# sampler on a 1 ms CPU-time timer; the kernel tick may be coarser) into its children — the processes that run
+# Builds the benchmark with frame pointers into target/prof-fp (its own
+# target dir, so benchmark/ and its usual build are left alone), preloads
+# scripts/prof/sigprof.c (a SIGPROF sampler on a 1 ms CPU-time timer; the
+# kernel tick may be coarser) into its children — the processes that run
 # the workload; the parent only spawns and waits — and prints the TOP
-# (default 20) symbols. Dumps stay in target/prof/WORKLOAD/. Not a gate:
-# without a C compiler it says so and exits 0.
+# (default 20) symbols twice: by self time, and inclusive of the callees
+# each sample's frame-pointer chain shows. Dumps stay in
+# target/prof/WORKLOAD/. Not a gate: without a C compiler it says so and
+# exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/prof.sh WORKLOAD [SECONDS] [TOP]}"
@@ -21,8 +25,9 @@ out="target/prof/$workload"
 rm -rf "$out"
 mkdir -p "$out"
 cc -O2 -shared -fPIC -o target/prof/sigprof.so scripts/prof/sigprof.c
-export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-benchmark/target}"
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+export CARGO_TARGET_DIR=target/prof-fp
+RUSTFLAGS="-C force-frame-pointers=yes" \
+  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 SIGPROF_OUT="$out" SIGPROF_MATCH=--child LD_PRELOAD="$PWD/target/prof/sigprof.so" \
   "$CARGO_TARGET_DIR/release/cmpi-benchmark" \
   --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >/dev/null

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Turn sigprof.c dumps into a table of the hottest symbols.
+"""Turn sigprof.c dumps into tables of the hottest symbols.
 
 usage: symbolise.py DUMP_DIR [TOP]
 
-Every sampled pc is attributed to the mapped file that contains it and,
-within the file, to the function symbol of `nm -S` whose extent covers
-it. A pc past the end of the nearest preceding symbol belongs to code
-the file does not name — a stripped libc keeps only its exported
+Every sampled address is attributed to the mapped file that contains it
+and, within the file, to the function symbol of `nm -S` whose extent
+covers it. A pc past the end of the nearest preceding symbol belongs to
+code the file does not name — a stripped libc keeps only its exported
 symbols, so the IFUNC'd memmove/memset variants and the allocator's
 internals have none — and is reported by file and 4 KiB page
 (`libc.so.6+0x16d000`) rather than under a neighbour it is not part of.
 A symbol without a size (hand-written assembly) keeps every pc up to
 the next symbol. A file's load address is taken as its lowest mapping,
 which is right for position-independent executables and shared objects.
+
+Two tables. "self" counts each sample once, under the symbol of its pc.
+"inclusive" counts each sample once under every distinct symbol on its
+stack: the pc's and its callers', whose return addresses are looked up
+one byte back, inside the call instruction. Callers are only as good as
+the frame-pointer chain sigprof.c could follow.
 """
 import bisect, collections, glob, re, subprocess, sys
 
@@ -41,12 +47,17 @@ def attribute(table, offset, file):
         return names[i]
     return f"{file}+{offset & ~0xfff:#x}"
 
+def print_table(title, counts, samples, top):
+    print(title)
+    for name, n in counts.most_common(top):
+        print(f"{100 * n / samples:6.2f}%  {n:7d}  {name}")
+
 def main():
     dumps = glob.glob(sys.argv[1] + "/*.prof")
     top = int(sys.argv[2]) if len(sys.argv) > 2 else 20
-    counts, tables = collections.Counter(), {}
+    own, inclusive, tables, samples = collections.Counter(), collections.Counter(), {}, 0
     for dump in dumps:
-        maps, pcs = open(dump).read().split("--\n")
+        maps, stacks = open(dump).read().split("--\n")
         ranges, base = [], {}
         for m in maps.splitlines():
             f = m.split()
@@ -54,20 +65,29 @@ def main():
                 lo, hi = (int(x, 16) for x in f[0].split("-"))
                 ranges.append((lo, hi, f[5]))
                 base[f[5]] = min(lo, base.get(f[5], lo))
-        for pc in (int(x, 16) for x in pcs.split()):
+
+        def name_of(pc):
             path = next((p for lo, hi, p in ranges if lo <= pc < hi), None)
             if path is None:
-                counts["[kernel, vdso or anonymous memory]"] += 1
-                continue
+                return "[kernel, vdso or anonymous memory]"
             if path not in tables:
                 tables[path] = symbols(path)
             file = path.rsplit("/", 1)[-1]
             name = attribute(tables[path], pc - base[path], file)
-            counts[f"{name}  [{file}]" if ".so" in path and not name.startswith(file) else name] += 1
-    total = sum(counts.values())
-    print(f"{total} samples of CPU time from {len(dumps)} processes")
-    for name, n in counts.most_common(top):
-        print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
+            return f"{name}  [{file}]" if ".so" in path and not name.startswith(file) else name
+
+        for line in stacks.splitlines():
+            frames = [int(x, 16) for x in line.split()]
+            if not frames:
+                continue
+            samples += 1
+            names = [name_of(frames[0])] + [name_of(ra - 1) for ra in frames[1:]]
+            own[names[0]] += 1
+            inclusive.update(set(names))
+    print(f"{samples} samples of CPU time from {len(dumps)} processes")
+    print_table("self:", own, samples, top)
+    print_table("inclusive (each symbol once per sample, callers by frame pointer):",
+                inclusive, samples, top)
 
 if __name__ == "__main__":
     main()
