@@ -62,8 +62,8 @@ impl MidRunTrigger {
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
 pub enum MidRunFault {
-    /// The rank's process dies: queues close, its endpoint detaches, and
-    /// peers eventually convict it through the failure detector.
+    /// The rank's process dies: its endpoint detaches, nothing drains its
+    /// queues again, and peers convict it through the failure detector.
     Crash,
     /// The rank's whole container is killed: every rank placed in it
     /// shares the trigger and dies at its own next call boundary past it.

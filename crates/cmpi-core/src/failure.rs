@@ -1,21 +1,20 @@
-//! Lease-based failure detection and the fault-tolerant decision log.
+//! Failure detection and the fault-tolerant decision log.
 //!
-//! Mid-run fault tolerance (ULFM-style revoke/shrink/agree) needs three
-//! shared structures, all built on the rank-indexed registry pattern the
-//! lock-free message path introduced:
+//! One structure decides who is dead: the **down table**, the
+//! simulation's ground truth of executed deaths. A dying rank records its
+//! own death there at its own call boundary (a container kill is one such
+//! death per resident rank), and every failure answer the library gives
+//! is read from it: the peer a pending operation fails with, the dead set
+//! a shrink agrees on, whether a sender stops waiting for a full SHM
+//! queue. Beside it sit two views that decide nothing:
 //!
-//! * **Heartbeat slots** — each rank's progress loop stamps its virtual
-//!   clock into its own slot. A peer whose lease (heartbeat age) expires
-//!   is *suspected*.
-//! * **Suspicion masks** — each rank publishes the set of peers it
-//!   suspects as a bitmask; [`FailureDetector::converge`] merges every
-//!   rank's published mask (the gossip/broadcast step collapsed onto the
-//!   registry) and retracts any suspicion refuted by ground truth, so all
-//!   survivors agree on the same dead set and no live rank stays marked.
-//! * **The down table** — the simulation's ground truth of executed
-//!   deaths. A dying rank records its death (an external container kill
-//!   records every co-ranked death *atomically* — the kill is one event)
-//!   under one lock, so readers never observe a partially-dead container.
+//! * **The epoch** — how many deaths the table holds, bumped under its
+//!   lock. A lock-free peek at it lets healthy jobs skip the table, and
+//!   lets agreement notice that a death landed mid-attempt.
+//! * **Heartbeats** — on a job whose fault plan schedules a mid-run
+//!   fault, each rank's progress loop stamps its virtual clock into its
+//!   own slot. They feed the telemetry heartbeat-gap metric and its
+//!   health rule; other jobs have no slots.
 //!
 //! Conviction is deterministic in virtual time: a rank that died at
 //! virtual time `t` is convicted at `t + lease`, and every operation that
@@ -31,210 +30,129 @@ use cmpi_model::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::fasthash::FastMap;
 
-/// The failure-detector lease: a rank whose heartbeat is older than this
-/// (equivalently, whose death is younger than this) is not yet convicted.
-/// Detection latency for every mid-run fault class is exactly one lease
-/// in virtual time.
+/// The failure-detector lease: a rank whose death is younger than this
+/// is not yet convicted. Detection latency for every mid-run fault class
+/// is exactly one lease in virtual time.
 pub const FAILURE_LEASE: SimTime = SimTime(200_000);
-
-/// One rank's registry slot: its published heartbeat and suspicion mask.
-struct Slot {
-    /// Latest virtual time this rank's progress loop stamped.
-    beat: AtomicU64,
-    /// The set of ranks this rank suspects, one bit per rank.
-    suspected: Vec<AtomicU64>,
-}
 
 /// A recorded death: when (virtual) and how.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Death {
+pub(crate) struct Death {
     /// The dead rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Virtual time the rank executed its fate.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The fault class that killed it.
-    pub kind: MidRunFault,
-}
-
-/// Ground truth of executed deaths, guarded by one lock so multi-rank
-/// events (container kills) are atomic to readers.
-#[derive(Default)]
-struct DownTable {
-    deaths: Vec<Death>,
+    pub(crate) kind: MidRunFault,
 }
 
 /// The shared failure detector (one per job, rank-indexed).
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     lease: SimTime,
-    slots: Vec<Slot>,
-    down: Mutex<DownTable>,
-    /// Bumped once per death *event* (a container kill is one event).
-    /// Waiters peek this to skip the full convergence scan when nothing
-    /// changed.
+    /// Latest virtual time each rank's progress loop stamped; empty unless
+    /// the detector was built `beating`.
+    beats: Vec<AtomicU64>,
+    /// The down table: every executed death, in the order recorded.
+    down: Mutex<Vec<Death>>,
+    /// The down table's length, bumped under its lock. Waiters peek this
+    /// to skip the table when nothing changed.
     epoch: AtomicU64,
 }
 
 impl FailureDetector {
-    /// A detector for `n` ranks with the given conviction lease.
-    pub fn new(n: usize, lease: SimTime) -> Self {
-        let words = n.div_ceil(64);
+    /// A detector for `n` ranks with the given conviction lease, with a
+    /// heartbeat slot per rank if they are `beating`.
+    pub(crate) fn new(n: usize, lease: SimTime, beating: bool) -> Self {
         FailureDetector {
             lease,
-            slots: (0..n)
-                .map(|_| Slot {
-                    beat: AtomicU64::new(0),
-                    suspected: (0..words).map(|_| AtomicU64::new(0)).collect(),
-                })
+            beats: (0..if beating { n } else { 0 })
+                .map(|_| AtomicU64::new(0))
                 .collect(),
-            down: Mutex::new(DownTable::default()),
+            down: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
         }
     }
 
-    /// The conviction lease.
-    pub fn lease(&self) -> SimTime {
-        self.lease
-    }
-
     /// Stamp `rank`'s heartbeat at virtual time `now` (monotone max).
-    pub fn beat(&self, rank: usize, now: SimTime) {
-        let slot = &self.slots[rank].beat;
-        // relaxed-ok: the heartbeat is a monotone hint; readers that race
-        // with the final CAS see an older (still monotone) stamp, and
-        // conviction never depends on beats — only on the down table.
-        let mut cur = slot.load(Ordering::Relaxed);
-        while now.0 > cur {
-            match slot.compare_exchange(cur, now.0, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+    /// Only `rank` itself calls this, and only on a `beating` detector.
+    pub(crate) fn beat(&self, rank: usize, now: SimTime) {
+        let slot = &self.beats[rank];
+        // relaxed-ok: the rank is its slot's one writer, so a load and a
+        // store keep the stamp a monotone max without an RMW; the one
+        // reader samples it after the job's join.
+        if now.0 > slot.load(Ordering::Relaxed) {
+            slot.store(now.0, Ordering::Relaxed);
         }
     }
 
-    /// The latest heartbeat `rank` published.
-    pub fn last_beat(&self, rank: usize) -> SimTime {
-        SimTime(self.slots[rank].beat.load(Ordering::SeqCst))
+    /// The latest heartbeat `rank` published (zero if it never beat).
+    pub(crate) fn last_beat(&self, rank: usize) -> SimTime {
+        // relaxed-ok: read after the job's join, which orders every stamp.
+        SimTime(
+            self.beats
+                .get(rank)
+                .map_or(0, |b| b.load(Ordering::Relaxed)),
+        )
     }
 
-    /// Record one death *event*: every rank in `ranks` died together at
-    /// virtual time `at`. Returns the deaths newly recorded (empty if all
-    /// were already down). Readers never observe a partial event.
-    pub fn mark_down(&self, ranks: &[usize], at: SimTime, kind: MidRunFault) -> Vec<Death> {
-        let mut table = self.down.lock();
-        let fresh: Vec<Death> = ranks
-            .iter()
-            .filter(|&&r| table.deaths.iter().all(|d| d.rank != r))
-            .map(|&rank| Death { rank, at, kind })
-            .collect();
-        if !fresh.is_empty() {
-            table.deaths.extend(fresh.iter().copied());
+    /// Record that `rank` died at virtual time `at` (a repeat is a
+    /// no-op). The epoch moves under the table's lock, so a reader that
+    /// peeks the new epoch and then reads the table finds the death.
+    pub(crate) fn mark_down(&self, rank: usize, at: SimTime, kind: MidRunFault) {
+        let mut deaths = self.down.lock();
+        if deaths.iter().all(|d| d.rank != rank) {
+            deaths.push(Death { rank, at, kind });
             self.epoch.fetch_add(1, Ordering::SeqCst);
         }
-        fresh
     }
 
-    /// Ground truth: is `rank` dead, and if so when/how did it die?
-    pub fn is_down(&self, rank: usize) -> Option<Death> {
-        self.down
-            .lock()
-            .deaths
-            .iter()
-            .find(|d| d.rank == rank)
-            .copied()
+    /// Is `rank` dead, and if so when/how did it die?
+    pub(crate) fn is_down(&self, rank: usize) -> Option<Death> {
+        self.first_down([rank])
+    }
+
+    /// The first of `ranks`, in the order given, that is dead — one hold
+    /// of the table's lock however many ranks are asked about.
+    pub(crate) fn first_down(&self, ranks: impl IntoIterator<Item = usize>) -> Option<Death> {
+        let deaths = self.down.lock();
+        ranks
+            .into_iter()
+            .find_map(|r| deaths.iter().find(|d| d.rank == r).copied())
+    }
+
+    /// The whole dead set sorted by rank, with the epoch it is current
+    /// for: both are read under one hold of the lock, so the epoch counts
+    /// exactly the deaths returned.
+    pub(crate) fn snapshot(&self) -> (u64, Vec<Death>) {
+        let mut deaths = self.down.lock().clone();
+        deaths.sort_by_key(|d| d.rank);
+        (deaths.len() as u64, deaths)
     }
 
     /// The deterministic virtual time at which `death` is convicted.
-    pub fn convict_time(&self, death: &Death) -> SimTime {
+    pub(crate) fn convict_time(&self, death: &Death) -> SimTime {
         SimTime(death.at.0 + self.lease.0)
     }
 
-    /// Cheap change detector: bumped once per death event.
-    pub fn epoch(&self) -> u64 {
-        // relaxed-ok: a stale epoch only delays the next convergence scan
-        // by one wait-loop iteration; the mailbox poke that accompanies
-        // every death event re-runs the loop promptly.
+    /// Cheap change detector: the number of deaths recorded so far.
+    pub(crate) fn epoch(&self) -> u64 {
+        // relaxed-ok: a stale epoch only delays the next table read by
+        // one wait-loop iteration; the mailbox poke that accompanies every
+        // death re-runs the loop promptly.
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Publish a suspicion: `observer` suspects `rank`.
-    pub fn suspect(&self, observer: usize, rank: usize) {
-        self.slots[observer].suspected[rank / 64].fetch_or(1 << (rank % 64), Ordering::SeqCst);
-    }
-
-    /// Retract a suspicion `observer` published about `rank`.
-    pub fn retract(&self, observer: usize, rank: usize) {
-        self.slots[observer].suspected[rank / 64]
-            .fetch_and(!(1u64 << (rank % 64)), Ordering::SeqCst);
-    }
-
-    /// The suspicion mask `observer` currently publishes.
-    pub fn published_suspects(&self, observer: usize) -> Vec<u64> {
-        self.slots[observer]
-            .suspected
-            .iter()
-            .map(|w| w.load(Ordering::SeqCst))
-            .collect()
-    }
-
-    /// One convergence round for `observer`: suspect every expired lease
-    /// it can observe locally, merge every peer's published mask (the
-    /// gossip step), retract suspicions refuted by ground truth (the rank
-    /// is alive — no lost survivor), publish the result, and return the
-    /// converged dead set sorted by rank.
-    pub fn converge(&self, observer: usize) -> Vec<Death> {
-        let n = self.slots.len();
-        let words = n.div_ceil(64);
-        let mut mask = vec![0u64; words];
-        // Gossip merge: union what everyone else already suspects.
-        for slot in &self.slots {
-            for (w, word) in slot.suspected.iter().enumerate() {
-                mask[w] |= word.load(Ordering::SeqCst);
-            }
-        }
-        // Local lease observations, and ground-truth retraction.
-        let deaths: Vec<Death> = {
-            let table = self.down.lock();
-            table.deaths.clone()
-        };
-        for d in &deaths {
-            mask[d.rank / 64] |= 1 << (d.rank % 64);
-        }
-        let mut out = Vec::new();
-        for r in 0..n {
-            if mask[r / 64] & (1 << (r % 64)) == 0 {
-                continue;
-            }
-            if let Some(d) = deaths.iter().find(|d| d.rank == r) {
-                out.push(*d);
-            } else {
-                // Suspicion refuted: the rank is alive (its heartbeats
-                // continue). Clear it everywhere we control.
-                mask[r / 64] &= !(1u64 << (r % 64));
-                self.retract(observer, r);
-            }
-        }
-        // Publish the converged view so later joiners converge in one
-        // merge.
-        for (w, word) in mask.iter().enumerate() {
-            if *word != 0 {
-                self.slots[observer].suspected[w].fetch_or(*word, Ordering::SeqCst);
-            }
-        }
-        out.sort_by_key(|d| d.rank);
-        out
     }
 }
 
 /// A committed shrink decision: the agreed dead set and the context id of
 /// the survivor communicator.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Decision {
+pub(crate) struct Decision {
     /// World ranks agreed dead (sorted).
-    pub dead: Vec<usize>,
+    pub(crate) dead: Vec<usize>,
     /// Fresh context id for the shrunk communicator.
-    pub new_ctx: u32,
+    pub(crate) new_ctx: u32,
     /// Virtual decision time: every adopter advances to at least this.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// Write-once log of shrink decisions, keyed by `(parent ctx, shrink
@@ -243,7 +161,7 @@ pub struct Decision {
 /// every restarted participant) adopts the *same* decision instead of
 /// deciding again — this is what makes the agreement protocol tolerate
 /// failures during agreement without ever splitting the membership.
-pub struct DecisionLog {
+pub(crate) struct DecisionLog {
     map: Mutex<FastMap<(u32, u64), Arc<Decision>>>,
 }
 
@@ -258,13 +176,13 @@ impl Default for DecisionLog {
 impl DecisionLog {
     /// Commit `decision` for `key` unless one is already committed;
     /// returns the winning record either way.
-    pub fn commit(&self, key: (u32, u64), decision: Decision) -> Arc<Decision> {
+    pub(crate) fn commit(&self, key: (u32, u64), decision: Decision) -> Arc<Decision> {
         let mut map = self.map.lock();
         map.entry(key).or_insert_with(|| Arc::new(decision)).clone()
     }
 
     /// The committed decision for `key`, if any.
-    pub fn get(&self, key: (u32, u64)) -> Option<Arc<Decision>> {
+    pub(crate) fn get(&self, key: (u32, u64)) -> Option<Arc<Decision>> {
         self.map.lock().get(&key).cloned()
     }
 }
@@ -273,63 +191,59 @@ impl DecisionLog {
 mod tests {
     use super::*;
 
+    fn ranks(deaths: &[Death]) -> Vec<usize> {
+        deaths.iter().map(|d| d.rank).collect()
+    }
+
     #[test]
     fn conviction_is_lease_after_death() {
-        let fd = FailureDetector::new(4, SimTime(100));
+        let fd = FailureDetector::new(4, SimTime(100), true);
         assert!(fd.is_down(2).is_none());
-        let fresh = fd.mark_down(&[2], SimTime(1_000), MidRunFault::Crash);
-        assert_eq!(fresh.len(), 1);
+        fd.mark_down(2, SimTime(1_000), MidRunFault::Crash);
         let d = fd.is_down(2).unwrap();
         assert_eq!(d.at, SimTime(1_000));
         assert_eq!(fd.convict_time(&d), SimTime(1_100));
-        // Marking again is a no-op (idempotent event).
-        assert!(fd
-            .mark_down(&[2], SimTime(2_000), MidRunFault::Hang)
-            .is_empty());
+        // Marking again is a no-op: the first death stands, the epoch
+        // does not move.
+        fd.mark_down(2, SimTime(2_000), MidRunFault::Hang);
         assert_eq!(fd.is_down(2).unwrap().at, SimTime(1_000));
+        assert_eq!(fd.epoch(), 1);
     }
 
     #[test]
-    fn container_kill_is_one_atomic_event() {
-        let fd = FailureDetector::new(8, SimTime(100));
-        let e0 = fd.epoch();
-        let fresh = fd.mark_down(&[4, 5, 6, 7], SimTime(50), MidRunFault::ContainerKill);
-        assert_eq!(fresh.len(), 4);
-        assert_eq!(fd.epoch(), e0 + 1, "one event, one epoch bump");
-        let dead = fd.converge(0);
-        assert_eq!(
-            dead.iter().map(|d| d.rank).collect::<Vec<_>>(),
-            vec![4, 5, 6, 7]
-        );
+    fn each_death_is_one_epoch_and_the_snapshot_is_sorted_by_rank() {
+        let fd = FailureDetector::new(8, SimTime(100), true);
+        assert_eq!(fd.snapshot(), (0, vec![]));
+        // A container kill: every resident rank records its own death.
+        for r in [6, 4, 7, 5] {
+            fd.mark_down(r, SimTime(50), MidRunFault::ContainerKill);
+        }
+        assert_eq!(fd.epoch(), 4);
+        let (epoch, dead) = fd.snapshot();
+        assert_eq!(epoch, 4);
+        assert_eq!(ranks(&dead), vec![4, 5, 6, 7]);
     }
 
     #[test]
-    fn gossip_converges_and_retracts_false_suspicion() {
-        let fd = FailureDetector::new(4, SimTime(100));
-        fd.mark_down(&[3], SimTime(10), MidRunFault::Crash);
-        // Rank 0 falsely suspects rank 1 (which keeps beating).
-        fd.suspect(0, 1);
-        fd.beat(1, SimTime(500));
-        let dead0 = fd.converge(0);
-        assert_eq!(dead0.iter().map(|d| d.rank).collect::<Vec<_>>(), vec![3]);
-        // Rank 2 learns of 3 purely through the gossip merge of 0's
-        // published mask (0 published it during converge).
-        let dead2 = fd.converge(2);
-        assert_eq!(dead2.iter().map(|d| d.rank).collect::<Vec<_>>(), vec![3]);
-        // The false suspicion about 1 was retracted, not propagated.
-        assert_eq!(fd.published_suspects(0)[0] & (1 << 1), 0);
-        assert_eq!(fd.published_suspects(2)[0] & (1 << 1), 0);
-        assert_eq!(fd.last_beat(1), SimTime(500));
+    fn first_down_answers_in_the_order_asked() {
+        let fd = FailureDetector::new(8, SimTime(100), true);
+        fd.mark_down(7, SimTime(10), MidRunFault::Crash);
+        fd.mark_down(3, SimTime(20), MidRunFault::Hang);
+        assert_eq!(fd.first_down([1, 7, 3]).unwrap().rank, 7);
+        assert_eq!(fd.first_down([3, 7]).unwrap().rank, 3);
+        assert!(fd.first_down([0, 1, 2]).is_none());
+        assert!(fd.first_down([]).is_none());
     }
 
     #[test]
     fn heartbeats_are_monotone() {
-        let fd = FailureDetector::new(2, FAILURE_LEASE);
+        let fd = FailureDetector::new(2, FAILURE_LEASE, true);
         fd.beat(0, SimTime(100));
         fd.beat(0, SimTime(50));
         assert_eq!(fd.last_beat(0), SimTime(100));
         fd.beat(0, SimTime(150));
         assert_eq!(fd.last_beat(0), SimTime(150));
+        assert_eq!(fd.last_beat(1), SimTime(0));
     }
 
     #[test]
@@ -360,62 +274,57 @@ mod tests {
     }
 }
 
-/// Exhaustive interleaving checks for the detector's shared state (run
+/// Exhaustive interleaving checks for the down table and its epoch (run
 /// with `RUSTFLAGS="--cfg cmpi_model" cargo test -p cmpi-core --lib`).
 #[cfg(all(test, cmpi_model))]
 mod model {
     use super::*;
     use cmpi_model::model::{thread, Builder};
 
-    /// A suspicion published concurrently with a death event is never
-    /// lost: after both happen, every observer's convergence includes the
-    /// dead rank, under every interleaving of the mask/table accesses.
+    /// The healthy-path gate never hides a death: a reader whose relaxed
+    /// epoch peek sees a death finds it in the table, and a snapshot's
+    /// epoch counts exactly the deaths it returns, under every
+    /// interleaving with the marking rank.
     #[test]
-    fn model_no_lost_suspicion() {
+    fn model_epoch_peek_never_hides_a_recorded_death() {
         Builder::new().max_executions(2_000).check(|| {
-            let fd = Arc::new(FailureDetector::new(3, SimTime(100)));
+            let fd = Arc::new(FailureDetector::new(2, SimTime(100), true));
             let fd1 = fd.clone();
-            let fd2 = fd.clone();
-            let t1 = thread::spawn(move || {
-                fd1.mark_down(&[2], SimTime(10), MidRunFault::Crash);
-                fd1.converge(0)
-            });
-            let t2 = thread::spawn(move || fd2.converge(1));
-            let d0 = t1.join();
-            let _ = t2.join();
-            // The marking observer always convicts its own observation.
-            assert_eq!(d0.iter().map(|d| d.rank).collect::<Vec<_>>(), vec![2]);
-            // And once both threads are done, every rank converges to the
-            // same dead set: the suspicion survived every interleaving.
-            for obs in 0..3 {
-                let d = fd.converge(obs);
-                assert_eq!(d.iter().map(|d| d.rank).collect::<Vec<_>>(), vec![2]);
+            let t = thread::spawn(move || fd1.mark_down(1, SimTime(10), MidRunFault::Crash));
+            if fd.epoch() != 0 {
+                assert!(fd.is_down(1).is_some(), "epoch moved, table empty");
             }
+            let (epoch, dead) = fd.snapshot();
+            assert_eq!(epoch, dead.len() as u64);
+            t.join();
+            assert_eq!(fd.snapshot(), (1, vec![fd.is_down(1).unwrap()]));
         });
     }
 
-    /// A false suspicion racing with the suspect's heartbeat is always
-    /// retracted by convergence — no survivor stays marked dead under any
-    /// interleaving.
+    /// Two ranks dying at once are both recorded, once each: every
+    /// survivor's snapshot afterwards is the same two deaths at epoch 2,
+    /// and a dying rank's own snapshot always holds its death.
     #[test]
-    fn model_no_survivor_permanently_dead() {
+    fn model_concurrent_deaths_are_all_recorded() {
         Builder::new().max_executions(2_000).check(|| {
-            let fd = Arc::new(FailureDetector::new(2, SimTime(100)));
-            let fd1 = fd.clone();
-            let fd2 = fd.clone();
-            let t1 = thread::spawn(move || {
-                fd1.suspect(0, 1);
-                fd1.converge(0)
-            });
-            let t2 = thread::spawn(move || fd2.beat(1, SimTime(777)));
-            let d0 = t1.join();
+            let fd = Arc::new(FailureDetector::new(3, SimTime(100), true));
+            let spawn = |rank: usize| {
+                let fd = fd.clone();
+                thread::spawn(move || {
+                    fd.mark_down(rank, SimTime(10), MidRunFault::Crash);
+                    let (epoch, dead) = fd.snapshot();
+                    assert!(epoch >= 1 && dead.iter().any(|d| d.rank == rank));
+                })
+            };
+            let (t1, t2) = (spawn(1), spawn(2));
+            t1.join();
             t2.join();
-            assert!(d0.is_empty(), "live rank must never be convicted");
-            // Convergence retracted the published suspicion everywhere.
-            let final_dead = fd.converge(0);
-            assert!(final_dead.is_empty());
-            assert_eq!(fd.published_suspects(0)[0] & (1 << 1), 0);
-            assert_eq!(fd.last_beat(1), SimTime(777));
+            let (epoch, dead) = fd.snapshot();
+            assert_eq!(
+                (epoch, dead.iter().map(|d| d.rank).collect()),
+                (2, vec![1, 2])
+            );
+            assert_eq!(fd.epoch(), 2, "a death's epoch bump was lost");
         });
     }
 }

@@ -123,15 +123,14 @@ impl Mpi {
             if let Some(d) = self.state.decisions.get(key) {
                 return Ok(self.adopt_decision(comm, gen, &d));
             }
-            // Local view of the dead set: gossip union, false suspicions
-            // retracted against ground truth.
-            let all_dead = self.state.detector.converge(self.rank);
+            // The dead set and the epoch it is current for, read from the
+            // down table together.
+            let (epoch, all_dead) = self.state.detector.snapshot();
             for d in &all_dead {
                 if comm.ranks().contains(&d.rank) {
                     self.convict(*d);
                 }
             }
-            let epoch = self.state.detector.epoch();
             let dead_ranks: Vec<usize> = all_dead.iter().map(|d| d.rank).collect();
             let survivors: Vec<usize> = comm
                 .ranks()
@@ -287,8 +286,8 @@ impl Mpi {
                 Ok(Some(Completion::Recv(data, _))) => return AgreeStep::Data(data),
                 Ok(Some(Completion::Send)) => return AgreeStep::Data(Bytes::new()),
                 Ok(None) => self.sleep_if_idle(),
-                // The peer died between this attempt's convergence scan
-                // and its epoch read: a fresh death like any other.
+                // The peer died after this attempt's snapshot: a fresh
+                // death like any other.
                 Err(_) => return AgreeStep::Restart,
             }
         }

@@ -57,7 +57,7 @@ pub mod comm;
 pub mod datatype;
 pub mod error;
 pub mod exec;
-pub mod failure;
+pub(crate) mod failure;
 pub(crate) mod fasthash;
 pub(crate) mod frame;
 pub mod ft;
@@ -80,7 +80,7 @@ pub use comm::Comm;
 pub use datatype::{MpiData, ReduceOp};
 pub use error::MpiError;
 pub use exec::{ExecMode, ExecSpec};
-pub use failure::{Death, Decision, FailureDetector, FAILURE_LEASE};
+pub use failure::FAILURE_LEASE;
 pub use locality::{DowngradeReason, LocalityPolicy, LocalityView, PublishReport};
 pub use onesided::Window;
 pub use pt2pt::{Completion, Request, Status, ANY_SOURCE, ANY_TAG};

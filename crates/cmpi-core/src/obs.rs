@@ -164,7 +164,7 @@ pub(crate) struct Incident(&'static str, Option<EventKind>, Option<Counter>);
 impl Incident {
     /// This rank executed its scripted death.
     pub(crate) const DEATH: Self = Self("death", Some(EventKind::Death), None);
-    /// The failure detector started suspecting a peer.
+    /// A peer's death was first observed (just before its conviction).
     pub(crate) const SUSPECT: Self = Self("suspect", Some(EventKind::Suspect), Some(|r| &mut r.suspicions));
     /// A peer was convicted dead; `Detail::a` is the detection latency.
     pub(crate) const CONVICT: Self = Self("convict", Some(EventKind::Convict), Some(|r| &mut r.convictions));

@@ -142,10 +142,10 @@ impl Mpi {
                             break s;
                         }
                         // The receiver died mid-run: its queue will never
-                        // drain again (a crash closed it; a hang left it
-                        // full). Eager completion is local, so the send
-                        // still succeeds — the remaining chunks go nowhere.
-                        if q.is_closed() || self.state.detector.is_down(dst).is_some() {
+                        // drain again. Eager completion is local, so the
+                        // send still succeeds — the remaining chunks go
+                        // nowhere.
+                        if self.state.detector.is_down(dst).is_some() {
                             break 'chunks;
                         }
                         self.progress();

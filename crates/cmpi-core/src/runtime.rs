@@ -464,8 +464,8 @@ pub(crate) struct JobState {
     pub(crate) fabric: Arc<Fabric>,
     pub(crate) faults: FaultPlan,
     pub(crate) attached: Vec<AtomicBool>,
-    /// The job-wide failure detector: heartbeat slots, suspicion masks,
-    /// and the ground-truth down table.
+    /// The job-wide failure detector: the down table that decides who is
+    /// dead, its epoch, and the heartbeat slots.
     pub(crate) detector: FailureDetector,
     /// Write-once log of shrink decisions (see [`DecisionLog`]): what
     /// makes the agreement protocol tolerate a root dying mid-decision.
@@ -532,7 +532,7 @@ impl JobState {
             fabric: Fabric::with_faults(spec.cost, spec.faults.clone()),
             faults: spec.faults.clone(),
             attached: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            detector: FailureDetector::new(n, FAILURE_LEASE),
+            detector: FailureDetector::new(n, FAILURE_LEASE, spec.faults.has_midrun_faults()),
             decisions: DecisionLog::default(),
             ft_ctx: AtomicU32::new(FT_CTX_BASE),
             fabric_ready: (0..n).map(|_| AtomicBool::new(true)).collect(),
@@ -578,23 +578,6 @@ impl JobState {
     pub(crate) fn release_queue(&self, src: usize, dst: usize, bytes: usize, t: SimTime) {
         self.pair_queue(src, dst).release(bytes, t);
         self.cells[src].poke();
-    }
-
-    /// Close every instantiated SHM eager queue delivering *to* `rank`:
-    /// the receiver side dies with the rank, and senders blocked on (or
-    /// spinning against) its backpressure must observe the closure
-    /// instead of waiting forever.
-    pub(crate) fn close_incoming_queues(&self, rank: usize) {
-        let dst_idx = self.loc_map.host_rank_idx[rank] as usize;
-        // Rows are indexed by host-local position, so only senders on
-        // `rank`'s host have a slot at `dst_idx` that belongs to it.
-        for &src in self.loc_map.host_ranks(rank) {
-            if let Some(row) = self.queues[src as usize].get() {
-                if let Some(q) = row[dst_idx].get() {
-                    q.close();
-                }
-            }
-        }
     }
 
     /// Wake every rank's mailbox. Death and shrink-decision events call
@@ -948,7 +931,7 @@ impl Mpi {
         // Mark down FIRST: everything this rank sent precedes the mark in
         // its program order, so a peer that observes the death and then
         // drains its mailbox sees every pre-death packet.
-        self.state.detector.mark_down(&[self.rank], self.now, fault);
+        self.state.detector.mark_down(self.rank, self.now, fault);
         let (name, code) = midrun_fault_detail(fault);
         let detail = Detail {
             reason: Some(name),
@@ -958,11 +941,10 @@ impl Mpi {
         self.obs
             .incident(Incident::DEATH, self.now, None, detail, 1);
         match fault {
-            // A hung rank keeps its endpoint and queues: only lease
-            // expiry — never a transport error — reveals it.
+            // A hung rank keeps its endpoint: only lease expiry — never a
+            // transport error — reveals it.
             MidRunFault::Hang => {}
             MidRunFault::Crash | MidRunFault::ContainerKill => {
-                self.state.close_incoming_queues(self.rank);
                 if self.state.attached[self.rank].load(Ordering::Acquire) {
                     self.state.fabric.detach(self.rank);
                 }
@@ -995,8 +977,8 @@ impl Mpi {
                     Some(entry) => &entry.members,
                     None => &self.state.world_members,
                 };
-                (members.iter().filter(|&&r| r != self.rank))
-                    .find_map(|&r| self.state.detector.is_down(r))
+                let others = members.iter().copied().filter(|&r| r != self.rank);
+                self.state.detector.first_down(others)
             }
         };
         if let Some(d) = death {
@@ -1008,12 +990,12 @@ impl Mpi {
 
     /// Ledger a conviction: advance the clock to the deterministic
     /// conviction time (death + lease) and, on first observation of this
-    /// peer's death, record the suspicion and the conviction.
+    /// peer's death, record the suspicion and the conviction (one of
+    /// each, at the conviction time).
     pub(crate) fn convict(&mut self, d: Death) {
         let convict_at = self.state.detector.convict_time(&d);
         self.now = self.now.max(convict_at);
         if self.convicted_seen.insert(d.rank) {
-            self.state.detector.suspect(self.rank, d.rank);
             let peer = Some(d.rank);
             self.obs
                 .incident(Incident::SUSPECT, convict_at, peer, Detail::default(), 1);

@@ -86,7 +86,8 @@ pub struct RecoveryStats {
     pub send_retries: u64,
     /// Peers downgraded from intra-host channels (SHM/CMA) to the HCA.
     pub hca_downgrades: u64,
-    /// Peers this rank locally suspected after an expired heartbeat lease.
+    /// Peers whose death this rank observed; each is recorded just before
+    /// its conviction, at the same virtual time.
     pub suspicions: u64,
     /// Peers this rank convicted dead (lease expiry confirmed by the
     /// job-wide down table).

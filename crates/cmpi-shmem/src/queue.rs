@@ -29,8 +29,6 @@ struct QueueState {
     /// Release history: (cumulative released bytes, virtual time of that
     /// release), monotone in both components. Pruned as acquires advance.
     history: VecDeque<(u64, SimTime)>,
-    /// Set when the receiver side is torn down (see [`PairQueue::close`]).
-    closed: bool,
     /// Successful space claims (the stall-ratio denominator).
     acquires: u64,
     /// Acquires that found the queue full (backpressure events).
@@ -80,7 +78,6 @@ impl PairQueue {
                 acquired: 0,
                 released: 0,
                 history: VecDeque::new(),
-                closed: false,
                 acquires: 0,
                 stalled_acquires: 0,
                 max_in_flight: 0,
@@ -185,19 +182,6 @@ impl PairQueue {
         }
     }
 
-    /// `true` once [`PairQueue::close`] ran. Senders spinning on
-    /// [`PairQueue::try_acquire`] poll this to stop chunking into a dead
-    /// receiver instead of retrying forever.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
-    /// Tear the queue down: the receiver is gone, and senders polling
-    /// [`PairQueue::is_closed`] stop retrying.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-    }
-
     /// Snapshot of this queue's backpressure counters.
     pub fn stats(&self) -> QueueStats {
         let s = self.state.lock();
@@ -291,17 +275,6 @@ mod tests {
                 max_in_flight: 100
             }
         );
-    }
-
-    #[test]
-    fn close_is_visible_to_a_polling_sender() {
-        let q = PairQueue::new(100);
-        q.try_acquire(100).unwrap();
-        assert!(q.try_acquire(1).is_none() && !q.is_closed());
-        q.close();
-        // Still full — nothing drains a dead receiver — but the sender's
-        // retry loop now has its exit.
-        assert!(q.try_acquire(1).is_none() && q.is_closed());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub enum EventKind {
     /// A peer was downgraded off the HCA channel; `detail` = reason
     /// code supplied by the runtime.
     HcaDowngrade = 6,
-    /// The failure detector started suspecting a peer.
+    /// A peer's death was first observed (just before its conviction).
     Suspect = 7,
     /// A peer was convicted dead; `a` = detection latency in ns.
     Convict = 8,

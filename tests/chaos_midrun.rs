@@ -235,6 +235,36 @@ fn pending_operations_on_a_dead_peer_error_instead_of_hanging() {
 }
 
 #[test]
+fn an_eager_stream_into_a_dead_receivers_full_queue_completes_locally() {
+    // Ranks 0 and 1 share a container, so 4 KiB messages travel SHM eager
+    // through the pair's 128 KiB queue. Rank 1 dies at its first call and
+    // never drains it; rank 0's 64 sends overfill it, and every one must
+    // still complete locally once the down table names the receiver — a
+    // crash and a hang alike.
+    for plan in [
+        FaultPlan::none().with_crash(1, MidRunTrigger::AfterOps(1)),
+        FaultPlan::none().with_hang(1, MidRunTrigger::AfterOps(1)),
+    ] {
+        let scenario = DeploymentScenario::containers(1, 1, 2, NamespaceSharing::default());
+        let job =
+            JobSpec::new(scenario)
+                .with_faults(plan)
+                .run_ft(|mpi| -> Result<usize, MpiError> {
+                    if mpi.rank() == 1 {
+                        return mpi.try_recv_bytes(0, 3).map(|_| 0);
+                    }
+                    let msg = Bytes::from(vec![7u8; 4 * 1024]);
+                    for _ in 0..64 {
+                        mpi.try_send_bytes(msg.clone(), 1, 3)?;
+                    }
+                    Ok(64)
+                });
+        assert_eq!(job.results[0], Ok(64));
+        assert_eq!(job.results[1], Err(MpiError::ProcessFailed { peer: 1 }));
+    }
+}
+
+#[test]
 fn collectives_on_a_revoked_communicator_fail_fast_at_every_member() {
     // No deaths at all: rank 0 revokes the world communicator before
     // touching the collective, so the others block inside it until the
