@@ -100,7 +100,7 @@ pub fn run(spec: &JobSpec, cfg: Graph500Config) -> Graph500Result {
 /// loop in [`ft`]; survivors report agreed outcomes, ranks scripted to
 /// die report their own failure.
 pub fn run_ft(spec: &JobSpec, cfg: Graph500Config) -> JobResult<Result<FtRankOutcome, MpiError>> {
-    spec.run_ft(move |mpi| ft::run_rank_ft(mpi, &cfg))
+    spec.run(move |mpi| ft::run_rank_ft(mpi, &cfg))
 }
 
 fn summarize(cfg: Graph500Config, res: JobResult<bfs::RankOutcome>) -> Graph500Result {

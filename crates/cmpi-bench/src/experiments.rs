@@ -810,14 +810,14 @@ pub fn profile_tables(e: &Effort) -> Vec<Table> {
     ]);
 
     // (d) Mid-run failure detection: crash one rank and turn the
-    // detector's instant trace events (death / suspect / convict /
-    // revoke / shrink) into a per-survivor latency table. Conviction is
+    // detector's instant trace events (death / convict / revoke /
+    // shrink) into a per-survivor latency table. Conviction is
     // lease-based, so every latency is bounded below by FAILURE_LEASE.
     let scenario = DeploymentScenario::containers(1, 2, 2, NamespaceSharing::default());
     let dead = 3usize;
     let plan = FaultPlan::none().with_crash(dead, MidRunTrigger::AfterOps(1));
     let spec = JobSpec::new(scenario).with_faults(plan).with_tracing();
-    let r = spec.run_ft(move |mpi| -> Result<u64, MpiError> {
+    let r = spec.run(move |mpi| -> Result<u64, MpiError> {
         let world = mpi.comm_world();
         if mpi.rank() == dead {
             mpi.try_barrier_comm(&world)?; // scripted death fires here
@@ -927,7 +927,7 @@ pub fn health_tables(e: &Effort) -> Vec<Table> {
     Json::parse(&snap.to_json().to_string()).expect("metrics JSON must round-trip");
     Json::parse(&snap.flight_chrome_json().to_string()).expect("flight dump must round-trip");
 
-    let health = cmpi_core::evaluate_health_default(&snap);
+    let health = cmpi_core::evaluate_health(&snap);
     let mut verdict = Table::new(
         format!(
             "Health — 32-rank mixed job, overall {} ({} validated samples)",

@@ -68,8 +68,8 @@ pub enum MidRunFault {
     /// The rank's whole container is killed: every rank placed in it
     /// shares the trigger and dies at its own next call boundary past it.
     ContainerKill,
-    /// The rank wedges: it stops calling progress (no more heartbeats, no
-    /// more sends) but its process stays attached, so only lease expiry —
+    /// The rank wedges: it stops calling progress (no more sends, nothing
+    /// drained) but its process stays attached, so only lease expiry —
     /// never a transport error — reveals it.
     Hang,
 }
@@ -356,13 +356,6 @@ impl FaultPlan {
         self.hang_ranks.get(&rank).map(|&t| (MidRunFault::Hang, t))
     }
 
-    /// Does the plan schedule any mid-run fault at all?
-    pub fn has_midrun_faults(&self) -> bool {
-        !self.crash_ranks.is_empty()
-            || !self.hang_ranks.is_empty()
-            || !self.kill_containers.is_empty()
-    }
-
     /// The IPC namespace `container` effectively lives in once the plan's
     /// revocations apply: its placed namespace normally, or a fresh
     /// private one if revoked.
@@ -432,7 +425,7 @@ mod tests {
             .with_crash(3, MidRunTrigger::AfterOps(100))
             .with_hang(4, MidRunTrigger::AtTime(5_000))
             .with_container_kill(ContainerId(2), MidRunTrigger::AtTime(9_000));
-        assert!(!p.is_empty() && p.has_midrun_faults());
+        assert!(!p.is_empty());
         assert_eq!(
             p.midrun_fate_of(3, ContainerId(0)),
             Some((MidRunFault::Crash, MidRunTrigger::AfterOps(100)))
@@ -452,7 +445,6 @@ mod tests {
             MidRunFault::Crash
         );
         assert_eq!(p.midrun_fate_of(0, ContainerId(0)), None);
-        assert!(!FaultPlan::none().has_midrun_faults());
         // Trigger semantics: ops count from 1, time is >=.
         assert!(MidRunTrigger::AfterOps(2).fires(0, 2));
         assert!(!MidRunTrigger::AfterOps(2).fires(u64::MAX, 1));

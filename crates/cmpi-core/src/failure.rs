@@ -6,15 +6,10 @@
 //! death per resident rank), and every failure answer the library gives
 //! is read from it: the peer a pending operation fails with, the dead set
 //! a shrink agrees on, whether a sender stops waiting for a full SHM
-//! queue. Beside it sit two views that decide nothing:
-//!
-//! * **The epoch** — how many deaths the table holds, bumped under its
-//!   lock. A lock-free peek at it lets healthy jobs skip the table, and
-//!   lets agreement notice that a death landed mid-attempt.
-//! * **Heartbeats** — on a job whose fault plan schedules a mid-run
-//!   fault, each rank's progress loop stamps its virtual clock into its
-//!   own slot. They feed the telemetry heartbeat-gap metric and its
-//!   health rule; other jobs have no slots.
+//! queue. Beside it sits one view that decides nothing: **the epoch**,
+//! how many deaths the table holds, bumped under its lock. A lock-free
+//! peek at it lets healthy jobs skip the table, and lets agreement notice
+//! that a death landed mid-attempt.
 //!
 //! Conviction is deterministic in virtual time: a rank that died at
 //! virtual time `t` is convicted at `t + lease`, and every operation that
@@ -46,12 +41,15 @@ pub(crate) struct Death {
     pub(crate) kind: MidRunFault,
 }
 
-/// The shared failure detector (one per job, rank-indexed).
+impl Death {
+    /// The deterministic virtual time at which this death is convicted.
+    pub(crate) fn convict_time(&self) -> SimTime {
+        SimTime(self.at.0 + FAILURE_LEASE.0)
+    }
+}
+
+/// The shared failure detector (one per job).
 pub(crate) struct FailureDetector {
-    lease: SimTime,
-    /// Latest virtual time each rank's progress loop stamped; empty unless
-    /// the detector was built `beating`.
-    beats: Vec<AtomicU64>,
     /// The down table: every executed death, in the order recorded.
     down: Mutex<Vec<Death>>,
     /// The down table's length, bumped under its lock. Waiters peek this
@@ -60,39 +58,12 @@ pub(crate) struct FailureDetector {
 }
 
 impl FailureDetector {
-    /// A detector for `n` ranks with the given conviction lease, with a
-    /// heartbeat slot per rank if they are `beating`.
-    pub(crate) fn new(n: usize, lease: SimTime, beating: bool) -> Self {
+    /// An empty down table.
+    pub(crate) fn new() -> Self {
         FailureDetector {
-            lease,
-            beats: (0..if beating { n } else { 0 })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
             down: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Stamp `rank`'s heartbeat at virtual time `now` (monotone max).
-    /// Only `rank` itself calls this, and only on a `beating` detector.
-    pub(crate) fn beat(&self, rank: usize, now: SimTime) {
-        let slot = &self.beats[rank];
-        // relaxed-ok: the rank is its slot's one writer, so a load and a
-        // store keep the stamp a monotone max without an RMW; the one
-        // reader samples it after the job's join.
-        if now.0 > slot.load(Ordering::Relaxed) {
-            slot.store(now.0, Ordering::Relaxed);
-        }
-    }
-
-    /// The latest heartbeat `rank` published (zero if it never beat).
-    pub(crate) fn last_beat(&self, rank: usize) -> SimTime {
-        // relaxed-ok: read after the job's join, which orders every stamp.
-        SimTime(
-            self.beats
-                .get(rank)
-                .map_or(0, |b| b.load(Ordering::Relaxed)),
-        )
     }
 
     /// Record that `rank` died at virtual time `at` (a repeat is a
@@ -127,11 +98,6 @@ impl FailureDetector {
         let mut deaths = self.down.lock().clone();
         deaths.sort_by_key(|d| d.rank);
         (deaths.len() as u64, deaths)
-    }
-
-    /// The deterministic virtual time at which `death` is convicted.
-    pub(crate) fn convict_time(&self, death: &Death) -> SimTime {
-        SimTime(death.at.0 + self.lease.0)
     }
 
     /// Cheap change detector: the number of deaths recorded so far.
@@ -197,12 +163,12 @@ mod tests {
 
     #[test]
     fn conviction_is_lease_after_death() {
-        let fd = FailureDetector::new(4, SimTime(100), true);
+        let fd = FailureDetector::new();
         assert!(fd.is_down(2).is_none());
         fd.mark_down(2, SimTime(1_000), MidRunFault::Crash);
         let d = fd.is_down(2).unwrap();
         assert_eq!(d.at, SimTime(1_000));
-        assert_eq!(fd.convict_time(&d), SimTime(1_100));
+        assert_eq!(d.convict_time(), SimTime(1_000 + FAILURE_LEASE.0));
         // Marking again is a no-op: the first death stands, the epoch
         // does not move.
         fd.mark_down(2, SimTime(2_000), MidRunFault::Hang);
@@ -212,7 +178,7 @@ mod tests {
 
     #[test]
     fn each_death_is_one_epoch_and_the_snapshot_is_sorted_by_rank() {
-        let fd = FailureDetector::new(8, SimTime(100), true);
+        let fd = FailureDetector::new();
         assert_eq!(fd.snapshot(), (0, vec![]));
         // A container kill: every resident rank records its own death.
         for r in [6, 4, 7, 5] {
@@ -226,24 +192,13 @@ mod tests {
 
     #[test]
     fn first_down_answers_in_the_order_asked() {
-        let fd = FailureDetector::new(8, SimTime(100), true);
+        let fd = FailureDetector::new();
         fd.mark_down(7, SimTime(10), MidRunFault::Crash);
         fd.mark_down(3, SimTime(20), MidRunFault::Hang);
         assert_eq!(fd.first_down([1, 7, 3]).unwrap().rank, 7);
         assert_eq!(fd.first_down([3, 7]).unwrap().rank, 3);
         assert!(fd.first_down([0, 1, 2]).is_none());
         assert!(fd.first_down([]).is_none());
-    }
-
-    #[test]
-    fn heartbeats_are_monotone() {
-        let fd = FailureDetector::new(2, FAILURE_LEASE, true);
-        fd.beat(0, SimTime(100));
-        fd.beat(0, SimTime(50));
-        assert_eq!(fd.last_beat(0), SimTime(100));
-        fd.beat(0, SimTime(150));
-        assert_eq!(fd.last_beat(0), SimTime(150));
-        assert_eq!(fd.last_beat(1), SimTime(0));
     }
 
     #[test]
@@ -288,7 +243,7 @@ mod model {
     #[test]
     fn model_epoch_peek_never_hides_a_recorded_death() {
         Builder::new().max_executions(2_000).check(|| {
-            let fd = Arc::new(FailureDetector::new(2, SimTime(100), true));
+            let fd = Arc::new(FailureDetector::new());
             let fd1 = fd.clone();
             let t = thread::spawn(move || fd1.mark_down(1, SimTime(10), MidRunFault::Crash));
             if fd.epoch() != 0 {
@@ -307,7 +262,7 @@ mod model {
     #[test]
     fn model_concurrent_deaths_are_all_recorded() {
         Builder::new().max_executions(2_000).check(|| {
-            let fd = Arc::new(FailureDetector::new(3, SimTime(100), true));
+            let fd = Arc::new(FailureDetector::new());
             let spawn = |rank: usize| {
                 let fd = fd.clone();
                 thread::spawn(move || {

@@ -93,7 +93,7 @@ pub use cmpi_prof::{JobProfile, Json, WaitBreakdown, WaitClass, WaitStats};
 // Telemetry vocabulary (the `JobResult::telemetry` payload lives in
 // cmpi-telemetry; re-exported for the same reason).
 pub use cmpi_telemetry::{
-    evaluate as evaluate_health, evaluate_default as evaluate_health_default, validate_prometheus,
-    EventKind, FlightEvent, FlightSnapshot, HealthFinding, HealthReport, HealthStatus,
-    HealthThresholds, HistogramSnapshot, MetricId, MetricKind, RankSnapshot, TelemetrySnapshot,
+    evaluate as evaluate_health, validate_prometheus, EventKind, FlightEvent, FlightSnapshot,
+    HealthFinding, HealthReport, HealthStatus, HistogramSnapshot, MetricId, MetricKind,
+    RankSnapshot, TelemetrySnapshot,
 };

@@ -164,8 +164,6 @@ pub(crate) struct Incident(&'static str, Option<EventKind>, Option<Counter>);
 impl Incident {
     /// This rank executed its scripted death.
     pub(crate) const DEATH: Self = Self("death", Some(EventKind::Death), None);
-    /// A peer's death was first observed (just before its conviction).
-    pub(crate) const SUSPECT: Self = Self("suspect", Some(EventKind::Suspect), Some(|r| &mut r.suspicions));
     /// A peer was convicted dead; `Detail::a` is the detection latency.
     pub(crate) const CONVICT: Self = Self("convict", Some(EventKind::Convict), Some(|r| &mut r.convictions));
     /// A communicator revocation was initiated or first observed here.
@@ -533,9 +531,9 @@ impl Obs {
 /// Turn what the finished ranks left behind (rank-ordered: return
 /// value, final clock, store) into the job's result: the four views are
 /// built here, once. The substrate counters — pair queues and mailboxes,
-/// fabric endpoints, heartbeat slots — are sampled here too, once, for
-/// every view that shows them. Each store is freed as it is read: a
-/// job's heap peaks in this function.
+/// fabric endpoints — are sampled here too, once, for every view that
+/// shows them. Each store is freed as it is read: a job's heap peaks in
+/// this function.
 pub(crate) fn job_result<R>(
     finished: impl Iterator<Item = (R, SimTime, Box<Obs>)>,
     state: &JobState,
@@ -570,15 +568,7 @@ pub(crate) fn job_result<R>(
         let store = *store;
         if let Some(rings) = &job.telemetry {
             let flight = rings.ring(rank).snapshot();
-            // Heartbeats only flow on fault-active jobs; a zero beat
-            // means the detector never armed for this rank.
-            let beat = state.detector.last_beat(rank).as_ns();
-            let gap = if beat > 0 {
-                elapsed.as_ns().saturating_sub(beat)
-            } else {
-                0
-            };
-            let substrate = (&queue, &fabric[rank], gap);
+            let substrate = (&queue, &fabric[rank]);
             snapshots.push(rank_snapshot(
                 rank,
                 &store.stats,
@@ -605,9 +595,9 @@ pub(crate) fn job_result<R>(
     }
 }
 
-/// The one-source map: where each of the 38 metrics is kept. Eleven are
-/// the store's [`Own`], fifteen are fields or column sums of the rank's
-/// [`CommStats`], twelve are substrate counters. The job-wide substrate
+/// The one-source map: where each of the 36 metrics is kept. Eleven are
+/// the store's [`Own`], fourteen are fields or column sums of the rank's
+/// [`CommStats`], eleven are substrate counters. The job-wide substrate
 /// aggregates have no rank of their own and are reported on rank 0
 /// (their help text says "job-wide"); a histogram's scalar slot stays
 /// zero.
@@ -616,7 +606,7 @@ fn rank_snapshot(
     stats: &CommStats,
     own: Own,
     flight: FlightSnapshot,
-    (queue, fabric, heartbeat_gap_ns): (&QueuePressure, &FabricCounters, u64),
+    (queue, fabric): (&QueuePressure, &FabricCounters),
 ) -> RankSnapshot {
     let job_wide = |v: u64| if rank == 0 { v } else { 0 };
     let selected = |algo: CollAlgo| -> u64 {
@@ -637,7 +627,6 @@ fn rank_snapshot(
         MetricId::ProbeMisses => own.probe_misses,
         MetricId::SendRetries => rec.send_retries,
         MetricId::HcaDowngrades => rec.hca_downgrades,
-        MetricId::FtSuspicions => rec.suspicions,
         MetricId::FtConvictions => rec.convictions,
         MetricId::FtRevokes => rec.revokes,
         MetricId::FtShrinks => rec.shrinks,
@@ -659,7 +648,6 @@ fn rank_snapshot(
         MetricId::FlightDropped => flight.dropped,
         MetricId::MatchPostedPeak => own.posted_peak,
         MetricId::MatchUnexpectedPeak => own.unexpected_peak,
-        MetricId::HeartbeatGapNs => heartbeat_gap_ns,
         MetricId::ShmMaxInFlight => job_wide(queue.max_in_flight),
         MetricId::Pt2ptLatencyNs | MetricId::MsgSizeBytes => 0,
     };

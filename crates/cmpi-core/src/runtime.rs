@@ -34,7 +34,7 @@ use crate::collectives::{Scope, SmpTopo};
 use crate::comm::CommEntry;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
-use crate::failure::{Death, DecisionLog, FailureDetector, FAILURE_LEASE};
+use crate::failure::{Death, DecisionLog, FailureDetector};
 use crate::fasthash::{FastMap, FastSet};
 use crate::locality::{LocalityMap, LocalityPolicy, LocalityView};
 use crate::mailbox::RankCell;
@@ -294,19 +294,6 @@ impl JobSpec {
             .map(|s| s.expect("rank produced no result"));
         crate::obs::job_result(finished, &state, elapsed)
     }
-
-    /// Launch a fault-tolerant job: like [`JobSpec::run`], but the rank
-    /// closure returns `Result`, so injected mid-run deaths surface as
-    /// `Err(MpiError::ProcessFailed { .. })` values in `results` instead
-    /// of panics — a crashed rank's slot reports its own death while the
-    /// survivors' slots report what they salvaged.
-    pub fn run_ft<R, F>(&self, f: F) -> JobResult<Result<R, MpiError>>
-    where
-        R: Send,
-        F: Fn(&mut Mpi) -> Result<R, MpiError> + Send + Sync,
-    {
-        self.run(f)
-    }
 }
 
 /// Trace/report label and flight-event `detail` code of a mid-run fault
@@ -465,7 +452,7 @@ pub(crate) struct JobState {
     pub(crate) faults: FaultPlan,
     pub(crate) attached: Vec<AtomicBool>,
     /// The job-wide failure detector: the down table that decides who is
-    /// dead, its epoch, and the heartbeat slots.
+    /// dead, and its epoch.
     pub(crate) detector: FailureDetector,
     /// Write-once log of shrink decisions (see [`DecisionLog`]): what
     /// makes the agreement protocol tolerate a root dying mid-decision.
@@ -532,7 +519,7 @@ impl JobState {
             fabric: Fabric::with_faults(spec.cost, spec.faults.clone()),
             faults: spec.faults.clone(),
             attached: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            detector: FailureDetector::new(n, FAILURE_LEASE, spec.faults.has_midrun_faults()),
+            detector: FailureDetector::new(),
             decisions: DecisionLog::default(),
             ft_ctx: AtomicU32::new(FT_CTX_BASE),
             fabric_ready: (0..n).map(|_| AtomicBool::new(true)).collect(),
@@ -659,9 +646,6 @@ pub struct Mpi {
     ops: u64,
     /// Set once this rank executed its scripted death.
     dead: bool,
-    /// Whether the fault plan schedules any mid-run fault (caches the
-    /// hot-path gate for heartbeats).
-    ft_active: bool,
     /// Communicator contexts revoked at this rank.
     pub(crate) revoked: FastSet<u32>,
     /// The communicator table: members, locality groups and collective
@@ -672,8 +656,8 @@ pub struct Mpi {
     /// refcount bump. Unregistered contexts are
     /// treated as spanning all ranks.
     pub(crate) comms: FastMap<u32, CommEntry>,
-    /// Dead peers whose conviction this rank has already ledgered
-    /// (suspicion/conviction stats and trace events fire once per peer).
+    /// Dead peers whose conviction this rank has already ledgered (the
+    /// conviction's stat and events fire once per peer).
     convicted_seen: FastSet<usize>,
     /// Shrink generation per parent context (how many shrinks of that
     /// communicator this rank has adopted).
@@ -792,7 +776,6 @@ impl Mpi {
             Arc::new(SmpTopo::new(groups, n, state.policy, state.tunables))
         }));
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
-        let ft_active = plan.has_midrun_faults();
         let world = CommEntry {
             members: Arc::clone(&state.world_members),
             topo: Some(smp_topo),
@@ -816,7 +799,6 @@ impl Mpi {
             fate,
             ops: 0,
             dead: false,
-            ft_active,
             revoked: FastSet::default(),
             comms,
             convicted_seen: FastSet::default(),
@@ -990,22 +972,17 @@ impl Mpi {
 
     /// Ledger a conviction: advance the clock to the deterministic
     /// conviction time (death + lease) and, on first observation of this
-    /// peer's death, record the suspicion and the conviction (one of
-    /// each, at the conviction time).
+    /// peer's death, record the conviction.
     pub(crate) fn convict(&mut self, d: Death) {
-        let convict_at = self.state.detector.convict_time(&d);
-        self.now = self.now.max(convict_at);
+        self.now = self.now.max(d.convict_time());
         if self.convicted_seen.insert(d.rank) {
-            let peer = Some(d.rank);
-            self.obs
-                .incident(Incident::SUSPECT, convict_at, peer, Detail::default(), 1);
             let detail = Detail {
                 reason: Some(midrun_fault_detail(d.kind).0),
                 a: self.now.as_ns() - d.at.as_ns(),
                 ..Detail::default()
             };
             self.obs
-                .incident(Incident::CONVICT, self.now, peer, detail, 1);
+                .incident(Incident::CONVICT, self.now, Some(d.rank), detail, 1);
         }
     }
 
@@ -1053,12 +1030,6 @@ impl Mpi {
 
     /// Drain the fabric endpoint and the mailbox, handling every packet.
     pub(crate) fn progress(&mut self) {
-        // Renew this rank's liveness lease. Gated on `ft_active` so
-        // healthy jobs never touch the detector's atomics; a dead rank
-        // must not resurrect itself.
-        if self.ft_active && !self.dead {
-            self.state.detector.beat(self.rank, self.now);
-        }
         // Poll the fabric only when its notifier has signalled a delivery
         // since the last drain. A delivery between the swap and the poll
         // is not lost: the notifier re-raises the flag and pokes the

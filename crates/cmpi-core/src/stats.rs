@@ -86,9 +86,6 @@ pub struct RecoveryStats {
     pub send_retries: u64,
     /// Peers downgraded from intra-host channels (SHM/CMA) to the HCA.
     pub hca_downgrades: u64,
-    /// Peers whose death this rank observed; each is recorded just before
-    /// its conviction, at the same virtual time.
-    pub suspicions: u64,
     /// Peers this rank convicted dead (lease expiry confirmed by the
     /// job-wide down table).
     pub convictions: u64,
@@ -113,7 +110,6 @@ impl RecoveryStats {
         self.attach_retries += other.attach_retries;
         self.send_retries += other.send_retries;
         self.hca_downgrades += other.hca_downgrades;
-        self.suspicions += other.suspicions;
         self.convictions += other.convictions;
         self.revokes += other.revokes;
         self.shrinks += other.shrinks;
@@ -349,12 +345,10 @@ impl JobStats {
                 rec.hca_downgrades
             );
         }
-        if rec.convictions > 0 || rec.suspicions > 0 {
+        if rec.convictions > 0 {
             let _ = writeln!(
                 out,
-                "faults: {} suspicions, {} convictions, {} revokes, {} shrinks, \
-                 worst detection {}",
-                rec.suspicions,
+                "faults: {} convictions, {} revokes, {} shrinks, worst detection {}",
                 rec.convictions,
                 rec.revokes,
                 rec.shrinks,
@@ -513,25 +507,21 @@ mod tests {
     #[test]
     fn fault_counters_sum_except_detection_latency_which_maxes() {
         let mut a = CommStats::default();
-        a.recovery.suspicions = 2;
         a.recovery.convictions = 1;
         a.recovery.detect_ns = 400_000;
         let mut b = CommStats::default();
-        b.recovery.suspicions = 1;
         b.recovery.convictions = 1;
         b.recovery.revokes = 1;
         b.recovery.shrinks = 1;
         b.recovery.detect_ns = 250_000;
         let js = JobStats::new(vec![a, b]);
         let rec = js.recovery();
-        assert_eq!(rec.suspicions, 3);
         assert_eq!(rec.convictions, 2);
         assert_eq!(rec.revokes, 1);
         assert_eq!(rec.shrinks, 1);
         // Max-merge: the job-wide latency is the worst rank's, not a sum.
         assert_eq!(rec.detect_ns, 400_000);
         let rep = js.report();
-        assert!(rep.contains("3 suspicions"));
         assert!(rep.contains("2 convictions"));
         assert!(rep.contains("worst detection"));
         // A healthy job reports no fault line at all.

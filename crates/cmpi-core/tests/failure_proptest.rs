@@ -48,7 +48,7 @@ proptest! {
         let spec = JobSpec::new(scenario).with_faults(plan);
         let doomed_c = doomed.clone();
         let survivors_c = survivors.clone();
-        let r = spec.run_ft(move |mpi| -> Result<(Vec<usize>, u64), MpiError> {
+        let r = spec.run(move |mpi| -> Result<(Vec<usize>, u64), MpiError> {
             let world = mpi.comm_world();
             let me = mpi.rank();
             if doomed_c.contains(&me) {

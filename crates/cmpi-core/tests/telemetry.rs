@@ -3,8 +3,11 @@
 //! `without_telemetry` turns the whole layer off.
 
 use bytes::Bytes;
-use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
-use cmpi_core::{evaluate_health_default, validate_prometheus, EventKind, JobSpec, Json, MetricId};
+use cmpi_cluster::{DeploymentScenario, FaultPlan, MidRunTrigger, NamespaceSharing};
+use cmpi_core::{
+    evaluate_health, validate_prometheus, EventKind, HealthStatus, JobSpec, Json, MetricId,
+    MpiError, ReduceOp,
+};
 
 fn pair() -> JobSpec {
     JobSpec::new(DeploymentScenario::pt2pt_pair(
@@ -66,7 +69,7 @@ fn default_job_surfaces_consistent_snapshot() {
     Json::parse(&snap.to_json().to_string()).expect("json snapshot parses");
     Json::parse(&snap.flight_chrome_json().to_string()).expect("chrome dump parses");
     // And a healthy run reports healthy.
-    let health = evaluate_health_default(&snap);
+    let health = evaluate_health(&snap);
     assert!(health.is_ok(), "unexpected findings: {:?}", health.findings);
 }
 
@@ -103,4 +106,49 @@ fn collective_decisions_and_probes_are_counted() {
     // Every rank records each collective call it entered.
     assert!(decisions >= 4, "decisions: {decisions}");
     assert!(snap.ranks[0].get(MetricId::ProbeMisses) >= 1);
+}
+
+/// The failure-detection job of `figures --fig profile`: rank 3 crashes
+/// at its first call, the survivors block on it, shrink and allreduce.
+/// The health verdict names the dead rank once, from its own ring, and
+/// nothing else; each survivor convicted it once.
+#[test]
+fn a_crashed_rank_is_named_once_by_its_own_death() {
+    let scenario = DeploymentScenario::containers(1, 2, 2, NamespaceSharing::default());
+    let dead = 3usize;
+    let plan = FaultPlan::none().with_crash(dead, MidRunTrigger::AfterOps(1));
+    let r = JobSpec::new(scenario)
+        .with_faults(plan)
+        .run(move |mpi| -> Result<u64, MpiError> {
+            let world = mpi.comm_world();
+            if mpi.rank() == dead {
+                mpi.try_barrier_comm(&world)?;
+                return Ok(0);
+            }
+            let _ = mpi.try_recv_bytes(dead, 9);
+            let comm = mpi.try_shrink(&world)?;
+            mpi.try_allreduce_one(&comm, 1, ReduceOp::Sum)
+        });
+    let snap = r.telemetry.expect("telemetry is on by default");
+    let health = evaluate_health(&snap);
+    let findings: Vec<_> = health
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.rank, f.status))
+        .collect();
+    assert_eq!(
+        findings,
+        [("rank-failure", Some(dead), HealthStatus::Critical)],
+        "{:?}",
+        health.findings
+    );
+    for (rank, r) in snap.ranks.iter().enumerate() {
+        let convictions = r.get(MetricId::FtConvictions);
+        assert_eq!(convictions, (rank != dead) as u64, "rank {rank}");
+    }
+    let prom = snap.to_prometheus();
+    validate_prometheus(&prom).expect("prometheus text validates");
+    for gone in ["cmpi_ft_suspicions_total", "cmpi_heartbeat_gap_ns"] {
+        assert!(!prom.contains(gone), "{gone} is still exposed");
+    }
 }

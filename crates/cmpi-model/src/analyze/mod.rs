@@ -45,7 +45,7 @@ pub use extract::{Decls, FnInfo, SourceFile};
 
 /// Analyzer rule names. `lint_rule_inventory` requires each of these to
 /// appear in the DESIGN.md §17 rule inventory, mirroring how §14's
-/// error-display and §15's metric-id obligations are pinned.
+/// error-display and §11's metric-id obligations are pinned.
 pub const RULES: &[&str] = &["fiber-blocking", "lock-order", "atomic-pairing"];
 
 /// How many raw source lines above a site are searched for a

@@ -479,7 +479,8 @@ fn fn_body(src: &str, marker: &str) -> Option<String> {
 /// `exposition_covers_every_metric` test in cmpi-telemetry's
 /// `metrics.rs` — the same closed loop the error-display rule keeps for
 /// `MpiError`, so a metric cannot be added without being documented and
-/// exposed.
+/// exposed — and every row of that table names a variant, so a deleted
+/// metric cannot leave its row behind.
 pub fn lint_metric_ids(metrics_src: &str, design_md: &str) -> Vec<Violation> {
     let met_file = "crates/cmpi-telemetry/src/metrics.rs";
     let mut out = Vec::new();
@@ -525,7 +526,44 @@ pub fn lint_metric_ids(metrics_src: &str, design_md: &str) -> Vec<Violation> {
             });
         }
     }
+    let Some(rows) = inventory_rows(design_md) else {
+        out.push(Violation {
+            file: "DESIGN.md".to_string(),
+            line: 1,
+            rule: "metric-ids",
+            msg: "the `Metric inventory` table not found".into(),
+        });
+        return out;
+    };
+    for (name, line) in rows {
+        if !variants.iter().any(|(v, _)| *v == name) {
+            out.push(Violation {
+                file: "DESIGN.md".to_string(),
+                line,
+                rule: "metric-ids",
+                msg: format!("`{name}` in the DESIGN.md metric table is not a MetricId variant"),
+            });
+        }
+    }
     out
+}
+
+/// The backticked first-column names of the DESIGN.md table under the
+/// heading that mentions "Metric inventory", with the 1-based line of
+/// each row (the header row skipped); `None` without such a heading.
+fn inventory_rows(design_md: &str) -> Option<Vec<(String, usize)>> {
+    let mut lines = design_md.lines().enumerate();
+    lines.find(|(_, l)| l.starts_with('#') && l.contains("Metric inventory"))?;
+    let rows = lines
+        .take_while(|(_, l)| !l.starts_with('#'))
+        .filter_map(|(i, l)| Some((i, l.trim().strip_prefix('|')?)))
+        .skip(1)
+        .filter_map(|(i, cells)| {
+            let first = cells.split('|').next()?.trim();
+            let name = first.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name.to_string(), i + 1))
+        });
+    Some(rows.collect())
 }
 
 /// Rule 7: every analyzer rule name ([`crate::analyze::RULES`]) appears
@@ -713,7 +751,13 @@ mod tests {
             "    }\n",
             "}\n",
         );
-        let design = "| `ShmOps` | counter |\n| `LateSenderNs` | counter |\n";
+        let design = concat!(
+            "### Metric inventory\n",
+            "| `MetricId` | kind |\n",
+            "|---|---|\n",
+            "| `ShmOps` | counter |\n",
+            "| `LateSenderNs` | counter |\n",
+        );
         assert!(lint_metric_ids(covered_src, design).is_empty());
 
         // A variant absent from the test body pins its declaration line.
@@ -725,9 +769,17 @@ mod tests {
         assert!(v[0].msg.contains("exposition_covers_every_metric"));
 
         // A variant absent from DESIGN.md is a separate violation.
-        let v = lint_metric_ids(covered_src, "| `ShmOps` |\n");
+        let v = lint_metric_ids(
+            covered_src,
+            &design.replace("| `LateSenderNs` | counter |\n", ""),
+        );
         assert_eq!(rules_of(&v), vec!["metric-ids"]);
         assert!(v[0].msg.contains("DESIGN.md"));
+
+        // So is a DESIGN.md without the table.
+        let v = lint_metric_ids(covered_src, "`ShmOps` `LateSenderNs`\n");
+        assert_eq!(rules_of(&v), vec!["metric-ids"]);
+        assert!(v[0].msg.contains("not found"));
 
         // No enum / no test are violations, not silent passes.
         assert_eq!(
@@ -738,6 +790,34 @@ mod tests {
         let v = lint_metric_ids(no_test, design);
         assert_eq!(rules_of(&v), vec!["metric-ids"]);
         assert!(v[0].msg.contains("not found"));
+    }
+
+    #[test]
+    fn metric_ids_rule_flags_a_stale_design_row() {
+        let src = concat!(
+            "pub enum MetricId {\n",
+            "    ShmOps = 0,\n",
+            "}\n",
+            "fn exposition_covers_every_metric() {\n",
+            "    let _ = [MetricId::ShmOps];\n",
+            "}\n",
+        );
+        // A deleted metric's row lingers below the live one; a backticked
+        // name in a later column or under another heading is not a row.
+        let design = concat!(
+            "### Metric inventory\n",
+            "| `MetricId` | source |\n",
+            "|---|---|\n",
+            "| `ShmOps` | `CommStats` |\n",
+            "| `RetiredMetric` | substrate |\n",
+            "\n",
+            "### Next\n",
+            "| `Elsewhere` | x |\n",
+        );
+        let v = lint_metric_ids(src, design);
+        assert_eq!(rules_of(&v), vec!["metric-ids"]);
+        assert_eq!((v[0].file.as_str(), v[0].line), ("DESIGN.md", 5));
+        assert!(v[0].msg.contains("RetiredMetric"));
     }
 
     #[test]

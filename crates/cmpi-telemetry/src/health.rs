@@ -1,8 +1,9 @@
 //! The health evaluator: threshold/watermark rules over telemetry
 //! snapshots, producing per-rank and job-level verdicts.
 //!
-//! Rules are deliberately simple ratio/watermark tests over the
-//! always-on metrics — the point is a cheap steady-state signal an
+//! Rules are deliberately simple: ratio/watermark tests over the
+//! always-on metrics with fixed thresholds, and the death each failed
+//! rank recorded on its own flight ring — the point is a cheap signal an
 //! operator (or the roadmap's elastic scheduler) can poll without
 //! re-running a job under the profiler. Each firing names its rule,
 //! scope and evidence; an all-clear produces an empty finding list,
@@ -12,6 +13,7 @@
 use cmpi_prof::Json;
 
 use crate::metrics::{MetricId, TelemetrySnapshot};
+use crate::ring::EventKind;
 
 /// Verdict severity, worst-of across findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -35,46 +37,22 @@ impl HealthStatus {
     }
 }
 
-/// Rule thresholds, tunable per deployment; `Default` matches the
-/// runtime's failure-detector lease and the DESIGN.md §15 budget.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthThresholds {
-    /// Late-sender blocked time / transfer time ratio that warns.
-    pub late_sender_warn_ratio: f64,
-    /// Ratio that escalates to critical.
-    pub late_sender_crit_ratio: f64,
-    /// Minimum late-sender ns before the skew rule fires at all.
-    pub late_sender_min_ns: u64,
-    /// Stalled / total pair-queue acquires ratio that warns.
-    pub stall_warn_ratio: f64,
-    /// Ratio that escalates to critical.
-    pub stall_crit_ratio: f64,
-    /// Minimum acquire volume before the stall rule fires.
-    pub stall_min_acquires: u64,
-    /// Failure-detector lease; a heartbeat gap beyond half of it warns,
-    /// beyond all of it is critical.
-    pub heartbeat_lease_ns: u64,
-    /// Probe miss ratio that flags a storm.
-    pub probe_miss_warn_ratio: f64,
-    /// Minimum probe volume before the storm rule fires.
-    pub probe_miss_min_calls: u64,
-}
-
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            late_sender_warn_ratio: 4.0,
-            late_sender_crit_ratio: 16.0,
-            late_sender_min_ns: 100_000,
-            stall_warn_ratio: 0.10,
-            stall_crit_ratio: 0.50,
-            stall_min_acquires: 64,
-            heartbeat_lease_ns: 200_000,
-            probe_miss_warn_ratio: 0.90,
-            probe_miss_min_calls: 10_000,
-        }
-    }
-}
+/// Late-sender blocked time / transfer time ratio that warns.
+const LATE_SENDER_WARN_RATIO: f64 = 4.0;
+/// Ratio that escalates to critical.
+const LATE_SENDER_CRIT_RATIO: f64 = 16.0;
+/// Minimum late-sender ns before the skew rule fires at all.
+const LATE_SENDER_MIN_NS: u64 = 100_000;
+/// Stalled / total pair-queue acquires ratio that warns.
+const STALL_WARN_RATIO: f64 = 0.10;
+/// Ratio that escalates to critical.
+const STALL_CRIT_RATIO: f64 = 0.50;
+/// Minimum acquire volume before the stall rule fires.
+const STALL_MIN_ACQUIRES: u64 = 64;
+/// Probe miss ratio that flags a storm.
+const PROBE_MISS_WARN_RATIO: f64 = 0.90;
+/// Minimum probe volume before the storm rule fires.
+const PROBE_MISS_MIN_CALLS: u64 = 10_000;
 
 /// One fired rule.
 #[derive(Clone, Debug)]
@@ -129,24 +107,24 @@ impl HealthReport {
     }
 }
 
-/// Run every rule against a snapshot with the given thresholds.
-pub fn evaluate(snap: &TelemetrySnapshot, t: &HealthThresholds) -> HealthReport {
+/// Run every rule against a snapshot.
+pub fn evaluate(snap: &TelemetrySnapshot) -> HealthReport {
     let mut findings = Vec::new();
 
-    // Convicted ranks are critical regardless of any ratio: the dead
-    // rank itself reports nothing, so this is a job-scope verdict.
-    let convictions = snap.job_total(MetricId::FtConvictions);
-    if convictions > 0 {
-        findings.push(HealthFinding {
-            rank: None,
-            rule: "rank-failure",
-            status: HealthStatus::Critical,
-            detail: format!(
-                "{convictions} conviction(s), {} revoke(s), {} shrink(s)",
-                snap.job_total(MetricId::FtRevokes),
-                snap.job_total(MetricId::FtShrinks),
-            ),
-        });
+    // A dead rank is critical regardless of any ratio, and its own ring
+    // says so: a dying rank records its death last (what it had staged
+    // spills ahead of it), so ring wrap, which drops the oldest events,
+    // keeps it.
+    for (rank, r) in snap.ranks.iter().enumerate() {
+        let death = r.flight.events.iter().find(|e| e.kind == EventKind::Death);
+        if let Some(ev) = death {
+            findings.push(HealthFinding {
+                rank: Some(rank),
+                rule: "rank-failure",
+                status: HealthStatus::Critical,
+                detail: format!("died at {} ns (fault code {})", ev.at_ns, ev.detail),
+            });
+        }
     }
 
     // Late-sender skew: a rank burning far more blocked time on late
@@ -154,13 +132,13 @@ pub fn evaluate(snap: &TelemetrySnapshot, t: &HealthThresholds) -> HealthReport 
     for (rank, r) in snap.ranks.iter().enumerate() {
         let late = r.get(MetricId::LateSenderNs);
         let transfer = r.get(MetricId::TransferNs).max(1);
-        if late < t.late_sender_min_ns {
+        if late < LATE_SENDER_MIN_NS {
             continue;
         }
         let ratio = late as f64 / transfer as f64;
-        let status = if ratio > t.late_sender_crit_ratio {
+        let status = if ratio > LATE_SENDER_CRIT_RATIO {
             HealthStatus::Critical
-        } else if ratio > t.late_sender_warn_ratio {
+        } else if ratio > LATE_SENDER_WARN_RATIO {
             HealthStatus::Warn
         } else {
             continue;
@@ -176,13 +154,13 @@ pub fn evaluate(snap: &TelemetrySnapshot, t: &HealthThresholds) -> HealthReport 
     // Queue-stall ratio: SHM pair queues saturating under backpressure.
     let acquires = snap.job_total(MetricId::ShmQueueAcquires);
     let stalls = snap.job_total(MetricId::ShmQueueStalls);
-    if acquires >= t.stall_min_acquires {
+    if acquires >= STALL_MIN_ACQUIRES {
         let ratio = stalls as f64 / acquires as f64;
-        if ratio > t.stall_warn_ratio {
+        if ratio > STALL_WARN_RATIO {
             findings.push(HealthFinding {
                 rank: None,
                 rule: "queue-stall-ratio",
-                status: if ratio > t.stall_crit_ratio {
+                status: if ratio > STALL_CRIT_RATIO {
                     HealthStatus::Critical
                 } else {
                     HealthStatus::Warn
@@ -195,43 +173,16 @@ pub fn evaluate(snap: &TelemetrySnapshot, t: &HealthThresholds) -> HealthReport 
         }
     }
 
-    // Heartbeat gap: a rank falling behind the freshest peer's beat by
-    // a lease fraction is on its way to suspicion/conviction.
-    for (rank, r) in snap.ranks.iter().enumerate() {
-        let gap = r.get(MetricId::HeartbeatGapNs);
-        if gap > t.heartbeat_lease_ns {
-            findings.push(HealthFinding {
-                rank: Some(rank),
-                rule: "heartbeat-gap",
-                status: HealthStatus::Critical,
-                detail: format!(
-                    "{gap} ns behind freshest beat (lease {} ns)",
-                    t.heartbeat_lease_ns
-                ),
-            });
-        } else if gap.saturating_mul(2) > t.heartbeat_lease_ns {
-            findings.push(HealthFinding {
-                rank: Some(rank),
-                rule: "heartbeat-gap",
-                status: HealthStatus::Warn,
-                detail: format!(
-                    "{gap} ns behind freshest beat (half-lease {} ns)",
-                    t.heartbeat_lease_ns / 2
-                ),
-            });
-        }
-    }
-
     // Probe-miss storm: a rank spinning on iprobe with almost no hits.
     for (rank, r) in snap.ranks.iter().enumerate() {
         let hits = r.get(MetricId::ProbeHits);
         let misses = r.get(MetricId::ProbeMisses);
         let calls = hits + misses;
-        if calls < t.probe_miss_min_calls {
+        if calls < PROBE_MISS_MIN_CALLS {
             continue;
         }
         let ratio = misses as f64 / calls as f64;
-        if ratio > t.probe_miss_warn_ratio {
+        if ratio > PROBE_MISS_WARN_RATIO {
             findings.push(HealthFinding {
                 rank: Some(rank),
                 rule: "probe-miss-storm",
@@ -249,15 +200,11 @@ pub fn evaluate(snap: &TelemetrySnapshot, t: &HealthThresholds) -> HealthReport 
     HealthReport { findings, status }
 }
 
-/// [`evaluate`] with default thresholds.
-pub fn evaluate_default(snap: &TelemetrySnapshot) -> HealthReport {
-    evaluate(snap, &HealthThresholds::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{rank_with, RankSnapshot};
+    use crate::ring::FlightEvent;
 
     fn snap(ranks: Vec<RankSnapshot>) -> TelemetrySnapshot {
         TelemetrySnapshot { ranks }
@@ -265,21 +212,40 @@ mod tests {
 
     #[test]
     fn quiet_job_is_all_clear() {
-        let report = evaluate_default(&snap(Vec::new()));
+        let report = evaluate(&snap(Vec::new()));
         assert!(report.is_ok());
         assert_eq!(report.status, HealthStatus::Ok);
         let m = rank_with(&[(MetricId::ShmOps, 100), (MetricId::TransferNs, 1_000_000)]);
-        let report = evaluate_default(&snap(vec![m]));
+        let report = evaluate(&snap(vec![m]));
         assert!(report.is_ok(), "{:?}", report.findings);
     }
 
+    /// A rank whose ring ends with its own death.
+    fn dead_rank(at_ns: u64) -> RankSnapshot {
+        let mut r = rank_with(&[]);
+        r.flight
+            .events
+            .push(FlightEvent::new(EventKind::Death, at_ns).detail(1));
+        r.flight.published = 1;
+        r
+    }
+
     #[test]
-    fn conviction_is_critical() {
-        let m = rank_with(&[(MetricId::FtConvictions, 1), (MetricId::FtRevokes, 1)]);
-        let report = evaluate_default(&snap(vec![m]));
+    fn each_dead_rank_is_one_critical_finding() {
+        // Rank 0 convicted rank 1; rank 2 died unconvicted. Both deaths
+        // are named, and nothing else is.
+        let convictor = rank_with(&[(MetricId::FtConvictions, 1), (MetricId::FtRevokes, 1)]);
+        let report = evaluate(&snap(vec![convictor, dead_rank(5_000), dead_rank(7_000)]));
         assert_eq!(report.status, HealthStatus::Critical);
-        assert_eq!(report.findings[0].rule, "rank-failure");
-        assert_eq!(report.findings[0].rank, None);
+        let named: Vec<_> = report.findings.iter().map(|f| (f.rule, f.rank)).collect();
+        assert_eq!(
+            named,
+            [("rank-failure", Some(1)), ("rank-failure", Some(2))]
+        );
+        assert!(report.findings[0].detail.contains("5000 ns"));
+        // Conviction counters alone name nobody.
+        let m = rank_with(&[(MetricId::FtConvictions, 1)]);
+        assert!(evaluate(&snap(vec![m])).is_ok());
     }
 
     #[test]
@@ -291,13 +257,13 @@ mod tests {
             ])
         };
         // Below the volume floor: silent even at a huge ratio.
-        let report = evaluate_default(&snap(vec![mk(50_000, 1)]));
+        let report = evaluate(&snap(vec![mk(50_000, 1)]));
         assert!(report.is_ok());
-        let report = evaluate_default(&snap(vec![mk(1_000_000, 150_000)]));
+        let report = evaluate(&snap(vec![mk(1_000_000, 150_000)]));
         assert_eq!(report.status, HealthStatus::Warn);
         assert_eq!(report.findings[0].rule, "late-sender-skew");
         assert_eq!(report.findings[0].rank, Some(0));
-        let report = evaluate_default(&snap(vec![mk(10_000_000, 100_000)]));
+        let report = evaluate(&snap(vec![mk(10_000_000, 100_000)]));
         assert_eq!(report.status, HealthStatus::Critical);
     }
 
@@ -310,24 +276,13 @@ mod tests {
             ])
         };
         assert!(
-            evaluate_default(&snap(vec![mk(10, 20)])).is_ok(),
+            evaluate(&snap(vec![mk(10, 20)])).is_ok(),
             "below volume floor"
         );
-        let report = evaluate_default(&snap(vec![mk(20, 100)]));
+        let report = evaluate(&snap(vec![mk(20, 100)]));
         assert_eq!(report.status, HealthStatus::Warn);
         assert_eq!(report.findings[0].rule, "queue-stall-ratio");
-        let report = evaluate_default(&snap(vec![mk(80, 100)]));
-        assert_eq!(report.status, HealthStatus::Critical);
-    }
-
-    #[test]
-    fn heartbeat_gap_tracks_lease() {
-        let mk = |gap: u64| rank_with(&[(MetricId::HeartbeatGapNs, gap)]);
-        assert!(evaluate_default(&snap(vec![mk(10_000)])).is_ok());
-        let report = evaluate_default(&snap(vec![mk(150_000)]));
-        assert_eq!(report.status, HealthStatus::Warn);
-        assert_eq!(report.findings[0].rule, "heartbeat-gap");
-        let report = evaluate_default(&snap(vec![mk(300_000)]));
+        let report = evaluate(&snap(vec![mk(80, 100)]));
         assert_eq!(report.status, HealthStatus::Critical);
     }
 
@@ -337,25 +292,22 @@ mod tests {
             rank_with(&[(MetricId::ProbeHits, hits), (MetricId::ProbeMisses, misses)])
         };
         assert!(
-            evaluate_default(&snap(vec![mk(10, 100)])).is_ok(),
+            evaluate(&snap(vec![mk(10, 100)])).is_ok(),
             "below volume floor"
         );
         assert!(
-            evaluate_default(&snap(vec![mk(5_000, 6_000)])).is_ok(),
+            evaluate(&snap(vec![mk(5_000, 6_000)])).is_ok(),
             "healthy ratio"
         );
-        let report = evaluate_default(&snap(vec![mk(100, 20_000)]));
+        let report = evaluate(&snap(vec![mk(100, 20_000)]));
         assert_eq!(report.status, HealthStatus::Warn);
         assert_eq!(report.findings[0].rule, "probe-miss-storm");
     }
 
     #[test]
     fn report_json_round_trips() {
-        let m = rank_with(&[
-            (MetricId::FtConvictions, 1),
-            (MetricId::HeartbeatGapNs, 400_000),
-        ]);
-        let report = evaluate_default(&snap(vec![m]));
+        let m = rank_with(&[(MetricId::ProbeHits, 100), (MetricId::ProbeMisses, 20_000)]);
+        let report = evaluate(&snap(vec![m, dead_rank(1_000)]));
         let doc = report.to_json().to_string();
         let parsed = Json::parse(&doc).expect("health JSON must parse");
         assert_eq!(

@@ -28,9 +28,7 @@ pub mod health;
 pub mod metrics;
 pub mod ring;
 
-pub use health::{
-    evaluate, evaluate_default, HealthFinding, HealthReport, HealthStatus, HealthThresholds,
-};
+pub use health::{evaluate, HealthFinding, HealthReport, HealthStatus};
 pub use metrics::{
     validate_prometheus, HistogramAccumulator, HistogramSnapshot, MetricId, MetricKind,
     RankSnapshot, TelemetrySnapshot, NUM_METRICS,

@@ -49,7 +49,7 @@ impl MetricKind {
 /// arms, a source in `cmpi-core`'s one-source map (its `match` is
 /// exhaustive), a row in the DESIGN.md §11 metric inventory table, and a
 /// line in the `exposition_covers_every_metric` test — cmpi-lint
-/// enforces the last two.
+/// enforces the last two, and that no table row outlives its variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum MetricId {
@@ -77,63 +77,59 @@ pub enum MetricId {
     SendRetries = 10,
     /// Peers downgraded off the HCA channel.
     HcaDowngrades = 11,
-    /// Failure-detector suspicion onsets.
-    FtSuspicions = 12,
     /// Peers convicted dead.
-    FtConvictions = 13,
+    FtConvictions = 12,
     /// Communicator revocations observed.
-    FtRevokes = 14,
+    FtRevokes = 13,
     /// Shrink agreements completed.
-    FtShrinks = 15,
+    FtShrinks = 14,
     /// Collectives routed to the flat algorithm.
-    CollFlat = 16,
+    CollFlat = 15,
     /// Collectives routed to the two-level SMP algorithm.
-    CollTwoLevel = 17,
+    CollTwoLevel = 16,
     /// Collectives routed to the large-message algorithm.
-    CollLarge = 18,
+    CollLarge = 17,
     /// Packets pushed into rank mailboxes (job-wide, sampled).
-    MailboxPushes = 19,
+    MailboxPushes = 18,
     /// Times a rank's task descheduled on its empty mailbox (job-wide,
     /// sampled).
-    MailboxParks = 20,
+    MailboxParks = 19,
     /// Pokes that rescheduled a descheduled rank (job-wide, sampled).
-    MailboxWakes = 21,
+    MailboxWakes = 20,
     /// SHM pair-queue credit acquires (job-wide, sampled).
-    ShmQueueAcquires = 22,
+    ShmQueueAcquires = 21,
     /// Acquires that stalled on a full queue (job-wide, sampled).
-    ShmQueueStalls = 23,
+    ShmQueueStalls = 22,
     /// Fabric two-sided sends posted (sampled).
-    FabricSends = 24,
+    FabricSends = 23,
     /// Fabric messages drained by progress (sampled).
-    FabricRecvs = 25,
+    FabricRecvs = 24,
     /// Fabric RDMA operations initiated (sampled).
-    FabricRdma = 26,
+    FabricRdma = 25,
     /// Wait time attributed to late senders, ns.
-    LateSenderNs = 27,
+    LateSenderNs = 26,
     /// Wait time attributed to late receivers, ns.
-    LateReceiverNs = 28,
+    LateReceiverNs = 27,
     /// Wait time attributed to data transfer, ns.
-    TransferNs = 29,
+    TransferNs = 28,
     /// Events published to the flight recorder (sampled).
-    FlightEvents = 30,
+    FlightEvents = 29,
     /// Flight-recorder events dropped by ring wrap (sampled).
-    FlightDropped = 31,
+    FlightDropped = 30,
     /// Peak posted-receive queue depth.
-    MatchPostedPeak = 32,
+    MatchPostedPeak = 31,
     /// Peak unexpected-message queue depth.
-    MatchUnexpectedPeak = 33,
-    /// Heartbeat gap behind the freshest peer at finalize, ns (sampled).
-    HeartbeatGapNs = 34,
+    MatchUnexpectedPeak = 32,
     /// Peak bytes in flight on any SHM pair queue (job-wide, sampled).
-    ShmMaxInFlight = 35,
+    ShmMaxInFlight = 33,
     /// Point-to-point completion latency distribution, ns.
-    Pt2ptLatencyNs = 36,
+    Pt2ptLatencyNs = 34,
     /// Sent message size distribution, bytes.
-    MsgSizeBytes = 37,
+    MsgSizeBytes = 35,
 }
 
 /// Total number of metrics.
-pub const NUM_METRICS: usize = 38;
+pub const NUM_METRICS: usize = 36;
 /// Number of histogram metrics (the tail of [`MetricId::ALL`]).
 pub const NUM_HISTOGRAMS: usize = 2;
 const FIRST_HISTOGRAM: usize = NUM_METRICS - NUM_HISTOGRAMS;
@@ -153,7 +149,6 @@ impl MetricId {
         MetricId::ProbeMisses,
         MetricId::SendRetries,
         MetricId::HcaDowngrades,
-        MetricId::FtSuspicions,
         MetricId::FtConvictions,
         MetricId::FtRevokes,
         MetricId::FtShrinks,
@@ -175,7 +170,6 @@ impl MetricId {
         MetricId::FlightDropped,
         MetricId::MatchPostedPeak,
         MetricId::MatchUnexpectedPeak,
-        MetricId::HeartbeatGapNs,
         MetricId::ShmMaxInFlight,
         MetricId::Pt2ptLatencyNs,
         MetricId::MsgSizeBytes,
@@ -203,7 +197,6 @@ impl MetricId {
             MetricId::ProbeMisses => "cmpi_probe_misses_total",
             MetricId::SendRetries => "cmpi_send_retries_total",
             MetricId::HcaDowngrades => "cmpi_hca_downgrades_total",
-            MetricId::FtSuspicions => "cmpi_ft_suspicions_total",
             MetricId::FtConvictions => "cmpi_ft_convictions_total",
             MetricId::FtRevokes => "cmpi_ft_revokes_total",
             MetricId::FtShrinks => "cmpi_ft_shrinks_total",
@@ -225,7 +218,6 @@ impl MetricId {
             MetricId::FlightDropped => "cmpi_flight_dropped_total",
             MetricId::MatchPostedPeak => "cmpi_match_posted_peak",
             MetricId::MatchUnexpectedPeak => "cmpi_match_unexpected_peak",
-            MetricId::HeartbeatGapNs => "cmpi_heartbeat_gap_ns",
             MetricId::ShmMaxInFlight => "cmpi_shm_max_in_flight",
             MetricId::Pt2ptLatencyNs => "cmpi_pt2pt_latency_ns",
             MetricId::MsgSizeBytes => "cmpi_msg_size_bytes",
@@ -247,7 +239,6 @@ impl MetricId {
             MetricId::ProbeMisses => "iprobe calls that found nothing",
             MetricId::SendRetries => "Fabric sends retried after transient failures",
             MetricId::HcaDowngrades => "Peers downgraded off the HCA channel",
-            MetricId::FtSuspicions => "Failure-detector suspicion onsets",
             MetricId::FtConvictions => "Peers convicted dead by the failure detector",
             MetricId::FtRevokes => "Communicator revocations observed",
             MetricId::FtShrinks => "Shrink agreements completed",
@@ -269,7 +260,6 @@ impl MetricId {
             MetricId::FlightDropped => "Flight-recorder events lost to ring wrap",
             MetricId::MatchPostedPeak => "Peak posted-receive queue depth",
             MetricId::MatchUnexpectedPeak => "Peak unexpected-message queue depth",
-            MetricId::HeartbeatGapNs => "Heartbeat gap behind the freshest peer at finalize",
             MetricId::ShmMaxInFlight => "Peak bytes in flight on any SHM pair queue",
             MetricId::Pt2ptLatencyNs => "Point-to-point completion latency in nanoseconds",
             MetricId::MsgSizeBytes => "Sent message sizes in bytes",
@@ -281,7 +271,6 @@ impl MetricId {
         match self {
             MetricId::MatchPostedPeak
             | MetricId::MatchUnexpectedPeak
-            | MetricId::HeartbeatGapNs
             | MetricId::ShmMaxInFlight => MetricKind::Gauge,
             MetricId::Pt2ptLatencyNs | MetricId::MsgSizeBytes => MetricKind::Histogram,
             _ => MetricKind::Counter,
@@ -682,7 +671,6 @@ mod tests {
             MetricId::ProbeMisses,
             MetricId::SendRetries,
             MetricId::HcaDowngrades,
-            MetricId::FtSuspicions,
             MetricId::FtConvictions,
             MetricId::FtRevokes,
             MetricId::FtShrinks,
@@ -704,7 +692,6 @@ mod tests {
             MetricId::FlightDropped,
             MetricId::MatchPostedPeak,
             MetricId::MatchUnexpectedPeak,
-            MetricId::HeartbeatGapNs,
             MetricId::ShmMaxInFlight,
             MetricId::Pt2ptLatencyNs,
             MetricId::MsgSizeBytes,

@@ -67,28 +67,26 @@ pub enum EventKind {
     /// A peer was downgraded off the HCA channel; `detail` = reason
     /// code supplied by the runtime.
     HcaDowngrade = 6,
-    /// A peer's death was first observed (just before its conviction).
-    Suspect = 7,
     /// A peer was convicted dead; `a` = detection latency in ns.
-    Convict = 8,
+    Convict = 7,
     /// A communicator revocation was observed.
-    Revoke = 9,
+    Revoke = 8,
     /// A shrink completed; `a` = survivor count.
-    Shrink = 10,
-    /// This rank executed a scripted death.
-    Death = 11,
+    Shrink = 9,
+    /// This rank executed a scripted death; `detail` = fault class code
+    /// supplied by the runtime.
+    Death = 10,
 }
 
 impl EventKind {
     /// Every kind, for exposition and exhaustiveness tests.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::RndvStart,
         EventKind::RndvCts,
         EventKind::RndvData,
         EventKind::ChannelChoice,
         EventKind::SendRetry,
         EventKind::HcaDowngrade,
-        EventKind::Suspect,
         EventKind::Convict,
         EventKind::Revoke,
         EventKind::Shrink,
@@ -104,7 +102,6 @@ impl EventKind {
             EventKind::ChannelChoice => "channel-choice",
             EventKind::SendRetry => "send-retry",
             EventKind::HcaDowngrade => "hca-downgrade",
-            EventKind::Suspect => "suspect",
             EventKind::Convict => "convict",
             EventKind::Revoke => "revoke",
             EventKind::Shrink => "shrink",

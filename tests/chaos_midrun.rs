@@ -121,7 +121,6 @@ fn assert_bounded_detection(rec: &RecoveryStats, survivors: u64) {
         rec.convictions >= survivors,
         "every survivor must convict the dead: {rec:?}"
     );
-    assert!(rec.suspicions >= survivors, "{rec:?}");
     assert!(rec.revokes >= survivors, "{rec:?}");
     assert!(rec.shrinks >= survivors, "{rec:?}");
     let lease = FAILURE_LEASE.as_ns();
@@ -173,7 +172,7 @@ fn pending_operations_on_a_dead_peer_error_instead_of_hanging() {
     let run = || {
         JobSpec::new(scenario.clone())
             .with_faults(plan.clone())
-            .run_ft(|mpi| -> Result<&'static str, MpiError> {
+            .run(|mpi| -> Result<&'static str, MpiError> {
                 match mpi.rank() {
                     0 => {
                         // Two eager messages arrive before the crash...
@@ -246,19 +245,18 @@ fn an_eager_stream_into_a_dead_receivers_full_queue_completes_locally() {
         FaultPlan::none().with_hang(1, MidRunTrigger::AfterOps(1)),
     ] {
         let scenario = DeploymentScenario::containers(1, 1, 2, NamespaceSharing::default());
-        let job =
-            JobSpec::new(scenario)
-                .with_faults(plan)
-                .run_ft(|mpi| -> Result<usize, MpiError> {
-                    if mpi.rank() == 1 {
-                        return mpi.try_recv_bytes(0, 3).map(|_| 0);
-                    }
-                    let msg = Bytes::from(vec![7u8; 4 * 1024]);
-                    for _ in 0..64 {
-                        mpi.try_send_bytes(msg.clone(), 1, 3)?;
-                    }
-                    Ok(64)
-                });
+        let job = JobSpec::new(scenario)
+            .with_faults(plan)
+            .run(|mpi| -> Result<usize, MpiError> {
+                if mpi.rank() == 1 {
+                    return mpi.try_recv_bytes(0, 3).map(|_| 0);
+                }
+                let msg = Bytes::from(vec![7u8; 4 * 1024]);
+                for _ in 0..64 {
+                    mpi.try_send_bytes(msg.clone(), 1, 3)?;
+                }
+                Ok(64)
+            });
         assert_eq!(job.results[0], Ok(64));
         assert_eq!(job.results[1], Err(MpiError::ProcessFailed { peer: 1 }));
     }
@@ -273,7 +271,7 @@ fn collectives_on_a_revoked_communicator_fail_fast_at_every_member() {
     // must restore working collectives.
     let scenario = DeploymentScenario::containers(1, 2, 4, NamespaceSharing::default());
     let run = || {
-        JobSpec::new(scenario.clone()).run_ft(|mpi| -> Result<(Vec<usize>, u64), MpiError> {
+        JobSpec::new(scenario.clone()).run(|mpi| -> Result<(Vec<usize>, u64), MpiError> {
             let world = mpi.comm_world();
             if mpi.rank() == 0 {
                 mpi.revoke(&world);
@@ -328,7 +326,7 @@ fn shrunk_communicator_rederives_locality_topology() {
     // container partition (no dead rank lingers in any group).
     let scenario = DeploymentScenario::containers(1, 2, 4, NamespaceSharing::default());
     let plan = FaultPlan::none().with_container_kill(ContainerId(1), MidRunTrigger::AfterOps(4));
-    let r = JobSpec::new(scenario).with_faults(plan).run_ft(
+    let r = JobSpec::new(scenario).with_faults(plan).run(
         |mpi| -> Result<(Vec<Vec<usize>>, bool), MpiError> {
             let world = mpi.comm_world();
             // Ranks 4..8 die at their 4th call; survivors grind allreduces
@@ -435,7 +433,7 @@ fn late_packet_job(
     let r = JobSpec::new(scenario)
         .with_exec(ExecMode::Tasks)
         .with_workers(1)
-        .run_ft(|mpi| -> Result<(&'static str, u64), MpiError> {
+        .run(|mpi| -> Result<(&'static str, u64), MpiError> {
             let world = mpi.comm_world();
             let what = body(mpi)?;
             // The late packet is dropped inside one of these calls' progress

@@ -12,7 +12,6 @@ pub fn assert_recovery_matches_metrics(stats: &JobStats, telemetry: Option<&Tele
         for (stat, id) in [
             (rec.send_retries, MetricId::SendRetries),
             (rec.hca_downgrades, MetricId::HcaDowngrades),
-            (rec.suspicions, MetricId::FtSuspicions),
             (rec.convictions, MetricId::FtConvictions),
             (rec.revokes, MetricId::FtRevokes),
             (rec.shrinks, MetricId::FtShrinks),
