@@ -34,7 +34,7 @@ pub struct Comm {
 #[derive(Clone)]
 pub(crate) struct CommEntry {
     /// World ranks in communicator order: who a wildcard receive depends
-    /// on and whom a revocation floods.
+    /// on and whom a revocation notifies.
     pub(crate) members: Arc<Vec<usize>>,
     /// The members' locality groups with the selector sized to them: the
     /// job's topology for the world, the survivors' for a shrunk
@@ -124,7 +124,7 @@ impl Mpi {
                 .expect("a splitting rank is in its own color");
             let ranks = Arc::new(members.into_iter().map(|(_, r)| r as usize).collect());
             // Remember the membership so failure checks and revocation
-            // floods know who participates in this context.
+            // notices know who participates in this context.
             let entry = CommEntry {
                 members: Arc::clone(&ranks),
                 topo: None,

@@ -9,8 +9,10 @@
 //!
 //! 1. any operation touching a convicted rank (or a revoked context)
 //!    completes with [`MpiError::ProcessFailed`] / [`MpiError::Revoked`];
-//! 2. a survivor calls [`Mpi::revoke`], flooding a revocation notice so
-//!    *every* member fails fast instead of deadlocking on the dead rank;
+//! 2. a survivor calls [`Mpi::revoke`], pushing one revocation notice
+//!    into every other member's mailbox (receivers forward nothing; see
+//!    `Mpi::revoke_ctx` for why none needs to) so *every* member fails
+//!    fast instead of deadlocking on the dead rank;
 //! 3. every survivor calls [`Mpi::try_shrink`], which agrees on the dead
 //!    set and produces the survivor communicator.
 //!
@@ -86,9 +88,10 @@ impl Mpi {
     // ---- revoke -------------------------------------------------------------
 
     /// Revoke `comm` (≈ `MPI_Comm_revoke`): after this, every pending and
-    /// future operation on it — at every member, once the flood reaches
-    /// them — completes with [`MpiError::Revoked`]. Idempotent and
-    /// purely local-plus-flood: no agreement, callable from any member.
+    /// future operation on it — at every member, once this rank's notice
+    /// reaches them — completes with [`MpiError::Revoked`]. Idempotent
+    /// and purely local plus one notice per member: no agreement,
+    /// callable from any member.
     pub fn revoke(&mut self, comm: &Comm) {
         let revoked = self.pt2pt(false, |mpi| {
             mpi.revoke_ctx(comm.ctx());

@@ -667,10 +667,10 @@ mod model_tests {
     /// The `fabric_ready` gating of `Mpi::progress` against the real
     /// endpoint (`cmpi-fabric` is shim-synchronized under this cfg): a
     /// post takes the sender's section, queues the message in the
-    /// receiver's section and raises its pending count there, then runs
-    /// the notifier `Mpi::init` registers — hint with `Release`, then
-    /// poke. Progress peeks `Relaxed`, claims with an `Acquire` swap and
-    /// drains into its scratch vector. A delivery lost anywhere along
+    /// receiver's section, then runs the notifier `Mpi::init` registers —
+    /// hint with `Release`, then poke. Progress peeks `Relaxed`, claims
+    /// with an `Acquire` swap and drains under the receive-side lock into
+    /// its scratch vector. A delivery lost anywhere along
     /// that chain — an empty drain after the claim, a poke that does not
     /// end the sleep — leaves the consumer parked with no runnable
     /// peer, which the model reports as a deadlock.

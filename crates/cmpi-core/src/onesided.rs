@@ -1,7 +1,10 @@
 //! One-sided communication: windows, put, get, flush and fence.
 //!
-//! Window memory is registered with the fabric (the RDMA target); the
-//! locality policy decides how remote accesses travel:
+//! Window memory is registered with the fabric (the RDMA target). An
+//! access to a peer's window travels on the route
+//! [`ChannelSelector::route`](crate::ChannelSelector::route) gives a send
+//! of the same size to that peer — one channel decision for both kinds of
+//! traffic — and an access to this rank's own window is a local copy:
 //!
 //! * **SHM** — the window lives in host-shared memory, a put/get is a
 //!   direct user-space copy (this is the fast path behind the paper's 9×
@@ -10,7 +13,9 @@
 //!   (large messages between co-resident containers);
 //! * **HCA** — a true RDMA write/read through the adapter, paying the
 //!   loopback penalty when the target is co-resident but undetected (the
-//!   paper's "Default" behaviour).
+//!   paper's "Default" behaviour). An eager-sized put is charged as the
+//!   library's two-sided emulation; a rendezvous-sized one is a bare
+//!   RDMA write.
 //!
 //! Puts complete remotely at their channel-dependent completion time;
 //! [`Mpi::flush`] advances the origin's clock to the latest completion,
@@ -21,9 +26,9 @@ use std::sync::Arc;
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
 
+use crate::channel::{Protocol, Route};
 use crate::collectives::{op, plain, Scope};
 use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
-use crate::locality::LocalityPolicy;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -89,29 +94,17 @@ impl Mpi {
         }
     }
 
-    /// Which channel a one-sided access to `target` takes under the
-    /// active policy.
-    pub fn onesided_channel(&self, target: usize, bytes: usize) -> Channel {
+    /// The route of a `blen`-byte access to `target`'s window: the
+    /// selector's, except that this rank's own window is a local copy
+    /// under every policy.
+    fn rma_route(&self, target: usize, blen: usize) -> Route {
         if target == self.rank {
-            return Channel::Shm;
+            return Route {
+                channel: Channel::Shm,
+                protocol: Protocol::Eager,
+            };
         }
-        if let LocalityPolicy::ForceChannel(c) = self.selector.policy() {
-            return c;
-        }
-        let peer = self.view.peer(target);
-        if peer.considered_local {
-            if peer.vis.shm && bytes <= self.state.tunables.smp_eager_size {
-                Channel::Shm
-            } else if peer.vis.cma {
-                Channel::Cma
-            } else if peer.vis.shm {
-                Channel::Shm
-            } else {
-                Channel::Hca
-            }
-        } else {
-            Channel::Hca
-        }
+        self.selector.route(&self.view.peer(target), blen)
     }
 
     /// What the origin is charged for moving `blen` bytes to or from a
@@ -139,7 +132,8 @@ impl Mpi {
         let bytes = to_bytes(data);
         let blen = bytes.len();
         let cost = self.state.cost;
-        let channel = self.onesided_channel(target, blen);
+        let route = self.rma_route(target, blen);
+        let channel = route.channel;
         let cross = self.cross_socket(target);
         match channel {
             // Direct store into the shared window / one CMA write.
@@ -155,7 +149,7 @@ impl Mpi {
                     .fabric
                     .rdma_write(self.rank, rkey, offset, &bytes, self.now)
                     .expect("RDMA put failed");
-                if blen <= self.state.tunables.mv2_iba_eager_threshold {
+                if route.protocol == Protocol::Eager {
                     // Small puts run through the library's two-sided
                     // emulation path (copy + packet + remote completion):
                     // the origin's clock tracks the full loopback/wire
@@ -194,7 +188,7 @@ impl Mpi {
     /// window as they sit there, every cost charged.
     fn get_wire(&mut self, win: &mut Window, target: usize, offset: usize, blen: usize) -> Vec<u8> {
         let t0 = self.enter();
-        let channel = self.onesided_channel(target, blen);
+        let channel = self.rma_route(target, blen).channel;
         let cross = self.cross_socket(target);
         let bytes = match channel {
             Channel::Shm | Channel::Cma => {
@@ -300,5 +294,61 @@ impl Mpi {
     /// semantics).
     pub fn win_write_local<T: MpiData>(&self, win: &Window, offset: usize, data: &[T]) {
         win.regions[self.rank].write(offset, &to_bytes(data));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::locality::LocalityPolicy;
+    use crate::runtime::JobSpec;
+    use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
+
+    /// A window over every rank's region, registered by the calling rank
+    /// alone. `win_allocate`'s barrier routes its own messages, so under
+    /// a forced channel the pair cannot use it fails before any access;
+    /// this window makes the access the first routed call.
+    fn window_without_barrier(mpi: &Mpi, len: usize) -> Window {
+        let regions = (0..mpi.size())
+            .map(|r| mpi.state.fabric.register_mr(r, len).expect("attached"))
+            .collect();
+        Window {
+            id: 0,
+            len,
+            regions,
+            pending: vec![SimTime::ZERO; mpi.size()],
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "forced SHM channel but peers do not share an IPC namespace")]
+    fn a_forced_shm_put_between_ipc_isolated_containers_panics_like_a_send() {
+        let scenario = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::isolated());
+        let spec = JobSpec::new(scenario).with_policy(LocalityPolicy::ForceChannel(Channel::Shm));
+        spec.run(|mpi| {
+            if mpi.rank() == 0 {
+                let mut win = window_without_barrier(mpi, 64);
+                mpi.put(&mut win, 1, 0, &[1u8; 4]);
+            }
+        });
+    }
+
+    #[test]
+    fn a_put_to_the_own_window_is_a_local_copy_under_every_policy() {
+        let scenario = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::isolated());
+        for policy in [
+            LocalityPolicy::Hostname,
+            LocalityPolicy::ForceChannel(Channel::Hca),
+            LocalityPolicy::ForceChannel(Channel::Shm),
+        ] {
+            let spec = JobSpec::new(scenario.clone()).with_policy(policy);
+            let r = spec.run(|mpi| {
+                let mut win = window_without_barrier(mpi, 1 << 20);
+                let me = mpi.rank();
+                mpi.put(&mut win, me, 0, &vec![1u8; 1 << 20]);
+                mpi.stats().channel(Channel::Shm).ops
+            });
+            assert_eq!(r.results, [1, 1], "{policy:?}");
+        }
     }
 }

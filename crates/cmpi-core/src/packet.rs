@@ -1,8 +1,10 @@
 //! Channel-layer packets and their HCA wire encoding.
 //!
 //! Intra-host channels (SHM/CMA) deliver [`Packet`] values directly
-//! through the receiving rank's mailbox. The HCA channel moves bytes, so
-//! packets crossing it are framed with [`Packet::encode_parts`] and
+//! through the receiving rank's mailbox, and so does every revocation
+//! notice, whatever channel the pair would route on. The HCA channel
+//! moves bytes, so the five protocol kinds that cross it (eager, RTS,
+//! CTS, rendezvous data, FIN) are framed with [`Packet::encode_parts`] and
 //! re-assembled with [`Packet::decode_parts`] — the immediate value
 //! carries the protocol discriminant exactly like MVAPICH2 uses IB
 //! immediate data. The frame is split: the fixed-size header travels in
@@ -65,8 +67,10 @@ pub enum PacketKind {
         sreq: ReqId,
     },
     /// Communicator revocation notice (ULFM `MPI_Comm_revoke`): a member
-    /// observed a process failure and is flooding the revocation so every
-    /// member fails fast instead of deadlocking on a dead collective.
+    /// observed a process failure and tells every other member, so each
+    /// fails fast instead of deadlocking on a dead collective. The
+    /// originator pushes it straight into each member's mailbox; it has
+    /// no HCA framing.
     Revoke {
         /// Context id of the revoked communicator.
         ctx: u32,
@@ -94,7 +98,6 @@ const K_RTS: u32 = 2;
 const K_CTS: u32 = 3;
 const K_RNDV: u32 = 4;
 const K_FIN: u32 = 5;
-const K_REVOKE: u32 = 6;
 
 /// Largest encoded header across all [`PacketKind`]s (Eager/Rts: 32
 /// bytes).
@@ -180,7 +183,6 @@ fn parse_kind(imm: u32, b: &[u8]) -> PacketKind {
         },
         K_RNDV => PacketKind::RndvData { rreq: u64_at(b, 0) },
         K_FIN => PacketKind::Fin { sreq: u64_at(b, 0) },
-        K_REVOKE => PacketKind::Revoke { ctx: u32_at(b, 0) },
         other => panic!("corrupt HCA frame: unknown kind {other}"),
     }
 }
@@ -190,6 +192,9 @@ impl Packet {
     /// `(imm, header, payload)`. The header lives on the stack and the
     /// payload handle shares the packet's allocation (refcount bump, no
     /// copy).
+    ///
+    /// # Panics
+    /// Panics on a revocation notice, which never crosses the HCA.
     pub fn encode_parts(&self) -> (u32, WireHeader, Bytes) {
         let mut hdr = WireHeader::default();
         let imm = match self.kind {
@@ -234,9 +239,8 @@ impl Packet {
                 hdr.put_u64_le(sreq);
                 K_FIN
             }
-            PacketKind::Revoke { ctx } => {
-                hdr.put_u32_le(ctx);
-                K_REVOKE
+            PacketKind::Revoke { .. } => {
+                unreachable!("revocation notices are pushed into mailboxes, never framed")
             }
         };
         (imm, hdr, self.data.clone())
@@ -329,7 +333,6 @@ mod tests {
         roundtrip(PacketKind::Cts { sreq: 1, rreq: 2 }, b"");
         roundtrip(PacketKind::Fin { sreq: u64::MAX }, b"");
         roundtrip(PacketKind::RndvData { rreq: 77 }, b"payload bytes");
-        roundtrip(PacketKind::Revoke { ctx: 0x8000_0007 }, b"");
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub struct JobSpec {
     pub policy: LocalityPolicy,
     /// Protocol tunables.
     pub tunables: Tunables,
-    /// Channel cost model.
-    pub cost: CostModel,
     /// Record per-rank virtual timelines (see [`crate::trace`]).
     pub tracing: bool,
     /// Collect the causal profile (per-peer channel matrix + wait-state
@@ -101,13 +99,13 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A job with the paper's "Proposed" defaults (container detector,
-    /// container-tuned tunables, calibrated cost model).
+    /// container-tuned tunables). Every job runs on the calibrated
+    /// [`CostModel::default`].
     pub fn new(scenario: DeploymentScenario) -> Self {
         JobSpec {
             scenario,
             policy: LocalityPolicy::ContainerDetector,
             tunables: Tunables::default(),
-            cost: CostModel::default(),
             tracing: false,
             profiling: false,
             telemetry: true,
@@ -154,12 +152,6 @@ impl JobSpec {
     /// Override the tunables.
     pub fn with_tunables(mut self, tunables: Tunables) -> Self {
         self.tunables = tunables;
-        self
-    }
-
-    /// Override the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -514,9 +506,9 @@ impl JobState {
             placement: spec.scenario.placement.clone(),
             policy: spec.policy,
             tunables: spec.tunables,
-            cost: spec.cost,
+            cost: CostModel::default(),
             registry: ShmRegistry::new(),
-            fabric: Fabric::with_faults(spec.cost, spec.faults.clone()),
+            fabric: Fabric::with_faults(CostModel::default(), spec.faults.clone()),
             faults: spec.faults.clone(),
             attached: (0..n).map(|_| AtomicBool::new(false)).collect(),
             detector: FailureDetector::new(),
@@ -986,17 +978,13 @@ impl Mpi {
         }
     }
 
-    /// Revoke `ctx` at this rank — its own `revoke` call or the first
-    /// notice to arrive: mark it (with its pair: the user world context
-    /// and the collective-internal context are one communicator), ledger
-    /// it, and push the notice to every member's mailbox. Mark-first, so
-    /// the flood terminates: a repeat is dropped here. Best effort: dead
-    /// peers' mailboxes absorb the notice harmlessly. The flood is
-    /// out-of-band control traffic — every receiver re-floods once, so
-    /// the notice survives the originator dying mid-flood.
-    pub(crate) fn revoke_ctx(&mut self, ctx: u32) {
+    /// Mark `ctx` revoked at this rank, with its pair (the user world
+    /// context and the collective-internal context are one communicator),
+    /// and ledger the revocation. `false` when it already was: a repeat
+    /// changes nothing.
+    fn mark_revoked(&mut self, ctx: u32) -> bool {
         if !self.revoked.insert(ctx) {
-            return;
+            return false;
         }
         if ctx == CTX_COLL {
             self.revoked.insert(CTX_WORLD);
@@ -1009,6 +997,22 @@ impl Mpi {
         };
         self.obs
             .incident(Incident::REVOKE, self.now, None, detail, 1);
+        true
+    }
+
+    /// This rank's own revocation of `ctx`: mark it and push one notice
+    /// straight into every other member's mailbox (out-of-band control
+    /// traffic; it never crosses the HCA). A rank that has already seen
+    /// a notice for `ctx` pushes nothing. A receiver only marks (see
+    /// `handle_packet`): the originator cannot die part-way through the
+    /// loop below — a rank dies only at its own call boundaries
+    /// (`ft_enter`, the fate check of a poll), and the loop crosses none —
+    /// so every live member gets the notice from it, and dead members'
+    /// mailboxes absorb theirs harmlessly.
+    pub(crate) fn revoke_ctx(&mut self, ctx: u32) {
+        if !self.mark_revoked(ctx) {
+            return;
+        }
         let members: Arc<Vec<usize>> = match self.comms.get(&ctx) {
             Some(entry) => Arc::clone(&entry.members),
             None => Arc::clone(&self.state.world_members),
@@ -1199,7 +1203,9 @@ impl Mpi {
                     rndv_cts: Some(cts_at),
                 });
             }
-            PacketKind::Revoke { ctx } => self.revoke_ctx(ctx),
+            PacketKind::Revoke { ctx } => {
+                self.mark_revoked(ctx);
+            }
         }
     }
 

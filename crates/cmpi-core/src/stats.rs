@@ -7,6 +7,7 @@
 //! finalize.
 
 use cmpi_cluster::{Channel, SimTime};
+use cmpi_prof::{chan_index, NUM_CHANNELS};
 
 use crate::coll_select::{CollAlgo, CollKind};
 
@@ -125,7 +126,7 @@ impl RecoveryStats {
 /// One rank's statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
-    channels: [ChannelCounter; 3],
+    channels: [ChannelCounter; NUM_CHANNELS],
     times: [SimTime; 5],
     /// Calls per (collective kind, selected algorithm) — the selector's
     /// audit trail, indexed `[CollKind::index()][CollAlgo::index()]`.
@@ -134,26 +135,10 @@ pub struct CommStats {
     pub recovery: RecoveryStats,
 }
 
-fn channel_index(c: Channel) -> usize {
-    match c {
-        Channel::Shm => 0,
-        Channel::Cma => 1,
-        Channel::Hca => 2,
-    }
-}
-
 impl CommStats {
-    /// A fresh stats block pre-seeded with init-time recovery counters.
-    pub fn with_recovery(recovery: RecoveryStats) -> Self {
-        CommStats {
-            recovery,
-            ..CommStats::default()
-        }
-    }
-
     /// Record one data-bearing transfer.
     pub fn record_op(&mut self, channel: Channel, bytes: usize) {
-        let c = &mut self.channels[channel_index(channel)];
+        let c = &mut self.channels[chan_index(channel)];
         c.ops += 1;
         c.bytes += bytes as u64;
     }
@@ -175,7 +160,7 @@ impl CommStats {
 
     /// Counter for one channel.
     pub fn channel(&self, c: Channel) -> ChannelCounter {
-        self.channels[channel_index(c)]
+        self.channels[chan_index(c)]
     }
 
     /// Time attributed to one class.
@@ -194,7 +179,7 @@ impl CommStats {
 
     /// Merge another rank's statistics into this one.
     pub fn merge(&mut self, other: &CommStats) {
-        for i in 0..3 {
+        for i in 0..NUM_CHANNELS {
             self.channels[i].ops += other.channels[i].ops;
             self.channels[i].bytes += other.channels[i].bytes;
         }

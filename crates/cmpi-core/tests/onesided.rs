@@ -2,7 +2,7 @@
 //! channel, epoch semantics, and the Fig. 9 performance relationships.
 
 use cmpi_cluster::{Channel, DeploymentScenario, NamespaceSharing, SimTime};
-use cmpi_core::{JobSpec, LocalityPolicy};
+use cmpi_core::{JobSpec, LocalityPolicy, Mpi};
 
 fn pair(policy: LocalityPolicy) -> JobSpec {
     JobSpec::new(DeploymentScenario::pt2pt_pair(
@@ -52,40 +52,91 @@ fn get_reads_target_window() {
     assert_eq!(r.results[0], vec![9.5, -2.25]);
 }
 
+/// The one channel op a single call added to this rank's ledger.
+fn ledgered(mpi: &Mpi, before: [u64; 3]) -> Channel {
+    let moved: Vec<Channel> = Channel::ALL
+        .into_iter()
+        .zip(before)
+        .filter(|&(c, ops)| mpi.stats().channel(c).ops == ops + 1)
+        .map(|(c, _)| c)
+        .collect();
+    assert_eq!(moved.len(), 1, "one call, one channel op: {moved:?}");
+    moved[0]
+}
+
+fn ledger(mpi: &Mpi) -> [u64; 3] {
+    Channel::ALL.map(|c| mpi.stats().channel(c).ops)
+}
+
 #[test]
-fn onesided_channel_selection_mirrors_pt2pt_policy() {
-    // Small put: Opt uses SHM, Def uses HCA (RDMA loopback).
-    let opt = pair(LocalityPolicy::ContainerDetector).run(|mpi| {
-        let mut win = mpi.win_allocate(64);
-        if mpi.rank() == 0 {
-            mpi.put(&mut win, 1, 0, &[1u8, 2, 3, 4]);
-            mpi.flush(&mut win, 1);
+fn onesided_accesses_take_the_selectors_route() {
+    // Either side of both thresholds: SHM eager (8 KiB) and HCA eager
+    // (17 KiB), plus a large access.
+    const SIZES: [usize; 6] = [4, 8 << 10, (8 << 10) + 1, 17 << 10, (17 << 10) + 1, 1 << 20];
+    let policies = [
+        LocalityPolicy::Hostname,
+        LocalityPolicy::ContainerDetector,
+        LocalityPolicy::ForceChannel(Channel::Shm),
+        LocalityPolicy::ForceChannel(Channel::Cma),
+        LocalityPolicy::ForceChannel(Channel::Hca),
+    ];
+    let mut seen = Vec::new();
+    for policy in policies {
+        for (ipc, pid) in [(true, true), (true, false), (false, true), (false, false)] {
+            let sharing = NamespaceSharing {
+                ipc,
+                pid,
+                privileged: true,
+            };
+            // A forced channel the pair cannot use fails in the window's
+            // own barrier, before any access (the panic is pinned in
+            // `onesided.rs`'s unit tests).
+            let impossible = matches!(
+                (policy, ipc, pid),
+                (LocalityPolicy::ForceChannel(Channel::Shm), false, _)
+                    | (LocalityPolicy::ForceChannel(Channel::Cma), _, false)
+            );
+            if impossible {
+                continue;
+            }
+            let spec = JobSpec::new(DeploymentScenario::pt2pt_pair(true, true, sharing))
+                .with_policy(policy);
+            let r = spec.run(|mpi| {
+                let mut win = mpi.win_allocate(1 << 20);
+                let mut rows = Vec::new();
+                if mpi.rank() == 0 {
+                    for size in SIZES {
+                        let route = mpi.selector().route(&mpi.locality().peer(1), size);
+                        let before = ledger(mpi);
+                        mpi.put(&mut win, 1, 0, &vec![1u8; size]);
+                        let put = ledgered(mpi, before);
+                        let before = ledger(mpi);
+                        let mut out = vec![0u8; size];
+                        mpi.get(&mut win, 1, 0, &mut out);
+                        let get = ledgered(mpi, before);
+                        rows.push((size, route.channel, put, get));
+                    }
+                }
+                mpi.fence(&mut win);
+                rows
+            });
+            for (size, route, put, get) in &r.results[0] {
+                let at = format!("{policy:?} ipc={ipc} pid={pid} {size} B");
+                assert_eq!((*put, *get), (*route, *route), "{at}");
+                seen.push((*route, *size));
+            }
         }
-        mpi.fence(&mut win);
-    });
-    assert!(opt.stats.channel_ops(Channel::Shm) > 0);
-    assert_eq!(opt.stats.channel_ops(Channel::Hca), 0);
-
-    let def = pair(LocalityPolicy::Hostname).run(|mpi| {
-        let mut win = mpi.win_allocate(64);
-        if mpi.rank() == 0 {
-            mpi.put(&mut win, 1, 0, &[1u8, 2, 3, 4]);
-            mpi.flush(&mut win, 1);
-        }
-        mpi.fence(&mut win);
-    });
-    assert!(def.stats.channel_ops(Channel::Hca) > 0);
-
-    // Large put under Opt goes CMA.
-    let big = pair(LocalityPolicy::ContainerDetector).run(|mpi| {
-        let mut win = mpi.win_allocate(64 * 1024);
-        if mpi.rank() == 0 {
-            mpi.put(&mut win, 1, 0, &vec![7u8; 32 * 1024]);
-            mpi.flush(&mut win, 1);
-        }
-        mpi.fence(&mut win);
-    });
-    assert!(big.stats.channel_ops(Channel::Cma) > 0);
+    }
+    // The sweep reached every channel, chunked SHM for a large access
+    // without PID sharing and the HCA on both sides of its threshold.
+    for want in [
+        (Channel::Shm, 1 << 20),
+        (Channel::Cma, 1 << 20),
+        (Channel::Hca, 17 << 10),
+        (Channel::Hca, (17 << 10) + 1),
+    ] {
+        assert!(seen.contains(&want), "{want:?} never routed");
+    }
 }
 
 #[test]

@@ -6,9 +6,10 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use cmpi_cluster::{CostModel, FaultPlan, HostId, SimTime};
 // Per-endpoint state is shim-synchronized so the model checker can
-// explore the pending-hint protocol; fabric-global tables stay on plain
-// locks (their critical sections contain no model-visible operations).
-use cmpi_model::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
+// explore the receive queue's locked drain against concurrent posts;
+// fabric-global tables stay on plain locks (their critical sections
+// contain no model-visible operations).
+use cmpi_model::sync::{AtomicBool, Mutex, Ordering};
 use parking_lot::Mutex as PlainMutex;
 
 use crate::mr::{MemoryRegion, RKey};
@@ -213,11 +214,6 @@ struct Endpoint {
     attached: AtomicBool,
     tx: Mutex<Tx>,
     rx: Mutex<Rx>,
-    /// Length of `rx.incoming`, maintained under its lock. The progress
-    /// engine polls every rank on every pass; the counter lets an empty
-    /// poll — the overwhelmingly common case — return after one load
-    /// instead of taking the lock.
-    pending: AtomicUsize,
     /// Set once, so a delivery reads it with a plain load.
     notifier: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
@@ -304,7 +300,6 @@ impl Fabric {
                 attached: AtomicBool::new(true),
                 tx: Mutex::new(Tx::default()),
                 rx: Mutex::new(Rx::default()),
-                pending: AtomicUsize::new(0),
                 notifier: OnceLock::new(),
             }))
             .map_err(|_| FabricError::AlreadyAttached(rank))
@@ -318,9 +313,7 @@ impl Fabric {
     pub fn detach(&self, rank: usize) {
         if let Some(ep) = self.endpoints.get(rank) {
             ep.attached.store(false, Ordering::Release);
-            let mut rx = ep.rx.lock();
-            rx.incoming = Vec::new();
-            ep.pending.store(0, Ordering::Release);
+            ep.rx.lock().incoming = Vec::new();
         }
     }
 
@@ -446,14 +439,6 @@ impl Fabric {
                     data,
                     available_at,
                 });
-                // Release pairs with poll_recv_into's Acquire fast-path
-                // load: a poller that observes this count also observes
-                // the pushed message when it takes the lock. The store
-                // sits under the lock, so it can never be reordered with
-                // a concurrent drain's reset (the model checker verifies
-                // the protocol:
-                // `tests::model::pending_hint_never_loses_a_message`).
-                d.pending.store(rx.incoming.len(), Ordering::Release);
             },
         )?;
         // Outside every lock: the callback pokes the rank's mailbox.
@@ -467,26 +452,19 @@ impl Fabric {
     }
 
     /// Drain `rank`'s receive queue (ordered by arrival) onto the end of
-    /// `out`; returns how many messages were moved. The queue keeps its
-    /// allocation, so a caller that reuses `out` polls without touching
-    /// the heap.
+    /// `out`; returns how many messages were moved. The drain runs under
+    /// the receive-side lock every post pushes under, so it sees every
+    /// message pushed before it took the lock and none twice. It has no
+    /// arrival hint of its own: the MPI runtime polls only after the
+    /// rank's notifier has fired. The queue keeps its allocation, so a
+    /// caller that reuses `out` polls without touching the heap.
     pub fn poll_recv_into(
         &self,
         rank: usize,
         out: &mut Vec<FabricMsg>,
     ) -> Result<usize, FabricError> {
         let ep = self.ep(rank)?;
-        // Fast path: nothing has landed since the last drain. A racing
-        // post is not lost — it raises `pending` and fires the rank's
-        // notifier, so the next poll sees it. The hint may err only
-        // toward "something pending" (a stale zero is repaired by the
-        // notifier; a stale nonzero just takes the lock and finds the
-        // queue empty), which is why the early return is safe.
-        if ep.pending.load(Ordering::Acquire) == 0 {
-            return Ok(0);
-        }
         let mut rx = ep.rx.lock();
-        ep.pending.store(0, Ordering::Release);
         let n = rx.incoming.len();
         rx.recvs += n as u64;
         rx.recv_bytes += rx
@@ -869,20 +847,21 @@ mod tests {
         assert_eq!(failures, vec![(2, 2), (5, 2), (8, 2)]);
     }
 
-    /// Exhaustive interleaving checks of the pending-hint protocol (run
-    /// via `RUSTFLAGS="--cfg cmpi_model" cargo test -p cmpi-fabric --lib`).
+    /// Exhaustive interleaving checks of the locked drain against
+    /// concurrent posts (run via
+    /// `RUSTFLAGS="--cfg cmpi_model" cargo test -p cmpi-fabric --lib`).
     #[cfg(cmpi_model)]
     mod model {
         use super::*;
         use cmpi_model::model::{thread, Builder};
 
-        /// The poll fast path must never permanently miss a message: a
-        /// post racing the drain either lands its Release store in time
-        /// or is picked up by the poller's next pass (the notifier in the
-        /// real runtime; a retry loop here). A lost message deadlocks the
-        /// model (consumer spins forever on yield with no runnable peer).
+        /// A post racing the drain is either drained by this poll or by
+        /// the poller's next pass (the notifier in the real runtime; a
+        /// retry loop here), and never twice. A lost message deadlocks
+        /// the model (consumer spins forever on yield with no runnable
+        /// peer).
         #[test]
-        fn pending_hint_never_loses_a_message() {
+        fn locked_drain_neither_loses_nor_duplicates_a_racing_post() {
             Builder::new().max_executions(400_000).check(|| {
                 // Serial setup on the root thread: no schedule branching.
                 let f = Fabric::new(CostModel::default());
@@ -906,10 +885,10 @@ mod tests {
         }
 
         /// Two concurrent posters: the drain never duplicates and never
-        /// drops, under every interleaving of the two Release stores and
-        /// the consumer's Acquire fast path.
+        /// drops, under every interleaving of the two posts' receive-side
+        /// sections and the consumer's drains into one reused vector.
         #[test]
-        fn pending_hint_survives_concurrent_posts() {
+        fn locked_drain_neither_loses_nor_duplicates_concurrent_posts() {
             Builder::new().max_executions(400_000).check(|| {
                 let f = Fabric::new(CostModel::default());
                 f.attach(0, HostId(0), true).unwrap();

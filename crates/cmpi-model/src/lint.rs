@@ -27,8 +27,15 @@
 //!    lint additionally catches a variant missing from the *value list*
 //!    the test iterates, which the compiler cannot see.)
 //!
-//! Test modules (`#[cfg(test)] mod …` tails) are exempt from rules 2–3;
-//! rule 1 applies everywhere.
+//! 6–7. **metric-ids**, **rule-inventory** — whole-file documentation
+//!    loops ([`lint_metric_ids`], [`lint_rule_inventory`]).
+//! 8. **one-route** — outside `channel.rs` (the selector) and
+//!    `locality.rs` (which resolves the facts it reads), no code may read
+//!    `considered_local` or `.vis.shm` / `.vis.cma`: a second reader is a
+//!    second channel decision that can drift from `ChannelSelector::route`.
+//!
+//! Test modules (`#[cfg(test)] mod …` tails) are exempt from rules 2–3
+//! and 8; rule 1 applies everywhere.
 //!
 //! Comment/literal discrimination is delegated to the shared lexer in
 //! [`crate::strip`] (also the front end of [`crate::analyze`]), so
@@ -64,6 +71,12 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/cmpi-fabric/src/endpoint.rs",
     "crates/cmpi-fabric/src/schedule.rs",
     "crates/cmpi-fabric/src/slots.rs",
+];
+
+/// The files that may read the channel decision's inputs (rule 8).
+pub const ONE_ROUTE_HOMES: &[&str] = &[
+    "crates/cmpi-core/src/channel.rs",
+    "crates/cmpi-core/src/locality.rs",
 ];
 
 /// One lint finding.
@@ -138,6 +151,7 @@ pub fn lint_file(relpath: &str, src: &str) -> Vec<Violation> {
     let codes = strip::code_lines(src);
     let tail = test_tail_start(&lines);
     let hot = HOT_PATH_MODULES.iter().any(|m| relpath.ends_with(m));
+    let route_home = ONE_ROUTE_HOMES.iter().any(|m| relpath.ends_with(m));
     let whitelisted = RELAXED_WHITELIST.iter().any(|w| relpath.contains(w));
 
     for (i, code) in codes.iter().enumerate() {
@@ -190,6 +204,21 @@ pub fn lint_file(relpath: &str, src: &str) -> Vec<Violation> {
                 line: i + 1,
                 rule: "tag-width",
                 msg: "TAG_ROUND_BITS may only be defined in collectives.rs".into(),
+            });
+        }
+        // Rule 8: one channel decision.
+        if !route_home
+            && (has_word(code, "considered_local")
+                || code.contains(".vis.shm")
+                || code.contains(".vis.cma"))
+        {
+            out.push(Violation {
+                file: relpath.to_string(),
+                line: i + 1,
+                rule: "one-route",
+                msg: "reads a channel-decision input outside the selector \
+                      (route through `ChannelSelector::route`)"
+                    .into(),
             });
         }
     }
@@ -677,6 +706,29 @@ mod tests {
         let v = lint_file("crates/cmpi-core/src/coll_select.rs", src);
         assert_eq!(rules_of(&v), vec!["tag-width"]);
         assert!(lint_file("crates/cmpi-core/src/collectives.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_route_rule_flags_decision_inputs_outside_the_selector() {
+        let src = concat!(
+            "fn pick(p: &PeerInfo) -> bool {\n",
+            "    p.considered_local && p.vis.shm\n",
+            "}\n",
+            "fn cma(p: &PeerInfo) -> bool { p.vis.cma }\n",
+        );
+        let v = lint_file("crates/cmpi-core/src/pt2pt.rs", src);
+        assert_eq!(rules_of(&v), vec!["one-route", "one-route"]);
+        assert_eq!((v[0].line, v[1].line), (2, 4));
+        // The selector and the locality resolver own the inputs.
+        for home in ONE_ROUTE_HOMES {
+            assert!(lint_file(home, src).is_empty(), "{home}");
+        }
+        // Tests may build and inspect peers freely; a longer identifier
+        // or a comment is not a read.
+        let tested = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_file("crates/cmpi-core/src/pt2pt.rs", &tested).is_empty());
+        let near = "fn f(x: &X) -> bool { x.considered_locally } // p.vis.shm\n";
+        assert!(lint_file("crates/cmpi-core/src/pt2pt.rs", near).is_empty());
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub mod wait;
 
 pub use json::{Json, JsonError};
 pub use matrix::{
-    chan_index, size_bucket, ChanCell, PeerCell, RankMatrix, SizeHistogram, SIZE_BUCKETS,
+    chan_index, size_bucket, ChanCell, PeerCell, RankMatrix, SizeHistogram, NUM_CHANNELS,
+    SIZE_BUCKETS,
 };
 pub use profile::{FabricCounters, JobProfile, ProfCollector, QueuePressure};
 pub use wait::{WaitBreakdown, WaitClass, WaitStats};

@@ -14,7 +14,8 @@ use crate::json::Json;
 /// Number of channels (indexed by [`chan_index`]).
 pub const NUM_CHANNELS: usize = 3;
 
-/// Dense channel index in [`Channel::ALL`] order.
+/// Dense channel index in [`Channel::ALL`] order: the one Shm/Cma/Hca →
+/// 0/1/2 map, shared by the profile matrices and `CommStats`.
 pub fn chan_index(c: Channel) -> usize {
     match c {
         Channel::Shm => 0,

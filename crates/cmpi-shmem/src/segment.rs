@@ -180,11 +180,6 @@ impl ShmRegistry {
             .get(&(host, ipc_ns, name.to_string()))
             .cloned()
     }
-
-    /// Number of live segments (diagnostics).
-    pub fn num_segments(&self) -> usize {
-        self.segments.lock().len()
-    }
 }
 
 #[cfg(test)]

@@ -289,10 +289,10 @@ const MIDRUN_CRASH: Golden = Golden {
 
 const REVOKE_THEN_SHRINK: Golden = Golden {
     stats_report: 0xe485_3143_0e4e_1302,
-    profile_report: 0xbbb1_f38d_d0dd_2d0c,
-    profile_json: 0x58d3_1514_66bd_d667,
-    prometheus: 0x0f43_a0bd_6413_e186,
-    telemetry_json: 0x2ab5_04c0_9e5f_b1c6,
+    profile_report: 0x1826_74e5_7b03_49e3,
+    profile_json: 0x7366_ab55_07c5_3614,
+    prometheus: 0xe561_bdef_673a_4453,
+    telemetry_json: 0xf58c_7272_274c_781a,
     // At the parent, without rank 0's own revoke: 0x034d_e7aa_c739_d06f.
     flight_chrome: 0x51a8_c268_d140_0638,
     trace_chrome: 0x7dd1_fa08_97a5_b3a0,
