@@ -9,7 +9,7 @@ use bytes::Bytes;
 use cmpi_cluster::SimTime;
 use cmpi_core::{Completion, Mpi, ReduceOp, ANY_SOURCE, ANY_TAG};
 
-use super::generator::{bfs_root, edge, owned_range, owner};
+use super::generator::{bfs_root, for_each_edge, owned_range, owner};
 use super::validate;
 use super::Graph500Config;
 
@@ -132,14 +132,13 @@ pub(super) fn bucket_edges(
     let expected = 2 * (e_hi - e_lo) as usize / parts;
     let mut buckets: Vec<Vec<(u64, u64)>> =
         (0..parts).map(|_| Vec::with_capacity(expected)).collect();
-    for idx in e_lo..e_hi {
-        let (u, v) = edge(cfg.seed, cfg.scale, idx);
-        if u == v {
-            continue; // Graph 500 drops self-loops
+    for_each_edge(cfg.seed, cfg.scale, e_lo..e_hi, |_, (u, v)| {
+        if u != v {
+            // Graph 500 drops self-loops.
+            buckets[owner(u, n, parts)].push((u, v));
+            buckets[owner(v, n, parts)].push((v, u));
         }
-        buckets[owner(u, n, parts)].push((u, v));
-        buckets[owner(v, n, parts)].push((v, u));
-    }
+    });
     // Generation cost: the reference kernel 1 is compute-heavy.
     mpi.compute_items(e_hi - e_lo, 12);
     buckets

@@ -6,6 +6,8 @@
 //! no shared RNG state — matching how the reference implementation
 //! parallelizes generation.
 
+use std::ops::Range;
+
 /// R-MAT quadrant probabilities from the Graph 500 specification.
 const A: f64 = 0.57;
 const B: f64 = 0.19;
@@ -13,7 +15,7 @@ const C: f64 = 0.19;
 // D = 0.05 (the remainder).
 
 /// splitmix64: a small, high-quality counter-based generator.
-#[inline]
+#[inline(always)]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
@@ -34,34 +36,114 @@ const fn threshold(p: f64) -> u64 {
 /// Upper ends of quadrants (0,0), (0,1) and (1,0) on the 64-bit hash.
 const THRESHOLDS: [u64; 3] = [threshold(A), threshold(A + B), threshold(A + B + C)];
 
-/// The R-MAT quadrant of edge `idx` at `level`, as `ubit << 1 | vbit`:
-/// the number of thresholds the level's hash has passed.
-#[inline]
-fn quadrant(seed: u64, idx: u64, level: u32) -> u64 {
-    let h = splitmix64(seed ^ splitmix64(idx ^ (level as u64) << 32 | level as u64));
-    THRESHOLDS.iter().map(|&t| (h >= t) as u64).sum()
+/// Generate the `idx`-th edge of a scale-`scale` Kronecker graph: the
+/// kernel at one lane, and the reference every width must equal.
+pub fn edge(seed: u64, scale: u32, idx: u64) -> (u64, u64) {
+    let [e] = edge_lanes::<1>(seed, scale, idx);
+    e
 }
 
-/// Generate the `idx`-th edge of a scale-`scale` Kronecker graph.
-///
-/// Branch-free: a level's quadrant is a uniformly random value no
-/// predictor can learn. Two levels per iteration, so two hash chains are
-/// in flight at once.
-pub fn edge(seed: u64, scale: u32, idx: u64) -> (u64, u64) {
-    let mut u = 0u64;
-    let mut v = 0u64;
+/// Edges per dispatched call of [`for_each_edge`]: four 16-lane passes.
+const CHUNK: usize = 64;
+
+/// Visit edges `range` of a scale-`scale` Kronecker graph in index
+/// order, as `f(idx, edge(seed, scale, idx))`, generated in bulk by
+/// `edges_into`.
+pub fn for_each_edge(seed: u64, scale: u32, range: Range<u64>, mut f: impl FnMut(u64, (u64, u64))) {
+    let mut buf = [(0, 0); CHUNK];
+    let mut first = range.start;
+    while first < range.end {
+        let out = &mut buf[..(range.end - first).min(CHUNK as u64) as usize];
+        edges_into(seed, scale, first, out);
+        for (idx, &e) in (first..).zip(out.iter()) {
+            f(idx, e);
+        }
+        first += out.len() as u64;
+    }
+}
+
+/// Fill `out[i]` with `edge(seed, scale, first + i)`: sixteen edges per
+/// pass where the CPU has AVX-512, one elsewhere (without 64-bit vector
+/// multiplies a wider pass is slower than one lane).
+#[allow(unsafe_code)]
+fn edges_into(seed: u64, scale: u32, first: u64, out: &mut [(u64, u64)]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+    {
+        // SAFETY: the three features `edges_into_avx512` enables were
+        // just detected on this CPU.
+        return unsafe { edges_into_avx512(seed, scale, first, out) };
+    }
+    edges_into_lanes::<1>(seed, scale, first, out);
+}
+
+/// [`edges_into_lanes`] at sixteen lanes, compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn edges_into_avx512(seed: u64, scale: u32, first: u64, out: &mut [(u64, u64)]) {
+    edges_into_lanes::<16>(seed, scale, first, out);
+}
+
+/// [`edges_into`] in passes of `L` lanes, the tail one lane at a time.
+#[inline(always)]
+fn edges_into_lanes<const L: usize>(seed: u64, scale: u32, first: u64, out: &mut [(u64, u64)]) {
+    let mut passes = out.chunks_exact_mut(L);
+    let mut idx = first;
+    for pass in &mut passes {
+        pass.copy_from_slice(&edge_lanes::<L>(seed, scale, idx));
+        idx += L as u64;
+    }
+    for (e, idx) in passes.into_remainder().iter_mut().zip(idx..) {
+        [*e] = edge_lanes::<1>(seed, scale, idx);
+    }
+}
+
+/// The R-MAT quadrants of edges `first .. first + L` at `level`, one
+/// per lane, each as `ubit << 1 | vbit`: the number of thresholds the
+/// level's hash has passed. Branch-free: a quadrant is a uniformly
+/// random value no predictor can learn.
+#[inline(always)]
+fn quadrants<const L: usize>(seed: u64, first: u64, level: u32) -> [u64; L] {
+    std::array::from_fn(|lane| {
+        let idx = first.wrapping_add(lane as u64);
+        let h = splitmix64(seed ^ splitmix64(idx ^ (level as u64) << 32 | level as u64));
+        THRESHOLDS.iter().map(|&t| (h >= t) as u64).sum()
+    })
+}
+
+/// Edges `first .. first + L`, one per lane: the one body of every
+/// width. A level's hash depends on neither the other levels nor the
+/// other lanes, so each level is `L` independent hash chains that a
+/// vector unit with 64-bit multiplies runs side by side. Two levels per
+/// step keep two chains in flight even at one lane (one level per step
+/// measured 7–9 % slower there).
+#[inline(always)]
+fn edge_lanes<const L: usize>(seed: u64, scale: u32, first: u64) -> [(u64, u64); L] {
+    let mut u = [0u64; L];
+    let mut v = [0u64; L];
+    let mut descend = |q: [u64; L]| {
+        for (lane, (u, v)) in u.iter_mut().zip(&mut v).enumerate() {
+            *u = *u << 1 | q[lane] >> 1;
+            *v = *v << 1 | q[lane] & 1;
+        }
+    };
     for level in (0..scale - scale % 2).step_by(2) {
-        let (q0, q1) = (quadrant(seed, idx, level), quadrant(seed, idx, level + 1));
-        u = u << 2 | (q0 & 2) | q1 >> 1;
-        v = v << 2 | (q0 & 1) << 1 | q1 & 1;
+        let q0 = quadrants::<L>(seed, first, level);
+        let q1 = quadrants::<L>(seed, first, level + 1);
+        descend(q0);
+        descend(q1);
     }
     if scale % 2 == 1 {
-        let q = quadrant(seed, idx, scale - 1);
-        u = u << 1 | q >> 1;
-        v = v << 1 | q & 1;
+        descend(quadrants::<L>(seed, first, scale - 1));
     }
     // Graph 500 scrambles vertex ids to break the generator's locality.
-    (scramble(u, seed, scale), scramble(v, seed, scale))
+    let mut out = [(0, 0); L];
+    for (e, (&u, &v)) in out.iter_mut().zip(u.iter().zip(&v)) {
+        *e = (scramble(u, seed, scale), scramble(v, seed, scale));
+    }
+    out
 }
 
 /// Mix a vertex id within [0, 2^scale).
@@ -75,6 +157,7 @@ pub fn edge(seed: u64, scale: u32, idx: u64) -> (u64, u64) {
 /// Graph 500 graph here is a multigraph on a few dozen vertices. A
 /// bijective scramble moves every Graph 500 virtual time and count, so it
 /// is a change of its own (ROADMAP item 2).
+#[inline(always)]
 fn scramble(v: u64, seed: u64, scale: u32) -> u64 {
     let mask = (1u64 << scale) - 1;
     let mut x = v;
@@ -166,18 +249,53 @@ mod tests {
         }
     }
 
+    /// The bulk entry runs the widest arm this CPU has (sixteen lanes
+    /// under AVX-512, one elsewhere); both widths of the portable body
+    /// are compared on every CPU. Every run has a ragged tail and most
+    /// start off a multiple of sixteen.
     #[test]
     fn edge_equals_the_reference_on_dense_index_runs() {
+        let runs = [
+            0..400,
+            1..38,
+            17..18,
+            333..400,
+            (1 << 40) + 7..(1 << 40) + 27,
+        ];
         for scale in 0..=40 {
             for seed in [DEFAULT_SEED, 1, 42, u64::MAX] {
-                for idx in (0..400).chain((1 << 40) + 7..(1 << 40) + 27) {
-                    assert_eq!(
-                        edge(seed, scale, idx),
-                        edge_reference(seed, scale, idx),
-                        "seed {seed:#x} scale {scale} idx {idx}"
-                    );
+                for run in runs.clone() {
+                    let len = (run.end - run.start) as usize;
+                    let bulk: [Vec<_>; 3] = std::array::from_fn(|arm| {
+                        let mut out = vec![(0, 0); len];
+                        match arm {
+                            0 => edges_into(seed, scale, run.start, &mut out),
+                            1 => edges_into_lanes::<1>(seed, scale, run.start, &mut out),
+                            _ => edges_into_lanes::<16>(seed, scale, run.start, &mut out),
+                        }
+                        out
+                    });
+                    for (i, idx) in run.enumerate() {
+                        let e = edge(seed, scale, idx);
+                        let at = format!("seed {seed:#x} scale {scale} idx {idx}");
+                        assert_eq!(e, edge_reference(seed, scale, idx), "{at}");
+                        for (arm, out) in bulk.iter().enumerate() {
+                            assert_eq!(out[i], e, "bulk arm {arm}, {at}");
+                        }
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn for_each_edge_visits_each_index_once_in_order() {
+        let straddle = CHUNK as u64 - 5..2 * CHUNK as u64 + 9;
+        for range in [7..7, 0..1, 3..18, 5..5 + 15, straddle] {
+            let mut seen = Vec::new();
+            for_each_edge(9, 12, range.clone(), |idx, e| seen.push((idx, e)));
+            let expected: Vec<_> = range.map(|idx| (idx, edge(9, 12, idx))).collect();
+            assert_eq!(seen, expected);
         }
     }
 
@@ -211,8 +329,15 @@ mod tests {
         let fold = |seed, scale| {
             fnv1a((0..65_536).flat_map(|idx| <[u64; 2]>::from(edge(seed, scale, idx))))
         };
-        assert_eq!(fold(DEFAULT_SEED, 14), 0xf3c9_6784_8602_621f);
-        assert_eq!(fold(1, 9), 0x26e1_86b8_e458_37a5);
+        let fold_bulk = |seed, scale| {
+            let mut words = Vec::new();
+            for_each_edge(seed, scale, 0..65_536, |_, (u, v)| words.extend([u, v]));
+            fnv1a(words.into_iter())
+        };
+        for fold in [&fold as &dyn Fn(u64, u32) -> u64, &fold_bulk] {
+            assert_eq!(fold(DEFAULT_SEED, 14), 0xf3c9_6784_8602_621f);
+            assert_eq!(fold(1, 9), 0x26e1_86b8_e458_37a5);
+        }
         let roots = |seed, scale, edgefactor| -> Vec<u64> {
             (0..8)
                 .map(|i| bfs_root(seed, scale, edgefactor, i))

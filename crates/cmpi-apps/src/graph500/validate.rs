@@ -17,7 +17,7 @@
 use cmpi_core::Mpi;
 
 use super::bfs::NO_PARENT;
-use super::generator::edge;
+use super::generator::for_each_edge;
 use super::{bfs::LocalGraph, Graph500Config};
 
 /// Padding marker for the gather of unequal local slices.
@@ -34,11 +34,12 @@ pub struct EdgeSet {
 impl EdgeSet {
     /// Regenerate the edge list of `cfg`'s graph (self-loops dropped).
     pub fn generate(cfg: &Graph500Config) -> Self {
-        let mut edges: Vec<(u64, u64)> = (0..cfg.num_edges())
-            .map(|idx| edge(cfg.seed, cfg.scale, idx))
-            .filter(|(u, v)| u != v)
-            .map(|(u, v)| (u.min(v), u.max(v)))
-            .collect();
+        let mut edges = Vec::new();
+        for_each_edge(cfg.seed, cfg.scale, 0..cfg.num_edges(), |_, (u, v)| {
+            if u != v {
+                edges.push((u.min(v), u.max(v)));
+            }
+        });
         edges.sort_unstable();
         edges.dedup();
         // Kept for the whole job: give back what the duplicates held.
@@ -152,6 +153,7 @@ pub fn check_tree_against(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph500::generator::edge;
     use std::collections::HashSet;
 
     fn tiny_cfg() -> Graph500Config {

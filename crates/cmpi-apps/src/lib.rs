@@ -17,7 +17,7 @@
 //! work model (`ns` per edge / flop / gridpoint), so communication and
 //! computation trade off exactly as in the paper's Fig. 3(a) breakdown.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 pub mod graph500;
 pub mod npb;
 pub mod pgas;

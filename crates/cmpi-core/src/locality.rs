@@ -462,13 +462,18 @@ impl LocalityView {
         PeerInfo {
             considered_local: peer == self.rank || self.local_ranks.binary_search(&peer).is_ok(),
             vis: map.pair(map.cont[self.rank], map.cont[peer]).vis,
-            same_socket: map.same_socket(self.rank, peer),
+            same_socket: self.same_socket(peer),
             downgraded: self
                 .downgrades
                 .binary_search_by_key(&peer, |&(p, _)| p)
                 .ok()
                 .map(|i| self.downgrades[i].1),
         }
+    }
+
+    /// [`PeerInfo::same_socket`] alone: two table reads, no searches.
+    pub fn same_socket(&self, peer: usize) -> bool {
+        self.map.same_socket(self.rank, peer)
     }
 
     /// Ranks considered local (includes self), ascending.
@@ -841,8 +846,10 @@ mod tests {
         let s = DeploymentScenario::pt2pt_pair(true, false, NamespaceSharing::default());
         let views = detect_all(&s, LocalityPolicy::ContainerDetector);
         assert!(!views[0].peer(1).same_socket);
+        assert!(!views[0].same_socket(1));
         let s = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::default());
         let views = detect_all(&s, LocalityPolicy::ContainerDetector);
         assert!(views[0].peer(1).same_socket);
+        assert!(views[0].same_socket(1));
     }
 }

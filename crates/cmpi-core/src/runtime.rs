@@ -863,7 +863,7 @@ impl Mpi {
     }
 
     pub(crate) fn cross_socket(&self, peer: usize) -> bool {
-        peer != self.rank && !self.view.peer(peer).same_socket
+        peer != self.rank && !self.view.same_socket(peer)
     }
 
     // ---- mid-run fault tolerance --------------------------------------------

@@ -49,10 +49,7 @@ fn run_lint(root: &Path) -> Result<(usize, Vec<Violation>), String> {
     files.sort();
 
     let mut violations = Vec::new();
-    let mut collectives_src = None;
-    let mut packet_src = None;
-    let mut error_src = None;
-    let mut metrics_src = None;
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -62,29 +59,32 @@ fn run_lint(root: &Path) -> Result<(usize, Vec<Violation>), String> {
             .to_string_lossy()
             .replace('\\', "/");
         violations.extend(lint::lint_file(&rel, &src));
-        if rel.ends_with("crates/cmpi-core/src/collectives.rs") {
-            collectives_src = Some(src);
-        } else if rel.ends_with("crates/cmpi-core/src/packet.rs") {
-            packet_src = Some(src);
-        } else if rel.ends_with("crates/cmpi-core/src/error.rs") {
-            error_src = Some(src);
-        } else if rel.ends_with("crates/cmpi-telemetry/src/metrics.rs") {
-            metrics_src = Some(src);
-        }
+        sources.push((rel, src));
     }
+    violations.extend(lint::lint_unsafe_scope(&sources));
+    let source = |file: &str| {
+        sources
+            .iter()
+            .find(|(rel, _)| rel.ends_with(file))
+            .map(|(_, src)| src.as_str())
+    };
+    let collectives_src = source("crates/cmpi-core/src/collectives.rs");
+    let packet_src = source("crates/cmpi-core/src/packet.rs");
+    let error_src = source("crates/cmpi-core/src/error.rs");
+    let metrics_src = source("crates/cmpi-telemetry/src/metrics.rs");
 
     match (collectives_src, packet_src) {
-        (Some(coll), Some(pkt)) => violations.extend(lint::lint_tag_widths(&coll, &pkt)),
+        (Some(coll), Some(pkt)) => violations.extend(lint::lint_tag_widths(coll, pkt)),
         _ => return Err("collectives.rs / packet.rs not found for the tag-width rule".into()),
     }
     match error_src {
-        Some(err) => violations.extend(lint::lint_error_display(&err)),
+        Some(err) => violations.extend(lint::lint_error_display(err)),
         None => return Err("error.rs not found for the error-display rule".into()),
     }
     let design_md = std::fs::read_to_string(root.join("DESIGN.md"))
         .map_err(|e| format!("reading DESIGN.md: {e}"))?;
     match metrics_src {
-        Some(met) => violations.extend(lint::lint_metric_ids(&met, &design_md)),
+        Some(met) => violations.extend(lint::lint_metric_ids(met, &design_md)),
         None => return Err("metrics.rs not found for the metric-ids rule".into()),
     }
     violations.extend(lint::lint_rule_inventory(&design_md));

@@ -34,8 +34,13 @@
 //!    `considered_local` or `.vis.shm` / `.vis.cma`: a second reader is a
 //!    second channel decision that can drift from `ChannelSelector::route`.
 //!
+//! 9. **unsafe-scope** — `allow(unsafe_code)` appears only on the one
+//!    function [`UNSAFE_EXCEPTION`] names, and no file of a crate whose
+//!    root still carries `forbid(unsafe_code)` says `unsafe`
+//!    ([`lint_unsafe_scope`]).
+//!
 //! Test modules (`#[cfg(test)] mod …` tails) are exempt from rules 2–3
-//! and 8; rule 1 applies everywhere.
+//! and 8; rules 1 and 9 apply everywhere.
 //!
 //! Comment/literal discrimination is delegated to the shared lexer in
 //! [`crate::strip`] (also the front end of [`crate::analyze`]), so
@@ -78,6 +83,14 @@ pub const ONE_ROUTE_HOMES: &[&str] = &[
     "crates/cmpi-core/src/channel.rs",
     "crates/cmpi-core/src/locality.rs",
 ];
+
+/// The one function that may carry `#[allow(unsafe_code)]` (rule 9),
+/// as (file, fn header prefix): the Graph 500 generator's dispatch to
+/// its AVX-512 arm, in a crate that otherwise denies unsafe code.
+pub const UNSAFE_EXCEPTION: (&str, &str) = (
+    "crates/cmpi-apps/src/graph500/generator.rs",
+    "fn edges_into(",
+);
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -219,6 +232,52 @@ pub fn lint_file(relpath: &str, src: &str) -> Vec<Violation> {
                 msg: "reads a channel-decision input outside the selector \
                       (route through `ChannelSelector::route`)"
                     .into(),
+            });
+        }
+    }
+    out
+}
+
+/// Rule 9 over the whole workspace, `files` as (relpath, source): an
+/// `allow(unsafe_code)` is flagged unless it is [`UNSAFE_EXCEPTION`]'s
+/// (the next fn header after it is the named one, in the named file),
+/// and any `unsafe` is flagged in a crate whose `src/lib.rs` forbids
+/// unsafe code, tests included (the compiler would refuse it anyway
+/// where it is compiled; the lint also covers cfg-gated code).
+pub fn lint_unsafe_scope(files: &[(String, String)]) -> Vec<Violation> {
+    let forbidding: Vec<&str> = files
+        .iter()
+        .filter(|(rel, src)| {
+            rel.ends_with("src/lib.rs")
+                && strip::code_lines(src)
+                    .iter()
+                    .any(|c| c.contains("forbid(unsafe_code)"))
+        })
+        .map(|(rel, _)| rel.trim_end_matches("lib.rs"))
+        .collect();
+    let mut out = Vec::new();
+    for (rel, src) in files {
+        let codes = strip::code_lines(src);
+        let forbidden = forbidding.iter().any(|root| rel.starts_with(root));
+        for (i, code) in codes.iter().enumerate() {
+            let msg = if code.contains("allow(unsafe_code)") {
+                let next_fn = codes[i + 1..].iter().find(|c| has_word(c, "fn"));
+                let excepted = rel.ends_with(UNSAFE_EXCEPTION.0)
+                    && next_fn.is_some_and(|c| c.trim_start().starts_with(UNSAFE_EXCEPTION.1));
+                if excepted {
+                    continue;
+                }
+                "allow(unsafe_code) outside the one excepted function"
+            } else if forbidden && has_word(code, "unsafe") {
+                "unsafe in a crate that forbids unsafe code"
+            } else {
+                continue;
+            };
+            out.push(Violation {
+                file: rel.clone(),
+                line: i + 1,
+                rule: "unsafe-scope",
+                msg: msg.into(),
             });
         }
     }
@@ -729,6 +788,44 @@ mod tests {
         assert!(lint_file("crates/cmpi-core/src/pt2pt.rs", &tested).is_empty());
         let near = "fn f(x: &X) -> bool { x.considered_locally } // p.vis.shm\n";
         assert!(lint_file("crates/cmpi-core/src/pt2pt.rs", near).is_empty());
+    }
+
+    #[test]
+    fn unsafe_scope_rule_confines_the_exception() {
+        let files = |root: &str, body: &str| {
+            vec![
+                ("crates/x/src/lib.rs".to_string(), root.to_string()),
+                (UNSAFE_EXCEPTION.0.to_string(), body.to_string()),
+            ]
+        };
+        let dispatch = format!(
+            "#[allow(unsafe_code)]\n{}) {{\n    // SAFETY: detected.\n    unsafe {{ g() }}\n}}\n",
+            UNSAFE_EXCEPTION.1
+        );
+        assert!(lint_unsafe_scope(&files("#![deny(unsafe_code)]\n", &dispatch)).is_empty());
+        // The same allow on another function, or in another file.
+        let elsewhere = dispatch.replace(UNSAFE_EXCEPTION.1, "fn other(");
+        let v = lint_unsafe_scope(&files("", &elsewhere));
+        assert_eq!((rules_of(&v), v[0].line), (vec!["unsafe-scope"], 1));
+        let moved = vec![("crates/x/src/a.rs".to_string(), dispatch.clone())];
+        assert_eq!(lint_unsafe_scope(&moved).len(), 1);
+        // A crate that forbids unsafe code may not say it at all: here
+        // the file sits outside the forbidding crate, so only a file
+        // under `crates/x/src/` is flagged.
+        let mut forbid = files("#![forbid(unsafe_code)]\n", &dispatch);
+        assert!(lint_unsafe_scope(&forbid).is_empty());
+        forbid.push((
+            "crates/x/src/a.rs".into(),
+            "fn f() { unsafe { g() } }\n".into(),
+        ));
+        let v = lint_unsafe_scope(&forbid);
+        assert_eq!(
+            (rules_of(&v), v[0].file.as_str()),
+            (vec!["unsafe-scope"], "crates/x/src/a.rs")
+        );
+        // Comments and strings are not code.
+        forbid[2].1 = "// unsafe\nfn f() { let _ = \"allow(unsafe_code)\"; }\n".into();
+        assert!(lint_unsafe_scope(&forbid).is_empty());
     }
 
     #[test]

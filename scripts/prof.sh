@@ -9,7 +9,8 @@
 # kernel tick may be coarser) into its children — the processes that run
 # the workload; the parent only spawns and waits — and prints the TOP
 # (default 20) symbols twice: by self time, and inclusive of the callees
-# each sample's frame-pointer chain shows. Dumps stay in
+# each sample's frame-pointer chain shows (a leaf with no locals, whose
+# frame record sits at the stack pointer, keeps its callers). Dumps stay in
 # target/prof/WORKLOAD/. Not a gate: without a C compiler it says so and
 # exits 0.
 set -euo pipefail

@@ -88,8 +88,9 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
         }
     }
     /* A frame record is {caller's frame pointer, return address}; each
-     * lies above the last, and all within the window. */
-    while (n <= MAX_CALLERS && fp > sp && fp - sp < FRAME_WINDOW && !(fp % sizeof(uintptr_t))) {
+     * lies above the last, and all within the window. The first may sit
+     * at sp itself: a leaf with no locals pushes only the record. */
+    while (n <= MAX_CALLERS && fp >= sp && fp - sp < FRAME_WINDOW && !(fp % sizeof(uintptr_t))) {
         uintptr_t record[2];
         if (peek(pid, fp, record, sizeof record) || !record[1]) break;
         frames[n++] = record[1];
