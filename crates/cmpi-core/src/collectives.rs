@@ -39,8 +39,8 @@ use cmpi_cluster::Tunables;
 
 use crate::coll_select::{coll_trace_name, CollAlgo, CollKind, CollectiveSelector};
 use crate::datatype::{
-    extend_from_bytes, from_bytes, reduce_bytes, reduce_from_bytes, to_bytes, vec_from_bytes,
-    zeroed, MpiData, ReduceOp, Reducible,
+    extend_from_bytes, from_bytes, reduce_from_bytes, reduce_images, spare, to_bytes,
+    vec_from_bytes, zeroed, MpiData, ReduceOp, Reducible,
 };
 use crate::error::MpiError;
 use crate::fasthash::FastMap;
@@ -547,7 +547,8 @@ impl Mpi {
             });
         }
         // The accumulator lives as its wire image: a round sends it as
-        // it is and folds the partner's image in with one pass.
+        // it is and folds the partner's image in with one pass, into
+        // whichever of the two images this rank holds alone by then.
         let mut acc = to_bytes(data);
         let mut mask = 1usize;
         let mut round = 0u32;
@@ -555,11 +556,13 @@ impl Mpi {
             let peer = scope.rank(scope.me ^ mask);
             let t = tag(op_id, round);
             let theirs = self.try_coll_sendrecv(acc.clone(), peer, peer, t, scope.ctx)?;
-            acc = reduce_bytes::<T>(rop, &acc, &theirs);
+            acc = reduce_images::<T>(rop, acc, theirs);
             mask <<= 1;
             round += 1;
         }
-        Ok(vec_from_bytes(&acc, data.len()))
+        let out = vec_from_bytes(&acc, data.len());
+        spare::give(acc);
+        Ok(out)
     }
 
     /// Binomial gather of one block per member to position `root`, each
@@ -1221,7 +1224,7 @@ impl Mpi {
         // Phase A: intra-group pairwise exchange (local channels); every
         // send is a slice of one wire image of the group's slabs.
         if m > 1 {
-            let mut image = Vec::with_capacity(m * bs);
+            let mut image = spare::take(m * bs);
             for &member in group.ranks.iter() {
                 T::encode(slab(topo.position(member)).iter().copied(), &mut image);
             }
@@ -1258,6 +1261,7 @@ impl Mpi {
             // here, keyed by source.
             let b = self.try_coll_recv(leader, tag(op::SMP_A2A3, 0), scope.ctx)?;
             place_blocks(&b, block, &mut out, "alltoall-smp distribution bundle");
+            spare::give(b);
             return Ok(out);
         }
         // Phase B at the leader: stage every external slab of the group
@@ -1280,6 +1284,7 @@ impl Mpi {
             for (d, part) in frames_ok(&b, "alltoall-smp member bundle") {
                 staged[group_of(d)].put_bytes(src * n + d, part);
             }
+            spare::give(b);
         }
         // Phase C: leaders exchange the aggregates pairwise.
         let num_leaders = leaders.len();
@@ -1303,8 +1308,8 @@ impl Mpi {
                 FrameWriter::with_capacity(parts, parts * bs)
             })
             .collect();
-        for b in &incoming {
-            for (key, part) in frames_ok(b, "alltoall-smp leader bundle") {
+        for b in incoming {
+            for (key, part) in frames_ok(&b, "alltoall-smp leader bundle") {
                 let (s, d) = (key / n, scope.rank(key % n));
                 match group.ranks.binary_search(&d) {
                     Ok(0) => from_bytes(part, &mut out[s * block..(s + 1) * block]),
@@ -1312,6 +1317,7 @@ impl Mpi {
                     Err(_) => panic!("alltoall-smp slab for rank {d} reached rank {leader}"),
                 }
             }
+            spare::give(b);
         }
         for (w, &member) in per_member.into_iter().zip(group.ranks.iter()).skip(1) {
             self.try_coll_send(w.finish(), member, tag(op::SMP_A2A3, 0), scope.ctx)?;

@@ -7,8 +7,14 @@
 //! This is the per-byte path of every typed call, so each codec touches
 //! a payload byte once: [`to_bytes`] and [`from_bytes`] are bulk
 //! conversions (a copy on little-endian hosts), [`reduce_from_bytes`]
-//! combines straight off the wire without decoding into a temporary, and
-//! nothing here zero-fills memory it is about to overwrite.
+//! combines straight off the wire without decoding into a temporary,
+//! [`reduce_images`] folds two wire images into whichever of them this
+//! rank now holds alone, and nothing here zero-fills memory it is about
+//! to overwrite.
+//!
+//! Large images also do not go back to the allocator once drained: they
+//! wait in the worker's [`spare`] list for the next image to be written,
+//! which [`to_bytes`] draws from.
 
 use bytes::Bytes;
 
@@ -26,6 +32,10 @@ pub trait MpiData: Copy + Send + Sync + 'static {
     /// The elements `wire` holds, front to back; a trailing partial
     /// element is not yielded (callers check lengths first).
     fn decode(wire: &[u8]) -> impl Iterator<Item = Self> + '_;
+    /// Replace every element `x` of the wire image `acc` by `f(x, y)`,
+    /// `y` being the element at the same place in `other`; elements past
+    /// the shorter image are left alone.
+    fn fold_in_place(acc: &mut [u8], other: &[u8], f: impl FnMut(Self, Self) -> Self);
 }
 
 macro_rules! impl_mpi_data {
@@ -45,6 +55,15 @@ macro_rules! impl_mpi_data {
                 let (elements, _) = wire.as_chunks::<{ std::mem::size_of::<$t>() }>();
                 elements.iter().map(|e| <$t>::from_le_bytes(*e))
             }
+            #[inline]
+            fn fold_in_place(acc: &mut [u8], other: &[u8], mut f: impl FnMut($t, $t) -> $t) {
+                const N: usize = std::mem::size_of::<$t>();
+                let (acc, _) = acc.as_chunks_mut::<N>();
+                let (other, _) = other.as_chunks::<N>();
+                for (a, o) in acc.iter_mut().zip(other) {
+                    *a = f(<$t>::from_le_bytes(*a), <$t>::from_le_bytes(*o)).to_le_bytes();
+                }
+            }
         }
     )*};
 }
@@ -53,7 +72,7 @@ impl_mpi_data!(u8, i8, u16, i16, u32, i32, u64, i64, usize, isize, f32, f64);
 
 /// Serialize a slice of elements to bytes.
 pub fn to_bytes<T: MpiData>(data: &[T]) -> Bytes {
-    let mut out = Vec::with_capacity(data.len() * T::SIZE);
+    let mut out = spare::take(data.len() * T::SIZE);
     T::encode(data.iter().copied(), &mut out);
     Bytes::from(out)
 }
@@ -202,14 +221,6 @@ macro_rules! with_op {
     }};
 }
 
-/// Reduce `src` into `acc` elementwise: `acc[i] = acc[i] op src[i]`.
-pub fn reduce_into<T: Reducible>(op: ReduceOp, acc: &mut [T], src: &[T]) {
-    assert_eq!(acc.len(), src.len(), "reduction length mismatch");
-    with_op!(op, |f| for (a, &s) in acc.iter_mut().zip(src) {
-        *a = f(*a, s);
-    })
-}
-
 /// Decode and reduce in one pass: `acc[i] = acc[i] op wire[i]`, with no
 /// temporary holding the decoded elements. Every [`ReduceOp`] is
 /// commutative — for floats up to what the language leaves unspecified
@@ -226,15 +237,21 @@ pub fn reduce_from_bytes<T: Reducible>(op: ReduceOp, acc: &mut [T], wire: &[u8])
     })
 }
 
-/// Reduce two wire images into a third: the image of `a[i] op b[i]`,
-/// one pass over both inputs and nothing decoded in between. A
-/// recursive-doubling round sends one image and receives the other, so
-/// keeping the accumulator *as* its image makes this the round's only
-/// pass (encode-then-reduce is two).
+/// Reduce two wire images into one: the image of `a[i] op b[i]`, one
+/// pass over both and nothing decoded in between. A recursive-doubling
+/// round sends one image and receives the other, so keeping the
+/// accumulator *as* its image makes this the round's only pass.
+///
+/// The result is written over whichever image this rank now holds
+/// alone — the received `b` first, else `a` — and when that is `b`, `a`
+/// is handed to the [`spare`] list. Only when both are still shared (a peer
+/// has not yet dropped its handle) is a third image drawn. Each element
+/// is `f(a[i], b[i])` whichever buffer it lands in, so the result is the
+/// same bit for bit whichever it is.
 ///
 /// # Panics
 /// Panics unless `a` and `b` hold the same whole number of elements.
-pub fn reduce_bytes<T: Reducible>(op: ReduceOp, a: &[u8], b: &[u8]) -> Bytes {
+pub fn reduce_images<T: Reducible>(op: ReduceOp, a: Bytes, b: Bytes) -> Bytes {
     assert!(
         a.len() == b.len() && a.len().is_multiple_of(T::SIZE),
         "datatype mismatch: {} and {} bytes of {}-byte elements",
@@ -242,10 +259,128 @@ pub fn reduce_bytes<T: Reducible>(op: ReduceOp, a: &[u8], b: &[u8]) -> Bytes {
         b.len(),
         T::SIZE
     );
-    let mut out = Vec::with_capacity(a.len());
-    let pairs = T::decode(a).zip(T::decode(b));
-    with_op!(op, |f| T::encode(pairs.map(|(x, y)| f(x, y)), &mut out));
-    Bytes::from(out)
+    let image = match b.try_into_vec() {
+        Ok(mut image) => {
+            with_op!(op, |f| T::fold_in_place(&mut image, &a, |y, x| f(x, y)));
+            spare::give(a);
+            image
+        }
+        Err(b) => match a.try_into_vec() {
+            Ok(mut image) => {
+                with_op!(op, |f| T::fold_in_place(&mut image, &b, f));
+                image
+            }
+            Err(a) => {
+                let mut out = spare::take(a.len());
+                let pairs = T::decode(&a).zip(T::decode(&b));
+                with_op!(op, |f| T::encode(pairs.map(|(x, y)| f(x, y)), &mut out));
+                out
+            }
+        },
+    };
+    Bytes::from(image)
+}
+
+/// Drained wire images kept for the next image this worker writes.
+///
+/// Every round of a large collective used to write its image into a
+/// fresh 16–256 KiB vector and free the one before; the allocator then
+/// trimmed that memory and faulted it back in on the next round. Images
+/// of at least [`SPARE_MIN`] bytes that have been drained come back here
+/// instead ([`give`]): the image [`reduce_images`] did not write into,
+/// recursive doubling's last image, the two-level alltoall's bundles and
+/// the payload of a typed receive. [`take`] hands out the smallest kept
+/// buffer that fits, to [`to_bytes`], the frame writer, the two-level
+/// alltoall's image and multi-chunk eager assembly. Rabenseifner's
+/// halves are drawn but not given back: its rounds run at the job's
+/// memory peak, and a list refilled there is memory the peak keeps.
+///
+/// One list per worker thread, like the mailbox's node pantry: a rank
+/// fiber gives and takes on whatever worker runs it, with no lock, and
+/// the list holds at most [`SPARE_MAX`] bytes of capacity, freed when
+/// the worker exits. Contents are never read: a drawn buffer comes back
+/// empty and is written before it is sent. Disabled under the model
+/// checker, like the pantry: every buffer goes straight back to the
+/// allocator there.
+pub(crate) mod spare {
+    use bytes::Bytes;
+    #[cfg(not(cmpi_model))]
+    use std::cell::RefCell;
+
+    /// The smallest capacity worth keeping: below it the allocator's own
+    /// bins recycle the memory without trimming it.
+    #[cfg_attr(cmpi_model, allow(dead_code))]
+    pub(crate) const SPARE_MIN: usize = 16 << 10;
+    /// Bytes of capacity one worker's list may hold.
+    #[cfg_attr(cmpi_model, allow(dead_code))]
+    pub(crate) const SPARE_MAX: usize = 1 << 20;
+
+    #[cfg(not(cmpi_model))]
+    struct List {
+        bufs: Vec<Vec<u8>>,
+        /// Sum of the kept buffers' capacities.
+        bytes: usize,
+    }
+
+    #[cfg(not(cmpi_model))]
+    thread_local! {
+        static SPARE: RefCell<List> = const { RefCell::new(List { bufs: Vec::new(), bytes: 0 }) };
+    }
+
+    /// An empty vector with room for `len` bytes: the best-fitting kept
+    /// buffer when `len` is at least [`SPARE_MIN`] and one fits, else a
+    /// fresh allocation. Inlined, so a small image pays one compare.
+    #[inline]
+    pub(crate) fn take(len: usize) -> Vec<u8> {
+        #[cfg(not(cmpi_model))]
+        if len >= SPARE_MIN {
+            if let Some(buf) = best_fit(len) {
+                return buf;
+            }
+        }
+        Vec::with_capacity(len)
+    }
+
+    /// Remove and empty the smallest kept buffer with room for `len`.
+    #[cfg(not(cmpi_model))]
+    fn best_fit(len: usize) -> Option<Vec<u8>> {
+        SPARE.with_borrow_mut(|l| {
+            let best = (l.bufs.iter().enumerate())
+                .filter(|(_, b)| b.capacity() >= len)
+                .min_by_key(|(_, b)| b.capacity())?
+                .0;
+            let mut buf = l.bufs.swap_remove(best);
+            l.bytes -= buf.capacity();
+            buf.clear();
+            Some(buf)
+        })
+    }
+
+    /// Keep `image`'s buffer if this handle is its only owner, it holds
+    /// at least [`SPARE_MIN`] bytes and the list has room for it;
+    /// otherwise just drop the handle.
+    pub(crate) fn give(image: Bytes) {
+        #[cfg(not(cmpi_model))]
+        if let Ok(buf) = image.try_into_vec() {
+            let cap = buf.capacity();
+            if cap >= SPARE_MIN {
+                SPARE.with_borrow_mut(|l| {
+                    if l.bytes + cap <= SPARE_MAX {
+                        l.bytes += cap;
+                        l.bufs.push(buf);
+                    }
+                });
+            }
+        }
+        #[cfg(cmpi_model)]
+        drop(image);
+    }
+
+    /// (buffers, bytes of capacity) this worker's list holds.
+    #[cfg(all(test, not(cmpi_model)))]
+    pub(crate) fn held() -> (usize, usize) {
+        SPARE.with_borrow(|l| (l.bufs.len(), l.bytes))
+    }
 }
 
 #[cfg(test)]
@@ -300,15 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_into_elementwise() {
-        let mut acc = [1u32, 2, 3];
-        reduce_into(ReduceOp::Sum, &mut acc, &[10, 20, 30]);
-        assert_eq!(acc, [11, 22, 33]);
-        reduce_into(ReduceOp::Max, &mut acc, &[5, 100, 5]);
-        assert_eq!(acc, [11, 100, 33]);
-    }
-
-    #[test]
     fn zero_is_the_all_zero_pattern_and_zero_counts_are_fine() {
         assert_eq!(f64::ZERO.to_bits(), 0);
         assert_eq!(f32::ZERO.to_bits(), 0);
@@ -329,7 +455,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "datatype mismatch")]
     fn wire_to_wire_reduce_length_mismatch_panics() {
-        reduce_bytes::<u16>(ReduceOp::Max, &[0; 4], &[0; 6]);
+        reduce_images::<u16>(
+            ReduceOp::Max,
+            Bytes::from(vec![0; 4]),
+            Bytes::from(vec![0; 6]),
+        );
     }
 
     #[test]
@@ -361,6 +491,46 @@ mod tests {
         ReduceOp::BAnd,
     ];
     const FLOAT_OPS: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
+
+    /// Who holds an input image alone when the fold runs.
+    #[derive(Clone, Copy, Debug)]
+    enum Owner {
+        /// The received image (`b`); this rank's own is still shared.
+        Received,
+        /// This rank's own image (`a`); the received one is still shared.
+        Own,
+        /// Neither: a held clone keeps each one shared.
+        Neither,
+        /// Both: the received image is the one written.
+        Both,
+    }
+    const OWNERS: [Owner; 4] = [Owner::Received, Owner::Own, Owner::Neither, Owner::Both];
+
+    /// [`reduce_images`] of the images `a` and `b` with the ownership
+    /// `who`, checked to land in the buffer that ownership allows.
+    fn fold_as<T: Reducible>(op: ReduceOp, a: &[u8], b: &[u8], who: Owner) -> Bytes {
+        let (a, b) = (Bytes::copy_from_slice(a), Bytes::copy_from_slice(b));
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let held = match who {
+            Owner::Received => vec![a.clone()],
+            Owner::Own => vec![b.clone()],
+            Owner::Neither => vec![a.clone(), b.clone()],
+            Owner::Both => vec![],
+        };
+        let out = reduce_images::<T>(op, a, b);
+        if !out.is_empty() {
+            let landed = out.as_ptr();
+            match who {
+                Owner::Received | Owner::Both => {
+                    assert_eq!(landed, pb, "not folded into the received image")
+                }
+                Owner::Own => assert_eq!(landed, pa, "not folded into the own image"),
+                Owner::Neither => assert!(landed != pa && landed != pb, "wrote a shared image"),
+            }
+        }
+        drop(held);
+        out
+    }
 
     /// Check every bulk codec of `$t` against the per-element codec it
     /// replaced (one bounds-checked `to_le_bytes`/`from_le_bytes` per
@@ -424,18 +594,14 @@ mod tests {
                     same(&acc, &expected),
                     "reduce_from_bytes {op:?} over {name}: {acc:?} != {expected:?}"
                 );
-                let mut acc = start.clone();
-                reduce_into(op, &mut acc, &data);
-                assert!(
-                    same(&acc, &expected),
-                    "reduce_into {op:?} over {name}: {acc:?} != {expected:?}"
-                );
-                let folded = reduce_bytes::<$t>(op, &to_bytes(&start), &wire);
-                let acc: Vec<$t> = vec_from_bytes(&folded, $len);
-                assert!(
-                    same(&acc, &expected),
-                    "reduce_bytes {op:?} over {name}: {acc:?} != {expected:?}"
-                );
+                for who in OWNERS {
+                    let folded = fold_as::<$t>(op, &to_bytes(&start), &wire, who);
+                    let acc: Vec<$t> = vec_from_bytes(&folded, $len);
+                    assert!(
+                        same(&acc, &expected),
+                        "reduce_images {op:?} over {name}, {who:?}: {acc:?} != {expected:?}"
+                    );
+                }
             }
         }};
     }
@@ -477,6 +643,103 @@ mod tests {
                 seed,
                 len
             );
+        }
+
+        /// The owning fold against an inline scalar fold, bit for bit, in
+        /// every ownership case: every integer operator, and the float
+        /// arithmetic ones on non-NaN floats (integers divided by 8, so
+        /// no operand is `-0.0` and `max`/`min` never meet a signed-zero
+        /// tie).
+        #[test]
+        fn owning_fold_equals_the_scalar_fold_bitwise(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..70,
+        ) {
+            macro_rules! check {
+                ($t:ty, $ops:expr, $from:expr) => {{
+                    let mut rng = seed ^ std::mem::size_of::<$t>() as u64;
+                    let mut draw = || -> Vec<$t> {
+                        (0..len).map(|_| $from(splitmix(&mut rng))).collect()
+                    };
+                    let (a, b) = (draw(), draw());
+                    for op in $ops {
+                        let mut expected = Vec::new();
+                        for (x, y) in a.iter().zip(&b) {
+                            expected.extend_from_slice(&<$t>::reduce(op, *x, *y).to_le_bytes());
+                        }
+                        for who in OWNERS {
+                            let got = fold_as::<$t>(op, &to_bytes(&a), &to_bytes(&b), who);
+                            assert_eq!(
+                                &got[..],
+                                &expected[..],
+                                "{op:?} over {}, {who:?}",
+                                stringify!($t)
+                            );
+                        }
+                    }
+                }};
+            }
+            check!(u8, INT_OPS, |r: u64| r as u8);
+            check!(i32, INT_OPS, |r: u64| r as i32);
+            check!(u64, INT_OPS, |r: u64| r);
+            check!(f32, FLOAT_OPS, |r: u64| (r as i16) as f32 / 8.0);
+            check!(f64, FLOAT_OPS, |r: u64| (r as i32) as f64 / 8.0);
+        }
+    }
+
+    #[cfg(not(cmpi_model))]
+    proptest::proptest! {
+        /// The spare list never holds more than its byte cap, keeps only
+        /// buffers of at least its floor, never keeps one that is still
+        /// shared, and hands back the best fit.
+        #[test]
+        fn spare_list_is_capped_and_keeps_only_sole_owners(
+            sizes in proptest::collection::vec(0usize..(400 << 10), 1..40),
+        ) {
+            use spare::{give, held, take, SPARE_MAX, SPARE_MIN};
+            // Start from an empty list: draw out whatever an earlier
+            // case on this thread left behind.
+            while held().0 > 0 {
+                drop(take(SPARE_MIN));
+            }
+            for (i, &len) in sizes.iter().enumerate() {
+                let image = Bytes::from(vec![0u8; len]);
+                let before = held();
+                match i % 3 {
+                    0 => {
+                        let clone = image.clone();
+                        give(image);
+                        assert_eq!(held(), before, "kept a shared buffer");
+                        drop(clone);
+                    }
+                    1 => {
+                        give(image.slice(..len / 2));
+                        assert_eq!(held(), before, "kept a sub-slice");
+                    }
+                    _ => {
+                        give(image);
+                        let kept = len >= SPARE_MIN && before.1 + len <= SPARE_MAX;
+                        let after = if kept { (before.0 + 1, before.1 + len) } else { before };
+                        assert_eq!(held(), after);
+                    }
+                }
+                assert!(held().1 <= SPARE_MAX);
+            }
+            let (count, bytes) = held();
+            if count > 0 {
+                let want = SPARE_MIN;
+                let buf = take(want);
+                assert!(buf.is_empty() && buf.capacity() >= want);
+                assert_eq!(held(), (count - 1, bytes - buf.capacity()));
+                // Best fit: nothing left fits tighter.
+                while held().0 > 0 {
+                    assert!(take(want).capacity() >= buf.capacity());
+                }
+            }
+            // Below the floor the list is never consulted.
+            give(Bytes::from(vec![0u8; SPARE_MIN]));
+            assert_eq!(take(SPARE_MIN - 1).capacity(), SPARE_MIN - 1);
+            assert_eq!(held().0, 1);
         }
     }
 }

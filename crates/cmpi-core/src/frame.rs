@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 
-use crate::datatype::MpiData;
+use crate::datatype::{spare, MpiData};
 use crate::error::MpiError;
 
 /// Bytes of framing in front of every payload.
@@ -39,12 +39,12 @@ pub(crate) struct FrameWriter {
 }
 
 impl FrameWriter {
-    /// A writer for `parts` frames holding `payload` bytes between them.
-    /// Frames forwarded with [`FrameWriter::append`] count wholly as
-    /// payload.
+    /// A writer for `parts` frames holding `payload` bytes between them,
+    /// in a buffer drawn from the worker's [`spare`] list. Frames
+    /// forwarded with [`FrameWriter::append`] count wholly as payload.
     pub(crate) fn with_capacity(parts: usize, payload: usize) -> FrameWriter {
         FrameWriter {
-            buf: Vec::with_capacity(parts * FRAME_HEADER + payload),
+            buf: spare::take(parts * FRAME_HEADER + payload),
         }
     }
 

@@ -74,6 +74,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 
+use crate::datatype::spare;
 use crate::fasthash::FastMap;
 use crate::packet::ReqId;
 
@@ -160,46 +161,6 @@ struct Assembly {
 
 /// Full match key of a concrete message: `(ctx, src, tag)`.
 type MatchKey = (u32, usize, u32);
-
-/// Upper bound on the number of retained assembly slabs; beyond this,
-/// drained buffers fall back to the allocator.
-const SLAB_POOL_MAX: usize = 32;
-
-/// Drained eager buffers kept for multi-chunk assemblies. Only a chunked
-/// SHM message ever draws from it, and a job whose peers see CMA never
-/// sends one, so the pool is bounded by bytes as well as by count: what
-/// it retains is memory the rank holds until finalize.
-#[derive(Debug, Default)]
-struct SlabPool {
-    bufs: Vec<Vec<u8>>,
-    /// Sum of the pooled buffers' capacities.
-    bytes: usize,
-}
-
-impl SlabPool {
-    /// Pop a recycled slab sized to `total`, or allocate a fresh one.
-    fn take(&mut self, total: usize) -> Vec<u8> {
-        match self.bufs.pop() {
-            Some(mut b) => {
-                self.bytes -= b.capacity();
-                b.clear();
-                b.resize(total, 0);
-                b
-            }
-            None => vec![0u8; total],
-        }
-    }
-
-    /// Keep `buf` unless that takes the pool past `SLAB_POOL_MAX` buffers
-    /// or `budget` bytes (so no single buffer above `budget` is kept).
-    fn put(&mut self, buf: Vec<u8>, budget: usize) {
-        let cap = buf.capacity();
-        if cap > 0 && self.bufs.len() < SLAB_POOL_MAX && self.bytes + cap <= budget {
-            self.bytes += cap;
-            self.bufs.push(buf);
-        }
-    }
-}
 
 /// Upper bound on retained spill deques per side; beyond this, drained
 /// deques fall back to the allocator.
@@ -372,8 +333,6 @@ pub struct MatchingEngine {
     /// Monotone enqueue stamp shared by both sides; min-stamp selection
     /// across buckets reproduces the linear queue's FIFO order.
     stamp: u64,
-    /// Recycled multi-chunk assembly buffers.
-    slabs: SlabPool,
 }
 
 impl Default for MatchingEngine {
@@ -396,7 +355,6 @@ impl MatchingEngine {
             spare_recv_deques: Vec::new(),
             posted_wild: VecDeque::new(),
             stamp: 0,
-            slabs: SlabPool::default(),
         }
     }
 
@@ -451,7 +409,6 @@ impl MatchingEngine {
                 channel,
             });
         }
-        let slabs = &mut self.slabs;
         let a = self
             .assemblies
             .entry((src, seq))
@@ -460,7 +417,11 @@ impl MatchingEngine {
                 tag,
                 total,
                 received: 0,
-                buf: slabs.take(total as usize),
+                buf: {
+                    let mut buf = spare::take(total as usize);
+                    buf.resize(total as usize, 0);
+                    buf
+                },
                 ready: SimTime::ZERO,
                 arrived: SimTime::ZERO,
                 channel,
@@ -498,27 +459,6 @@ impl MatchingEngine {
         } else {
             None
         }
-    }
-
-    /// Return a drained eager payload's backing buffer to the slab pool,
-    /// which may hold `budget` bytes in all (the SHM queue length: more
-    /// than that is never in flight through chunked assembly at once).
-    /// No-op when the buffer is still shared (zero-copy fast-path
-    /// handouts whose sender-side handle is alive) or the pool is full.
-    pub fn recycle(&mut self, data: Bytes, budget: usize) {
-        if let Ok(buf) = data.try_into_vec() {
-            self.slabs.put(buf, budget);
-        }
-    }
-
-    /// Number of buffers currently in the slab pool (diagnostics).
-    pub fn pooled_slabs(&self) -> usize {
-        self.slabs.bufs.len()
-    }
-
-    /// Bytes of capacity the slab pool currently retains (diagnostics).
-    pub fn pooled_slab_bytes(&self) -> usize {
-        self.slabs.bytes
     }
 
     /// Ingest a rendezvous announcement (always a complete message).
@@ -768,10 +708,6 @@ impl MatchingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The slab pool's byte budget in these tests: the default
-    /// `smpi_length_queue`.
-    const BUDGET: usize = 128 << 10;
 
     fn eager_msg(
         e: &mut MatchingEngine,
@@ -1208,99 +1144,47 @@ mod tests {
             panic!("wrong body");
         };
         // The handout is the sender's own buffer: sole whole ownership,
-        // so it recycles into the slab pool.
-        e.recycle(data, BUDGET);
-        assert_eq!(e.pooled_slabs(), 1);
+        // so a typed receive can hand it to the spare list.
+        assert!(data.try_into_vec().is_ok());
     }
 
     #[test]
-    fn slab_pool_feeds_multi_chunk_assemblies() {
+    #[cfg(not(cmpi_model))]
+    fn multi_chunk_assemblies_draw_from_the_spare_list() {
+        const TOTAL: usize = spare::SPARE_MIN + 6;
+        while spare::held().0 > 0 {
+            drop(spare::take(spare::SPARE_MIN));
+        }
+        let kept = Bytes::from(vec![0u8; 2 * spare::SPARE_MIN]);
+        let at = kept.as_ptr();
+        spare::give(kept);
+        assert_eq!(spare::held().0, 1);
         let mut e = MatchingEngine::new();
-        e.recycle(Bytes::from(vec![0u8; 128]), BUDGET);
-        assert_eq!(e.pooled_slabs(), 1);
-        assert!(e
-            .eager_chunk(
+        let chunk = |e: &mut MatchingEngine, offset: usize, len: usize| {
+            e.eager_chunk(
                 1,
                 0,
                 0,
                 0,
-                6,
-                0,
-                Bytes::from_static(b"abc"),
+                TOTAL as u64,
+                offset as u64,
+                Bytes::from(vec![offset as u8; len]),
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Channel::Shm,
             )
-            .is_none());
-        assert_eq!(e.pooled_slabs(), 0, "assembly must draw from the pool");
-        let m = e
-            .eager_chunk(
-                1,
-                0,
-                0,
-                0,
-                6,
-                3,
-                Bytes::from_static(b"def"),
-                SimTime::ZERO,
-                SimTime::ZERO,
-                Channel::Shm,
-            )
-            .unwrap();
+        };
+        assert!(chunk(&mut e, 0, TOTAL - 6).is_none());
+        assert_eq!(spare::held().0, 0, "assembly must draw from the list");
+        let m = chunk(&mut e, TOTAL - 6, 6).unwrap();
         let ArrivedBody::Eager { data, .. } = m.body else {
             panic!("wrong body");
         };
-        assert_eq!(&data[..], b"abcdef");
-        e.recycle(data, BUDGET);
-        assert_eq!(e.pooled_slabs(), 1, "drained slab must come back");
-    }
-
-    #[test]
-    fn slab_pool_is_bounded_by_bytes() {
-        let mut e = MatchingEngine::new();
-        // A halo-sized payload is more than the whole budget: never kept.
-        e.recycle(Bytes::from(vec![0u8; 1 << 20]), BUDGET);
-        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (0, 0));
-        // 48 KiB buffers: two fit 128 KiB, the third would not.
-        for _ in 0..3 {
-            e.recycle(Bytes::from(vec![0u8; 48 << 10]), BUDGET);
-        }
-        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (2, 96 << 10));
-        // An assembly draws one and gives its bytes back to the budget.
-        assert!(e
-            .eager_chunk(
-                1,
-                0,
-                0,
-                0,
-                6,
-                0,
-                Bytes::from_static(b"abc"),
-                SimTime::ZERO,
-                SimTime::ZERO,
-                Channel::Shm,
-            )
-            .is_none());
-        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (1, 48 << 10));
-        e.recycle(Bytes::from(vec![0u8; 64 << 10]), BUDGET);
-        assert_eq!((e.pooled_slabs(), e.pooled_slab_bytes()), (2, 112 << 10));
-        // The count bound still holds for buffers too small to matter.
-        for _ in 0..2 * SLAB_POOL_MAX {
-            e.recycle(Bytes::from(vec![0u8; 8]), BUDGET);
-        }
-        assert_eq!(e.pooled_slabs(), SLAB_POOL_MAX);
-        assert!(e.pooled_slab_bytes() <= BUDGET);
-    }
-
-    #[test]
-    fn shared_or_sliced_buffers_do_not_recycle() {
-        let mut e = MatchingEngine::new();
-        let b = Bytes::from(vec![1u8; 16]);
-        let held = b.clone();
-        e.recycle(b, BUDGET);
-        assert_eq!(e.pooled_slabs(), 0, "shared allocation must not pool");
-        e.recycle(held.slice(1..), BUDGET);
-        assert_eq!(e.pooled_slabs(), 0, "sub-slice must not pool");
+        assert_eq!(data.as_ptr(), at, "the assembly is the kept buffer");
+        assert!(data[..TOTAL - 6].iter().all(|&b| b == 0));
+        assert!(data[TOTAL - 6..].iter().all(|&b| b == (TOTAL - 6) as u8));
+        spare::give(data);
+        assert_eq!(spare::held().0, 1, "drained assembly must come back");
     }
 
     /// Exhaustive interleaving checks (run via

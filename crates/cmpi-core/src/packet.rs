@@ -248,7 +248,7 @@ impl Packet {
 
     /// Reconstruct a packet from split HCA framing. The payload handle is
     /// adopted whole — no copy, and (unlike a sub-slice of a contiguous
-    /// frame) it stays recyclable by the receiver's slab pool.
+    /// frame) it stays recyclable into the receiving worker's spare list.
     pub fn decode_parts(
         src: usize,
         imm: u32,

@@ -16,7 +16,7 @@ use cmpi_cluster::{Channel, SimTime};
 
 use crate::channel::Protocol;
 use crate::collectives::plain;
-use crate::datatype::{from_bytes, to_bytes, MpiData};
+use crate::datatype::{from_bytes, spare, to_bytes, MpiData};
 use crate::error::MpiError;
 use crate::matching::{ArrivedBody, ArrivedMsg, PostedRecv};
 use crate::packet::{Packet, PacketKind, ReqId};
@@ -574,7 +574,7 @@ impl Mpi {
     // ---- public typed API ----------------------------------------------------
 
     /// The typed tail of a receive: decode the payload into the front of
-    /// `buf` and hand its buffer back to the engine's pool.
+    /// `buf` and hand its buffer to the worker's spare list.
     fn unpack<T: MpiData>(&mut self, (data, status): (Bytes, Status), buf: &mut [T]) -> Status {
         assert_eq!(
             status.len % T::SIZE,
@@ -589,8 +589,7 @@ impl Mpi {
             buf.len()
         );
         from_bytes(&data, &mut buf[..elems]);
-        self.engine
-            .recycle(data, self.state.tunables.smpi_length_queue);
+        spare::give(data);
         status
     }
 

@@ -1057,9 +1057,9 @@ impl Mpi {
                 // Split framing: the header parses off the inline
                 // segment and the payload `Bytes` is adopted whole, so a
                 // rendezvous payload lands in the user's completion
-                // untouched (and the slab can reclaim its allocation — a
-                // sliced frame could never be reclaimed, it shares the
-                // header's allocation).
+                // untouched (and the spare list can reclaim its
+                // allocation — a sliced frame could never be reclaimed,
+                // it shares the header's allocation).
                 let pkt =
                     Packet::decode_parts(m.src, m.imm, m.hdr.as_slice(), m.data, m.available_at);
                 self.handle_packet(pkt);

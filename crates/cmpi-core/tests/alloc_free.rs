@@ -13,8 +13,9 @@
 //! Any allocation in the measured phase — on either
 //! rank thread — lands in the global counter, so the assertion covers
 //! the full send/progress/match/recv pipeline: mailbox nodes (pantry),
-//! eager staging (slab recycle), matching buckets (inline/pooled), and
-//! completion bookkeeping.
+//! matching buckets (inline/pooled), and completion bookkeeping. The
+//! collectives are held to their copy counts instead, and a large
+//! allreduce to no large allocation but the vector it returns.
 //!
 //! The measured budget is asserted to be ZERO allocations for the whole
 //! phase (the cross-host loop, whose wire schedules grow by 16 bytes per
@@ -36,6 +37,12 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested by the counted allocations (a `realloc` counts its
 /// new size).
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Counted allocations of at least [`BIG`] bytes (a `realloc` counts
+/// when its new size is).
+static BIGS: AtomicU64 = AtomicU64::new(0);
+/// What [`BIGS`] counts: the size from which drained wire images are
+/// kept for reuse rather than freed.
+const BIG: usize = 16 << 10;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 thread_local! {
     /// Set by every rank closure on the thread that runs it. Only those
@@ -58,6 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            BIGS.fetch_add((layout.size() >= BIG) as u64, Ordering::Relaxed);
             if TRACING.load(Ordering::Relaxed) {
                 // Suppress recursive counting while the backtrace itself
                 // allocates.
@@ -81,6 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            BIGS.fetch_add((new_size >= BIG) as u64, Ordering::Relaxed);
             if TRACING.load(Ordering::Relaxed) {
                 COUNTING.store(false, Ordering::Relaxed);
                 eprintln!(
@@ -406,9 +415,12 @@ fn collectives_allocate_a_small_multiple_of_what_they_return() {
     let n = counted.results.len() as f64;
     // (name, bytes a call returns to one rank, budget as a multiple of
     // them, budget in allocations) — per rank per call, averaged over
-    // members and leaders. Measured 2.42 / 0.08 / 1.25 / 2.91 x and
-    // 3.95 / 0.18 / 4.05 / 7.75 allocations; before the data path was
-    // rebuilt 3.29 / 0.08 / 1.49 / 4.87 x and 5.70 / 0.18 / 14.67 / 53.87.
+    // members and leaders. Measured 2.35 / 0.08 / 1.25 / 2.41 x and
+    // 3.89 / 0.18 / 4.05 / 7.62 allocations (alltoall's bundles and the
+    // allreduce leaders' fold reuse drained images; before they did,
+    // 2.42 / 0.08 / 1.25 / 2.91 x and 3.95 / 0.18 / 4.05 / 7.75); before
+    // the data path was rebuilt 3.29 / 0.08 / 1.49 / 4.87 x and
+    // 5.70 / 0.18 / 14.67 / 53.87.
     let budgets = [
         // The result, one encode on the way up, and at the two leaders
         // the wire-image accumulator of the inter-leader exchange.
@@ -440,5 +452,76 @@ fn collectives_allocate_a_small_multiple_of_what_they_return() {
         over.is_empty(),
         "per rank per call, over budget (rerun with CMPI_ALLOC_TRACE=1 for backtraces):\n{}",
         over.join("\n")
+    );
+}
+
+/// A steady-state 128 KiB allreduce (recursive doubling, the flat
+/// algorithm between the two-level threshold and the large-message
+/// switch) folds into images the ranks already own: after warm-up, the
+/// only allocation of 16 KiB or more a call makes is the vector it
+/// returns. Each round's image is written over whichever of the two
+/// images the rank holds alone by then, or drawn from the worker's spare
+/// list, and every drained image goes back to that list. Four ranks, so
+/// the images in flight fit the list's byte cap; one worker, so they all
+/// share one list.
+#[test]
+fn steady_state_large_allreduce_allocates_only_its_result() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
+        TRACING.store(true, Ordering::Relaxed);
+    }
+    const WARMUP: u32 = 4;
+    const CALLS: u32 = 16;
+    const LEN: usize = (128 << 10) / 8; // u64 elements
+    let spec = JobSpec::new(DeploymentScenario::containers(
+        1,
+        2,
+        2,
+        NamespaceSharing::default(),
+    ))
+    .with_workers(1);
+    let counted = spec.run(|mpi| {
+        RUNS_RANKS.set(true);
+        let me = mpi.rank();
+        let mine: Vec<u64> = (0..LEN).map(|i| (me * LEN + i) as u64).collect();
+        let mut ok = true;
+        let mut call = |mpi: &mut cmpi_core::Mpi| {
+            let sum = mpi.allreduce(&mine, cmpi_core::ReduceOp::Sum);
+            ok &= sum[LEN - 1] == (4 * LEN - 4 + 6 * LEN) as u64;
+        };
+        for _ in 0..WARMUP {
+            call(mpi);
+        }
+        mpi.barrier();
+        if me == 0 {
+            BIGS.store(0, Ordering::Relaxed);
+            COUNTING.store(true, Ordering::Relaxed);
+        }
+        mpi.barrier();
+        for _ in 0..CALLS {
+            call(mpi);
+        }
+        mpi.barrier();
+        if me == 0 {
+            COUNTING.store(false, Ordering::Relaxed);
+        }
+        (ok, BIGS.load(Ordering::Relaxed))
+    });
+    let n = counted.results.len() as u64;
+    assert!(counted.results.iter().all(|&(ok, _)| ok), "wrong sum");
+    assert_eq!(
+        counted
+            .stats
+            .coll_selections(cmpi_core::CollKind::Allreduce, cmpi_core::CollAlgo::Flat),
+        n * u64::from(WARMUP + CALLS),
+        "every call must take the flat recursive-doubling allreduce"
+    );
+    let bigs = counted.results[0].1;
+    assert_eq!(
+        bigs,
+        n * u64::from(CALLS),
+        "{CALLS} calls on {n} ranks made {bigs} allocations of {BIG} bytes or more; only the \
+         {} returned vectors may be (rerun with CMPI_ALLOC_TRACE=1 for backtraces)",
+        n * u64::from(CALLS)
     );
 }

@@ -8,9 +8,14 @@
 //! rows add up to the job: the table says which collective a data-path
 //! change moved, which the benchmark's single `wall_s` cannot.
 //!
+//! An optional second argument runs only the phases whose name contains
+//! it (barriers still fence them), so one collective can be timed, or
+//! sampled with `scripts/prof/sigprof.so`, on its own.
+//!
 //! ```text
 //! cargo run --release --example coll_phases        # N = 1, a smoke run
 //! cargo run --release --example coll_phases -- 15  # best of 15
+//! cargo run --release --example coll_phases -- 9 "allreduce 128 KiB"
 //! ```
 
 use std::time::Instant;
@@ -28,13 +33,15 @@ const SIZED: [(&str, u32, usize); 4] = [
 ];
 
 fn main() {
-    let best_of: u32 = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("usage: coll_phases [N]"))
-        .unwrap_or(1);
+    const USAGE: &str = "usage: coll_phases [N [PHASE]]";
+    let mut args = std::env::args().skip(1);
+    let best_of: u32 = args.next().map_or(1, |a| a.parse().expect(USAGE));
+    let only = args.next().unwrap_or_default();
+    assert!(args.next().is_none(), "{USAGE}");
     let spec = JobSpec::new(DeploymentScenario::collective_256(4))
         .with_exec(ExecMode::Tasks)
         .with_workers(1);
+    let filter = only.clone();
     let result = spec.run(move |mpi| {
         let (n, r) = (mpi.size(), mpi.rank());
         let mut rows: Vec<(String, f64)> = Vec::new();
@@ -43,6 +50,9 @@ fn main() {
             let mut row = 0;
             // One barrier-fenced phase; keeps the best time seen per row.
             let mut phase = |mpi: &mut Mpi, name: String, body: &mut dyn FnMut(&mut Mpi)| {
+                if !name.contains(filter.as_str()) {
+                    return;
+                }
                 mpi.barrier();
                 let t0 = Instant::now();
                 body(mpi);
@@ -104,6 +114,7 @@ fn main() {
         "a collective returned a wrong value"
     );
     let rows = &result.results[0].0;
+    assert!(!rows.is_empty(), "no phase name contains {only:?}");
     println!("coll64 body, 64 ranks on one worker, best of {best_of} (host ms, rank 0):");
     for (name, ms) in rows {
         println!("  {name:<34} {ms:>8.2}");

@@ -31,8 +31,9 @@
 #   overhead  overhead_gate: telemetry-on vs -off kernel pairs, >2 % fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
-#             BENCHMARK.json == metric-registry check), and `bash -n`
-#             on scripts/prof.sh and scripts/loc.sh
+#             BENCHMARK.json == metric-registry check), `bash -n`
+#             on scripts/prof.sh and scripts/loc.sh, and a byte-compile
+#             of scripts/prof/symbolise.py
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
 #
@@ -108,9 +109,10 @@ cargo run --release --quiet -p cmpi-bench --bin overhead_gate
 stage benchmark "benchmark harness self-tests (benchmark/, own workspace)"
 (cd benchmark && cargo test -q --offline)
 # The sampling profiler and the line counter are tools, not gates: only
-# their shell must parse.
+# their shell and the profiler's symboliser must parse.
 bash -n scripts/prof.sh
 bash -n scripts/loc.sh
+python3 -m py_compile scripts/prof/symbolise.py
 
 stage clippy "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

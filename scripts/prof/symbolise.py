@@ -2,6 +2,7 @@
 """Turn sigprof.c dumps into tables of the hottest symbols.
 
 usage: symbolise.py DUMP_DIR [TOP]
+       symbolise.py DUMP_DIR --callers SYMBOL [DEPTH]
 
 Every sampled address is attributed to the mapped file that contains it
 and, within the file, to the function symbol of `nm -S` whose extent
@@ -19,6 +20,12 @@ Two tables. "self" counts each sample once, under the symbol of its pc.
 stack: the pc's and its callers', whose return addresses are looked up
 one byte back, inside the call instruction. Callers are only as good as
 the frame-pointer chain sigprof.c could follow.
+
+With --callers, only samples whose pc is in SYMBOL (an exact name as the
+tables print it, e.g. `libc.so.6+0x16d000  [libc.so.6]` or just
+`libc.so.6+0x16d000`) count, and the table is of their caller chains,
+DEPTH (default 3) callers deep, innermost first: the way to say whose
+memmove an unnamed libc page is.
 """
 import bisect, collections, glob, re, subprocess, sys
 
@@ -53,9 +60,18 @@ def print_table(title, counts, samples, top):
         print(f"{100 * n / samples:6.2f}%  {n:7d}  {name}")
 
 def main():
-    dumps = glob.glob(sys.argv[1] + "/*.prof")
-    top = int(sys.argv[2]) if len(sys.argv) > 2 else 20
-    own, inclusive, tables, samples = collections.Counter(), collections.Counter(), {}, 0
+    args = sys.argv[1:]
+    if len(args) >= 3 and args[1] == "--callers":
+        dump_dir, leaf, top = args[0], args[2], 20
+        depth = int(args[3]) if len(args) > 3 else 3
+    elif 1 <= len(args) <= 2 and not args[-1].startswith("--"):
+        dump_dir, leaf, depth = args[0], None, 0
+        top = int(args[1]) if len(args) > 1 else 20
+    else:
+        sys.exit(__doc__.split("\n\n")[1])
+    dumps = glob.glob(dump_dir + "/*.prof")
+    own, inclusive, chains = collections.Counter(), collections.Counter(), collections.Counter()
+    tables, samples = {}, 0
     for dump in dumps:
         maps, stacks = open(dump).read().split("--\n")
         ranges, base = [], {}
@@ -84,7 +100,15 @@ def main():
             names = [name_of(frames[0])] + [name_of(ra - 1) for ra in frames[1:]]
             own[names[0]] += 1
             inclusive.update(set(names))
+            if leaf is not None and leaf in (names[0], names[0].split("  [")[0]):
+                chains[" <- ".join(names[1:1 + depth]) or "[no callers]"] += 1
     print(f"{samples} samples of CPU time from {len(dumps)} processes")
+    if leaf is not None:
+        hits = sum(chains.values())
+        print(f"{hits} of them ({100 * hits / max(samples, 1):.2f}%) have their pc in {leaf}")
+        print_table(f"callers of {leaf}, {depth} deep, innermost first (share of its samples):",
+                    chains, max(hits, 1), top)
+        return
     print_table("self:", own, samples, top)
     print_table("inclusive (each symbol once per sample, callers by frame pointer):",
                 inclusive, samples, top)
