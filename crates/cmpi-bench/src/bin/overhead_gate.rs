@@ -90,8 +90,7 @@ fn steady_ns(mpi: &mut Mpi, count: u32, mut unit: impl FnMut(&mut Mpi)) -> u64 {
 /// waiting amortizes the per-message context switch: a strict ping-pong
 /// spends half its cycles in scheduler code whose cost varies run to run
 /// and drowns a 2 % budget. Every message still runs the full telemetry
-/// surface (route ledger, size/latency histograms, settle accounting,
-/// rendezvous flight events).
+/// surface (route ledger, size/latency histograms, settle accounting).
 fn pt2pt_ns(msg: usize, window: u32, rounds: u32, telemetry: bool) -> f64 {
     let pair = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::default());
     let res = spec(pair, telemetry).run(move |mpi| {

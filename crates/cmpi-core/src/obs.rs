@@ -15,7 +15,6 @@
 //! | [`Obs::wait`] | a two-sided request settles |
 //! | [`Obs::stall`] / [`Obs::rma_wait`] | eager-queue backpressure / a one-sided completion |
 //! | [`Obs::coll`] | the collective selector picked an algorithm |
-//! | [`Obs::rndv_step`] | the CTS or the payload of a rendezvous is handled |
 //! | [`Obs::depth`] | a receive stays posted / a message stays unexpected |
 //! | [`Obs::probe`] | an `iprobe` returns |
 //! | [`Obs::incident`] | a recovery action or a failure-lifecycle step |
@@ -23,10 +22,11 @@
 //!
 //! Inside the store a number lives in exactly one place. [`CommStats`] is
 //! the base ledger, always on. The telemetry level adds the eleven
-//! metrics nothing else keeps ([`Own`]) and the staging of flight
-//! events; the profiling level the per-peer matrix and the wait table;
-//! the tracing level the timeline. Which levels a job runs is decided
-//! once, in [`JobObs`], and checked here — never at a call site.
+//! metrics nothing else keeps ([`Own`]) and the flight ring, which only
+//! [`Obs::incident`] writes; the profiling level the per-peer matrix and
+//! the wait table; the tracing level the timeline. Which levels a job
+//! runs is decided once, in [`JobObs`], and checked here — never at a
+//! call site.
 //!
 //! The four results are views, built once by [`job_result`] after every
 //! rank has finished. [`rank_snapshot`] is the only place a source is mapped
@@ -39,8 +39,8 @@ use std::sync::Arc;
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_prof::{FabricCounters, JobProfile, ProfCollector, QueuePressure, WaitClass};
 use cmpi_telemetry::{
-    chan_code, EventKind, FlightEvent, FlightSnapshot, HistogramAccumulator, JobTelemetry,
-    MetricId, RankSnapshot, TelemetrySnapshot, DEFAULT_FLIGHT_CAPACITY,
+    EventKind, FlightEvent, FlightSnapshot, HistogramAccumulator, JobTelemetry, MetricId,
+    RankSnapshot, TelemetrySnapshot,
 };
 
 use crate::channel::{Protocol, Route};
@@ -65,16 +65,10 @@ impl JobObs {
         JobObs {
             tracing: spec.tracing,
             profiling: spec.profiling,
-            telemetry: spec
-                .telemetry
-                .then(|| Arc::new(JobTelemetry::new(n, DEFAULT_FLIGHT_CAPACITY))),
+            telemetry: spec.telemetry.then(|| Arc::new(JobTelemetry::new(n))),
         }
     }
 }
-
-/// Events the flight write-behind buffer holds before it spills (see
-/// `Obs::staged`).
-const FLIGHT_SPILL: usize = 16;
 
 /// The eleven metrics only this rank's record calls write.
 #[derive(Default)]
@@ -97,7 +91,8 @@ pub(crate) struct Obs {
     rank: usize,
     stats: CommStats,
     /// This job's rings when the telemetry level is on. The rank is the
-    /// only writer of its own ring.
+    /// only writer of its own ring, and [`Obs::incident`] the only call
+    /// that writes it.
     rings: Option<Arc<JobTelemetry>>,
     /// Kept inline (not behind a box) for two reasons: a request settles
     /// between a receive completing and the next send's locked queue
@@ -108,31 +103,6 @@ pub(crate) struct Obs {
     /// re-misses every op. Only the histograms' bucket arrays are on the
     /// heap, touched when a same-bucket run ends.
     own: Own,
-    /// Channels this rank has routed at least one message on, as a
-    /// bitmask of `1 << chan_code::*`. Gates the first-use
-    /// `ChannelChoice` flight event so the steady-state send path stays
-    /// event-free.
-    chan_seen: u8,
-    /// Sampling counter for the per-message rendezvous handshake events
-    /// (`RndvStart`/`RndvCts`/`RndvData`): even buffered, recording all
-    /// three steps of every 64 KiB transfer costs a few percent, so the
-    /// ring keeps a 1-in-8 sample (first candidate always recorded).
-    /// Exact message counts are `eager_msgs` / `rndv_msgs`; the ring is
-    /// a diagnostic trace, not a ledger.
-    flight_sample: u8,
-    /// Write-behind buffer for high-rate flight events (rendezvous
-    /// protocol steps, channel choices): plain stores into one warm
-    /// line, spilled to the shared ring [`FLIGHT_SPILL`] at a time. A
-    /// direct ring `record` is 2–3 cold-line touches once a large
-    /// payload copy has flushed L1, which alone cost ~2 % on the 64 KiB
-    /// rendezvous kernel. Incidents hit the ring directly so they are
-    /// never lost in an unflushed buffer. Ring publication order may
-    /// therefore trail virtual-time order slightly; events carry their
-    /// own timestamps. Allocated with the store, not by the first event:
-    /// a small block that first appears between an application's large
-    /// ones pins the heap above them (+ 2.9 MiB of peak RSS on the
-    /// 16-rank Graph 500 job when it was tried).
-    staged: Vec<FlightEvent>,
     /// The timeline, at the tracing level.
     trace: Option<Box<RankTrace>>,
     /// The per-peer matrix and the wait table, at the profiling level.
@@ -204,9 +174,6 @@ impl Obs {
             stats: CommStats::default(),
             rings: job.telemetry.clone(),
             own: Own::default(),
-            chan_seen: 0,
-            flight_sample: 0,
-            staged: Vec::with_capacity(job.telemetry.is_some() as usize * FLIGHT_SPILL),
             trace: job.tracing.then(Box::default),
             prof: job.profiling.then(|| Box::new(ProfCollector::new(n))),
         }
@@ -229,11 +196,9 @@ impl Obs {
         }
     }
 
-    /// Message `seq` to `dst`, posted at `posted`, is on its channel as of
-    /// `now` (`route` is `None` for the self-send shortcut): protocol
-    /// counter and message-size histogram on every call, flight events
-    /// only on protocol edges (first use of a channel, each rendezvous
-    /// start) so the eager steady state never touches the ring.
+    /// Message `seq` to `dst`, posted at `posted`, is on its channel
+    /// (`route` is `None` for the self-send shortcut): protocol counter
+    /// and message-size histogram.
     ///
     /// Called *after* the wire work: the peer is already unblocked, so
     /// these stores overlap with its processing instead of stalling the
@@ -248,7 +213,6 @@ impl Obs {
         len: usize,
         seq: u64,
         posted: SimTime,
-        now: SimTime,
     ) {
         if let Some(tr) = &mut self.trace {
             tr.flow_start(flow_id(self.rank, dst, seq), posted);
@@ -256,52 +220,11 @@ impl Obs {
         if self.rings.is_none() {
             return;
         }
-        let code = match route.map(|r| r.channel) {
-            Some(Channel::Shm) => chan_code::SHM,
-            Some(Channel::Cma) => chan_code::CMA,
-            Some(Channel::Hca) => chan_code::HCA,
-            None => chan_code::SELF,
-        };
-        let rendezvous = matches!(route, Some(r) if r.protocol == Protocol::Rendezvous);
-        let bit = 1u8 << code;
-        let first_use = self.chan_seen & bit == 0;
-        self.chan_seen |= bit;
         self.own.msg_size.observe(len as u64);
-        if rendezvous {
+        if matches!(route, Some(r) if r.protocol == Protocol::Rendezvous) {
             self.own.rndv_msgs += 1;
         } else {
             self.own.eager_msgs += 1;
-        }
-        if rendezvous || first_use {
-            self.route_edge(dst, code, rendezvous, first_use, len, now);
-        }
-    }
-
-    /// The protocol-edge tail of [`Obs::route`], kept out of line so the
-    /// eager steady state (which takes neither branch) pays only a
-    /// not-taken jump for it.
-    fn route_edge(
-        &mut self,
-        dst: usize,
-        code: u8,
-        rendezvous: bool,
-        first_use: bool,
-        len: usize,
-        now: SimTime,
-    ) {
-        if rendezvous {
-            self.stage_sampled(
-                FlightEvent::new(EventKind::RndvStart, now.as_ns())
-                    .peer(dst)
-                    .a(len as u64),
-            );
-        }
-        if first_use {
-            self.stage(
-                FlightEvent::new(EventKind::ChannelChoice, now.as_ns())
-                    .peer(dst)
-                    .detail(code),
-            );
         }
     }
 
@@ -408,18 +331,6 @@ impl Obs {
         self.stats.record_coll(kind, algo);
     }
 
-    /// A rendezvous of `len` bytes with `peer` passed `step` at `t`: the
-    /// sender dispatched the payload on the CTS (`RndvCts`) or the
-    /// receiver took delivery (`RndvData`). Sampled onto the ring, see
-    /// `flight_sample`.
-    #[inline]
-    pub(crate) fn rndv_step(&mut self, step: EventKind, t: SimTime, peer: usize, len: usize) {
-        debug_assert!(matches!(step, EventKind::RndvCts | EventKind::RndvData));
-        if self.rings.is_some() {
-            self.stage_sampled(FlightEvent::new(step, t.as_ns()).peer(peer).a(len as u64));
-        }
-    }
-
     /// The matching queues hold `posted` receives and `unexpected`
     /// messages after one more entry stayed in either (an entry consumed
     /// on arrival cannot raise a high-water mark).
@@ -462,12 +373,6 @@ impl Obs {
             let worst = &mut self.stats.recovery.detect_ns;
             *worst = (*worst).max(detail.a);
         }
-        // Staged events normally stay behind incidents (see `staged`);
-        // a death is the last thing its rank's ring says, so what was
-        // staged goes first.
-        if event == Some(EventKind::Death) {
-            self.spill();
-        }
         if let (Some(rings), Some(event)) = (&self.rings, event) {
             let mut ev = FlightEvent::new(event, at.as_ns())
                 .detail(detail.code)
@@ -483,45 +388,9 @@ impl Obs {
         }
     }
 
-    // ---- flight staging ----------------------------------------------------
-
-    /// Queue a high-rate flight event via the write-behind buffer (see
-    /// `staged`). Only call with the telemetry level on.
-    #[inline]
-    fn stage(&mut self, ev: FlightEvent) {
-        self.staged.push(ev);
-        if self.staged.len() == FLIGHT_SPILL {
-            self.spill();
-        }
-    }
-
-    /// Queue a *sampled* high-rate flight event (see `flight_sample`).
-    /// The first candidate always records so short jobs still show the
-    /// protocol in their ring.
-    #[inline]
-    fn stage_sampled(&mut self, ev: FlightEvent) {
-        self.flight_sample = self.flight_sample.wrapping_add(1);
-        if self.flight_sample & 7 == 1 {
-            self.stage(ev);
-        }
-    }
-
-    /// Publish the staged flight events to this rank's ring.
-    fn spill(&mut self) {
-        if let Some(rings) = &self.rings {
-            let ring = rings.ring(self.rank);
-            for ev in self.staged.drain(..) {
-                ring.record(ev);
-            }
-        }
-    }
-
-    /// The rank is done recording: nothing stays staged, and the store
-    /// moves to the heap for [`job_result`] without its staging buffer
-    /// (a job's heap peaks there).
-    pub(crate) fn finish(mut self) -> Box<Obs> {
-        self.spill();
-        self.staged = Vec::new();
+    /// The rank is done recording: the store moves to the heap for
+    /// [`job_result`] (a job's heap peaks there).
+    pub(crate) fn finish(self) -> Box<Obs> {
         Box::new(self)
     }
 }

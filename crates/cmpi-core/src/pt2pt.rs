@@ -99,7 +99,7 @@ impl Mpi {
             // Self-message: one local copy, straight into the matching
             // engine (bypassing `handle_packet`, so both ledger sides are
             // recorded here).
-            self.obs.route(dst, None, len, seq, posted, self.now);
+            self.obs.route(dst, None, len, seq, posted);
             let ready = self.now + cost.copy_time(len as u64, false);
             self.obs.tx(dst, Channel::Shm, len);
             self.obs.rx(dst, Channel::Shm, len);
@@ -233,7 +233,7 @@ impl Mpi {
             }
             (c, p) => unreachable!("selector produced impossible route {c:?}/{p:?}"),
         };
-        self.obs.route(dst, Some(route), len, seq, posted, self.now);
+        self.obs.route(dst, Some(route), len, seq, posted);
         parked.unwrap_or_else(|| self.locally_complete_send(ctx))
     }
 

@@ -47,7 +47,7 @@ use crate::requests::{RecvState, RequestTable, SendState, Slot};
 use crate::stats::{CallClass, CommStats, JobStats};
 use crate::trace::{flow_id, JobTrace};
 use cmpi_prof::{JobProfile, QueuePressure};
-use cmpi_telemetry::{EventKind, TelemetrySnapshot};
+use cmpi_telemetry::TelemetrySnapshot;
 
 /// Bound on fabric attach (QP creation) attempts per rank.
 const MAX_ATTACH_ATTEMPTS: u32 = 5;
@@ -1319,7 +1319,6 @@ impl Mpi {
         let len = data.len();
         self.send_control(dst, PacketKind::RndvData { rreq }, data, channel, cts_at);
         self.obs.tx(dst, channel, len);
-        self.obs.rndv_step(EventKind::RndvCts, cts_at, dst, len);
     }
 
     /// The receiver's payload handler: charge the transfer, complete the
@@ -1367,7 +1366,6 @@ impl Mpi {
         };
         self.send_control(src, PacketKind::Fin { sreq }, Bytes::new(), channel, t);
         self.obs.rx(src, channel, size);
-        self.obs.rndv_step(EventKind::RndvData, t, src, size);
         let status = Status {
             src,
             tag,

@@ -206,21 +206,17 @@ fn steady_state_eager_loop_is_allocation_free() {
 }
 
 /// Steady-state rendezvous ping-pong — with telemetry on (the default),
-/// so every round trip records counters, histogram samples, and the
-/// sampled rendezvous flight events (RndvStart / RndvCts / RndvData,
-/// 1-in-8) — allocates nothing per op. The flight ring faults its
-/// storage in chunk by chunk as the write cursor first reaches each one,
-/// so its steady state begins after one full wrap of the 256 slots: the
-/// warm-up runs past that, and the measured phase wraps the ring again,
-/// covering the drop-oldest path too.
+/// so every round trip records counters and histogram samples —
+/// allocates nothing per op. The flight ring is not on this path: it
+/// holds incidents only, so the loop must publish nothing to either
+/// rank's ring (a ring faults its storage in chunk by chunk, so an
+/// event there would also be an allocation waiting to happen).
 #[test]
 fn steady_state_rndv_recording_is_allocation_free() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
         TRACING.store(true, Ordering::Relaxed);
     }
-    // 3 sampled-event candidates per rank per round trip at 1-in-8 →
-    // ~0.375 ring records each; 800 trips ≈ 300 events > 256 slots.
     const WARMUP: u32 = 800;
     const MEASURED: u32 = 800;
     const SIZE: usize = 64 * 1024; // CMA rendezvous on the intra-host pair
@@ -264,13 +260,12 @@ fn steady_state_rndv_recording_is_allocation_free() {
         "steady-state rendezvous loop (telemetry on) allocated {allocs} times over \
          {MEASURED} round trips (rerun with CMPI_ALLOC_TRACE=1 for backtraces)"
     );
-    // The zero-alloc claim must include the drop-oldest path: the run
-    // has to have actually wrapped the flight ring.
+    // Messages are counted, not logged: the loop published nothing to
+    // either ring.
     let snap = counted.telemetry.expect("telemetry on by default");
-    assert!(
-        snap.ranks.iter().any(|r| r.flight.dropped > 0),
-        "measured phase never wrapped the flight ring; lengthen MEASURED"
-    );
+    for (rank, r) in snap.ranks.iter().enumerate() {
+        assert_eq!(r.flight.published, 0, "rank {rank}: {:?}", r.flight.events);
+    }
 }
 
 /// Cross-host eager ping-pong: every message crosses the simulated HCA.

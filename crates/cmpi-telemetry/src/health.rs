@@ -112,9 +112,8 @@ pub fn evaluate(snap: &TelemetrySnapshot) -> HealthReport {
     let mut findings = Vec::new();
 
     // A dead rank is critical regardless of any ratio, and its own ring
-    // says so: a dying rank records its death last (what it had staged
-    // spills ahead of it), so ring wrap, which drops the oldest events,
-    // keeps it.
+    // says so: a dying rank records its death last, so ring wrap, which
+    // drops the oldest events, keeps it.
     for (rank, r) in snap.ranks.iter().enumerate() {
         let death = r.flight.events.iter().find(|e| e.kind == EventKind::Death);
         if let Some(ev) = death {

@@ -4,10 +4,10 @@
 //!
 //! Three pieces:
 //!
-//! * a **flight recorder** ([`FlightRecorder`]) — a fixed-capacity,
-//!   allocation-free per-rank event ring recording protocol
-//!   transitions, channel choices, retries/downgrades and
-//!   failure-detector events, dumpable as Chrome-trace JSON. The ring is
+//! * a **flight recorder** ([`FlightRecorder`]) — a fixed-capacity
+//!   per-rank event ring recording incidents only (retries, downgrades,
+//!   failure-detector and recovery steps, a rank's own death), dumpable
+//!   as Chrome-trace JSON; a healthy job leaves it empty. The ring is
 //!   the one structure here a reader may race its writer on, and the
 //!   model checker proves the slot protocol;
 //! * a **metric vocabulary** ([`MetricId`], [`RankSnapshot`],
@@ -33,10 +33,7 @@ pub use metrics::{
     validate_prometheus, HistogramAccumulator, HistogramSnapshot, MetricId, MetricKind,
     RankSnapshot, TelemetrySnapshot, NUM_METRICS,
 };
-pub use ring::{
-    chan_code, chan_code_name, EventKind, FlightEvent, FlightRecorder, FlightSnapshot,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+pub use ring::{EventKind, FlightEvent, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
 
 use cmpi_prof::Json;
 
@@ -48,12 +45,12 @@ pub struct JobTelemetry {
 }
 
 impl JobTelemetry {
-    /// Rings for `num_ranks` ranks holding `flight_capacity` events each
-    /// (see [`DEFAULT_FLIGHT_CAPACITY`]).
-    pub fn new(num_ranks: usize, flight_capacity: usize) -> JobTelemetry {
+    /// Rings for `num_ranks` ranks holding [`DEFAULT_FLIGHT_CAPACITY`]
+    /// events each.
+    pub fn new(num_ranks: usize) -> JobTelemetry {
         JobTelemetry {
             rings: (0..num_ranks)
-                .map(|_| FlightRecorder::new(flight_capacity))
+                .map(|_| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY))
                 .collect(),
         }
     }
@@ -110,9 +107,6 @@ pub(crate) fn flight_chrome_events(flight: &FlightSnapshot, rank: usize, out: &m
         if let Some(p) = ev.peer {
             args.push(("peer".to_string(), Json::num(p as u64)));
         }
-        if ev.kind == EventKind::ChannelChoice {
-            args.push(("chan".to_string(), Json::str(chan_code_name(ev.detail))));
-        }
         args.push(("a".to_string(), Json::num(ev.a)));
         args.push(("b".to_string(), Json::num(ev.b)));
         let ts_us = ev.at_ns as f64 / 1_000.0;
@@ -133,11 +127,11 @@ mod tests {
 
     #[test]
     fn flight_chrome_dump_round_trips() {
-        let t = JobTelemetry::new(2, 8);
+        let t = JobTelemetry::new(2);
         t.ring(0).record(
-            FlightEvent::new(EventKind::ChannelChoice, 1_500)
+            FlightEvent::new(EventKind::HcaDowngrade, 1_500)
                 .peer(1)
-                .detail(chan_code::CMA),
+                .detail(2),
         );
         t.ring(1)
             .record(FlightEvent::new(EventKind::Convict, 9_000).peer(0).a(1234));
@@ -154,11 +148,14 @@ mod tests {
         let events = parsed.as_arr().unwrap();
         // Two real events plus one summary per rank.
         assert_eq!(events.len(), 4);
-        let choice = &events[0];
-        assert_eq!(choice.get("name").unwrap().as_str(), Some("channel-choice"));
-        assert_eq!(choice.get("ph").unwrap().as_str(), Some("i"));
-        let args = choice.get("args").unwrap();
-        assert_eq!(args.get("chan").unwrap().as_str(), Some("cma"));
+        let downgrade = &events[0];
+        assert_eq!(
+            downgrade.get("name").unwrap().as_str(),
+            Some("hca-downgrade")
+        );
+        assert_eq!(downgrade.get("ph").unwrap().as_str(), Some("i"));
+        let args = downgrade.get("args").unwrap();
+        assert_eq!(args.get("detail").unwrap().as_f64(), Some(2.0));
         assert_eq!(args.get("peer").unwrap().as_f64(), Some(1.0));
         let convict = &events[2];
         assert_eq!(convict.get("tid").unwrap().as_f64(), Some(1.0));

@@ -112,9 +112,9 @@ pub enum MetricId {
     LateReceiverNs = 27,
     /// Wait time attributed to data transfer, ns.
     TransferNs = 28,
-    /// Events published to the flight recorder (sampled).
+    /// Incidents published to the flight recorder.
     FlightEvents = 29,
-    /// Flight-recorder events dropped by ring wrap (sampled).
+    /// Flight-recorder incidents dropped by ring wrap.
     FlightDropped = 30,
     /// Peak posted-receive queue depth.
     MatchPostedPeak = 31,

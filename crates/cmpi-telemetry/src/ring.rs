@@ -11,10 +11,9 @@
 //!
 //! Slots live in fixed [`CHUNK_SLOTS`]-slot chunks that the writer
 //! allocates the first time the ring reaches them: most ranks of a
-//! large job record a couple of init-time events and nothing else, so
-//! eager rings were 10 KiB per rank of written-once zeroes. A ring that
-//! has wrapped once holds every chunk and `record` never touches the
-//! heap again. A chunk is published before any of its slots (the
+//! job record no incident at all, and an eagerly allocated ring would
+//! be 10 KiB per rank of zeroes. A ring that has wrapped once holds
+//! every chunk and `record` never touches the heap again. A chunk is published before any of its slots (the
 //! writer's later `head` store releases both), so a reader that
 //! observed `head` finds the chunk of every index below it.
 //!
@@ -47,20 +46,13 @@ use std::sync::OnceLock;
 
 use cmpi_model::sync::{AtomicU64, Ordering};
 
-/// What a flight-recorder event records. Discriminants are the wire
-/// encoding inside the ring (zero is reserved for "empty slot").
+/// What a flight-recorder event records: an incident, the one thing no
+/// counter or view keeps. Discriminants are the wire encoding inside the
+/// ring (zero is reserved for "empty slot"; 1–4 belong to retired kinds
+/// and stay unused).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Rendezvous initiated (RTS sent); `a` = message bytes.
-    RndvStart = 1,
-    /// Rendezvous clear-to-send observed; `a` = message bytes.
-    RndvCts = 2,
-    /// Rendezvous payload delivered; `a` = message bytes.
-    RndvData = 3,
-    /// First use of a channel toward a peer; `detail` = channel code
-    /// (see [`chan_code_name`]).
-    ChannelChoice = 4,
     /// A fabric send was retried after a transient failure; `a` =
     /// retry count folded into this event.
     SendRetry = 5,
@@ -80,11 +72,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for exposition and exhaustiveness tests.
-    pub const ALL: [EventKind; 10] = [
-        EventKind::RndvStart,
-        EventKind::RndvCts,
-        EventKind::RndvData,
-        EventKind::ChannelChoice,
+    pub const ALL: [EventKind; 6] = [
         EventKind::SendRetry,
         EventKind::HcaDowngrade,
         EventKind::Convict,
@@ -96,10 +84,6 @@ impl EventKind {
     /// Stable display name (also the Chrome-trace event name).
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::RndvStart => "rndv-start",
-            EventKind::RndvCts => "rndv-cts",
-            EventKind::RndvData => "rndv-data",
-            EventKind::ChannelChoice => "channel-choice",
             EventKind::SendRetry => "send-retry",
             EventKind::HcaDowngrade => "hca-downgrade",
             EventKind::Convict => "convict",
@@ -114,29 +98,6 @@ impl EventKind {
     }
 }
 
-/// Channel codes carried in [`EventKind::ChannelChoice`] `detail`.
-pub mod chan_code {
-    /// Intra-container shared memory.
-    pub const SHM: u8 = 1;
-    /// Cross-container CMA.
-    pub const CMA: u8 = 2;
-    /// InfiniBand HCA loopback / network.
-    pub const HCA: u8 = 3;
-    /// Self-send shortcut.
-    pub const SELF: u8 = 4;
-}
-
-/// Display name for a [`chan_code`] value (`"?"` when unknown).
-pub fn chan_code_name(code: u8) -> &'static str {
-    match code {
-        chan_code::SHM => "shm",
-        chan_code::CMA => "cma",
-        chan_code::HCA => "hca",
-        chan_code::SELF => "self",
-        _ => "?",
-    }
-}
-
 /// One recorded incident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
@@ -146,9 +107,9 @@ pub struct FlightEvent {
     pub at_ns: u64,
     /// Peer rank involved, when per-peer.
     pub peer: Option<u32>,
-    /// Kind-specific small code (channel, downgrade reason, ...).
+    /// Kind-specific small code (downgrade reason, fault class, ...).
     pub detail: u8,
-    /// Kind-specific payload (bytes, latency, count, ...).
+    /// Kind-specific payload (latency, count, context, ...).
     pub a: u64,
     /// Second kind-specific payload.
     pub b: u64,
@@ -251,12 +212,9 @@ pub struct FlightRecorder {
     head: AtomicU64,
 }
 
-/// Default per-rank ring capacity (40 B/slot → 10 KiB/rank once every
-/// chunk is resident). Sized to sit comfortably inside L1 alongside the
-/// hot path's working set: a
-/// larger ring streams cold cache lines through every `record` call,
-/// and the eviction traffic alone showed up as ~2 % on the rendezvous
-/// ping-pong when the default was 1024.
+/// Per-rank ring capacity (40 B/slot → 10 KiB/rank once every chunk is
+/// resident). Only incidents are recorded, so a healthy rank's ring
+/// never allocates a chunk and a failing one rarely fills its first.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 impl FlightRecorder {

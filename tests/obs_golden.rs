@@ -36,7 +36,15 @@
 //! `suspect` instants from its trace — five hashes of that job and two
 //! of each other one, seventeen in all, with only removed lines and
 //! counts between them (EXPERIMENTS.md, "One failure record", has the
-//! diff).
+//! diff). A fourth when the flight ring became the incident log: the
+//! sampled rendezvous steps and the first-use channel choices left it,
+//! so every job's flight dump loses those events and its Prometheus text
+//! and telemetry JSON read the lower `cmpi_flight_events_total` /
+//! `cmpi_flight_dropped_total` — three hashes of each job, twenty-one in
+//! all, with only removed events and lower flight counts between them
+//! (EXPERIMENTS.md, "The flight ring is the incident log", has the
+//! diff). The two Graph 500 jobs now share one flight dump: neither has
+//! an incident.
 //!
 //! On a mismatch the assertion prints the observed row in the syntax of
 //! the table (in decimal; the table is in hex only because that is how it
@@ -241,9 +249,9 @@ const MIXED32: Golden = Golden {
     stats_report: 0x37d2_836f_3eec_fa26,
     profile_report: 0xd618_67f1_e7e0_b254,
     profile_json: 0x03cb_2578_1528_cb82,
-    prometheus: 0x838a_a8b3_b03a_8239,
-    telemetry_json: 0xe618_7b80_98ab_4831,
-    flight_chrome: 0xc290_8c14_27ca_c05c,
+    prometheus: 0xd2c3_d0f3_9b5a_c545,
+    telemetry_json: 0x258d_b205_e778_20be,
+    flight_chrome: 0xc904_da9e_1c3d_a4a5,
     trace_chrome: 0xbe07_3d71_d553_507f,
 };
 
@@ -251,9 +259,9 @@ const OSU_LATENCY: Golden = Golden {
     stats_report: 0xe00c_be6b_dcd1_ad80,
     profile_report: 0xa611_06c1_20b9_7b9b,
     profile_json: 0xf197_50f9_4abe_116c,
-    prometheus: 0xf226_7bb9_b34f_0ca8,
-    telemetry_json: 0x3fa4_f549_cd7a_51a4,
-    flight_chrome: 0x51bc_c091_a02a_6cd1,
+    prometheus: 0x6012_1e90_901d_e206,
+    telemetry_json: 0x7174_7794_c876_a1ea,
+    flight_chrome: 0xb59a_0800_3432_ef5e,
     trace_chrome: 0x91fd_a836_b0c8_6ec4,
 };
 
@@ -261,9 +269,9 @@ const G500_HOSTNAME: Golden = Golden {
     stats_report: 0x5d4b_febc_98f7_977c,
     profile_report: 0x7669_f02d_4c74_279a,
     profile_json: 0x2f81_96e0_f67b_1c07,
-    prometheus: 0xe131_3cd9_bb0a_7021,
-    telemetry_json: 0x94d8_deb7_2eb5_2195,
-    flight_chrome: 0xa759_c180_b559_9e0d,
+    prometheus: 0x91be_94a3_449e_4cf5,
+    telemetry_json: 0x2b5e_40d2_5a85_cf11,
+    flight_chrome: 0x7a60_cf1e_71ba_7bd7,
     trace_chrome: 0x3bdb_a1d5_54e0_ff20,
 };
 
@@ -271,9 +279,9 @@ const G500_DETECTOR: Golden = Golden {
     stats_report: 0x7782_e446_2cf2_1559,
     profile_report: 0xf946_f5e9_501a_923c,
     profile_json: 0x96fb_d670_4ddb_6a50,
-    prometheus: 0x72e5_d1e6_2cdb_a057,
-    telemetry_json: 0xf5fe_a1a6_ee82_d2dc,
-    flight_chrome: 0x84bd_e1d8_8f21_7dfb,
+    prometheus: 0xec2a_0c81_ba33_bf2a,
+    telemetry_json: 0x4a72_debc_7e4d_7bfa,
+    flight_chrome: 0x7a60_cf1e_71ba_7bd7,
     trace_chrome: 0x6b94_db9b_683b_17cf,
 };
 
@@ -281,9 +289,9 @@ const MIDRUN_CRASH: Golden = Golden {
     stats_report: 0x2c75_6526_90b0_01e6,
     profile_report: 0x2617_d74b_af9b_da8f,
     profile_json: 0x7564_980f_6cec_5f03,
-    prometheus: 0xa1e1_81b8_bc92_85f4,
-    telemetry_json: 0x5483_507a_63b8_0ce7,
-    flight_chrome: 0xa6e3_18ed_9321_89ff,
+    prometheus: 0xb2f9_f8f2_fea3_ef7d,
+    telemetry_json: 0x3058_354b_9967_0eba,
+    flight_chrome: 0x489f_77c1_1cae_8da2,
     trace_chrome: 0xb0fa_d9ba_a500_e45e,
 };
 
@@ -291,10 +299,11 @@ const REVOKE_THEN_SHRINK: Golden = Golden {
     stats_report: 0xe485_3143_0e4e_1302,
     profile_report: 0x1826_74e5_7b03_49e3,
     profile_json: 0x7366_ab55_07c5_3614,
-    prometheus: 0xe561_bdef_673a_4453,
-    telemetry_json: 0xf58c_7272_274c_781a,
-    // At the parent, without rank 0's own revoke: 0x034d_e7aa_c739_d06f.
-    flight_chrome: 0x51a8_c268_d140_0638,
+    prometheus: 0xd560_89ac_6351_dfb3,
+    telemetry_json: 0x95be_82c0_f9b1_dd73,
+    // Without rank 0's own revoke, and with the per-message events
+    // still on the ring: 0x034d_e7aa_c739_d06f.
+    flight_chrome: 0x89bc_bd30_e56e_999c,
     trace_chrome: 0x7dd1_fa08_97a5_b3a0,
 };
 
@@ -302,9 +311,9 @@ const DEGRADED_INIT: Golden = Golden {
     stats_report: 0xd900_f6ef_9b45_c802,
     profile_report: 0x9eea_3f76_b9a4_1a02,
     profile_json: 0x5af3_bb44_8486_96a1,
-    prometheus: 0xb8b5_8e14_5abb_dfd7,
-    telemetry_json: 0x7981_a593_d1a7_6515,
-    flight_chrome: 0x9f61_fe92_6c1c_bf05,
+    prometheus: 0x47a8_30ee_3f27_1ab3,
+    telemetry_json: 0x4c8a_418e_e643_daad,
+    flight_chrome: 0xfb36_7fc2_e52a_df72,
     trace_chrome: 0x105e_5784_909f_75df,
 };
 
