@@ -4,12 +4,20 @@
 //! `MPI_Isend` of batched `(vertex, predecessor)` pairs, `MPI_Irecv` +
 //! `MPI_Test` polling on the receive side, and one `MPI_Allreduce` per
 //! level to detect termination.
+//!
+//! One pair codec serves every exchange, here and in [`super::ft`]: a
+//! pair is written once, straight into the wire image that ships it
+//! (`put_pair`), and read back in place (`decode_pairs`). Vertex
+//! ownership is the job's one [`Partition`], carried by its
+//! [`LocalGraph`].
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use cmpi_cluster::SimTime;
 use cmpi_core::{Completion, Mpi, ReduceOp, ANY_SOURCE, ANY_TAG};
 
-use super::generator::{bfs_root, for_each_edge, owned_range, owner};
+use super::generator::{bfs_root, for_each_edge, Partition};
 use super::validate;
 use super::Graph500Config;
 
@@ -28,6 +36,10 @@ const BATCH_PAIRS: usize = 520;
 /// Wire size of one `(vertex, predecessor)` pair: two little-endian `u64`.
 const PAIR_BYTES: usize = 16;
 
+/// A wire image being written, one element per pair: its `len()` is
+/// the pair count, and [`ship`] hands its bytes over without a copy.
+pub(super) type PairWire = Vec<[u8; PAIR_BYTES]>;
+
 /// What each rank reports back to the driver.
 #[derive(Clone, Debug)]
 pub struct RankOutcome {
@@ -41,6 +53,8 @@ pub struct RankOutcome {
 
 /// This rank's slice of the graph in CSR form.
 pub struct LocalGraph {
+    /// The job's vertex partition, which this slice is one block of.
+    pub owners: Partition,
     /// First owned vertex (global id).
     pub lo: u64,
     /// One past the last owned vertex.
@@ -52,12 +66,13 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
-    /// Assemble the CSR slice of vertices `[lo, hi)` from received pair
-    /// batches `(owned vertex, neighbour)` in two decode passes: count
-    /// each row into `xadj`, prefix-sum, fill. A row lists its neighbours
-    /// in block order and, within a block, in wire order — the order that
-    /// decides BFS parents.
-    pub fn from_blocks(lo: u64, hi: u64, blocks: &[Bytes]) -> LocalGraph {
+    /// Assemble the CSR slice of `part`'s block of `owners` from received
+    /// pair batches `(owned vertex, neighbour)` in two decode passes:
+    /// count each row into `xadj`, prefix-sum, fill. A row lists its
+    /// neighbours in block order and, within a block, in wire order — the
+    /// order that decides BFS parents.
+    pub fn from_blocks(owners: Partition, part: usize, blocks: &[Bytes]) -> LocalGraph {
+        let Range { start: lo, end: hi } = owners.range(part);
         let local_n = (hi - lo) as usize;
         let mut xadj = vec![0usize; local_n + 1];
         for block in blocks {
@@ -78,7 +93,13 @@ impl LocalGraph {
                 *at += 1;
             }
         }
-        LocalGraph { lo, hi, xadj, adj }
+        LocalGraph {
+            owners,
+            lo,
+            hi,
+            xadj,
+            adj,
+        }
     }
 
     /// Number of owned vertices.
@@ -93,13 +114,17 @@ impl LocalGraph {
     }
 }
 
-pub(super) fn encode_pairs(pairs: &[(u64, u64)]) -> Bytes {
-    // An exact-size map collects with one reservation and a 16-byte
-    // store per pair; flattening the arrays moves nothing.
-    let wire: Vec<[u8; PAIR_BYTES]> = pairs
-        .iter()
-        .map(|&(v, u)| (v as u128 | (u as u128) << 64).to_le_bytes())
-        .collect();
+/// Append pair `(v, u)` to `wire` as [`decode_pairs`] reads it: vertex
+/// first, predecessor second, both little-endian.
+#[inline(always)]
+pub(super) fn put_pair(wire: &mut PairWire, v: u64, u: u64) {
+    wire.push((v as u128 | (u as u128) << 64).to_le_bytes());
+}
+
+/// The bytes of `wire`, its allocation trimmed to them: a shipped image
+/// lives until its receiver has drained it.
+pub(super) fn ship(mut wire: PairWire) -> Bytes {
+    wire.shrink_to_fit();
     Bytes::from(wire.into_flattened())
 }
 
@@ -114,54 +139,49 @@ pub(super) fn decode_pairs(data: &[u8]) -> impl ExactSizeIterator<Item = (u64, u
     })
 }
 
-/// Generate share `part` of `parts` of the global edge list and bucket
-/// both directions of every edge by the owner of its first vertex under
-/// a `parts`-way partition, charging kernel 1's compute.
+/// Generate share `part` of the global edge list (the edges split into
+/// as many blocks as `owners` has parts) and write both directions of
+/// every edge into the wire image for the owner of its first vertex,
+/// charging kernel 1's compute.
 pub(super) fn bucket_edges(
     mpi: &mut Mpi,
     cfg: &Graph500Config,
+    owners: &Partition,
     part: usize,
-    parts: usize,
-) -> Vec<Vec<(u64, u64)>> {
-    let n = cfg.num_vertices();
-    let m = cfg.num_edges();
-    let per = m.div_ceil(parts as u64);
-    let e_lo = (part as u64 * per).min(m);
-    let e_hi = ((part as u64 + 1) * per).min(m);
+) -> Vec<Bytes> {
+    let parts = owners.parts();
+    let share = Partition::new(cfg.num_edges(), parts).range(part);
+    let generated = share.end - share.start;
     // Two pairs per edge, spread over `parts` owners.
-    let expected = 2 * (e_hi - e_lo) as usize / parts;
-    let mut buckets: Vec<Vec<(u64, u64)>> =
-        (0..parts).map(|_| Vec::with_capacity(expected)).collect();
-    for_each_edge(cfg.seed, cfg.scale, e_lo..e_hi, |_, (u, v)| {
+    let expected = 2 * generated as usize / parts;
+    let mut wires: Vec<PairWire> = (0..parts).map(|_| Vec::with_capacity(expected)).collect();
+    for_each_edge(cfg.seed, cfg.scale, share, |_, (u, v)| {
         if u != v {
             // Graph 500 drops self-loops.
-            buckets[owner(u, n, parts)].push((u, v));
-            buckets[owner(v, n, parts)].push((v, u));
+            put_pair(&mut wires[owners.owner(u)], u, v);
+            put_pair(&mut wires[owners.owner(v)], v, u);
         }
     });
     // Generation cost: the reference kernel 1 is compute-heavy.
-    mpi.compute_items(e_hi - e_lo, 12);
-    buckets
+    mpi.compute_items(generated, 12);
+    wires.into_iter().map(ship).collect()
 }
 
 /// Build this rank's CSR slice: every rank generates an equal share of
 /// the global edge list, routes each endpoint to its owner with
 /// `alltoallv`, and assembles local adjacency.
 pub fn build_graph(mpi: &mut Mpi, cfg: &Graph500Config) -> LocalGraph {
-    let p = mpi.size();
-    let rank = mpi.rank();
-    let (lo, hi) = owned_range(rank, cfg.num_vertices(), p);
-    let buckets = bucket_edges(mpi, cfg, rank, p);
-    let blocks: Vec<Bytes> = buckets.iter().map(|b| encode_pairs(b)).collect();
-    drop(buckets);
+    let owners = Partition::new(cfg.num_vertices(), mpi.size());
+    let blocks = bucket_edges(mpi, cfg, &owners, mpi.rank());
     let incoming = mpi.alltoallv_bytes(blocks);
-    let graph = LocalGraph::from_blocks(lo, hi, &incoming);
+    let graph = LocalGraph::from_blocks(owners, mpi.rank(), &incoming);
     mpi.compute_items(graph.adj.len() as u64, 6);
     graph
 }
 
 /// One full benchmark run on one rank.
 pub fn run_rank(mpi: &mut Mpi, cfg: &Graph500Config) -> RankOutcome {
+    cfg.assert_runnable();
     let graph = build_graph(mpi, cfg);
     let mut bfs_times = Vec::with_capacity(cfg.num_roots);
     let mut traversed = Vec::with_capacity(cfg.num_roots);
@@ -191,19 +211,18 @@ pub fn run_rank(mpi: &mut Mpi, cfg: &Graph500Config) -> RankOutcome {
 /// Level-synchronous BFS from `root`. Returns the local parent array and
 /// the number of edges this rank scanned.
 pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (Vec<u64>, u64) {
-    let n = cfg.num_vertices();
     let p = mpi.size();
     let rank = mpi.rank();
     let mut parent = vec![NO_PARENT; g.local_n()];
     let mut frontier: Vec<u64> = Vec::new();
-    if owner(root, n, p) == rank {
+    if g.owners.owner(root) == rank {
         parent[(root - g.lo) as usize] = root;
         frontier.push(root);
     }
     let mut edges_scanned = 0u64;
-    // Per-destination coalescing buckets; every flush leaves them empty,
-    // so the levels share them.
-    let mut out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+    // Per-destination batches; a shipped one leaves an empty wire, whose
+    // next pair reserves a whole batch.
+    let mut out: Vec<PairWire> = vec![Vec::new(); p];
 
     loop {
         let mut next: Vec<u64> = Vec::new();
@@ -215,7 +234,7 @@ pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (V
             edges_scanned += nbrs.len() as u64;
             mpi.compute_items(nbrs.len() as u64, cfg.ns_per_edge);
             for &v in nbrs {
-                let o = owner(v, n, p);
+                let o = g.owners.owner(v);
                 if o == rank {
                     let li = (v - g.lo) as usize;
                     if parent[li] == NO_PARENT {
@@ -223,10 +242,13 @@ pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (V
                         next.push(v);
                     }
                 } else {
-                    out[o].push((v, u));
-                    if out[o].len() >= BATCH_PAIRS {
-                        let batch = encode_pairs(&out[o]);
-                        out[o].clear();
+                    let wire = &mut out[o];
+                    if wire.capacity() == 0 {
+                        wire.reserve_exact(BATCH_PAIRS);
+                    }
+                    put_pair(wire, v, u);
+                    if wire.len() == BATCH_PAIRS {
+                        let batch = ship(std::mem::take(wire));
                         send_reqs.push(mpi.isend_bytes(batch, o, TAG_DATA));
                     }
                 }
@@ -238,8 +260,7 @@ pub fn bfs(mpi: &mut Mpi, cfg: &Graph500Config, g: &LocalGraph, root: u64) -> (V
                 continue;
             }
             if !pending.is_empty() {
-                let batch = encode_pairs(pending);
-                pending.clear();
+                let batch = ship(std::mem::take(pending));
                 send_reqs.push(mpi.isend_bytes(batch, o, TAG_DATA));
             }
             send_reqs.push(mpi.isend_bytes(Bytes::new(), o, TAG_END));
@@ -295,18 +316,37 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The encoder `put_pair` replaced: pairs staged as tuples, then
+    /// copied into an exact-size wire image. The pair writer must emit
+    /// its bytes exactly.
+    fn encode_pairs(pairs: &[(u64, u64)]) -> Bytes {
+        let wire: Vec<[u8; PAIR_BYTES]> = pairs
+            .iter()
+            .map(|&(v, u)| (v as u128 | (u as u128) << 64).to_le_bytes())
+            .collect();
+        Bytes::from(wire.into_flattened())
+    }
+
+    fn write_pairs(pairs: &[(u64, u64)]) -> Bytes {
+        let mut wire = PairWire::new();
+        for &(v, u) in pairs {
+            put_pair(&mut wire, v, u);
+        }
+        ship(wire)
+    }
+
     #[test]
     fn pair_codec_roundtrips() {
         for len in [0u64, 1, BATCH_PAIRS as u64] {
             let pairs: Vec<(u64, u64)> = (0..len).map(|i| (u64::MAX - i, i * i + 42)).collect();
-            let wire = encode_pairs(&pairs);
+            let wire = write_pairs(&pairs);
             assert_eq!(wire.len(), pairs.len() * PAIR_BYTES);
             let decoded = decode_pairs(&wire);
             assert_eq!(decoded.len(), pairs.len());
             assert_eq!(decoded.collect::<Vec<_>>(), pairs);
         }
         // Vertex first, predecessor second, both little-endian.
-        let wire = encode_pairs(&[(0x0102, 0x0304)]);
+        let wire = write_pairs(&[(0x0102, 0x0304)]);
         assert_eq!(wire[..], [2, 1, 0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0]);
     }
 
@@ -344,34 +384,50 @@ mod tests {
 
     #[test]
     fn a_rank_that_owns_nothing_gets_an_empty_slice() {
-        // More ranks than vertices: `owned_range` hands out `[n, n)`.
-        let g = LocalGraph::from_blocks(8, 8, &[Bytes::new(), Bytes::new()]);
+        // More ranks than vertices: the partition hands out `[n, n)`.
+        let g = LocalGraph::from_blocks(Partition::new(8, 16), 9, &[Bytes::new(), Bytes::new()]);
+        assert_eq!((g.lo, g.hi), (8, 8));
         assert_eq!((g.local_n(), g.xadj, g.adj), (0, vec![0], vec![]));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Byte for byte, batch sizes from empty to past a full batch.
+        #[test]
+        fn the_pair_writer_emits_the_retired_encoders_bytes(
+            pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..2 * BATCH_PAIRS),
+        ) {
+            prop_assert_eq!(&write_pairs(&pairs)[..], &encode_pairs(&pairs)[..]);
+        }
+
         /// Adjacency order included: it decides BFS parents.
         #[test]
         fn from_blocks_matches_the_edge_vector_assembly(
-            lo in 0u64..1000,
-            local_n in 1u64..40,
+            n in 1u64..1000,
+            parts in 1usize..40,
+            part in 0usize..40,
             raw in proptest::collection::vec(
                 proptest::collection::vec((any::<u64>(), any::<u64>()), 0..60),
                 0..8,
             ),
         ) {
+            let owners = Partition::new(n, parts);
+            let part = part % parts;
+            let Range { start: lo, end: hi } = owners.range(part);
+            let local_n = hi - lo;
             let blocks: Vec<Bytes> = raw
                 .iter()
                 .map(|block| {
-                    let pairs: Vec<(u64, u64)> =
-                        block.iter().map(|&(src, dst)| (lo + src % local_n, dst)).collect();
-                    encode_pairs(&pairs)
+                    let mut wire = PairWire::new();
+                    for &(src, dst) in block.iter().filter(|_| local_n > 0) {
+                        put_pair(&mut wire, lo + src % local_n, dst);
+                    }
+                    ship(wire)
                 })
                 .collect();
-            let g = LocalGraph::from_blocks(lo, lo + local_n, &blocks);
-            let (xadj, adj) = assemble_reference(lo, lo + local_n, &blocks);
+            let g = LocalGraph::from_blocks(owners, part, &blocks);
+            let (xadj, adj) = assemble_reference(lo, hi, &blocks);
             prop_assert_eq!(g.local_n() as u64, local_n);
             prop_assert_eq!(&g.xadj, &xadj);
             prop_assert_eq!(&g.adj, &adj);

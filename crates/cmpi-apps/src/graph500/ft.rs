@@ -16,8 +16,8 @@
 use bytes::Bytes;
 use cmpi_core::{Comm, Mpi, MpiError, ReduceOp};
 
-use super::bfs::{bucket_edges, decode_pairs, encode_pairs, LocalGraph, NO_PARENT};
-use super::generator::{bfs_root, owned_range, owner};
+use super::bfs::{bucket_edges, decode_pairs, put_pair, ship, LocalGraph, PairWire, NO_PARENT};
+use super::generator::{bfs_root, Partition};
 use super::Graph500Config;
 
 const TAG_BUILD: u32 = 201;
@@ -45,6 +45,7 @@ pub struct FtRankOutcome {
 /// partition, recompute every root) until an attempt completes; a rank
 /// scripted to die returns its own failure.
 pub fn run_rank_ft(mpi: &mut Mpi, cfg: &Graph500Config) -> Result<FtRankOutcome, MpiError> {
+    cfg.assert_runnable();
     let mut comm = mpi.comm_world();
     let mut recoveries = 0u64;
     // Each genuine recovery removes at least one rank, so more shrink
@@ -118,27 +119,20 @@ fn build_graph_ft(
     let me = comm
         .comm_rank_of(mpi.rank())
         .expect("rank not in communicator");
-    let (lo, hi) = owned_range(me, cfg.num_vertices(), p);
-    let buckets = bucket_edges(mpi, cfg, me, p);
+    let owners = Partition::new(cfg.num_vertices(), p);
+    let mut blocks = bucket_edges(mpi, cfg, &owners, me);
 
     let mut incoming: Vec<Bytes> = Vec::with_capacity(p);
-    incoming.push(encode_pairs(&buckets[me]));
+    incoming.push(std::mem::take(&mut blocks[me]));
     for step in 1..p {
         let dst = (me + step) % p;
         let src = (me + p - step) % p;
-        let (data, _) = mpi.try_sendrecv_comm(
-            comm,
-            encode_pairs(&buckets[dst]),
-            dst,
-            TAG_BUILD,
-            src,
-            TAG_BUILD,
-        )?;
+        let block = std::mem::take(&mut blocks[dst]);
+        let (data, _) = mpi.try_sendrecv_comm(comm, block, dst, TAG_BUILD, src, TAG_BUILD)?;
         incoming.push(data);
     }
-    drop(buckets);
 
-    let graph = LocalGraph::from_blocks(lo, hi, &incoming);
+    let graph = LocalGraph::from_blocks(owners, me, &incoming);
     mpi.compute_items(graph.adj.len() as u64, 6);
     Ok(graph)
 }
@@ -152,26 +146,25 @@ fn bfs_ft(
     g: &LocalGraph,
     root: u64,
 ) -> Result<Vec<u64>, MpiError> {
-    let n = cfg.num_vertices();
     let p = comm.size();
     let me = comm
         .comm_rank_of(mpi.rank())
         .expect("rank not in communicator");
     let mut parent = vec![NO_PARENT; g.local_n()];
     let mut frontier: Vec<u64> = Vec::new();
-    if owner(root, n, p) == me {
+    if g.owners.owner(root) == me {
         parent[(root - g.lo) as usize] = root;
         frontier.push(root);
     }
 
     loop {
         let mut next: Vec<u64> = Vec::new();
-        let mut out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+        let mut out: Vec<PairWire> = vec![Vec::new(); p];
         for &u in &frontier {
             let nbrs = g.neighbors(u);
             mpi.compute_items(nbrs.len() as u64, cfg.ns_per_edge);
             for &v in nbrs {
-                let o = owner(v, n, p);
+                let o = g.owners.owner(v);
                 if o == me {
                     let li = (v - g.lo) as usize;
                     if parent[li] == NO_PARENT {
@@ -179,7 +172,7 @@ fn bfs_ft(
                         next.push(v);
                     }
                 } else {
-                    out[o].push((v, u));
+                    put_pair(&mut out[o], v, u);
                 }
             }
         }
@@ -189,8 +182,8 @@ fn bfs_ft(
         for step in 1..p {
             let dst = (me + step) % p;
             let src = (me + p - step) % p;
-            let (data, _) =
-                mpi.try_sendrecv_comm(comm, encode_pairs(&out[dst]), dst, TAG_BFS, src, TAG_BFS)?;
+            let level = ship(std::mem::take(&mut out[dst]));
+            let (data, _) = mpi.try_sendrecv_comm(comm, level, dst, TAG_BFS, src, TAG_BFS)?;
             let pairs = decode_pairs(&data);
             mpi.compute_items(pairs.len() as u64, cfg.ns_per_edge);
             for (v, u) in pairs {

@@ -168,19 +168,58 @@ fn scramble(v: u64, seed: u64, scale: u32) -> u64 {
     x & mask
 }
 
-/// The vertex owner under block 1-D partitioning.
-#[inline]
-pub fn owner(v: u64, num_vertices: u64, ranks: usize) -> usize {
-    let per = num_vertices.div_ceil(ranks as u64);
-    (v / per) as usize
+/// Block 1-D partitioning of `n` ids over `parts` ranks: rank `r` owns
+/// the `r`-th block of `n.div_ceil(parts)` ids. Built once per job, so
+/// the owner of an id below 2^32 is a multiply-high, not a division.
+#[derive(Clone, Copy, Debug)]
+pub struct Partition {
+    n: u64,
+    parts: usize,
+    block: u64,
+    /// `(2^64 - 1) / block`: `(v + 1) * recip >> 64` falls short of
+    /// `(v + 1) / block` by at most `(v + 1) / 2^64`, too little to
+    /// cross below `v / block` while `v < 2^32`.
+    recip: u64,
 }
 
-/// Vertex range `[lo, hi)` owned by `rank`.
-pub fn owned_range(rank: usize, num_vertices: u64, ranks: usize) -> (u64, u64) {
-    let per = num_vertices.div_ceil(ranks as u64);
-    let lo = (rank as u64 * per).min(num_vertices);
-    let hi = ((rank as u64 + 1) * per).min(num_vertices);
-    (lo, hi)
+impl Partition {
+    /// The partition of `n` ids over `parts` ranks.
+    pub fn new(n: u64, parts: usize) -> Self {
+        let block = n.div_ceil(parts as u64).max(1);
+        Partition {
+            n,
+            parts,
+            block,
+            recip: u64::MAX / block,
+        }
+    }
+
+    /// Number of ranks.
+    pub fn parts(&self) -> usize {
+        self.parts
+    }
+
+    /// Ids per block (the last non-empty block may hold fewer).
+    pub fn block(&self) -> u64 {
+        self.block
+    }
+
+    /// The rank that owns vertex `v`.
+    #[inline]
+    pub fn owner(&self, v: u64) -> usize {
+        if v >> 32 == 0 {
+            (((v as u128 + 1) * self.recip as u128) >> 64) as usize
+        } else {
+            (v / self.block) as usize
+        }
+    }
+
+    /// Vertices `lo..hi` owned by `rank`.
+    pub fn range(&self, rank: usize) -> Range<u64> {
+        let lo = (rank as u64 * self.block).min(self.n);
+        let hi = ((rank as u64 + 1) * self.block).min(self.n);
+        lo..hi
+    }
 }
 
 /// Pick the `i`-th BFS root: a vertex with at least one edge (probed
@@ -415,19 +454,46 @@ mod tests {
         );
     }
 
+    /// `owner` against the division it replaces, and against `range`,
+    /// for every id of small partitions (`parts > n`, blocks that are no
+    /// power of two, the 12-rank golden's short tail) and for the ids
+    /// around every block edge and around the reciprocal's 2^32 limit of
+    /// large ones.
     #[test]
-    fn ownership_partitions_every_vertex_exactly_once() {
-        let n = 1000u64;
-        for ranks in [1usize, 3, 7, 16] {
-            let mut counts = vec![0u64; ranks];
-            for v in 0..n {
-                let o = owner(v, n, ranks);
-                assert!(o < ranks);
-                let (lo, hi) = owned_range(o, n, ranks);
-                assert!(v >= lo && v < hi);
-                counts[o] += 1;
+    fn partition_owner_is_the_block_division() {
+        let check = |part: &Partition, n: u64, parts: usize, v: u64| {
+            let per = n.div_ceil(parts as u64);
+            let o = part.owner(v);
+            assert_eq!(o as u64, v / per, "n {n}, parts {parts}, v {v}");
+            assert!(o < parts, "n {n}, parts {parts}, v {v}");
+            assert!(part.range(o).contains(&v), "n {n}, parts {parts}, v {v}");
+        };
+        for n in [1u64, 2, 5, 7, 64, 1000, 1 << 10, 1 << 12, 12_345] {
+            for parts in [1usize, 2, 3, 7, 12, 16, 63, 64, 100, 2000] {
+                let part = Partition::new(n, parts);
+                let mut owned = 0;
+                for r in 0..parts {
+                    owned += part.range(r).end - part.range(r).start;
+                }
+                assert_eq!(owned, n, "n {n}, parts {parts}: ranges tile 0..n");
+                for v in 0..n {
+                    check(&part, n, parts, v);
+                }
             }
-            assert_eq!(counts.iter().sum::<u64>(), n);
+        }
+        const LIMIT: u64 = 1 << 32;
+        for n in [LIMIT, LIMIT + 1, 3 * LIMIT + 7, 1 << 40, u64::MAX / 2] {
+            for parts in [1usize, 3, 12, 16, 1000, 4096, 65_537] {
+                let part = Partition::new(n, parts);
+                let per = n.div_ceil(parts as u64);
+                let mut probes = vec![0, 1, LIMIT - 2, LIMIT - 1, LIMIT, LIMIT + 1, n - 1];
+                for b in (1..parts as u64).step_by(parts / 64 + 1) {
+                    probes.extend([b * per - 1, b * per]);
+                }
+                for v in probes.into_iter().filter(|&v| v < n) {
+                    check(&part, n, parts, v);
+                }
+            }
         }
     }
 

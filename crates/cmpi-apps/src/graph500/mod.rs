@@ -58,6 +58,20 @@ impl Graph500Config {
     pub fn num_edges(&self) -> u64 {
         self.num_vertices() * self.edgefactor as u64
     }
+
+    /// Panic unless the kernels can run this configuration: the BFS
+    /// root search needs an edge between distinct vertices, and the
+    /// edge set's keys and the partition's reciprocal hold ids of at
+    /// most 32 bits.
+    pub fn assert_runnable(&self) {
+        let why = match (self.scale, self.edgefactor) {
+            (0, _) => "scale 0 has no edge between distinct vertices",
+            (33.., _) => "scale above 32 has vertex ids wider than 32 bits",
+            (_, 0) => "edgefactor 0 has no edges",
+            _ => return,
+        };
+        panic!("unrunnable Graph 500 config: {why}");
+    }
 }
 
 /// Benchmark outcome.
@@ -157,6 +171,57 @@ mod tests {
             num_roots: 2,
             ..Default::default()
         }
+    }
+
+    /// Each entry that runs a kernel — the plain and the fault-tolerant
+    /// rank body and rank 0's edge set — rejects `cfg` with the named
+    /// panic before it generates anything.
+    fn every_entry_rejects(cfg: Graph500Config, why: &str) {
+        let spec = JobSpec::new(DeploymentScenario::native(1, 2));
+        let entries: [(&str, &dyn Fn()); 3] = [
+            ("run_rank", &|| drop(run(&spec, cfg))),
+            ("run_rank_ft", &|| drop(run_ft(&spec, cfg))),
+            ("EdgeSet::generate", &|| {
+                drop(validate::EdgeSet::generate(&cfg))
+            }),
+        ];
+        for (entry, body) in entries {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).expect_err(entry);
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(
+                msg,
+                format!("unrunnable Graph 500 config: {why}"),
+                "{entry}"
+            );
+        }
+    }
+
+    #[test]
+    fn scale_zero_is_rejected_instead_of_searching_for_a_root_forever() {
+        let cfg = Graph500Config { scale: 0, ..tiny() };
+        every_entry_rejects(cfg, "scale 0 has no edge between distinct vertices");
+    }
+
+    #[test]
+    fn scales_above_32_are_rejected() {
+        let cfg = Graph500Config {
+            scale: 33,
+            ..tiny()
+        };
+        every_entry_rejects(cfg, "scale above 32 has vertex ids wider than 32 bits");
+    }
+
+    #[test]
+    fn edgefactor_zero_is_rejected_instead_of_dividing_by_zero() {
+        let cfg = Graph500Config {
+            edgefactor: 0,
+            ..tiny()
+        };
+        every_entry_rejects(cfg, "edgefactor 0 has no edges");
     }
 
     #[test]

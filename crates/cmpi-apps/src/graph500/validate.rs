@@ -11,6 +11,12 @@
 //! 4. connectivity: each edge's endpoints are either both visited or both
 //!    unvisited (BFS covers the root's whole component).
 //!
+//! The edge set holds one 8-byte key per distinct edge, `min << 32 |
+//! max`, so key order is `(min, max)` order: half the bytes of the
+//! `(min, max)` tuples it replaced, sorted by `sort_unstable` (an LSD
+//! radix sort, which needs a second buffer of fresh pages, measured
+//! slower).
+//!
 //! This is a test-scale verifier (it centralizes the tree); the figure
 //! harness disables it for its largest runs.
 
@@ -23,37 +29,44 @@ use super::{bfs::LocalGraph, Graph500Config};
 /// Padding marker for the gather of unequal local slices.
 const PAD: u64 = u64::MAX - 1;
 
-/// The graph's undirected edge set, normalised to `(min, max)`, sorted
-/// and deduplicated. Regenerating the Kronecker list is the expensive
-/// part of validation and does not depend on the root, so rank 0 builds
-/// it once and checks every root's tree against it.
+/// The graph's undirected edge set as sorted, deduplicated keys
+/// `min << 32 | max` (vertex ids fit 32 bits up to scale 32).
+/// Regenerating the Kronecker list is the expensive part of validation
+/// and does not depend on the root, so rank 0 builds it once and checks
+/// every root's tree against it.
 pub struct EdgeSet {
-    edges: Vec<(u64, u64)>,
+    keys: Vec<u64>,
+}
+
+/// The key of edge `{u, v}`.
+fn key(u: u64, v: u64) -> u64 {
+    u.min(v) << 32 | u.max(v)
 }
 
 impl EdgeSet {
     /// Regenerate the edge list of `cfg`'s graph (self-loops dropped).
     pub fn generate(cfg: &Graph500Config) -> Self {
-        // Reserved whole: grown by doubling, the list's last 4 MiB step
-        // (scale 14) fits in place or moves to fresh pages depending on
-        // where the job's small blocks happen to sit, so dropping one
-        // unrelated 640 B block per rank once moved the 16-rank job's
-        // peak RSS by 2.9 MiB.
-        let mut edges = Vec::with_capacity(cfg.num_edges() as usize);
+        cfg.assert_runnable();
+        // Reserved whole: grown by doubling, the list's last step fits
+        // in place or moves to fresh pages depending on where the job's
+        // small blocks happen to sit, so dropping one unrelated 640 B
+        // block per rank once moved the 16-rank job's peak RSS by
+        // 2.9 MiB.
+        let mut keys = Vec::with_capacity(cfg.num_edges() as usize);
         for_each_edge(cfg.seed, cfg.scale, 0..cfg.num_edges(), |_, (u, v)| {
             if u != v {
-                edges.push((u.min(v), u.max(v)));
+                keys.push(key(u, v));
             }
         });
-        edges.sort_unstable();
-        edges.dedup();
+        keys.sort_unstable();
+        keys.dedup();
         // Kept for the whole job: give back what the duplicates held.
-        edges.shrink_to_fit();
-        EdgeSet { edges }
+        keys.shrink_to_fit();
+        EdgeSet { keys }
     }
 
     fn contains(&self, u: u64, v: u64) -> bool {
-        self.edges.binary_search(&(u.min(v), u.max(v))).is_ok()
+        self.keys.binary_search(&key(u, v)).is_ok()
     }
 }
 
@@ -68,8 +81,7 @@ pub fn validate(
     root: u64,
     parent: &[u64],
 ) -> bool {
-    let n = cfg.num_vertices();
-    let per = n.div_ceil(mpi.size() as u64) as usize;
+    let per = g.owners.block() as usize;
     let mut padded = Vec::with_capacity(per);
     padded.extend_from_slice(parent);
     padded.resize(per, PAD);
@@ -145,7 +157,8 @@ pub fn check_tree_against(
         }
     }
     // Rule 4: component coverage.
-    for &(u, v) in &edges.edges {
+    for &k in &edges.keys {
+        let (u, v) = (k >> 32, k & u32::MAX as u64);
         let uv = parent[u as usize] != NO_PARENT;
         let vv = parent[v as usize] != NO_PARENT;
         if uv != vv {
@@ -158,8 +171,8 @@ pub fn check_tree_against(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph500::generator::edge;
-    use std::collections::HashSet;
+    use crate::graph500::generator::{bfs_root, edge};
+    use proptest::prelude::*;
 
     fn tiny_cfg() -> Graph500Config {
         Graph500Config {
@@ -167,6 +180,89 @@ mod tests {
             edgefactor: 8,
             ..Default::default()
         }
+    }
+
+    /// The edge set the packed keys replaced: `(min, max)` tuples, 16 B
+    /// per edge, sorted and deduplicated.
+    struct PairEdgeSet {
+        edges: Vec<(u64, u64)>,
+    }
+
+    impl PairEdgeSet {
+        fn generate(cfg: &Graph500Config) -> Self {
+            let mut edges = Vec::new();
+            for_each_edge(cfg.seed, cfg.scale, 0..cfg.num_edges(), |_, (u, v)| {
+                if u != v {
+                    edges.push((u.min(v), u.max(v)));
+                }
+            });
+            edges.sort_unstable();
+            edges.dedup();
+            PairEdgeSet { edges }
+        }
+
+        fn contains(&self, u: u64, v: u64) -> bool {
+            self.edges.binary_search(&(u.min(v), u.max(v))).is_ok()
+        }
+    }
+
+    /// `check_tree_against` as it read over the tuple set.
+    fn check_tree_reference(
+        cfg: &Graph500Config,
+        edges: &PairEdgeSet,
+        root: u64,
+        parent: &[u64],
+    ) -> bool {
+        let n = cfg.num_vertices() as usize;
+        if parent.len() != n {
+            return false;
+        }
+        let ri = root as usize;
+        if parent[ri] != root {
+            return false;
+        }
+        for (v, &p) in parent.iter().enumerate() {
+            if p == NO_PARENT || v == ri {
+                continue;
+            }
+            if p as usize >= n || parent[p as usize] == NO_PARENT {
+                return false;
+            }
+            if !edges.contains(v as u64, p) {
+                return false;
+            }
+        }
+        let mut state = vec![0u8; n];
+        state[ri] = 2;
+        let mut path = Vec::new();
+        for v in 0..n {
+            if parent[v] == NO_PARENT {
+                continue;
+            }
+            let mut cur = v;
+            while state[cur] == 0 {
+                state[cur] = 1;
+                path.push(cur);
+                cur = parent[cur] as usize;
+                if state[cur] == 1 {
+                    return false;
+                }
+            }
+            if state[cur] != 2 {
+                return false;
+            }
+            for x in path.drain(..) {
+                state[x] = 2;
+            }
+        }
+        for &(u, v) in &edges.edges {
+            let uv = parent[u as usize] != NO_PARENT;
+            let vv = parent[v as usize] != NO_PARENT;
+            if uv != vv {
+                return false;
+            }
+        }
+        true
     }
 
     /// Sequential reference BFS over the regenerated edge list.
@@ -194,10 +290,48 @@ mod tests {
         parent
     }
 
+    /// Broken variants of the good tree `good` for `root`, each breaking
+    /// one rule: the root's parent, a fabricated tree edge (when some
+    /// visited pair is no edge), a 2-cycle (when two non-root vertices
+    /// are visited) and the length.
+    fn corruptions(edges: &PairEdgeSet, root: u64, good: &[u64]) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        let visited = |v: usize| v as u64 != root && good[v] != NO_PARENT;
+
+        let mut bad = good.to_vec();
+        bad[root as usize] = NO_PARENT;
+        out.push(bad);
+
+        let fake = (0..good.len()).filter(|&v| visited(v)).find_map(|victim| {
+            (0..good.len() as u64)
+                .find(|&cand| {
+                    cand != victim as u64
+                        && good[cand as usize] != NO_PARENT
+                        && !edges.contains(victim as u64, cand)
+                })
+                .map(|cand| (victim, cand))
+        });
+        if let Some((victim, cand)) = fake {
+            let mut bad = good.to_vec();
+            bad[victim] = cand;
+            out.push(bad);
+        }
+
+        let mut pair = (0..good.len()).filter(|&v| visited(v));
+        if let (Some(a), Some(b)) = (pair.next(), pair.next()) {
+            let mut bad = good.to_vec();
+            (bad[a], bad[b]) = (b as u64, a as u64);
+            out.push(bad);
+        }
+
+        out.push(good[..good.len() - 1].to_vec());
+        out
+    }
+
     #[test]
     fn reference_tree_validates() {
         let cfg = tiny_cfg();
-        let root = super::super::generator::bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, 0);
+        let root = bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, 0);
         let parent = reference_parents(&cfg, root);
         assert!(check_tree(&cfg, root, &parent));
     }
@@ -206,9 +340,9 @@ mod tests {
     fn one_edge_set_serves_every_root() {
         let cfg = tiny_cfg();
         let edges = EdgeSet::generate(&cfg);
-        assert!(edges.edges.windows(2).all(|w| w[0] < w[1]));
+        assert!(edges.keys.windows(2).all(|w| w[0] < w[1]));
         for i in 0..4 {
-            let root = super::super::generator::bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, i);
+            let root = bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, i);
             let mut parent = reference_parents(&cfg, root);
             assert!(check_tree_against(&cfg, &edges, root, &parent));
             // Another root's tree is not this root's tree.
@@ -220,53 +354,56 @@ mod tests {
     #[test]
     fn corrupted_trees_are_rejected() {
         let cfg = tiny_cfg();
-        let root = super::super::generator::bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, 0);
+        let root = bfs_root(cfg.seed, cfg.scale, cfg.edgefactor, 0);
         let good = reference_parents(&cfg, root);
+        let bad = corruptions(&PairEdgeSet::generate(&cfg), root, &good);
+        assert!(bad.len() >= 3, "only {} corruptions apply", bad.len());
+        for bad in bad {
+            assert!(!check_tree(&cfg, root, &bad));
+        }
+    }
 
-        // Wrong root parent.
-        let mut bad = good.clone();
-        bad[root as usize] = NO_PARENT;
-        assert!(!check_tree(&cfg, root, &bad));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // A fabricated edge: point some visited vertex at a non-neighbor.
-        let mut bad = good.clone();
-        let victim = (0..bad.len())
-            .find(|&v| v as u64 != root && bad[v] != NO_PARENT && bad[v] != (v as u64 + 1) % 7)
-            .unwrap();
-        // Parent it to a vertex at distance "random"; ensure no real edge.
-        let mut fake = None;
-        for cand in 0..bad.len() as u64 {
-            if cand != victim as u64 && bad[cand as usize] != NO_PARENT {
-                let cfg2 = tiny_cfg();
-                let mut edges = HashSet::new();
-                for idx in 0..cfg2.num_edges() {
-                    let (u, v) = edge(cfg2.seed, cfg2.scale, idx);
-                    edges.insert((u.min(v), u.max(v)));
-                }
-                let key = ((victim as u64).min(cand), (victim as u64).max(cand));
-                if !edges.contains(&key) {
-                    fake = Some(cand);
-                    break;
+        /// The packed set against the tuple set on the same graph: the
+        /// same membership on every probed pair, the same verdict on
+        /// reference trees and on every corruption of them.
+        #[test]
+        fn packed_edge_set_agrees_with_the_pair_reference(
+            scale in 4u32..=10,
+            edgefactor in 1u32..=16,
+            seed in any::<u64>(),
+            probes in proptest::collection::vec((any::<u64>(), any::<u64>()), 64),
+        ) {
+            let cfg = Graph500Config { scale, edgefactor, seed, ..Default::default() };
+            let packed = EdgeSet::generate(&cfg);
+            let pairs = PairEdgeSet::generate(&cfg);
+            prop_assert!(packed.keys.iter().copied().eq(pairs.edges.iter().map(|&(u, v)| key(u, v))));
+            let n = cfg.num_vertices();
+            let mut touched: Vec<u64> = pairs.edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            touched.truncate(48);
+            let near = touched.iter().flat_map(|&u| touched.iter().map(move |&v| (u, v)));
+            let far = probes.iter().map(|&(u, v)| (u % n, v % n));
+            for (u, v) in near.chain(far) {
+                prop_assert_eq!(packed.contains(u, v), pairs.contains(u, v), "({}, {})", u, v);
+            }
+            // A graph of self-loops only has no BFS root to search from.
+            let roots = if pairs.edges.is_empty() { 0 } else { 2 };
+            for i in 0..roots {
+                let root = bfs_root(seed, scale, edgefactor, i);
+                let good = reference_parents(&cfg, root);
+                prop_assert!(check_tree_against(&cfg, &packed, root, &good));
+                prop_assert!(check_tree_reference(&cfg, &pairs, root, &good));
+                for bad in corruptions(&pairs, root, &good) {
+                    prop_assert_eq!(
+                        check_tree_against(&cfg, &packed, root, &bad),
+                        check_tree_reference(&cfg, &pairs, root, &bad)
+                    );
                 }
             }
         }
-        if let Some(f) = fake {
-            bad[victim] = f;
-            assert!(!check_tree(&cfg, root, &bad));
-        }
-
-        // A 2-cycle between visited vertices.
-        let mut bad = good.clone();
-        let a = (0..bad.len())
-            .find(|&v| v as u64 != root && bad[v] != NO_PARENT)
-            .unwrap();
-        let p = bad[a] as usize;
-        if p != root as usize {
-            bad[p] = a as u64;
-            assert!(!check_tree(&cfg, root, &bad));
-        }
-
-        // Wrong length.
-        assert!(!check_tree(&cfg, root, &good[..good.len() - 1]));
     }
 }

@@ -9,7 +9,7 @@
 //! `graph500_s14` one (`fig1(4)`: 16 ranks in 4 co-resident containers)
 //! at scale 10 and 12, and 12 ranks in 4 containers, where neither the
 //! vertex nor the edge count divides by the rank count (uneven
-//! `owned_range`, padded validation gather), each under the container
+//! `Partition` tail, padded validation gather), each under the container
 //! detector and under hostname routing.
 //!
 //! The constants were recorded at the commit *before* the application's
