@@ -154,7 +154,7 @@ pub struct CollectiveSelector {
 
 impl CollectiveSelector {
     /// Build a selector from the active policy, tunables and the group
-    /// partition the policy induces (see `Mpi::policy_groups`).
+    /// partition the policy induces (see `Mpi::comm_groups`).
     pub fn new(
         policy: LocalityPolicy,
         tunables: Tunables,

@@ -1,7 +1,7 @@
 //! Collective operations over the point-to-point engine.
 //!
 //! Algorithms follow the MVAPICH2/MPICH defaults the paper runs on:
-//! dissemination barrier, binomial broadcast/reduce/gather/scatter,
+//! dissemination barrier, binomial broadcast/reduce/gather,
 //! recursive-doubling allreduce, ring allgather and pairwise alltoall.
 //! Because every collective decomposes into pt2pt transfers, the
 //! locality-aware channel selection benefits collectives exactly the way
@@ -23,9 +23,9 @@
 //! rank's position among them, context, and the members' topology where
 //! one is attached — and knows nothing else about where it runs. The
 //! world is the scope its entries build; a communicator is the scope its
-//! `Comm` describes. Each kind with communicator entries has one body,
-//! `X_in(ft, scope, …)`, shared by its world entry, `X_comm` and
-//! `try_X_comm`.
+//! `Comm` describes. Barrier and allreduce, the two kinds with a
+//! communicator entry, have one body, `X_in(ft, scope, …)`, shared by
+//! the world's `X` and `try_X_comm`.
 //!
 //! Every algorithm returns `Result`: what a failure means is decided
 //! once, by the entry (the plain API panics in [`plain`], the `try_` API
@@ -44,7 +44,7 @@ use crate::datatype::{
 };
 use crate::error::MpiError;
 use crate::fasthash::FastMap;
-use crate::frame::{frames_ok, FrameWriter, FRAME_HEADER};
+use crate::frame::{frames_ok, FrameWriter};
 use crate::locality::LocalityPolicy;
 use crate::runtime::{JobState, Mpi};
 use crate::stats::CallClass;
@@ -61,7 +61,6 @@ pub(crate) mod op {
     pub const REDUCE: u32 = 3;
     pub const ALLREDUCE: u32 = 4;
     pub const GATHER: u32 = 5;
-    pub const SCATTER: u32 = 6;
     pub const ALLGATHER: u32 = 7;
     pub const ALLTOALL: u32 = 8;
     pub const ALLTOALLV: u32 = 9;
@@ -93,16 +92,8 @@ pub(crate) mod op {
     pub const SMP_A2A1: u32 = 33;
     pub const SMP_A2A2: u32 = 34;
     pub const SMP_A2A3: u32 = 35;
-    pub const SCAN: u32 = 40;
-    pub const EXSCAN: u32 = 41;
-    pub const REDUCE_SCATTER: u32 = 42;
-    pub const GATHERV: u32 = 44;
-    pub const ALLGATHERV: u32 = 45;
     pub const RABENSEIFNER: u32 = 48;
     pub const SCATTER_ALLGATHER: u32 = 50;
-    // `comm_split`'s context agreement and membership exchange.
-    pub const COMM_SPLIT: u32 = 52;
-    pub const COMM_SPLIT_GATHER: u32 = 53;
     /// One past the table: id spaces outside it (the agreement tags of
     /// `ft.rs`) start at or above this.
     pub const END: u32 = 64;
@@ -284,7 +275,7 @@ impl Scope {
     }
 
     /// A root outside the scope is a usage error, like a buffer of the
-    /// wrong length: it panics on every entry, `try_` included.
+    /// wrong length: it panics.
     pub(crate) fn check_root(&self, what: &str, root: usize) {
         let n = self.len();
         assert!(root < n, "{what}: root {root} out of range for {n} members");
@@ -639,7 +630,8 @@ impl Mpi {
         plain("barrier", self.barrier_in(false, &self.world_scope()))
     }
 
-    /// The barrier body of the world and communicator entries.
+    /// The barrier body of the world and communicator entries; `ft`
+    /// picks the bracket's entry ([`Mpi::try_collective`]).
     pub(crate) fn barrier_in(&mut self, ft: bool, scope: &Scope) -> Result<(), MpiError> {
         let call = Call::Selected(CollKind::Barrier, 0);
         self.try_collective(ft, scope, call, |mpi, algo| match algo {
@@ -651,26 +643,15 @@ impl Mpi {
     /// Broadcast `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
         let world = self.world_scope();
-        plain("bcast", self.bcast_in(false, &world, buf, root))
-    }
-
-    /// The broadcast body of the world and communicator entries; `root`
-    /// is a position in `scope`.
-    pub(crate) fn bcast_in<T: MpiData>(
-        &mut self,
-        ft: bool,
-        scope: &Scope,
-        buf: &mut [T],
-        root: usize,
-    ) -> Result<(), MpiError> {
-        scope.check_root("bcast", root);
+        world.check_root("bcast", root);
         let call = Call::Selected(CollKind::Bcast, std::mem::size_of_val(buf));
-        self.try_collective(ft, scope, call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.bcast_two_level(scope, buf, root),
-            CollAlgo::Large => mpi.bcast_scatter_allgather(scope, buf, root),
+        self.collective(&world, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.bcast_two_level(&world, buf, root),
+            CollAlgo::Large => mpi.bcast_scatter_allgather(&world, buf, root),
             CollAlgo::Flat => {
-                let at_root = scope.me == root;
-                let out = mpi.bcast_list(at_root.then(|| to_bytes(buf)), scope, root, op::BCAST)?;
+                let at_root = world.me == root;
+                let out =
+                    mpi.bcast_list(at_root.then(|| to_bytes(buf)), &world, root, op::BCAST)?;
                 if !at_root {
                     from_bytes(&out, buf);
                 }
@@ -688,26 +669,13 @@ impl Mpi {
         root: usize,
     ) -> Option<Vec<T>> {
         let world = self.world_scope();
-        plain("reduce", self.reduce_in(false, &world, data, rop, root))
-    }
-
-    /// The reduce body of the world and communicator entries; `root` is a
-    /// position in `scope`.
-    pub(crate) fn reduce_in<T: Reducible>(
-        &mut self,
-        ft: bool,
-        scope: &Scope,
-        data: &[T],
-        rop: ReduceOp,
-        root: usize,
-    ) -> Result<Option<Vec<T>>, MpiError> {
-        scope.check_root("reduce", root);
+        world.check_root("reduce", root);
         let call = Call::Selected(CollKind::Reduce, std::mem::size_of_val(data));
-        let acc = self.try_collective(ft, scope, call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.reduce_two_level(scope, data, rop, root),
-            _ => mpi.reduce_list(data, rop, scope, root, op::REDUCE),
-        })?;
-        Ok((scope.me == root).then_some(acc))
+        let acc = self.collective(&world, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.reduce_two_level(&world, data, rop, root),
+            _ => mpi.reduce_list(data, rop, &world, root, op::REDUCE),
+        });
+        (world.me == root).then_some(acc)
     }
 
     /// Elementwise reduction visible on every rank (`MPI_Allreduce`).
@@ -766,106 +734,14 @@ impl Mpi {
         Ok(all)
     }
 
-    /// Scatter equal-size blocks from `root` (`MPI_Scatter`). `data` is
-    /// required at the root (length `n * block`), ignored elsewhere;
-    /// returns this rank's block.
-    pub fn scatter<T: MpiData>(&mut self, data: Option<&[T]>, block: usize, root: usize) -> Vec<T> {
-        let world = self.world_scope();
-        world.check_root("scatter", root);
-        self.collective(&world, Call::Fixed("scatter"), |mpi, _| {
-            mpi.scatter_binomial(&world, data, block, root)
-        })
-    }
-
-    /// Binomial scatter from position `root`.
-    fn scatter_binomial<T: MpiData>(
-        &mut self,
-        scope: &Scope,
-        data: Option<&[T]>,
-        block: usize,
-        root: usize,
-    ) -> Result<Vec<T>, MpiError> {
-        let n = scope.len();
-        let relative = (scope.me + n - root) % n;
-        // Every block travels as one frame keyed by its *relative*
-        // position, and a subtree's frames are consecutive: `held` starts
-        // at the frame of position `first`, and each child is sent the
-        // slice that covers its own subtree.
-        let frame = FRAME_HEADER + block * T::SIZE;
-        let (out, held, first, mut span) = if scope.me == root {
-            let data = data.expect("scatter root must supply data");
-            assert_eq!(
-                data.len(),
-                block * n,
-                "scatter data must be n * block elements"
-            );
-            // The root encodes once; its own block never leaves `data`.
-            let mut w = FrameWriter::with_capacity(n - 1, (n - 1) * block * T::SIZE);
-            for rel in 1..n {
-                let abs = (rel + root) % n;
-                w.put(rel, &data[abs * block..(abs + 1) * block]);
-            }
-            let out = data[root * block..(root + 1) * block].to_vec();
-            // The root's span is the whole tree.
-            (out, w.finish(), 1, n.next_power_of_two())
-        } else {
-            // The parent clears my lowest set bit, which also bounds my
-            // subtree: it sends the frames of relative..relative + span.
-            let mut span = 1usize;
-            while relative & span == 0 {
-                span <<= 1;
-            }
-            let parent = scope.rank(((relative ^ span) + root) % n);
-            let held = self.try_coll_recv(parent, tag(op::SCATTER, 0), scope.ctx)?;
-            let covered = span.min(n - relative);
-            assert_eq!(
-                held.len(),
-                covered * frame,
-                "scatter subtree bundle must hold {covered} frames of {frame} bytes"
-            );
-            let (rel, mine) = frames_ok(&held, "scatter subtree bundle")
-                .next()
-                .expect("scatter block never arrived");
-            assert_eq!(
-                rel, relative,
-                "scatter subtree bundle starts at the wrong block"
-            );
-            (vec_from_bytes(mine, block), held, relative, span)
-        };
-        // Forward children's subtrees: the child at relative + m covers
-        // [relative + m, relative + 2m).
-        span >>= 1;
-        while span > 0 {
-            if relative + span < n {
-                let lo = relative + span;
-                let hi = (relative + 2 * span).min(n);
-                let part = held.slice((lo - first) * frame..(hi - first) * frame);
-                let dst = scope.rank((lo + root) % n);
-                self.try_coll_send(part, dst, tag(op::SCATTER, 0), scope.ctx)?;
-            }
-            span >>= 1;
-        }
-        Ok(out)
-    }
-
     /// All-to-all gather of equal contributions (`MPI_Allgather`). Returns
     /// the rank-ordered concatenation.
     pub fn allgather<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
         let world = self.world_scope();
-        plain("allgather", self.allgather_in(false, &world, data))
-    }
-
-    /// The allgather body of the world and communicator entries.
-    pub(crate) fn allgather_in<T: MpiData>(
-        &mut self,
-        ft: bool,
-        scope: &Scope,
-        data: &[T],
-    ) -> Result<Vec<T>, MpiError> {
         let call = Call::Selected(CollKind::Allgather, std::mem::size_of_val(data));
-        self.try_collective(ft, scope, call, |mpi, algo| match algo {
-            CollAlgo::TwoLevel => mpi.allgather_two_level(scope, data),
-            _ => mpi.allgather_list(data, scope, op::ALLGATHER),
+        self.collective(&world, call, |mpi, algo| match algo {
+            CollAlgo::TwoLevel => mpi.allgather_two_level(&world, data),
+            _ => mpi.allgather_list(data, &world, op::ALLGATHER),
         })
     }
 
@@ -947,13 +823,6 @@ impl Mpi {
     //
     // Each phase runs a list algorithm over this rank's group or over the
     // group leaders, both scopes of their own (`Scope::group` / `leaders`).
-
-    /// The locality groups the active policy induces (each group sorted,
-    /// groups ordered by smallest member). All ranks compute the same
-    /// partition.
-    pub fn policy_groups(&self) -> Vec<Vec<usize>> {
-        self.world_scope().topo().groups()
-    }
 
     /// Two-level broadcast: root → its group's leader → inter-leader
     /// binomial tree → host-local binomial trees.
@@ -1335,23 +1204,27 @@ mod tests {
     /// Every two-level body, and the two large-message ones, on a scope
     /// that is not the world: each parity half of 2 hosts × 2 containers
     /// × 2 ranks in reverse rank order, so positions and world ranks
-    /// disagree, with the world's topology restricted to it (two groups
-    /// of two; position 0 leads no group, so rooted bodies shuttle). Each
-    /// must return what the flat body returns on the same scope.
+    /// disagree, on a context of its own with the world's topology
+    /// restricted to it (two groups of two; position 0 leads no group, so
+    /// rooted bodies shuttle). Each must return what the flat body
+    /// returns on the same scope.
     #[test]
     fn scope_bodies_match_flat_on_a_split_communicator() {
         let scenario = DeploymentScenario::containers(2, 2, 2, NamespaceSharing::default());
         JobSpec::new(scenario).run(|mpi| {
             let (n, r) = (mpi.size(), mpi.rank());
-            let world = mpi.comm_world();
-            let comm = mpi.comm_split(&world, (r % 2) as u64, (n - r) as u64);
-            let topo = mpi.world_topo().restricted(comm.ranks());
+            let half: Vec<usize> = (0..n).rev().filter(|s| s % 2 == r % 2).collect();
+            let me = half.iter().position(|&s| s == r).unwrap();
+            let topo = mpi.world_topo().restricted(&half);
             assert!(topo.selector().hierarchical(), "{:?}", topo.groups());
-            let flat = comm.scope();
-            let staged = Scope {
-                topo: Some(Arc::new(topo)),
-                ..comm.scope()
+            let ranks = Arc::new(half);
+            let scope = |topo| Scope {
+                ranks: Arc::clone(&ranks),
+                me,
+                ctx: 16,
+                topo,
             };
+            let (flat, staged) = (scope(None), scope(Some(Arc::new(topo))));
             let (m, me, root) = (flat.len(), flat.me, 0);
             let mine = [r as u64 * 10 + 1, r as u64 * 10 + 2, r as u64 * 10 + 3];
             let slabs: Vec<u64> = (0..m * 3).map(|i| (r * 100 + i) as u64).collect();
@@ -1392,11 +1265,8 @@ mod tests {
             let two = mpi.allgather_two_level(&staged, &mine).unwrap();
             let one = mpi.allgather_list(&mine, &flat, op::ALLGATHER).unwrap();
             assert_eq!(two, one);
-            let in_comm_order = comm
-                .ranks()
-                .iter()
-                .flat_map(|&s| (1..=3).map(move |i| s * 10 + i));
-            assert!(two.iter().map(|&v| v as usize).eq(in_comm_order));
+            let in_scope_order = ranks.iter().flat_map(|&s| (1..=3).map(move |i| s * 10 + i));
+            assert!(two.iter().map(|&v| v as usize).eq(in_scope_order));
 
             let two = mpi.alltoall_two_level(&staged, &slabs, 3).unwrap();
             let one = mpi.alltoall_pairwise(&flat, &slabs, 3).unwrap();

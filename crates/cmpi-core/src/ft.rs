@@ -1,8 +1,7 @@
 //! ULFM-style recovery: [`Mpi::revoke`], [`Mpi::try_shrink`] and the
 //! fault-tolerant communicator point-to-point exchange. (The `try_X_comm`
-//! collectives sit beside their plain twins in [`crate::comm`]: both run
-//! the kind's one `X_in` body over the communicator's scope, entering the
-//! bracket two ways.)
+//! collectives sit in [`crate::comm`]: each runs the body of its world
+//! entry over the communicator's scope.)
 //!
 //! The recovery protocol mirrors User-Level Failure Mitigation as
 //! MVAPICH2/Open MPI implement it:
@@ -234,7 +233,7 @@ impl Mpi {
         let topo = self.world_topo().restricted(&survivors);
         let entry = CommEntry {
             members: Arc::clone(&survivors),
-            topo: Some(Arc::new(topo)),
+            topo: Arc::new(topo),
         };
         self.comms.insert(d.new_ctx, entry);
         let detail = Detail {
@@ -249,17 +248,15 @@ impl Mpi {
 
     /// The locality groups of `comm`'s members: re-derived over the
     /// survivors for a shrink-produced communicator, the policy groups for
-    /// the world, `None` for a split-produced one (nothing derives them).
+    /// the world, `None` for a context this rank never registered.
     pub fn comm_groups(&self, comm: &Comm) -> Option<Vec<Vec<usize>>> {
-        let topo = self.comms.get(&comm.ctx())?.topo.as_ref()?;
-        Some(topo.groups())
+        Some(self.comms.get(&comm.ctx())?.topo.groups())
     }
 
     /// Whether the collective selector sized to `comm`'s groups would
     /// schedule hierarchically (`None` where [`Mpi::comm_groups`] is).
     pub fn comm_hierarchical(&self, comm: &Comm) -> Option<bool> {
-        let topo = self.comms.get(&comm.ctx())?.topo.as_ref()?;
-        Some(topo.selector().hierarchical())
+        Some(self.comms.get(&comm.ctx())?.topo.selector().hierarchical())
     }
 
     // ---- abortable agreement steps ------------------------------------------

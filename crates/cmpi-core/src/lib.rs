@@ -51,7 +51,6 @@
 pub mod channel;
 pub mod coll_select;
 pub mod collectives;
-pub mod collectives_ext;
 pub mod collectives_large;
 pub mod comm;
 pub mod datatype;

@@ -10,7 +10,7 @@
 
 use cmpi_cluster::{Channel, Cluster, ContainerId, FaultPlan, Placement};
 use cmpi_shmem::locality_list::{AttachOutcome, PublishError, JOB_GENERATION};
-use cmpi_shmem::visibility::{effective_visibility, visibility};
+use cmpi_shmem::visibility::effective_visibility;
 use cmpi_shmem::{ContainerList, ShmRegistry, Visibility};
 use std::sync::Arc;
 
@@ -170,6 +170,9 @@ impl LocalityMap {
         for r in 0..n {
             by_host[(host_start[host[r] as usize] + host_rank_idx[r]) as usize] = r as u32;
         }
+        // The placement's own visibility: the same relation under no
+        // revocations.
+        let placed = FaultPlan::none();
         let mut pair = Vec::with_capacity(n_conts * n_conts);
         for a in &cluster.containers {
             for b in &cluster.containers {
@@ -187,7 +190,7 @@ impl LocalityMap {
                 );
                 pair.push(PairVis {
                     vis: effective_visibility(cluster, plan, a.id, b.id),
-                    placed_shm: visibility(cluster, a.id, b.id).shm,
+                    placed_shm: effective_visibility(cluster, &placed, a.id, b.id).shm,
                     hostname_eq,
                 });
             }
@@ -507,7 +510,8 @@ impl LocalityView {
         self.downgraded_peers().count() as u64
     }
 
-    /// The downgrades as reportable [`MpiError`] diagnostics.
+    /// The downgrades as reportable [`MpiError`](crate::error::MpiError)
+    /// diagnostics.
     pub fn degradation_errors(&self) -> Vec<crate::error::MpiError> {
         use crate::error::MpiError;
         self.downgraded_peers()
@@ -646,7 +650,13 @@ mod tests {
                 let p_cont = cluster.container(placement.loc(peer).container);
                 let pair = PairVis {
                     vis: effective_visibility(cluster, plan, my_cont.id, p_cont.id),
-                    placed_shm: visibility(cluster, my_cont.id, p_cont.id).shm,
+                    placed_shm: effective_visibility(
+                        cluster,
+                        &FaultPlan::none(),
+                        my_cont.id,
+                        p_cont.id,
+                    )
+                    .shm,
                     hostname_eq: my_cont.hostname == p_cont.hostname,
                 };
                 let (considered_local, downgraded) = match policy {

@@ -332,13 +332,6 @@ impl RankCell {
         }
     }
 
-    /// Single-packet pop; production drains go through `pop_batch`, this
-    /// remains for tests exercising the queue one step at a time.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pop(&self) -> Option<Packet> {
-        self.q.pop()
-    }
-
     /// Batched consumer drain; see [`MpscQueue::pop_batch`].
     pub(crate) fn pop_batch(&self, out: &mut Vec<Packet>, max: usize) -> usize {
         self.q.pop_batch(out, max)
@@ -422,6 +415,13 @@ mod tests {
         }
     }
 
+    /// One step of the consumer: a batched drain of at most one packet.
+    fn pop(cell: &RankCell) -> Option<Packet> {
+        let mut out = Vec::with_capacity(1);
+        cell.pop_batch(&mut out, 1);
+        out.pop()
+    }
+
     /// Run `consumer` on the calling thread as the rank that owns `cell`
     /// (OS-thread backend of the execution engine), so its
     /// `sleep_if_idle` parks this thread and producers' pokes unpark it.
@@ -436,9 +436,9 @@ mod tests {
             cell.push(pkt(0, i));
         }
         for i in 0..100 {
-            assert_eq!(seq_of(&cell.pop().expect("packet")), i);
+            assert_eq!(seq_of(&pop(&cell).expect("packet")), i);
         }
-        assert!(cell.pop().is_none());
+        assert!(pop(&cell).is_none());
     }
 
     #[test]
@@ -461,7 +461,7 @@ mod tests {
                     let mut next = [0u64; PRODUCERS];
                     let mut got = 0u64;
                     while got < PRODUCERS as u64 * PER_PRODUCER {
-                        match cell.pop() {
+                        match pop(&cell) {
                             Some(p) => {
                                 let seq = seq_of(&p);
                                 assert_eq!(seq, next[p.src], "per-sender FIFO violated");
@@ -471,7 +471,7 @@ mod tests {
                             None => cell.sleep_if_idle(),
                         }
                     }
-                    assert!(cell.pop().is_none());
+                    assert!(pop(&cell).is_none());
                 })
             });
         });
@@ -508,7 +508,7 @@ mod tests {
                     as_owner(&cell, || {
                         let mut got = 0;
                         while got < PRODUCERS {
-                            match cell.pop() {
+                            match pop(&cell) {
                                 Some(_) => got += 1,
                                 None => cell.sleep_if_idle(),
                             }
@@ -583,6 +583,13 @@ mod model_tests {
         }
     }
 
+    /// One step of the consumer: a batched drain of at most one packet.
+    fn pop(cell: &RankCell) -> Option<Packet> {
+        let mut out = Vec::with_capacity(1);
+        cell.pop_batch(&mut out, 1);
+        out.pop()
+    }
+
     /// Run `consumer` on the calling model thread as the rank that owns
     /// `cell`, on the execution engine's OS-thread backend: its
     /// `sleep_if_idle` goes through the production handoff and parks on
@@ -609,7 +616,7 @@ mod model_tests {
             let mut next = [0u64; 2];
             let mut got = 0;
             while got < 3 {
-                match cell.pop() {
+                match pop(&cell) {
                     Some(p) => {
                         assert_eq!(seq_of(&p), next[p.src], "per-sender FIFO violated");
                         next[p.src] += 1;
@@ -620,7 +627,7 @@ mod model_tests {
             }
             p0.join();
             p1.join();
-            assert!(cell.pop().is_none(), "phantom packet");
+            assert!(pop(&cell).is_none(), "phantom packet");
         });
     }
 
@@ -640,7 +647,7 @@ mod model_tests {
             as_owner(&cell, || {
                 let mut got = 0;
                 while got < 1 {
-                    match cell.pop() {
+                    match pop(&cell) {
                         Some(_) => got += 1,
                         None => cell.sleep_if_idle(),
                     }

@@ -28,7 +28,7 @@ use cmpi_fabric::MemoryRegion;
 
 use crate::channel::{Protocol, Route};
 use crate::collectives::{op, plain, Scope};
-use crate::datatype::{from_bytes, reduce_from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::datatype::{from_bytes, to_bytes, MpiData};
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -216,32 +216,6 @@ impl Mpi {
         bytes
     }
 
-    /// Elementwise accumulate into `target`'s window (`MPI_Accumulate`):
-    /// `window[offset..] = window[offset..] op data`.
-    ///
-    /// Modelled as a get-modify-put at the origin (the channel cost is
-    /// charged twice plus the combine), which is how MPI implementations
-    /// without hardware atomics execute it; atomicity across concurrent
-    /// origins targeting the same location is NOT provided — like MPI,
-    /// concurrent accumulates to one location require same-op exclusive
-    /// epochs, which [`Mpi::fence`] supplies.
-    pub fn accumulate<T: Reducible>(
-        &mut self,
-        win: &mut Window,
-        target: usize,
-        offset: usize,
-        data: &[T],
-        rop: ReduceOp,
-    ) -> Vec<T> {
-        let resident = self.get_wire(win, target, offset, std::mem::size_of_val(data));
-        let mut current = data.to_vec();
-        reduce_from_bytes(rop, &mut current, &resident);
-        // One combine per element charged as compute-side work.
-        self.now += cmpi_cluster::SimTime::from_ns(2 * data.len() as u64);
-        self.put(win, target, offset, &current);
-        current
-    }
-
     /// Complete all pending operations this origin issued to `target`
     /// (`MPI_Win_flush`).
     pub fn flush(&mut self, win: &mut Window, target: usize) {
@@ -264,14 +238,6 @@ impl Mpi {
         let waited = latest.saturating_sub(self.now);
         self.obs.rma_wait(waited);
         self.now = latest;
-    }
-
-    /// Complete all pending operations to every target
-    /// (`MPI_Win_flush_all`).
-    pub fn flush_all(&mut self, win: &mut Window) {
-        let t0 = self.enter();
-        self.drain_pending(win);
-        self.exit(CallClass::OneSided, t0);
     }
 
     /// Close an RMA epoch: flush everything, then synchronize all ranks

@@ -438,17 +438,12 @@ impl Mpi {
     /// how many failed polls a spin loop performs is real scheduling, and
     /// letting them advance the clock would make virtual time
     /// nondeterministic. A miss also hands the CPU to other ranks, so a
-    /// spin loop cannot starve the rank it is waiting for; failed polls
-    /// never count as ops either (`ft` only meets the fate).
+    /// spin loop cannot starve the rank it is waiting for.
     fn poll<R>(
         &mut self,
-        ft: bool,
         check: impl FnOnce(&mut Mpi, SimTime) -> Result<Option<R>, MpiError>,
     ) -> Result<Option<R>, MpiError> {
         let t0 = self.enter();
-        if ft {
-            self.check_fate()?;
-        }
         let t_enter = self.now;
         self.progress();
         let out = check(self, t_enter);
@@ -530,14 +525,8 @@ impl Mpi {
     /// waited on again. Like every plain call, a request that can never
     /// finish (dead peer, revoked communicator) ends the rank.
     pub fn test(&mut self, req: &Request) -> Option<Completion> {
-        let done = self.poll(false, |mpi, t| mpi.try_complete(req.id, t));
+        let done = self.poll(|mpi, t| mpi.try_complete(req.id, t));
         plain("test", done)
-    }
-
-    /// Fault-tolerant [`Self::test`]: `Ok(None)` means "not yet", and a
-    /// request on a dead peer or revoked communicator finishes with `Err`.
-    pub fn try_test(&mut self, req: &Request) -> Result<Option<Completion>, MpiError> {
-        self.poll(true, |mpi, t| mpi.try_complete(req.id, t))
     }
 
     /// Simultaneous send and receive (deadlock-free pairwise exchange).
@@ -610,11 +599,6 @@ impl Mpi {
         self.unpack(msg, buf)
     }
 
-    /// Non-blocking typed send.
-    pub fn isend<T: MpiData>(&mut self, buf: &[T], dst: usize, tag: u32) -> Request {
-        self.isend_bytes(to_bytes(buf), dst, tag)
-    }
-
     /// Typed simultaneous send and receive; panics like [`Self::recv`].
     pub fn sendrecv<T: MpiData>(
         &mut self,
@@ -632,7 +616,7 @@ impl Mpi {
     /// Non-destructively check for a matching incoming message
     /// (`MPI_Iprobe`). Runs the progress engine; a hit charges one poll.
     pub fn iprobe(&mut self, src: usize, tag: u32) -> Option<Status> {
-        let probe = self.poll(false, |mpi, _| {
+        let probe = self.poll(|mpi, _| {
             let hit = mpi
                 .engine
                 .peek_unexpected(src_opt(src), CTX_WORLD, tag_opt(tag))

@@ -64,9 +64,8 @@ const MAX_SEND_ATTEMPTS: u32 = 8;
 const MAX_INIT_RETRIES: u32 = 3;
 
 /// Base of the context-id space [`JobState::ft_ctx`] allocates for
-/// shrink-produced survivor communicators. High enough to stay disjoint
-/// from `comm_split` ids (small agreed counters) under any interleaving
-/// of splits and shrinks.
+/// shrink-produced survivor communicators, far above the fixed contexts
+/// of the world, the collectives and the agreement protocol.
 const FT_CTX_BASE: u32 = 0x8000_0000;
 
 /// A complete job description: where ranks run and how the library is
@@ -625,9 +624,6 @@ pub struct Mpi {
     /// horizons), paged in per touched peer block.
     pub(crate) peers: PeerTable<PeerState>,
     pub(crate) win_counter: u32,
-    /// Next communicator context id this rank would propose (see
-    /// `Mpi::comm_split`).
-    pub(crate) next_ctx: u32,
     /// This rank's scripted mid-run fate, resolved from the fault plan at
     /// init. Deaths are always *self-inflicted* at the rank's own call
     /// boundaries, so they land at the same program point in every run.
@@ -770,7 +766,7 @@ impl Mpi {
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
         let world = CommEntry {
             members: Arc::clone(&state.world_members),
-            topo: Some(smp_topo),
+            topo: smp_topo,
         };
         let mut comms = FastMap::default();
         comms.insert(CTX_WORLD, world.clone());
@@ -787,7 +783,6 @@ impl Mpi {
             reqs: RequestTable::default(),
             peers: PeerTable::new(n),
             win_counter: 0,
-            next_ctx: 16,
             fate,
             ops: 0,
             dead: false,
@@ -883,7 +878,7 @@ impl Mpi {
     /// clock and op count, so the death lands at the same point of the
     /// same call sequence in every run — including every rank of a
     /// killed container, which all carry the container's trigger.
-    pub(crate) fn check_fate(&mut self) -> Result<(), MpiError> {
+    fn check_fate(&mut self) -> Result<(), MpiError> {
         if self.dead {
             return Err(MpiError::ProcessFailed { peer: self.rank });
         }
@@ -1088,7 +1083,7 @@ impl Mpi {
     /// The world's topology (and with it the job's collective selector),
     /// from its communicator-table entry.
     pub(crate) fn world_topo(&self) -> &Arc<SmpTopo> {
-        let world = self.comms.get(&CTX_COLL).and_then(|e| e.topo.as_ref());
+        let world = self.comms.get(&CTX_COLL).map(|e| &e.topo);
         world.expect("the world entry is registered at init and never removed")
     }
 

@@ -4,30 +4,31 @@
 //!
 //! Every job runs as fibers on one worker, so its schedule — hence every
 //! virtual time and count — repeats exactly. Each job sweeps barrier,
-//! bcast, reduce, allreduce, scan, gather, scatter, allgather and
-//! alltoall over `u64` vectors of 8 B, 4 KiB, 128 KiB and 256 KiB + 8 B
-//! (the odd length pads Rabenseifner's and scatter–allgather's chunks)
+//! bcast, reduce, allreduce, gather, allgather and alltoall over `u64`
+//! vectors of 8 B, 4 KiB, 128 KiB and 256 KiB + 8 B (the odd length
+//! pads Rabenseifner's and scatter–allgather's chunks)
 //! with a non-leader root, on 16 ranks (2 hosts × 2 containers × 4) and
 //! on 12 ranks (the non-power-of-two fallbacks), under the container
 //! detector and under hostname routing. The per-peer collectives stop at
 //! 128 KiB blocks: nothing pads there, and 16 × 16 blocks of 256 KiB on
 //! every rank is memory a test should not need.
 //!
-//! A second sweep pins what the first does not reach: the world's exscan,
-//! reduce-scatter and byte-payload v-collectives, and the five
-//! communicator collectives through both their entries (`X_comm` and
-//! `try_X_comm`) on `comm_world()` and on a parity split, in the same four
-//! layouts.
+//! A second sweep pins what the first does not reach: the world's
+//! byte-payload alltoallv and the two communicator collectives
+//! (`try_barrier_comm`, `try_allreduce_comm`) on `comm_world()`, in the
+//! same four layouts.
 //!
-//! The constants were recorded at the commit *before* the data path was
-//! rebuilt (PR 17's parent; the second sweep's before the collective
-//! scope was introduced) and must only ever change in a PR that means to
-//! change an algorithm, a message or the cost model. On a mismatch the
-//! assertion prints the observed row in the syntax of the table.
+//! The constants were recorded by running these job bodies on the
+//! library as it stood before the collectives they no longer call (scan,
+//! scatter, the v-collectives, the split communicators) were deleted, so
+//! they pin the schedule the remaining calls had then. They must only
+//! ever change in a change that means to move an algorithm, a message or
+//! the cost model. On a mismatch the assertion prints the observed row in
+//! the syntax of the table.
 
 use bytes::Bytes;
 use cmpi_cluster::{Channel, DeploymentScenario, NamespaceSharing, SimTime};
-use cmpi_core::{CollAlgo, CollKind, Comm, ExecMode, JobSpec, LocalityPolicy, Mpi, ReduceOp};
+use cmpi_core::{CollAlgo, CollKind, ExecMode, JobSpec, LocalityPolicy, Mpi, ReduceOp};
 
 /// Vector lengths in `u64` elements: 8 B, 4 KiB, 128 KiB, 256 KiB + 8 B.
 const LENS: [usize; 4] = [1, 512, 16 * 1024, 32 * 1024 + 1];
@@ -62,8 +63,6 @@ fn sweep(mpi: &mut Mpi) -> bool {
         ok &= red.is_none_or(|v| v.len() == len && (0..len).all(|i| v[i] == sum(n, i)));
         let all = mpi.allreduce(&mine, ReduceOp::Sum);
         ok &= all.len() == len && (0..len).all(|i| all[i] == sum(n, i));
-        let pre = mpi.scan(&mine, ReduceOp::Sum);
-        ok &= pre.len() == len && (0..len).all(|i| pre[i] == sum(r + 1, i));
         mpi.barrier();
     }
     for blk in BLOCKS {
@@ -73,13 +72,6 @@ fn sweep(mpi: &mut Mpi) -> bool {
         let gat = mpi.gather(&mine, ROOT);
         ok &= gat.is_some() == (r == ROOT);
         ok &= gat.is_none_or(|v| rank_ordered(&v));
-        let src: Vec<u64> = if r == ROOT {
-            (0..n * blk).map(|j| val(j / blk, j % blk)).collect()
-        } else {
-            Vec::new()
-        };
-        let part = mpi.scatter((r == ROOT).then_some(&src[..]), blk, ROOT);
-        ok &= part == mine;
         let all = mpi.allgather(&mine);
         ok &= rank_ordered(&all);
         // Block `d` of rank `s` holds val(s * n + d, ·).
@@ -93,10 +85,6 @@ fn sweep(mpi: &mut Mpi) -> bool {
     ok
 }
 
-/// Root of the communicator collectives: a position in the communicator
-/// (world rank 3 in `comm_world()`, 6 or 7 in the parity halves).
-const COMM_ROOT: usize = 3;
-
 fn sum_of(ranks: impl IntoIterator<Item = usize>, i: usize) -> u64 {
     ranks.into_iter().map(|s| val(s, i)).sum()
 }
@@ -108,82 +96,20 @@ fn ragged(s: usize, d: usize, blk: usize) -> Bytes {
 
 /// The calls `sweep` does not reach; `true` when every result matched
 /// its closed form.
-fn sweep_ext(mpi: &mut Mpi) -> bool {
+fn sweep_comm(mpi: &mut Mpi) -> bool {
     let (n, r) = (mpi.size(), mpi.rank());
     let mut ok = true;
-    for len in LENS {
-        let mine: Vec<u64> = (0..len).map(|i| val(r, i)).collect();
-        let ex = mpi.exscan(&mine, ReduceOp::Sum);
-        ok &= ex.is_some() == (r > 0);
-        ok &= ex.is_none_or(|v| v.len() == len && (0..len).all(|i| v[i] == sum_of(0..r, i)));
-    }
     for blk in BLOCKS {
-        let data: Vec<u64> = (0..n * blk).map(|j| val(r, j)).collect();
-        let part = mpi.reduce_scatter_block(&data, blk, ReduceOp::Sum);
-        ok &= part.len() == blk && (0..blk).all(|i| part[i] == sum_of(0..n, r * blk + i));
-        let got = mpi.gatherv_bytes(ragged(r, 0, blk), ROOT);
-        ok &= got.is_some() == (r == ROOT);
-        ok &= got.is_none_or(|v| v.len() == n && (0..n).all(|s| v[s] == ragged(s, 0, blk)));
-        let got = mpi.allgatherv_bytes(ragged(r, 1, blk));
-        ok &= got.len() == n && (0..n).all(|s| got[s] == ragged(s, 1, blk));
         let got = mpi.alltoallv_bytes((0..n).map(|d| ragged(r, d, blk)).collect());
         ok &= got.len() == n && (0..n).all(|s| got[s] == ragged(s, r, blk));
     }
     let world = mpi.comm_world();
-    let parity = mpi.comm_split(&world, (r % 2) as u64, r as u64);
-    for comm in [&world, &parity] {
-        for ft in [false, true] {
-            ok &= comm_round(mpi, comm, ft);
-        }
-    }
-    ok
-}
-
-/// The five communicator collectives on `comm`, through the `try_`
-/// entries when `ft` is set.
-fn comm_round(mpi: &mut Mpi, comm: &Comm, ft: bool) -> bool {
-    let r = mpi.rank();
-    let (members, root) = (comm.ranks().to_vec(), comm.world_rank(COMM_ROOT));
-    let mut ok = true;
-    if ft {
-        ok &= mpi.try_barrier_comm(comm).is_ok();
-    } else {
-        mpi.barrier_comm(comm);
-    }
+    ok &= mpi.try_barrier_comm(&world).is_ok();
     for len in LENS {
         let mine: Vec<u64> = (0..len).map(|i| val(r, i)).collect();
-        let mut buf = if r == root {
-            mine.clone()
-        } else {
-            vec![0; len]
-        };
-        let (red, all) = if ft {
-            ok &= mpi.try_bcast_comm(comm, &mut buf, COMM_ROOT).is_ok();
-            let red = mpi.try_reduce_comm(comm, &mine, ReduceOp::Sum, COMM_ROOT);
-            let all = mpi.try_allreduce_comm(comm, &mine, ReduceOp::Sum);
-            (red.unwrap_or_default(), all.unwrap_or_default())
-        } else {
-            mpi.bcast_comm(comm, &mut buf, COMM_ROOT);
-            let red = mpi.reduce_comm(comm, &mine, ReduceOp::Sum, COMM_ROOT);
-            (red, mpi.allreduce_comm(comm, &mine, ReduceOp::Sum))
-        };
-        ok &= (0..len).all(|i| buf[i] == val(root, i));
-        ok &= red.is_some() == (r == root);
-        let total = |v: &[u64]| {
-            v.len() == len && (0..len).all(|i| v[i] == sum_of(members.iter().copied(), i))
-        };
-        ok &= red.is_none_or(|v| total(&v));
-        ok &= total(&all);
-    }
-    for blk in BLOCKS {
-        let mine: Vec<u64> = (0..blk).map(|i| val(r, i)).collect();
-        let all = if ft {
-            mpi.try_allgather_comm(comm, &mine).unwrap_or_default()
-        } else {
-            mpi.allgather_comm(comm, &mine)
-        };
-        ok &= all.len() == members.len() * blk
-            && (0..all.len()).all(|j| all[j] == val(members[j / blk], j % blk));
+        let all = mpi.try_allreduce_comm(&world, &mine, ReduceOp::Sum);
+        let all = all.unwrap_or_default();
+        ok &= all.len() == len && (0..len).all(|i| all[i] == sum_of(0..n, i));
     }
     ok
 }
@@ -245,10 +171,10 @@ fn observe_with(
 }
 
 const DETECTOR_16: Golden = Golden {
-    elapsed_ns: 6_307_999,
-    clocks_fnv: 200_055_840_264_109_158,
-    ops: [735, 721, 207],
-    bytes: [935_920, 119_795_584, 38_006_968],
+    elapsed_ns: 5_624_884,
+    clocks_fnv: 15_207_937_947_839_147_310,
+    ops: [651, 639, 132],
+    bytes: [771_536, 104_558_016, 29_613_448],
     selected: [
         [0, 128, 0],
         [16, 32, 16],
@@ -261,10 +187,10 @@ const DETECTOR_16: Golden = Golden {
 };
 
 const HOSTNAME_16: Golden = Golden {
-    elapsed_ns: 5_554_399,
-    clocks_fnv: 6_770_899_079_900_534_413,
-    ops: [776, 595, 1_547],
-    bytes: [1_248_000, 53_922_520, 66_522_776],
+    elapsed_ns: 4_098_064,
+    clocks_fnv: 8_652_594_399_164_158_297,
+    ops: [724, 543, 1_410],
+    bytes: [1_149_312, 44_452_248, 52_296_264],
     selected: [
         [128, 0, 0],
         [48, 0, 16],
@@ -277,10 +203,10 @@ const HOSTNAME_16: Golden = Golden {
 };
 
 const DETECTOR_12: Golden = Golden {
-    elapsed_ns: 4_691_753,
-    clocks_fnv: 7_530_441_623_812_717_819,
-    ops: [482, 384, 137],
-    bytes: [579_232, 70_756_832, 21_550_024],
+    elapsed_ns: 4_130_380,
+    clocks_fnv: 2_021_814_814_749_288_283,
+    ops: [427, 330, 81],
+    bytes: [472_336, 60_500_112, 16_097_816],
     selected: [
         [0, 96, 0],
         [12, 24, 12],
@@ -293,10 +219,10 @@ const DETECTOR_12: Golden = Golden {
 };
 
 const HOSTNAME_12: Golden = Golden {
-    elapsed_ns: 4_624_889,
-    clocks_fnv: 17_425_475_984_339_926_762,
-    ops: [402, 273, 1_007],
-    bytes: [624_000, 29_508_168, 41_797_144],
+    elapsed_ns: 3_423_010,
+    clocks_fnv: 92_381_511_783_049_099,
+    ops: [369, 243, 905],
+    bytes: [558_240, 23_994_792, 31_560_456],
     selected: [
         [96, 0, 0],
         [36, 0, 12],
@@ -328,90 +254,90 @@ fn twelve_ranks_under_hostname_routing() {
     assert_eq!(observe(3, LocalityPolicy::Hostname), HOSTNAME_12);
 }
 
-const EXT_DETECTOR_16: Golden = Golden {
-    elapsed_ns: 6_137_481,
-    clocks_fnv: 5_721_256_579_834_055_869,
-    ops: [2_336, 1_277, 1_528],
-    bytes: [3_607_125, 218_289_616, 79_510_813],
+const COMM_DETECTOR_16: Golden = Golden {
+    elapsed_ns: 303_805,
+    clocks_fnv: 3_929_407_350_295_471_214,
+    ops: [354, 208, 478],
+    bytes: [312_930, 22_577_536, 10_649_086],
     selected: [
+        [16, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0],
         [64, 0, 0],
-        [256, 0, 0],
-        [256, 0, 0],
-        [256, 0, 0],
         [0, 0, 0],
-        [192, 0, 0],
+        [0, 0, 0],
         [0, 0, 0],
     ],
 };
 
-const EXT_HOSTNAME_16: Golden = Golden {
-    elapsed_ns: 15_288_613,
-    clocks_fnv: 4_776_631_148_701_927_194,
-    ops: [1_614, 841, 2_686],
-    bytes: [2_554_051, 148_361_248, 150_492_255],
+const COMM_HOSTNAME_16: Golden = Golden {
+    elapsed_ns: 1_629_758,
+    clocks_fnv: 13_644_827_827_537_688_715,
+    ops: [180, 112, 748],
+    bytes: [180_576, 14_156_032, 19_202_944],
     selected: [
+        [16, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0],
         [64, 0, 0],
-        [256, 0, 0],
-        [256, 0, 0],
-        [256, 0, 0],
         [0, 0, 0],
-        [192, 0, 0],
+        [0, 0, 0],
         [0, 0, 0],
     ],
 };
 
-const EXT_DETECTOR_12: Golden = Golden {
-    elapsed_ns: 6_237_139,
-    clocks_fnv: 10_305_500_903_718_901_617,
-    ops: [1_240, 671, 928],
-    bytes: [1_861_275, 111_622_864, 47_271_240],
+const COMM_DETECTOR_12: Golden = Golden {
+    elapsed_ns: 556_280,
+    clocks_fnv: 8_503_064_875_427_034_580,
+    ops: [182, 96, 254],
+    bytes: [135_432, 9_044_112, 4_022_480],
     selected: [
-        [48, 0, 0],
-        [192, 0, 0],
-        [192, 0, 0],
-        [192, 0, 0],
+        [12, 0, 0],
         [0, 0, 0],
-        [144, 0, 0],
+        [0, 0, 0],
+        [48, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0],
         [0, 0, 0],
     ],
 };
 
-const EXT_HOSTNAME_12: Golden = Golden {
-    elapsed_ns: 12_037_926,
-    clocks_fnv: 4_902_521_208_282_788_737,
-    ops: [768, 402, 1_669],
-    bytes: [1_205_231, 66_352_608, 93_197_540],
+const COMM_HOSTNAME_12: Golden = Golden {
+    elapsed_ns: 1_041_611,
+    clocks_fnv: 15_007_431_651_359_693_679,
+    ops: [80, 44, 408],
+    bytes: [65_664, 4_718_672, 8_417_688],
     selected: [
-        [48, 0, 0],
-        [192, 0, 0],
-        [192, 0, 0],
-        [192, 0, 0],
+        [12, 0, 0],
         [0, 0, 0],
-        [144, 0, 0],
+        [0, 0, 0],
+        [48, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0],
         [0, 0, 0],
     ],
 };
 
 #[test]
-fn ext_and_comm_sixteen_ranks_under_the_container_detector() {
-    let got = observe_with(4, LocalityPolicy::ContainerDetector, sweep_ext);
-    assert_eq!(got, EXT_DETECTOR_16);
+fn alltoallv_and_comm_sixteen_ranks_under_the_container_detector() {
+    let got = observe_with(4, LocalityPolicy::ContainerDetector, sweep_comm);
+    assert_eq!(got, COMM_DETECTOR_16);
 }
 
 #[test]
-fn ext_and_comm_sixteen_ranks_under_hostname_routing() {
-    let got = observe_with(4, LocalityPolicy::Hostname, sweep_ext);
-    assert_eq!(got, EXT_HOSTNAME_16);
+fn alltoallv_and_comm_sixteen_ranks_under_hostname_routing() {
+    let got = observe_with(4, LocalityPolicy::Hostname, sweep_comm);
+    assert_eq!(got, COMM_HOSTNAME_16);
 }
 
 #[test]
-fn ext_and_comm_twelve_ranks_under_the_container_detector() {
-    let got = observe_with(3, LocalityPolicy::ContainerDetector, sweep_ext);
-    assert_eq!(got, EXT_DETECTOR_12);
+fn alltoallv_and_comm_twelve_ranks_under_the_container_detector() {
+    let got = observe_with(3, LocalityPolicy::ContainerDetector, sweep_comm);
+    assert_eq!(got, COMM_DETECTOR_12);
 }
 
 #[test]
-fn ext_and_comm_twelve_ranks_under_hostname_routing() {
-    let got = observe_with(3, LocalityPolicy::Hostname, sweep_ext);
-    assert_eq!(got, EXT_HOSTNAME_12);
+fn alltoallv_and_comm_twelve_ranks_under_hostname_routing() {
+    let got = observe_with(3, LocalityPolicy::Hostname, sweep_comm);
+    assert_eq!(got, COMM_HOSTNAME_12);
 }

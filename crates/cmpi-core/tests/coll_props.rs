@@ -19,7 +19,6 @@ type Observed = (
     Option<Vec<u64>>, // reduce
     Vec<u64>,         // allreduce
     Option<Vec<u64>>, // gather
-    Vec<u64>,         // scatter
     Vec<u64>,         // allgather
     Vec<u64>,         // alltoall
 );
@@ -37,12 +36,10 @@ fn sweep(spec: JobSpec, n: usize, block: usize, root: usize) -> Vec<Observed> {
         let red = mpi.reduce(&mine, ReduceOp::Sum, root);
         let all = mpi.allreduce(&mine, ReduceOp::Max);
         let gat = mpi.gather(&mine, root);
-        let scat_src: Vec<u64> = (0..n * block).map(|j| elem(root, j)).collect();
-        let scat = mpi.scatter((rank == root).then_some(&scat_src[..]), block, root);
         let ag = mpi.allgather(&mine);
         let a2a_in: Vec<u64> = (0..n * block).map(|j| elem(rank, j)).collect();
         let a2a = mpi.alltoall(&a2a_in, block);
-        (bc, red, all, gat, scat, ag, a2a)
+        (bc, red, all, gat, ag, a2a)
     })
     .results
 }
@@ -58,7 +55,7 @@ fn check(results: &[Observed], n: usize, block: usize, root: usize, label: &str)
         .map(|i| (0..n).map(|r| elem(r, i)).max().unwrap())
         .collect();
     let root_vec: Vec<u64> = (0..block).map(|i| elem(root, i)).collect();
-    for (rank, (bc, red, all, gat, scat, ag, a2a)) in results.iter().enumerate() {
+    for (rank, (bc, red, all, gat, ag, a2a)) in results.iter().enumerate() {
         assert_eq!(bc, &root_vec, "{label}: bcast rank {rank}");
         assert_eq!(red.is_some(), rank == root, "{label}: reduce root {rank}");
         if let Some(v) = red {
@@ -69,8 +66,6 @@ fn check(results: &[Observed], n: usize, block: usize, root: usize, label: &str)
         if let Some(v) = gat {
             assert_eq!(v, &concat, "{label}: gather rank {rank}");
         }
-        let scat_expect: Vec<u64> = (0..block).map(|i| elem(root, rank * block + i)).collect();
-        assert_eq!(scat, &scat_expect, "{label}: scatter rank {rank}");
         assert_eq!(ag, &concat, "{label}: allgather rank {rank}");
         let a2a_expect: Vec<u64> = (0..n * block)
             .map(|j| elem(j / block, rank * block + j % block))

@@ -131,21 +131,6 @@ fn gather_concatenates_in_rank_order() {
 }
 
 #[test]
-fn scatter_distributes_blocks() {
-    for root in [0usize, 4, 11] {
-        let r = spec12().run(|mpi| {
-            let data: Option<Vec<u16>> =
-                (mpi.rank() == root).then(|| (0..36).map(|i| i as u16).collect());
-            mpi.scatter(data.as_deref(), 3, root)
-        });
-        for (rk, block) in r.results.iter().enumerate() {
-            let base = rk as u16 * 3;
-            assert_eq!(block, &[base, base + 1, base + 2], "rank {rk} root {root}");
-        }
-    }
-}
-
-#[test]
 fn allgather_matches_gather_everywhere() {
     let r = spec8(LocalityPolicy::ContainerDetector).run(|mpi| {
         let mine = [mpi.rank() as u64; 4];
@@ -277,24 +262,17 @@ fn policy_groups_partition_ranks() {
         2,
         NamespaceSharing::default(),
     ));
-    let r = spec.run(|mpi| mpi.policy_groups());
-    // Detector: one group per host.
-    assert_eq!(r.results[0], mpi_groups_two_hosts());
-    // The world is a communicator with that topology; a split-produced
-    // one has none derived.
-    let r = spec.run(|mpi| {
-        let world = mpi.comm_world();
-        let half = mpi.comm_split(&world, (mpi.rank() / 4) as u64, 0);
-        (mpi.comm_groups(&world), mpi.comm_groups(&half))
-    });
-    assert_eq!(r.results[0], (Some(mpi_groups_two_hosts()), None));
-    let spec = spec.with_policy(LocalityPolicy::Hostname);
-    let r = spec.run(|mpi| mpi.policy_groups());
-    // Hostname: one group per container.
-    assert_eq!(
-        r.results[0],
-        vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]]
+    let groups = |spec: &JobSpec| spec.run(|mpi| mpi.comm_groups(&mpi.comm_world())).results;
+    // Detector: one group per host, the same at every rank.
+    let r = groups(&spec);
+    assert!(
+        r.iter().all(|g| g == &Some(mpi_groups_two_hosts())),
+        "{r:?}"
     );
+    // Hostname: one group per container.
+    let r = groups(&spec.with_policy(LocalityPolicy::Hostname));
+    let per_container = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]];
+    assert_eq!(r[0], Some(per_container));
 }
 
 #[test]
@@ -337,14 +315,12 @@ fn zero_count_collectives_return_without_panicking() {
             let red = mpi.reduce(&empty, ReduceOp::Sum, 2);
             let all = mpi.allreduce(&empty, ReduceOp::Sum);
             let gat = mpi.gather(&empty, 3);
-            let scat = mpi.scatter((mpi.rank() == 0).then_some(&empty[..]), 0, 0);
             let ag = mpi.allgather(&empty);
             let a2a = mpi.alltoall(&empty, 0);
             buf.is_empty()
                 && red.map(|v| v.is_empty()).unwrap_or(true)
                 && all.is_empty()
                 && gat.map(|v| v.is_empty()).unwrap_or(true)
-                && scat.is_empty()
                 && ag.is_empty()
                 && a2a.is_empty()
         });
@@ -539,10 +515,4 @@ fn reduce_rejects_a_root_past_the_world() {
 #[should_panic(expected = "out of range")]
 fn gather_rejects_a_root_past_the_world() {
     spec4().run(|mpi| mpi.gather(&[1u64], 5));
-}
-
-#[test]
-#[should_panic(expected = "out of range")]
-fn scatter_rejects_a_root_past_the_world() {
-    spec4().run(|mpi| mpi.scatter(Some(&[1u64; 4][..]), 1, 5));
 }

@@ -1,4 +1,4 @@
-//! Tracing and accumulate integration tests.
+//! Tracing and one-sided read-modify-write integration tests.
 
 use cmpi_cluster::{DeploymentScenario, NamespaceSharing, SimTime};
 use cmpi_core::{CallClass, JobSpec, ReduceOp};
@@ -55,8 +55,10 @@ fn tracing_off_by_default() {
     assert!(r.trace.is_none());
 }
 
+/// A read-modify-write of a peer's window from the origin: get, combine
+/// locally, put back, then fence so the target sees the result.
 #[test]
-fn accumulate_combines_elementwise() {
+fn get_then_put_combines_elementwise() {
     let r = pair().run(|mpi| {
         let mut win = mpi.win_allocate(64);
         if mpi.rank() == 1 {
@@ -64,8 +66,11 @@ fn accumulate_combines_elementwise() {
         }
         mpi.fence(&mut win);
         if mpi.rank() == 0 {
-            let after = mpi.accumulate(&mut win, 1, 0, &[1u64, 2, 3], ReduceOp::Sum);
+            let mut resident = [0u64; 3];
+            mpi.get(&mut win, 1, 0, &mut resident);
+            let after: Vec<u64> = resident.iter().zip([1, 2, 3]).map(|(a, b)| a + b).collect();
             assert_eq!(after, vec![11, 22, 33]);
+            mpi.put(&mut win, 1, 0, &after);
             mpi.flush(&mut win, 1);
         }
         mpi.fence(&mut win);
@@ -76,25 +81,4 @@ fn accumulate_combines_elementwise() {
         out
     });
     assert_eq!(r.results[1], [11, 22, 33]);
-}
-
-#[test]
-fn accumulate_max_and_repeated() {
-    let r = pair().run(|mpi| {
-        let mut win = mpi.win_allocate(8);
-        mpi.fence(&mut win);
-        if mpi.rank() == 0 {
-            for v in [5u64, 3, 9, 7] {
-                mpi.accumulate(&mut win, 1, 0, &[v], ReduceOp::Max);
-            }
-            mpi.flush(&mut win, 1);
-        }
-        mpi.fence(&mut win);
-        let mut out = [0u64];
-        if mpi.rank() == 1 {
-            mpi.win_read_local(&win, 0, &mut out);
-        }
-        out[0]
-    });
-    assert_eq!(r.results[1], 9);
 }

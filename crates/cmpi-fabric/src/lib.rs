@@ -13,7 +13,7 @@
 //! * **one-sided** traffic is `rdma_write` / `rdma_read` against registered
 //!   [`MemoryRegion`]s addressed by rkey — the zero-copy rendezvous path;
 //! * every operation returns the virtual timestamps implied by the
-//!   [`CostModel`]: when the sender's clock may proceed and when the data
+//!   [`CostModel`](cmpi_cluster::CostModel): when the sender's clock may proceed and when the data
 //!   is observable remotely. Loopback (same-host) traffic pays the
 //!   adapter's loopback latency and reduced bandwidth — the performance
 //!   cliff at the heart of the paper's bottleneck analysis (Fig. 3).

@@ -34,7 +34,6 @@
 pub mod extract;
 pub mod passes;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -167,15 +166,6 @@ impl Workspace {
 
     pub fn path(&self, file_idx: usize) -> &str {
         &self.files[file_idx].path
-    }
-
-    /// All distinct lock names acquired anywhere (for diagnostics).
-    pub fn lock_names(&self) -> BTreeSet<&str> {
-        self.fns
-            .iter()
-            .flat_map(|f| f.locks.iter())
-            .map(|l| l.lock.as_str())
-            .collect()
     }
 }
 

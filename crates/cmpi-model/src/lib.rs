@@ -9,7 +9,7 @@
 //!    `RUSTFLAGS="--cfg cmpi_model"` every load/store/RMW/lock/wait is
 //!    routed through an exhaustive model-checking scheduler.
 //!
-//! 2. **A model checker** ([`model`], only under `cfg(cmpi_model)`): a
+//! 2. **A model checker** (`model`, only under `cfg(cmpi_model)`): a
 //!    loom-style DFS over thread interleavings with a bounded number of
 //!    preemptions, a C11-flavoured weak-memory store history (loads may
 //!    read stale values unless happens-before forbids it), a FastTrack

@@ -155,11 +155,6 @@ where
     Builder::new().check(f)
 }
 
-/// True when the calling thread is inside a model execution.
-pub fn is_active() -> bool {
-    engine::current().is_some()
-}
-
 /// Extract the `replay: …` schedule string from a failure report.
 pub fn extract_replay(report: &str) -> Option<String> {
     report

@@ -3,7 +3,7 @@
 //! A [`RankMatrix`] is one rank's row of the job-wide N×N traffic matrix:
 //! for every peer, per-channel {ops, bytes} plus a log2 message-size
 //! histogram. The runtime keeps two ledgers per rank — transmitted
-//! (initiator-side, summing exactly to the rank's [`ChannelCounter`]
+//! (initiator-side, summing exactly to the rank's `cmpi_core::ChannelCounter`
 //! aggregates) and received (delivery-side) — so byte conservation across
 //! the job is checkable, not assumed.
 

@@ -32,4 +32,4 @@ pub mod visibility;
 pub use locality_list::{AttachOutcome, ContainerList, PublishError};
 pub use queue::{PairQueue, QueueStats};
 pub use segment::{Segment, ShmRegistry};
-pub use visibility::{can_cma, can_shm, effective_visibility, Visibility};
+pub use visibility::{effective_visibility, Visibility};

@@ -1,7 +1,7 @@
 //! Kernel-facility gating: which IPC mechanisms a pair of execution
 //! environments may legally use.
 //!
-//! These predicates encode the *necessary conditions* from Section II/IV:
+//! One relation encodes the *necessary conditions* from Section II/IV:
 //! SHM needs a common IPC namespace on a common host, CMA needs a common
 //! PID namespace on a common host. They are deliberately independent of
 //! any locality *policy* — a policy decides what the MPI library tries,
@@ -22,28 +22,17 @@ pub struct Visibility {
     pub cma: bool,
 }
 
-/// Compute the visibility relation between two containers.
-pub fn visibility(cluster: &Cluster, a: ContainerId, b: ContainerId) -> Visibility {
-    let ca = cluster.container(a);
-    let cb = cluster.container(b);
-    let same_container = a == b;
-    Visibility {
-        co_resident: ca.co_resident_with(cb),
-        same_container,
-        // Within one container SHM/CMA are always possible (one namespace
-        // set); across containers the namespaces must match.
-        shm: same_container || ca.shares_ipc_with(cb),
-        cma: same_container || ca.shares_pid_with(cb),
-    }
-}
-
 /// Compute the visibility relation between two containers *as the kernel
 /// would report it after a fault plan's namespace revocations*: a
 /// container restarted without `--ipc=host` / `--pid=host` lands in a
 /// private namespace, so SHM/CMA with its former peers become
 /// impossible — while co-residency (and intra-container visibility)
 /// remain real. This is the ground truth the degraded locality view is
-/// cross-checked against.
+/// cross-checked against; under [`FaultPlan::none`] it is the relation
+/// the placement made.
+// Inline: `LocalityMap` calls it twice per container pair, and the call
+// costs more than the comparisons.
+#[inline]
 pub fn effective_visibility(
     cluster: &Cluster,
     plan: &FaultPlan,
@@ -64,19 +53,14 @@ pub fn effective_visibility(
     }
 }
 
-/// `true` when the pair may use the shared-memory channel.
-pub fn can_shm(cluster: &Cluster, a: ContainerId, b: ContainerId) -> bool {
-    visibility(cluster, a, b).shm
-}
-
-/// `true` when the pair may use the CMA channel.
-pub fn can_cma(cluster: &Cluster, a: ContainerId, b: ContainerId) -> bool {
-    visibility(cluster, a, b).cma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The placement's visibility: no namespace revoked.
+    fn placed(cluster: &Cluster, a: ContainerId, b: ContainerId) -> Visibility {
+        effective_visibility(cluster, &FaultPlan::none(), a, b)
+    }
 
     #[test]
     fn same_container_always_visible() {
@@ -84,7 +68,7 @@ mod tests {
         let h = c.add_host(2, 4);
         // Even a fully isolated container is visible to itself.
         let a = c.add_container(h, false, false, true);
-        let v = visibility(&c, a, a);
+        let v = placed(&c, a, a);
         assert!(v.same_container && v.shm && v.cma && v.co_resident);
     }
 
@@ -95,9 +79,9 @@ mod tests {
         let base = c.add_container(h, true, true, true);
         let ipc_only = c.add_container(h, true, false, true);
         let pid_only = c.add_container(h, false, true, true);
-        let v = visibility(&c, base, ipc_only);
+        let v = placed(&c, base, ipc_only);
         assert!(v.shm && !v.cma);
-        let v = visibility(&c, base, pid_only);
+        let v = placed(&c, base, pid_only);
         assert!(!v.shm && v.cma);
     }
 
@@ -108,7 +92,7 @@ mod tests {
         let h1 = c.add_host(2, 4);
         let a = c.add_container(h0, true, true, true);
         let b = c.add_container(h1, true, true, true);
-        let v = visibility(&c, a, b);
+        let v = placed(&c, a, b);
         assert!(!v.co_resident && !v.shm && !v.cma);
     }
 
@@ -118,7 +102,7 @@ mod tests {
         let h = c.add_host(2, 4);
         let a = c.add_native_env(h);
         let b = c.add_native_env(h);
-        let v = visibility(&c, a, b);
+        let v = placed(&c, a, b);
         assert!(v.shm && v.cma && v.co_resident && !v.same_container);
     }
 
@@ -128,8 +112,6 @@ mod tests {
         let h = c.add_host(2, 4);
         let a = c.add_container(h, true, false, true);
         let b = c.add_container(h, false, true, true);
-        assert_eq!(visibility(&c, a, b), visibility(&c, b, a));
-        assert_eq!(can_shm(&c, a, b), can_shm(&c, b, a));
-        assert_eq!(can_cma(&c, a, b), can_cma(&c, b, a));
+        assert_eq!(placed(&c, a, b), placed(&c, b, a));
     }
 }

@@ -64,6 +64,18 @@ fn main() {
     println!("container list at init, discovers the co-residence, and routes");
     println!("through shared memory instead — the paper's up-to-9x win.");
 
+    // What rank 0's locality view holds under each policy.
+    println!();
+    for policy in [LocalityPolicy::Hostname, LocalityPolicy::ContainerDetector] {
+        let scenario = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::default());
+        let spec = JobSpec::new(scenario).with_policy(policy);
+        let r = spec.run(|mpi| mpi.locality().local_ranks().to_vec());
+        println!(
+            "{policy:?}: rank 0 treats ranks {:?} as local",
+            r.results[0]
+        );
+    }
+
     // Large messages: the CMA path.
     let (lat_def, ..) = pingpong(LocalityPolicy::Hostname, 256 * 1024);
     let (lat_opt, _, cma, _) = pingpong(LocalityPolicy::ContainerDetector, 256 * 1024);

@@ -33,7 +33,10 @@
 #             (benchmark/ is a workspace of its own; includes the
 #             BENCHMARK.json == metric-registry check), `bash -n`
 #             on scripts/prof.sh and scripts/loc.sh, and a byte-compile
-#             of scripts/prof/symbolise.py
+#             of scripts/prof/symbolise.py and scripts/usecount.py
+#   doc       rustdoc of every workspace crate with broken intra-doc
+#             links as errors (a link left pointing at a deleted item);
+#             rustdoc's other warnings stay allowed
 #   clippy    all targets, warnings are errors
 #   fmt       rustfmt in check mode
 #
@@ -108,11 +111,14 @@ cargo run --release --quiet -p cmpi-bench --bin overhead_gate
 
 stage benchmark "benchmark harness self-tests (benchmark/, own workspace)"
 (cd benchmark && cargo test -q --offline)
-# The sampling profiler and the line counter are tools, not gates: only
-# their shell and the profiler's symboliser must parse.
+# The sampling profiler, the line counter and the use counter are tools,
+# not gates: only their shell and Python must parse.
 bash -n scripts/prof.sh
 bash -n scripts/loc.sh
-python3 -m py_compile scripts/prof/symbolise.py
+python3 -m py_compile scripts/prof/symbolise.py scripts/usecount.py
+
+stage doc "cargo doc --workspace --no-deps (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
 
 stage clippy "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
