@@ -18,6 +18,7 @@
 //! computation trade off exactly as in the paper's Fig. 3(a) breakdown.
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod graph500;
 pub mod npb;
 pub mod pgas;

@@ -31,7 +31,7 @@
 //! | [`scaling_table`] | extension — the mixed job at 64 → 1024 (4096) ranks, wall clock |
 //! | [`container_list_table`] | Section IV-B — container-list publish / scan at 10^3–10^6 ranks |
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 pub mod experiments;
 pub mod table;
 

@@ -43,12 +43,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Construct from seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Nanoseconds as a raw integer.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -174,6 +168,13 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// Construct from seconds.
+        const fn from_secs(s: u64) -> Self {
+            SimTime(s * 1_000_000_000)
+        }
+    }
 
     #[test]
     fn constructors_scale_correctly() {

@@ -6,6 +6,8 @@
 //! Detector influences; everything downstream (protocol engines, cost
 //! accounting) is policy-agnostic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use cmpi_cluster::{Channel, Tunables};
 
 use crate::locality::{LocalityPolicy, PeerInfo};

@@ -49,54 +49,72 @@ use crate::locality::LocalityPolicy;
 use crate::runtime::{JobState, Mpi};
 use crate::stats::CallClass;
 
+/// Declares the op-id table: one `pub const` per entry, and a
+/// compile-time check that the ids are distinct, non-zero and below
+/// `END`, and that `END` fits the id field above [`TAG_ROUND_BITS`].
+macro_rules! op_table {
+    ($(#[$end_doc:meta])* END = $end:expr; $($(#[$doc:meta])* $name:ident = $id:expr,)+) => {
+        $(#[$end_doc])*
+        pub const END: u32 = $end;
+        $($(#[$doc])* pub const $name: u32 = $id;)+
+        const _: () = assert!(
+            crate::packet::ids_fit(&[$($name),+], END),
+            "op ids must be distinct, non-zero and below END"
+        );
+        const _: () = assert!(END <= 1 << (32 - super::TAG_ROUND_BITS), "END overflows the id field");
+    };
+}
+
 /// Every op id the library bakes into an internal tag (high bits), in one
-/// table so `cmpi-lint`'s `tag-width` rule sees all of them: distinct,
-/// non-zero, inside the id field and below [`op::END`]. An algorithm that
+/// table whose compile-time check holds all of them distinct, non-zero,
+/// inside the id field and below [`op::END`]. An algorithm that
 /// needs two message classes names two ids or separates them in the round
 /// field — never `id + 1`. Communicator calls use the world's ids, even
 /// on `comm_world()`'s shared context (DESIGN §10 says why that is safe).
 pub(crate) mod op {
-    pub const BARRIER: u32 = 1;
-    pub const BCAST: u32 = 2;
-    pub const REDUCE: u32 = 3;
-    pub const ALLREDUCE: u32 = 4;
-    pub const GATHER: u32 = 5;
-    pub const ALLGATHER: u32 = 7;
-    pub const ALLTOALL: u32 = 8;
-    pub const ALLTOALLV: u32 = 9;
-    // Two-level bcast/allreduce phases (the ids the original SMP variants
-    // shipped with; kept stable so traces stay comparable).
-    pub const SMP_PHASE0: u32 = 10;
-    pub const SMP_PHASE1: u32 = 11;
-    pub const SMP_PHASE2: u32 = 12;
-    // The barriers inside `win_allocate` and `fence`.
-    pub const WIN_ALLOCATE: u32 = 13;
-    pub const WIN_FENCE: u32 = 14;
-    /// Root→leader shuttle for rooted two-level ops whose root is not its
-    /// group's leader.
-    pub const SMP_SHUTTLE: u32 = 15;
-    pub const SMP_REDUCE0: u32 = 16;
-    pub const SMP_REDUCE1: u32 = 17;
-    pub const SMP_REDUCE2: u32 = 18;
-    pub const SMP_GATHER0: u32 = 20;
-    pub const SMP_GATHER1: u32 = 21;
-    pub const SMP_GATHER2: u32 = 22;
-    pub const SMP_AG0: u32 = 24;
-    pub const SMP_AG1: u32 = 25;
-    pub const SMP_AG2: u32 = 26;
-    pub const SMP_AG3: u32 = 27;
-    pub const SMP_BAR0: u32 = 28;
-    pub const SMP_BAR1: u32 = 29;
-    pub const SMP_BAR2: u32 = 30;
-    pub const SMP_A2A0: u32 = 32;
-    pub const SMP_A2A1: u32 = 33;
-    pub const SMP_A2A2: u32 = 34;
-    pub const SMP_A2A3: u32 = 35;
-    pub const RABENSEIFNER: u32 = 48;
-    pub const SCATTER_ALLGATHER: u32 = 50;
-    /// One past the table: id spaces outside it (the agreement tags of
-    /// `ft.rs`) start at or above this.
-    pub const END: u32 = 64;
+    op_table! {
+        /// One past the table: id spaces outside it (the agreement tags of
+        /// `ft.rs`) start at or above this.
+        END = 64;
+        BARRIER = 1,
+        BCAST = 2,
+        REDUCE = 3,
+        ALLREDUCE = 4,
+        GATHER = 5,
+        ALLGATHER = 7,
+        ALLTOALL = 8,
+        ALLTOALLV = 9,
+        // Two-level bcast/allreduce phases (the ids the original SMP
+        // variants shipped with; kept stable so traces stay comparable).
+        SMP_PHASE0 = 10,
+        SMP_PHASE1 = 11,
+        SMP_PHASE2 = 12,
+        // The barriers inside `win_allocate` and `fence`.
+        WIN_ALLOCATE = 13,
+        WIN_FENCE = 14,
+        /// Root→leader shuttle for rooted two-level ops whose root is not
+        /// its group's leader.
+        SMP_SHUTTLE = 15,
+        SMP_REDUCE0 = 16,
+        SMP_REDUCE1 = 17,
+        SMP_REDUCE2 = 18,
+        SMP_GATHER0 = 20,
+        SMP_GATHER1 = 21,
+        SMP_GATHER2 = 22,
+        SMP_AG0 = 24,
+        SMP_AG1 = 25,
+        SMP_AG2 = 26,
+        SMP_AG3 = 27,
+        SMP_BAR0 = 28,
+        SMP_BAR1 = 29,
+        SMP_BAR2 = 30,
+        SMP_A2A0 = 32,
+        SMP_A2A1 = 33,
+        SMP_A2A2 = 34,
+        SMP_A2A3 = 35,
+        RABENSEIFNER = 48,
+        SCATTER_ALLGATHER = 50,
+    }
 }
 
 /// Width of the round field in an internal collective tag.

@@ -16,6 +16,8 @@
 //! wait in the worker's [`spare`] list for the next image to be written,
 //! which [`to_bytes`] draws from.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bytes::Bytes;
 
 /// A fixed-size plain-old-data element that can cross the wire.

@@ -158,9 +158,30 @@ mod tests {
         assert!(e.to_string().contains("privileged"));
     }
 
+    /// `(arm, arms)`: the position of the first of the arms `$e`
+    /// matches, and how many arms there are. The same arms also form one
+    /// `match` with no wildcard, which runs the matching arm's check.
+    macro_rules! arm_of {
+        ($e:expr, $($pat:pat => $check:expr,)+) => {{
+            let e = $e;
+            match e {
+                $($pat => $check,)+
+            }
+            let (mut arm, mut arms) = (None, 0);
+            $(
+                if arm.is_none() && matches!(e, $pat) {
+                    arm = Some(arms);
+                }
+                arms += 1;
+            )+
+            (arm, arms)
+        }};
+    }
+
     /// Every variant renders a non-empty, variant-identifying message.
     /// The match is deliberately exhaustive (no wildcard arm): adding a
-    /// variant without extending this list fails to compile.
+    /// variant without an arm fails to compile, and an arm no value of
+    /// the list reaches fails the test.
     #[test]
     fn display_covers_every_variant() {
         let all: &[MpiError] = &[
@@ -189,29 +210,39 @@ mod tests {
             MpiError::ProcessFailed { peer: 13 },
             MpiError::Revoked,
         ];
+        let (mut reached, mut arms) = (Vec::new(), 0);
         for e in all {
             let s = e.to_string();
             assert!(!s.is_empty());
-            match e {
+            let (arm, n) = arm_of!(e,
                 MpiError::Fabric(_) => assert!(s.contains("fabric")),
                 MpiError::Truncated { .. } => assert!(s.contains("truncated")),
                 MpiError::BadTunables(_) => assert!(s.contains("tunables")),
                 MpiError::BadPlacement(_) => assert!(s.contains("placement")),
                 MpiError::StaleSegment { .. } => {
                     assert!(s.contains("stale") && s.contains("0xdead"))
-                }
+                },
                 MpiError::CorruptList { .. } => assert!(s.contains("corrupt")),
                 MpiError::PeerUnpublished { .. } => assert!(s.contains("never published")),
                 MpiError::ChannelDowngraded { .. } => assert!(s.contains("downgraded")),
                 MpiError::CorruptBundle { .. } => {
                     assert!(s.contains("bundle") && s.contains("overruns"))
-                }
+                },
                 MpiError::RetriesExhausted { .. } => assert!(s.contains("exhausted")),
                 MpiError::ProcessFailed { .. } => {
                     assert!(s.contains("failed") && s.contains("13"))
-                }
+                },
                 MpiError::Revoked => assert!(s.contains("revoked")),
-            }
+            );
+            reached.extend(arm);
+            arms = n;
         }
+        reached.sort_unstable();
+        reached.dedup();
+        assert_eq!(
+            reached,
+            (0..arms).collect::<Vec<_>>(),
+            "every arm needs a value in `all`"
+        );
     }
 }

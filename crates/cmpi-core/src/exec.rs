@@ -313,10 +313,14 @@ pub(crate) mod handoff {
         pub(crate) fn park(&self, cancelled: impl Fn() -> bool) {
             let mut g = self.parked.lock();
             while self.is_blocked() && !cancelled() {
-                // fiber-ok: reached only from the `ExecMode::Threads` arm
-                // of `yield_blocked`, where the caller is the rank's own
-                // OS thread — parking it is that backend's deschedule,
-                // and there is no worker or fiber to strand.
+                // Reached only from the `ExecMode::Threads` arm of
+                // `yield_blocked`, where the caller is the rank's own OS
+                // thread — parking it is that backend's deschedule, and
+                // there is no worker or fiber to strand.
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the one-thread-per-rank backend parks the rank's own thread"
+                )]
                 self.unparked.wait(&mut g);
             }
         }
@@ -1087,18 +1091,22 @@ impl PoolShared {
         // below sees its task; one that reads it later notifies, under
         // `idle`, which we hold until the wait releases it.
         self.parked.fetch_add(1, Ordering::SeqCst);
-        // lock-order: idle -> queues is the designed order — park holds
-        // `idle` while any_queued sweeps the run queues; enqueue takes
-        // queues then idle *sequentially* (each released before the
-        // next), so the reverse edge never exists.
+        // idle -> queues is the designed lock order — park holds `idle`
+        // while any_queued sweeps the run queues; enqueue takes queues
+        // then idle *sequentially* (each released before the next), so
+        // the reverse edge never exists.
         if self.any_queued() || self.live.load(Ordering::SeqCst) == 0 || self.poisoned() {
             self.parked.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        // fiber-ok: worker-thread context, never fiber context — park()
-        // runs on the pool's OS worker between tasks (fibers block via
+        // Worker-thread context, never fiber context — park() runs on
+        // the pool's OS worker between tasks (fibers block via
         // yield_blocked(), which switches back to this loop instead of
         // ever reaching an OS wait).
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "an idle worker parks between tasks, never under a fiber"
+        )]
         let timed_out = self
             .idle_cv
             .wait_for(&mut strikes, PARK_TIMEOUT)

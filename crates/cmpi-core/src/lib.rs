@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod channel;
 pub mod coll_select;
 pub mod collectives;

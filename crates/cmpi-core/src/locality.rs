@@ -509,20 +509,6 @@ impl LocalityView {
     pub fn num_downgraded(&self) -> u64 {
         self.downgraded_peers().count() as u64
     }
-
-    /// The downgrades as reportable [`MpiError`](crate::error::MpiError)
-    /// diagnostics.
-    pub fn degradation_errors(&self) -> Vec<crate::error::MpiError> {
-        use crate::error::MpiError;
-        self.downgraded_peers()
-            .map(|(peer, reason)| match reason {
-                DowngradeReason::Unpublished => MpiError::PeerUnpublished { peer },
-                DowngradeReason::CorruptByte | DowngradeReason::GatingMismatch => {
-                    MpiError::ChannelDowngraded { peer }
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -530,6 +516,21 @@ mod tests {
     use super::*;
     use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
     use proptest::prelude::*;
+
+    impl LocalityView {
+        /// The downgrades as reportable `MpiError` diagnostics.
+        fn degradation_errors(&self) -> Vec<crate::error::MpiError> {
+            use crate::error::MpiError;
+            self.downgraded_peers()
+                .map(|(peer, reason)| match reason {
+                    DowngradeReason::Unpublished => MpiError::PeerUnpublished { peer },
+                    DowngradeReason::CorruptByte | DowngradeReason::GatingMismatch => {
+                        MpiError::ChannelDowngraded { peer }
+                    }
+                })
+                .collect()
+        }
+    }
 
     /// Publish all ranks, then build one rank's view.
     fn detect_all(s: &DeploymentScenario, policy: LocalityPolicy) -> Vec<LocalityView> {

@@ -27,6 +27,8 @@
 //! read-modify-write synchronizes with the producer's store, which makes
 //! the pushed node visible to the very next `pop`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::UnsafeCell;
 use std::ptr;
 use std::sync::{Arc, OnceLock};
@@ -491,6 +493,10 @@ mod tests {
             std::thread::yield_now();
         }
         cell.poke();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the test's own thread waits for the sleeper's thread"
+        )]
         h.join().expect("sleeper woke");
     }
 

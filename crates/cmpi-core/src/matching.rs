@@ -68,6 +68,8 @@
 //! bucket present is non-empty — the wildcard sweep relies on this), so
 //! the maps never accumulate tombstones and need no periodic pruning.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 

@@ -34,6 +34,8 @@
 //! is the flight ring ([`cmpi_telemetry::FlightRecorder`], a
 //! model-checked seqlock); the store itself is plain memory.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
 use cmpi_cluster::{Channel, SimTime};

@@ -12,6 +12,8 @@
 //! rides as a reference-counted [`Bytes`] handle, so neither framing nor
 //! unframing copies or allocates for the payload.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bytes::{BufMut, Bytes};
 use cmpi_cluster::{Channel, SimTime};
 
@@ -98,6 +100,31 @@ const K_RTS: u32 = 2;
 const K_CTS: u32 = 3;
 const K_RNDV: u32 = 4;
 const K_FIN: u32 = 5;
+const _: () = assert!(
+    ids_fit(&[K_EAGER, K_RTS, K_CTS, K_RNDV, K_FIN], 1 << 8),
+    "wire discriminants must be distinct, non-zero (zero is an absent imm) and one byte"
+);
+
+/// Whether `ids` are distinct, non-zero and below `limit`: the condition
+/// an id table baked into a wire field keeps (checked in `const`
+/// assertions here and beside the collective op ids).
+pub(crate) const fn ids_fit(ids: &[u32], limit: u32) -> bool {
+    let mut i = 0;
+    while i < ids.len() {
+        if ids[i] == 0 || ids[i] >= limit {
+            return false;
+        }
+        let mut j = i + 1;
+        while j < ids.len() {
+            if ids[i] == ids[j] {
+                return false;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    true
+}
 
 /// Largest encoded header across all [`PacketKind`]s (Eager/Rts: 32
 /// bytes).
@@ -114,16 +141,6 @@ pub struct WireHeader {
 }
 
 impl WireHeader {
-    /// Copy raw header bytes back into the stack buffer (receive side).
-    ///
-    /// # Panics
-    /// Panics if `bytes` exceeds [`WIRE_HEADER_MAX`] — a corrupt frame.
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        let mut h = WireHeader::default();
-        h.put_slice(bytes);
-        h
-    }
-
     /// The encoded header bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len as usize]
@@ -269,6 +286,15 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WireHeader {
+        /// Copy raw header bytes back into the stack buffer.
+        fn from_slice(bytes: &[u8]) -> Self {
+            let mut h = WireHeader::default();
+            h.put_slice(bytes);
+            h
+        }
+    }
 
     fn roundtrip(kind: PacketKind, payload: &[u8]) {
         let p = Packet {

@@ -11,6 +11,8 @@
 //!   message, receiver-side copy out;
 //! * **HCA rendezvous** — RTS/CTS over the fabric, zero-copy RDMA payload.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 

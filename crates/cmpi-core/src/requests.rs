@@ -16,6 +16,8 @@
 //! ([`RequestTable::named_by_packet`]). A packet for anything else the
 //! table does not hold is a protocol violation and panics.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 

@@ -60,6 +60,8 @@ fn counted() -> bool {
     COUNTING.load(Ordering::Relaxed) && RUNS_RANKS.try_with(|f| f.get()).unwrap_or(false)
 }
 
+// SAFETY: defers every request to `System` unchanged; the counters are
+// bookkeeping on the side.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counted() {
@@ -78,10 +80,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 COUNTING.store(true, Ordering::Relaxed);
             }
         }
+        // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same pointer and layout the caller vouched for.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -101,6 +105,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 COUNTING.store(true, Ordering::Relaxed);
             }
         }
+        // SAFETY: same pointer, layout and size the caller vouched for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

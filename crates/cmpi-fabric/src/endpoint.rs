@@ -1,5 +1,7 @@
 //! Fabric endpoints: attach, two-sided send/recv, RDMA.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 

@@ -22,7 +22,7 @@
 //! experiments never exhaust MVAPICH2's credit window, so we document the
 //! simplification instead of simulating it.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 pub mod endpoint;
 pub mod mr;
 mod schedule;

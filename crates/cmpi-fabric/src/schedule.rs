@@ -8,6 +8,8 @@
 //! a future-stamped reservation instead of queueing behind it, otherwise
 //! real scheduling would leak into virtual time.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use cmpi_cluster::SimTime;
 
 /// The busy time of one adapter path as a sorted run of *coalesced*

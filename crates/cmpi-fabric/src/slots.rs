@@ -1,5 +1,7 @@
 //! A grow-only table of write-once slots with lock-free lookups.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::OnceLock;
 
 /// Slots in the first chunk; chunk `k` holds `FIRST << k`.

@@ -1,6 +1,6 @@
 //! `cmpi-model`: correctness tooling for the lock-free hot path.
 //!
-//! The crate has three faces:
+//! The crate has two faces:
 //!
 //! 1. **A shim synchronization layer** ([`sync`]): drop-in stand-ins for
 //!    `std::sync::atomic::Atomic*` and `parking_lot::{Mutex, Condvar}`.
@@ -17,30 +17,13 @@
 //!    (deadlock) detection, and a replayable schedule trace printed on
 //!    failure.
 //!
-//! 3. **A repo lint** ([`lint`] + the `cmpi-lint` binary): mechanical
-//!    rules the workspace must obey — `// SAFETY:` on every unsafe block,
-//!    `// relaxed-ok:` on every `Ordering::Relaxed` outside whitelisted
-//!    modules, no `unwrap()/expect()` in hot-path modules, and collective
-//!    tag field-widths within their debug-asserted bounds.
-//!
-//! 4. **A whole-program analyzer** ([`analyze`], the `--analyze` face of
-//!    the `cmpi-lint` binary): a dependency-free lexer ([`strip`]) plus
-//!    item/impl/fn extraction and an intra-workspace call graph, running
-//!    three passes no line-based lint can express — fiber-blocking taint
-//!    (no OS-blocking primitive reachable from fiber-executed code),
-//!    lock-order cycle detection over the global lock graph, and a
-//!    Release/Acquire pairing audit over every named atomic.
-//!
 //! See `DESIGN.md` §13 for the per-structure memory-model obligations the
-//! checker enforces and how to read a schedule trace, and §17 for the
-//! static-analysis rule inventory and annotation grammar.
+//! checker enforces and how to read a schedule trace.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod analyze;
-pub mod lint;
 pub mod race;
-pub mod strip;
 pub mod sync;
 
 #[cfg(cmpi_model)]

@@ -23,7 +23,7 @@
 //!   sender that outruns the receiver has its logical clock stalled to the
 //!   moment the receiver actually freed space (Section IV-C).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 pub mod locality_list;
 pub mod queue;
 pub mod segment;

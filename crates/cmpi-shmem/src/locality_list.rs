@@ -314,12 +314,6 @@ impl ContainerList {
     pub fn membership_of(&self, global_rank: usize) -> u8 {
         self.seg.load(HEADER_LEN + global_rank)
     }
-
-    /// `true` when `peer` published on the same list — the co-residence
-    /// test the channel selector uses.
-    pub fn is_local(&self, peer: usize) -> bool {
-        self.seg.load(HEADER_LEN + peer) != 0
-    }
 }
 
 impl std::fmt::Debug for ContainerList {
@@ -337,6 +331,13 @@ impl std::fmt::Debug for ContainerList {
 mod tests {
     use super::*;
     use std::thread;
+
+    impl ContainerList {
+        /// `true` when `peer` published on the same list.
+        fn is_local(&self, peer: usize) -> bool {
+            self.seg.load(HEADER_LEN + peer) != 0
+        }
+    }
 
     fn registry() -> ShmRegistry {
         ShmRegistry::new()

@@ -15,6 +15,8 @@
 //! its progress engine, yields to the execution engine and retries, so
 //! real waiting and logical-clock stalling stay consistent.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 
 use cmpi_cluster::SimTime;

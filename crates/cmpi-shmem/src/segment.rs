@@ -7,6 +7,8 @@
 //! lock"): concurrent single-byte writes from different ranks are safe
 //! without any locking.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -47,9 +47,9 @@ impl MetricKind {
 ///
 /// Adding a variant requires: an [`MetricId::ALL`] entry, `name`/`help`
 /// arms, a source in `cmpi-core`'s one-source map (its `match` is
-/// exhaustive), a row in the DESIGN.md §11 metric inventory table, and a
-/// line in the `exposition_covers_every_metric` test — cmpi-lint
-/// enforces the last two, and that no table row outlives its variant.
+/// exhaustive), and a row in the DESIGN.md §11 metric inventory table —
+/// `design_inventory_lists_every_metric` enforces the last, and that no
+/// table row outlives its variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum MetricId {
@@ -618,6 +618,8 @@ pub(crate) fn rank_with(values: &[(MetricId, u64)]) -> RankSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn job_of(ranks: Vec<RankSnapshot>) -> TelemetrySnapshot {
@@ -667,60 +669,13 @@ mod tests {
 
     #[test]
     fn exposition_covers_every_metric() {
-        // Every variant spelled out (not `MetricId::ALL`) so the
-        // cmpi-lint metric-ids rule can hold each one to a literal
-        // appearance here: adding a metric without extending this list
-        // and the DESIGN.md inventory table fails CI.
-        let all = [
-            MetricId::ShmOps,
-            MetricId::CmaOps,
-            MetricId::HcaOps,
-            MetricId::ShmBytes,
-            MetricId::CmaBytes,
-            MetricId::HcaBytes,
-            MetricId::EagerMsgs,
-            MetricId::RndvMsgs,
-            MetricId::ProbeHits,
-            MetricId::ProbeMisses,
-            MetricId::SendRetries,
-            MetricId::HcaDowngrades,
-            MetricId::FtConvictions,
-            MetricId::FtRevokes,
-            MetricId::FtShrinks,
-            MetricId::CollFlat,
-            MetricId::CollTwoLevel,
-            MetricId::CollLarge,
-            MetricId::MailboxPushes,
-            MetricId::MailboxParks,
-            MetricId::MailboxWakes,
-            MetricId::ShmQueueAcquires,
-            MetricId::ShmQueueStalls,
-            MetricId::FabricSends,
-            MetricId::FabricRecvs,
-            MetricId::FabricRdma,
-            MetricId::LateSenderNs,
-            MetricId::LateReceiverNs,
-            MetricId::TransferNs,
-            MetricId::FlightEvents,
-            MetricId::FlightDropped,
-            MetricId::MatchPostedPeak,
-            MetricId::MatchUnexpectedPeak,
-            MetricId::ShmMaxInFlight,
-            MetricId::Pt2ptLatencyNs,
-            MetricId::MsgSizeBytes,
-        ];
-        assert_eq!(all.len(), NUM_METRICS, "extend this list for new metrics");
-        for (i, id) in all.iter().enumerate() {
-            assert_eq!(id.index(), i, "list must stay in slot order");
-            assert_eq!(*id, MetricId::ALL[i], "list must mirror MetricId::ALL");
-        }
         // Every metric emits a named, documented family in both
         // expositions, even at zero.
         let snap = job_of(vec![rank_with(&[])]);
         let text = snap.to_prometheus();
         validate_prometheus(&text).expect("exposition must validate");
         let json = snap.to_json().to_string();
-        for id in all {
+        for id in MetricId::ALL {
             assert!(!id.help().is_empty(), "{:?} needs HELP text", id);
             assert!(
                 text.contains(&format!("# TYPE {}", id.name())),
@@ -733,6 +688,30 @@ mod tests {
                 id.name()
             );
         }
+    }
+
+    /// DESIGN.md §11's metric inventory names exactly the `MetricId`s:
+    /// a metric cannot ship undocumented, nor a row outlive its metric.
+    #[test]
+    fn design_inventory_lists_every_metric() {
+        let design = include_str!("../../../DESIGN.md");
+        let (_, table) = design
+            .split_once("### Metric inventory")
+            .expect("DESIGN.md has a metric inventory");
+        let rows: BTreeSet<String> = table
+            .lines()
+            .take_while(|l| !l.starts_with('#'))
+            .filter_map(|l| Some(l.strip_prefix("| `")?.split_once('`')?.0))
+            .filter(|name| *name != "MetricId")
+            .map(str::to_string)
+            .collect();
+        let ids: BTreeSet<String> = MetricId::ALL.iter().map(|id| format!("{id:?}")).collect();
+        assert!(
+            rows == ids,
+            "metrics with no DESIGN.md §11 row: {:?}; rows naming no metric: {:?}",
+            ids.difference(&rows).collect::<Vec<_>>(),
+            rows.difference(&ids).collect::<Vec<_>>()
+        );
     }
 
     #[test]

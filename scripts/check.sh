@@ -20,14 +20,6 @@
 #             own suite, then the shim-ported hot-path structures under
 #             --cfg cmpi_model (separate target dir so the normal build
 #             cache survives)
-#   lint      cmpi-lint repo rules: SAFETY comments, relaxed-ok
-#             justifications, hot-path unwrap ban, tag field widths,
-#             MpiError Display-test coverage, analyzer-rule inventory
-#             in DESIGN.md §17
-#   analyze   cmpi-analyze whole-program passes: fiber-blocking taint
-#             from the Mpi/fiber-boot seeds, lock-order cycle detection,
-#             atomic Release/Acquire pairing audit; any unjustified
-#             finding is a hard failure. The exit code is the gate
 #   overhead  overhead_gate: telemetry-on vs -off kernel pairs, >2 % fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
@@ -37,7 +29,16 @@
 #   doc       rustdoc of every workspace crate with broken intra-doc
 #             links as errors (a link left pointing at a deleted item);
 #             rustdoc's other warnings stay allowed
-#   clippy    all targets, warnings are errors
+#   clippy    all targets, warnings are errors; with clippy.toml and the
+#             crate/module lint attributes this holds the repo rules:
+#             `// SAFETY:` on every unsafe block (undocumented_unsafe_blocks),
+#             no unwrap/expect outside tests in the hot-path modules
+#             (unwrap_used, expect_used), no OS-blocking call without an
+#             allow and its reason (disallowed_methods). The rules no
+#             lint states run in `test`: tests/source_rules.rs (relaxed-ok,
+#             one channel decision, one allow(unsafe_code)), the op-id and
+#             wire-discriminant const asserts (a build error), the MpiError
+#             Display test and the DESIGN.md metric-inventory test
 #   fmt       rustfmt in check mode
 #
 # On exit, pass or fail, it prints the wall seconds each stage took and
@@ -96,12 +97,6 @@ RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
   cargo test -q -p cmpi-model
 RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
   cargo test -q -p cmpi-core -p cmpi-shmem -p cmpi-fabric -p cmpi-telemetry --lib
-
-stage lint "cmpi-lint"
-cargo run --release --quiet -p cmpi-model --bin cmpi-lint
-
-stage analyze "cmpi-analyze (call-graph passes; findings are hard failures)"
-cargo run --release --quiet -p cmpi-model --bin cmpi-lint -- --analyze
 
 stage overhead "telemetry overhead gate (on/off pairs, budget 2%)"
 # Paired on/off runs of the eager, rendezvous and job32 kernels; fails

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sampled CPU profile of one benchmark workload, for hosts without a PMU.
+# Sampled wall-time profile of one benchmark workload, for hosts without a PMU.
 #
 #   scripts/prof.sh WORKLOAD [SECONDS] [TOP]
 #

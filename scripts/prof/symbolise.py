@@ -102,7 +102,7 @@ def main():
             inclusive.update(set(names))
             if leaf is not None and leaf in (names[0], names[0].split("  [")[0]):
                 chains[" <- ".join(names[1:1 + depth]) or "[no callers]"] += 1
-    print(f"{samples} samples of CPU time from {len(dumps)} processes")
+    print(f"{samples} wall-time samples (100 us per worker thread) from {len(dumps)} processes")
     if leaf is not None:
         hits = sum(chains.values())
         print(f"{hits} of them ({100 * hits / max(samples, 1):.2f}%) have their pc in {leaf}")

@@ -25,7 +25,7 @@
 //! assert_eq!(result.results, vec![3, 3]);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 /// Simulated cluster substrate (hosts, containers, namespaces, cost
 /// model, virtual time).
 pub use cmpi_cluster as cluster;
