@@ -99,12 +99,6 @@ pub fn validate(
     verdict[0] == 1
 }
 
-/// Sequential check of one assembled parent array, regenerating the
-/// edge set for it.
-pub fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
-    check_tree_against(cfg, &EdgeSet::generate(cfg), root, parent)
-}
-
 /// Rank 0's sequential check of the assembled parent array for `root`.
 pub fn check_tree_against(
     cfg: &Graph500Config,
@@ -173,6 +167,12 @@ mod tests {
     use super::*;
     use crate::graph500::generator::{bfs_root, edge};
     use proptest::prelude::*;
+
+    /// Sequential check of one assembled parent array, regenerating the
+    /// edge set for it.
+    fn check_tree(cfg: &Graph500Config, root: u64, parent: &[u64]) -> bool {
+        check_tree_against(cfg, &EdgeSet::generate(cfg), root, parent)
+    }
 
     fn tiny_cfg() -> Graph500Config {
         Graph500Config {

@@ -14,7 +14,7 @@
 //!   per-peer channel matrix, the wait-state decomposition, and the
 //!   substrate pressure counters for the Default vs. Proposed designs;
 //! * `health` runs a 32-rank mixed job under the always-on telemetry
-//!   layer, validates the Prometheus and JSON expositions, and prints the
+//!   layer, round-trips its metrics JSON and flight dump, and prints the
 //!   health evaluator's verdict plus the job-total metrics;
 //! * `scaling` runs the mixed job on the task execution engine at growing
 //!   rank counts (to 1024 quick, 4096 with `--full`, best of 3 a point)
@@ -34,7 +34,9 @@ use cmpi_bench::{experiments as ex, Effort, Table};
 type Driver = fn(&Effort) -> Vec<Table>;
 
 /// Every output, in print order: its `--fig` id and its driver.
-/// Dispatch and the usage text both read this table.
+/// Dispatch and the usage text both read this table; `scripts/results.sh`
+/// takes the ids from the usage text, so a new id is pinned by
+/// `RESULTS.txt` (every id but `scaling`) from its first run.
 const FIGURES: &[(&str, Driver)] = &[
     ("1", |e| vec![ex::fig01(e)]),
     ("3a", |e| vec![ex::fig03a(e)]),

@@ -50,11 +50,6 @@ impl Table {
             .expect("unknown column");
         &self.rows[row][c]
     }
-
-    /// Parse a cell as f64.
-    pub fn cell_f64(&self, row: usize, header: &str) -> f64 {
-        self.cell(row, header).parse().expect("non-numeric cell")
-    }
 }
 
 impl fmt::Display for Table {
@@ -77,6 +72,14 @@ impl fmt::Display for Table {
             line(f, r)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Parse a cell as f64.
+    pub(crate) fn cell_f64(&self, row: usize, header: &str) -> f64 {
+        self.cell(row, header).parse().expect("non-numeric cell")
     }
 }
 

@@ -70,22 +70,6 @@ impl Placement {
         self.same_host(a, b) && self.locs[a].socket == self.locs[b].socket
     }
 
-    /// Number of distinct hosts used.
-    pub fn hosts_used(&self) -> usize {
-        let mut h: Vec<HostId> = self.locs.iter().map(|l| l.host).collect();
-        h.sort();
-        h.dedup();
-        h.len()
-    }
-
-    /// Number of distinct containers used.
-    pub fn containers_used(&self) -> usize {
-        let mut c: Vec<ContainerId> = self.locs.iter().map(|l| l.container).collect();
-        c.sort();
-        c.dedup();
-        c.len()
-    }
-
     /// Validate the placement against a cluster: containers exist, cores
     /// are within range and no two ranks share a core (the paper pins one
     /// rank per core).
@@ -125,6 +109,25 @@ impl Placement {
             used.push(key);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Placement {
+    /// Number of distinct hosts used.
+    pub(crate) fn hosts_used(&self) -> usize {
+        let mut h: Vec<HostId> = self.locs.iter().map(|l| l.host).collect();
+        h.sort();
+        h.dedup();
+        h.len()
+    }
+
+    /// Number of distinct containers used.
+    pub(crate) fn containers_used(&self) -> usize {
+        let mut c: Vec<ContainerId> = self.locs.iter().map(|l| l.container).collect();
+        c.sort();
+        c.dedup();
+        c.len()
     }
 }
 

@@ -90,18 +90,6 @@ impl Container {
     pub fn co_resident_with(&self, other: &Container) -> bool {
         self.host == other.host
     }
-
-    /// `true` when the two containers can map a common shared-memory
-    /// segment (same IPC namespace on the same host).
-    pub fn shares_ipc_with(&self, other: &Container) -> bool {
-        self.host == other.host && self.ipc_ns == other.ipc_ns
-    }
-
-    /// `true` when a process in `self` can CMA-address a process in
-    /// `other` (same PID namespace on the same host).
-    pub fn shares_pid_with(&self, other: &Container) -> bool {
-        self.host == other.host && self.pid_ns == other.pid_ns
-    }
 }
 
 /// A physical host.
@@ -249,6 +237,21 @@ impl Cluster {
     /// Number of hosts.
     pub fn num_hosts(&self) -> usize {
         self.hosts.len()
+    }
+}
+
+#[cfg(test)]
+impl Container {
+    /// `true` when the two containers can map a common shared-memory
+    /// segment (same IPC namespace on the same host).
+    pub(crate) fn shares_ipc_with(&self, other: &Container) -> bool {
+        self.host == other.host && self.ipc_ns == other.ipc_ns
+    }
+
+    /// `true` when a process in `self` can CMA-address a process in
+    /// `other` (same PID namespace on the same host).
+    pub(crate) fn shares_pid_with(&self, other: &Container) -> bool {
+        self.host == other.host && self.pid_ns == other.pid_ns
     }
 }
 

@@ -85,15 +85,17 @@ pub use locality::{DowngradeReason, LocalityPolicy, LocalityView, PublishReport}
 pub use onesided::Window;
 pub use pt2pt::{Completion, Request, Status, ANY_SOURCE, ANY_TAG};
 pub use runtime::{JobResult, JobSpec, Mpi};
-pub use stats::{CallClass, ChannelCounter, CommStats, JobStats, RecoveryStats};
+pub use stats::{CallClass, CommStats, JobStats, RecoveryStats};
 pub use trace::{flow_id, FlowEvent, InstantEvent, JobTrace, RankTrace, TraceEvent};
-// Profiling vocabulary (the `JobResult::profile` payload lives in
-// cmpi-prof; re-exported so downstream crates need no direct dependency).
-pub use cmpi_prof::{JobProfile, Json, WaitBreakdown, WaitClass, WaitStats};
+// Profiling vocabulary, the `{ops, bytes}` counter and the log2 histogram
+// (the `JobResult::profile` payload lives in cmpi-prof; re-exported so
+// downstream crates need no direct dependency).
+pub use cmpi_prof::{
+    ChannelCounter, HistogramSnapshot, JobProfile, Json, WaitBreakdown, WaitClass, WaitStats,
+};
 // Telemetry vocabulary (the `JobResult::telemetry` payload lives in
 // cmpi-telemetry; re-exported for the same reason).
 pub use cmpi_telemetry::{
-    evaluate as evaluate_health, validate_prometheus, EventKind, FlightEvent, FlightSnapshot,
-    HealthFinding, HealthReport, HealthStatus, HistogramSnapshot, MetricId, MetricKind,
-    RankSnapshot, TelemetrySnapshot,
+    evaluate as evaluate_health, EventKind, FlightEvent, FlightSnapshot, HealthFinding,
+    HealthReport, HealthStatus, MetricId, MetricKind, RankSnapshot, TelemetrySnapshot,
 };

@@ -504,11 +504,6 @@ impl LocalityView {
     pub fn downgraded_peers(&self) -> impl Iterator<Item = (usize, DowngradeReason)> + '_ {
         self.downgrades.iter().copied()
     }
-
-    /// Number of peers downgraded to the HCA.
-    pub fn num_downgraded(&self) -> u64 {
-        self.downgraded_peers().count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -518,6 +513,11 @@ mod tests {
     use proptest::prelude::*;
 
     impl LocalityView {
+        /// Number of peers downgraded to the HCA.
+        fn num_downgraded(&self) -> u64 {
+            self.downgraded_peers().count() as u64
+        }
+
         /// The downgrades as reportable `MpiError` diagnostics.
         fn degradation_errors(&self) -> Vec<crate::error::MpiError> {
             use crate::error::MpiError;

@@ -763,16 +763,18 @@ impl MatchingEngine {
     pub fn posted_len(&self) -> usize {
         self.posted_exact_count + self.posted_wild.len()
     }
-
-    /// Number of incomplete chunk assemblies (diagnostics).
-    pub fn pending_assemblies(&self) -> usize {
-        self.assemblies.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MatchingEngine {
+        /// Number of incomplete chunk assemblies.
+        fn pending_assemblies(&self) -> usize {
+            self.assemblies.len()
+        }
+    }
 
     fn eager_msg(
         e: &mut MatchingEngine,

@@ -39,10 +39,11 @@
 use std::sync::Arc;
 
 use cmpi_cluster::{Channel, SimTime};
-use cmpi_prof::{FabricCounters, JobProfile, ProfCollector, QueuePressure, WaitClass};
+use cmpi_prof::{
+    FabricCounters, HistogramAccumulator, JobProfile, ProfCollector, QueuePressure, WaitClass,
+};
 use cmpi_telemetry::{
-    EventKind, FlightEvent, FlightSnapshot, HistogramAccumulator, JobTelemetry, MetricId,
-    RankSnapshot, TelemetrySnapshot,
+    EventKind, FlightEvent, FlightSnapshot, JobTelemetry, MetricId, RankSnapshot, TelemetrySnapshot,
 };
 
 use crate::channel::{Protocol, Route};

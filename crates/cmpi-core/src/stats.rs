@@ -7,19 +7,9 @@
 //! finalize.
 
 use cmpi_cluster::{Channel, SimTime};
-use cmpi_prof::{chan_index, NUM_CHANNELS};
+use cmpi_prof::{chan_index, ChannelCounter, NUM_CHANNELS};
 
 use crate::coll_select::{CollAlgo, CollKind};
-
-/// Per-channel operation and byte counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelCounter {
-    /// Data-bearing transfer operations (eager chunks, CMA copies, HCA
-    /// sends — control packets are not transfers).
-    pub ops: u64,
-    /// Payload bytes moved.
-    pub bytes: u64,
-}
 
 /// Where virtual time was spent, mirroring the mpiP call classes the
 /// paper profiles.
@@ -138,9 +128,7 @@ pub struct CommStats {
 impl CommStats {
     /// Record one data-bearing transfer.
     pub fn record_op(&mut self, channel: Channel, bytes: usize) {
-        let c = &mut self.channels[chan_index(channel)];
-        c.ops += 1;
-        c.bytes += bytes as u64;
+        self.channels[chan_index(channel)].add(bytes as u64);
     }
 
     /// Attribute `dt` of virtual time to `class`.
@@ -179,9 +167,8 @@ impl CommStats {
 
     /// Merge another rank's statistics into this one.
     pub fn merge(&mut self, other: &CommStats) {
-        for i in 0..NUM_CHANNELS {
-            self.channels[i].ops += other.channels[i].ops;
-            self.channels[i].bytes += other.channels[i].bytes;
+        for (mine, theirs) in self.channels.iter_mut().zip(&other.channels) {
+            mine.merge(theirs);
         }
         for i in 0..5 {
             self.times[i] += other.times[i];

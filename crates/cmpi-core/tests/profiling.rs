@@ -19,8 +19,8 @@
 use bytes::Bytes;
 use cmpi_cluster::{Channel, DeploymentScenario, NamespaceSharing};
 use cmpi_core::{
-    CollAlgo, CollKind, JobProfile, JobResult, JobSpec, LocalityPolicy, MetricId, ReduceOp,
-    WaitClass,
+    ChannelCounter, CollAlgo, CollKind, JobProfile, JobResult, JobSpec, LocalityPolicy, MetricId,
+    ReduceOp, WaitClass,
 };
 use cmpi_prof::chan_index;
 use proptest::prelude::*;
@@ -35,13 +35,15 @@ fn four_rank_scenario() -> DeploymentScenario {
 fn assert_ledgers_consistent<R>(r: &JobResult<R>) {
     let p = r.profile.as_ref().expect("profiling was enabled");
     for (rank, row) in p.tx.iter().enumerate() {
-        let totals = row.channel_totals();
         for ch in Channel::ALL {
             let agg = r.stats.per_rank[rank].channel(ch);
-            let cell = totals[chan_index(ch)];
+            let mut sum = ChannelCounter::default();
+            for peer in 0..row.len() {
+                sum.merge(&row.cell(peer).chan[chan_index(ch)]);
+            }
             assert_eq!(
-                (cell.ops, cell.bytes),
-                (agg.ops, agg.bytes),
+                sum,
+                agg,
                 "rank {rank} {} row sum drifted from its ChannelCounter",
                 ch.name()
             );
@@ -91,7 +93,7 @@ fn assert_waits_decompose(p: &JobProfile) {
         for class in WaitClass::ALL {
             let b = w.class(class);
             assert_eq!(
-                b.components_total(),
+                b.late_sender + b.late_receiver + b.arrival_skew + b.transfer,
                 b.blocked,
                 "rank {rank} {} components do not sum to blocked",
                 class.name()
@@ -155,7 +157,12 @@ proptest! {
         let all = run(true, true, true);
         assert_ledgers_consistent(&all);
         let p = all.profile.as_ref().unwrap();
-        prop_assert!(p.directionally_conserved());
+        // Two-sided only, so conserved per direction: tx[i][j] == rx[j][i].
+        for i in 0..p.num_ranks() {
+            for j in 0..p.num_ranks() {
+                prop_assert_eq!(p.tx[i].cell(j).bytes(), p.rx[j].cell(i).bytes());
+            }
+        }
         assert_waits_decompose(p);
         assert_views_agree(&all);
         // A view's rendered text stands for the view.
@@ -165,7 +172,7 @@ proptest! {
                 r.profile.as_ref().map(|p| p.to_json().to_string()),
                 r.telemetry
                     .as_ref()
-                    .map(|t| (t.to_prometheus(), t.flight_chrome_json().to_string())),
+                    .map(|t| (t.to_json().to_string(), t.flight_chrome_json().to_string())),
             )
         };
         let (trace, profile, telemetry) = rendered(&all);

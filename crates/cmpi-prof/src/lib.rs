@@ -12,8 +12,10 @@
 //! * [`Json`] — a self-contained JSON model (the vendored `serde` is
 //!   marker-only), with a serializer and a strict parser so every
 //!   exported document can be round-trip-checked;
-//! * [`RankMatrix`] / [`SizeHistogram`] — per-peer, per-channel traffic
-//!   ledgers with log2 size buckets;
+//! * [`RankMatrix`] — per-peer, per-channel traffic ledgers of
+//!   [`ChannelCounter`]s with a log2 size histogram per peer; the
+//!   workspace's one `{ops, bytes}` counter and its one log2 histogram
+//!   ([`HistogramAccumulator`] / [`HistogramSnapshot`]) live here;
 //! * [`WaitStats`] / [`JobProfile`] — mpiP-style wait-state
 //!   decomposition and the assembled job report.
 //!
@@ -28,8 +30,8 @@ pub mod wait;
 
 pub use json::{Json, JsonError};
 pub use matrix::{
-    chan_index, size_bucket, ChanCell, PeerCell, RankMatrix, SizeHistogram, NUM_CHANNELS,
-    SIZE_BUCKETS,
+    chan_index, size_bucket, ChannelCounter, HistogramAccumulator, HistogramSnapshot, PeerCell,
+    RankMatrix, NUM_CHANNELS, SIZE_BUCKETS,
 };
 pub use profile::{FabricCounters, JobProfile, ProfCollector, QueuePressure};
 pub use wait::{WaitBreakdown, WaitClass, WaitStats};

@@ -1,10 +1,12 @@
-//! Per-peer channel matrices: Table I at rank-pair granularity.
+//! Per-peer channel matrices: Table I at rank-pair granularity, and the
+//! one log2 histogram and the one `{ops, bytes}` counter of the
+//! workspace.
 //!
 //! A [`RankMatrix`] is one rank's row of the job-wide N×N traffic matrix:
 //! for every peer, per-channel {ops, bytes} plus a log2 message-size
 //! histogram. The runtime keeps two ledgers per rank — transmitted
-//! (initiator-side, summing exactly to the rank's `cmpi_core::ChannelCounter`
-//! aggregates) and received (delivery-side) — so byte conservation across
+//! (initiator-side, summing exactly to the rank's `CommStats` channel
+//! counters) and received (delivery-side) — so byte conservation across
 //! the job is checkable, not assumed.
 
 use cmpi_cluster::Channel;
@@ -24,47 +26,37 @@ pub fn chan_index(c: Channel) -> usize {
     }
 }
 
-/// {ops, bytes} for one (peer, channel) cell.
+/// Per-channel operation and byte counters: one (peer, channel) cell of
+/// a [`RankMatrix`], and one channel of a rank's `CommStats` (Table I).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChanCell {
-    /// Data-bearing transfer operations.
+pub struct ChannelCounter {
+    /// Data-bearing transfer operations (eager chunks, CMA copies, HCA
+    /// sends — control packets are not transfers).
     pub ops: u64,
-    /// Payload bytes.
+    /// Payload bytes moved.
     pub bytes: u64,
 }
 
-impl ChanCell {
-    fn add(&mut self, bytes: u64) {
+impl ChannelCounter {
+    /// Count one transfer of `bytes`.
+    #[inline]
+    pub fn add(&mut self, bytes: u64) {
         self.ops += 1;
         self.bytes += bytes;
     }
 
-    fn merge(&mut self, other: &ChanCell) {
+    /// Fieldwise sum.
+    pub fn merge(&mut self, other: &ChannelCounter) {
         self.ops += other.ops;
         self.bytes += other.bytes;
     }
 }
 
-/// Number of log2 size buckets (covers every `usize` message length).
+/// Number of log2 size buckets (covers every `usize` value).
 pub const SIZE_BUCKETS: usize = 65;
 
-/// A log2 message-size histogram: bucket `k` counts messages with
-/// `size.next_power_of_two() == 2^k` (bucket 0 holds empty and 1-byte
-/// messages).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SizeHistogram {
-    buckets: Box<[u64; SIZE_BUCKETS]>,
-}
-
-impl Default for SizeHistogram {
-    fn default() -> Self {
-        SizeHistogram {
-            buckets: Box::new([0; SIZE_BUCKETS]),
-        }
-    }
-}
-
-/// The bucket a message of `size` bytes lands in.
+/// The bucket a value lands in: bucket `k` counts values whose
+/// `next_power_of_two` is `2^k` (bucket 0 holds 0 and 1).
 pub fn size_bucket(size: usize) -> usize {
     if size <= 1 {
         0
@@ -73,46 +65,147 @@ pub fn size_bucket(size: usize) -> usize {
     }
 }
 
-impl SizeHistogram {
-    /// Count one message of `size` bytes.
-    pub fn record(&mut self, size: usize) {
-        self.buckets[size_bucket(size)] += 1;
-    }
+/// A log2 histogram's contents: `buckets` sum equals `count`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Per-bucket counts, `SIZE_BUCKETS` entries (see [`size_bucket`]).
+    pub buckets: Vec<u64>,
+    /// Total observations.
+    pub count: u64,
+    /// Sum of observed values.
+    pub sum: u64,
+}
 
-    /// Count in bucket `k`.
-    pub fn bucket(&self, k: usize) -> u64 {
-        self.buckets[k]
-    }
-
-    /// Total messages counted.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Fieldwise sum.
-    pub fn merge(&mut self, other: &SizeHistogram) {
-        for (m, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *m += o;
+/// No observations, every bucket present.
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: vec![0; SIZE_BUCKETS],
+            count: 0,
+            sum: 0,
         }
     }
+}
 
-    /// Non-empty buckets as `(k, count)` pairs.
+/// The write side of a log2 histogram, owned by the one rank that
+/// records into it: a telemetry metric, or the message sizes of one
+/// profile peer cell.
+///
+/// Consecutive observations that land in one log2 bucket — the common
+/// case: virtual-time latencies repeat, a ping-pong stream sends one
+/// size forever — cost three plain adds on the accumulator's own line;
+/// the bucket array is only touched when the bucket changes. Zeros are
+/// counted apart from the run: a windowed workload settles most
+/// requests with no blocking at all, and the zeros would otherwise
+/// alternate with the occasional real wait and end the run every time.
+///
+/// The bucket array grows to the highest bucket a run has closed in, not
+/// to all `SIZE_BUCKETS`: an untouched histogram holds no heap, a rank
+/// that sends one size or waits on one scale of latency holds a few
+/// words, and [`Self::finish`] pads the snapshot so that every view
+/// still sees every bucket.
+#[derive(Clone, Debug, Default)]
+pub struct HistogramAccumulator {
+    zeros: u64,
+    run_sum: u64,
+    run_count: u64,
+    run_bucket: u32,
+    /// Closed runs' counts, by bucket, up to the highest one touched.
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+}
+
+impl HistogramAccumulator {
+    /// Count one observation of `v`.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        if v == 0 {
+            self.zeros += 1;
+            return;
+        }
+        let b = size_bucket(v as usize) as u32;
+        if b != self.run_bucket && self.run_count > 0 {
+            self.end_run();
+        }
+        self.run_bucket = b;
+        self.run_count += 1;
+        self.run_sum += v;
+    }
+
+    fn end_run(&mut self) {
+        let b = self.run_bucket as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += self.run_count;
+        self.count += self.run_count;
+        self.sum += self.run_sum;
+        self.run_count = 0;
+        self.run_sum = 0;
+    }
+
+    /// Fold `other`'s observations into this histogram: this run is
+    /// closed, and `other`'s open run becomes this one's.
+    pub fn merge(&mut self, other: &HistogramAccumulator) {
+        if self.run_count > 0 {
+            self.end_run();
+        }
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (m, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *m += o;
+        }
+        self.zeros += other.zeros;
+        self.count += other.count;
+        self.sum += other.sum;
+        self.run_bucket = other.run_bucket;
+        self.run_count = other.run_count;
+        self.run_sum = other.run_sum;
+    }
+
+    /// Non-empty buckets as `(k, count)` pairs, in bucket order, the open
+    /// run and the zeros included.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (k, c))
+        let top = self.buckets.len().max(self.run_bucket as usize + 1);
+        (0..top)
+            .map(|k| {
+                let mut c = self.buckets.get(k).copied().unwrap_or(0);
+                if k == 0 {
+                    c += self.zeros;
+                }
+                if k == self.run_bucket as usize {
+                    c += self.run_count;
+                }
+                (k, c)
+            })
+            .filter(|&(_, c)| c > 0)
+    }
+
+    /// Everything observed so far, every bucket present.
+    pub fn finish(mut self) -> HistogramSnapshot {
+        if self.run_count > 0 {
+            self.end_run();
+        }
+        let mut buckets = self.buckets;
+        buckets.resize(SIZE_BUCKETS, 0);
+        buckets[0] += self.zeros;
+        HistogramSnapshot {
+            buckets,
+            count: self.count + self.zeros,
+            sum: self.sum,
+        }
     }
 }
 
 /// One (rank, peer) cell: traffic per channel plus the size histogram.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct PeerCell {
     /// Per-channel counters, indexed by [`chan_index`].
-    pub chan: [ChanCell; NUM_CHANNELS],
+    pub chan: [ChannelCounter; NUM_CHANNELS],
     /// Message sizes, log2-bucketed.
-    pub hist: SizeHistogram,
+    pub hist: HistogramAccumulator,
 }
 
 impl PeerCell {
@@ -128,7 +221,7 @@ impl PeerCell {
 }
 
 /// One rank's row of the job traffic matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct RankMatrix {
     cells: Vec<PeerCell>,
 }
@@ -155,24 +248,12 @@ impl RankMatrix {
     pub fn record(&mut self, peer: usize, channel: Channel, bytes: usize) {
         let cell = &mut self.cells[peer];
         cell.chan[chan_index(channel)].add(bytes as u64);
-        cell.hist.record(bytes);
+        cell.hist.observe(bytes as u64);
     }
 
     /// The cell for `peer`.
     pub fn cell(&self, peer: usize) -> &PeerCell {
         &self.cells[peer]
-    }
-
-    /// Row sums per channel — must equal the rank's `ChannelCounter`
-    /// aggregates for the transmitted ledger (the proptest invariant).
-    pub fn channel_totals(&self) -> [ChanCell; NUM_CHANNELS] {
-        let mut out = [ChanCell::default(); NUM_CHANNELS];
-        for cell in &self.cells {
-            for (t, c) in out.iter_mut().zip(cell.chan.iter()) {
-                t.merge(c);
-            }
-        }
-        out
     }
 
     /// Fold one cell's counters into this row's `peer` slot (used when a
@@ -183,17 +264,6 @@ impl RankMatrix {
             m.merge(o);
         }
         mine.hist.merge(&cell.hist);
-    }
-
-    /// Fieldwise sum of another row into this one.
-    pub fn merge(&mut self, other: &RankMatrix) {
-        assert_eq!(self.len(), other.len(), "matrix dimension mismatch");
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells.iter()) {
-            for (m, o) in mine.chan.iter_mut().zip(theirs.chan.iter()) {
-                m.merge(o);
-            }
-            mine.hist.merge(&theirs.hist);
-        }
     }
 
     /// JSON row: one object per peer with traffic, omitting empty cells.
@@ -232,6 +302,8 @@ impl RankMatrix {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -248,43 +320,106 @@ mod tests {
     }
 
     #[test]
+    fn accumulator_holds_the_histogram_invariant() {
+        let mut acc = HistogramAccumulator::default();
+        for v in [0u64, 1, 2, 3, 100, 5_000, 1 << 20] {
+            acc.observe(v);
+        }
+        let h = acc.finish();
+        assert_eq!(h.count, 7);
+        assert_eq!(h.sum, 5_106 + (1 << 20));
+        assert_eq!(h.buckets.len(), SIZE_BUCKETS);
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+        assert_eq!(h.buckets[0], 2, "0 and 1 share bucket 0");
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!(h.buckets[2], 1);
+        assert_eq!(h.buckets[20], 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any value stream leaves the accumulator holding what counting
+        /// each value on its own would: `sum(buckets) == count`, the exact
+        /// sum, every value in the bucket `size_bucket` names — however
+        /// the same-bucket runs and the zeros fall. `nonzero` lists those
+        /// buckets before `finish`, and two halves merged hold the whole.
+        #[test]
+        fn accumulator_matches_one_by_one_counting(
+            values in proptest::collection::vec(any::<u64>(), 0..512),
+            shift in 12u32..64,
+            split in 0usize..512,
+        ) {
+            // Shifted down so runs, bucket changes and zeros all occur
+            // (and 512 values cannot overflow the sum).
+            let values: Vec<u64> = values.iter().map(|v| v >> shift).collect();
+            let observe = |vs: &[u64]| {
+                let mut acc = HistogramAccumulator::default();
+                vs.iter().for_each(|&v| acc.observe(v));
+                acc
+            };
+            let mut buckets = vec![0u64; SIZE_BUCKETS];
+            for &v in &values {
+                buckets[size_bucket(v as usize)] += 1;
+            }
+            let acc = observe(&values);
+            let listed: Vec<(usize, u64)> = acc.nonzero().collect();
+            let expected: Vec<(usize, u64)> =
+                buckets.iter().copied().enumerate().filter(|&(_, c)| c > 0).collect();
+            prop_assert_eq!(listed, expected);
+            let (head, tail) = values.split_at(split.min(values.len()));
+            let mut merged = observe(head);
+            merged.merge(&observe(tail));
+            let h = acc.finish();
+            prop_assert_eq!(h.count, values.len() as u64);
+            prop_assert_eq!(h.sum, values.iter().sum::<u64>());
+            prop_assert_eq!(&h.buckets, &buckets);
+            prop_assert_eq!(merged.finish(), h);
+        }
+    }
+
+    #[test]
     fn row_sums_match_per_peer_records() {
         let mut m = RankMatrix::new(4);
         m.record(1, Channel::Shm, 100);
         m.record(1, Channel::Shm, 50);
         m.record(2, Channel::Hca, 7);
         m.record(3, Channel::Cma, 4096);
-        let totals = m.channel_totals();
+        let total = |ch: Channel| {
+            let mut t = ChannelCounter::default();
+            (0..m.len()).for_each(|p| t.merge(&m.cell(p).chan[chan_index(ch)]));
+            t
+        };
+        assert_eq!(total(Channel::Shm), ChannelCounter { ops: 2, bytes: 150 });
         assert_eq!(
-            totals[chan_index(Channel::Shm)],
-            ChanCell { ops: 2, bytes: 150 }
-        );
-        assert_eq!(
-            totals[chan_index(Channel::Cma)],
-            ChanCell {
+            total(Channel::Cma),
+            ChannelCounter {
                 ops: 1,
                 bytes: 4096
             }
         );
+        assert_eq!(total(Channel::Hca), ChannelCounter { ops: 1, bytes: 7 });
         assert_eq!(
-            totals[chan_index(Channel::Hca)],
-            ChanCell { ops: 1, bytes: 7 }
+            m.cell(1).hist.nonzero().collect::<Vec<_>>(),
+            [(6, 1), (7, 1)]
         );
-        assert_eq!(m.cell(1).hist.total(), 2);
         assert_eq!(m.cell(0).ops(), 0);
     }
 
     #[test]
-    fn merge_is_fieldwise() {
+    fn absorb_is_fieldwise() {
         let mut a = RankMatrix::new(2);
         a.record(1, Channel::Shm, 10);
         let mut b = RankMatrix::new(2);
         b.record(1, Channel::Shm, 30);
         b.record(0, Channel::Hca, 5);
-        a.merge(&b);
-        assert_eq!(a.cell(1).chan[0], ChanCell { ops: 2, bytes: 40 });
-        assert_eq!(a.cell(0).chan[2], ChanCell { ops: 1, bytes: 5 });
-        assert_eq!(a.cell(1).hist.total(), 2);
+        (0..2).for_each(|p| a.absorb_cell(p, b.cell(p)));
+        assert_eq!(a.cell(1).chan[0], ChannelCounter { ops: 2, bytes: 40 });
+        assert_eq!(a.cell(0).chan[2], ChannelCounter { ops: 1, bytes: 5 });
+        assert_eq!(
+            a.cell(1).hist.nonzero().collect::<Vec<_>>(),
+            [(4, 1), (5, 1)]
+        );
     }
 
     #[test]

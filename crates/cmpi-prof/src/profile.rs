@@ -6,7 +6,7 @@
 //! [`JobProfile`], the artifact behind `figures --fig profile` and the
 //! integration tests.
 
-use cmpi_cluster::{Channel, SimTime};
+use cmpi_cluster::Channel;
 
 use crate::json::Json;
 use crate::matrix::{chan_index, RankMatrix};
@@ -16,7 +16,7 @@ use crate::wait::{WaitClass, WaitStats};
 #[derive(Clone, Debug)]
 pub struct ProfCollector {
     /// Traffic this rank initiated, by destination (row sums equal the
-    /// rank's `ChannelCounter` aggregates).
+    /// rank's `CommStats` channel counters).
     pub tx: RankMatrix,
     /// Traffic delivered to this rank, by source.
     pub rx: RankMatrix,
@@ -107,16 +107,18 @@ impl JobProfile {
         let mut tx = Vec::with_capacity(n);
         let mut rx = Vec::with_capacity(n);
         let mut waits = Vec::with_capacity(n);
-        for c in &collectors {
-            tx.push(c.tx.clone());
-            rx.push(c.rx.clone());
-            waits.push(c.waits.clone());
+        let mut remote = Vec::with_capacity(n);
+        for c in collectors {
+            tx.push(c.tx);
+            rx.push(c.rx);
+            waits.push(c.waits);
+            remote.push(c.rx_remote);
         }
         // Fold origin-recorded one-sided deliveries into the target rows:
-        // rx[target][origin] += collectors[origin].rx_remote[target].
-        for (origin, c) in collectors.iter().enumerate() {
+        // rx[target][origin] += remote[origin][target].
+        for (origin, row_remote) in remote.iter().enumerate() {
             for (target, row) in rx.iter_mut().enumerate() {
-                let cell = c.rx_remote.cell(target);
+                let cell = row_remote.cell(target);
                 if cell.ops() > 0 {
                     row.absorb_cell(origin, cell);
                 }
@@ -134,11 +136,6 @@ impl JobProfile {
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
         self.tx.len()
-    }
-
-    /// Bytes rank `from` initiated towards `to`, all channels.
-    pub fn pair_bytes(&self, from: usize, to: usize) -> u64 {
-        self.tx[from].cell(to).bytes()
     }
 
     /// Bytes rank `from` initiated towards `to` on one channel.
@@ -163,38 +160,11 @@ impl JobProfile {
         worst
     }
 
-    /// Strict directional conservation: `tx[i][j] == rx[j][i]` in bytes
-    /// for every ordered pair. Holds for two-sided-only workloads; a
-    /// one-sided *get* records delivery at the origin, so mixed workloads
-    /// should check [`JobProfile::conservation_error`] instead.
-    pub fn directionally_conserved(&self) -> bool {
-        let n = self.num_ranks();
-        (0..n).all(|i| (0..n).all(|j| self.tx[i].cell(j).bytes() == self.rx[j].cell(i).bytes()))
-    }
-
     /// Job-wide wait breakdown for one class (summed over ranks).
     pub fn wait_total(&self, class: WaitClass) -> crate::wait::WaitBreakdown {
         let mut out = crate::wait::WaitBreakdown::default();
         for w in &self.waits {
             out.merge(w.class(class));
-        }
-        out
-    }
-
-    /// Job-wide transfer time summed over ranks and classes.
-    pub fn transfer_time(&self) -> SimTime {
-        let mut out = SimTime::ZERO;
-        for w in &self.waits {
-            out += w.total().transfer;
-        }
-        out
-    }
-
-    /// Job-wide blocked time summed over ranks and classes.
-    pub fn blocked_time(&self) -> SimTime {
-        let mut out = SimTime::ZERO;
-        for w in &self.waits {
-            out += w.total().blocked;
         }
         out
     }
@@ -323,7 +293,16 @@ impl JobProfile {
 
 #[cfg(test)]
 mod tests {
+    use cmpi_cluster::SimTime;
+
     use super::*;
+
+    /// Strict directional conservation: `tx[i][j] == rx[j][i]` in bytes
+    /// for every ordered pair.
+    fn directionally_conserved(p: &JobProfile) -> bool {
+        let n = p.num_ranks();
+        (0..n).all(|i| (0..n).all(|j| p.tx[i].cell(j).bytes() == p.rx[j].cell(i).bytes()))
+    }
 
     fn two_rank_profile() -> JobProfile {
         let mut c0 = ProfCollector::new(2);
@@ -354,8 +333,8 @@ mod tests {
     fn conservation_holds_for_balanced_ledgers() {
         let p = two_rank_profile();
         assert_eq!(p.conservation_error(), 0);
-        assert!(p.directionally_conserved());
-        assert_eq!(p.pair_bytes(0, 1), 100);
+        assert!(directionally_conserved(&p));
+        assert_eq!(p.tx[0].cell(1).bytes(), 100);
         assert_eq!(p.pair_channel_bytes(1, 0, Channel::Hca), 40);
     }
 
@@ -370,7 +349,7 @@ mod tests {
             vec![FabricCounters::default(); 2],
         );
         assert_eq!(p.conservation_error(), 100);
-        assert!(!p.directionally_conserved());
+        assert!(!directionally_conserved(&p));
     }
 
     #[test]
@@ -385,7 +364,7 @@ mod tests {
         );
         assert_eq!(p.rx[1].cell(0).bytes(), 64);
         assert_eq!(p.conservation_error(), 0);
-        assert!(p.directionally_conserved());
+        assert!(directionally_conserved(&p));
     }
 
     #[test]
@@ -404,8 +383,10 @@ mod tests {
         let p = two_rank_profile();
         let w = p.wait_total(WaitClass::Pt2pt);
         assert_eq!(w.blocked, SimTime::from_us(6));
-        assert_eq!(w.components_total(), w.blocked);
-        assert_eq!(p.transfer_time(), SimTime::from_us(1));
-        assert_eq!(p.blocked_time(), SimTime::from_us(6));
+        assert_eq!(
+            w.late_sender + w.late_receiver + w.arrival_skew + w.transfer,
+            w.blocked
+        );
+        assert_eq!(w.transfer, SimTime::from_us(1));
     }
 }

@@ -89,11 +89,6 @@ impl WaitBreakdown {
         self.samples += 1;
     }
 
-    /// Sum of the four components (must equal `blocked`).
-    pub fn components_total(&self) -> SimTime {
-        self.late_sender + self.late_receiver + self.arrival_skew + self.transfer
-    }
-
     /// Fieldwise sum.
     pub fn merge(&mut self, other: &WaitBreakdown) {
         self.late_sender += other.late_sender;
@@ -102,16 +97,6 @@ impl WaitBreakdown {
         self.transfer += other.transfer;
         self.blocked += other.blocked;
         self.samples += other.samples;
-    }
-
-    /// Transfer share of the blocked time in `[0, 1]` (0 when never
-    /// blocked).
-    pub fn transfer_share(&self) -> f64 {
-        if self.blocked.is_zero() {
-            0.0
-        } else {
-            self.transfer.as_ns() as f64 / self.blocked.as_ns() as f64
-        }
     }
 
     /// JSON object (nanosecond integers).
@@ -150,22 +135,6 @@ impl WaitStats {
         &mut self.per[class.index()]
     }
 
-    /// Sum over all classes.
-    pub fn total(&self) -> WaitBreakdown {
-        let mut out = WaitBreakdown::default();
-        for b in &self.per {
-            out.merge(b);
-        }
-        out
-    }
-
-    /// Fieldwise sum.
-    pub fn merge(&mut self, other: &WaitStats) {
-        for (m, o) in self.per.iter_mut().zip(other.per.iter()) {
-            m.merge(o);
-        }
-    }
-
     /// JSON object keyed by class name.
     pub fn to_json(&self) -> Json {
         Json::Obj(
@@ -197,25 +166,15 @@ mod tests {
             SimTime::from_us(3),
         );
         assert_eq!(w.blocked, SimTime::from_us(11));
-        assert_eq!(w.components_total(), w.blocked);
+        assert_eq!(
+            w.late_sender + w.late_receiver + w.arrival_skew + w.transfer,
+            w.blocked
+        );
         assert_eq!(w.samples, 2);
     }
 
     #[test]
-    fn transfer_share_bounds() {
-        let mut w = WaitBreakdown::default();
-        assert_eq!(w.transfer_share(), 0.0);
-        w.record(
-            SimTime::from_us(3),
-            SimTime::ZERO,
-            SimTime::ZERO,
-            SimTime::from_us(1),
-        );
-        assert!((w.transfer_share() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_merge_and_total() {
+    fn breakdown_merge_is_fieldwise() {
         let mut a = WaitStats::default();
         a.class_mut(WaitClass::Pt2pt).record(
             SimTime::from_us(1),
@@ -223,15 +182,18 @@ mod tests {
             SimTime::ZERO,
             SimTime::ZERO,
         );
-        let mut b = WaitStats::default();
-        b.class_mut(WaitClass::Collective).record(
+        a.class_mut(WaitClass::Collective).record(
             SimTime::ZERO,
             SimTime::ZERO,
             SimTime::from_us(4),
             SimTime::from_us(2),
         );
-        a.merge(&b);
-        assert_eq!(a.total().blocked, SimTime::from_us(7));
+        let mut total = WaitBreakdown::default();
+        for class in WaitClass::ALL {
+            total.merge(a.class(class));
+        }
+        assert_eq!(total.blocked, SimTime::from_us(7));
+        assert_eq!(total.samples, 2);
         assert_eq!(
             a.class(WaitClass::Collective).arrival_skew,
             SimTime::from_us(4)

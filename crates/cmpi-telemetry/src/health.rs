@@ -10,8 +10,6 @@
 //! which surfaces must render explicitly (the "no failures observed"
 //! contract — never a silent empty table).
 
-use cmpi_prof::Json;
-
 use crate::metrics::{MetricId, TelemetrySnapshot};
 use crate::ring::EventKind;
 
@@ -80,30 +78,6 @@ impl HealthReport {
     /// `true` when no rule fired.
     pub fn is_ok(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// JSON form (round-trips through the strict parser).
-    pub fn to_json(&self) -> Json {
-        let findings = self
-            .findings
-            .iter()
-            .map(|f| {
-                let mut fields = vec![
-                    ("rule".to_string(), Json::str(f.rule)),
-                    ("status".to_string(), Json::str(f.status.name())),
-                    ("detail".to_string(), Json::str(f.detail.clone())),
-                ];
-                if let Some(r) = f.rank {
-                    fields.insert(0, ("rank".to_string(), Json::num(r as u64)));
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::str("cmpi-health.v1")),
-            ("status".to_string(), Json::str(self.status.name())),
-            ("findings".to_string(), Json::Arr(findings)),
-        ])
     }
 }
 
@@ -301,19 +275,5 @@ mod tests {
         let report = evaluate(&snap(vec![mk(100, 20_000)]));
         assert_eq!(report.status, HealthStatus::Warn);
         assert_eq!(report.findings[0].rule, "probe-miss-storm");
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let m = rank_with(&[(MetricId::ProbeHits, 100), (MetricId::ProbeMisses, 20_000)]);
-        let report = evaluate(&snap(vec![m, dead_rank(1_000)]));
-        let doc = report.to_json().to_string();
-        let parsed = Json::parse(&doc).expect("health JSON must parse");
-        assert_eq!(
-            parsed.get("status").and_then(|s| s.as_str()),
-            Some("critical")
-        );
-        let findings = parsed.get("findings").and_then(|f| f.as_arr()).unwrap();
-        assert_eq!(findings.len(), report.findings.len());
     }
 }

@@ -12,15 +12,16 @@
 //!   model checker proves the slot protocol;
 //! * a **metric vocabulary** ([`MetricId`], [`RankSnapshot`],
 //!   [`TelemetrySnapshot`]) — typed counters/gauges/log2 histograms
-//!   behind a static id table, rendered as Prometheus text and JSON;
+//!   behind a static id table, rendered as JSON;
 //! * a **health evaluator** ([`evaluate`]) — threshold rules over
 //!   snapshots producing per-rank/per-job verdicts.
 //!
 //! This crate is substrate-agnostic and keeps no number of its own:
 //! `cmpi-core` owns the [`JobTelemetry`] rings, each rank's store holds
-//! the values only that rank writes (in [`HistogramAccumulator`]s and
-//! plain fields), and one function there maps every [`MetricId`] to its
-//! source when the job's [`TelemetrySnapshot`] is built at teardown.
+//! the values only that rank writes (in plain fields and
+//! [`cmpi_prof::HistogramAccumulator`]s), and one function there maps
+//! every [`MetricId`] to its source when the job's [`TelemetrySnapshot`]
+//! is built at teardown.
 
 #![forbid(unsafe_code)]
 
@@ -29,10 +30,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use health::{evaluate, HealthFinding, HealthReport, HealthStatus};
-pub use metrics::{
-    validate_prometheus, HistogramAccumulator, HistogramSnapshot, MetricId, MetricKind,
-    RankSnapshot, TelemetrySnapshot, NUM_METRICS,
-};
+pub use metrics::{MetricId, MetricKind, RankSnapshot, TelemetrySnapshot, NUM_METRICS};
 pub use ring::{EventKind, FlightEvent, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
 
 use cmpi_prof::Json;

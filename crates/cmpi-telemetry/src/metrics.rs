@@ -6,17 +6,14 @@
 //! reach a [`RankSnapshot`] once, at job teardown, from the one place
 //! each number is kept (the rank's observability store in `cmpi-core`,
 //! its `CommStats`, or a substrate counter); this crate renders
-//! snapshots as Prometheus text ([`TelemetrySnapshot::to_prometheus`])
-//! and JSON ([`TelemetrySnapshot::to_json`], via the strict
+//! snapshots as JSON ([`TelemetrySnapshot::to_json`], via the strict
 //! [`cmpi_prof::Json`] model, so every emitted document round-trips).
 //!
-//! Histograms reuse the profiler's log2 bucketing
-//! ([`cmpi_prof::size_bucket`]): bucket `k` counts values whose
-//! `next_power_of_two` is `2^k`. The one writer of a histogram is the
-//! rank that owns its [`HistogramAccumulator`], so `bucket sum == count`
-//! holds by construction.
+//! Histograms are the profiler's log2 histogram: the one writer of each
+//! is the rank that owns its [`cmpi_prof::HistogramAccumulator`], so
+//! `bucket sum == count` holds by construction.
 
-use cmpi_prof::{size_bucket, Json, SIZE_BUCKETS};
+use cmpi_prof::{HistogramSnapshot, Json};
 
 use crate::ring::FlightSnapshot;
 
@@ -32,7 +29,7 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// Prometheus `# TYPE` name.
+    /// The name the JSON exposition's `kind` field carries.
     pub fn name(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
@@ -45,8 +42,8 @@ impl MetricKind {
 /// Every metric the runtime reports. The discriminant is the slot index
 /// in [`RankSnapshot::scalars`]; histograms sit at the tail.
 ///
-/// Adding a variant requires: an [`MetricId::ALL`] entry, `name`/`help`
-/// arms, a source in `cmpi-core`'s one-source map (its `match` is
+/// Adding a variant requires: an [`MetricId::ALL`] entry, a `name` arm,
+/// a source in `cmpi-core`'s one-source map (its `match` is
 /// exhaustive), and a row in the DESIGN.md §11 metric inventory table —
 /// `design_inventory_lists_every_metric` enforces the last, and that no
 /// table row outlives its variant.
@@ -181,8 +178,8 @@ impl MetricId {
         self as usize
     }
 
-    /// The exposition name (Prometheus conventions: `_total` suffix on
-    /// counters, base unit in the name).
+    /// The exposition name (`_total` suffix on counters, base unit in
+    /// the name).
     pub fn name(self) -> &'static str {
         match self {
             MetricId::ShmOps => "cmpi_shm_ops_total",
@@ -224,48 +221,6 @@ impl MetricId {
         }
     }
 
-    /// Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            MetricId::ShmOps => "Messages sent over the intra-container SHM channel",
-            MetricId::CmaOps => "Messages sent over the cross-container CMA channel",
-            MetricId::HcaOps => "Messages sent over the InfiniBand HCA channel",
-            MetricId::ShmBytes => "Bytes sent over the SHM channel",
-            MetricId::CmaBytes => "Bytes sent over the CMA channel",
-            MetricId::HcaBytes => "Bytes sent over the HCA channel",
-            MetricId::EagerMsgs => "Messages sent with the eager protocol",
-            MetricId::RndvMsgs => "Messages sent with the rendezvous protocol",
-            MetricId::ProbeHits => "iprobe calls that found a matching message",
-            MetricId::ProbeMisses => "iprobe calls that found nothing",
-            MetricId::SendRetries => "Fabric sends retried after transient failures",
-            MetricId::HcaDowngrades => "Peers downgraded off the HCA channel",
-            MetricId::FtConvictions => "Peers convicted dead by the failure detector",
-            MetricId::FtRevokes => "Communicator revocations observed",
-            MetricId::FtShrinks => "Shrink agreements completed",
-            MetricId::CollFlat => "Collective calls routed to the flat algorithm",
-            MetricId::CollTwoLevel => "Collective calls routed to the two-level SMP algorithm",
-            MetricId::CollLarge => "Collective calls routed to the large-message algorithm",
-            MetricId::MailboxPushes => "Packets pushed into rank mailboxes",
-            MetricId::MailboxParks => "Times a rank parked on its empty mailbox",
-            MetricId::MailboxWakes => "Cross-thread wakeups delivered to parked ranks",
-            MetricId::ShmQueueAcquires => "SHM pair-queue credit acquisitions",
-            MetricId::ShmQueueStalls => "Pair-queue acquisitions that stalled on a full queue",
-            MetricId::FabricSends => "Two-sided messages posted to the fabric",
-            MetricId::FabricRecvs => "Fabric messages drained by the progress engine",
-            MetricId::FabricRdma => "RDMA operations initiated",
-            MetricId::LateSenderNs => "Blocked nanoseconds attributed to late senders",
-            MetricId::LateReceiverNs => "Blocked nanoseconds attributed to late receivers",
-            MetricId::TransferNs => "Blocked nanoseconds attributed to data transfer",
-            MetricId::FlightEvents => "Events published to the flight recorder",
-            MetricId::FlightDropped => "Flight-recorder events lost to ring wrap",
-            MetricId::MatchPostedPeak => "Peak posted-receive queue depth",
-            MetricId::MatchUnexpectedPeak => "Peak unexpected-message queue depth",
-            MetricId::ShmMaxInFlight => "Peak bytes in flight on any SHM pair queue",
-            MetricId::Pt2ptLatencyNs => "Point-to-point completion latency in nanoseconds",
-            MetricId::MsgSizeBytes => "Sent message sizes in bytes",
-        }
-    }
-
     /// Counter, gauge or histogram.
     pub fn kind(self) -> MetricKind {
         match self {
@@ -281,101 +236,6 @@ impl MetricId {
     fn histo_index(self) -> usize {
         debug_assert!(self.index() >= FIRST_HISTOGRAM);
         self.index() - FIRST_HISTOGRAM
-    }
-}
-
-/// A log2 histogram's contents: `buckets` sum equals `count`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts, `SIZE_BUCKETS` entries (bucket `k` holds
-    /// values with `next_power_of_two == 2^k`).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-}
-
-/// No observations, every bucket present.
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; SIZE_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-/// The write side of one histogram metric, owned by the rank that
-/// records into it.
-///
-/// Consecutive observations that land in one log2 bucket — the common
-/// case: virtual-time latencies repeat, a ping-pong stream sends one
-/// size forever — cost three plain adds on the accumulator's own line;
-/// the bucket array is only touched when the bucket changes. Zeros are
-/// counted apart from the run: a windowed workload settles most
-/// requests with no blocking at all, and the zeros would otherwise
-/// alternate with the occasional real wait and end the run every time.
-///
-/// The bucket array grows to the highest bucket a run has closed in, not
-/// to all `SIZE_BUCKETS`: a rank that sends one size or waits on one
-/// scale of latency holds a few words, and [`Self::finish`] pads the
-/// snapshot so that every view still sees every bucket.
-#[derive(Default)]
-pub struct HistogramAccumulator {
-    zeros: u64,
-    run_sum: u64,
-    run_count: u64,
-    run_bucket: u32,
-    /// Closed runs' counts, by bucket, up to the highest one touched.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl HistogramAccumulator {
-    /// Count one observation of `v`.
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        if v == 0 {
-            self.zeros += 1;
-            return;
-        }
-        let b = size_bucket(v as usize) as u32;
-        if b != self.run_bucket && self.run_count > 0 {
-            self.end_run();
-        }
-        self.run_bucket = b;
-        self.run_count += 1;
-        self.run_sum += v;
-    }
-
-    fn end_run(&mut self) {
-        let b = self.run_bucket as usize;
-        if b >= self.buckets.len() {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += self.run_count;
-        self.count += self.run_count;
-        self.sum += self.run_sum;
-        self.run_count = 0;
-        self.run_sum = 0;
-    }
-
-    /// Everything observed so far, every bucket present.
-    pub fn finish(mut self) -> HistogramSnapshot {
-        if self.run_count > 0 {
-            self.end_run();
-        }
-        let mut buckets = self.buckets;
-        buckets.resize(SIZE_BUCKETS, 0);
-        buckets[0] += self.zeros;
-        HistogramSnapshot {
-            buckets,
-            count: self.count + self.zeros,
-            sum: self.sum,
-        }
     }
 }
 
@@ -426,44 +286,6 @@ impl TelemetrySnapshot {
             MetricKind::Gauge => per_rank.max().unwrap_or(0),
             _ => per_rank.sum(),
         }
-    }
-
-    /// Prometheus text exposition: one family per metric, one sample
-    /// per rank labelled `rank="N"`, histograms in cumulative-bucket
-    /// form. The output passes [`validate_prometheus`].
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for id in MetricId::ALL {
-            let name = id.name();
-            writeln!(out, "# HELP {name} {}", id.help()).expect("string write");
-            writeln!(out, "# TYPE {name} {}", id.kind().name()).expect("string write");
-            for (rank, r) in self.ranks.iter().enumerate() {
-                if id.kind() == MetricKind::Histogram {
-                    let h = r.histogram(id);
-                    let mut cum = 0u64;
-                    let last = h.buckets.iter().rposition(|&c| c != 0).unwrap_or(0);
-                    for (k, &c) in h.buckets.iter().enumerate().take(last + 1) {
-                        cum += c;
-                        let le = 1u128 << k;
-                        writeln!(out, "{name}_bucket{{rank=\"{rank}\",le=\"{le}\"}} {cum}")
-                            .expect("string write");
-                    }
-                    writeln!(
-                        out,
-                        "{name}_bucket{{rank=\"{rank}\",le=\"+Inf\"}} {}",
-                        h.count
-                    )
-                    .expect("string write");
-                    writeln!(out, "{name}_sum{{rank=\"{rank}\"}} {}", h.sum).expect("string write");
-                    writeln!(out, "{name}_count{{rank=\"{rank}\"}} {}", h.count)
-                        .expect("string write");
-                } else {
-                    writeln!(out, "{name}{{rank=\"{rank}\"}} {}", r.get(id)).expect("string write");
-                }
-            }
-        }
-        out
     }
 
     /// JSON exposition (schema `cmpi-telemetry.v1`), built on the
@@ -521,86 +343,6 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Structural check on a Prometheus text exposition: every sample line
-/// is `name{labels} value`, every family has `# HELP`/`# TYPE` before
-/// its samples, histogram cumulative buckets are monotone and end at a
-/// `+Inf` bucket equal to `_count`. Returns the number of sample lines.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    let mut helped: Vec<&str> = Vec::new();
-    let mut typed: Vec<&str> = Vec::new();
-    let mut samples = 0usize;
-    // (series key → last cumulative value, final count) per histogram rank.
-    let mut cum: Option<(String, u64)> = None;
-    for (ln, line) in text.lines().enumerate() {
-        let ln = ln + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split(' ').next().unwrap_or("");
-            if name.is_empty() || rest.len() == name.len() {
-                return Err(format!("line {ln}: HELP without text"));
-            }
-            helped.push(name);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split(' ');
-            let name = it.next().unwrap_or("");
-            let kind = it.next().unwrap_or("");
-            if !matches!(kind, "counter" | "gauge" | "histogram") {
-                return Err(format!("line {ln}: bad TYPE {kind:?}"));
-            }
-            typed.push(name);
-            continue;
-        }
-        if line.starts_with('#') {
-            return Err(format!("line {ln}: unknown comment form"));
-        }
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {ln}: no value"))?;
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("line {ln}: bad value {value:?}"))?;
-        let name = series.split('{').next().unwrap_or("");
-        let family = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .filter(|f| typed.contains(f))
-            .unwrap_or(name);
-        if !typed.contains(&family) || !helped.contains(&family) {
-            return Err(format!("line {ln}: sample {name:?} without HELP/TYPE"));
-        }
-        if series.contains('{') && !series.ends_with('}') {
-            return Err(format!("line {ln}: unterminated label set"));
-        }
-        // Histogram structure: per consecutive bucket run, cumulative
-        // values must be monotone and the +Inf bucket closes the run.
-        if name.ends_with("_bucket") {
-            let key = series.split("le=").next().unwrap_or("").to_string();
-            let v = value as u64;
-            match &mut cum {
-                Some((k, prev)) if *k == key => {
-                    if v < *prev {
-                        return Err(format!("line {ln}: cumulative bucket decreased"));
-                    }
-                    *prev = v;
-                }
-                _ => cum = Some((key, v)),
-            }
-            if series.contains("le=\"+Inf\"") {
-                cum = None;
-            }
-        } else if cum.is_some() {
-            return Err(format!("line {ln}: bucket run not closed by +Inf"));
-        }
-        samples += 1;
-    }
-    Ok(samples)
-}
-
 /// One rank holding `values`, histograms and ring empty (what this
 /// crate's unit tests build snapshots from).
 #[cfg(test)]
@@ -651,37 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_holds_the_histogram_invariant() {
-        let mut acc = HistogramAccumulator::default();
-        for v in [0u64, 1, 2, 3, 100, 5_000, 1 << 20] {
-            acc.observe(v);
-        }
-        let h = acc.finish();
-        assert_eq!(h.count, 7);
-        assert_eq!(h.sum, 5_106 + (1 << 20));
-        assert_eq!(h.buckets.len(), SIZE_BUCKETS);
-        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
-        assert_eq!(h.buckets[0], 2, "0 and 1 share bucket 0");
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 1);
-        assert_eq!(h.buckets[20], 1);
-    }
-
-    #[test]
     fn exposition_covers_every_metric() {
-        // Every metric emits a named, documented family in both
-        // expositions, even at zero.
-        let snap = job_of(vec![rank_with(&[])]);
-        let text = snap.to_prometheus();
-        validate_prometheus(&text).expect("exposition must validate");
-        let json = snap.to_json().to_string();
+        // Every metric emits a named family, even at zero.
+        let json = job_of(vec![rank_with(&[])]).to_json().to_string();
         for id in MetricId::ALL {
-            assert!(!id.help().is_empty(), "{:?} needs HELP text", id);
-            assert!(
-                text.contains(&format!("# TYPE {}", id.name())),
-                "{} missing from the Prometheus exposition",
-                id.name()
-            );
             assert!(
                 json.contains(id.name()),
                 "{} missing from the JSON exposition",
@@ -715,40 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_validates() {
-        let mut rank = rank_with(&[(MetricId::HcaOps, 9)]);
-        let mut sizes = HistogramAccumulator::default();
-        sizes.observe(512);
-        sizes.observe(64);
-        rank.histos[MetricId::MsgSizeBytes.histo_index()] = sizes.finish();
-        let text = job_of(vec![rank]).to_prometheus();
-        let samples = validate_prometheus(&text).expect("exposition must validate");
-        assert!(
-            samples >= NUM_METRICS,
-            "every family emits at least one sample"
-        );
-        assert!(text.contains("cmpi_hca_ops_total{rank=\"0\"} 9"));
-        assert!(text.contains("cmpi_msg_size_bytes_count{rank=\"0\"} 2"));
-        assert!(text.contains("le=\"+Inf\"} 2"));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_text() {
-        assert!(
-            validate_prometheus("cmpi_x_total{rank=\"0\"} 1").is_err(),
-            "no HELP/TYPE"
-        );
-        let bad = "# HELP m h\n# TYPE m counter\nm{rank=\"0\" notanumber";
-        assert!(validate_prometheus(bad).is_err());
-        let decreasing = "# HELP h x\n# TYPE h histogram\n\
-                          h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5";
-        assert!(validate_prometheus(decreasing).is_err());
-    }
-
-    #[test]
     fn json_exposition_round_trips() {
         let mut rank = rank_with(&[(MetricId::EagerMsgs, 3)]);
-        let mut latency = HistogramAccumulator::default();
+        let mut latency = cmpi_prof::HistogramAccumulator::default();
         latency.observe(1000);
         rank.histos[MetricId::Pt2ptLatencyNs.histo_index()] = latency.finish();
         let doc = job_of(vec![rank]).to_json().to_string();

@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! cargo run --release --example profile_and_trace
-//! # then open target/bfs_trace.json in https://ui.perfetto.dev
+//! # then open the bfs_trace.json it names (in the system temp
+//! # directory) in https://ui.perfetto.dev
 //! ```
 
 use container_mpi::apps::graph500::{bfs, Graph500Config};
@@ -42,9 +43,12 @@ fn main() {
     );
     let doc = profile.to_json().to_string();
     Json::parse(&doc).expect("profile JSON must parse");
-    let ppath = "target/bfs_profile.json";
-    std::fs::write(ppath, &doc).expect("write profile");
-    println!("wrote {ppath}");
+    // The temp directory exists wherever the example runs from, which a
+    // relative `target/` does not when CARGO_TARGET_DIR points elsewhere.
+    let dir = std::env::temp_dir();
+    let ppath = dir.join("bfs_profile.json");
+    std::fs::write(&ppath, &doc).expect("write profile");
+    println!("wrote {}", ppath.display());
 
     let trace = r.trace.expect("tracing was enabled");
     println!(
@@ -54,9 +58,12 @@ fn main() {
     );
     let chrome = trace.to_chrome_json();
     Json::parse(&chrome).expect("Chrome trace JSON must parse");
-    let path = "target/bfs_trace.json";
-    std::fs::write(path, chrome).expect("write trace");
-    println!("wrote {path} — open it in chrome://tracing or https://ui.perfetto.dev");
+    let path = dir.join("bfs_trace.json");
+    std::fs::write(&path, chrome).expect("write trace");
+    println!(
+        "wrote {} — open it in chrome://tracing or https://ui.perfetto.dev",
+        path.display()
+    );
 
     // A taste of the timeline: rank 0's class totals.
     println!("\nrank 0 virtual-time breakdown:");

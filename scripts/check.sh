@@ -7,11 +7,14 @@
 #             (root package and crates/*: exec_equiv, coll_props,
 #             matching_equiv, alloc_free, footprint, ... included)
 #   examples  every example builds and runs to completion
-#   figures   figures (no --fig: every id) at quick effort: every paper
-#             figure/table driver, the ablations, the PGAS extension, the
-#             profile tables, the health tables (validated Prometheus
-#             exposition, metrics JSON and flight dump round-trips on a
-#             32-rank mixed job) and the scaling tables
+#   figures   the drift gate: scripts/results.sh (every figures id but
+#             `scaling`, quick effort, one worker: every paper figure/table
+#             driver, the ablations, the PGAS extension, the profile
+#             tables and the health tables, whose driver round-trips the
+#             metrics JSON and flight dump of a 32-rank mixed job) must
+#             print RESULTS.txt byte for byte, else the stage fails with
+#             the diff; then `figures --fig scaling` (wall clock and RSS,
+#             so not pinned) runs as a smoke
 #   chaos     chaos-midrun: mid-run crash / hang / container-kill runs in
 #             release mode (detector conviction, revoke/shrink recovery,
 #             deterministic FT Graph 500 answers) plus the failure-detector
@@ -80,10 +83,14 @@ for ex in quickstart locality_detection graph500_bfs npb_kernels \
   cargo run --release --quiet --example "$ex" >/dev/null
 done
 
-stage figures "figures (every driver, quick effort)"
-# The health driver validates its Prometheus and JSON expositions
-# before printing; tests/profile.rs round-trips the profile JSON.
-cargo run --release --quiet -p cmpi-bench --bin figures >/dev/null
+stage figures "figures (every driver, quick effort; the output must equal RESULTS.txt)"
+# A PR that means to move a reproduced number re-records the file with
+# `scripts/results.sh > RESULTS.txt` and says why in CHANGES.md.
+if ! scripts/results.sh | diff -u RESULTS.txt -; then
+  echo "figures output drifted from RESULTS.txt (diff above)" >&2
+  exit 1
+fi
+cargo run --release --quiet -p cmpi-bench --bin figures -- --fig scaling >/dev/null
 
 stage chaos "chaos-midrun (crash / hang / container-kill + detector property test)"
 cargo test -q --release --test chaos_midrun

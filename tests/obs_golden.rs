@@ -6,9 +6,11 @@
 //! telemetry all on, so its schedule — wildcard receives and revoke
 //! floods included — repeats exactly, and with it every byte of
 //! `JobStats::report()`, `JobProfile::report()` / `to_json()`,
-//! `TelemetrySnapshot::to_prometheus()` / `to_json()` /
-//! `flight_chrome_json()` and `JobTrace::to_chrome_json()`. Each output
-//! is pinned by its FNV-1a hash.
+//! `TelemetrySnapshot::to_json()` / `flight_chrome_json()` and
+//! `JobTrace::to_chrome_json()`. Each output is pinned by its FNV-1a
+//! hash. (A Prometheus text column stood between the profile JSON and
+//! the telemetry JSON until that view was removed; the six that remain
+//! kept their values through the removal.)
 //!
 //! The constants were recorded at the commit *before* the four
 //! instrumentation systems became one store (PR 19's parent) and must
@@ -56,13 +58,12 @@ use bytes::Bytes;
 use container_mpi::apps::graph500::{bfs, Graph500Config};
 use container_mpi::prelude::*;
 
-/// FNV-1a hashes of one job's seven rendered outputs.
+/// FNV-1a hashes of one job's six rendered outputs.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     stats_report: u64,
     profile_report: u64,
     profile_json: u64,
-    prometheus: u64,
     telemetry_json: u64,
     flight_chrome: u64,
     trace_chrome: u64,
@@ -82,8 +83,8 @@ fn observed(spec: JobSpec) -> JobSpec {
         .with_workers(1)
 }
 
-/// The seven rendered texts of a finished job, in [`Golden`] field order.
-fn render<R>(r: &JobResult<R>) -> [(&'static str, String); 7] {
+/// The six rendered texts of a finished job, in [`Golden`] field order.
+fn render<R>(r: &JobResult<R>) -> [(&'static str, String); 6] {
     let profile = r.profile.as_ref().expect("profiling was enabled");
     let tel = r.telemetry.as_ref().expect("telemetry is on by default");
     let trace = r.trace.as_ref().expect("tracing was enabled");
@@ -91,23 +92,21 @@ fn render<R>(r: &JobResult<R>) -> [(&'static str, String); 7] {
         ("stats_report", r.stats.report()),
         ("profile_report", profile.report()),
         ("profile_json", profile.to_json().to_string()),
-        ("prometheus", tel.to_prometheus()),
         ("telemetry_json", tel.to_json().to_string()),
         ("flight_chrome", tel.flight_chrome_json().to_string()),
         ("trace_chrome", trace.to_chrome_json()),
     ]
 }
 
-fn golden_of(texts: &[(&'static str, String); 7]) -> Golden {
+fn golden_of(texts: &[(&'static str, String); 6]) -> Golden {
     let h = |k: usize| fnv(&texts[k].1);
     Golden {
         stats_report: h(0),
         profile_report: h(1),
         profile_json: h(2),
-        prometheus: h(3),
-        telemetry_json: h(4),
-        flight_chrome: h(5),
-        trace_chrome: h(6),
+        telemetry_json: h(3),
+        flight_chrome: h(4),
+        trace_chrome: h(5),
     }
 }
 
@@ -116,7 +115,7 @@ fn golden_of(texts: &[(&'static str, String); 7]) -> Golden {
 /// (a) The 32-rank mixed job of `figures --fig health`: eager and
 /// rendezvous around a ring, a probe miss, allreduce and barrier, over
 /// SHM, CMA and HCA at once.
-fn mixed32() -> [(&'static str, String); 7] {
+fn mixed32() -> [(&'static str, String); 6] {
     let scenario = DeploymentScenario::containers(2, 4, 4, NamespaceSharing::default());
     let r = observed(JobSpec::new(scenario)).run(|mpi| {
         let n = mpi.size();
@@ -143,7 +142,7 @@ fn mixed32() -> [(&'static str, String); 7] {
 }
 
 /// (b) The OSU latency sweep, 1 B to 4 KiB, as one 2-rank job.
-fn osu_latency() -> [(&'static str, String); 7] {
+fn osu_latency() -> [(&'static str, String); 6] {
     let scenario = DeploymentScenario::pt2pt_pair(true, true, NamespaceSharing::default());
     let r = observed(JobSpec::new(scenario)).run(|mpi| {
         for shift in 0..=12 {
@@ -165,7 +164,7 @@ fn osu_latency() -> [(&'static str, String); 7] {
 }
 
 /// (c) Graph 500 at scale 10 on 16 ranks in 4 co-resident containers.
-fn graph500(policy: LocalityPolicy) -> [(&'static str, String); 7] {
+fn graph500(policy: LocalityPolicy) -> [(&'static str, String); 6] {
     let cfg = Graph500Config {
         scale: 10,
         edgefactor: 16,
@@ -181,7 +180,7 @@ fn graph500(policy: LocalityPolicy) -> [(&'static str, String); 7] {
 /// (d) The detection-latency job of `figures --fig profile`: 4 ranks, rank 3
 /// crashes at its first call, the survivors convict it, shrink and
 /// finish a collective.
-fn midrun_crash() -> [(&'static str, String); 7] {
+fn midrun_crash() -> [(&'static str, String); 6] {
     let scenario = DeploymentScenario::containers(1, 2, 2, NamespaceSharing::default());
     let dead = 3usize;
     let plan = FaultPlan::none().with_crash(dead, MidRunTrigger::AfterOps(1));
@@ -202,7 +201,7 @@ fn midrun_crash() -> [(&'static str, String); 7] {
 /// (e) The revoke scenario of `chaos_midrun`: 8 ranks, nobody dies,
 /// rank 0 revokes the world, every member fails fast, shrinks and
 /// finishes a collective on the fresh context.
-fn revoke_then_shrink() -> [(&'static str, String); 7] {
+fn revoke_then_shrink() -> [(&'static str, String); 6] {
     let scenario = DeploymentScenario::containers(1, 2, 4, NamespaceSharing::default());
     let r = observed(JobSpec::new(scenario)).run(|mpi| -> Result<u64, MpiError> {
         let world = mpi.comm_world();
@@ -221,7 +220,7 @@ fn revoke_then_shrink() -> [(&'static str, String); 7] {
 /// row is rendered at least once: a stale container list on host 0, a
 /// silent publisher, a conflicting claim, absorbed QP-creation failures
 /// and transient send-completion errors under a two-host ring exchange.
-fn degraded_init() -> [(&'static str, String); 7] {
+fn degraded_init() -> [(&'static str, String); 6] {
     let scenario = DeploymentScenario::containers(2, 2, 2, NamespaceSharing::default());
     let plan = FaultPlan::none()
         .with_stale_list(HostId(0))
@@ -249,7 +248,6 @@ const MIXED32: Golden = Golden {
     stats_report: 0x37d2_836f_3eec_fa26,
     profile_report: 0xd618_67f1_e7e0_b254,
     profile_json: 0x03cb_2578_1528_cb82,
-    prometheus: 0xd2c3_d0f3_9b5a_c545,
     telemetry_json: 0x258d_b205_e778_20be,
     flight_chrome: 0xc904_da9e_1c3d_a4a5,
     trace_chrome: 0xbe07_3d71_d553_507f,
@@ -259,7 +257,6 @@ const OSU_LATENCY: Golden = Golden {
     stats_report: 0xe00c_be6b_dcd1_ad80,
     profile_report: 0xa611_06c1_20b9_7b9b,
     profile_json: 0xf197_50f9_4abe_116c,
-    prometheus: 0x6012_1e90_901d_e206,
     telemetry_json: 0x7174_7794_c876_a1ea,
     flight_chrome: 0xb59a_0800_3432_ef5e,
     trace_chrome: 0x91fd_a836_b0c8_6ec4,
@@ -269,7 +266,6 @@ const G500_HOSTNAME: Golden = Golden {
     stats_report: 0x5d4b_febc_98f7_977c,
     profile_report: 0x7669_f02d_4c74_279a,
     profile_json: 0x2f81_96e0_f67b_1c07,
-    prometheus: 0x91be_94a3_449e_4cf5,
     telemetry_json: 0x2b5e_40d2_5a85_cf11,
     flight_chrome: 0x7a60_cf1e_71ba_7bd7,
     trace_chrome: 0x3bdb_a1d5_54e0_ff20,
@@ -279,7 +275,6 @@ const G500_DETECTOR: Golden = Golden {
     stats_report: 0x7782_e446_2cf2_1559,
     profile_report: 0xf946_f5e9_501a_923c,
     profile_json: 0x96fb_d670_4ddb_6a50,
-    prometheus: 0xec2a_0c81_ba33_bf2a,
     telemetry_json: 0x4a72_debc_7e4d_7bfa,
     flight_chrome: 0x7a60_cf1e_71ba_7bd7,
     trace_chrome: 0x6b94_db9b_683b_17cf,
@@ -289,7 +284,6 @@ const MIDRUN_CRASH: Golden = Golden {
     stats_report: 0x2c75_6526_90b0_01e6,
     profile_report: 0x2617_d74b_af9b_da8f,
     profile_json: 0x7564_980f_6cec_5f03,
-    prometheus: 0xb2f9_f8f2_fea3_ef7d,
     telemetry_json: 0x3058_354b_9967_0eba,
     flight_chrome: 0x489f_77c1_1cae_8da2,
     trace_chrome: 0xb0fa_d9ba_a500_e45e,
@@ -299,7 +293,6 @@ const REVOKE_THEN_SHRINK: Golden = Golden {
     stats_report: 0xe485_3143_0e4e_1302,
     profile_report: 0x1826_74e5_7b03_49e3,
     profile_json: 0x7366_ab55_07c5_3614,
-    prometheus: 0xd560_89ac_6351_dfb3,
     telemetry_json: 0x95be_82c0_f9b1_dd73,
     // Without rank 0's own revoke, and with the per-message events
     // still on the ring: 0x034d_e7aa_c739_d06f.
@@ -311,7 +304,6 @@ const DEGRADED_INIT: Golden = Golden {
     stats_report: 0xd900_f6ef_9b45_c802,
     profile_report: 0x9eea_3f76_b9a4_1a02,
     profile_json: 0x5af3_bb44_8486_96a1,
-    prometheus: 0x47a8_30ee_3f27_1ab3,
     telemetry_json: 0x4c8a_418e_e643_daad,
     flight_chrome: 0xfb36_7fc2_e52a_df72,
     trace_chrome: 0x105e_5784_909f_75df,

@@ -7,6 +7,7 @@
 
 use container_mpi::apps::graph500::{bfs, Graph500Config};
 use container_mpi::prelude::*;
+use container_mpi::prof::WaitBreakdown;
 
 fn profiled_bfs(policy: LocalityPolicy) -> (JobProfile, SimTime, DeploymentScenario) {
     let scenario = DeploymentScenario::fig1(2);
@@ -38,7 +39,7 @@ fn locality_detector_moves_cross_container_pairs_off_the_hca() {
             if i == j || container(i) == container(j) {
                 continue;
             }
-            let def_bytes = def.pair_bytes(i, j);
+            let def_bytes = def.tx[i].cell(j).bytes();
             if def_bytes == 0 {
                 continue;
             }
@@ -90,13 +91,22 @@ fn locality_detector_moves_cross_container_pairs_off_the_hca() {
         pt2pt_opt.transfer,
         pt2pt_def.transfer
     );
+    // Job-wide, summed over ranks and classes.
+    let total = |p: &JobProfile| {
+        let mut t = WaitBreakdown::default();
+        for class in WaitClass::ALL {
+            t.merge(&p.wait_total(class));
+        }
+        t
+    };
+    let (total_def, total_opt) = (total(&def), total(&opt));
     assert!(
-        opt.transfer_time() < def.transfer_time(),
+        total_opt.transfer < total_def.transfer,
         "opt transfer {} must beat def {}",
-        opt.transfer_time(),
-        def.transfer_time()
+        total_opt.transfer,
+        total_def.transfer
     );
-    assert!(opt.blocked_time() < def.blocked_time());
+    assert!(total_opt.blocked < total_def.blocked);
     assert!(opt_elapsed < def_elapsed);
 }
 
