@@ -156,7 +156,7 @@ fn edge_lanes<const L: usize>(seed: u64, scale: u32, first: u64) -> [(u64, u64);
 /// (`known_defect_scramble_is_not_a_bijection` pins the counts): every
 /// Graph 500 graph here is a multigraph on a few dozen vertices. A
 /// bijective scramble moves every Graph 500 virtual time and count, so it
-/// is a change of its own (ROADMAP item 2).
+/// is a change of its own, on the ROADMAP.
 #[inline(always)]
 fn scramble(v: u64, seed: u64, scale: u32) -> u64 {
     let mask = (1u64 << scale) - 1;

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use cmpi_cluster::Tunables;
+use cmpi_cluster::{Cluster, Placement, Tunables};
 
 use crate::coll_select::{coll_trace_name, CollAlgo, CollKind, CollectiveSelector};
 use crate::datatype::{
@@ -46,7 +46,7 @@ use crate::error::MpiError;
 use crate::fasthash::FastMap;
 use crate::frame::{frames_ok, FrameWriter};
 use crate::locality::LocalityPolicy;
-use crate::runtime::{JobState, Mpi};
+use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
 /// Declares the op-id table: one `pub const` per entry, and a
@@ -159,17 +159,20 @@ fn place_blocks<T: MpiData>(bundle: &[u8], block: usize, all: &mut [T], what: &s
     }
 }
 
-/// The locality groups `state.policy` induces over all `n` ranks: ranks
+/// The locality groups `policy` induces over every placed rank: ranks
 /// on one host that share a hostname (`Hostname`) or an IPC namespace
 /// (every other policy), each group ascending, groups ordered by smallest
-/// member. A pure function of job-wide state, so every rank computes the
-/// same partition.
-pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
+/// member. A pure function of job-wide state, computed once per job.
+pub(crate) fn policy_groups_of(
+    cluster: &Cluster,
+    placement: &Placement,
+    policy: LocalityPolicy,
+) -> Vec<Vec<usize>> {
     let mut by_key: FastMap<_, Vec<usize>> = FastMap::default();
-    for r in 0..n {
-        let loc = state.placement.loc(r);
-        let cont = state.cluster.container(loc.container);
-        let key = match state.policy {
+    for r in 0..placement.num_ranks() {
+        let loc = placement.loc(r);
+        let cont = cluster.container(loc.container);
+        let key = match policy {
             LocalityPolicy::Hostname => (loc.host, cont.hostname.as_str(), None),
             _ => (loc.host, "", Some(cont.ipc_ns)),
         };
@@ -183,7 +186,7 @@ pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
 /// A scope's two-level collective topology: its members' locality groups,
 /// their leaders, a rank→group index, the scope position of each member
 /// and the algorithm selector sized to that shape. The world's instance
-/// serves every rank of the job (see `JobState::smp_topo`), so every rank
+/// serves every rank of the job (see `JobState::world`), so every rank
 /// decides identically.
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every

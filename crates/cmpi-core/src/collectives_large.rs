@@ -28,6 +28,7 @@ use crate::runtime::Mpi;
 impl Mpi {
     /// Rabenseifner's algorithm: recursive-halving reduce-scatter then
     /// recursive-doubling allgather. Requires a power-of-two scope.
+    #[inline(never)]
     pub(crate) fn allreduce_rabenseifner<T: Reducible>(
         &mut self,
         scope: &Scope,

@@ -454,9 +454,17 @@ use fallback_asm::{cmpi_core_fiber_switch, cmpi_core_fiber_thunk};
 
 /// Every fiber stack of one pool run, carved from a single allocation:
 /// stack `i` is the `stack_bytes` below [`StackSlab::top`]`(i)`. One
-/// large request goes straight to `mmap`, so the slab costs one mapping
-/// per job (not a mapping, a header page and an unmapping per rank),
-/// only touched pages commit, and any stack size behaves alike.
+/// request per job, not a mapping, a header page and an unmapping per
+/// rank. glibc serves it with a fresh `mmap`, of which only touched
+/// pages commit, when it is above malloc's mmap threshold: 128 KiB at
+/// first, raised to the size of each mapping freed since, to at most
+/// 32 MiB. Below the threshold the slab is recycled heap, whose pages an
+/// earlier job's fibers may already have committed and written.
+///
+/// A fiber's frames are budgeted to its stack's top page (4 032 bytes,
+/// see below; DESIGN §16), so a rank costs one page of stack; the
+/// runtime keeps no large value in a frame that is live under a deep
+/// call, and `tests/footprint.rs` holds it to that in release builds.
 ///
 /// No guard pages: adding them needs `mprotect`, and the workspace
 /// deliberately has no libc-level dependency. A fiber that overruns its

@@ -303,6 +303,12 @@ impl RankCell {
         self.q.pop()
     }
 
+    /// Whether a `pop` now would find a packet (`false` may also mean a
+    /// push is mid-link; see [`MpscQueue::pop`]).
+    pub(crate) fn has_ready(&self) -> bool {
+        self.q.has_ready()
+    }
+
     /// Deschedule the owning rank until something happens (a packet
     /// push, or a poke from the fabric or an eager-queue drain). Returns
     /// at once if something already has.

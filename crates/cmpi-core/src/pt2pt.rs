@@ -94,31 +94,10 @@ impl Mpi {
         let seq = *next_seq;
         *next_seq += 1;
         let len = data.len();
-        let cost = self.state.cost;
         let posted = self.now;
 
         if dst == self.rank {
-            // Self-message: one local copy, straight into the matching
-            // engine (bypassing `handle_packet`, so both ledger sides are
-            // recorded here).
-            self.obs.route(dst, None, len, seq, posted);
-            let ready = self.now + cost.copy_time(len as u64, false);
-            self.obs.tx(dst, Channel::Shm, len);
-            self.obs.rx(dst, Channel::Shm, len);
-            let msg = ArrivedMsg {
-                src: self.rank,
-                ctx,
-                tag,
-                seq,
-                body: ArrivedBody::Eager {
-                    data,
-                    ready_at: ready,
-                    arrived_at: ready,
-                },
-                channel: Channel::Shm,
-            };
-            self.dispatch(msg);
-            return self.locally_complete_send(ctx);
+            return self.send_to_self(data, tag, ctx, seq);
         }
 
         let peer = self.view.peer(dst);
@@ -161,6 +140,7 @@ impl Mpi {
                         }
                     };
                     stalled += stall.saturating_sub(self.now);
+                    let cost = &self.state.cost;
                     self.now = self.now.max(stall)
                         + SimTime::from_ns(cost.shm_post_ns)
                         + cost.shm_copy_time(clen as u64, qcap as u64, cross);
@@ -191,7 +171,7 @@ impl Mpi {
             }
             (Channel::Hca, Protocol::Eager) => {
                 // Stage into the pre-registered eager buffer.
-                self.now += cost.copy_time(len as u64, false);
+                self.now += self.state.cost.copy_time(len as u64, false);
                 let kind = PacketKind::Eager {
                     ctx,
                     tag,
@@ -208,6 +188,7 @@ impl Mpi {
                 None
             }
             (channel @ (Channel::Cma | Channel::Hca), Protocol::Rendezvous) => {
+                let cost = &self.state.cost;
                 self.now += SimTime::from_ns(match channel {
                     Channel::Cma => cost.shm_post_ns,
                     _ => cost.hca_rndv_setup_ns,
@@ -237,6 +218,32 @@ impl Mpi {
         };
         self.obs.route(dst, Some(route), len, seq, posted);
         parked.unwrap_or_else(|| self.locally_complete_send(ctx))
+    }
+
+    /// Self-message: one local copy, straight into the matching engine
+    /// (bypassing `handle_packet`, so both ledger sides are recorded
+    /// here). Out of line: its message is not in the frame of every send.
+    #[inline(never)]
+    fn send_to_self(&mut self, data: Bytes, tag: u32, ctx: u32, seq: u64) -> ReqId {
+        let (me, len) = (self.rank, data.len());
+        self.obs.route(me, None, len, seq, self.now);
+        let ready = self.now + self.state.cost.copy_time(len as u64, false);
+        self.obs.tx(me, Channel::Shm, len);
+        self.obs.rx(me, Channel::Shm, len);
+        let msg = ArrivedMsg {
+            src: me,
+            ctx,
+            tag,
+            seq,
+            body: ArrivedBody::Eager {
+                data,
+                ready_at: ready,
+                arrived_at: ready,
+            },
+            channel: Channel::Shm,
+        };
+        self.dispatch(msg);
+        self.locally_complete_send(ctx)
     }
 
     /// The request of a send whose buffer is reusable already (eager and

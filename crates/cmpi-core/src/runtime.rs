@@ -240,14 +240,13 @@ impl JobSpec {
             }
             state.attached[r].store(ok, Ordering::Release);
         }
+        // The fiber's first frame: it holds the handle's address and
+        // the body's result, nothing larger (DESIGN §16).
         let run_rank = |r: usize, state: Arc<JobState>| {
             let mut mpi = Mpi::init(r, state);
             let out = f(&mut mpi);
-            // Drain any protocol work peers still need from
-            // us before tearing down.
-            let rank = mpi.rank;
-            mpi.state.finalize_barrier.wait(&mpi.state, rank);
-            (out, mpi.now, mpi.obs.finish())
+            let (now, obs) = mpi.finalize();
+            (out, now, obs)
         };
         // Every rank is a task of the execution engine (see
         // `crate::exec`): its mailbox cell is bound to its task so pokes
@@ -294,6 +293,24 @@ fn midrun_fault_detail(fault: MidRunFault) -> (&'static str, u8) {
         MidRunFault::Crash => ("crash", 1),
         MidRunFault::ContainerKill => ("container-kill", 2),
         MidRunFault::Hang => ("hang", 3),
+    }
+}
+
+/// The panic of a fabric post that failed for good: `error` is the
+/// permanent fabric error, `None` an exhausted retry budget. Cold and out
+/// of line, so its formatting is not in the frame of every HCA send.
+#[cold]
+#[inline(never)]
+fn hca_post_failed(what: &'static str, error: Option<FabricError>) -> ! {
+    match error {
+        Some(e) => panic!("{what} failed: {e} (is the container privileged?)"),
+        None => panic!(
+            "{}",
+            MpiError::RetriesExhausted {
+                what,
+                attempts: MAX_SEND_ATTEMPTS
+            }
+        ),
     }
 }
 
@@ -483,18 +500,15 @@ pub(crate) struct JobState {
     /// settled list.
     repair_barrier: PokeBarrier,
     finalize_barrier: PokeBarrier,
-    /// World membership `[0, 1, .., n-1]`, built once per job and shared
-    /// by the world entry of every rank's communicator table — at 4096
-    /// ranks, per-rank copies of this list alone cost ~134 MB and an
-    /// O(n²) init.
-    world_members: Arc<Vec<usize>>,
-    /// The policy locality groups with their leaders, rank→group index
-    /// and collective selector, identical on every rank by construction,
-    /// computed once by
-    /// whichever rank initializes first: the grouping is O(n log n)
-    /// string-keyed work and the tables are O(n), so per-rank copies made
-    /// job init O(n² log n) time and O(n²) memory.
-    smp_topo: OnceLock<Arc<SmpTopo>>,
+    /// The world's communicator entry, built once per job and shared by
+    /// every rank's communicator table: the membership `[0, 1, .., n-1]`
+    /// (at 4096 ranks, per-rank copies of this list alone cost ~134 MB
+    /// and an O(n²) init) and the policy locality groups with their
+    /// leaders, rank→group index and collective selector (O(n log n)
+    /// string-keyed work and O(n) tables, which per-rank copies made
+    /// O(n² log n) time and O(n²) memory). Built on the launching thread,
+    /// so no rank's fiber stack carries the grouping's frames.
+    pub(crate) world: CommEntry,
 }
 
 impl JobState {
@@ -529,8 +543,19 @@ impl JobState {
             init_barrier: PokeBarrier::new(n),
             repair_barrier: PokeBarrier::new(n),
             finalize_barrier: PokeBarrier::new(n),
-            world_members: Arc::new((0..n).collect()),
-            smp_topo: OnceLock::new(),
+            world: CommEntry {
+                members: Arc::new((0..n).collect()),
+                topo: Arc::new(SmpTopo::new(
+                    crate::collectives::policy_groups_of(
+                        &spec.scenario.cluster,
+                        &spec.scenario.placement,
+                        spec.policy,
+                    ),
+                    n,
+                    spec.policy,
+                    spec.tunables,
+                )),
+            },
         }
     }
 
@@ -639,7 +664,7 @@ pub struct Mpi {
     /// The communicator table: members, locality groups and collective
     /// selector of every registered context, the world (under `CTX_WORLD`
     /// and `CTX_COLL`) included. Its entry shares the job-wide member
-    /// list and topology (see [`JobState::smp_topo`]), so every rank
+    /// list and topology (see [`JobState::world`]), so every rank
     /// decides identically; a collective call borrows from it by
     /// refcount bump. Unregistered contexts are
     /// treated as spanning all ranks.
@@ -652,9 +677,32 @@ pub struct Mpi {
     pub(crate) shrink_gen: FastMap<u32, u64>,
 }
 
+/// What joining the job leaves for a rank's handle: the resolved view,
+/// the clock after init's modelled retries, and how often init had to
+/// repair or route around something, per incident.
+struct Joined {
+    view: LocalityView,
+    now: SimTime,
+    repairs: [(Incident, u64); 4],
+}
+
 impl Mpi {
-    fn init(rank: usize, state: Arc<JobState>) -> Mpi {
-        let n = state.placement.num_ranks();
+    /// Join the job, then build this rank's handle where it lives: on the
+    /// heap. The two steps are separate frames so that a fiber's deepest
+    /// init path fits in the top page of its stack (DESIGN §16):
+    /// [`Mpi::join`] makes the deep calls (the container-list attach, the
+    /// launch barrier's yield, the scan) from a small frame, and
+    /// [`Mpi::assemble`], which holds the handle, makes only shallow
+    /// ones.
+    fn init(rank: usize, state: Arc<JobState>) -> Box<Mpi> {
+        let joined = Mpi::join(rank, &state);
+        Mpi::assemble(rank, state, joined)
+    }
+
+    /// The collective half of init: publish into the host's container
+    /// list, wait for every rank, and resolve the peers from the list.
+    #[inline(never)]
+    fn join(rank: usize, state: &JobState) -> Joined {
         let plan = &state.faults;
         // Phase 1: publish membership into the host's container list,
         // validating (and if needed recovering) the segment header.
@@ -691,7 +739,7 @@ impl Mpi {
         }
         // Paper: "once the membership update of all processes completes,
         // the real communication can take place" — the job launch barrier.
-        state.init_barrier.wait(&state, rank);
+        state.init_barrier.wait(state, rank);
         // Repair pass (fault runs only, so the healthy init path keeps
         // its exact barrier structure): re-assert this rank's byte if a
         // conflicting claim overwrote it; a second barrier keeps scans
@@ -701,7 +749,7 @@ impl Mpi {
         if !plan.is_empty() {
             publish_conflicts =
                 LocalityView::repair_own_slot(&list, &state.cluster, &state.placement, rank, plan);
-            state.repair_barrier.wait(&state, rank);
+            state.repair_barrier.wait(state, rank);
         }
         // Each absorbed attach failure cost one backed-off QP-creation
         // round trip of virtual time.
@@ -726,12 +774,88 @@ impl Mpi {
         }
         // Phase 2: scan the list and resolve peers, cross-checking each
         // one and downgrading instead of aborting.
-        let view = LocalityView::scan(state.policy, map, rank, &list);
-        // Ledger what init had to repair or route around, stamped at the
-        // end of init: downgrades show up in the health surface even when
-        // nobody asked for a trace, and a Perfetto view shows *why* a
-        // pair ended up on the HCA before the first message flows.
-        let mut obs = Obs::new(rank, n, &state.obs);
+        Joined {
+            view: LocalityView::scan(state.policy, map, rank, &list),
+            now,
+            repairs: [
+                (Incident::LIST_RECOVERY, list_recoveries),
+                (Incident::PUBLISH_CONFLICT, publish_conflicts),
+                (Incident::INIT_RETRY, init_retries),
+                (Incident::ATTACH_RETRY, attach_retries),
+            ],
+        }
+    }
+
+    /// Build the handle in its heap allocation, field by field, then
+    /// ledger what init had to repair or route around. In place because
+    /// `Box::new(Mpi { .. })` builds the 1.2 KB value in this frame first
+    /// and copies it over: a frame of 2.5 KB.
+    #[inline(never)]
+    fn assemble(rank: usize, state: Arc<JobState>, joined: Joined) -> Box<Mpi> {
+        let n = state.placement.num_ranks();
+        let fate = state
+            .faults
+            .midrun_fate_of(rank, state.placement.loc(rank).container);
+        let Joined { view, now, repairs } = joined;
+        let mut slot = Box::<Mpi>::new_uninit();
+        let p = slot.as_mut_ptr();
+        // Every field by name, with no `..`: a field added to `Mpi` breaks
+        // this pattern until it is listed here, and with it the reminder
+        // to write it below.
+        const _: fn(Mpi) = |Mpi {
+                                rank: _,
+                                n: _,
+                                now: _,
+                                state: _,
+                                selector: _,
+                                view: _,
+                                engine: _,
+                                obs: _,
+                                reqs: _,
+                                peers: _,
+                                win_counter: _,
+                                fate: _,
+                                ops: _,
+                                dead: _,
+                                revoked: _,
+                                comms: _,
+                                convicted_seen: _,
+                                shrink_gen: _,
+                            }| {};
+        // SAFETY: `p` is the fresh allocation, valid for writes of an
+        // `Mpi`. Each line initializes one field in place, and the lines
+        // cover the fields the pattern above lists, which are all of
+        // them, so the value is whole at `assume_init`.
+        let mut mpi = unsafe {
+            (&raw mut (*p).rank).write(rank);
+            (&raw mut (*p).n).write(n);
+            (&raw mut (*p).now).write(now);
+            (&raw mut (*p).selector).write(ChannelSelector::new(state.policy, state.tunables));
+            (&raw mut (*p).view).write(view);
+            (&raw mut (*p).engine).write(MatchingEngine::new());
+            (&raw mut (*p).obs).write(Obs::new(rank, n, &state.obs));
+            (&raw mut (*p).reqs).write(RequestTable::default());
+            (&raw mut (*p).peers).write(PeerTable::new(n));
+            (&raw mut (*p).win_counter).write(0);
+            (&raw mut (*p).fate).write(fate);
+            (&raw mut (*p).ops).write(0);
+            (&raw mut (*p).dead).write(false);
+            (&raw mut (*p).revoked).write(FastSet::default());
+            (&raw mut (*p).comms).write(FastMap::default());
+            (&raw mut (*p).convicted_seen).write(FastSet::default());
+            (&raw mut (*p).shrink_gen).write(FastMap::default());
+            (&raw mut (*p).state).write(state);
+            slot.assume_init()
+        };
+        let world = &mpi.state.world;
+        let (world, coll) = (world.clone(), world.clone());
+        mpi.comms.insert(CTX_WORLD, world);
+        mpi.comms.insert(CTX_COLL, coll);
+        // Stamped at the end of init: downgrades show up in the health
+        // surface even when nobody asked for a trace, and a Perfetto view
+        // shows *why* a pair ended up on the HCA before the first message
+        // flows.
+        let Mpi { view, obs, .. } = &mut *mpi;
         for (peer, reason) in view.downgraded_peers() {
             let detail = Detail {
                 reason: Some(reason.name()),
@@ -739,52 +863,22 @@ impl Mpi {
             };
             obs.incident(Incident::HCA_DOWNGRADE, now, Some(peer), detail, 1);
         }
-        for (kind, count) in [
-            (Incident::LIST_RECOVERY, list_recoveries),
-            (Incident::PUBLISH_CONFLICT, publish_conflicts),
-            (Incident::INIT_RETRY, init_retries),
-            (Incident::ATTACH_RETRY, attach_retries),
-        ] {
+        for (kind, count) in repairs {
             if count > 0 {
                 obs.incident(kind, now, None, Detail::default(), count);
             }
         }
-        let selector = ChannelSelector::new(state.policy, state.tunables);
-        // All ranks derive identical groups from the same placement, so
-        // one rank computes them and the rest share the Arc — per-rank
-        // recomputation was an O(n² log n) term in job init.
-        let smp_topo = Arc::clone(state.smp_topo.get_or_init(|| {
-            let groups = crate::collectives::policy_groups_of(&state, n);
-            Arc::new(SmpTopo::new(groups, n, state.policy, state.tunables))
-        }));
-        let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
-        let world = CommEntry {
-            members: Arc::clone(&state.world_members),
-            topo: smp_topo,
-        };
-        let mut comms = FastMap::default();
-        comms.insert(CTX_WORLD, world.clone());
-        comms.insert(CTX_COLL, world);
-        Mpi {
-            rank,
-            n,
-            now,
-            state,
-            selector,
-            view,
-            engine: MatchingEngine::new(),
-            obs,
-            reqs: RequestTable::default(),
-            peers: PeerTable::new(n),
-            win_counter: 0,
-            fate,
-            ops: 0,
-            dead: false,
-            revoked: FastSet::default(),
-            comms,
-            convicted_seen: FastSet::default(),
-            shrink_gen: FastMap::default(),
-        }
+        mpi
+    }
+
+    /// Leave the job: wait until every rank is done, draining any
+    /// protocol work peers still need from this one, then hand back the
+    /// final clock and the store. Out of line, so the moved-out store
+    /// is never a temporary of the fiber's first frame.
+    #[inline(never)]
+    fn finalize(self: Box<Mpi>) -> (SimTime, Box<Obs>) {
+        self.state.finalize_barrier.wait(&self.state, self.rank);
+        (self.now, self.obs.finish())
     }
 
     /// This rank's id in `0..size()`.
@@ -936,7 +1030,7 @@ impl Mpi {
             None => {
                 let members = match self.comms.get(&ctx) {
                     Some(entry) => &entry.members,
-                    None => &self.state.world_members,
+                    None => &self.state.world.members,
                 };
                 let others = members.iter().copied().filter(|&r| r != self.rank);
                 self.state.detector.first_down(others)
@@ -969,6 +1063,7 @@ impl Mpi {
     /// context and the collective-internal context are one communicator),
     /// and ledger the revocation. `false` when it already was: a repeat
     /// changes nothing.
+    #[inline(never)]
     fn mark_revoked(&mut self, ctx: u32) -> bool {
         if !self.revoked.insert(ctx) {
             return false;
@@ -1002,7 +1097,7 @@ impl Mpi {
         }
         let members: Arc<Vec<usize>> = match self.comms.get(&ctx) {
             Some(entry) => Arc::clone(&entry.members),
-            None => Arc::clone(&self.state.world_members),
+            None => Arc::clone(&self.state.world.members),
         };
         let t = self.now + SimTime::from_ns(self.state.cost.shm_post_ns);
         for &dst in members.iter() {
@@ -1031,36 +1126,53 @@ impl Mpi {
         // relaxed-ok: cheap peek only; the authoritative claim is the
         // Acquire swap on the next line, and a stale `false` here is
         // repaired by the notifier's subsequent poke re-running this path.
-        if self.state.attached[self.rank].load(Ordering::Acquire)
+        let mut fabric = self.state.attached[self.rank].load(Ordering::Acquire)
             && self.state.fabric_ready[self.rank].load(Ordering::Relaxed)
-            && self.state.fabric_ready[self.rank].swap(false, Ordering::Acquire)
-        {
+            && self.state.fabric_ready[self.rank].swap(false, Ordering::Acquire);
+        // The mailbox check inline: most calls come from a wait loop
+        // with nothing to drain, and they make no call.
+        while fabric || self.state.cells[self.rank].has_ready() {
+            let Some(pkt) = self.next_packet(&mut fabric) else {
+                return;
+            };
+            self.handle_packet(pkt);
+        }
+    }
+
+    /// The next packet [`Mpi::progress`] handles: the fabric's, in
+    /// arrival order, while `fabric` is set (it is cleared when the
+    /// endpoint's queue runs dry), then the mailbox's, in queue order,
+    /// until it is empty — handlers can push to our own cell (intra-host
+    /// loopback control), and those packets run here too. Out of line,
+    /// so that the fabric message it decodes and the pop's own state are
+    /// not in the frame every handler runs under (DESIGN §16).
+    #[inline(never)]
+    fn next_packet(&self, fabric: &mut bool) -> Option<Packet> {
+        if *fabric {
             // One message at a time, straight from the endpoint's queue:
             // a rank keeps no drain buffer of its own. A detached
             // endpoint (this rank died) drains nothing.
-            while let Ok(Some((m, behind))) = self.state.fabric.poll_recv_one(self.rank) {
+            if let Ok(Some((m, behind))) = self.state.fabric.poll_recv_one(self.rank) {
+                *fabric = behind > 0;
                 // Split framing: the header parses off the inline
                 // segment and the payload `Bytes` is adopted whole, so a
                 // rendezvous payload lands in the user's completion
                 // untouched (and the spare list can reclaim its
                 // allocation — a sliced frame could never be reclaimed,
                 // it shares the header's allocation).
-                let pkt =
-                    Packet::decode_parts(m.src, m.imm, m.hdr.as_slice(), m.data, m.available_at);
-                self.handle_packet(pkt);
-                if behind == 0 {
-                    break;
-                }
+                return Some(Packet::decode_parts(
+                    m.src,
+                    m.imm,
+                    m.hdr.as_slice(),
+                    m.data,
+                    m.available_at,
+                ));
             }
+            *fabric = false;
         }
-        // Mailbox drain, one packet at a time and in queue order, until
-        // the queue is empty: handlers can push to our own cell
-        // (intra-host loopback control), and those packets run here too.
-        // A per-rank batch buffer would hold up to a batch of packets
-        // per rank for the whole job.
-        while let Some(pkt) = self.state.cells[self.rank].pop() {
-            self.handle_packet(pkt);
-        }
+        // A per-rank batch buffer would hold up to a batch of packets per
+        // rank for the whole job.
+        self.state.cells[self.rank].pop()
     }
 
     /// The world's topology (and with it the job's collective selector),
@@ -1075,7 +1187,7 @@ impl Mpi {
     /// world entry's `Arc`s, no allocation.
     pub(crate) fn world_scope(&self) -> Scope {
         Scope {
-            ranks: Arc::clone(&self.state.world_members),
+            ranks: Arc::clone(&self.state.world.members),
             me: self.rank,
             ctx: CTX_COLL,
             topo: Some(Arc::clone(self.world_topo())),
@@ -1163,28 +1275,32 @@ impl Mpi {
             }
             PacketKind::Cts { sreq, rreq } => self.handle_cts(&pkt, sreq, rreq),
             PacketKind::RndvData { rreq } => self.handle_rndv_data(pkt, rreq),
-            PacketKind::Fin { sreq } => {
-                // A late FIN (the send already completed in error: peer
-                // convicted dead / context revoked) has nothing to finish.
-                let Some(slot) = self
-                    .reqs
-                    .named_by_packet(sreq, "FIN for unknown send request")
-                else {
-                    return;
-                };
-                let &mut Slot::Send(SendState::AwaitFin { ctx, cts_at, .. }) = slot else {
-                    panic!("FIN for a send not awaiting one: {slot:?}");
-                };
-                *slot = Slot::Send(SendState::Done {
-                    t: pkt.available_at,
-                    ctx,
-                    rndv_cts: Some(cts_at),
-                });
-            }
+            PacketKind::Fin { sreq } => self.handle_fin(pkt.available_at, sreq),
             PacketKind::Revoke { ctx } => {
                 self.mark_revoked(ctx);
             }
         }
+    }
+
+    /// The sender's FIN handler: the rendezvous send is done.
+    #[inline(never)]
+    fn handle_fin(&mut self, t: SimTime, sreq: ReqId) {
+        // A late FIN (the send already completed in error: peer
+        // convicted dead / context revoked) has nothing to finish.
+        let Some(slot) = self
+            .reqs
+            .named_by_packet(sreq, "FIN for unknown send request")
+        else {
+            return;
+        };
+        let &mut Slot::Send(SendState::AwaitFin { ctx, cts_at, .. }) = slot else {
+            panic!("FIN for a send not awaiting one: {slot:?}");
+        };
+        *slot = Slot::Send(SendState::Done {
+            t,
+            ctx,
+            rndv_cts: Some(cts_at),
+        });
     }
 
     /// Route an assembled message: fulfil a posted receive or queue it.
@@ -1263,6 +1379,7 @@ impl Mpi {
     }
 
     /// The sender's CTS handler: dispatch the parked payload.
+    #[inline(never)]
     fn handle_cts(&mut self, pkt: &Packet, sreq: ReqId, rreq: ReqId) {
         // A late CTS (the send already completed in error): the parked
         // payload is gone and the receiver (dead or revoked with us) gets
@@ -1297,6 +1414,7 @@ impl Mpi {
 
     /// The receiver's payload handler: charge the transfer, complete the
     /// receive, notify the sender.
+    #[inline(never)]
     fn handle_rndv_data(&mut self, pkt: Packet, rreq: ReqId) {
         // A late payload (the receive already completed in error): its
         // sender either died (no FIN owed) or will fail out of its own wait
@@ -1432,15 +1550,9 @@ impl Mpi {
                 {
                     return None;
                 }
-                Err(e) => panic!("{what} failed: {e} (is the container privileged?)"),
+                Err(e) => hca_post_failed(what, Some(e)),
             }
         }
-        panic!(
-            "{}",
-            MpiError::RetriesExhausted {
-                what,
-                attempts: MAX_SEND_ATTEMPTS
-            }
-        );
+        hca_post_failed(what, None)
     }
 }

@@ -1,32 +1,42 @@
-//! Footprint assertion harness: what a rank costs in heap before its
-//! first message and while it talks, and that neither cost grows with
-//! the job.
+//! Footprint assertion harness: what a rank costs in heap and in fiber
+//! stack before its first message and while it talks, and that neither
+//! cost grows with the job.
 //!
 //! The whole test binary runs under a global allocator that tracks live
 //! bytes and their high-water mark. A job whose closure does nothing is
 //! launched in task mode at 256 and at 2048 ranks (same host shape, 16
 //! ranks per host); the peak live heap above the pre-launch level,
-//! divided by the rank count, is the per-rank footprint — job-wide
-//! tables included, the fiber stack slab excluded (it is address space;
-//! only touched pages of it are memory, and those are the body's
-//! frames, not the runtime's state).
+//! divided by the rank count, is the per-rank heap — job-wide tables
+//! included, the fiber stack slab excluded. The slab is counted apart:
+//! when it is freed, the allocator counts its pages that hold a non-zero
+//! byte, which are the pages the fibers' frames touched (the slab is a
+//! fresh `mmap`, zero until written, as long as it is above glibc's
+//! largest `mmap` threshold of 32 MiB). A rank's figure is its heap plus
+//! its share of those pages.
 //!
-//! Two assertions: per-rank bytes at 2048 ranks stay within 1.25× of
-//! per-rank bytes at 256 (a dense per-rank table of length n would be
-//! 8× larger there and cannot come back unnoticed), and per-rank bytes
-//! at 256 stay inside an absolute budget of the measured value + 25 %.
-//! The first holds under a fault plan too: a plan that never fires
-//! still takes the job through its fault-aware init. A third: the heap
-//! a job took is back once the job has returned (the fabric's delivery
+//! Heap assertions: per-rank heap at 2048 ranks stays within 1.25× of
+//! per-rank heap at 256 (a dense per-rank table of length n would be 8×
+//! larger there and cannot come back unnoticed), and per-rank heap at
+//! 256 stays inside an absolute budget of the measured value + 25 %.
+//! The first holds under a fault plan too: a plan that never fires still
+//! takes the job through its fault-aware init. A third: the heap a job
+//! took is back once the job has returned (the fabric's delivery
 //! callbacks once kept the whole job state alive, 1.2 MB per 256-rank
 //! job).
 //!
-//! The same two assertions hold a second body: four steps of the mixed
+//! Stack assertion, release builds only (frame sizes are a property of
+//! the optimised build): every fiber's deepest path fits in the top page
+//! of its stack, so a job touches one stack page per rank, plus the page
+//! that holds stack 0's canary (DESIGN §16).
+//!
+//! The same assertions hold a second body: four steps of the mixed
 //! traffic the benchmark's `scale1024` workload runs (16 receives and 16
 //! sends of 1 KiB to the ranks at offsets ±1, 2, 4 and 8, a 256-element
 //! allreduce and a barrier). Its peak is the state a rank holds while
 //! messages are in flight: requests, matching buckets, drain scratch,
 //! reduce accumulators and histograms, plus the body's own 2 KiB vector.
+//! The body keeps a 512-byte local live throughout, standing in for the
+//! frames of a caller's closure (the benchmark's adds about 300 bytes).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,6 +54,10 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// stack slab, which adds a page of layout slack) is left out of the
 /// count.
 static EXCLUDED_SIZE: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Pages of the last freed stack slab that held a non-zero byte.
+static STACK_PAGES: AtomicUsize = AtomicUsize::new(0);
+
+const PAGE: usize = 4096;
 
 fn counted(size: usize) -> bool {
     size < EXCLUDED_SIZE.load(Ordering::Relaxed)
@@ -52,6 +66,29 @@ fn counted(size: usize) -> bool {
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// The pages of `[ptr, ptr + size)` that hold a non-zero byte.
+///
+/// # Safety
+/// `ptr` must be valid for reads of `size` bytes.
+unsafe fn touched_pages(ptr: *const u8, size: usize) -> usize {
+    let end = ptr as usize + size;
+    let mut page = ptr as usize & !(PAGE - 1);
+    let mut pages = 0;
+    while page < end {
+        let lo = page.max(ptr as usize);
+        let hi = (page + PAGE).min(end);
+        // SAFETY: `[lo, hi)` lies inside the caller's range.
+        let bytes = unsafe { std::slice::from_raw_parts(lo as *const u8, hi - lo) };
+        // SAFETY: any bit pattern is a valid `u64`.
+        let (head, words, tail) = unsafe { bytes.align_to::<u64>() };
+        if words.iter().any(|&w| w != 0) || head.iter().chain(tail).any(|&b| b != 0) {
+            pages += 1;
+        }
+        page += PAGE;
+    }
+    pages
 }
 
 // SAFETY: defers every request to `System` unchanged; the counters are
@@ -68,6 +105,10 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if counted(layout.size()) {
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        } else {
+            // SAFETY: the slab is live until it is handed back below.
+            let pages = unsafe { touched_pages(ptr, layout.size()) };
+            STACK_PAGES.store(pages, Ordering::Relaxed);
         }
         // SAFETY: same pointer and layout the caller vouched for.
         unsafe { System.dealloc(ptr, layout) }
@@ -86,15 +127,45 @@ static GLOBAL: TrackingAlloc = TrackingAlloc;
 
 const STACK_KIB: usize = 128;
 
-/// Peak live heap bytes per rank of a job running `body` under `plan` on
-/// `hosts` hosts of 16 ranks each (two containers of eight).
-fn bytes_per_rank<R: Send>(
+/// What one job cost.
+struct Footprint {
+    ranks: usize,
+    /// Peak live heap bytes per rank.
+    heap: usize,
+    /// Stack pages the whole job touched.
+    stack_pages: usize,
+}
+
+impl Footprint {
+    /// Heap plus touched stack bytes, per rank.
+    fn per_rank(&self) -> usize {
+        self.heap + self.stack_pages * PAGE / self.ranks
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{} B/rank at {} ranks ({} B heap + {} stack pages)",
+            self.per_rank(),
+            self.ranks,
+            self.heap,
+            self.stack_pages
+        )
+    }
+}
+
+/// The footprint of a job running `body` under `plan` on `hosts` hosts
+/// of 16 ranks each (two containers of eight).
+fn footprint<R: Send>(
     hosts: u32,
     plan: &FaultPlan,
     body: impl Fn(&mut Mpi) -> R + Send + Sync,
-) -> usize {
+) -> Footprint {
     let scenario = DeploymentScenario::containers(hosts, 2, 8, NamespaceSharing::default());
     let n = scenario.num_ranks();
+    assert!(
+        n * STACK_KIB * 1024 >= 32 << 20,
+        "a slab below 32 MiB may be recycled heap, whose stale bytes would count as touched"
+    );
     let spec = JobSpec::new(scenario)
         .with_faults(plan.clone())
         .with_exec(ExecMode::Tasks)
@@ -110,23 +181,28 @@ fn bytes_per_rank<R: Send>(
     let ranks_seen = thread::scope(|s| s.spawn(|| spec.run(body).results.len()).join())
         .expect("the job's thread panicked");
     assert_eq!(ranks_seen, n);
-    (PEAK.load(Ordering::Relaxed) - before) / n
+    Footprint {
+        ranks: n,
+        heap: (PEAK.load(Ordering::Relaxed) - before) / n,
+        stack_pages: STACK_PAGES.load(Ordering::Relaxed),
+    }
 }
 
-fn noop_bytes_per_rank(hosts: u32, plan: &FaultPlan) -> usize {
-    bytes_per_rank(hosts, plan, |mpi| mpi.rank())
+fn noop_footprint(hosts: u32, plan: &FaultPlan) -> Footprint {
+    footprint(hosts, plan, |mpi| mpi.rank())
 }
 
-/// Peak live heap bytes per rank of four steps of mixed traffic: per
-/// step 16 receives posted highest-tag-first, 16 sends of `data` to the
-/// ranks at offsets 1, 2, 4 and 8, the waits, a 256-element allreduce and
-/// a barrier.
-fn traffic_bytes_per_rank(hosts: u32, data: &Bytes) -> usize {
+/// The footprint of four steps of mixed traffic: per step 16 receives
+/// posted highest-tag-first, 16 sends of `data` to the ranks at offsets
+/// 1, 2, 4 and 8, the waits, a 256-element allreduce and a barrier.
+fn traffic_footprint(hosts: u32, data: &Bytes) -> Footprint {
     const OFFSETS: [usize; 4] = [1, 2, 4, 8];
     const WINDOW: u32 = 4;
-    bytes_per_rank(hosts, &FaultPlan::none(), |mpi| {
+    footprint(hosts, &FaultPlan::none(), |mpi| {
         let (n, r) = (mpi.size(), mpi.rank());
         let local = vec![r as u64; 256];
+        // A caller's frames: live, and in this body's frame, throughout.
+        let frames = std::hint::black_box([0x5a_u8; 512]);
         let mut received = 0;
         for _ in 0..4 {
             let mut reqs = Vec::with_capacity(32);
@@ -150,39 +226,65 @@ fn traffic_bytes_per_rank(hosts: u32, data: &Bytes) -> usize {
             mpi.barrier();
         }
         assert_eq!(received, 4 * 16 * data.len());
+        std::hint::black_box(&frames);
     })
 }
 
-/// Heap bytes per rank of a noop job under `plan` at 256 and at 2048
-/// ranks, after asserting that the second is within 1.25× of the first.
-fn assert_independent_of_job_size(what: &str, plan: &FaultPlan) -> usize {
-    let small = noop_bytes_per_rank(16, plan);
-    let large = noop_bytes_per_rank(128, plan);
-    eprintln!("noop job heap {what}: {small} B/rank at 256 ranks, {large} B/rank at 2048 ranks");
+/// In release builds: every fiber of the job stayed in the top page of
+/// its stack. Stack 0's canary has a page of its own; every other canary
+/// shares the top page of the stack below it.
+fn assert_one_stack_page_per_fiber(what: &str, job: &Footprint) {
+    if cfg!(debug_assertions) {
+        return;
+    }
     assert!(
-        large * 4 <= small * 5,
-        "per-rank heap grew with the job {what}: {small} B/rank at 256 ranks, {large} B/rank \
-         at 2048"
+        job.stack_pages <= job.ranks + 1,
+        "{what}: {} ranks touched {} stack pages; a fiber's deepest path left the top page of \
+         its stack (DESIGN §16)",
+        job.ranks,
+        job.stack_pages
     );
-    small
+}
+
+/// Per-rank heap of a noop job under `plan` at 256 and at 2048 ranks,
+/// after asserting that the second is within 1.25× of the first and that
+/// both jobs kept each fiber in one stack page.
+fn assert_independent_of_job_size(what: &str, plan: &FaultPlan) -> usize {
+    let small = noop_footprint(16, plan);
+    let large = noop_footprint(128, plan);
+    eprintln!(
+        "noop job {what}: {}; {}",
+        small.describe(),
+        large.describe()
+    );
+    assert!(
+        large.heap * 4 <= small.heap * 5,
+        "per-rank heap grew with the job {what}: {} B/rank at 256 ranks, {} B/rank at 2048",
+        small.heap,
+        large.heap
+    );
+    assert_one_stack_page_per_fiber(&format!("noop job {what}"), &small);
+    assert_one_stack_page_per_fiber(&format!("noop job {what}"), &large);
+    small.heap
 }
 
 /// One test, so nothing else runs while it measures: the allocator's
 /// counters are process-wide, and the harness's own bookkeeping for a
 /// test that finished on another thread would land in the measurement.
 #[test]
-fn per_rank_heap_is_bounded_and_independent_of_job_size() {
-    noop_heap_is_bounded();
-    traffic_heap_is_bounded();
+fn per_rank_footprint_is_bounded_and_independent_of_job_size() {
+    noop_footprint_is_bounded();
+    traffic_footprint_is_bounded();
 }
 
-fn noop_heap_is_bounded() {
+fn noop_footprint_is_bounded() {
     let none = FaultPlan::none();
     let small = assert_independent_of_job_size("without a fault plan", &none);
     let never = FaultPlan::none().with_crash(0, MidRunTrigger::AfterOps(u64::MAX));
     assert_independent_of_job_size("under a fault plan that never fires", &never);
     // Measured 3 000 B/rank when this budget was set (DESIGN.md §16 says
-    // what the bytes are); + 25 %.
+    // what the bytes are); + 25 %. The heap-resident `Mpi` does not add
+    // to it: the peak falls after every rank has freed its handle.
     const BUDGET: usize = 3_750;
     assert!(
         small <= BUDGET,
@@ -191,8 +293,8 @@ fn noop_heap_is_bounded() {
     // Lazily-built process-wide state was paid for by the runs above, so
     // whatever two more jobs leave behind is per-job.
     let before = LIVE.load(Ordering::Relaxed);
-    noop_bytes_per_rank(16, &none);
-    noop_bytes_per_rank(16, &none);
+    noop_footprint(16, &none);
+    noop_footprint(16, &none);
     let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     assert!(
         kept < 64 * 1024,
@@ -200,23 +302,29 @@ fn noop_heap_is_bounded() {
     );
 }
 
-fn traffic_heap_is_bounded() {
+fn traffic_footprint_is_bounded() {
     let data = Bytes::from(vec![7u8; 1024]);
-    let small = traffic_bytes_per_rank(16, &data);
-    let large = traffic_bytes_per_rank(128, &data);
-    eprintln!("mixed traffic heap: {small} B/rank at 256 ranks, {large} B/rank at 2048 ranks");
+    let small = traffic_footprint(16, &data);
+    let large = traffic_footprint(128, &data);
+    eprintln!("mixed traffic: {}; {}", small.describe(), large.describe());
     assert!(
-        large * 4 <= small * 5,
-        "per-rank traffic heap grew with the job: {small} B/rank at 256 ranks, {large} B/rank \
-         at 2048"
+        large.heap * 4 <= small.heap * 5,
+        "per-rank traffic heap grew with the job: {} B/rank at 256 ranks, {} B/rank at 2048",
+        small.heap,
+        large.heap
     );
+    assert_one_stack_page_per_fiber("mixed traffic", &small);
+    assert_one_stack_page_per_fiber("mixed traffic", &large);
     // Measured 16 977 B/rank when this budget was set (22 538 before a
     // rank's drain buffers, reduce accumulators, histogram arrays,
     // matching entries and request slots were cut to what they hold;
-    // DESIGN.md §16); + 25 %.
+    // DESIGN.md §16); + 25 %. 18 186 B since the 1 208-byte `Mpi` moved
+    // from the fiber stack to the heap, which took each rank's stack
+    // from two pages to one.
     const BUDGET: usize = 21_221;
     assert!(
-        small <= BUDGET,
-        "a rank of a 256-rank job under mixed traffic holds {small} B of heap, budget {BUDGET} B"
+        small.heap <= BUDGET,
+        "a rank of a 256-rank job under mixed traffic holds {} B of heap, budget {BUDGET} B",
+        small.heap
     );
 }

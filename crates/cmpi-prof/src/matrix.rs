@@ -4,7 +4,8 @@
 //!
 //! A [`RankMatrix`] is one rank's row of the job-wide N×N traffic matrix:
 //! for every peer, per-channel {ops, bytes} plus a log2 message-size
-//! histogram. The runtime keeps two ledgers per rank — transmitted
+//! histogram. A row stores only the peers the rank exchanged traffic
+//! with; every other cell reads as empty. The runtime keeps two ledgers per rank — transmitted
 //! (initiator-side, summing exactly to the rank's `CommStats` channel
 //! counters) and received (delivery-side) — so byte conservation across
 //! the job is checkable, not assumed.
@@ -220,46 +221,91 @@ impl PeerCell {
     }
 }
 
-/// One rank's row of the job traffic matrix.
+/// The cell of every peer a row holds no traffic for.
+static EMPTY_CELL: PeerCell = PeerCell {
+    chan: [ChannelCounter { ops: 0, bytes: 0 }; NUM_CHANNELS],
+    hist: HistogramAccumulator {
+        zeros: 0,
+        run_sum: 0,
+        run_count: 0,
+        run_bucket: 0,
+        buckets: Vec::new(),
+        count: 0,
+        sum: 0,
+    },
+};
+
+/// One rank's row of the job traffic matrix. Only touched peers have a
+/// cell, kept in peer order: a rank talks to a few peers whatever the
+/// job size, and a dense row made the profile 3 n² cells per job (360 MiB
+/// at 1024 ranks).
 #[derive(Clone, Debug)]
 pub struct RankMatrix {
-    cells: Vec<PeerCell>,
+    n: usize,
+    /// `(peer, cell)` of every peer with traffic, ascending by peer.
+    cells: Vec<(usize, PeerCell)>,
 }
 
 impl RankMatrix {
-    /// An all-zero row for a job of `n` ranks.
+    /// An all-zero row for a job of `n` ranks. Holds no heap.
     pub fn new(n: usize) -> Self {
         RankMatrix {
-            cells: (0..n).map(|_| PeerCell::default()).collect(),
+            n,
+            cells: Vec::new(),
         }
     }
 
     /// Number of peers (== number of ranks).
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.n
     }
 
     /// `true` for a zero-rank job.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.n == 0
+    }
+
+    /// Where `peer`'s cell is (`Ok`) or would go (`Err`).
+    ///
+    /// # Panics
+    /// Panics if `peer` is not a rank of the job.
+    fn find(&self, peer: usize) -> Result<usize, usize> {
+        assert!(peer < self.n, "peer {peer} out of range 0..{}", self.n);
+        self.cells.binary_search_by_key(&peer, |&(p, _)| p)
+    }
+
+    /// The cell of `peer`, created empty on first use.
+    fn cell_mut(&mut self, peer: usize) -> &mut PeerCell {
+        let at = self.find(peer).unwrap_or_else(|at| {
+            self.cells.insert(at, (peer, PeerCell::default()));
+            at
+        });
+        &mut self.cells[at].1
     }
 
     /// Count one transfer of `bytes` to/from `peer` on `channel`.
     pub fn record(&mut self, peer: usize, channel: Channel, bytes: usize) {
-        let cell = &mut self.cells[peer];
+        let cell = self.cell_mut(peer);
         cell.chan[chan_index(channel)].add(bytes as u64);
         cell.hist.observe(bytes as u64);
     }
 
-    /// The cell for `peer`.
+    /// The cell for `peer` (all zero for a peer without traffic).
     pub fn cell(&self, peer: usize) -> &PeerCell {
-        &self.cells[peer]
+        match self.find(peer) {
+            Ok(at) => &self.cells[at].1,
+            Err(_) => &EMPTY_CELL,
+        }
     }
 
     /// Fold one cell's counters into this row's `peer` slot (used when a
-    /// one-sided origin recorded traffic on the target's behalf).
+    /// one-sided origin recorded traffic on the target's behalf). An
+    /// empty cell changes nothing and adds none.
     pub fn absorb_cell(&mut self, peer: usize, cell: &PeerCell) {
-        let mine = &mut self.cells[peer];
+        if cell.ops() == 0 {
+            return;
+        }
+        let mine = self.cell_mut(peer);
         for (m, o) in mine.chan.iter_mut().zip(cell.chan.iter()) {
             m.merge(o);
         }
@@ -271,9 +317,8 @@ impl RankMatrix {
         let peers = self
             .cells
             .iter()
-            .enumerate()
             .filter(|(_, c)| c.ops() > 0)
-            .map(|(peer, c)| {
+            .map(|&(peer, ref c)| {
                 let mut fields = vec![("peer".to_string(), Json::num(peer as u64))];
                 for ch in Channel::ALL {
                     let cc = c.chan[chan_index(ch)];
@@ -420,6 +465,61 @@ mod tests {
             a.cell(1).hist.nonzero().collect::<Vec<_>>(),
             [(4, 1), (5, 1)]
         );
+    }
+
+    #[test]
+    fn an_untouched_row_holds_no_heap() {
+        let mut m = RankMatrix::new(1 << 20);
+        assert_eq!(m.cells.capacity(), 0);
+        assert_eq!(m.cell(12_345).ops(), 0);
+        m.absorb_cell(7, &PeerCell::default());
+        assert_eq!(
+            m.cells.capacity(),
+            0,
+            "an empty cell was absorbed into a new one"
+        );
+        m.record(99, Channel::Shm, 8);
+        m.record(3, Channel::Hca, 8);
+        m.record(99, Channel::Shm, 8);
+        let peers: Vec<usize> = m.cells.iter().map(|&(p, _)| p).collect();
+        assert_eq!(peers, [3, 99], "one cell per touched peer, in peer order");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any sequence of records and absorbs leaves every cell of the
+        /// sparse row equal to the same cell of a dense one.
+        #[test]
+        fn sparse_row_matches_a_dense_row(
+            ops in proptest::collection::vec((0usize..40, 0usize..3, 0usize..5000, any::<bool>()), 0..200),
+        ) {
+            const N: usize = 40;
+            let mut row = RankMatrix::new(N);
+            let mut dense = vec![PeerCell::default(); N];
+            for (peer, ch, bytes, absorb) in ops {
+                let ch = Channel::ALL[ch];
+                if absorb {
+                    let mut other = PeerCell::default();
+                    other.chan[chan_index(ch)].add(bytes as u64);
+                    other.hist.observe(bytes as u64);
+                    row.absorb_cell(peer, &other);
+                    for (m, o) in dense[peer].chan.iter_mut().zip(other.chan.iter()) {
+                        m.merge(o);
+                    }
+                    dense[peer].hist.merge(&other.hist);
+                } else {
+                    row.record(peer, ch, bytes);
+                    dense[peer].chan[chan_index(ch)].add(bytes as u64);
+                    dense[peer].hist.observe(bytes as u64);
+                }
+            }
+            for (peer, want) in dense.into_iter().enumerate() {
+                let got = row.cell(peer);
+                prop_assert_eq!(got.chan, want.chan);
+                prop_assert_eq!(got.hist.clone().finish(), want.hist.finish());
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,10 @@
 #             print RESULTS.txt byte for byte, else the stage fails with
 #             the diff; then `figures --fig scaling` (wall clock and RSS,
 #             so not pinned) runs as a smoke
+#   footprint the footprint test again in release mode, where it also
+#             asserts that every fiber's deepest path stays in the top page
+#             of its stack (frame sizes are a property of the optimised
+#             build; the debug run in `test` checks the heap only)
 #   chaos     chaos-midrun: mid-run crash / hang / container-kill runs in
 #             release mode (detector conviction, revoke/shrink recovery,
 #             deterministic FT Graph 500 answers) plus the failure-detector
@@ -91,6 +95,9 @@ if ! scripts/results.sh | diff -u RESULTS.txt -; then
   exit 1
 fi
 cargo run --release --quiet -p cmpi-bench --bin figures -- --fig scaling >/dev/null
+
+stage footprint "footprint (release: heap bounds and one stack page per fiber)"
+cargo test -q --release -p cmpi-core --test footprint
 
 stage chaos "chaos-midrun (crash / hang / container-kill + detector property test)"
 cargo test -q --release --test chaos_midrun
