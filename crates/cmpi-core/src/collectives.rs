@@ -1108,7 +1108,7 @@ impl Mpi {
         if m > 1 {
             let mut image = spare::take(m * bs);
             for &member in group.ranks.iter() {
-                T::encode(slab(topo.position(member)).iter().copied(), &mut image);
+                T::encode(slab(topo.position(member)), &mut image);
             }
             let image = Bytes::from(image);
             for step in 1..m {

@@ -123,7 +123,7 @@ impl Mpi {
         let my_block_idx = (me + n - root) % n;
         let mut carry: Bytes = if me == root {
             let mut image = Vec::with_capacity(cb * n);
-            T::encode(buf.iter().copied(), &mut image);
+            T::encode(buf, &mut image);
             image.resize(cb * n, 0);
             let image = Bytes::from(image);
             let mut reqs = Vec::new();

@@ -30,7 +30,7 @@ pub trait MpiData: Copy + Send + Sync + 'static {
     /// The element whose wire image is all zero bytes.
     const ZERO: Self;
     /// Append the little-endian wire image of `items` to `out`.
-    fn encode(items: impl Iterator<Item = Self>, out: &mut Vec<u8>);
+    fn encode(items: &[Self], out: &mut Vec<u8>);
     /// The elements `wire` holds, front to back; a trailing partial
     /// element is not yielded (callers check lengths first).
     fn decode(wire: &[u8]) -> impl Iterator<Item = Self> + '_;
@@ -46,11 +46,24 @@ macro_rules! impl_mpi_data {
             const SIZE: usize = std::mem::size_of::<$t>();
             const ZERO: $t = <$t>::from_le_bytes([0; std::mem::size_of::<$t>()]);
             #[inline]
-            fn encode(items: impl Iterator<Item = $t>, out: &mut Vec<u8>) {
-                // Over a slice (or a zip of slices) this is an exact-size
-                // iterator of arrays: one reservation, then a straight
-                // copy.
-                out.extend(items.flat_map(|x| x.to_le_bytes()));
+            fn encode(items: &[$t], out: &mut Vec<u8>) {
+                #[cfg(target_endian = "little")]
+                {
+                    // SAFETY: `$t` is a primitive number: it has no
+                    // padding, so all `size_of_val(items)` bytes behind
+                    // the pointer are initialised, and `u8` needs no
+                    // alignment. On a little-endian target those bytes
+                    // are the wire image.
+                    let image = unsafe {
+                        std::slice::from_raw_parts(
+                            items.as_ptr().cast::<u8>(),
+                            std::mem::size_of_val(items),
+                        )
+                    };
+                    out.extend_from_slice(image);
+                }
+                #[cfg(not(target_endian = "little"))]
+                out.extend(items.iter().flat_map(|x| x.to_le_bytes()));
             }
             #[inline]
             fn decode(wire: &[u8]) -> impl Iterator<Item = $t> + '_ {
@@ -75,7 +88,7 @@ impl_mpi_data!(u8, i8, u16, i16, u32, i32, u64, i64, usize, isize, f32, f64);
 /// Serialize a slice of elements to bytes.
 pub fn to_bytes<T: MpiData>(data: &[T]) -> Bytes {
     let mut out = spare::take(data.len() * T::SIZE);
-    T::encode(data.iter().copied(), &mut out);
+    T::encode(data, &mut out);
     Bytes::from(out)
 }
 
@@ -261,7 +274,8 @@ pub fn reduce_from_bytes<T: Reducible>(op: ReduceOp, acc: &mut [T], wire: &[u8])
 /// is handed to the [`spare`] list. Only when both are still shared (a peer
 /// has not yet dropped its handle) is a third image drawn. Each element
 /// is `f(a[i], b[i])` whichever buffer it lands in, so the result is the
-/// same bit for bit whichever it is.
+/// same bit for bit whichever it is: the third image is a copy of `a`
+/// with `b` folded in.
 ///
 /// # Panics
 /// Panics unless `a` and `b` hold the same whole number of elements.
@@ -286,8 +300,8 @@ pub fn reduce_images<T: Reducible>(op: ReduceOp, a: Bytes, b: Bytes) -> Bytes {
             }
             Err(a) => {
                 let mut out = spare::take(a.len());
-                let pairs = T::decode(&a).zip(T::decode(&b));
-                with_op!(op, |f| T::encode(pairs.map(|(x, y)| f(x, y)), &mut out));
+                out.extend_from_slice(&a);
+                with_op!(op, |f| T::fold_in_place(&mut out, &b, f));
                 out
             }
         },
@@ -486,6 +500,29 @@ mod tests {
     #[should_panic(expected = "bitwise reduction")]
     fn fused_float_bitwise_panics() {
         reduce_from_bytes(ReduceOp::BAnd, &mut [1.0f32], &to_bytes(&[2.0f32]));
+    }
+
+    /// `to_bytes`, a byte copy on little-endian targets, is the
+    /// concatenation of every element's `to_le_bytes`, for every
+    /// [`MpiData`] type and for the empty, one-element and odd lengths.
+    #[test]
+    fn to_bytes_is_the_concatenated_le_images() {
+        macro_rules! check {
+            ($($t:ty),*) => {$(
+                for len in [0usize, 1, 37] {
+                    let mut rng = len as u64;
+                    let data: Vec<$t> = (0..len)
+                        .map(|_| {
+                            let bits = splitmix(&mut rng).to_le_bytes();
+                            <$t>::from_le_bytes(bits[..<$t>::SIZE].try_into().unwrap())
+                        })
+                        .collect();
+                    let want: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
+                    assert_eq!(&to_bytes(&data)[..], &want[..], "{} × {len}", stringify!($t));
+                }
+            )*};
+        }
+        check!(u8, i8, u16, i16, u32, i32, u64, i64, usize, isize, f32, f64);
     }
 
     fn splitmix(state: &mut u64) -> u64 {

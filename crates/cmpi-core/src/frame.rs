@@ -57,7 +57,7 @@ impl FrameWriter {
     /// Append one frame: the wire image of `data` under `key`.
     pub(crate) fn put<T: MpiData>(&mut self, key: usize, data: &[T]) {
         self.header(key, data.len() * T::SIZE);
-        T::encode(data.iter().copied(), &mut self.buf);
+        T::encode(data, &mut self.buf);
     }
 
     /// Append one frame around bytes that are already a wire image.

@@ -53,9 +53,8 @@ use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::obs::{Detail, Incident};
-use crate::packet::ReqId;
 use crate::pt2pt::{Completion, Status, CTX_FT};
-use crate::requests::Slot;
+use crate::requests::{Req, Slot};
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -160,7 +159,7 @@ impl Mpi {
                     let child = me | mask;
                     if child < s {
                         let id = self.irecv_inner(Some(survivors[child]), Some(t), CTX_FT);
-                        match self.agree_step(id, key, epoch) {
+                        match self.agree_step(Req::Slot(id), key, epoch) {
                             AgreeStep::Data(b) => {
                                 for (a, byte) in acc.iter_mut().zip(b.iter()) {
                                     *a |= byte;
@@ -269,20 +268,22 @@ impl Mpi {
     /// few mask bytes, so on SHM/HCA it completes locally; only a CMA
     /// (rendezvous-only) route can park it on the receiver, and that
     /// receiver is inside the same watchful protocol.
-    fn agree_step(&mut self, id: ReqId, key: (u32, u64), epoch: u64) -> AgreeStep {
+    fn agree_step(&mut self, req: Req, key: (u32, u64), epoch: u64) -> AgreeStep {
         let t_enter = self.now;
         loop {
             self.progress();
             // A finished transfer counts even if the attempt is preempted.
-            if !self.reqs.get(id).is_some_and(Slot::is_done) {
-                let moved = self.state.detector.epoch() != epoch;
-                let decided = self.state.decisions.get(key).map(AgreeStep::Decided);
-                if let Some(step) = decided.or(moved.then_some(AgreeStep::Restart)) {
-                    self.cancel(id);
-                    return step;
+            if let Req::Slot(id) = req {
+                if !self.reqs.get(id).is_some_and(Slot::is_done) {
+                    let moved = self.state.detector.epoch() != epoch;
+                    let decided = self.state.decisions.get(key).map(AgreeStep::Decided);
+                    if let Some(step) = decided.or(moved.then_some(AgreeStep::Restart)) {
+                        self.cancel(id);
+                        return step;
+                    }
                 }
             }
-            match self.try_complete(id, t_enter) {
+            match self.try_complete(req, t_enter) {
                 Ok(Some(Completion::Recv(data, _))) => return AgreeStep::Data(data),
                 Ok(Some(Completion::Send)) => return AgreeStep::Data(Bytes::new()),
                 Ok(None) => self.sleep_if_idle(),

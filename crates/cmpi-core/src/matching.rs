@@ -12,15 +12,21 @@
 //!   anything larger than one eager packet); the engine reassembles them
 //!   and tracks the virtual time at which the last chunk was consumed.
 //!
-//! # Bucketed queues
+//! # One match table
 //!
 //! The seed implementation kept one linear `VecDeque` per side and
 //! scanned it on every probe — O(depth) per message, quadratic for the
 //! deep out-of-order windows irregular apps post. This version buckets
-//! both sides by the full match key `(ctx, src, tag)`:
+//! both sides by the full match key `(ctx, src, tag)`, in **one** table:
 //!
-//! * every arrived message is concrete, so the unexpected queue is purely
-//!   bucketed — a fully-specified receive probes exactly one bucket;
+//! * every arrived message is concrete, and so is a fully-specified
+//!   receive: each queues in the one bucket of its key. A bucket holds
+//!   waiting receives or arrived messages, never both, as MPI's matching
+//!   rule forbids the pair: [`MatchingEngine::post_recv`] takes an
+//!   arrival of its key before it queues, and the runtime offers every
+//!   arrival to [`MatchingEngine::take_matching_posted`] before
+//!   [`MatchingEngine::push_unexpected`] queues it. So a post or an
+//!   arrival is one hash probe;
 //! * posted receives with a wildcard (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`)
 //!   go to a separate *sideline* kept in post order.
 //!
@@ -32,16 +38,16 @@
 //!   exact bucket against the first matching sideline entry, take the
 //!   smaller stamp — O(1) plus the (typically empty) sideline scan;
 //! * wildcard receive vs. unexpected messages: sweep the fronts of the
-//!   buckets whose key the wildcard accepts and take the minimum stamp.
-//!   This is the documented slow path — wildcard receives trade the O(1)
-//!   probe for a scan over the bucket set, still far smaller than the
-//!   full message backlog.
+//!   message buckets whose key the wildcard accepts and take the minimum
+//!   stamp. This is the documented slow path — wildcard receives trade
+//!   the O(1) probe for a scan over the bucket set, still far smaller
+//!   than the full message backlog.
 //!
 //! Because stamps are assigned in arrival/post order, min-stamp selection
 //! reproduces the linear scan's FIFO order exactly; the property tests in
 //! `tests/matching_equiv.rs` check observational equivalence against a
 //! reference linear engine under random interleavings, including
-//! probe-heavy mixes.
+//! probe-heavy mixes, and that no key ever holds both sides.
 //!
 //! # Occupancy summaries
 //!
@@ -59,18 +65,18 @@
 //!
 //! # Allocation discipline
 //!
-//! The single-entry bucket case — by far the common one — is stored
-//! inline ([`Bucket::One`]), so steady-state request/reply traffic
-//! allocates nothing per message. A bucket only *spills* to a
-//! [`VecDeque`] while two or more entries with the same key are queued
-//! simultaneously, and the spill deques are recycled through a small
-//! pool. Buckets are removed from the map the moment they drain (every
-//! bucket present is non-empty — the wildcard sweep relies on this), so
-//! the maps never accumulate tombstones and need no periodic pruning.
+//! The single-entry case — by far the common one — is stored inline
+//! ([`Queue::One`]), so steady-state request/reply traffic allocates
+//! nothing per message. A bucket only *spills* to a [`VecDeque`] while
+//! two or more entries with the same key are queued simultaneously, and
+//! the spill deques are recycled through a small pool per side. Buckets
+//! are removed from the map the moment they drain (every bucket present
+//! is non-empty — the wildcard sweep relies on this), so the table never
+//! accumulates tombstones and needs no periodic pruning.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -161,8 +167,21 @@ struct Assembly {
     channel: Channel,
 }
 
-/// Full match key of a concrete message: `(ctx, src, tag)`.
-type MatchKey = (u32, usize, u32);
+/// Full match key of a concrete message: `ctx` and the source rank (as a
+/// `u32`) in one word, then `tag`; a table entry is 88 bytes. Three
+/// `u32`s make no smaller an entry, and cost each probe a store-forwarding
+/// stall of about 10 ns (EXPERIMENTS, "A rank keeps only what is still
+/// pending").
+type MatchKey = (u64, u32);
+
+fn match_key(ctx: u32, src: usize, tag: u32) -> MatchKey {
+    (u64::from(ctx) << 32 | src as u32 as u64, tag)
+}
+
+/// `(ctx, src, tag)` of a key.
+fn unpack((ctx_src, tag): MatchKey) -> (u32, usize, u32) {
+    ((ctx_src >> 32) as u32, ctx_src as u32 as usize, tag)
+}
 
 /// What an unexpected bucket keeps of a message: all but its match key,
 /// which the bucket's key already says.
@@ -182,7 +201,8 @@ impl Unexpected {
         }
     }
 
-    fn into_msg(self, (ctx, src, tag): MatchKey) -> ArrivedMsg {
+    fn into_msg(self, key: MatchKey) -> ArrivedMsg {
+        let (ctx, src, tag) = unpack(key);
         ArrivedMsg {
             src,
             ctx,
@@ -194,9 +214,9 @@ impl Unexpected {
     }
 }
 
-/// What an exact posted bucket keeps of a receive: all but its match
-/// key, which the bucket's key already says (an exact receive names its
-/// source and tag).
+/// What a bucket keeps of an exact receive: all but its match key, which
+/// the bucket's key already says (an exact receive names its source and
+/// tag).
 #[derive(Clone, Copy, Debug)]
 struct Waiting {
     rreq: ReqId,
@@ -204,7 +224,8 @@ struct Waiting {
 }
 
 impl Waiting {
-    fn into_recv(self, (ctx, src, tag): MatchKey) -> PostedRecv {
+    fn into_recv(self, key: MatchKey) -> PostedRecv {
+        let (ctx, src, tag) = unpack(key);
         PostedRecv {
             rreq: self.rreq,
             src: Some(src),
@@ -215,10 +236,9 @@ impl Waiting {
     }
 }
 
-// A bucket-table entry is its key and its bucket; the tables hold one
-// per live key (DESIGN §16).
-const _: () = assert!(std::mem::size_of::<(MatchKey, Bucket<Waiting>)>() <= 48);
-const _: () = assert!(std::mem::size_of::<(MatchKey, Bucket<Unexpected>)>() <= 88);
+// A table entry is its key and its bucket; the table holds one per live
+// key (DESIGN §16).
+const _: () = assert!(std::mem::size_of::<(MatchKey, Bucket)>() <= 88);
 
 /// Upper bound on retained spill deques per side; beyond this, drained
 /// deques fall back to the allocator.
@@ -246,8 +266,8 @@ impl KeyFilter {
         // a full hasher pass, and the filter only needs bit dispersion,
         // not avalanche quality: a weak mix costs false positives (a
         // wasted map probe), never correctness.
-        let &(ctx, src, tag) = key;
-        let packed = u64::from(ctx) ^ (src as u64).rotate_left(21) ^ u64::from(tag).rotate_left(42);
+        let &(ctx_src, tag) = key;
+        let packed = ctx_src ^ u64::from(tag).rotate_left(21);
         let mut h = packed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         h ^= h >> 32;
         (1u64 << (h & 63), 1u64 << ((h >> 6) & 63))
@@ -274,118 +294,130 @@ impl KeyFilter {
     }
 }
 
-/// One matching bucket. The single-entry case stays inline — no heap
-/// allocation for steady-state one-in-one-out traffic; a bucket spills
-/// to a deque only while two or more entries with the same key are
-/// queued simultaneously.
+/// One side's entries under one key, in stamp order. The single-entry
+/// case stays inline — no heap allocation for steady-state one-in-one-out
+/// traffic; a queue spills to a deque only while two or more entries
+/// with the same key are queued simultaneously.
 #[derive(Debug)]
-enum Bucket<T> {
+enum Queue<T> {
     /// Exactly one queued entry, stored inline.
     One(u64, T),
     /// Spilled: two or more entries arrived before the first drained.
-    /// May transiently hold one entry after a pop; never left empty in
-    /// the map.
+    /// Never left empty in the table.
     Many(VecDeque<(u64, T)>),
 }
 
-impl<T> Bucket<T> {
-    fn front_stamp(&self) -> Option<u64> {
+impl<T> Queue<T> {
+    fn front(&self) -> Option<(u64, &T)> {
         match self {
-            Bucket::One(s, _) => Some(*s),
-            Bucket::Many(q) => q.front().map(|&(s, _)| s),
+            Queue::One(s, v) => Some((*s, v)),
+            Queue::Many(q) => q.front().map(|(s, v)| (*s, v)),
         }
     }
 
-    fn front(&self) -> Option<&T> {
+    /// Append in stamp order, spilling `One` → `Many` through the
+    /// recycled-deque `pool` when a second simultaneous entry arrives.
+    fn push(&mut self, pool: &mut Vec<VecDeque<(u64, T)>>, stamp: u64, val: T) {
         match self {
-            Bucket::One(_, v) => Some(v),
-            Bucket::Many(q) => q.front().map(|(_, v)| v),
-        }
-    }
-}
-
-/// Append to a bucket in stamp order, spilling `One` → `Many` through
-/// the recycled-deque pool when a second simultaneous entry arrives.
-fn bucket_push<T>(
-    map: &mut FastMap<MatchKey, Bucket<T>>,
-    pool: &mut Vec<VecDeque<(u64, T)>>,
-    key: MatchKey,
-    stamp: u64,
-    val: T,
-) {
-    match map.entry(key) {
-        Entry::Vacant(e) => {
-            e.insert(Bucket::One(stamp, val));
-        }
-        Entry::Occupied(mut e) => match e.get_mut() {
-            Bucket::Many(q) => q.push_back((stamp, val)),
+            Queue::Many(q) => q.push_back((stamp, val)),
             one => {
                 let mut q = pool.pop().unwrap_or_default();
                 debug_assert!(q.is_empty(), "pooled spill deque must arrive drained");
-                // `one` is `Bucket::One` in this arm; the temporary
-                // empty `Many` never escapes (overwritten below).
-                if let Bucket::One(s0, v0) = std::mem::replace(one, Bucket::Many(VecDeque::new())) {
+                if let Queue::One(s0, v0) = std::mem::replace(one, Queue::Many(VecDeque::new())) {
                     q.push_back((s0, v0));
                 }
                 q.push_back((stamp, val));
-                *one = Bucket::Many(q);
+                *one = Queue::Many(q);
             }
-        },
+        }
     }
 }
 
-/// Pop a bucket's front entry, removing the bucket the moment it drains
-/// (upholding the "every present bucket is non-empty" invariant the
-/// wildcard sweep relies on) and recycling spill deques through `pool`.
-fn bucket_pop_front<T>(
-    map: &mut FastMap<MatchKey, Bucket<T>>,
-    pool: &mut Vec<VecDeque<(u64, T)>>,
-    key: MatchKey,
-) -> Option<(u64, T)> {
-    let Entry::Occupied(mut e) = map.entry(key) else {
-        return None;
-    };
-    if let Bucket::Many(q) = e.get_mut() {
-        let out = q.pop_front();
-        if q.is_empty() {
-            if let (Bucket::Many(q), true) = (e.remove(), pool.len() < DEQUE_POOL_MAX) {
-                pool.push(q);
+/// Everything queued under one exact key: waiting receives or arrived
+/// messages, never both (see the module documentation).
+#[derive(Debug)]
+enum Bucket {
+    /// Exact receives posted for this key, in post order.
+    Recvs(Queue<Waiting>),
+    /// Messages of this key no receive wanted yet, in arrival order.
+    Msgs(Queue<Unexpected>),
+}
+
+/// What a bucket queues: receives ([`Waiting`]) or messages
+/// ([`Unexpected`]). Each projection is `None` for a bucket of the other
+/// side.
+trait Side: Sized {
+    fn queue(b: &Bucket) -> Option<&Queue<Self>>;
+    fn queue_mut(b: &mut Bucket) -> Option<&mut Queue<Self>>;
+    fn into_queue(b: Bucket) -> Option<Queue<Self>>;
+}
+
+macro_rules! impl_side {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl Side for $t {
+            fn queue(b: &Bucket) -> Option<&Queue<Self>> {
+                match b { Bucket::$variant(q) => Some(q), _ => None }
+            }
+            fn queue_mut(b: &mut Bucket) -> Option<&mut Queue<Self>> {
+                match b { Bucket::$variant(q) => Some(q), _ => None }
+            }
+            fn into_queue(b: Bucket) -> Option<Queue<Self>> {
+                match b { Bucket::$variant(q) => Some(q), _ => None }
             }
         }
-        out
-    } else if let Bucket::One(s, v) = e.remove() {
-        Some((s, v))
-    } else {
-        // Unreachable: the entry is either `Many` (first branch) or
-        // `One` (second); `?`-style degradation instead of a panic.
-        None
+    )*};
+}
+
+impl_side!(Waiting => Recvs, Unexpected => Msgs);
+
+/// Pop the front `T` of `e`'s bucket, removing the bucket once that
+/// drains it (its spill deque goes back to `pool`). A single entry is
+/// moved straight out of the removed bucket: swapping an empty queue in
+/// first cost about 9 ns a pop.
+#[inline(always)]
+fn pop_front<T: Side>(
+    mut e: OccupiedEntry<'_, MatchKey, Bucket>,
+    pool: &mut Vec<VecDeque<(u64, T)>>,
+) -> Option<T> {
+    match T::queue_mut(e.get_mut())? {
+        Queue::Many(q) => {
+            let (_, v) = q.pop_front()?;
+            if q.is_empty() {
+                if pool.len() < DEQUE_POOL_MAX {
+                    pool.push(std::mem::take(q));
+                }
+                e.remove();
+            }
+            Some(v)
+        }
+        Queue::One(..) => match T::into_queue(e.remove())? {
+            Queue::One(_, v) => Some(v),
+            Queue::Many(_) => None,
+        },
     }
 }
 
 /// Per-rank matching engine.
 ///
-/// Both bucket tables start empty and grow to the rank's live key set
-/// during warm-up (a rank that never receives holds no table at all),
-/// keep their single-entry buckets inline, and drop drained buckets
-/// immediately (spill deques recycle through small pools), so
-/// steady-state matching performs no heap allocation; per-side counts
-/// and the unexpected-side [`KeyFilter`] short-circuit probes on empty or
-/// non-matching state before any map access.
+/// The table starts empty and grows to the rank's live key set during
+/// warm-up (a rank that never receives holds no table at all), keeps its
+/// single-entry queues inline, and drops drained buckets immediately
+/// (spill deques recycle through small pools), so steady-state matching
+/// performs no heap allocation; per-side counts and the unexpected-side
+/// [`KeyFilter`] short-circuit probes on empty or non-matching state
+/// before any map access.
 #[derive(Debug)]
 pub struct MatchingEngine {
     assemblies: FastMap<(usize, u64), Assembly>,
-    /// Arrived messages no posted receive wanted, bucketed by match key;
-    /// entries carry their arrival stamp. Invariant: every bucket
-    /// present is non-empty.
-    unexpected: FastMap<MatchKey, Bucket<Unexpected>>,
+    /// Exact posted receives and unexpected messages, by match key; queue
+    /// entries carry their stamps. Invariant: every bucket present is
+    /// non-empty.
+    table: FastMap<MatchKey, Bucket>,
+    posted_exact_count: usize,
     unexpected_count: usize,
     unexpected_filter: KeyFilter,
-    spare_msg_deques: Vec<VecDeque<(u64, Unexpected)>>,
-    /// Fully-specified posted receives, bucketed by match key. Same
-    /// non-empty invariant as `unexpected`.
-    posted_exact: FastMap<MatchKey, Bucket<Waiting>>,
-    posted_exact_count: usize,
     spare_recv_deques: Vec<VecDeque<(u64, Waiting)>>,
+    spare_msg_deques: Vec<VecDeque<(u64, Unexpected)>>,
     /// Wildcard posted receives, in post order.
     posted_wild: VecDeque<(u64, PostedRecv)>,
     /// Monotone enqueue stamp shared by both sides; min-stamp selection
@@ -404,13 +436,12 @@ impl MatchingEngine {
     pub fn new() -> Self {
         MatchingEngine {
             assemblies: FastMap::default(),
-            unexpected: FastMap::default(),
+            table: FastMap::default(),
+            posted_exact_count: 0,
             unexpected_count: 0,
             unexpected_filter: KeyFilter::default(),
-            spare_msg_deques: Vec::new(),
-            posted_exact: FastMap::default(),
-            posted_exact_count: 0,
             spare_recv_deques: Vec::new(),
+            spare_msg_deques: Vec::new(),
             posted_wild: VecDeque::new(),
             stamp: 0,
         }
@@ -546,149 +577,125 @@ impl MatchingEngine {
         }
     }
 
-    /// Try to match an arrived message against the posted-receive queue
-    /// (FIFO in post order). On a hit the posted receive is consumed.
+    /// Try to match an arrived message against the posted receives (FIFO
+    /// in post order). On a hit the posted receive is consumed: the exact
+    /// bucket's front or the first matching wildcard, the smaller stamp.
     pub fn take_matching_posted(&mut self, msg: &ArrivedMsg) -> Option<PostedRecv> {
-        let have_exact = self.posted_exact_count != 0;
-        let have_wild = !self.posted_wild.is_empty();
-        if !have_exact && !have_wild {
+        if self.posted_len() == 0 {
             return None;
         }
-        let key = (msg.ctx, msg.src, msg.tag);
-        // The count check above already proved the side non-empty; the
-        // map probe itself is the cheapest definitive membership test
-        // (an extra filter pass would hash the key a second time).
-        let exact = if have_exact {
-            self.posted_exact.get(&key).and_then(|b| b.front_stamp())
-        } else {
-            None
-        };
-        let wild = if have_wild {
-            self.posted_wild
-                .iter()
-                .enumerate()
-                .find(|(_, (_, p))| p.matches(msg.src, msg.ctx, msg.tag))
-                .map(|(i, &(s, _))| (i, s))
-        } else {
-            None
-        };
-        let take_exact = match (exact, wild) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(es), Some((_, ws))) => es < ws,
-        };
-        // The selected side was probed non-empty above, so these lookups
-        // always succeed; `?` keeps unwrap/expect off the hot path.
-        if take_exact {
-            let (_, w) =
-                bucket_pop_front(&mut self.posted_exact, &mut self.spare_recv_deques, key)?;
-            self.note_posted_exact_removed();
-            Some(w.into_recv(key))
-        } else {
-            let (i, _) = wild?;
-            let (_, p) = self.posted_wild.remove(i)?;
-            Some(p)
+        let key = match_key(msg.ctx, msg.src, msg.tag);
+        let wild = self
+            .posted_wild
+            .iter()
+            .enumerate()
+            .find(|(_, (_, p))| p.matches(msg.src, msg.ctx, msg.tag))
+            .map(|(i, &(s, _))| (i, s));
+        if self.posted_exact_count != 0 {
+            if let Entry::Occupied(e) = self.table.entry(key) {
+                let first = Waiting::queue(e.get()).and_then(Queue::front);
+                if first.is_some_and(|(s, _)| wild.is_none_or(|(_, ws)| s < ws)) {
+                    let w = pop_front(e, &mut self.spare_recv_deques)?;
+                    self.posted_exact_count -= 1;
+                    return Some(w.into_recv(key));
+                }
+            }
         }
-    }
-
-    fn note_posted_exact_removed(&mut self) {
-        self.posted_exact_count -= 1;
-    }
-
-    fn note_unexpected_removed(&mut self) {
-        self.unexpected_count -= 1;
-        if self.unexpected_count == 0 {
-            self.unexpected_filter.clear();
-        }
+        let (_, p) = self.posted_wild.remove(wild?.0)?;
+        Some(p)
     }
 
     /// Queue an arrived message no posted receive wanted.
+    ///
+    /// # Panics
+    /// Panics if an exact receive for the message's key is waiting: the
+    /// runtime offers every arrival to [`Self::take_matching_posted`]
+    /// first, so no key ever holds both sides.
     pub fn push_unexpected(&mut self, msg: ArrivedMsg) {
         let s = self.next_stamp();
-        let key = (msg.ctx, msg.src, msg.tag);
+        let key = match_key(msg.ctx, msg.src, msg.tag);
+        // The message is taken apart inside each arm, not before the
+        // probe: built ahead, its copies cost about 10 ns a push.
+        match self.table.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::Msgs(Queue::One(s, Unexpected::of(msg))));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Bucket::Msgs(q) => q.push(&mut self.spare_msg_deques, s, Unexpected::of(msg)),
+                Bucket::Recvs(_) => panic!("message {key:?} queued while a receive for it waits"),
+            },
+        }
         self.unexpected_filter.insert(&key);
-        bucket_push(
-            &mut self.unexpected,
-            &mut self.spare_msg_deques,
-            key,
-            s,
-            Unexpected::of(msg),
-        );
         self.unexpected_count += 1;
     }
 
-    /// Pop the front of one unexpected bucket; `None` when no such
-    /// bucket exists (the map probe is the membership test — callers
-    /// may pass speculative keys).
-    fn pop_unexpected(&mut self, key: MatchKey) -> Option<ArrivedMsg> {
-        let (_, m) = bucket_pop_front(&mut self.unexpected, &mut self.spare_msg_deques, key)?;
-        self.note_unexpected_removed();
-        Some(m.into_msg(key))
-    }
-
-    /// First unexpected match for a (possibly wildcarded) receive:
-    /// bucket front for a concrete key, min-stamp sweep over bucket
-    /// fronts otherwise. Empty or filter-missing state returns in a
+    /// The front message a (possibly wildcarded) receive would take:
+    /// bucket front for a concrete key, min-stamp sweep over the message
+    /// buckets otherwise. Empty or filter-missing state returns in a
     /// couple of loads without touching the map.
-    fn find_unexpected(&self, p: &PostedRecv) -> Option<MatchKey> {
+    fn find_unexpected(&self, p: &PostedRecv) -> Option<(MatchKey, &Unexpected)> {
         if self.unexpected_count == 0 {
             return None;
         }
         if let (Some(src), Some(tag)) = (p.src, p.tag) {
-            let key = (p.ctx, src, tag);
+            let key = match_key(p.ctx, src, tag);
             if !self.unexpected_filter.may_contain(&key) {
                 return None;
             }
-            // Present implies non-empty (buckets are removed on drain).
-            return self.unexpected.contains_key(&key).then_some(key);
+            let (_, m) = Unexpected::queue(self.table.get(&key)?)?.front()?;
+            return Some((key, m));
         }
-        self.unexpected
+        self.table
             .iter()
-            .filter(|(&(ctx, src, tag), _)| p.matches(src, ctx, tag))
-            .filter_map(|(k, b)| b.front_stamp().map(|s| (s, *k)))
+            .filter_map(|(&k, b)| {
+                let (ctx, src, tag) = unpack(k);
+                let (s, m) = Unexpected::queue(b)?.front()?;
+                p.matches(src, ctx, tag).then_some((s, (k, m)))
+            })
             .min_by_key(|&(s, _)| s)
-            .map(|(_, k)| k)
+            .map(|(_, f)| f)
     }
 
     /// Post a receive. Returns the unexpected message it matches, if one
     /// already arrived (FIFO in arrival order); otherwise the receive is
-    /// queued.
+    /// queued. An exact receive makes one probe of the table: it pops its
+    /// key's message bucket, or queues on its key. A wildcard receive
+    /// sweeps the message buckets for the earliest match and pops that
+    /// key the same way, or waits on the sideline.
     pub fn post_recv(&mut self, p: PostedRecv) -> Option<ArrivedMsg> {
-        match (p.src, p.tag) {
-            (Some(src), Some(tag)) => {
-                // Concrete key: go straight for the bucket pop rather
-                // than through `find_unexpected` — probing existence
-                // first would hash and walk the same bucket twice; a pop
-                // miss is just as definitive and no more expensive.
-                let key = (p.ctx, src, tag);
-                if self.unexpected_count != 0 {
-                    if let Some(m) = self.pop_unexpected(key) {
-                        return Some(m);
+        let key = match (p.src, p.tag) {
+            (Some(src), Some(tag)) => match_key(p.ctx, src, tag),
+            _ => match self.find_unexpected(&p) {
+                Some((key, _)) => key,
+                None => {
+                    let s = self.next_stamp();
+                    self.posted_wild.push_back((s, p));
+                    return None;
+                }
+            },
+        };
+        let s = self.next_stamp();
+        let w = Waiting {
+            rreq: p.rreq,
+            posted_at: p.posted_at,
+        };
+        match self.table.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::Recvs(Queue::One(s, w)));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Bucket::Recvs(q) => q.push(&mut self.spare_recv_deques, s, w),
+                Bucket::Msgs(_) => {
+                    let m = pop_front(e, &mut self.spare_msg_deques)?;
+                    self.unexpected_count -= 1;
+                    if self.unexpected_count == 0 {
+                        self.unexpected_filter.clear();
                     }
+                    return Some(m.into_msg(key));
                 }
-                let s = self.next_stamp();
-                let waiting = Waiting {
-                    rreq: p.rreq,
-                    posted_at: p.posted_at,
-                };
-                bucket_push(
-                    &mut self.posted_exact,
-                    &mut self.spare_recv_deques,
-                    key,
-                    s,
-                    waiting,
-                );
-                self.posted_exact_count += 1;
-            }
-            _ => {
-                if let Some(key) = self.find_unexpected(&p) {
-                    return self.pop_unexpected(key);
-                }
-                let s = self.next_stamp();
-                self.posted_wild.push_back((s, p));
-            }
+            },
         }
+        self.posted_exact_count += 1;
         None
     }
 
@@ -708,9 +715,8 @@ impl MatchingEngine {
             tag,
             posted_at: SimTime::ZERO,
         };
-        let key = self.find_unexpected(&probe)?;
-        let front = self.unexpected.get(&key)?.front()?;
-        Some(front.clone().into_msg(key))
+        let (key, m) = self.find_unexpected(&probe)?;
+        Some(m.clone().into_msg(key))
     }
 
     /// Remove a posted receive (used when a blocking receive completes via
@@ -722,34 +728,27 @@ impl MatchingEngine {
             self.posted_wild.remove(i);
             return true;
         }
-        let mut hit = None;
-        for (k, b) in self.posted_exact.iter_mut() {
-            match b {
-                Bucket::One(_, p) if p.rreq == rreq => {
-                    hit = Some((*k, true));
-                    break;
+        let pool = &mut self.spare_recv_deques;
+        let hit = self.table.iter_mut().find_map(|(k, b)| match b {
+            Bucket::Recvs(Queue::One(_, w)) if w.rreq == rreq => Some((*k, true)),
+            Bucket::Recvs(Queue::Many(q)) => {
+                let i = q.iter().position(|(_, w)| w.rreq == rreq)?;
+                q.remove(i);
+                let drained = q.is_empty();
+                if drained && pool.len() < DEQUE_POOL_MAX {
+                    pool.push(std::mem::take(q));
                 }
-                Bucket::Many(q) => {
-                    if let Some(i) = q.iter().position(|(_, p)| p.rreq == rreq) {
-                        q.remove(i);
-                        hit = Some((*k, q.is_empty()));
-                        break;
-                    }
-                }
-                _ => {}
+                Some((*k, drained))
             }
-        }
+            _ => None,
+        });
         let Some((k, drained)) = hit else {
             return false;
         };
         if drained {
-            if let Some(Bucket::Many(q)) = self.posted_exact.remove(&k) {
-                if self.spare_recv_deques.len() < DEQUE_POOL_MAX {
-                    self.spare_recv_deques.push(q);
-                }
-            }
+            self.table.remove(&k);
         }
-        self.note_posted_exact_removed();
+        self.posted_exact_count -= 1;
         true
     }
 
@@ -1122,7 +1121,7 @@ mod tests {
             e.push_unexpected(m);
         }
         // One key, three entries: a single spilled bucket.
-        assert_eq!(e.unexpected.len(), 1);
+        assert_eq!(e.table.len(), 1);
         for want in 0..3u64 {
             let got = e
                 .post_recv(PostedRecv {
@@ -1136,7 +1135,7 @@ mod tests {
             assert_eq!(got.seq, want, "spilled bucket must stay FIFO");
         }
         // Drained: bucket removed, spill deque recycled, filter reset.
-        assert_eq!(e.unexpected.len(), 0);
+        assert_eq!(e.table.len(), 0);
         assert_eq!(e.spare_msg_deques.len(), 1);
         assert_eq!(e.unexpected_filter.bits, [0, 0]);
         // The next spill reuses the pooled deque instead of allocating.
@@ -1154,7 +1153,7 @@ mod tests {
             let m = eager_msg(&mut e, src, 7, src as u64, b"x").unwrap();
             e.push_unexpected(m);
         }
-        assert_eq!(e.unexpected.len(), 8);
+        assert_eq!(e.table.len(), 8);
         for src in 0..8 {
             assert!(e
                 .post_recv(PostedRecv {
@@ -1166,7 +1165,7 @@ mod tests {
                 })
                 .is_some());
             assert_eq!(
-                e.unexpected.len(),
+                e.table.len(),
                 8 - src - 1,
                 "bucket must vanish the moment it drains"
             );
@@ -1175,10 +1174,49 @@ mod tests {
     }
 
     #[test]
+    fn one_table_holds_a_key_on_one_side_at_a_time() {
+        let mut e = MatchingEngine::new();
+        let exact = |rreq| PostedRecv {
+            rreq,
+            src: Some(1),
+            ctx: 0,
+            tag: Some(7),
+            posted_at: SimTime::ZERO,
+        };
+        assert!(e.post_recv(exact(1)).is_none());
+        assert!(matches!(e.table.values().next(), Some(Bucket::Recvs(_))));
+        let m = eager_msg(&mut e, 1, 7, 0, b"x").unwrap();
+        assert_eq!(e.take_matching_posted(&m).unwrap().rreq, 1);
+        assert!(e.table.is_empty(), "the drained receive bucket must go");
+        let m = eager_msg(&mut e, 1, 7, 1, b"y").unwrap();
+        assert!(e.take_matching_posted(&m).is_none());
+        e.push_unexpected(m);
+        assert!(matches!(e.table.values().next(), Some(Bucket::Msgs(_))));
+        assert_eq!(e.post_recv(exact(2)).unwrap().seq, 1);
+        assert!(e.table.is_empty(), "the drained message bucket must go");
+        assert_eq!((e.posted_len(), e.unexpected_len()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "while a receive for it waits")]
+    fn queueing_a_message_beside_its_waiting_receive_panics() {
+        let mut e = MatchingEngine::new();
+        e.post_recv(PostedRecv {
+            rreq: 1,
+            src: Some(1),
+            ctx: 0,
+            tag: Some(7),
+            posted_at: SimTime::ZERO,
+        });
+        let m = eager_msg(&mut e, 1, 7, 0, b"x").unwrap();
+        e.push_unexpected(m);
+    }
+
+    #[test]
     fn key_filter_miss_is_definitive_and_clear_resets() {
         let mut f = KeyFilter::default();
-        let a = (0u32, 1usize, 7u32);
-        let b = (1u32, 2usize, 9u32);
+        let a = match_key(0, 1, 7);
+        let b = match_key(1, 2, 9);
         assert!(!f.may_contain(&a));
         f.insert(&a);
         assert!(f.may_contain(&a));

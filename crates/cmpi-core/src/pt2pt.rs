@@ -13,6 +13,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::cell::Cell;
+
 use bytes::Bytes;
 use cmpi_cluster::{Channel, SimTime};
 
@@ -22,7 +24,7 @@ use crate::datatype::{from_bytes, spare, to_bytes, MpiData};
 use crate::error::MpiError;
 use crate::matching::{ArrivedBody, ArrivedMsg, PostedRecv};
 use crate::packet::{Packet, PacketKind, ReqId};
-use crate::requests::{RecvState, SendState, Slot};
+use crate::requests::{RecvState, Req, SendState, Slot};
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -51,10 +53,20 @@ pub struct Status {
     pub len: usize,
 }
 
-/// A non-blocking operation handle.
+/// A non-blocking operation handle. A send that was complete when posted
+/// (eager, or to self) carries its completion here instead of holding a
+/// slot in the rank's request table.
 #[derive(Debug)]
 pub struct Request {
-    pub(crate) id: ReqId,
+    req: Cell<Req>,
+}
+
+impl Request {
+    fn new(req: Req) -> Self {
+        Request {
+            req: Cell::new(req),
+        }
+    }
 }
 
 /// Outcome of completing a request.
@@ -88,7 +100,7 @@ impl Mpi {
     // ---- internal operations (no time-class attribution) -------------------
 
     /// Start a send on communicator context `ctx`.
-    pub(crate) fn isend_inner(&mut self, data: Bytes, dst: usize, tag: u32, ctx: u32) -> ReqId {
+    pub(crate) fn isend_inner(&mut self, data: Bytes, dst: usize, tag: u32, ctx: u32) -> Req {
         assert!(dst < self.n, "send to invalid rank {dst}");
         let next_seq = &mut self.peers.get_mut(dst).send_seq;
         let seq = *next_seq;
@@ -217,14 +229,14 @@ impl Mpi {
             (c, p) => unreachable!("selector produced impossible route {c:?}/{p:?}"),
         };
         self.obs.route(dst, Some(route), len, seq, posted);
-        parked.unwrap_or_else(|| self.locally_complete_send(ctx))
+        parked.map_or_else(|| self.locally_complete_send(ctx), Req::Slot)
     }
 
     /// Self-message: one local copy, straight into the matching engine
     /// (bypassing `handle_packet`, so both ledger sides are recorded
     /// here). Out of line: its message is not in the frame of every send.
     #[inline(never)]
-    fn send_to_self(&mut self, data: Bytes, tag: u32, ctx: u32, seq: u64) -> ReqId {
+    fn send_to_self(&mut self, data: Bytes, tag: u32, ctx: u32, seq: u64) -> Req {
         let (me, len) = (self.rank, data.len());
         self.obs.route(me, None, len, seq, self.now);
         let ready = self.now + self.state.cost.copy_time(len as u64, false);
@@ -246,14 +258,13 @@ impl Mpi {
         self.locally_complete_send(ctx)
     }
 
-    /// The request of a send whose buffer is reusable already (eager and
+    /// The handle of a send whose buffer is reusable already (eager and
     /// self-sends): complete one request-bookkeeping step from now.
-    fn locally_complete_send(&mut self, ctx: u32) -> ReqId {
-        self.reqs.alloc(Slot::Send(SendState::Done {
+    fn locally_complete_send(&self, ctx: u32) -> Req {
+        Req::Sent {
             t: self.now + SimTime::from_ns(self.state.cost.request_ns),
             ctx,
-            rndv_cts: None,
-        }))
+        }
     }
 
     /// Post a receive on context `ctx`. `None` = wildcard.
@@ -312,24 +323,34 @@ impl Mpi {
     /// cancelled with the error if it can never finish. `Ok(None)` means
     /// "not yet" and charges no virtual time.
     ///
-    /// A finished request is read in place, not moved out: a slot is 64
-    /// bytes, and so is every tuple built to carry its fields to a shared
-    /// tail — measured at a tenth of an eager message's host time
-    /// (EXPERIMENTS "PR 23"), which is why the two arms settle separately.
+    /// A send that was complete when posted settles from its handle. A
+    /// finished slot is read in place, not moved out: a slot is 64 bytes,
+    /// and so is every tuple built to carry its fields to a shared tail —
+    /// measured at a tenth of an eager message's host time (EXPERIMENTS,
+    /// "one point-to-point call path and one request table"), which is
+    /// why the arms settle separately.
     ///
     /// # Panics
-    /// Panics with `unknown request {id}` if the table does not hold `id`:
-    /// a handle used again after it completed, or one this rank never
-    /// issued.
+    /// Panics with `unknown request` if the handle is spent or the table
+    /// does not hold its id: a handle used again after it completed, or
+    /// one this rank never issued.
     pub(crate) fn try_complete(
         &mut self,
-        id: ReqId,
+        req: Req,
         t_enter: SimTime,
     ) -> Result<Option<Completion>, MpiError> {
+        let id = match req {
+            Req::Slot(id) => id,
+            Req::Sent { t, ctx } => {
+                self.settle_send(t_enter, t, ctx, None);
+                return Ok(Some(Completion::Send));
+            }
+            Req::Spent => panic!("unknown request: a send handle used after it completed"),
+        };
         let (ctx, peer) = match self.reqs.get_mut(id) {
-            &mut Slot::Send(SendState::Done { t, ctx, rndv_cts }) => {
+            &mut Slot::Send(SendState::Done { t, ctx, cts_at }) => {
                 self.reqs.remove(id);
-                self.settle_send(t_enter, t, ctx, rndv_cts);
+                self.settle_send(t_enter, t, ctx, Some(cts_at));
                 return Ok(Some(Completion::Send));
             }
             &mut Slot::Recv(RecvState::Done {
@@ -381,13 +402,13 @@ impl Mpi {
         }
     }
 
-    /// Block until `id` completes or fails; advances the clock to the
+    /// Block until `req` completes or fails; advances the clock to the
     /// completion.
-    fn wait_inner(&mut self, id: ReqId) -> Result<Completion, MpiError> {
+    fn wait_inner(&mut self, req: Req) -> Result<Completion, MpiError> {
         let t_enter = self.now;
         loop {
             self.progress();
-            if let Some(done) = self.try_complete(id, t_enter)? {
+            if let Some(done) = self.try_complete(req, t_enter)? {
                 return Ok(done);
             }
             self.sleep_if_idle();
@@ -395,13 +416,13 @@ impl Mpi {
     }
 
     /// [`Self::wait_inner`] on a send.
-    pub(crate) fn try_wait_send_inner(&mut self, id: ReqId) -> Result<(), MpiError> {
-        self.wait_inner(id).map(drop)
+    pub(crate) fn try_wait_send_inner(&mut self, req: Req) -> Result<(), MpiError> {
+        self.wait_inner(req).map(drop)
     }
 
     /// [`Self::wait_inner`] on a receive.
     pub(crate) fn try_wait_recv_inner(&mut self, id: ReqId) -> Result<(Bytes, Status), MpiError> {
-        self.wait_inner(id).map(Completion::into_recv)
+        self.wait_inner(Req::Slot(id)).map(Completion::into_recv)
     }
 
     /// Simultaneous send and receive on `ctx`. Both halves run to an
@@ -507,27 +528,27 @@ impl Mpi {
 
     /// Non-blocking send of raw bytes.
     pub fn isend_bytes(&mut self, data: Bytes, dst: usize, tag: u32) -> Request {
-        let id = self.pt2pt(false, |mpi| Ok(mpi.isend_inner(data, dst, tag, CTX_WORLD)));
-        let id = plain("isend", id);
-        Request { id }
+        let req = self.pt2pt(false, |mpi| Ok(mpi.isend_inner(data, dst, tag, CTX_WORLD)));
+        Request::new(plain("isend", req))
     }
 
     /// Non-blocking receive of raw bytes.
     pub fn irecv_bytes(&mut self, src: usize, tag: u32) -> Request {
         let (src, tag) = (src_opt(src), tag_opt(tag));
         let id = self.pt2pt(false, |mpi| Ok(mpi.irecv_inner(src, tag, CTX_WORLD)));
-        let id = plain("irecv", id);
-        Request { id }
+        Request::new(Req::Slot(plain("irecv", id)))
     }
 
     /// Block until `req` completes.
     pub fn wait(&mut self, req: Request) -> Completion {
-        plain("wait", self.pt2pt(false, |mpi| mpi.wait_inner(req.id)))
+        let req = req.req.into_inner();
+        plain("wait", self.pt2pt(false, |mpi| mpi.wait_inner(req)))
     }
 
     /// Fault-tolerant [`Self::wait`].
     pub fn try_wait(&mut self, req: Request) -> Result<Completion, MpiError> {
-        self.pt2pt(true, |mpi| mpi.wait_inner(req.id))
+        let req = req.req.into_inner();
+        self.pt2pt(true, |mpi| mpi.wait_inner(req))
     }
 
     /// Block until all requests complete (in order).
@@ -540,8 +561,12 @@ impl Mpi {
     /// waited on again. Like every plain call, a request that can never
     /// finish (dead peer, revoked communicator) ends the rank.
     pub fn test(&mut self, req: &Request) -> Option<Completion> {
-        let done = self.poll(|mpi, t| mpi.try_complete(req.id, t));
-        plain("test", done)
+        let handle = req.req.get();
+        let done = plain("test", self.poll(|mpi, t| mpi.try_complete(handle, t)));
+        if done.is_some() && matches!(handle, Req::Sent { .. }) {
+            req.req.set(Req::Spent);
+        }
+        done
     }
 
     /// Simultaneous send and receive (deadlock-free pairwise exchange).

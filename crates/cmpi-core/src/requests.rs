@@ -1,13 +1,21 @@
-//! The per-rank request table: where a non-blocking operation lives from
-//! `isend` / `irecv` until the call that completes or fails it.
+//! The per-rank request table: where a non-blocking operation that is
+//! still pending lives from `isend` / `irecv` until the call that
+//! completes or fails it.
 //!
-//! A slab with a free list. A [`ReqId`] packs the slot index (low 32
-//! bits) under the slot's generation (high 32 bits, from 1), and freeing
-//! a slot bumps its generation: a handle kept past completion, an id the
-//! table never issued and a late wire packet all read as "not here"
-//! instead of aliasing whoever holds the slot now. Protocol steps change
-//! a request's state in place through [`RequestTable::get_mut`]; nothing
-//! on the message path hashes.
+//! Only receives and rendezvous sends take a slot. A send whose buffer is
+//! reusable as soon as it is posted (SHM eager, HCA eager, a send to
+//! self) is complete then, so its handle carries the completion itself
+//! ([`Req::Sent`]: the time and the context), as MPICH's lightweight
+//! requests do; `wait` and `test` on it settle exactly as on a finished
+//! slot, and a handle `test` has answered reads [`Req::Spent`] after.
+//!
+//! The table is a slab with a free list. A [`ReqId`] packs the slot
+//! index (low 32 bits) under the slot's generation (high 32 bits, from
+//! 1), and freeing a slot bumps its generation: a handle kept past
+//! completion, an id the table never issued and a late wire packet all
+//! read as "not here" instead of aliasing whoever holds the slot now.
+//! Protocol steps change a request's state in place through
+//! [`RequestTable::get_mut`]; nothing on the message path hashes.
 //!
 //! A request that fails while a wire packet can still name it (a send
 //! awaiting its CTS or FIN, a receive awaiting its payload) leaves a
@@ -47,15 +55,15 @@ pub(crate) enum SendState {
         /// to this point was late-receiver time, not transfer.
         cts_at: SimTime,
     },
-    /// Complete as of `t`.
+    /// FIN received: complete as of `t`.
     Done {
         /// Completion time.
         t: SimTime,
         /// Communicator context (classifies the wait state).
         ctx: u32,
-        /// CTS observation time for rendezvous sends (`None` for eager):
-        /// splits a blocked `wait` into late-receiver vs. transfer.
-        rndv_cts: Option<SimTime>,
+        /// When the CTS was observed: splits a blocked `wait` into
+        /// late-receiver vs. transfer.
+        cts_at: SimTime,
     },
 }
 
@@ -122,9 +130,30 @@ pub(crate) enum Slot {
     Cancelled,
 }
 
-// Every live request holds one; a rank of the benchmark's mixed body
-// keeps 32 (DESIGN §16).
+// Every pending request holds one; a rank of the benchmark's mixed body
+// keeps 16 (DESIGN §16).
 const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
+
+/// What a request handle names.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Req {
+    /// A slot of the rank's [`RequestTable`].
+    Slot(ReqId),
+    /// A send that was complete when posted: done at `t`, on context
+    /// `ctx`. It holds no slot.
+    Sent {
+        /// Completion time.
+        t: SimTime,
+        /// Communicator context (classifies the wait state).
+        ctx: u32,
+    },
+    /// A `Sent` handle that `test` has answered: using it again is the
+    /// same error as using a freed slot's id.
+    Spent,
+}
+
+// Every request handle is one (the benchmark's mixed body holds 32).
+const _: () = assert!(std::mem::size_of::<Req>() <= 16);
 
 impl Slot {
     /// Whether the request has finished and only waits to be collected.

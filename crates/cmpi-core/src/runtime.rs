@@ -1296,11 +1296,7 @@ impl Mpi {
         let &mut Slot::Send(SendState::AwaitFin { ctx, cts_at, .. }) = slot else {
             panic!("FIN for a send not awaiting one: {slot:?}");
         };
-        *slot = Slot::Send(SendState::Done {
-            t,
-            ctx,
-            rndv_cts: Some(cts_at),
-        });
+        *slot = Slot::Send(SendState::Done { t, ctx, cts_at });
     }
 
     /// Route an assembled message: fulfil a posted receive or queue it.

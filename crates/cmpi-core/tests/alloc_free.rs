@@ -127,12 +127,13 @@ fn pair_spec() -> JobSpec {
     .with_workers(1)
 }
 
-/// Grow both matching tables past anything the measured loops need.
-/// Whether an arriving message meets a posted receive or is queued as
-/// unexpected is thread timing, so a plain ping-pong may leave one of the
-/// two tables untouched throughout its warm-up and first insert into it
-/// in the measured phase; here the barriers force each case for `KEYS`
-/// simultaneously live match keys (the loops keep at most three).
+/// Grow the match table past anything the measured loops need, with each
+/// side's keys live in turn. Whether an arriving message meets a posted
+/// receive or is queued as unexpected is thread timing, so a plain
+/// ping-pong may leave one side untouched throughout its warm-up and
+/// first queue on it in the measured phase; here the barriers force each
+/// case for `KEYS` simultaneously live match keys (the loops keep at most
+/// three).
 fn warm_matching(mpi: &mut cmpi_core::Mpi) {
     const KEYS: u32 = 8;
     let peer = 1 - mpi.rank();

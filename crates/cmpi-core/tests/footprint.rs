@@ -37,9 +37,14 @@
 //! reduce accumulators and histograms, plus the body's own 2 KiB vector.
 //! The body keeps a 512-byte local live throughout, standing in for the
 //! frames of a caller's closure (the benchmark's adds about 300 bytes).
+//!
+//! Where the traffic peak's bytes are, by allocation size, is printed by
+//! an ignored helper (not an assertion):
+//! `cargo test --release -p cmpi-core --test footprint -- --ignored --nocapture`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 use bytes::Bytes;
@@ -59,13 +64,66 @@ static STACK_PAGES: AtomicUsize = AtomicUsize::new(0);
 
 const PAGE: usize = 4096;
 
+/// Size classes of the by-size census: exact sizes in 8-byte steps up to
+/// 4 KiB, then one class per power of two.
+const CLASSES: usize = 512 + 64;
+
+/// Whether the allocator keeps the census (the ignored helper only).
+static CENSUS: AtomicBool = AtomicBool::new(false);
+/// Live bytes per size class, now and at the last new peak.
+static LIVE_BY_SIZE: [AtomicUsize; CLASSES] = [const { AtomicUsize::new(0) }; CLASSES];
+static PEAK_BY_SIZE: [AtomicUsize; CLASSES] = [const { AtomicUsize::new(0) }; CLASSES];
+
+fn class(size: usize) -> usize {
+    if size <= 4096 {
+        size.div_ceil(8)
+    } else {
+        512 + size.ilog2() as usize
+    }
+}
+
+/// The sizes a class holds, for the printout.
+fn class_sizes(class: usize) -> String {
+    if class <= 512 {
+        format!("{}–{}", (class * 8).saturating_sub(7), class * 8)
+    } else {
+        format!(
+            "{}–{}",
+            1usize << (class - 512),
+            (2usize << (class - 512)) - 1
+        )
+    }
+}
+
 fn counted(size: usize) -> bool {
     size < EXCLUDED_SIZE.load(Ordering::Relaxed)
 }
 
+fn census(size: usize, add: bool) {
+    if CENSUS.load(Ordering::Relaxed) {
+        let slot = &LIVE_BY_SIZE[class(size)];
+        if add {
+            slot.fetch_add(size, Ordering::Relaxed);
+        } else {
+            slot.fetch_sub(size, Ordering::Relaxed);
+        }
+    }
+}
+
 fn grow(bytes: usize) {
+    census(bytes, true);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    let before = PEAK.fetch_max(live, Ordering::Relaxed);
+    if live > before && CENSUS.load(Ordering::Relaxed) {
+        for (at_peak, now) in PEAK_BY_SIZE.iter().zip(&LIVE_BY_SIZE) {
+            at_peak.store(now.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
+fn shrink(bytes: usize) {
+    census(bytes, false);
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
 }
 
 /// The pages of `[ptr, ptr + size)` that hold a non-zero byte.
@@ -104,7 +162,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if counted(layout.size()) {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            shrink(layout.size());
         } else {
             // SAFETY: the slab is live until it is handed back below.
             let pages = unsafe { touched_pages(ptr, layout.size()) };
@@ -115,7 +173,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrink(layout.size());
         grow(new_size);
         // SAFETY: same pointer, layout and size the caller vouched for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -268,11 +326,16 @@ fn assert_independent_of_job_size(what: &str, plan: &FaultPlan) -> usize {
     small.heap
 }
 
-/// One test, so nothing else runs while it measures: the allocator's
-/// counters are process-wide, and the harness's own bookkeeping for a
-/// test that finished on another thread would land in the measurement.
+/// Held by each test while it measures: the allocator's counters are
+/// process-wide.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// One test, so nothing else runs while it measures (the harness's own
+/// bookkeeping for a test that finished on another thread would land in
+/// the measurement); the ignored printout waits for it.
 #[test]
 fn per_rank_footprint_is_bounded_and_independent_of_job_size() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     noop_footprint_is_bounded();
     traffic_footprint_is_bounded();
 }
@@ -315,16 +378,53 @@ fn traffic_footprint_is_bounded() {
     );
     assert_one_stack_page_per_fiber("mixed traffic", &small);
     assert_one_stack_page_per_fiber("mixed traffic", &large);
-    // Measured 16 977 B/rank when this budget was set (22 538 before a
-    // rank's drain buffers, reduce accumulators, histogram arrays,
-    // matching entries and request slots were cut to what they hold;
-    // DESIGN.md §16); + 25 %. 18 186 B since the 1 208-byte `Mpi` moved
-    // from the fiber stack to the heap, which took each rank's stack
-    // from two pages to one.
-    const BUDGET: usize = 21_221;
+    // Measured 15 471 B/rank when this budget was set (18 186 before
+    // posted receives and unexpected messages shared one match table and
+    // a send complete when posted stopped taking a request slot; DESIGN.md
+    // §16); + 25 %.
+    const BUDGET: usize = 19_339;
     assert!(
         small.heap <= BUDGET,
         "a rank of a 256-rank job under mixed traffic holds {} B of heap, budget {BUDGET} B",
         small.heap
     );
+}
+
+/// Print the live heap of a traffic job at its peak, per rank and by
+/// allocation size, largest share first, at 256 and at 1024 ranks (the
+/// second is `scale1024`'s shape): where the next footprint cut starts.
+/// A size is a site's signature (DESIGN.md §16 names them).
+#[test]
+#[ignore = "a printout, not an assertion"]
+fn traffic_peak_by_allocation_size() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let data = Bytes::from(vec![7u8; 1024]);
+    for hosts in [16, 64] {
+        // Lazily-built process-wide state is paid for outside the census.
+        traffic_footprint(hosts, &data);
+        let base: Vec<usize> = LIVE_BY_SIZE
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        CENSUS.store(true, Ordering::Relaxed);
+        let job = traffic_footprint(hosts, &data);
+        CENSUS.store(false, Ordering::Relaxed);
+        let mut rows: Vec<(usize, usize)> = PEAK_BY_SIZE
+            .iter()
+            .zip(&base)
+            .enumerate()
+            .map(|(c, (peak, base))| (c, peak.load(Ordering::Relaxed).saturating_sub(*base)))
+            .filter(|&(_, bytes)| bytes >= job.ranks)
+            .collect();
+        rows.sort_by_key(|&(c, bytes)| (std::cmp::Reverse(bytes), c));
+        println!("traffic peak: {}", job.describe());
+        println!("{:>14} {:>12}", "size (B)", "B per rank");
+        for (c, bytes) in rows {
+            println!(
+                "{:>14} {:>12.1}",
+                class_sizes(c),
+                bytes as f64 / job.ranks as f64
+            );
+        }
+    }
 }

@@ -297,8 +297,111 @@ fn run_reference(ops: &[Op]) -> (Vec<Event>, usize) {
     (log, e.unexpected.len())
 }
 
+/// Apply one op to both engines and return what each observed.
+struct Lockstep {
+    engine: MatchingEngine,
+    reference: RefEngine,
+    seq: u64,
+    issued: Vec<ReqId>,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            engine: MatchingEngine::new(),
+            reference: RefEngine::default(),
+            seq: 0,
+            issued: Vec::new(),
+        }
+    }
+
+    fn step(&mut self, op: &Op) -> (Option<Event>, Option<Event>) {
+        let (e, r) = (&mut self.engine, &mut self.reference);
+        match *op {
+            Op::Arrive { src, ctx, tag } => {
+                let m = mk_msg(src, ctx, tag, self.seq);
+                self.seq += 1;
+                let got = match e.take_matching_posted(&m) {
+                    Some(p) => Event::MsgMatchedRecv {
+                        seq: m.seq,
+                        rreq: p.rreq,
+                    },
+                    None => {
+                        e.push_unexpected(m.clone());
+                        Event::MsgQueued { seq: m.seq }
+                    }
+                };
+                let want = match r.take_matching_posted(&m) {
+                    Some(p) => Event::MsgMatchedRecv {
+                        seq: m.seq,
+                        rreq: p.rreq,
+                    },
+                    None => {
+                        r.unexpected.push_back(m.clone());
+                        Event::MsgQueued { seq: m.seq }
+                    }
+                };
+                (Some(got), Some(want))
+            }
+            Op::Post { src, ctx, tag } => {
+                let rreq = self.issued.len() as ReqId + 1;
+                self.issued.push(rreq);
+                let p = PostedRecv {
+                    rreq,
+                    src,
+                    ctx,
+                    tag,
+                    posted_at: SimTime::ZERO,
+                };
+                let seen = |m: Option<ArrivedMsg>| match m {
+                    Some(m) => Event::RecvGotMsg { rreq, seq: m.seq },
+                    None => Event::RecvQueued { rreq },
+                };
+                (Some(seen(e.post_recv(p))), Some(seen(r.post_recv(p))))
+            }
+            Op::Peek { src, ctx, tag } => (
+                Some(Event::Peeked(peek_view(
+                    e.peek_unexpected(src, ctx, tag).as_ref(),
+                ))),
+                Some(Event::Peeked(peek_view(r.peek_unexpected(src, ctx, tag)))),
+            ),
+            Op::Cancel { nth } => match self.issued.get(nth % self.issued.len().max(1)) {
+                Some(&rreq) => (
+                    Some(Event::Cancelled(e.cancel_posted(rreq))),
+                    Some(Event::Cancelled(r.cancel_posted(rreq))),
+                ),
+                None => (None, None),
+            },
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After every step of a random post / arrival / cancel / probe
+    /// sequence, no key holds both a waiting receive and an arrived
+    /// message that receive would take (so no exact key holds both
+    /// sides: the one match table's invariant), and the engine still
+    /// equals the linear reference, depths included.
+    #[test]
+    fn no_key_holds_both_sides_and_the_engine_tracks_the_reference(
+        ops in proptest::collection::vec(op_strategy(), 0..200),
+    ) {
+        let mut both = Lockstep::new();
+        for op in &ops {
+            let (got, want) = both.step(op);
+            prop_assert_eq!(got, want, "diverged at {:?}", op);
+            for p in &both.reference.posted {
+                prop_assert!(
+                    both.engine.peek_unexpected(p.src, p.ctx, p.tag).is_none(),
+                    "receive {:?} waits beside a message it matches", p
+                );
+            }
+            prop_assert_eq!(both.engine.unexpected_len(), both.reference.unexpected.len());
+            prop_assert_eq!(both.engine.posted_len(), both.reference.posted.len());
+        }
+    }
 
     /// The bucketed engine is observationally identical to the linear
     /// scan under arbitrary interleavings with wildcards.

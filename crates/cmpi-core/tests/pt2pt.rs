@@ -480,6 +480,20 @@ fn testing_a_finished_request_again_is_diagnosed() {
     });
 }
 
+/// The send-side twin: an eager send is complete when posted and holds no
+/// request slot, but its handle still remembers that `test` answered it.
+#[test]
+#[should_panic(expected = "unknown request")]
+fn testing_a_finished_send_again_is_diagnosed() {
+    JobSpec::new(DeploymentScenario::native(1, 1)).run(|mpi| {
+        let req = mpi.isend_bytes(Bytes::from_static(b"once"), 0, 3);
+        assert!(matches!(mpi.test(&req), Some(Completion::Send)));
+        let (msg, _) = mpi.recv_bytes(0, 3);
+        assert_eq!(&msg[..], b"once");
+        mpi.test(&req);
+    });
+}
+
 // ---- virtual-time golden ----------------------------------------------------
 
 /// The API shapes `virtual_times_are_pinned` drives, one two-rank job each.
