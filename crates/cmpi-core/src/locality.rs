@@ -119,9 +119,6 @@ pub struct LocalityMap {
     socket: Box<[u32]>,
     /// rank → raw container id (dense: containers index the pair table).
     cont: Box<[u32]>,
-    /// rank → index among its host's ranks, rank-ascending. Sizes the
-    /// per-sender SHM pair-queue rows by host width instead of job width.
-    pub(crate) host_rank_idx: Box<[u32]>,
     /// Every rank, grouped by host and ascending within a host.
     by_host: Box<[u32]>,
     /// host → offset of its ranks in `by_host`; entry `h + 1` ends them.
@@ -152,6 +149,7 @@ impl LocalityMap {
         let mut host = Vec::with_capacity(n);
         let mut socket = Vec::with_capacity(n);
         let mut cont = Vec::with_capacity(n);
+        // rank → index among its host's ranks, rank-ascending.
         let mut host_rank_idx = Vec::with_capacity(n);
         // Per-host counts at `h + 1`, prefix-summed into offsets below.
         let mut host_start = vec![0u32; cluster.hosts.len() + 1];
@@ -200,7 +198,6 @@ impl LocalityMap {
             host: host.into(),
             socket: socket.into(),
             cont: cont.into(),
-            host_rank_idx: host_rank_idx.into(),
             by_host: by_host.into(),
             host_start: host_start.into(),
             pair: pair.into(),

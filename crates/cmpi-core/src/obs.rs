@@ -18,7 +18,6 @@
 //! | [`Obs::depth`] | a receive stays posted / a message stays unexpected |
 //! | [`Obs::probe`] | an `iprobe` returns |
 //! | [`Obs::incident`] | a recovery action or a failure-lifecycle step |
-//! | [`Obs::finish`] | the rank is done recording |
 //!
 //! Inside the store a number lives in exactly one place. [`CommStats`] is
 //! the base ledger, always on. The telemetry level adds the eleven
@@ -36,6 +35,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use cmpi_cluster::{Channel, SimTime};
@@ -171,14 +171,31 @@ pub(crate) struct Detail {
 }
 
 impl Obs {
-    pub(crate) fn new(rank: usize, n: usize, job: &JobObs) -> Obs {
-        Obs {
-            rank,
-            stats: CommStats::default(),
-            rings: job.telemetry.clone(),
-            own: Own::default(),
-            trace: job.tracing.then(Box::default),
-            prof: job.profiling.then(|| Box::new(ProfCollector::new(n))),
+    /// Write the store of `rank` of an `n`-rank job into `slot`, field by
+    /// field. In place because an `Obs` returned by value is built in
+    /// the caller's frame first, and the caller is a fiber's init path
+    /// (DESIGN §16).
+    pub(crate) fn init(slot: &mut MaybeUninit<Obs>, rank: usize, n: usize, job: &JobObs) {
+        // Every field by name: a field added to `Obs` breaks this
+        // pattern until it is written below.
+        const _: fn(Obs) = |Obs {
+                                rank: _,
+                                stats: _,
+                                rings: _,
+                                own: _,
+                                trace: _,
+                                prof: _,
+                            }| {};
+        let p = slot.as_mut_ptr();
+        // SAFETY: `p` is `slot`'s, valid for writes of an `Obs`; each
+        // line initializes one field in place.
+        unsafe {
+            (&raw mut (*p).rank).write(rank);
+            (&raw mut (*p).stats).write(CommStats::default());
+            (&raw mut (*p).rings).write(job.telemetry.clone());
+            (&raw mut (*p).own).write(Own::default());
+            (&raw mut (*p).trace).write(job.tracing.then(Box::default));
+            (&raw mut (*p).prof).write(job.profiling.then(|| Box::new(ProfCollector::new(n))));
         }
     }
 
@@ -389,12 +406,6 @@ impl Obs {
         if let Some(tr) = &mut self.trace {
             tr.instant(label, at, peer, detail.reason, count);
         }
-    }
-
-    /// The rank is done recording: the store moves to the heap for
-    /// [`job_result`] (a job's heap peaks there).
-    pub(crate) fn finish(self) -> Box<Obs> {
-        Box::new(self)
     }
 }
 

@@ -126,12 +126,9 @@ impl Mpi {
                 'chunks: loop {
                     let clen = chunk.min(len - off);
                     // Claim queue space; run progress while the receiver
-                    // drains so cross-pair traffic cannot deadlock. The
-                    // queue is borrowed from the job state afresh around
-                    // every progress call: no refcount traffic.
+                    // drains so cross-pair traffic cannot deadlock.
                     let stall = loop {
-                        let q = self.state.pair_queue(self.rank, dst);
-                        if let Some(s) = q.try_acquire(clen) {
+                        if let Some(s) = self.state.try_acquire(self.rank, dst, clen) {
                             break s;
                         }
                         // The receiver died mid-run: its queue will never
@@ -142,8 +139,7 @@ impl Mpi {
                             break 'chunks;
                         }
                         self.progress();
-                        let q = self.state.pair_queue(self.rank, dst);
-                        if q.try_acquire(clen).is_none() {
+                        if self.state.try_acquire(self.rank, dst, clen).is_none() {
                             self.sleep_if_idle();
                         } else {
                             // Raced a release between try and sleep; the

@@ -17,6 +17,8 @@
 //! hardware-offloaded transfer it models and does not slow down unrelated
 //! operations the rank is executing meanwhile.
 
+use std::alloc::Layout;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -27,7 +29,8 @@ use cmpi_cluster::{
     Placement, SimTime, Tunables,
 };
 use cmpi_fabric::{Fabric, FabricError, SendInfo};
-use cmpi_shmem::{AttachOutcome, ContainerList, PairQueue, ShmRegistry};
+use cmpi_model::sync::Mutex;
+use cmpi_shmem::{AttachOutcome, ContainerList, EagerQueue, ShmRegistry};
 
 use crate::channel::ChannelSelector;
 use crate::collectives::{Scope, SmpTopo};
@@ -53,7 +56,7 @@ use cmpi_telemetry::TelemetrySnapshot;
 const MAX_ATTACH_ATTEMPTS: u32 = 5;
 
 /// What one finished rank leaves behind for the job to collect. The
-/// store is boxed as the rank finishes ([`Obs::finish`]), so the slots,
+/// store is boxed as the rank finishes ([`Mpi::finalize`]), so the slots,
 /// which exist from launch, stay a few words each.
 type RankSlot<R> = Option<(R, SimTime, Box<Obs>)>;
 
@@ -444,9 +447,9 @@ impl PokeBarrier {
     }
 }
 
-/// One sender's lazily-allocated row of same-host pair queues, sized by
-/// the sender's host width (see the `queues` field below).
-type PairQueueRow = OnceLock<Box<[OnceLock<Arc<PairQueue>>]>>;
+/// One sender's SHM eager queues, keyed by receiver (see the `queues`
+/// field below).
+type SenderQueues = Mutex<PeerTable<Option<Box<EagerQueue>>>>;
 
 /// Shared, immutable-after-init job state.
 pub(crate) struct JobState {
@@ -482,16 +485,14 @@ pub(crate) struct JobState {
     /// Per-rank mailboxes. Behind an `Arc` of their own so a fabric
     /// notifier can poke one without owning the job state.
     pub(crate) cells: Arc<[RankCell]>,
-    /// Rank-indexed `src → dst` pair-queue table. `OnceLock` slots make
-    /// the steady-state lookup a plain load — the seed's job-wide
-    /// `Mutex<HashMap>` serialized every SHM chunk of every pair through
-    /// one lock. Rows are lazily allocated per *sender* and sized by the
-    /// sender's host width, not the job width: SHM eager queues only
-    /// ever connect co-resident pairs, and the dense `n × n` table this
-    /// replaces cost 270 MB of zeroed memory at 4096 ranks before a
-    /// single byte moved.
-    queues: Vec<PairQueueRow>,
-    /// Job-shared locality tables (also sizes the pair-queue rows).
+    /// The `src → dst` SHM eager queues: one table per sender, holding
+    /// only the receivers it has sent to, so a job holds one queue per
+    /// ordered pair that talks over SHM and nothing sized by the job or
+    /// the host. The sender's lock covers its acquires and its
+    /// receivers' releases: chunks of different senders never share a
+    /// lock, and an acquire or a release takes one.
+    queues: Box<[SenderQueues]>,
+    /// Job-shared locality tables.
     pub(crate) loc_map: Arc<LocalityMap>,
     pub(crate) windows: WindowTable,
     init_barrier: PokeBarrier,
@@ -533,7 +534,7 @@ impl JobState {
                 .map(|_| std::sync::atomic::AtomicU32::new(0))
                 .collect(),
             cells: (0..n).map(|_| RankCell::new()).collect(),
-            queues: (0..n).map(|_| OnceLock::new()).collect(),
+            queues: (0..n).map(|_| Mutex::new(PeerTable::new(n))).collect(),
             loc_map: Arc::new(LocalityMap::with_faults(
                 &spec.scenario.cluster,
                 &spec.scenario.placement,
@@ -559,27 +560,27 @@ impl JobState {
         }
     }
 
-    /// The SHM eager queue for the ordered pair `src → dst` (lazily
-    /// created with the configured `SMPI_LENGTH_QUEUE` capacity). The
-    /// steady-state path is a lock-free slot load.
-    pub(crate) fn pair_queue(&self, src: usize, dst: usize) -> &Arc<PairQueue> {
-        let row = self.queues[src].get_or_init(|| {
-            (0..self.loc_map.host_ranks(src).len())
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        // SHM eager traffic is co-resident by construction (the channel
-        // selector only picks SHM for pairs the kernel gating allows),
-        // so `dst` always lives on `src`'s host and the host-local index
-        // is in bounds.
-        row[self.loc_map.host_rank_idx[dst] as usize]
-            .get_or_init(|| Arc::new(PairQueue::new(self.tunables.smpi_length_queue)))
+    /// Run `f` on the SHM eager queue of the ordered pair `src → dst`
+    /// under the sender's lock, creating the queue on the pair's first
+    /// use.
+    #[inline]
+    fn with_queue<T>(&self, src: usize, dst: usize, f: impl FnOnce(&mut EagerQueue) -> T) -> T {
+        let mut queues = self.queues[src].lock();
+        f(queues.get_mut(dst).get_or_insert_with(Box::default))
+    }
+
+    /// Sender side: claim `bytes` of the `src → dst` queue (see
+    /// [`EagerQueue::try_acquire`]; the capacity is `SMPI_LENGTH_QUEUE`).
+    pub(crate) fn try_acquire(&self, src: usize, dst: usize, bytes: usize) -> Option<SimTime> {
+        let capacity = self.tunables.smpi_length_queue;
+        self.with_queue(src, dst, |q| q.try_acquire(capacity, bytes))
     }
 
     /// Receiver-side queue drain: frees space and pokes the sender (which
     /// may be blocked waiting for it).
     pub(crate) fn release_queue(&self, src: usize, dst: usize, bytes: usize, t: SimTime) {
-        self.pair_queue(src, dst).release(bytes, t);
+        let capacity = self.tunables.smpi_length_queue;
+        self.with_queue(src, dst, |q| q.release(capacity, bytes, t));
         self.cells[src].poke();
     }
 
@@ -597,13 +598,17 @@ impl JobState {
     /// built).
     pub(crate) fn queue_pressure(&self) -> QueuePressure {
         let mut out = QueuePressure::default();
-        let rows = self.queues.iter().filter_map(|slot| slot.get());
-        for q in rows.flat_map(|row| row.iter().filter_map(OnceLock::get)) {
-            let s = q.stats();
-            out.queues += 1;
-            out.acquires += s.acquires;
-            out.stalled_acquires += s.stalled_acquires;
-            out.max_in_flight = out.max_in_flight.max(s.max_in_flight);
+        for sender in self.queues.iter() {
+            let sender = sender.lock();
+            for s in sender
+                .iter()
+                .filter_map(|(_, q)| q.as_ref().map(|q| q.stats()))
+            {
+                out.queues += 1;
+                out.acquires += s.acquires;
+                out.stalled_acquires += s.stalled_acquires;
+                out.max_in_flight = out.max_in_flight.max(s.max_in_flight);
+            }
         }
         for cell in self.cells.iter() {
             let s = cell.stats();
@@ -646,7 +651,7 @@ pub struct Mpi {
     /// Every request this rank has in flight (see [`crate::requests`]).
     pub(crate) reqs: RequestTable,
     /// Per-peer protocol state (send sequence numbers, copy-engine
-    /// horizons), paged in per touched peer block.
+    /// horizons), held only for the peers written.
     pub(crate) peers: PeerTable<PeerState>,
     pub(crate) win_counter: u32,
     /// This rank's scripted mid-run fate, resolved from the fault plan at
@@ -833,7 +838,12 @@ impl Mpi {
             (&raw mut (*p).selector).write(ChannelSelector::new(state.policy, state.tunables));
             (&raw mut (*p).view).write(view);
             (&raw mut (*p).engine).write(MatchingEngine::new());
-            (&raw mut (*p).obs).write(Obs::new(rank, n, &state.obs));
+            Obs::init(
+                &mut *(&raw mut (*p).obs).cast::<MaybeUninit<Obs>>(),
+                rank,
+                n,
+                &state.obs,
+            );
             (&raw mut (*p).reqs).write(RequestTable::default());
             (&raw mut (*p).peers).write(PeerTable::new(n));
             (&raw mut (*p).win_counter).write(0);
@@ -873,12 +883,81 @@ impl Mpi {
 
     /// Leave the job: wait until every rank is done, draining any
     /// protocol work peers still need from this one, then hand back the
-    /// final clock and the store. Out of line, so the moved-out store
-    /// is never a temporary of the fiber's first frame.
+    /// final clock and the store. Out of line, so nothing of the handle
+    /// is a temporary of the fiber's first frame.
     #[inline(never)]
     fn finalize(self: Box<Mpi>) -> (SimTime, Box<Obs>) {
         self.state.finalize_barrier.wait(&self.state, self.rank);
-        (self.now, self.obs.finish())
+        let now = self.now;
+        (now, self.into_obs())
+    }
+
+    /// The store, in the handle's own allocation: every other field is
+    /// dropped in place, the store moves to the front of the block
+    /// heap-to-heap, and the block shrinks to the store's size (in
+    /// place, with glibc). Moving the store out instead would pass its
+    /// 584 B through this frame and allocate a box for it, per rank.
+    fn into_obs(self: Box<Mpi>) -> Box<Obs> {
+        // The shrunk block keeps the handle's alignment, which must be
+        // the store's for `Box<Obs>` to free it.
+        const _: () = assert!(align_of::<Obs>() == align_of::<Mpi>());
+        // Every field by name: a field added to `Mpi` breaks this pattern
+        // until it is dropped below.
+        const _: fn(Mpi) = |Mpi {
+                                rank: _,
+                                n: _,
+                                now: _,
+                                state: _,
+                                selector: _,
+                                view: _,
+                                engine: _,
+                                obs: _,
+                                reqs: _,
+                                peers: _,
+                                win_counter: _,
+                                fate: _,
+                                ops: _,
+                                dead: _,
+                                revoked: _,
+                                comms: _,
+                                convicted_seen: _,
+                                shrink_gen: _,
+                            }| {};
+        let p = Box::into_raw(self);
+        // SAFETY: `p` owns a whole `Mpi` allocated with `Mpi`'s layout.
+        // The lines below drop each field the pattern above lists but
+        // `obs`, once; `obs` is then moved, not copied, to offset 0
+        // (`copy` allows the overlap), and nothing reads the old `Mpi`
+        // again. The shrink is given the layout the block was allocated
+        // with, and its result, when not null, holds the moved store in
+        // a block of `Obs`'s size and alignment, which is what `Box<Obs>`
+        // frees.
+        unsafe {
+            std::ptr::drop_in_place(&raw mut (*p).rank);
+            std::ptr::drop_in_place(&raw mut (*p).n);
+            std::ptr::drop_in_place(&raw mut (*p).now);
+            std::ptr::drop_in_place(&raw mut (*p).state);
+            std::ptr::drop_in_place(&raw mut (*p).selector);
+            std::ptr::drop_in_place(&raw mut (*p).view);
+            std::ptr::drop_in_place(&raw mut (*p).engine);
+            std::ptr::drop_in_place(&raw mut (*p).reqs);
+            std::ptr::drop_in_place(&raw mut (*p).peers);
+            std::ptr::drop_in_place(&raw mut (*p).win_counter);
+            std::ptr::drop_in_place(&raw mut (*p).fate);
+            std::ptr::drop_in_place(&raw mut (*p).ops);
+            std::ptr::drop_in_place(&raw mut (*p).dead);
+            std::ptr::drop_in_place(&raw mut (*p).revoked);
+            std::ptr::drop_in_place(&raw mut (*p).comms);
+            std::ptr::drop_in_place(&raw mut (*p).convicted_seen);
+            std::ptr::drop_in_place(&raw mut (*p).shrink_gen);
+            let obs = p.cast::<Obs>();
+            std::ptr::copy(&raw const (*p).obs, obs, 1);
+            let block = std::alloc::realloc(p.cast(), Layout::new::<Mpi>(), size_of::<Obs>());
+            if block.is_null() {
+                std::alloc::handle_alloc_error(Layout::new::<Obs>());
+            }
+            Box::from_raw(block.cast::<Obs>())
+        }
     }
 
     /// This rank's id in `0..size()`.

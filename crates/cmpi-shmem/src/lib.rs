@@ -21,7 +21,8 @@
 //! * [`PairQueue`] — the bounded `SMPI_LENGTH_QUEUE` eager queue between a
 //!   pair of co-resident ranks, providing *virtual-time backpressure*: a
 //!   sender that outruns the receiver has its logical clock stalled to the
-//!   moment the receiver actually freed space (Section IV-C).
+//!   moment the receiver actually freed space (Section IV-C). Its
+//!   accounting, [`EagerQueue`], is usable without the queue's own lock.
 
 #![forbid(unsafe_code)]
 pub mod locality_list;
@@ -30,6 +31,6 @@ pub mod segment;
 pub mod visibility;
 
 pub use locality_list::{AttachOutcome, ContainerList, PublishError};
-pub use queue::{PairQueue, QueueStats};
+pub use queue::{EagerQueue, PairQueue, QueueStats};
 pub use segment::{Segment, ShmRegistry};
 pub use visibility::{effective_visibility, Visibility};

@@ -22,8 +22,13 @@ use std::collections::VecDeque;
 use cmpi_cluster::SimTime;
 use cmpi_model::sync::Mutex;
 
-#[derive(Debug)]
-struct QueueState {
+/// The accounting of one sender→receiver bounded eager queue, without a
+/// lock: the caller serializes access and passes the queue's capacity to
+/// each call (a job's queues all share one). [`PairQueue`] is this state
+/// behind a lock of its own; a runtime that keeps many queues can hold
+/// several under one lock.
+#[derive(Debug, Default)]
+pub struct EagerQueue {
     /// Total bytes ever acquired by the sender.
     acquired: u64,
     /// Total bytes ever released by the receiver.
@@ -52,10 +57,10 @@ pub struct QueueStats {
 }
 
 /// One sender→receiver bounded eager queue (a pair of ranks has one per
-/// direction).
+/// direction): an [`EagerQueue`] of a fixed capacity behind a lock.
 pub struct PairQueue {
-    capacity: u64,
-    state: Mutex<QueueState>,
+    capacity: usize,
+    state: Mutex<EagerQueue>,
 }
 
 /// Hard bound on the release-history length. The history starts empty
@@ -70,35 +75,14 @@ pub struct PairQueue {
 /// never understate it.
 const HISTORY_CAP: usize = 256;
 
-impl PairQueue {
-    /// Create a queue of `capacity` bytes (the `SMPI_LENGTH_QUEUE` value).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "eager queue capacity must be positive");
-        PairQueue {
-            capacity: capacity as u64,
-            state: Mutex::new(QueueState {
-                acquired: 0,
-                released: 0,
-                history: VecDeque::new(),
-                acquires: 0,
-                stalled_acquires: 0,
-                max_in_flight: 0,
-            }),
-        }
-    }
-
-    /// Queue capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
+impl EagerQueue {
     /// Bytes currently in flight (acquired but not yet released).
     pub fn in_flight(&self) -> usize {
-        let s = self.state.lock();
-        (s.acquired - s.released) as usize
+        (self.acquired - self.released) as usize
     }
 
-    /// Sender side: claim `bytes` of queue space for one eager packet.
+    /// Sender side: claim `bytes` of a `capacity`-byte queue for one
+    /// eager packet.
     ///
     /// Returns the **virtual timestamp at which the space became
     /// available** — the sender must advance its logical clock to at least
@@ -111,16 +95,14 @@ impl PairQueue {
     /// # Panics
     /// Panics if `bytes` exceeds the queue capacity (callers must enforce
     /// `SMP_EAGER_SIZE <= SMPI_LENGTH_QUEUE`, see `Tunables::validate`).
-    pub fn try_acquire(&self, bytes: usize) -> Option<SimTime> {
-        let bytes = bytes as u64;
+    pub fn try_acquire(&mut self, capacity: usize, bytes: usize) -> Option<SimTime> {
+        let (capacity, bytes) = (capacity as u64, bytes as u64);
         assert!(
-            bytes <= self.capacity,
-            "eager packet of {bytes} bytes exceeds queue capacity {}",
-            self.capacity
+            bytes <= capacity,
+            "eager packet of {bytes} bytes exceeds queue capacity {capacity}"
         );
-        let mut s = self.state.lock();
-        let required = (s.acquired + bytes).saturating_sub(self.capacity);
-        if s.released < required {
+        let required = (self.acquired + bytes).saturating_sub(capacity);
+        if self.released < required {
             return None;
         }
         // The stall bound is the virtual time of the earliest release event
@@ -128,49 +110,49 @@ impl PairQueue {
         // later acquires only ever need more.
         let mut stall = SimTime::ZERO;
         if required > 0 {
-            s.stalled_acquires += 1;
-            while let Some(&(cum, t)) = s.history.front() {
+            self.stalled_acquires += 1;
+            while let Some(&(cum, t)) = self.history.front() {
                 stall = t;
                 if cum >= required {
                     break;
                 }
-                s.history.pop_front();
+                self.history.pop_front();
             }
             debug_assert!(
-                s.history
+                self.history
                     .front()
                     .map(|&(c, _)| c >= required)
                     .unwrap_or(false),
                 "release history lost the satisfying event"
             );
         }
-        s.acquires += 1;
-        s.acquired += bytes;
-        s.max_in_flight = s.max_in_flight.max(s.acquired - s.released);
+        self.acquires += 1;
+        self.acquired += bytes;
+        self.max_in_flight = self.max_in_flight.max(self.acquired - self.released);
         Some(stall)
     }
 
-    /// Receiver side: free `bytes` of queue space at virtual time `now`
-    /// (the moment the receiver finished copying the packet out).
-    pub fn release(&self, bytes: usize, now: SimTime) {
-        let mut s = self.state.lock();
-        s.released += bytes as u64;
+    /// Receiver side: free `bytes` of a `capacity`-byte queue at virtual
+    /// time `now` (the moment the receiver finished copying the packet
+    /// out).
+    pub fn release(&mut self, capacity: usize, bytes: usize, now: SimTime) {
+        self.released += bytes as u64;
         // Virtual release times are monotone because a receiver's clock is;
         // clamp defensively so a violated assumption cannot corrupt the
         // history's monotonicity.
-        let t = s.history.back().map(|&(_, t)| t.max(now)).unwrap_or(now);
-        let cum = s.released;
+        let t = self.history.back().map(|&(_, t)| t.max(now)).unwrap_or(now);
+        let cum = self.released;
         // A zero-byte release adds no information: the stall walk stops at
         // the FIRST event reaching a cumulative count, so a duplicate would
         // never be consulted. Skipping it keeps the history bounded even
         // under a stream of empty packets.
-        if s.history.back().map(|&(c, _)| c) != Some(cum) {
-            if s.history.len() == HISTORY_CAP {
+        if self.history.back().map(|&(c, _)| c) != Some(cum) {
+            if self.history.len() == HISTORY_CAP {
                 // Conservative merge: queries the dropped event would have
                 // answered now land on its successor's (later) time.
-                s.history.pop_front();
+                self.history.pop_front();
             }
-            s.history.push_back((cum, t));
+            self.history.push_back((cum, t));
         }
         // Drop events no future acquire can consult: `required` is always
         // `acquired + bytes - capacity` and `acquired` is monotone, so any
@@ -178,20 +160,58 @@ impl PairQueue {
         // stall walk. Without this the history grows without bound on the
         // uncontended path (backpressured acquires are the only other
         // place that prunes).
-        let dead = s.acquired.saturating_sub(self.capacity);
-        while s.history.front().is_some_and(|&(c, _)| c < dead) {
-            s.history.pop_front();
+        let dead = self.acquired.saturating_sub(capacity as u64);
+        while self.history.front().is_some_and(|&(c, _)| c < dead) {
+            self.history.pop_front();
         }
+    }
+
+    /// This queue's backpressure counters.
+    pub fn stats(&self) -> QueueStats {
+        QueueStats {
+            acquires: self.acquires,
+            stalled_acquires: self.stalled_acquires,
+            max_in_flight: self.max_in_flight,
+        }
+    }
+}
+
+impl PairQueue {
+    /// Create a queue of `capacity` bytes (the `SMPI_LENGTH_QUEUE` value).
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "eager queue capacity must be positive");
+        PairQueue {
+            capacity,
+            state: Mutex::new(EagerQueue::default()),
+        }
+    }
+
+    /// Queue capacity in bytes.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Bytes currently in flight (acquired but not yet released).
+    pub fn in_flight(&self) -> usize {
+        self.state.lock().in_flight()
+    }
+
+    /// Sender side: [`EagerQueue::try_acquire`] on this queue.
+    ///
+    /// # Panics
+    /// Panics if `bytes` exceeds the queue capacity.
+    pub fn try_acquire(&self, bytes: usize) -> Option<SimTime> {
+        self.state.lock().try_acquire(self.capacity, bytes)
+    }
+
+    /// Receiver side: [`EagerQueue::release`] on this queue.
+    pub fn release(&self, bytes: usize, now: SimTime) {
+        self.state.lock().release(self.capacity, bytes, now);
     }
 
     /// Snapshot of this queue's backpressure counters.
     pub fn stats(&self) -> QueueStats {
-        let s = self.state.lock();
-        QueueStats {
-            acquires: s.acquires,
-            stalled_acquires: s.stalled_acquires,
-            max_in_flight: s.max_in_flight,
-        }
+        self.state.lock().stats()
     }
 }
 

@@ -14,6 +14,14 @@
 # frame record sits at the stack pointer, keeps its callers). Dumps stay in
 # target/prof/WORKLOAD/. Not a gate: without a C compiler it says so and
 # exits 0.
+#
+# The share of samples whose pc sits right after a lock-prefixed or xchg
+# instruction, by symbol, is `python3 scripts/prof/symbolise.py
+# target/prof/WORKLOAD --atomics [TOP]`. That table is for attribution,
+# not a claim: about a quarter of pt2pt_eager's and mixed32's samples sit
+# after an atomic, yet removing two read-modify-writes per message moved
+# no wall_s by more than the noise of 8 alternated pairs (EXPERIMENTS
+# "PR 47"). Time a change before claiming it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/prof.sh WORKLOAD [SECONDS] [TOP]}"

@@ -3,6 +3,7 @@
 
 usage: symbolise.py DUMP_DIR [TOP]
        symbolise.py DUMP_DIR --callers SYMBOL [DEPTH]
+       symbolise.py DUMP_DIR --atomics [TOP]
 
 Every sampled address is attributed to the mapped file that contains it
 and, within the file, to the function symbol of `nm -S` whose extent
@@ -26,6 +27,14 @@ tables print it, e.g. `libc.so.6+0x16d000  [libc.so.6]` or just
 `libc.so.6+0x16d000`) count, and the table is of their caller chains,
 DEPTH (default 3) callers deep, innermost first: the way to say whose
 memmove an unnamed libc page is.
+
+With --atomics, the table is of the samples whose pc is the instruction
+right after a `lock`-prefixed one or an `xchg` (which locks implicitly),
+by symbol, as shares of all samples: an atomic read-modify-write drains
+the store buffer, and the timer's signal lands after the instruction it
+waited on. The instruction before each pc comes from `objdump -d` of the
+mapped file. A share says where atomics cost time, not that removing one
+saves it: time the change.
 """
 import bisect, collections, glob, re, subprocess, sys
 
@@ -54,6 +63,22 @@ def attribute(table, offset, file):
         return names[i]
     return f"{file}+{offset & ~0xfff:#x}"
 
+def after_atomics(path):
+    """Offsets into `path` of the instructions that follow a locked one."""
+    dis = subprocess.run(["objdump", "-d", "--no-show-raw-insn", path],
+                         capture_output=True, text=True).stdout
+    out, prev_locked = set(), False
+    for line in dis.splitlines():
+        m = re.match(r"\s*([0-9a-f]+):\s+(\S+)", line)
+        if not m:
+            # A symbol header or a blank line: no instruction falls through.
+            prev_locked = False
+            continue
+        if prev_locked:
+            out.add(int(m[1], 16))
+        prev_locked = m[2] == "lock" or m[2].startswith("xchg")
+    return out
+
 def print_table(title, counts, samples, top):
     print(title)
     for name, n in counts.most_common(top):
@@ -67,10 +92,15 @@ def main():
     elif 1 <= len(args) <= 2 and not args[-1].startswith("--"):
         dump_dir, leaf, depth = args[0], None, 0
         top = int(args[1]) if len(args) > 1 else 20
+    elif 2 <= len(args) <= 3 and args[1] == "--atomics":
+        dump_dir, leaf, depth = args[0], None, 0
+        top = int(args[2]) if len(args) > 2 else 20
     else:
         sys.exit(__doc__.split("\n\n")[1])
     dumps = glob.glob(dump_dir + "/*.prof")
+    atomics = "--atomics" in args
     own, inclusive, chains = collections.Counter(), collections.Counter(), collections.Counter()
+    locked, locked_at = collections.Counter(), {}
     tables, samples = {}, 0
     for dump in dumps:
         maps, stacks = open(dump).read().split("--\n")
@@ -81,6 +111,14 @@ def main():
                 lo, hi = (int(x, 16) for x in f[0].split("-"))
                 ranges.append((lo, hi, f[5]))
                 base[f[5]] = min(lo, base.get(f[5], lo))
+
+        def follows_atomic(pc):
+            path = next((p for lo, hi, p in ranges if lo <= pc < hi), None)
+            if path is None:
+                return False
+            if path not in locked_at:
+                locked_at[path] = after_atomics(path)
+            return pc - base[path] in locked_at[path]
 
         def name_of(pc):
             path = next((p for lo, hi, p in ranges if lo <= pc < hi), None)
@@ -99,6 +137,8 @@ def main():
             samples += 1
             names = [name_of(frames[0])] + [name_of(ra - 1) for ra in frames[1:]]
             own[names[0]] += 1
+            if atomics and follows_atomic(frames[0]):
+                locked[names[0]] += 1
             inclusive.update(set(names))
             if leaf is not None and leaf in (names[0], names[0].split("  [")[0]):
                 chains[" <- ".join(names[1:1 + depth]) or "[no callers]"] += 1
@@ -108,6 +148,12 @@ def main():
         print(f"{hits} of them ({100 * hits / max(samples, 1):.2f}%) have their pc in {leaf}")
         print_table(f"callers of {leaf}, {depth} deep, innermost first (share of its samples):",
                     chains, max(hits, 1), top)
+        return
+    if atomics:
+        hits = sum(locked.values())
+        print(f"{hits} of them ({100 * hits / max(samples, 1):.2f}%) have their pc right after "
+              "a lock-prefixed or xchg instruction")
+        print_table("after an atomic, by symbol (share of all samples):", locked, max(samples, 1), top)
         return
     print_table("self:", own, samples, top)
     print_table("inclusive (each symbol once per sample, callers by frame pointer):",
