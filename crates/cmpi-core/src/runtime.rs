@@ -901,55 +901,47 @@ impl Mpi {
         // The shrunk block keeps the handle's alignment, which must be
         // the store's for `Box<Obs>` to free it.
         const _: () = assert!(align_of::<Obs>() == align_of::<Mpi>());
-        // Every field by name: a field added to `Mpi` breaks this pattern
-        // until it is dropped below.
-        const _: fn(Mpi) = |Mpi {
-                                rank: _,
-                                n: _,
-                                now: _,
-                                state: _,
-                                selector: _,
-                                view: _,
-                                engine: _,
-                                obs: _,
-                                reqs: _,
-                                peers: _,
-                                win_counter: _,
-                                fate: _,
-                                ops: _,
-                                dead: _,
-                                revoked: _,
-                                comms: _,
-                                convicted_seen: _,
-                                shrink_gen: _,
-                            }| {};
         let p = Box::into_raw(self);
-        // SAFETY: `p` owns a whole `Mpi` allocated with `Mpi`'s layout.
-        // The lines below drop each field the pattern above lists but
-        // `obs`, once; `obs` is then moved, not copied, to offset 0
-        // (`copy` allows the overlap), and nothing reads the old `Mpi`
-        // again. The shrink is given the layout the block was allocated
-        // with, and its result, when not null, holds the moved store in
-        // a block of `Obs`'s size and alignment, which is what `Box<Obs>`
-        // frees.
+        // Every field but `obs`, named once: the pattern below checks the
+        // list against the struct and the drops below walk it, so a field
+        // added to `Mpi` breaks the build until it is listed, and once
+        // listed it is dropped. The pattern moves `obs` out, which also
+        // stops the build if `Mpi` ever implements `Drop`, whose body this
+        // teardown would skip.
+        macro_rules! drop_all_but_obs {
+            ($($field:ident),*) => {
+                const _: fn(Mpi) = |Mpi { obs: _obs, $($field: _),* }| {};
+                $(std::ptr::drop_in_place(&raw mut (*p).$field);)*
+            };
+        }
+        // SAFETY: `p` owns a whole `Mpi` allocated with `Mpi`'s layout,
+        // and `Mpi` has no `Drop` of its own (the pattern above). The
+        // macro drops each field but `obs` once; `obs` is then moved, not
+        // copied, to offset 0 (`copy` allows the overlap), and nothing
+        // reads the old `Mpi` again. The shrink is given the layout the
+        // block was allocated with, and its result, when not null, holds
+        // the moved store in a block of `Obs`'s size and alignment, which
+        // is what `Box<Obs>` frees.
         unsafe {
-            std::ptr::drop_in_place(&raw mut (*p).rank);
-            std::ptr::drop_in_place(&raw mut (*p).n);
-            std::ptr::drop_in_place(&raw mut (*p).now);
-            std::ptr::drop_in_place(&raw mut (*p).state);
-            std::ptr::drop_in_place(&raw mut (*p).selector);
-            std::ptr::drop_in_place(&raw mut (*p).view);
-            std::ptr::drop_in_place(&raw mut (*p).engine);
-            std::ptr::drop_in_place(&raw mut (*p).reqs);
-            std::ptr::drop_in_place(&raw mut (*p).peers);
-            std::ptr::drop_in_place(&raw mut (*p).win_counter);
-            std::ptr::drop_in_place(&raw mut (*p).fate);
-            std::ptr::drop_in_place(&raw mut (*p).ops);
-            std::ptr::drop_in_place(&raw mut (*p).dead);
-            std::ptr::drop_in_place(&raw mut (*p).revoked);
-            std::ptr::drop_in_place(&raw mut (*p).comms);
-            std::ptr::drop_in_place(&raw mut (*p).convicted_seen);
-            std::ptr::drop_in_place(&raw mut (*p).shrink_gen);
+            drop_all_but_obs!(
+                rank,
+                n,
+                now,
+                state,
+                selector,
+                view,
+                engine,
+                reqs,
+                peers,
+                win_counter,
+                fate,
+                ops,
+                dead,
+                revoked,
+                comms,
+                convicted_seen,
+                shrink_gen
+            );
             let obs = p.cast::<Obs>();
             std::ptr::copy(&raw const (*p).obs, obs, 1);
             let block = std::alloc::realloc(p.cast(), Layout::new::<Mpi>(), size_of::<Obs>());

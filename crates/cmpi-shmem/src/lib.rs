@@ -22,7 +22,8 @@
 //!   pair of co-resident ranks, providing *virtual-time backpressure*: a
 //!   sender that outruns the receiver has its logical clock stalled to the
 //!   moment the receiver actually freed space (Section IV-C). Its
-//!   accounting, [`EagerQueue`], is usable without the queue's own lock.
+//!   accounting, [`EagerQueue`], is usable without the queue's own lock,
+//!   and is what the runtime keeps, under each sender's lock.
 
 #![forbid(unsafe_code)]
 pub mod locality_list;

@@ -58,6 +58,13 @@ pub struct QueueStats {
 
 /// One sender→receiver bounded eager queue (a pair of ranks has one per
 /// direction): an [`EagerQueue`] of a fixed capacity behind a lock.
+///
+/// The runtime does not use it: it keeps each sender's queues as
+/// `EagerQueue`s in one table under the sender's lock. Only this
+/// crate's tests and the benchmark's `shmem.pairq_*` kernels call it,
+/// so those kernels time a lock per queue rather than the runtime's
+/// path; pointing them at `EagerQueue` under a sender's table retires
+/// this type (ROADMAP item 7).
 pub struct PairQueue {
     capacity: usize,
     state: Mutex<EagerQueue>,

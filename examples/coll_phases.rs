@@ -44,7 +44,7 @@ fn main() {
     let filter = only.clone();
     let result = spec.run(move |mpi| {
         let (n, r) = (mpi.size(), mpi.rank());
-        let mut rows: Vec<(String, f64)> = Vec::new();
+        let mut rows: Vec<(String, f64, Option<u64>)> = Vec::new();
         let mut ok = true;
         for rep in 0..best_of {
             let mut row = 0;
@@ -54,14 +54,17 @@ fn main() {
                     return;
                 }
                 mpi.barrier();
+                let f0 = if r == 0 { minor_faults() } else { None };
                 let t0 = Instant::now();
                 body(mpi);
                 mpi.barrier();
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
+                let faults = f0.and_then(|f0| Some(minor_faults()? - f0));
                 if rep == 0 {
-                    rows.push((name, ms));
+                    rows.push((name, ms, faults));
                 } else {
                     rows[row].1 = rows[row].1.min(ms);
+                    rows[row].2 = faults;
                 }
                 row += 1;
             };
@@ -115,11 +118,24 @@ fn main() {
     );
     let rows = &result.results[0].0;
     assert!(!rows.is_empty(), "no phase name contains {only:?}");
-    println!("coll64 body, 64 ranks on one worker, best of {best_of} (host ms, rank 0):");
-    for (name, ms) in rows {
-        println!("  {name:<34} {ms:>8.2}");
+    println!(
+        "coll64 body, 64 ranks on one worker, best of {best_of} (host ms, rank 0; minor faults, last pass):"
+    );
+    let show = |f: Option<u64>| f.map_or("-".to_string(), |f| f.to_string());
+    for (name, ms, faults) in rows {
+        println!("  {name:<34} {ms:>8.2} {:>8}", show(*faults));
     }
-    let total: f64 = rows.iter().map(|(_, ms)| ms).sum();
-    println!("  {:<34} {total:>8.2}", "sum of phases");
+    let total: f64 = rows.iter().map(|(_, ms, _)| ms).sum();
+    let faults = rows.iter().map(|(_, _, f)| *f).sum::<Option<u64>>();
+    println!("  {:<34} {total:>8.2} {:>8}", "sum of phases", show(faults));
     println!("virtual makespan: {}", result.elapsed);
+}
+
+/// The process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, the eighth after the parenthesised command name.
+/// `None` where there is no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(") ")?;
+    fields.split(' ').nth(7)?.parse().ok()
 }
