@@ -1233,7 +1233,7 @@ pub fn ext_pgas(e: &Effort) -> Table {
 }
 
 /// Ablation: flat vs two-level collective schedules through the
-/// [`cmpi_core::CollectiveSelector`].
+/// job's collective selector (`cmpi_core::coll_select`).
 ///
 /// Three configurations of the same cluster deployment:
 ///

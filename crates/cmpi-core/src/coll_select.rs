@@ -140,11 +140,10 @@ pub fn coll_trace_name(kind: CollKind, algo: CollAlgo) -> &'static str {
     }
 }
 
-/// Per-job collective algorithm selector. Built once at `Mpi::init` from
+/// Per-job collective algorithm selector. Built once per job from
 /// job-wide state; identical on every rank.
 #[derive(Clone, Debug)]
-pub struct CollectiveSelector {
-    policy: LocalityPolicy,
+pub(crate) struct CollectiveSelector {
     tunables: Tunables,
     /// The policy's partition is genuinely hierarchical: more than one
     /// group, and at least one group holding more than one rank.
@@ -154,8 +153,9 @@ pub struct CollectiveSelector {
 
 impl CollectiveSelector {
     /// Build a selector from the active policy, tunables and the group
-    /// partition the policy induces (see `Mpi::comm_groups`).
-    pub fn new(
+    /// partition the policy induces over the `n` ranks
+    /// (`collectives::policy_groups_of`).
+    pub(crate) fn new(
         policy: LocalityPolicy,
         tunables: Tunables,
         groups: &[Vec<usize>],
@@ -168,32 +168,16 @@ impl CollectiveSelector {
             && groups.len() > 1
             && groups.iter().any(|g| g.len() > 1);
         CollectiveSelector {
-            policy,
             tunables,
             hierarchical,
             n,
         }
     }
 
-    /// The policy the selector was built for.
-    pub fn policy(&self) -> LocalityPolicy {
-        self.policy
-    }
-
-    /// The tunables the selector consults.
-    pub fn tunables(&self) -> &Tunables {
-        &self.tunables
-    }
-
-    /// Whether the topology admits two-level scheduling at all.
-    pub fn hierarchical(&self) -> bool {
-        self.hierarchical
-    }
-
     /// Pick the algorithm for one call. `bytes` is the per-rank message
     /// size (the root buffer for rooted ops, the per-rank contribution for
     /// allgather, the per-destination slab for alltoall; 0 for barrier).
-    pub fn select(&self, kind: CollKind, bytes: usize) -> CollAlgo {
+    pub(crate) fn select(&self, kind: CollKind, bytes: usize) -> CollAlgo {
         let t = &self.tunables;
         let two_level = self.hierarchical && t.smp_coll_enable;
         match kind {
@@ -253,7 +237,6 @@ mod tests {
             &groups_two_hosts(),
             8,
         );
-        assert!(s.hierarchical());
         for kind in CollKind::ALL {
             assert_eq!(s.select(kind, 1024), CollAlgo::TwoLevel, "{}", kind.name());
         }
@@ -267,7 +250,6 @@ mod tests {
             &groups_two_hosts(),
             8,
         );
-        assert!(!s.hierarchical());
         for kind in CollKind::ALL {
             assert_eq!(s.select(kind, 1024), CollAlgo::Flat, "{}", kind.name());
         }
@@ -282,7 +264,7 @@ mod tests {
             &groups_flat(),
             8,
         );
-        assert!(!s.hierarchical());
+        assert_eq!(s.select(CollKind::Barrier, 0), CollAlgo::Flat);
         // One group holding everyone (single host).
         let s = CollectiveSelector::new(
             LocalityPolicy::ContainerDetector,
@@ -290,20 +272,19 @@ mod tests {
             &[(0..8).collect::<Vec<_>>()],
             8,
         );
-        assert!(!s.hierarchical());
+        assert_eq!(s.select(CollKind::Barrier, 0), CollAlgo::Flat);
         assert_eq!(s.select(CollKind::Allreduce, 64), CollAlgo::Flat);
     }
 
     #[test]
     fn smp_coll_enable_gates_two_level() {
-        let s = CollectiveSelector::new(
-            LocalityPolicy::ContainerDetector,
-            Tunables::default().with_smp_coll_enable(false),
-            &groups_two_hosts(),
-            8,
-        );
-        assert!(s.hierarchical());
-        assert_eq!(s.select(CollKind::Bcast, 64), CollAlgo::Flat);
+        let selector = |t: Tunables| {
+            CollectiveSelector::new(LocalityPolicy::ContainerDetector, t, &groups_two_hosts(), 8)
+        };
+        let on = selector(Tunables::default());
+        let off = selector(Tunables::default().with_smp_coll_enable(false));
+        assert_eq!(on.select(CollKind::Bcast, 64), CollAlgo::TwoLevel);
+        assert_eq!(off.select(CollKind::Bcast, 64), CollAlgo::Flat);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! fan-in, inter-leader exchange, host-local fan-out). Nothing names an
 //! algorithm from outside: every public entry goes through one bracket
 //! ([`Mpi::try_collective`]) and the
-//! [`crate::coll_select::CollectiveSelector`] is the only thing that
+//! collective selector ([`crate::coll_select`]) is the only thing that
 //! picks, so `ContainerDetector` jobs schedule hierarchically while the
 //! `Hostname` ("Default") policy degenerates to the flat paths, and a
 //! test or an ablation pins an algorithm the way a user would — policy
@@ -183,11 +183,12 @@ pub(crate) fn policy_groups_of(
     groups
 }
 
-/// A scope's two-level collective topology: its members' locality groups,
-/// their leaders, a rank→group index, the scope position of each member
-/// and the algorithm selector sized to that shape. The world's instance
-/// serves every rank of the job (see `JobState::world`), so every rank
-/// decides identically.
+/// The world's two-level collective topology: its locality groups, their
+/// leaders, a rank→group index and the algorithm selector sized to that
+/// shape. One instance serves every rank of the job (see
+/// `JobState::world_topo`), so every rank decides identically. Only the
+/// world's scope carries it, so a two-level body's positions are world
+/// ranks.
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every
 /// phase of every collective, so two phases of one call can never
@@ -198,24 +199,19 @@ pub(crate) struct SmpTopo {
     leaders: Arc<Vec<usize>>,
     /// Index into `groups` of each rank's group, by world rank.
     group_idx: Vec<u32>,
-    /// Scope position of each member, by world rank; empty where the two
-    /// coincide (the world).
-    pos: Vec<u32>,
     selector: CollectiveSelector,
 }
 
 impl SmpTopo {
-    /// Index the locality groups: disjoint sets of ranks below `n`, each
-    /// sorted ascending. The world's groups partition `0..n`; a restricted
-    /// topology's leave non-members in no group.
+    /// Index the locality groups: a partition of the ranks `0..n`, each
+    /// group sorted ascending.
     pub(crate) fn new(
         groups: Vec<Vec<usize>>,
-        n: usize,
         policy: LocalityPolicy,
         tunables: Tunables,
     ) -> SmpTopo {
-        let members = groups.iter().map(Vec::len).sum();
-        let selector = CollectiveSelector::new(policy, tunables, &groups, members);
+        let n = groups.iter().map(Vec::len).sum();
+        let selector = CollectiveSelector::new(policy, tunables, &groups, n);
         let leaders = Arc::new(groups.iter().map(|g| g[0]).collect());
         let mut group_idx = vec![u32::MAX; n];
         for (gi, g) in groups.iter().enumerate() {
@@ -227,49 +223,14 @@ impl SmpTopo {
             groups: groups.into_iter().map(Arc::new).collect(),
             leaders,
             group_idx,
-            pos: Vec::new(),
             selector,
         }
-    }
-
-    /// This topology restricted to `members` (world ranks in scope
-    /// order): each group keeps the members it holds, empty groups go, and
-    /// every member maps to its position in `members`.
-    pub(crate) fn restricted(&self, members: &[usize]) -> SmpTopo {
-        let mut pos = vec![u32::MAX; self.group_idx.len()];
-        for (p, &r) in members.iter().enumerate() {
-            pos[r] = p as u32;
-        }
-        let groups = (self.groups.iter())
-            .map(|g| g.iter().copied().filter(|&r| pos[r] != u32::MAX).collect())
-            .filter(|g: &Vec<usize>| !g.is_empty())
-            .collect();
-        let (policy, tunables) = (self.selector.policy(), *self.selector.tunables());
-        SmpTopo {
-            pos,
-            ..SmpTopo::new(groups, self.group_idx.len(), policy, tunables)
-        }
-    }
-
-    /// The selector sized to these groups.
-    pub(crate) fn selector(&self) -> &CollectiveSelector {
-        &self.selector
-    }
-
-    /// The locality groups, ordered by smallest member.
-    pub(crate) fn groups(&self) -> Vec<Vec<usize>> {
-        self.groups.iter().map(|g| g.to_vec()).collect()
     }
 
     /// Position of `rank`'s group in `groups` (and of its leader in
     /// `leaders`).
     fn group_index(&self, rank: usize) -> usize {
         self.group_idx[rank] as usize
-    }
-
-    /// The scope position of member `rank`.
-    fn position(&self, rank: usize) -> usize {
-        self.pos.get(rank).map_or(rank, |&p| p as usize)
     }
 }
 
@@ -1090,7 +1051,8 @@ impl Mpi {
     /// Hierarchical alltoall: intra-group slabs exchange directly;
     /// inter-group slabs are bundled through the leaders so only one
     /// (aggregated) message crosses each group pair. Slabs, frame keys and
-    /// result slots are scope positions.
+    /// result slots are scope positions, which are world ranks: only the
+    /// world's scope has a topology.
     fn alltoall_two_level<T: MpiData>(
         &mut self,
         scope: &Scope,
@@ -1108,7 +1070,7 @@ impl Mpi {
         if m > 1 {
             let mut image = spare::take(m * bs);
             for &member in group.ranks.iter() {
-                T::encode(slab(topo.position(member)), &mut image);
+                T::encode(slab(member), &mut image);
             }
             let image = Bytes::from(image);
             for step in 1..m {
@@ -1121,8 +1083,7 @@ impl Mpi {
                     tag(op::SMP_A2A0, step as u32),
                     scope.ctx,
                 )?;
-                let s = topo.position(src);
-                from_bytes(&got, &mut out[s * block..(s + 1) * block]);
+                from_bytes(&got, &mut out[src * block..(src + 1) * block]);
             }
         }
         if leaders.len() == 1 {
@@ -1162,9 +1123,8 @@ impl Mpi {
         }
         for &member in &group.ranks[1..] {
             let b = self.try_coll_recv(member, tag(op::SMP_A2A1, 0), scope.ctx)?;
-            let src = topo.position(member);
             for (d, part) in frames_ok(&b, "alltoall-smp member bundle") {
-                staged[group_of(d)].put_bytes(src * n + d, part);
+                staged[group_of(d)].put_bytes(member * n + d, part);
             }
             spare::give(b);
         }
@@ -1215,13 +1175,10 @@ mod tests {
     use crate::runtime::JobSpec;
     use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
 
-    /// Every two-level body, and the two large-message ones, on a scope
-    /// that is not the world: each parity half of 2 hosts × 2 containers
-    /// × 2 ranks in reverse rank order, so positions and world ranks
-    /// disagree, on a context of its own with the world's topology
-    /// restricted to it (two groups of two; position 0 leads no group, so
-    /// rooted bodies shuttle). Each must return what the flat body
-    /// returns on the same scope.
+    /// The two large-message bodies on a scope that is not the world:
+    /// each parity half of 8 ranks in reverse rank order, so positions and
+    /// world ranks disagree, on a context of its own. Each must return
+    /// what the flat body returns on the same scope.
     #[test]
     fn scope_bodies_match_flat_on_a_split_communicator() {
         let scenario = DeploymentScenario::containers(2, 2, 2, NamespaceSharing::default());
@@ -1229,65 +1186,46 @@ mod tests {
             let (n, r) = (mpi.size(), mpi.rank());
             let half: Vec<usize> = (0..n).rev().filter(|s| s % 2 == r % 2).collect();
             let me = half.iter().position(|&s| s == r).unwrap();
-            let topo = mpi.world_topo().restricted(&half);
-            assert!(topo.selector().hierarchical(), "{:?}", topo.groups());
-            let ranks = Arc::new(half);
-            let scope = |topo| Scope {
-                ranks: Arc::clone(&ranks),
+            let scope = Scope {
+                ranks: Arc::new(half),
                 me,
                 ctx: 16,
-                topo,
+                topo: None,
             };
-            let (flat, staged) = (scope(None), scope(Some(Arc::new(topo))));
-            let (m, me, root) = (flat.len(), flat.me, 0);
+            let root = 0;
             let mine = [r as u64 * 10 + 1, r as u64 * 10 + 2, r as u64 * 10 + 3];
-            let slabs: Vec<u64> = (0..m * 3).map(|i| (r * 100 + i) as u64).collect();
 
-            mpi.barrier_two_level(&staged).unwrap();
-            mpi.barrier_list(&flat, op::BARRIER).unwrap();
-
-            let seed = if me == root { mine } else { [0; 3] };
-            let (mut two, mut large) = (seed, seed);
-            mpi.bcast_two_level(&staged, &mut two, root).unwrap();
-            mpi.bcast_scatter_allgather(&flat, &mut large, root)
+            let mut large = if me == root { mine } else { [0; 3] };
+            mpi.bcast_scatter_allgather(&scope, &mut large, root)
                 .unwrap();
             let at_root = (me == root).then(|| to_bytes(&mine));
-            let out = mpi.bcast_list(at_root, &flat, root, op::BCAST).unwrap();
-            assert_eq!(two.to_vec(), vec_from_bytes::<u64>(&out, 3));
-            assert_eq!(large, two);
+            let out = mpi.bcast_list(at_root, &scope, root, op::BCAST).unwrap();
+            assert_eq!(large.to_vec(), vec_from_bytes::<u64>(&out, 3));
 
-            let two = mpi.reduce_two_level(&staged, &mine, ReduceOp::Sum, root);
-            let one =
-                mpi.reduce_list::<u64>(to_bytes(&mine), ReduceOp::Sum, &flat, root, op::REDUCE);
-            if me == root {
-                assert_eq!(two.unwrap(), one.unwrap());
-            }
-
-            let two = mpi
-                .allreduce_two_level(&staged, &mine, ReduceOp::Sum)
-                .unwrap();
             let large = mpi
-                .allreduce_rabenseifner(&flat, &mine, ReduceOp::Sum)
+                .allreduce_rabenseifner(&scope, &mine, ReduceOp::Sum)
                 .unwrap();
             let one =
-                mpi.allreduce_list::<u64>(to_bytes(&mine), ReduceOp::Sum, &flat, op::ALLREDUCE);
-            assert_eq!(two, vec_from_bytes::<u64>(&one.unwrap(), 3));
-            assert_eq!(large, two);
-
-            let two = mpi.gather_two_level(&staged, &mine, root).unwrap();
-            let one = mpi.gather_binomial(&flat, &mine, root).unwrap();
-            assert_eq!(two, one);
-
-            let two = mpi.allgather_two_level(&staged, &mine).unwrap();
-            let one = mpi.allgather_list(&mine, &flat, op::ALLGATHER).unwrap();
-            assert_eq!(two, one);
-            let in_scope_order = ranks.iter().flat_map(|&s| (1..=3).map(move |i| s * 10 + i));
-            assert!(two.iter().map(|&v| v as usize).eq(in_scope_order));
-
-            let two = mpi.alltoall_two_level(&staged, &slabs, 3).unwrap();
-            let one = mpi.alltoall_pairwise(&flat, &slabs, 3).unwrap();
-            assert_eq!(two, one);
+                mpi.allreduce_list::<u64>(to_bytes(&mine), ReduceOp::Sum, &scope, op::ALLREDUCE);
+            assert_eq!(large, vec_from_bytes::<u64>(&one.unwrap(), 3));
         });
+    }
+
+    /// The policy groups of 2 hosts × 2 containers × 2 ranks: one group
+    /// per host under the container detector, one per container under
+    /// hostname routing.
+    #[test]
+    fn policy_groups_partition_ranks() {
+        let scenario = DeploymentScenario::containers(2, 2, 2, NamespaceSharing::default());
+        let groups = |policy| policy_groups_of(&scenario.cluster, &scenario.placement, policy);
+        assert_eq!(
+            groups(LocalityPolicy::ContainerDetector),
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]
+        );
+        assert_eq!(
+            groups(LocalityPolicy::Hostname),
+            vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]]
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   bound.
 //!
 //! Nothing calls these by name: the bcast and allreduce bodies reach them
-//! through their scope's [`crate::coll_select::CollectiveSelector`] once
+//! through their scope's collective selector ([`crate::coll_select`]) once
 //! the message crosses `MV2_COLL_LARGE_MSG` (`Tunables::coll_large_msg`,
 //! the one large-message threshold), and the selector keeps Rabenseifner
 //! to power-of-two scopes, like MVAPICH2's tuning tables. Partners and

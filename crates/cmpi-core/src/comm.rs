@@ -1,6 +1,7 @@
 //! Communicators: the world and the survivor communicators
-//! [`Mpi::try_shrink`] builds, and the per-context table every rank keeps
-//! about the ones it belongs to.
+//! [`Mpi::try_shrink`] builds. A communicator is its context id and its
+//! member list, world ranks ascending; a rank's table of the ones it
+//! belongs to (`Mpi::comms`) maps each shrunk context to that list.
 //!
 //! A communicator's collectives are the world's bodies run over its
 //! [`Scope`]: its ranks, the holder's position among them (found once,
@@ -13,12 +14,12 @@
 
 use std::sync::Arc;
 
-use crate::collectives::{Scope, SmpTopo};
+use crate::collectives::Scope;
 use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::runtime::Mpi;
 
-/// A communicator: an ordered group of world ranks plus a context id, as
+/// A communicator: an ascending group of world ranks plus a context id, as
 /// one of its members holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Comm {
@@ -28,28 +29,17 @@ pub struct Comm {
     pub(crate) me: usize,
 }
 
-/// What a rank knows about one communicator context it belongs to — one
-/// entry of `Mpi::comms`. The world is a communicator like any other: its
-/// entry (under both of its context ids) shares the job-wide member list
-/// and topology.
-#[derive(Clone)]
-pub(crate) struct CommEntry {
-    /// World ranks in communicator order: who a wildcard receive depends
-    /// on and whom a revocation notifies.
-    pub(crate) members: Arc<Vec<usize>>,
-    /// The members' locality groups with the selector sized to them: the
-    /// job's topology for the world, the survivors' for a shrunk
-    /// communicator (a reported fact, [`Mpi::comm_groups`]: its scope
-    /// leaves it out).
-    pub(crate) topo: Arc<SmpTopo>,
-}
-
 impl Comm {
     /// Assemble a communicator from an agreed context id, member list and
     /// the holder's position in it (used by `comm_world` and the
     /// fault-tolerance `shrink` path, which derives the fields from an
-    /// agreement protocol).
+    /// agreement protocol). The members ascend: shrink and
+    /// [`Comm::comm_rank_of`] binary-search them.
     pub(crate) fn from_parts(ctx: u32, ranks: Arc<Vec<usize>>, me: usize) -> Comm {
+        debug_assert!(
+            ranks.windows(2).all(|w| w[0] < w[1]),
+            "communicator members must ascend"
+        );
         Comm { ctx, ranks, me }
     }
 
@@ -75,7 +65,7 @@ impl Comm {
 
     /// Translate a world rank to its communicator rank, if a member.
     pub fn comm_rank_of(&self, world_rank: usize) -> Option<usize> {
-        self.ranks.iter().position(|&r| r == world_rank)
+        self.ranks.binary_search(&world_rank).ok()
     }
 
     /// Where this communicator's collectives run: its ranks, the holder's

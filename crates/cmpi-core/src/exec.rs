@@ -91,9 +91,9 @@ pub enum ExecMode {
     Tasks,
 }
 
-/// Execution-engine knobs on a [`crate::JobSpec`]. Unset sizes fall back
-/// to the environment (`CMPI_WORKERS`, `CMPI_STACK_KIB`) and then to
-/// defaults.
+/// Execution-engine knobs on a [`crate::JobSpec`]. An unset worker count
+/// falls back to `CMPI_WORKERS` and then to the core count; an unset
+/// stack size to 1 MiB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSpec {
     /// Backend; `None` = [`ExecMode::Tasks`] where fibers are supported.
@@ -101,7 +101,7 @@ pub struct ExecSpec {
     /// Worker count of the fiber pool; `None` = `CMPI_WORKERS` or
     /// available cores. Clamped to the rank count.
     pub workers: Option<usize>,
-    /// Fiber stack size in KiB; `None` = `CMPI_STACK_KIB` or 1024.
+    /// Fiber stack size in KiB; `None` = 1024.
     pub stack_kib: Option<usize>,
 }
 
@@ -138,7 +138,6 @@ impl ExecSpec {
             .max(1);
         let stack_kib = self
             .stack_kib
-            .or_else(|| env_usize("CMPI_STACK_KIB"))
             .unwrap_or(DEFAULT_STACK_KIB)
             .max(MIN_STACK_KIB);
         ExecConfig {
@@ -149,13 +148,19 @@ impl ExecSpec {
     }
 }
 
+/// The environment variable `key` as a positive integer, if set.
 fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key)
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&v| v > 0)
+    let value = std::env::var_os(key)?;
+    Some(positive(key, &value.to_string_lossy()))
+}
+
+/// `value` of the variable `key` as a positive integer. Anything else
+/// ends the job: a malformed count must not silently become the default.
+fn positive(key: &str, value: &str) -> usize {
+    match value.trim().parse() {
+        Ok(v) if v > 0 => v,
+        _ => panic!("{key}={value:?} is not a positive integer"),
+    }
 }
 
 /// Whether the stackful-fiber backend exists for this target.
@@ -469,7 +474,7 @@ use fallback_asm::{cmpi_core_fiber_switch, cmpi_core_fiber_thunk};
 /// No guard pages: adding them needs `mprotect`, and the workspace
 /// deliberately has no libc-level dependency. A fiber that overruns its
 /// stack writes into the top of its lower neighbour's. The defence is
-/// generous sizing (1 MiB default, see `CMPI_STACK_KIB`) against rank
+/// generous sizing (1 MiB default, see `JobSpec::with_stack_kib`) against rank
 /// bodies whose deepest frames are a collective inside a proptest plan,
 /// and a [`STACK_CANARY`] in the lowest 8 bytes of every stack: the
 /// worker checks it each time a fiber switches out and takes the job
@@ -524,7 +529,7 @@ impl StackSlab {
         let raw = unsafe { std::alloc::alloc(layout) };
         assert!(
             !raw.is_null(),
-            "could not reserve {stacks} fiber stacks of {} KiB; lower CMPI_STACK_KIB",
+            "could not reserve {stacks} fiber stacks of {} KiB; lower JobSpec::with_stack_kib",
             stack_bytes / 1024
         );
         // Start at the lowest address CANARY_SLACK below a page boundary:
@@ -1312,6 +1317,24 @@ pub(crate) fn run_on_this_thread<'a>(
 mod tests {
     use super::*;
     use cmpi_model::sync::AtomicU64;
+
+    #[test]
+    fn a_worker_count_is_a_positive_integer() {
+        assert_eq!(positive("CMPI_WORKERS", "3"), 3);
+        assert_eq!(positive("CMPI_WORKERS", " 8\n"), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "CMPI_WORKERS=\"1x\" is not a positive integer")]
+    fn a_malformed_worker_count_is_refused() {
+        positive("CMPI_WORKERS", "1x");
+    }
+
+    #[test]
+    #[should_panic(expected = "CMPI_WORKERS=\"0\" is not a positive integer")]
+    fn a_zero_worker_count_is_refused() {
+        positive("CMPI_WORKERS", "0");
+    }
 
     /// Both backends at `workers` workers: everything below must hold on
     /// fibers and on OS threads alike.

@@ -109,12 +109,13 @@ impl FailureDetector {
     }
 }
 
-/// A committed shrink decision: the agreed dead set and the context id of
-/// the survivor communicator.
+/// A committed shrink decision: the agreed survivors and the context id
+/// of their communicator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Decision {
-    /// World ranks agreed dead (sorted).
-    pub(crate) dead: Vec<usize>,
+    /// The survivors' world ranks, ascending: the shrunk communicator's
+    /// member list, shared by every adopter.
+    pub(crate) survivors: Arc<Vec<usize>>,
     /// Fresh context id for the shrunk communicator.
     pub(crate) new_ctx: u32,
     /// Virtual decision time: every adopter advances to at least this.
@@ -208,7 +209,7 @@ mod tests {
         let first = log.commit(
             (1, 0),
             Decision {
-                dead: vec![2],
+                survivors: Arc::new(vec![0, 1, 3]),
                 new_ctx: 40,
                 at: SimTime(9_000),
             },
@@ -217,7 +218,7 @@ mod tests {
         let second = log.commit(
             (1, 0),
             Decision {
-                dead: vec![2, 3],
+                survivors: Arc::new(vec![0, 1]),
                 new_ctx: 41,
                 at: SimTime(9_500),
             },

@@ -19,28 +19,33 @@
 //! discipline): without the revocation, members still blocked inside a
 //! collective over the broken communicator may never reach `try_shrink`.
 //!
-//! Agreement runs as a binomial-tree reduction of the dead-set bitmask
-//! over the locally-believed survivor list, on the dedicated — and never
-//! revocable — [`CTX_FT`] context. It tolerates failures *during*
-//! agreement: every blocking step watches the detector epoch and restarts
-//! the attempt when a new death lands, and the committed outcome is a
-//! write-once [`Decision`] keyed by `(parent ctx, shrink generation)`, so
-//! racing attempts (including two ranks that both believe they are the
-//! tree root) converge on one answer. A decision may still miss deaths
-//! that land after its epoch — then the next operation on the shrunk
-//! communicator errors and the caller shrinks again at generation + 1,
-//! exactly like iterated `MPI_Comm_shrink`. Stale messages from aborted
-//! attempts carry attempt-distinct tags (epoch and tree level are packed
-//! into the round field) and rot harmlessly in the unexpected buckets,
-//! bounded by deaths × tree depth.
+//! Agreement runs as a binomial-tree fan-in of empty messages over the
+//! survivors the attempt's down-table snapshot leaves, on the dedicated —
+//! and never revocable — [`CTX_FT`] context. The messages carry nothing:
+//! every survivor of one epoch reads the same down table, so a message
+//! says only that its sender reached the attempt. An attempt finds its
+//! tree partners from the sorted positions of the communicator's dead
+//! members (the p-th survivor in O(dead)), so no rank but the root builds
+//! a survivor list; the root commits that list, and every adopter shares
+//! it. Agreement tolerates failures *during* agreement: every blocking
+//! step watches the detector epoch and restarts the attempt when a new
+//! death lands, and the committed outcome is a write-once [`Decision`]
+//! keyed by `(parent ctx, shrink generation)`, so racing attempts
+//! (including two ranks that both believe they are the tree root)
+//! converge on one answer. A decision may still miss deaths that land
+//! after its epoch — then the next operation on the shrunk communicator
+//! errors and the caller shrinks again at generation + 1, exactly like
+//! iterated `MPI_Comm_shrink`. Stale messages from aborted attempts carry
+//! attempt-distinct tags (epoch and tree level are packed into the round
+//! field) and rot harmlessly in the unexpected buckets, bounded by deaths
+//! × tree depth.
 //!
 //! Two non-goals, both deliberate: context ids of shrunk communicators
 //! are *not* run-deterministic (they come from a shared allocator raced
 //! by redundant commits — assert membership and results, never ctx
-//! values), and the shrunk communicator's collectives run flat: its
-//! topology (the world's restricted to the survivors, each mapped to its
-//! survivor position) is kept in its table entry, exposed via
-//! [`Mpi::comm_groups`], but left out of its scope.
+//! values), and the shrunk communicator's collectives run flat: a
+//! communicator is its member list and context, and only the world's
+//! scope carries a topology.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -48,12 +53,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::collectives::{op, plain, tag};
-use crate::comm::{Comm, CommEntry};
+use crate::comm::Comm;
 use crate::datatype::{ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::obs::{Detail, Incident};
-use crate::pt2pt::{Completion, Status, CTX_FT};
+use crate::pt2pt::{Status, CTX_FT};
 use crate::requests::{Req, Slot};
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
@@ -72,10 +77,24 @@ fn agree_round(epoch: u64, level: u32) -> u32 {
     (((epoch % (1 << 14)) as u32) << 6) | level
 }
 
+/// The world rank of the `p`-th survivor of `comm` once the members at
+/// the ascending positions `dead` are gone: O(dead), with no survivor
+/// list built.
+fn survivor(comm: &Comm, dead: &[usize], p: usize) -> usize {
+    let mut pos = p;
+    for &d in dead {
+        if d > pos {
+            break;
+        }
+        pos += 1;
+    }
+    comm.world_rank(pos)
+}
+
 /// Outcome of one abortable agreement step.
 enum AgreeStep {
-    /// The transfer completed (payload for receives, empty for sends).
-    Data(Bytes),
+    /// The transfer completed.
+    Done,
     /// Another attempt already committed the decision for this key.
     Decided(Arc<Decision>),
     /// The detector epoch moved: a death landed mid-agreement, restart.
@@ -125,75 +144,65 @@ impl Mpi {
                 return Ok(self.adopt_decision(comm, gen, &d));
             }
             // The dead set and the epoch it is current for, read from the
-            // down table together.
+            // down table together; the dead members' positions in `comm`
+            // ascend because both lists do.
             let (epoch, all_dead) = self.state.detector.snapshot();
-            for d in &all_dead {
-                if comm.ranks().contains(&d.rank) {
-                    self.convict(*d);
+            let mut dead = Vec::new();
+            for d in all_dead {
+                if let Ok(pos) = comm.ranks().binary_search(&d.rank) {
+                    self.convict(d);
+                    dead.push(pos);
                 }
             }
-            let dead_ranks: Vec<usize> = all_dead.iter().map(|d| d.rank).collect();
-            let survivors: Vec<usize> = comm
-                .ranks()
-                .iter()
-                .copied()
-                .filter(|r| !dead_ranks.contains(r))
-                .collect();
-            let s = survivors.len();
-            let me = survivors
-                .iter()
-                .position(|&r| r == self.rank)
-                .expect("shrinking rank is not a survivor of its own communicator");
+            let s = comm.size() - dead.len();
+            let me = match dead.binary_search(&comm.me) {
+                Err(dead_before_me) => comm.me - dead_before_me,
+                Ok(_) => panic!("shrinking rank is not a survivor of its own communicator"),
+            };
             let op_id = AGREE_OP_BASE + (gen % 256) as u32;
-            let mut acc = vec![0u8; self.n.div_ceil(8)];
-            for &r in &dead_ranks {
-                acc[r / 8] |= 1 << (r % 8);
-            }
-            // Binomial-tree reduction of the mask to position 0 of the
-            // survivor list.
+            // Binomial-tree fan-in to survivor 0.
             let mut mask = 1usize;
             let mut level = 0u32;
             while mask < s {
                 let t = tag(op_id, agree_round(epoch, level));
-                if me & mask == 0 {
+                let step = if me & mask == 0 {
                     let child = me | mask;
                     if child < s {
-                        let id = self.irecv_inner(Some(survivors[child]), Some(t), CTX_FT);
-                        match self.agree_step(Req::Slot(id), key, epoch) {
-                            AgreeStep::Data(b) => {
-                                for (a, byte) in acc.iter_mut().zip(b.iter()) {
-                                    *a |= byte;
-                                }
-                            }
-                            AgreeStep::Decided(d) => return Ok(self.adopt_decision(comm, gen, &d)),
-                            AgreeStep::Restart => continue 'attempt,
-                        }
+                        let src = survivor(comm, &dead, child);
+                        let id = self.irecv_inner(Some(src), Some(t), CTX_FT);
+                        self.agree_step(Req::Slot(id), key, epoch)
+                    } else {
+                        AgreeStep::Done
                     }
                 } else {
-                    let parent_pos = me ^ mask;
-                    let up = Bytes::copy_from_slice(&acc);
-                    let id = self.isend_inner(up, survivors[parent_pos], t, CTX_FT);
-                    match self.agree_step(id, key, epoch) {
-                        AgreeStep::Data(_) => {}
-                        AgreeStep::Decided(d) => return Ok(self.adopt_decision(comm, gen, &d)),
-                        AgreeStep::Restart => continue 'attempt,
-                    }
+                    let dst = survivor(comm, &dead, me ^ mask);
+                    let id = self.isend_inner(Bytes::new(), dst, t, CTX_FT);
+                    self.agree_step(id, key, epoch)
+                };
+                match step {
+                    AgreeStep::Done => {}
+                    AgreeStep::Decided(d) => return Ok(self.adopt_decision(comm, gen, &d)),
+                    AgreeStep::Restart => continue 'attempt,
+                }
+                if me & mask != 0 {
                     break;
                 }
                 mask <<= 1;
                 level += 1;
             }
             if me == 0 {
-                // Root: commit the union (write-once — a racing root's
+                // Root: commit the survivors (write-once — a racing root's
                 // earlier commit wins and is returned instead).
-                let dead: Vec<usize> = (0..self.n)
-                    .filter(|&r| acc[r / 8] & (1 << (r % 8)) != 0)
+                let mut gone = dead.iter().copied().peekable();
+                let survivors = (0..comm.size())
+                    .filter(|&pos| gone.next_if_eq(&pos).is_none())
+                    .map(|pos| comm.world_rank(pos))
                     .collect();
                 let new_ctx = self.state.ft_ctx.fetch_add(1, Ordering::SeqCst);
                 let d = self.state.decisions.commit(
                     key,
                     Decision {
-                        dead,
+                        survivors: Arc::new(survivors),
                         new_ctx,
                         at: self.now,
                     },
@@ -219,22 +228,18 @@ impl Mpi {
     }
 
     /// Apply a committed shrink decision: bump the generation, adopt the
-    /// decision's timestamp, derive the survivor communicator and its
-    /// locality/selector topology.
+    /// decision's timestamp, and register and return the survivor
+    /// communicator, whose member list every adopter shares.
     fn adopt_decision(&mut self, comm: &Comm, gen: u64, d: &Decision) -> Comm {
         self.shrink_gen.insert(comm.ctx(), gen + 1);
         self.now = self.now.max(d.at);
-        let alive = |r: &&usize| !d.dead.contains(r);
-        let survivors: Arc<Vec<usize>> =
-            Arc::new(comm.ranks().iter().filter(alive).copied().collect());
-        // The survivors before this rank in communicator order.
-        let me = comm.ranks()[..comm.me].iter().filter(alive).count();
-        let topo = self.world_topo().restricted(&survivors);
-        let entry = CommEntry {
-            members: Arc::clone(&survivors),
-            topo: Arc::new(topo),
-        };
-        self.comms.insert(d.new_ctx, entry);
+        let survivors = Arc::clone(&d.survivors);
+        // A rank dies only at its own call boundaries, and agreement
+        // crosses none: an adopter is a survivor.
+        let me = survivors
+            .binary_search(&self.rank)
+            .expect("an adopting rank is one of the survivors");
+        self.comms.insert(d.new_ctx, Arc::clone(&survivors));
         let detail = Detail {
             a: d.new_ctx as u64,
             b: survivors.len() as u64,
@@ -245,27 +250,14 @@ impl Mpi {
         Comm::from_parts(d.new_ctx, survivors, me)
     }
 
-    /// The locality groups of `comm`'s members: re-derived over the
-    /// survivors for a shrink-produced communicator, the policy groups for
-    /// the world, `None` for a context this rank never registered.
-    pub fn comm_groups(&self, comm: &Comm) -> Option<Vec<Vec<usize>>> {
-        Some(self.comms.get(&comm.ctx())?.topo.groups())
-    }
-
-    /// Whether the collective selector sized to `comm`'s groups would
-    /// schedule hierarchically (`None` where [`Mpi::comm_groups`] is).
-    pub fn comm_hierarchical(&self, comm: &Comm) -> Option<bool> {
-        Some(self.comms.get(&comm.ctx())?.topo.selector().hierarchical())
-    }
-
     // ---- abortable agreement steps ------------------------------------------
 
     /// Run one agreement transfer — a posted receive or a started send —
     /// to an outcome, abandoning it if a decision or a fresh death
     /// preempts it. The peer is a believed survivor, but it may never
     /// answer (it adopted a decision or restarted on a newer epoch) —
-    /// hence the watchful loop instead of a plain wait. A send carries a
-    /// few mask bytes, so on SHM/HCA it completes locally; only a CMA
+    /// hence the watchful loop instead of a plain wait. A send carries no
+    /// bytes, so on SHM/HCA it completes locally; only a CMA
     /// (rendezvous-only) route can park it on the receiver, and that
     /// receiver is inside the same watchful protocol.
     fn agree_step(&mut self, req: Req, key: (u32, u64), epoch: u64) -> AgreeStep {
@@ -284,8 +276,7 @@ impl Mpi {
                 }
             }
             match self.try_complete(req, t_enter) {
-                Ok(Some(Completion::Recv(data, _))) => return AgreeStep::Data(data),
-                Ok(Some(Completion::Send)) => return AgreeStep::Data(Bytes::new()),
+                Ok(Some(_)) => return AgreeStep::Done,
                 Ok(None) => self.sleep_if_idle(),
                 // The peer died after this attempt's snapshot: a fresh
                 // death like any other.

@@ -75,7 +75,7 @@ pub mod stats;
 pub mod trace;
 
 pub use channel::{ChannelSelector, Protocol, Route};
-pub use coll_select::{coll_trace_name, CollAlgo, CollKind, CollectiveSelector};
+pub use coll_select::{coll_trace_name, CollAlgo, CollKind};
 pub use comm::Comm;
 pub use datatype::{MpiData, ReduceOp};
 pub use error::MpiError;

@@ -34,7 +34,6 @@ use cmpi_shmem::{AttachOutcome, ContainerList, EagerQueue, ShmRegistry};
 
 use crate::channel::ChannelSelector;
 use crate::collectives::{Scope, SmpTopo};
-use crate::comm::CommEntry;
 use crate::error::MpiError;
 use crate::exec::{ExecMode, ExecSpec};
 use crate::failure::{Death, DecisionLog, FailureDetector};
@@ -94,8 +93,8 @@ pub struct JobSpec {
     /// Fault-injection plan (empty by default). See
     /// [`cmpi_cluster::FaultPlan`].
     pub faults: FaultPlan,
-    /// Execution-engine knobs; unset sizes defer to
-    /// `CMPI_WORKERS`/`CMPI_STACK_KIB`. See [`crate::exec`].
+    /// Execution-engine knobs; an unset worker count defers to
+    /// `CMPI_WORKERS`. See [`crate::exec`].
     pub exec: ExecSpec,
 }
 
@@ -129,8 +128,8 @@ impl JobSpec {
         self
     }
 
-    /// Pin the fiber stack size in KiB (overrides `CMPI_STACK_KIB`;
-    /// clamped to the 64 KiB minimum). All stacks of a job are carved
+    /// Pin the fiber stack size in KiB (default 1 MiB; clamped to the
+    /// 64 KiB minimum). All stacks of a job are carved
     /// from one reservation of `ranks × size` and only touched pages
     /// commit, so the size bounds address space, not memory.
     pub fn with_stack_kib(mut self, kib: usize) -> Self {
@@ -501,15 +500,17 @@ pub(crate) struct JobState {
     /// settled list.
     repair_barrier: PokeBarrier,
     finalize_barrier: PokeBarrier,
-    /// The world's communicator entry, built once per job and shared by
-    /// every rank's communicator table: the membership `[0, 1, .., n-1]`
-    /// (at 4096 ranks, per-rank copies of this list alone cost ~134 MB
-    /// and an O(n²) init) and the policy locality groups with their
+    /// The world's member list `[0, 1, .., n-1]`, built once per job and
+    /// shared by every rank (at 4096 ranks, per-rank copies of this list
+    /// alone cost ~134 MB and an O(n²) init).
+    pub(crate) world_members: Arc<Vec<usize>>,
+    /// The world's topology: the policy locality groups with their
     /// leaders, rank→group index and collective selector (O(n log n)
     /// string-keyed work and O(n) tables, which per-rank copies made
-    /// O(n² log n) time and O(n²) memory). Built on the launching thread,
-    /// so no rank's fiber stack carries the grouping's frames.
-    pub(crate) world: CommEntry,
+    /// O(n² log n) time and O(n²) memory). Built once per job on the
+    /// launching thread, so no rank's fiber stack carries the grouping's
+    /// frames.
+    pub(crate) world_topo: Arc<SmpTopo>,
 }
 
 impl JobState {
@@ -544,19 +545,16 @@ impl JobState {
             init_barrier: PokeBarrier::new(n),
             repair_barrier: PokeBarrier::new(n),
             finalize_barrier: PokeBarrier::new(n),
-            world: CommEntry {
-                members: Arc::new((0..n).collect()),
-                topo: Arc::new(SmpTopo::new(
-                    crate::collectives::policy_groups_of(
-                        &spec.scenario.cluster,
-                        &spec.scenario.placement,
-                        spec.policy,
-                    ),
-                    n,
+            world_members: Arc::new((0..n).collect()),
+            world_topo: Arc::new(SmpTopo::new(
+                crate::collectives::policy_groups_of(
+                    &spec.scenario.cluster,
+                    &spec.scenario.placement,
                     spec.policy,
-                    spec.tunables,
-                )),
-            },
+                ),
+                spec.policy,
+                spec.tunables,
+            )),
         }
     }
 
@@ -666,14 +664,11 @@ pub struct Mpi {
     dead: bool,
     /// Communicator contexts revoked at this rank.
     pub(crate) revoked: FastSet<u32>,
-    /// The communicator table: members, locality groups and collective
-    /// selector of every registered context, the world (under `CTX_WORLD`
-    /// and `CTX_COLL`) included. Its entry shares the job-wide member
-    /// list and topology (see [`JobState::world`]), so every rank
-    /// decides identically; a collective call borrows from it by
-    /// refcount bump. Unregistered contexts are
-    /// treated as spanning all ranks.
-    pub(crate) comms: FastMap<u32, CommEntry>,
+    /// The communicator table: the member list of every shrunk context
+    /// this rank adopted, shared with the decision that made it. The
+    /// world is not registered: an unregistered context spans all ranks
+    /// ([`JobState::world_members`]).
+    pub(crate) comms: FastMap<u32, Arc<Vec<usize>>>,
     /// Dead peers whose conviction this rank has already ledgered (the
     /// conviction's stat and events fire once per peer).
     convicted_seen: FastSet<usize>,
@@ -857,10 +852,6 @@ impl Mpi {
             (&raw mut (*p).state).write(state);
             slot.assume_init()
         };
-        let world = &mpi.state.world;
-        let (world, coll) = (world.clone(), world.clone());
-        mpi.comms.insert(CTX_WORLD, world);
-        mpi.comms.insert(CTX_COLL, coll);
         // Stamped at the end of init: downgrades show up in the health
         // surface even when nobody asked for a trace, and a Perfetto view
         // shows *why* a pair ended up on the HCA before the first message
@@ -1099,10 +1090,7 @@ impl Mpi {
             Some(p) if p != self.rank => self.state.detector.is_down(p),
             Some(_) => None,
             None => {
-                let members = match self.comms.get(&ctx) {
-                    Some(entry) => &entry.members,
-                    None => &self.state.world.members,
-                };
+                let members = self.comms.get(&ctx).unwrap_or(&self.state.world_members);
                 let others = members.iter().copied().filter(|&r| r != self.rank);
                 self.state.detector.first_down(others)
             }
@@ -1166,10 +1154,8 @@ impl Mpi {
         if !self.mark_revoked(ctx) {
             return;
         }
-        let members: Arc<Vec<usize>> = match self.comms.get(&ctx) {
-            Some(entry) => Arc::clone(&entry.members),
-            None => Arc::clone(&self.state.world.members),
-        };
+        let members = self.comms.get(&ctx).unwrap_or(&self.state.world_members);
+        let members = Arc::clone(members);
         let t = self.now + SimTime::from_ns(self.state.cost.shm_post_ns);
         for &dst in members.iter() {
             if dst == self.rank {
@@ -1246,22 +1232,15 @@ impl Mpi {
         self.state.cells[self.rank].pop()
     }
 
-    /// The world's topology (and with it the job's collective selector),
-    /// from its communicator-table entry.
-    pub(crate) fn world_topo(&self) -> &Arc<SmpTopo> {
-        let world = self.comms.get(&CTX_COLL).map(|e| &e.topo);
-        world.expect("the world entry is registered at init and never removed")
-    }
-
     /// The world as a collective scope: every rank in rank order, on the
     /// collective context, with the job's topology — refcount bumps of the
-    /// world entry's `Arc`s, no allocation.
+    /// job's `Arc`s, no allocation.
     pub(crate) fn world_scope(&self) -> Scope {
         Scope {
-            ranks: Arc::clone(&self.state.world.members),
+            ranks: Arc::clone(&self.state.world_members),
             me: self.rank,
             ctx: CTX_COLL,
-            topo: Some(Arc::clone(self.world_topo())),
+            topo: Some(Arc::clone(&self.state.world_topo)),
         }
     }
 

@@ -250,31 +250,6 @@ fn smp_collectives_match_flat_results() {
     }
 }
 
-fn mpi_groups_two_hosts() -> Vec<Vec<usize>> {
-    vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]
-}
-
-#[test]
-fn policy_groups_partition_ranks() {
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        2,
-        NamespaceSharing::default(),
-    ));
-    let groups = |spec: &JobSpec| spec.run(|mpi| mpi.comm_groups(&mpi.comm_world())).results;
-    // Detector: one group per host, the same at every rank.
-    let r = groups(&spec);
-    assert!(
-        r.iter().all(|g| g == &Some(mpi_groups_two_hosts())),
-        "{r:?}"
-    );
-    // Hostname: one group per container.
-    let r = groups(&spec.with_policy(LocalityPolicy::Hostname));
-    let per_container = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]];
-    assert_eq!(r[0], Some(per_container));
-}
-
 #[test]
 fn back_to_back_collectives_do_not_cross_match() {
     let r = spec8(LocalityPolicy::ContainerDetector).run(|mpi| {

@@ -319,53 +319,73 @@ fn collectives_on_a_revoked_communicator_fail_fast_at_every_member() {
     assert_recovery_matches_metrics(&a.stats, a.telemetry.as_ref());
 }
 
+/// A survivor's loop: allreduce over `comm` until one succeeds on a
+/// shrunk communicator, revoking and shrinking on every failure. Returns
+/// the shrunk communicator's members and the allreduce of one per member.
+fn allreduce_until_shrunk(mpi: &mut Mpi) -> Result<(Vec<usize>, u64), MpiError> {
+    let n = mpi.size();
+    let mut comm = mpi.comm_world();
+    loop {
+        match mpi.try_allreduce_one(&comm, 1u64, ReduceOp::Sum) {
+            Ok(sum) if comm.size() < n => return Ok((comm.ranks().to_vec(), sum)),
+            Ok(_) => {}
+            Err(MpiError::ProcessFailed { peer }) if peer == mpi.rank() => {
+                return Err(MpiError::ProcessFailed { peer })
+            }
+            Err(MpiError::ProcessFailed { .. } | MpiError::Revoked) => {
+                mpi.revoke(&comm);
+                comm = mpi.try_shrink(&comm)?;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 #[test]
-fn shrunk_communicator_rederives_locality_topology() {
-    // Kill a whole container; the surviving communicator's re-derived
-    // collective groups must cover exactly the survivors and preserve the
-    // container partition (no dead rank lingers in any group).
+fn shrunk_communicator_after_a_container_kill_holds_the_survivors() {
+    // Kill a whole container (ranks 4..8, at their 4th call): every
+    // survivor's shrunk communicator is the other container, and an
+    // allreduce over it counts its four members.
     let scenario = DeploymentScenario::containers(1, 2, 4, NamespaceSharing::default());
     let plan = FaultPlan::none().with_container_kill(ContainerId(1), MidRunTrigger::AfterOps(4));
-    let r = JobSpec::new(scenario).with_faults(plan).run(
-        |mpi| -> Result<(Vec<Vec<usize>>, bool), MpiError> {
-            let world = mpi.comm_world();
-            // Ranks 4..8 die at their 4th call; survivors grind allreduces
-            // until the failure surfaces, then recover.
-            let mut comm = world.clone();
-            loop {
-                match mpi.try_allreduce_one(&comm, 1u64, ReduceOp::Sum) {
-                    Ok(_) => {
-                        if comm.size() == 4 {
-                            let groups = mpi.comm_groups(&comm).expect("no topology recorded");
-                            let hier = mpi.comm_hierarchical(&comm).unwrap();
-                            return Ok((groups, hier));
-                        }
-                    }
-                    Err(MpiError::ProcessFailed { peer }) if peer == mpi.rank() => {
-                        return Err(MpiError::ProcessFailed { peer })
-                    }
-                    Err(MpiError::ProcessFailed { .. } | MpiError::Revoked) => {
-                        mpi.revoke(&comm);
-                        comm = mpi.try_shrink(&comm)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        },
-    );
+    let r = JobSpec::new(scenario)
+        .with_faults(plan)
+        .run(allreduce_until_shrunk);
     for (rank, out) in r.results.iter().enumerate() {
         if rank < 4 {
-            let (groups, _) = out.as_ref().expect("survivor failed");
-            let mut members: Vec<usize> = groups.iter().flatten().copied().collect();
-            members.sort_unstable();
-            assert_eq!(members, vec![0, 1, 2, 3], "groups must cover the survivors");
-            for g in groups {
-                for &m in g {
-                    assert!(m < 4, "dead rank {m} lingers in a collective group");
-                }
-            }
+            assert_eq!(out, &Ok((vec![0, 1, 2, 3], 4)), "rank {rank}");
         } else {
             assert_eq!(*out, Err(MpiError::ProcessFailed { peer: rank }));
+        }
+    }
+    assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());
+}
+
+#[test]
+fn a_1024_rank_job_shrinks_past_a_crash() {
+    // Fault tolerance at the scale the engine runs: one rank of 1024
+    // crashes at its first call, and every survivor agrees on the same
+    // 1023 members and allreduces over them.
+    const DEAD: usize = 517;
+    let scenario = DeploymentScenario::containers(64, 2, 8, NamespaceSharing::default());
+    let plan = FaultPlan::none().with_crash(DEAD, MidRunTrigger::AfterOps(1));
+    let r = JobSpec::new(scenario)
+        .with_faults(plan)
+        .with_stack_kib(128)
+        .run(allreduce_until_shrunk);
+    assert_eq!(r.results.len(), 1024);
+    let survivors: Vec<usize> = (0..1024).filter(|&r| r != DEAD).collect();
+    for (rank, out) in r.results.iter().enumerate() {
+        if rank == DEAD {
+            assert_eq!(*out, Err(MpiError::ProcessFailed { peer: rank }));
+        } else {
+            let (members, sum) = out.as_ref().expect("survivor failed");
+            assert!(
+                *members == survivors,
+                "rank {rank} shrank to {} members",
+                members.len()
+            );
+            assert_eq!(*sum, 1023, "rank {rank}");
         }
     }
     assert_recovery_matches_metrics(&r.stats, r.telemetry.as_ref());

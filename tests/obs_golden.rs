@@ -281,23 +281,23 @@ const G500_DETECTOR: Golden = Golden {
 };
 
 const MIDRUN_CRASH: Golden = Golden {
-    stats_report: 0x2c75_6526_90b0_01e6,
-    profile_report: 0x2617_d74b_af9b_da8f,
-    profile_json: 0x7564_980f_6cec_5f03,
-    telemetry_json: 0x3058_354b_9967_0eba,
-    flight_chrome: 0x489f_77c1_1cae_8da2,
-    trace_chrome: 0xb0fa_d9ba_a500_e45e,
+    stats_report: 0x7d2b_4254_c547_f6dd,
+    profile_report: 0xb21b_68b5_e183_daf2,
+    profile_json: 0x7525_e828_f3cd_d66b,
+    telemetry_json: 0x4b80_a6f1_4098_380e,
+    flight_chrome: 0x6548_edba_950c_136b,
+    trace_chrome: 0x64f8_ddda_253d_8f0a,
 };
 
 const REVOKE_THEN_SHRINK: Golden = Golden {
-    stats_report: 0xe485_3143_0e4e_1302,
-    profile_report: 0x1826_74e5_7b03_49e3,
-    profile_json: 0x7366_ab55_07c5_3614,
-    telemetry_json: 0x95be_82c0_f9b1_dd73,
+    stats_report: 0xbc9d_fe4f_df1e_76f4,
+    profile_report: 0xbba7_e3e2_9820_11e2,
+    profile_json: 0x7c76_e4e9_3002_f857,
+    telemetry_json: 0xfac7_33de_82d2_aeef,
     // Without rank 0's own revoke, and with the per-message events
     // still on the ring: 0x034d_e7aa_c739_d06f.
-    flight_chrome: 0x89bc_bd30_e56e_999c,
-    trace_chrome: 0x7dd1_fa08_97a5_b3a0,
+    flight_chrome: 0x4791_0490_bac4_76ac,
+    trace_chrome: 0x678c_380d_94d4_bf0a,
 };
 
 const DEGRADED_INIT: Golden = Golden {
