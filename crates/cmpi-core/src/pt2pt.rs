@@ -216,7 +216,8 @@ impl Mpi {
                     sreq: id,
                 };
                 // A dead destination never answers the RTS; the send stays
-                // parked and wait completes it in error.
+                // parked, and pinned, and wait completes it in error.
+                self.pin(channel);
                 if let Some(info) = self.send_control(dst, rts, Bytes::new(), channel, self.now) {
                     self.now = info.local_done;
                 }

@@ -662,6 +662,14 @@ pub struct Mpi {
     ops: u64,
     /// Set once this rank executed its scripted death.
     dead: bool,
+    /// HCA rendezvous sends whose handshake is still open (RTS posted,
+    /// last packet not yet consumed): the CTS, payload and FIN posted for
+    /// them are stamped at or after their RTS, so they hold this rank's
+    /// published floor down (see [`Mpi::enter`]).
+    pins: u32,
+    /// The RTS time of the first pin opened since `pins` was last zero:
+    /// no open pin is older.
+    pinned_at: SimTime,
     /// Communicator contexts revoked at this rank.
     pub(crate) revoked: FastSet<u32>,
     /// The communicator table: the member list of every shrunk context
@@ -817,6 +825,8 @@ impl Mpi {
                                 fate: _,
                                 ops: _,
                                 dead: _,
+                                pins: _,
+                                pinned_at: _,
                                 revoked: _,
                                 comms: _,
                                 convicted_seen: _,
@@ -845,6 +855,8 @@ impl Mpi {
             (&raw mut (*p).fate).write(fate);
             (&raw mut (*p).ops).write(0);
             (&raw mut (*p).dead).write(false);
+            (&raw mut (*p).pins).write(0);
+            (&raw mut (*p).pinned_at).write(SimTime::ZERO);
             (&raw mut (*p).revoked).write(FastSet::default());
             (&raw mut (*p).comms).write(FastMap::default());
             (&raw mut (*p).convicted_seen).write(FastSet::default());
@@ -878,6 +890,13 @@ impl Mpi {
     /// is a temporary of the fiber's first frame.
     #[inline(never)]
     fn finalize(self: Box<Mpi>) -> (SimTime, Box<Obs>) {
+        // With no handshake open, nothing more is posted for this rank:
+        // its floor stops holding the job's down.
+        if self.pins == 0 {
+            self.state
+                .fabric
+                .publish_floor(self.rank, SimTime::from_ns(u64::MAX));
+        }
         self.state.finalize_barrier.wait(&self.state, self.rank);
         let now = self.now;
         (now, self.into_obs())
@@ -928,6 +947,8 @@ impl Mpi {
                 fate,
                 ops,
                 dead,
+                pins,
+                pinned_at,
                 revoked,
                 comms,
                 convicted_seen,
@@ -987,9 +1008,18 @@ impl Mpi {
 
     // ---- internal plumbing --------------------------------------------------
 
-    /// Per-call entry: charge the container tax, remember the start time.
+    /// Per-call entry: publish this rank's floor, charge the container
+    /// tax, remember the start time.
+    ///
+    /// The floor is the clock before the tax (a missed poll winds the
+    /// clock back to it), held down to the oldest open pin's RTS time:
+    /// every transfer this rank posts from here on is stamped at its
+    /// clock, and every one posted for its open handshakes at or after
+    /// their RTS, so no link schedule needs an interval that ends earlier.
     pub(crate) fn enter(&mut self) -> SimTime {
         let t0 = self.now;
+        let floor = if self.pins == 0 { t0 } else { self.pinned_at };
+        self.state.fabric.publish_floor(self.rank, floor);
         self.now += self.state.cost.container_tax(self.view.in_container());
         t0
     }
@@ -1325,16 +1355,18 @@ impl Mpi {
             }
             PacketKind::Cts { sreq, rreq } => self.handle_cts(&pkt, sreq, rreq),
             PacketKind::RndvData { rreq } => self.handle_rndv_data(pkt, rreq),
-            PacketKind::Fin { sreq } => self.handle_fin(pkt.available_at, sreq),
+            PacketKind::Fin { sreq } => self.handle_fin(&pkt, sreq),
             PacketKind::Revoke { ctx } => {
                 self.mark_revoked(ctx);
             }
         }
     }
 
-    /// The sender's FIN handler: the rendezvous send is done.
+    /// The sender's FIN handler: the rendezvous send is done, and its
+    /// handshake closed.
     #[inline(never)]
-    fn handle_fin(&mut self, t: SimTime, sreq: ReqId) {
+    fn handle_fin(&mut self, pkt: &Packet, sreq: ReqId) {
+        self.unpin(pkt.channel);
         // A late FIN (the send already completed in error: peer
         // convicted dead / context revoked) has nothing to finish.
         let Some(slot) = self
@@ -1346,7 +1378,27 @@ impl Mpi {
         let &mut Slot::Send(SendState::AwaitFin { ctx, cts_at, .. }) = slot else {
             panic!("FIN for a send not awaiting one: {slot:?}");
         };
+        let t = pkt.available_at;
         *slot = Slot::Send(SendState::Done { t, ctx, cts_at });
+    }
+
+    /// Open a pin for an HCA rendezvous send whose RTS goes out now.
+    pub(crate) fn pin(&mut self, channel: Channel) {
+        if channel == Channel::Hca {
+            if self.pins == 0 {
+                self.pinned_at = self.now;
+            }
+            self.pins += 1;
+        }
+    }
+
+    /// Close a pin: a packet on `channel` ended a handshake this rank
+    /// sent. Only the consumption of a handshake's last packet closes
+    /// one, never a conviction: the dead peer's partner may still post.
+    fn unpin(&mut self, channel: Channel) {
+        if channel == Channel::Hca {
+            self.pins -= 1;
+        }
     }
 
     /// Route an assembled message: fulfil a posted receive or queue it.
@@ -1429,11 +1481,12 @@ impl Mpi {
     fn handle_cts(&mut self, pkt: &Packet, sreq: ReqId, rreq: ReqId) {
         // A late CTS (the send already completed in error): the parked
         // payload is gone and the receiver (dead or revoked with us) gets
-        // nothing.
+        // nothing, so the handshake ends here.
         let Some(slot) = self
             .reqs
             .named_by_packet(sreq, "CTS for unknown send request")
         else {
+            self.unpin(pkt.channel);
             return;
         };
         let &mut Slot::Send(SendState::AwaitCts {

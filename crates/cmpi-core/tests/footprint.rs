@@ -43,6 +43,13 @@
 //! world and allreduce over the survivors. Its heap holds the same two
 //! bounds: what a shrink costs a rank must not grow with the job.
 //!
+//! Two more bodies run two ranks on two hosts, so every message crosses
+//! the HCA: an 8-byte eager ping-pong and a rendezvous stream of 64 KiB
+//! messages in windows of 16. Their per-rank heap, stack slab included,
+//! at 100 000 round trips (messages) stays within 1.1× of the heap at
+//! 10 000: a link schedule that kept an interval per message for the
+//! whole job grew 16 bytes a message on each of its four adapter paths.
+//!
 //! Where the traffic peak's bytes are, by allocation size, is printed by
 //! an ignored helper (not an assertion):
 //! `cargo test --release -p cmpi-core --test footprint -- --ignored --nocapture`.
@@ -363,6 +370,7 @@ fn per_rank_footprint_is_bounded_and_independent_of_job_size() {
     noop_footprint_is_bounded();
     traffic_footprint_is_bounded();
     shrink_footprint_is_bounded();
+    hca_stream_heap_is_bounded_by_traffic();
 }
 
 fn noop_footprint_is_bounded() {
@@ -447,6 +455,75 @@ fn shrink_footprint_is_bounded() {
         "a rank of a 256-rank job that shrinks past a crash holds {} B of heap, budget {BUDGET} B",
         small.heap
     );
+}
+
+/// Peak live heap per rank, the stack slab included, of a two-rank job
+/// with one rank on each of two hosts running `body(mpi, rounds)`.
+fn two_host_heap(rounds: usize, body: impl Fn(&mut Mpi, usize) + Send + Sync) -> usize {
+    let spec = JobSpec::new(DeploymentScenario::pt2pt_two_hosts(
+        true,
+        NamespaceSharing::default(),
+    ))
+    .with_exec(ExecMode::Tasks)
+    .with_workers(1)
+    .with_stack_kib(STACK_KIB);
+    // Nothing is left out: a schedule's vector may be larger than the slab.
+    EXCLUDED_SIZE.store(usize::MAX, Ordering::Relaxed);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    thread::scope(|s| s.spawn(|| spec.run(|mpi| body(mpi, rounds))).join())
+        .expect("the job's thread panicked");
+    (PEAK.load(Ordering::Relaxed) - before) / 2
+}
+
+/// An 8-byte HCA ping-pong of `rounds` round trips.
+fn eager_pingpong(mpi: &mut Mpi, rounds: usize) {
+    let msg = Bytes::from_static(b"8 bytes!");
+    let peer = 1 - mpi.rank();
+    for _ in 0..rounds {
+        if mpi.rank() == 0 {
+            mpi.send_bytes(msg.clone(), peer, 1);
+            mpi.recv_bytes(peer, 1);
+        } else {
+            let (m, _) = mpi.recv_bytes(peer, 1);
+            mpi.send_bytes(m, peer, 1);
+        }
+    }
+}
+
+/// `messages` HCA rendezvous messages of 64 KiB from rank 0 to rank 1, in
+/// windows of 16 that both sides complete with `waitall`.
+fn rendezvous_stream(mpi: &mut Mpi, messages: usize) {
+    const WINDOW: usize = 16;
+    let data = Bytes::from(vec![0x42u8; 64 * 1024]);
+    for _ in 0..messages / WINDOW {
+        let reqs = (0..WINDOW)
+            .map(|_| match mpi.rank() {
+                0 => mpi.isend_bytes(data.clone(), 1, 2),
+                _ => mpi.irecv_bytes(0, 2),
+            })
+            .collect();
+        mpi.waitall(reqs);
+    }
+}
+
+fn hca_stream_heap_is_bounded_by_traffic() {
+    for (what, body) in [
+        ("eager ping-pong", eager_pingpong as fn(&mut Mpi, usize)),
+        ("rendezvous stream", rendezvous_stream),
+    ] {
+        let short = two_host_heap(10_000, body);
+        let long = two_host_heap(100_000, body);
+        eprintln!(
+            "HCA {what}: {short} B/rank at 10 000 round trips, {long} B/rank at 100 000, {:.3}×",
+            long as f64 / short as f64
+        );
+        assert!(
+            long * 10 <= short * 11,
+            "HCA {what}: per-rank heap grew with the message count: {short} B at 10 000 round \
+             trips, {long} B at 100 000"
+        );
+    }
 }
 
 /// Print the live heap of a traffic job at its peak, per rank and by

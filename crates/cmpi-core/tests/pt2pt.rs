@@ -692,3 +692,173 @@ const PINNED: [Pinned; 48] = [
     ([1354127, 1352674], [0, 0, 1]), // Hostname 1048576 Unexpected
     ([1354127, 1352674], [0, 0, 1]), // Hostname 1048576 Backpressure
 ];
+
+/// A job whose rendezvous control packets are stamped below the clock of
+/// the rank that posts them, beside enough HCA traffic to prune the link
+/// schedules those packets land on. Eight ranks, one per container, four
+/// containers on each of two hosts, hostname routing (so every transfer
+/// is HCA: loopback inside a host, the wire across). Rank 0 computes
+/// 1 ms and then announces 64 KiB to rank 1 (same host) and to rank 4
+/// (other host), and computes another millisecond: the payloads it posts
+/// on each CTS are stamped at the CTS, below its clock. Ranks 1 and 4
+/// post their receives at once, compute 5 ms and only then wait, so the
+/// CTS and the FIN they post are stamped near 1 ms while their clocks
+/// read 5 ms. Ranks 2 ↔ 3 (host 0's adapter) and 5 ↔ 6 (the wire) ping-
+/// pong 8 B 1 500 times; rank 7 sends rank 0 an eager message after
+/// 3 ms and leaves. One worker, so every time repeats exactly.
+fn detached_stamp_job() -> (u64, Vec<u64>, u64) {
+    let spec = JobSpec::new(DeploymentScenario::containers(
+        2,
+        4,
+        1,
+        NamespaceSharing::default(),
+    ))
+    .with_policy(LocalityPolicy::Hostname)
+    .with_exec(cmpi_core::ExecMode::Tasks)
+    .with_workers(1);
+    let r = spec.run(|mpi| {
+        let big = Bytes::from(vec![0x3cu8; 64 * 1024]);
+        let small = Bytes::from_static(b"pingpong");
+        let pingpong = |mpi: &mut cmpi_core::Mpi, peer: usize, first: bool| {
+            for _ in 0..1_500 {
+                if first {
+                    mpi.send_bytes(small.clone(), peer, 9);
+                    mpi.recv_bytes(peer, 9);
+                } else {
+                    let (m, _) = mpi.recv_bytes(peer, 9);
+                    mpi.send_bytes(m, peer, 9);
+                }
+            }
+        };
+        match mpi.rank() {
+            0 => {
+                mpi.compute(SimTime::from_ms(1));
+                let reqs = vec![
+                    mpi.isend_bytes(big.clone(), 1, 5),
+                    mpi.isend_bytes(big, 4, 5),
+                ];
+                mpi.compute(SimTime::from_ms(1));
+                mpi.waitall(reqs);
+                let (m, _) = mpi.recv_bytes(7, 6);
+                assert_eq!(m.len(), 8);
+            }
+            1 | 4 => {
+                let req = mpi.irecv_bytes(0, 5);
+                mpi.compute(SimTime::from_ms(5));
+                let (data, _) = mpi.wait(req).into_recv();
+                assert_eq!(data.len(), 64 * 1024);
+            }
+            2 => pingpong(mpi, 3, true),
+            3 => pingpong(mpi, 2, false),
+            5 => pingpong(mpi, 6, true),
+            6 => pingpong(mpi, 5, false),
+            _ => {
+                mpi.compute(SimTime::from_ms(3));
+                mpi.send_bytes(small, 0, 6);
+            }
+        }
+    });
+    let times = r.times.iter().map(|t| t.as_ns()).collect();
+    (r.elapsed.as_ns(), times, r.stats.channel_ops(Channel::Hca))
+}
+
+/// [`detached_stamp_job`]'s makespan, per-rank clocks and HCA operations,
+/// recorded before link schedules dropped intervals below the job's
+/// floor: dropping them must change no reservation.
+#[test]
+fn detached_stamps_are_pinned() {
+    let (elapsed, times, hca) = detached_stamp_job();
+    assert_eq!(
+        (elapsed, times.as_slice(), hca),
+        (
+            5_138_755,
+            &[
+                3_001_499, 5_000_030, 5_138_755, 5_137_240, 5_000_030, 5_118_000, 5_116_485,
+                3_000_191
+            ][..],
+            6_003
+        ),
+        "detached-stamp job moved: elapsed {elapsed}, clocks {times:?}, HCA ops {hca}"
+    );
+}
+
+/// A rendezvous window whose CTS, payloads and FINs are posted when
+/// every other floor of the job is past their stamps, so only the
+/// sender's pin keeps their gaps. Four ranks, one per container, all on
+/// one host (hostname routing: the host adapter carries everything).
+/// Ranks 0 ↔ 1 ping-pong 8 B 1 000 times, then rank 1 sends rank 2 a
+/// go-ahead and both leave. Rank 2 computes 10 ms and probes for the
+/// go-ahead (a missed probe charges nothing), so its 64 RTS go out at
+/// 10 ms after the ping-pong has ended; it then computes 5 ms and
+/// waits, its clock past every stamp of the window. Rank 3 posted its
+/// 64 receives at once and computed 20 ms before waiting. Returns the
+/// makespan and the per-rank clocks.
+fn pinned_window_job() -> (u64, Vec<u64>) {
+    let spec = JobSpec::new(DeploymentScenario::containers(
+        1,
+        4,
+        1,
+        NamespaceSharing::default(),
+    ))
+    .with_policy(LocalityPolicy::Hostname)
+    .with_exec(cmpi_core::ExecMode::Tasks)
+    .with_workers(1);
+    let r = spec.run(|mpi| {
+        const WINDOW: u32 = 64;
+        let small = Bytes::from_static(b"pingpong");
+        match mpi.rank() {
+            0 => {
+                for _ in 0..1_000 {
+                    mpi.send_bytes(small.clone(), 1, 9);
+                    mpi.recv_bytes(1, 9);
+                }
+            }
+            1 => {
+                for _ in 0..1_000 {
+                    let (m, _) = mpi.recv_bytes(0, 9);
+                    mpi.send_bytes(m, 0, 9);
+                }
+                mpi.send_bytes(small, 2, 7);
+            }
+            2 => {
+                mpi.compute(SimTime::from_ms(10));
+                while mpi.iprobe(1, 7).is_none() {
+                    mpi.idle_wait();
+                }
+                let big = Bytes::from(vec![0x3cu8; 64 * 1024]);
+                let reqs = (0..WINDOW)
+                    .map(|t| mpi.isend_bytes(big.clone(), 3, t))
+                    .collect();
+                mpi.compute(SimTime::from_ms(5));
+                mpi.waitall(reqs);
+                mpi.recv_bytes(1, 7);
+            }
+            _ => {
+                let reqs = (0..WINDOW).map(|t| mpi.irecv_bytes(2, t)).collect();
+                mpi.compute(SimTime::from_ms(20));
+                assert_eq!(mpi.waitall(reqs).len(), WINDOW as usize);
+            }
+        }
+    });
+    (
+        r.elapsed.as_ns(),
+        r.times.iter().map(|t| t.as_ns()).collect(),
+    )
+}
+
+/// [`pinned_window_job`]'s makespan and clocks, recorded before link
+/// schedules dropped anything. A floor that forgot the sender's open
+/// handshakes would let a prune drop the gaps their packets need (the
+/// below-floor assert fires).
+#[test]
+fn a_pinned_window_keeps_its_gaps() {
+    let (elapsed, times) = pinned_window_job();
+    assert_eq!(
+        (elapsed, times.as_slice()),
+        (
+            20_001_920,
+            &[3_412_000, 3_410_676, 15_062_806, 20_001_920][..]
+        ),
+        "pinned-window job moved: elapsed {elapsed}, clocks {times:?}"
+    );
+}

@@ -7,11 +7,12 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use cmpi_cluster::{CostModel, FaultPlan, HostId, SimTime};
-// Per-endpoint state is shim-synchronized so the model checker can
-// explore the receive queue's locked drain against concurrent posts;
+// Per-endpoint state and the link schedules are shim-synchronized so the
+// model checker can explore the receive queue's locked drain against
+// concurrent posts, and a prune's floor reads against a floor's publish;
 // fabric-global tables stay on plain locks (their critical sections
 // contain no model-visible operations).
-use cmpi_model::sync::{AtomicBool, Mutex, Ordering};
+use cmpi_model::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use parking_lot::Mutex as PlainMutex;
 
 use crate::mr::{MemoryRegion, RKey};
@@ -220,7 +221,11 @@ struct Endpoint {
     host: HostId,
     /// The host's single adapter, which carries both directions of its
     /// same-host traffic: shared by every endpoint on `host`.
-    loopback: Arc<PlainMutex<LinkSchedule>>,
+    loopback: Arc<Mutex<LinkSchedule>>,
+    /// The rank's published floor in ns ([`Fabric::publish_floor`]): no
+    /// transfer it posts, or is posted for a handshake it has open, is
+    /// ready earlier.
+    floor: AtomicU64,
     /// Lowered by [`Fabric::detach`] (the slot itself is write-once);
     /// its `Release` store pairs with the `Acquire` load in `Fabric::ep`.
     attached: AtomicBool,
@@ -249,7 +254,7 @@ pub struct Fabric {
     endpoints: SlotTable<Box<Endpoint>>,
     /// Host-indexed loopback schedules, handed to each endpoint of the
     /// host at attach.
-    loopback: SlotTable<Arc<PlainMutex<LinkSchedule>>>,
+    loopback: SlotTable<Arc<Mutex<LinkSchedule>>>,
     /// Registered regions; region `i` has rkey `i + 1`.
     mrs: PlainMutex<Vec<Arc<MemoryRegion>>>,
     /// Remaining injected attach failures per rank (consumed by retries).
@@ -303,13 +308,14 @@ impl Fabric {
         let loopback = self
             .loopback
             .slot(host.0 as usize)
-            .get_or_init(Arc::default);
+            .get_or_init(|| Arc::new(Mutex::new(LinkSchedule::default())));
         self.endpoints
             .slot(rank)
             .set(Box::new(Endpoint {
                 host,
                 loopback: Arc::clone(loopback),
                 attached: AtomicBool::new(true),
+                floor: AtomicU64::new(0),
                 tx: Mutex::new(Tx::default()),
                 rx: Mutex::new(Rx::default()),
                 notifier: OnceLock::new(),
@@ -338,6 +344,34 @@ impl Fabric {
         if let Ok(ep) = self.ep(rank) {
             let _ = ep.notifier.set(f);
         }
+    }
+
+    /// Publish `rank`'s floor: no transfer the rank posts from here on,
+    /// and none posted for a rendezvous it has open, is ready before `t`.
+    /// A rank's floor never goes backwards. Link schedules drop what ends
+    /// at or below the least floor of all endpoints; an endpoint whose
+    /// rank never publishes keeps that at zero, and nothing is dropped.
+    /// Every rank attaches before any publishes. A no-op for a rank with
+    /// no endpoint.
+    pub fn publish_floor(&self, rank: usize, t: SimTime) {
+        if let Some(ep) = self.endpoints.get(rank) {
+            // Pairs with the `Acquire` load in `Fabric::floor`: a prune
+            // that reads this value sees every reservation made on the
+            // strength of the older one (DESIGN §13).
+            ep.floor.store(t.as_ns(), Ordering::Release);
+        }
+    }
+
+    /// The job's floor: the least floor any endpoint published. A dead
+    /// rank's floor stays where it was (a hung rank keeps its endpoint
+    /// and still receives its handshakes' packets), which only stops
+    /// pruning.
+    fn floor(&self) -> u64 {
+        let floors = self
+            .endpoints
+            .values()
+            .map(|ep| ep.floor.load(Ordering::Acquire));
+        floors.min().unwrap_or(0)
     }
 
     fn ep(&self, rank: usize) -> Result<&Endpoint, FabricError> {
@@ -370,18 +404,18 @@ impl Fabric {
         let egress_start = {
             let mut tx = src.tx.lock();
             depart(&mut tx)?;
-            (!same_host).then(|| tx.egress.reserve(ready, wire))
+            (!same_host).then(|| tx.egress.reserve(ready, wire, || self.floor()))
         };
         let start = match egress_start {
             Some(start) => start,
             // Loopback: both directions contend for the one adapter.
-            None => src.loopback.lock().reserve(ready, wire),
+            None => src.loopback.lock().reserve(ready, wire, || self.floor()),
         };
         let mut rx = dst.rx.lock();
         let delivered = if same_host {
             start + wire + latency
         } else {
-            rx.ingress.reserve(start + latency, wire) + wire
+            rx.ingress.reserve(start + latency, wire, || self.floor()) + wire
         };
         arrive(&mut rx, delivered);
         Ok(delivered)
@@ -921,6 +955,57 @@ mod tests {
                 let mut imms: Vec<u32> = msgs.iter().map(|m| m.imm).collect();
                 imms.sort_unstable();
                 assert_eq!(imms, [1, 2], "message lost or duplicated");
+            });
+        }
+
+        /// A prune never drops an interval that a handshake still open
+        /// at the floor's publisher needs. Rank 0's pin holds its floor
+        /// at 1 000 ns; rank 1 (main thread) posts that handshake's
+        /// late-stamped packet, ready at 1 050 ns though rank 1's own
+        /// floor reads 10 000, into host 0's adapter, where the interval
+        /// `[1 000, 1 100)` is busy. Rank 0 raises its floor only once the
+        /// packet has reached it, then posts; rank 2 posts at its floor.
+        /// The adapter holds 63 entries, so the first post to land
+        /// prunes: whichever it is, the late packet starts at 1 100.
+        #[test]
+        fn a_prune_never_drops_what_an_open_handshake_needs() {
+            Builder::new().max_executions(400_000).check(|| {
+                let f = Fabric::new(CostModel::default());
+                for r in 0..3 {
+                    f.attach(r, HostId(0), true).unwrap();
+                }
+                {
+                    let mut adapter = f.loopback.get(0).unwrap().lock();
+                    for k in 0..62 {
+                        adapter.reserve(SimTime::from_ns(2 * k), SimTime::from_ns(1), || 0);
+                    }
+                    adapter.reserve(SimTime::from_ns(1_000), SimTime::from_ns(100), || 0);
+                }
+                let late = SimTime::from_ns(10_000);
+                f.publish_floor(0, SimTime::from_ns(1_000));
+                f.publish_floor(1, late);
+                f.publish_floor(2, late);
+                let data = Bytes::from_static(&[0; 30]);
+                let (fs, ds) = (Arc::clone(&f), data.clone());
+                let sender = thread::spawn(move || {
+                    while fs.poll_recv_one(0).unwrap().is_none() {
+                        thread::yield_now();
+                    }
+                    fs.publish_floor(0, late);
+                    fs.post_send(0, 2, 0, ds, late).unwrap();
+                });
+                let (fp, dp) = (Arc::clone(&f), data.clone());
+                let bystander = thread::spawn(move || {
+                    fp.post_send(2, 1, 0, dp, late).unwrap();
+                });
+                let cost = f.cost().clone();
+                let posted = SimTime::from_ns(1_050 - cost.hca_post_ns);
+                let got = f.post_send(1, 0, 0, data, posted).unwrap();
+                sender.join();
+                bystander.join();
+                let wire = cost.hca_wire_time(30, true);
+                let want = SimTime::from_ns(1_100) + wire + cost.hca_latency(true);
+                assert_eq!(got.delivered_at, want, "the late packet lost its gap");
             });
         }
     }

@@ -39,6 +39,12 @@ impl<T> SlotTable<T> {
         self.chunks.get(k)?.get()?[off].get()
     }
 
+    /// Every stored value, in slot order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        let chunks = self.chunks.iter().filter_map(OnceLock::get);
+        chunks.flat_map(|c| c.iter().filter_map(OnceLock::get))
+    }
+
     /// Slot `i` itself, allocating its chunk on first touch.
     pub(crate) fn slot(&self, i: usize) -> &OnceLock<T> {
         let (k, off) = Self::locate(i);
@@ -73,5 +79,6 @@ mod tests {
         assert!(t.get(5_001).is_none() && t.get(5).is_none());
         assert_eq!(*t.slot(0).get_or_init(|| 1), 1);
         assert_eq!(t.get(0), Some(&1));
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), [1, 7]);
     }
 }
