@@ -29,21 +29,20 @@
 //!
 //! The four results are views, built once by [`job_result`] after every
 //! rank has finished. [`rank_snapshot`] is the only place a source is mapped
-//! to a [`MetricId`]. The one structure a reader may race its writer on
-//! is the flight ring ([`cmpi_telemetry::FlightRecorder`], a
-//! model-checked seqlock); the store itself is plain memory.
+//! to a [`MetricId`]. No reader runs beside a writer, so the whole store,
+//! the flight ring ([`FlightRecorder`]) included, is plain memory.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::mem::MaybeUninit;
-use std::sync::Arc;
 
 use cmpi_cluster::{Channel, SimTime};
 use cmpi_prof::{
     FabricCounters, HistogramAccumulator, JobProfile, ProfCollector, QueuePressure, WaitClass,
 };
 use cmpi_telemetry::{
-    EventKind, FlightEvent, FlightSnapshot, JobTelemetry, MetricId, RankSnapshot, TelemetrySnapshot,
+    EventKind, FlightEvent, FlightRecorder, FlightSnapshot, MetricId, RankSnapshot,
+    TelemetrySnapshot,
 };
 
 use crate::channel::{Protocol, Route};
@@ -53,22 +52,20 @@ use crate::runtime::{JobResult, JobSpec, JobState};
 use crate::stats::{CallClass, CommStats, JobStats, RecoveryStats};
 use crate::trace::{flow_id, JobTrace, RankTrace};
 
-/// What a job's ranks share: the detail levels its spec asked for and
-/// the flight rings.
+/// What a job's ranks share: the detail levels its spec asked for.
 pub(crate) struct JobObs {
     tracing: bool,
     profiling: bool,
-    /// `None` only under [`JobSpec::without_telemetry`].
-    telemetry: Option<Arc<JobTelemetry>>,
+    /// Off only under [`JobSpec::without_telemetry`].
+    telemetry: bool,
 }
 
 impl JobObs {
     pub(crate) fn new(spec: &JobSpec) -> Self {
-        let n = spec.scenario.num_ranks();
         JobObs {
             tracing: spec.tracing,
             profiling: spec.profiling,
-            telemetry: spec.telemetry.then(|| Arc::new(JobTelemetry::new(n))),
+            telemetry: spec.telemetry,
         }
     }
 }
@@ -93,10 +90,9 @@ struct Own {
 pub(crate) struct Obs {
     rank: usize,
     stats: CommStats,
-    /// This job's rings when the telemetry level is on. The rank is the
-    /// only writer of its own ring, and [`Obs::incident`] the only call
-    /// that writes it.
-    rings: Option<Arc<JobTelemetry>>,
+    /// This rank's flight ring, at the telemetry level (so also the
+    /// level's flag). [`Obs::incident`] is the only call that writes it.
+    flight: Option<FlightRecorder>,
     /// Kept inline (not behind a box) for two reasons: a request settles
     /// between a receive completing and the next send's locked queue
     /// CAS, where stores that miss serialize into measured latency; and
@@ -181,7 +177,7 @@ impl Obs {
         const _: fn(Obs) = |Obs {
                                 rank: _,
                                 stats: _,
-                                rings: _,
+                                flight: _,
                                 own: _,
                                 trace: _,
                                 prof: _,
@@ -192,7 +188,7 @@ impl Obs {
         unsafe {
             (&raw mut (*p).rank).write(rank);
             (&raw mut (*p).stats).write(CommStats::default());
-            (&raw mut (*p).rings).write(job.telemetry.clone());
+            (&raw mut (*p).flight).write(job.telemetry.then(FlightRecorder::default));
             (&raw mut (*p).own).write(Own::default());
             (&raw mut (*p).trace).write(job.tracing.then(Box::default));
             (&raw mut (*p).prof).write(job.profiling.then(|| Box::new(ProfCollector::new(n))));
@@ -237,7 +233,7 @@ impl Obs {
         if let Some(tr) = &mut self.trace {
             tr.flow_start(flow_id(self.rank, dst, seq), posted);
         }
-        if self.rings.is_none() {
+        if self.flight.is_none() {
             return;
         }
         self.own.msg_size.observe(len as u64);
@@ -293,7 +289,7 @@ impl Obs {
         flow: Option<(u64, SimTime)>,
     ) {
         let class = wait_class(ctx);
-        if self.rings.is_some() {
+        if self.flight.is_some() {
             self.own.late_sender_ns += late_sender.as_ns();
             self.own.late_receiver_ns += late_receiver.as_ns();
             self.own.transfer_ns += transfer.as_ns();
@@ -356,7 +352,7 @@ impl Obs {
     /// on arrival cannot raise a high-water mark).
     #[inline]
     pub(crate) fn depth(&mut self, posted: usize, unexpected: usize) {
-        if self.rings.is_some() {
+        if self.flight.is_some() {
             self.own.posted_peak = self.own.posted_peak.max(posted as u64);
             self.own.unexpected_peak = self.own.unexpected_peak.max(unexpected as u64);
         }
@@ -364,7 +360,7 @@ impl Obs {
 
     /// An `iprobe` returned, with a match or without.
     pub(crate) fn probe(&mut self, hit: bool) {
-        if self.rings.is_some() {
+        if self.flight.is_some() {
             if hit {
                 self.own.probe_hits += 1;
             } else {
@@ -393,7 +389,7 @@ impl Obs {
             let worst = &mut self.stats.recovery.detect_ns;
             *worst = (*worst).max(detail.a);
         }
-        if let (Some(rings), Some(event)) = (&self.rings, event) {
+        if let (Some(flight), Some(event)) = (&mut self.flight, event) {
             let mut ev = FlightEvent::new(event, at.as_ns())
                 .detail(detail.code)
                 .a(detail.a)
@@ -401,7 +397,7 @@ impl Obs {
             if let Some(p) = peer {
                 ev = ev.peer(p);
             }
-            rings.ring(self.rank).record(ev);
+            flight.record(ev);
         }
         if let Some(tr) = &mut self.trace {
             tr.instant(label, at, peer, detail.reason, count);
@@ -449,14 +445,13 @@ pub(crate) fn job_result<R>(
         results.push(out);
         times.push(t);
         let store = *store;
-        if let Some(rings) = &job.telemetry {
-            let flight = rings.ring(rank).snapshot();
+        if let Some(flight) = store.flight {
             let substrate = (&queue, &fabric[rank]);
             snapshots.push(rank_snapshot(
                 rank,
                 &store.stats,
                 store.own,
-                flight,
+                flight.finish(),
                 substrate,
             ));
         }
@@ -464,7 +459,6 @@ pub(crate) fn job_result<R>(
         collectors.extend(store.prof.map(|p| *p));
         per_rank.push(store.stats);
     }
-    let telemetry = job.telemetry.is_some();
     JobResult {
         results,
         times,
@@ -474,7 +468,9 @@ pub(crate) fn job_result<R>(
         profile: job
             .profiling
             .then(|| JobProfile::assemble(collectors, queue, fabric)),
-        telemetry: telemetry.then_some(TelemetrySnapshot { ranks: snapshots }),
+        telemetry: job
+            .telemetry
+            .then_some(TelemetrySnapshot { ranks: snapshots }),
     }
 }
 

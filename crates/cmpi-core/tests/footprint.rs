@@ -378,10 +378,11 @@ fn noop_footprint_is_bounded() {
     let small = assert_independent_of_job_size("without a fault plan", &none);
     let never = FaultPlan::none().with_crash(0, MidRunTrigger::AfterOps(u64::MAX));
     assert_independent_of_job_size("under a fault plan that never fires", &never);
-    // Measured 3 000 B/rank when this budget was set (DESIGN.md §16 says
-    // what the bytes are); + 25 %. The heap-resident `Mpi` does not add
-    // to it: the peak falls after every rank has freed its handle.
-    const BUDGET: usize = 3_750;
+    // Measured 2 812 B/rank when this budget was set (3 044 while the job
+    // held a flight-ring directory per rank; DESIGN.md §16 says what the
+    // bytes are); + 25 %. The heap-resident `Mpi` does not add to it: the
+    // peak falls after every rank has freed its handle.
+    const BUDGET: usize = 3_515;
     assert!(
         small <= BUDGET,
         "a rank of a 256-rank noop job holds {small} B of heap, budget {BUDGET} B"
@@ -446,10 +447,12 @@ fn shrink_footprint_is_bounded() {
     );
     assert_one_stack_page_per_fiber("crash + shrink", &small);
     assert_one_stack_page_per_fiber("crash + shrink", &large);
-    // Measured 5 138 B/rank when this budget was set (12 724 while
-    // the agreement reduced ⌈n/8⌉-byte dead-set masks and every survivor
-    // rebuilt the member list and a topology of its own); + 25 %.
-    const BUDGET: usize = 6_423;
+    // Measured 3 866 B/rank when this budget was set (5 195 while every
+    // survivor's conviction and shrink events took a 1 280-B ring chunk;
+    // 12 724 while the agreement reduced ⌈n/8⌉-byte dead-set masks and
+    // every survivor rebuilt the member list and a topology of its own);
+    // + 25 %.
+    const BUDGET: usize = 4_833;
     assert!(
         small.heap <= BUDGET,
         "a rank of a 256-rank job that shrinks past a crash holds {} B of heap, budget {BUDGET} B",

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use cmpi_cluster::{DeploymentScenario, FaultPlan, MidRunTrigger, NamespaceSharing};
 use cmpi_core::{
-    evaluate_health, EventKind, HealthStatus, JobSpec, Json, MetricId, MpiError, ReduceOp,
+    evaluate_health, EventKind, ExecMode, HealthStatus, JobSpec, Json, MetricId, MpiError, ReduceOp,
 };
 
 fn pair() -> JobSpec {
@@ -155,4 +155,66 @@ fn a_crashed_rank_is_named_once_by_its_own_death() {
     for gone in ["cmpi_ft_suspicions_total", "cmpi_heartbeat_gap_ns"] {
         assert!(!json.contains(gone), "{gone} is still exposed");
     }
+}
+
+/// FNV-1a of a rendered text.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A real job wraps rank 0's ring: every HCA send fails once and is
+/// retried, so 300 sends publish a `send-retry` incident each into a
+/// ring that keeps the newest 256. The timeline keeps every incident, so
+/// it names the newest; the dump's hash pins how the kept ones render.
+#[test]
+fn a_job_wraps_its_flight_ring_keeping_the_newest() {
+    const SENDS: u32 = 300;
+    let scenario = DeploymentScenario::containers(2, 1, 1, NamespaceSharing::default());
+    let plan = FaultPlan::none().with_send_faults(1, 1);
+    let r = JobSpec::new(scenario)
+        .with_faults(plan)
+        .with_tracing()
+        .with_exec(ExecMode::Tasks)
+        .with_workers(1)
+        .run(|mpi| {
+            for tag in 0..SENDS {
+                if mpi.rank() == 0 {
+                    mpi.send(&[tag as u64], 1, tag);
+                } else {
+                    let mut got = [0u64];
+                    mpi.recv(&mut got, 0, tag);
+                    assert_eq!(got[0], tag as u64);
+                }
+            }
+        });
+    let snap = r.telemetry.expect("telemetry is on by default");
+    let r0 = &snap.ranks[0];
+    let flight = &r0.flight;
+    assert_eq!(flight.published, u64::from(SENDS), "one retry a send");
+    assert_eq!(flight.events.len(), 256);
+    assert_eq!(flight.published, flight.dropped + 256);
+    assert_eq!(r0.get(MetricId::FlightEvents), flight.published);
+    assert_eq!(r0.get(MetricId::FlightDropped), flight.dropped);
+    assert_eq!(r0.get(MetricId::SendRetries), flight.published);
+    // The kept events are the newest, oldest first.
+    let trace = r.trace.expect("tracing was enabled");
+    let retries: Vec<u64> = trace.ranks[0]
+        .instants()
+        .iter()
+        .filter(|i| i.name == "send-retry")
+        .map(|i| i.at.as_ns())
+        .collect();
+    assert_eq!(retries.len() as u64, flight.published);
+    let kept: Vec<u64> = flight.events.iter().map(|e| e.at_ns).collect();
+    assert_eq!(kept, retries[retries.len() - 256..]);
+    for ev in &flight.events {
+        assert_eq!(ev.kind, EventKind::SendRetry, "{ev:?}");
+        assert_eq!(ev.peer, Some(1), "{ev:?}");
+    }
+    assert_eq!(
+        fnv(&snap.flight_chrome_json().to_string()),
+        0x024b_db9e_4d47_757b
+    );
 }

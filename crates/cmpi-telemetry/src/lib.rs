@@ -4,12 +4,10 @@
 //!
 //! Three pieces:
 //!
-//! * a **flight recorder** ([`FlightRecorder`]) — a fixed-capacity
-//!   per-rank event ring recording incidents only (retries, downgrades,
-//!   failure-detector and recovery steps, a rank's own death), dumpable
-//!   as Chrome-trace JSON; a healthy job leaves it empty. The ring is
-//!   the one structure here a reader may race its writer on, and the
-//!   model checker proves the slot protocol;
+//! * a **flight recorder** ([`FlightRecorder`]) — a per-rank ring of
+//!   the newest incidents (retries, downgrades, failure-detector and
+//!   recovery steps, a rank's own death), dumpable as Chrome-trace
+//!   JSON; a healthy job leaves it empty;
 //! * a **metric vocabulary** ([`MetricId`], [`RankSnapshot`],
 //!   [`TelemetrySnapshot`]) — typed counters/gauges/log2 histograms
 //!   behind a static id table, rendered as JSON;
@@ -17,8 +15,8 @@
 //!   snapshots producing per-rank/per-job verdicts.
 //!
 //! This crate is substrate-agnostic and keeps no number of its own:
-//! `cmpi-core` owns the [`JobTelemetry`] rings, each rank's store holds
-//! the values only that rank writes (in plain fields and
+//! each rank's store in `cmpi-core` holds the values only that rank
+//! writes (its ring, plain fields and
 //! [`cmpi_prof::HistogramAccumulator`]s), and one function there maps
 //! every [`MetricId`] to its source when the job's [`TelemetrySnapshot`]
 //! is built at teardown.
@@ -31,33 +29,9 @@ pub mod ring;
 
 pub use health::{evaluate, HealthFinding, HealthReport, HealthStatus};
 pub use metrics::{MetricId, MetricKind, RankSnapshot, TelemetrySnapshot, NUM_METRICS};
-pub use ring::{EventKind, FlightEvent, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
+pub use ring::{EventKind, FlightEvent, FlightRecorder, FlightSnapshot, FLIGHT_CAPACITY};
 
 use cmpi_prof::Json;
-
-/// A whole job's flight rings, one per rank, created at job setup and
-/// shared between the ranks (each the only writer of its own ring) and
-/// whoever snapshots.
-pub struct JobTelemetry {
-    rings: Vec<FlightRecorder>,
-}
-
-impl JobTelemetry {
-    /// Rings for `num_ranks` ranks holding [`DEFAULT_FLIGHT_CAPACITY`]
-    /// events each.
-    pub fn new(num_ranks: usize) -> JobTelemetry {
-        JobTelemetry {
-            rings: (0..num_ranks)
-                .map(|_| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY))
-                .collect(),
-        }
-    }
-
-    /// One rank's ring.
-    pub fn ring(&self, rank: usize) -> &FlightRecorder {
-        &self.rings[rank]
-    }
-}
 
 /// The one place a Chrome trace-event object is built (`pid` 0, `tid` =
 /// rank, microsecond timestamps). `lead` is the field the phase wants
@@ -125,18 +99,18 @@ mod tests {
 
     #[test]
     fn flight_chrome_dump_round_trips() {
-        let t = JobTelemetry::new(2);
-        t.ring(0).record(
+        let mut rings = [FlightRecorder::default(), FlightRecorder::default()];
+        rings[0].record(
             FlightEvent::new(EventKind::HcaDowngrade, 1_500)
                 .peer(1)
                 .detail(2),
         );
-        t.ring(1)
-            .record(FlightEvent::new(EventKind::Convict, 9_000).peer(0).a(1234));
+        rings[1].record(FlightEvent::new(EventKind::Convict, 9_000).peer(0).a(1234));
         let snap = TelemetrySnapshot {
-            ranks: (0..2)
+            ranks: rings
+                .into_iter()
                 .map(|r| RankSnapshot {
-                    flight: t.ring(r).snapshot(),
+                    flight: r.finish(),
                     ..metrics::rank_with(&[])
                 })
                 .collect(),

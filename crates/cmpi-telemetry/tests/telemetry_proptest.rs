@@ -4,7 +4,8 @@
 
 use cmpi_prof::{HistogramSnapshot, Json};
 use cmpi_telemetry::{
-    EventKind, FlightEvent, FlightRecorder, MetricId, RankSnapshot, TelemetrySnapshot, NUM_METRICS,
+    EventKind, FlightEvent, FlightRecorder, MetricId, RankSnapshot, TelemetrySnapshot,
+    FLIGHT_CAPACITY, NUM_METRICS,
 };
 use proptest::prelude::*;
 
@@ -17,17 +18,16 @@ proptest! {
     /// exact published/dropped accounting.
     #[test]
     fn flight_dump_round_trips_through_strict_json_parser(
-        capacity in 1usize..=32,
         events in proptest::collection::vec(
             (0usize..EventKind::ALL.len(), any::<u32>(), any::<u64>(), any::<u64>()),
-            0..96,
+            0..3 * FLIGHT_CAPACITY,
         ),
     ) {
-        let ring = FlightRecorder::new(capacity);
+        let mut ring = FlightRecorder::default();
         for &(kind, peer, at_ns, a) in &events {
             ring.record(FlightEvent::new(EventKind::ALL[kind], at_ns).peer(peer as usize).a(a));
         }
-        let flight = ring.snapshot();
+        let flight = ring.finish();
         let mut scalars = vec![0; NUM_METRICS];
         scalars[MetricId::FlightEvents.index()] = flight.published;
         scalars[MetricId::FlightDropped.index()] = flight.dropped;
@@ -45,6 +45,11 @@ proptest! {
             flight.published,
             "dropped counter must be exact"
         );
+        // The kept events are the newest, oldest first.
+        prop_assert_eq!(flight.events.len(), events.len().min(FLIGHT_CAPACITY));
+        for (ev, &(_, _, at_ns, a)) in flight.events.iter().zip(&events[flight.dropped as usize..]) {
+            prop_assert_eq!((ev.at_ns, ev.a), (at_ns, a));
+        }
 
         let doc = snap.flight_chrome_json().to_string();
         let parsed = Json::parse(&doc).expect("flight dump must be strict JSON");

@@ -24,9 +24,9 @@
 #             deterministic FT Graph 500 answers) plus the failure-detector
 #             convergence property test
 #   model     exhaustive interleaving + race-detector checks: the checker's
-#             own suite, then the shim-ported hot-path structures under
-#             --cfg cmpi_model (separate target dir so the normal build
-#             cache survives)
+#             own suite, then the shim-ported hot-path structures of
+#             cmpi-core, cmpi-shmem and cmpi-fabric under --cfg cmpi_model
+#             (separate target dir so the normal build cache survives)
 #   overhead  overhead_gate: telemetry-on vs -off kernel pairs, >2 % fails
 #   benchmark the outside-in benchmark harness's own self-tests
 #             (benchmark/ is a workspace of its own; includes the
@@ -110,7 +110,7 @@ stage model-cfg "model checker (--cfg cmpi_model exhaustive runs)"
 RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
   cargo test -q -p cmpi-model
 RUSTFLAGS="--cfg cmpi_model" CARGO_TARGET_DIR=target/model \
-  cargo test -q -p cmpi-core -p cmpi-shmem -p cmpi-fabric -p cmpi-telemetry --lib
+  cargo test -q -p cmpi-core -p cmpi-shmem -p cmpi-fabric --lib
 
 stage overhead "telemetry overhead gate (on/off pairs, budget 2%)"
 # Paired on/off runs of the eager, rendezvous and job32 kernels; fails
