@@ -100,7 +100,7 @@ impl Mpi {
     // ---- internal operations (no time-class attribution) -------------------
 
     /// Start a send on communicator context `ctx`.
-    pub(crate) fn isend_inner(&mut self, data: Bytes, dst: usize, tag: u32, ctx: u32) -> Req {
+    pub(crate) fn isend_inner(&mut self, mut data: Bytes, dst: usize, tag: u32, ctx: u32) -> Req {
         assert!(dst < self.n, "send to invalid rank {dst}");
         let next_seq = &mut self.peers.get_mut(dst).send_seq;
         let seq = *next_seq;
@@ -164,7 +164,14 @@ impl Mpi {
                             total: len as u64,
                             offset: off as u64,
                         },
-                        data: data.slice(off..off + clen),
+                        // A one-chunk message moves its payload in: a
+                        // slice and the drop of `data` would be two
+                        // refcount RMWs.
+                        data: if clen == len {
+                            std::mem::take(&mut data)
+                        } else {
+                            data.slice(off..off + clen)
+                        },
                     });
                     self.obs.tx(dst, Channel::Shm, clen);
                     off += clen;

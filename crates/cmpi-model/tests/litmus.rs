@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cmpi_model::model::{self, thread, Builder};
 use cmpi_model::race;
-use cmpi_model::sync::{AtomicBool, AtomicU64, Condvar, Mutex};
+use cmpi_model::sync::{AtomicBool, AtomicU64, Condvar, Mutex, SpinLock};
 
 /// Store buffering with SeqCst: `r1 == 0 && r2 == 0` must be
 /// unreachable — every interleaving commits at least one store into the
@@ -181,6 +181,32 @@ fn race_detector_respects_release_acquire() {
             race::write(Arc::as_ptr(&cell), "consumer");
         }
         t.join();
+    });
+}
+
+/// The one-RMW spin lock: two threads increment a plain counter under
+/// it, each with a schedule point between its read and its write.
+/// Mutual exclusion holds on every interleaving — the race detector
+/// checks each section against the last (an acquire that does not see
+/// the previous holder's `Release` store is a reported data race), and
+/// no update is lost — and a waiter's spin yields to the model scheduler
+/// instead of running the exploration into its step bound.
+#[test]
+fn spin_lock_excludes_and_loses_no_update() {
+    Builder::new().check(|| {
+        let lock = Arc::new(SpinLock::new(0u64));
+        let tick = Arc::new(AtomicU64::new(0));
+        let bump = |lock: &SpinLock<u64>, tick: &AtomicU64| {
+            let mut g = lock.lock();
+            let v = *g;
+            tick.fetch_add(1, Ordering::Relaxed);
+            *g = v + 1;
+        };
+        let (l2, t2) = (Arc::clone(&lock), Arc::clone(&tick));
+        let t = thread::spawn(move || bump(&l2, &t2));
+        bump(&lock, &tick);
+        t.join();
+        assert_eq!(*lock.lock(), 2, "lost update");
     });
 }
 

@@ -15,13 +15,14 @@
 # target/prof/WORKLOAD/. Not a gate: without a C compiler it says so and
 # exits 0.
 #
-# The share of samples whose pc sits right after a lock-prefixed or xchg
-# instruction, by symbol, is `python3 scripts/prof/symbolise.py
-# target/prof/WORKLOAD --atomics [TOP]`. That table is for attribution,
-# not a claim: about a quarter of pt2pt_eager's and mixed32's samples sit
-# after an atomic, yet removing two read-modify-writes per message moved
-# no wall_s by more than the noise of 8 alternated pairs (EXPERIMENTS
-# "PR 47"). Time a change before claiming it.
+# Then it prints a third table: the share of samples whose pc sits right
+# after a lock-prefixed or xchg instruction, by symbol (`python3
+# scripts/prof/symbolise.py target/prof/WORKLOAD --atomics TOP`), so one
+# run gives a before/after attribution of the message path's atomics.
+# That table is for attribution, not a claim: removing two
+# read-modify-writes per message once moved no wall_s by more than the
+# noise of 8 alternated pairs, while halving DESIGN §16's per-message
+# budget did. Time a change before claiming it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/prof.sh WORKLOAD [SECONDS] [TOP]}"
@@ -42,3 +43,4 @@ SIGPROF_OUT="$out" SIGPROF_MATCH=--child LD_PRELOAD="$PWD/target/prof/sigprof.so
   "$CARGO_TARGET_DIR/release/cmpi-benchmark" \
   --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >/dev/null
 python3 scripts/prof/symbolise.py "$out" "$top"
+python3 scripts/prof/symbolise.py "$out" --atomics "$top"

@@ -5,6 +5,12 @@
 //! * every `Ordering::Relaxed` outside `cmpi-model` (which implements
 //!   the memory model) has a `relaxed-ok:` reason on its line or in the
 //!   four lines above;
+//! * in the files of the per-message path (the mailbox, the execution
+//!   engine, the runtime, point-to-point and the fabric endpoint), every
+//!   read-modify-write — a `swap(`, `fetch_` or `compare_exchange` — and
+//!   every `SeqCst` store has an `rmw:` reason naming the race it closes,
+//!   on its line or in the comment block right above it: the message
+//!   path's RMW budget (DESIGN §16) is spent only where a reason says so;
 //! * outside `channel.rs` and `locality.rs` no code reads
 //!   `considered_local`, `.vis.shm` or `.vis.cma`: a second reader is a
 //!   second channel decision that can drift from `ChannelSelector::route`;
@@ -71,6 +77,45 @@ fn every_relaxed_ordering_is_justified() {
         }
     }
     assert!(bare.is_empty(), "Relaxed without `relaxed-ok:`: {bare:?}");
+}
+
+#[test]
+fn every_message_path_rmw_is_justified() {
+    let path = [
+        "crates/cmpi-core/src/mailbox.rs",
+        "crates/cmpi-core/src/exec.rs",
+        "crates/cmpi-core/src/runtime.rs",
+        "crates/cmpi-core/src/pt2pt.rs",
+        "crates/cmpi-fabric/src/endpoint.rs",
+    ];
+    let mut bare = Vec::new();
+    let mut seen = 0;
+    for (rel, src) in sources() {
+        if !path.contains(&rel.as_str()) {
+            continue;
+        }
+        seen += 1;
+        let lines: Vec<&str> = src.lines().collect();
+        for (n, line) in code_lines(&src) {
+            let rmw = ["swap(", "fetch_", "compare_exchange"]
+                .iter()
+                .any(|op| line.contains(op))
+                || (line.contains("SeqCst") && line.contains("store("));
+            // The line itself, then the comment block right above it.
+            let above = lines[..n - 1]
+                .iter()
+                .rev()
+                .take_while(|l| l.trim_start().starts_with("//"));
+            let reason = std::iter::once(&line)
+                .chain(above)
+                .any(|l| l.contains("rmw:"));
+            if rmw && !reason {
+                bare.push(format!("{rel}:{n}"));
+            }
+        }
+    }
+    assert_eq!(seen, path.len(), "a message-path file moved");
+    assert!(bare.is_empty(), "RMW without `rmw:`: {bare:?}");
 }
 
 #[test]
