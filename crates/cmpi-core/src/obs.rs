@@ -409,18 +409,19 @@ impl Obs {
 
 /// Turn what the finished ranks left behind (rank-ordered: return
 /// value, final clock, store) into the job's result: the four views are
-/// built here, once. The substrate counters — pair queues and mailboxes,
-/// fabric endpoints — are sampled here too, once, for every view that
-/// shows them. Each store is freed as it is read: a job's heap peaks in
-/// this function.
+/// built here, once. The substrate counters — fabric endpoints here,
+/// pair queues and mailboxes in `queue`, sampled by the caller once
+/// every rank finished — are read once, for every view that shows them.
+/// Each store is freed as it is read: a job's heap peaks in this
+/// function.
 pub(crate) fn job_result<R>(
     finished: impl Iterator<Item = (R, SimTime, Box<Obs>)>,
     state: &JobState,
+    queue: QueuePressure,
     elapsed: SimTime,
 ) -> JobResult<R> {
     let job = &state.obs;
     let n = state.placement.num_ranks();
-    let queue = state.queue_pressure();
     let fabric: Vec<FabricCounters> = (0..n)
         .map(|r| match state.fabric.stats(r) {
             Ok(s) => FabricCounters {
